@@ -48,7 +48,6 @@ impl std::error::Error for CvssError {}
 
 /// Attack Vector (AV).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AttackVectorMetric {
     /// Network (`N`).
     Network,
@@ -62,7 +61,6 @@ pub enum AttackVectorMetric {
 
 /// Attack Complexity (AC).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AttackComplexity {
     /// Low (`L`).
     Low,
@@ -72,7 +70,6 @@ pub enum AttackComplexity {
 
 /// Privileges Required (PR).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PrivilegesRequired {
     /// None (`N`).
     None,
@@ -84,7 +81,6 @@ pub enum PrivilegesRequired {
 
 /// User Interaction (UI).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum UserInteraction {
     /// None (`N`).
     None,
@@ -94,7 +90,6 @@ pub enum UserInteraction {
 
 /// Scope (S).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Scope {
     /// Unchanged (`U`).
     Unchanged,
@@ -104,7 +99,6 @@ pub enum Scope {
 
 /// Impact level for Confidentiality, Integrity and Availability (C/I/A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Impact {
     /// None (`N`).
     None,
@@ -116,7 +110,6 @@ pub enum Impact {
 
 /// Qualitative severity rating per the v3.1 specification, §5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Severity {
     /// Score 0.0.
     None,
@@ -185,7 +178,6 @@ impl fmt::Display for Severity {
 /// # Ok::<(), cpssec_attackdb::CvssError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CvssVector {
     /// Attack Vector.
     pub av: AttackVectorMetric,

@@ -47,17 +47,14 @@ impl std::error::Error for ParseIdError {}
 /// # Ok::<(), cpssec_attackdb::ParseIdError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CapecId(u32);
 
 /// A CWE weakness identifier, e.g. `CWE-78`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CweId(u32);
 
 /// A CVE vulnerability identifier, e.g. `CVE-2018-0101`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CveId {
     year: u16,
     number: u32,
@@ -177,7 +174,6 @@ impl FromStr for CveId {
 /// the analysis layer: a match result is a list of `AttackVectorId`s with
 /// scores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AttackVectorId {
     /// A CAPEC attack pattern.
     Pattern(CapecId),

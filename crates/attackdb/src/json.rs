@@ -2,8 +2,8 @@
 //!
 //! Supports the full JSON value grammar (objects, arrays, strings with
 //! escapes, numbers, booleans, null). Self-contained so the crate's only
-//! dependencies stay `rand` (+ optional `serde` derives); the subset NVD,
-//! CWE and CAPEC extracts need is exactly plain JSON.
+//! dependency stays `rand`; the subset NVD, CWE and CAPEC extracts need is
+//! exactly plain JSON.
 
 use std::collections::BTreeMap;
 use std::fmt;

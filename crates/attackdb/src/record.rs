@@ -15,7 +15,6 @@ use crate::{CapecId, CveId, CvssVector, CweId, Severity};
 
 /// CAPEC abstraction level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Abstraction {
     /// A high-level class of attack (e.g. "Injection").
     Meta,
@@ -64,7 +63,6 @@ impl FromStr for Abstraction {
 
 /// Qualitative likelihood, as CAPEC reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Likelihood {
     /// Very unlikely to be attempted or to succeed.
     VeryLow,
@@ -109,7 +107,6 @@ impl fmt::Display for Likelihood {
 
 /// A CAPEC-style attack pattern: the attacker's perspective.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AttackPattern {
     id: CapecId,
     name: String,
@@ -234,7 +231,6 @@ impl AttackPattern {
 
 /// A CWE-style weakness: the defender's perspective on a flaw class.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Weakness {
     id: CweId,
     name: String,
@@ -333,7 +329,6 @@ impl Weakness {
 
 /// A CPE-style product name identifying what a vulnerability affects.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CpeName {
     vendor: String,
     product: String,
@@ -387,7 +382,6 @@ impl fmt::Display for CpeName {
 
 /// A CVE/NVD-style vulnerability: a concrete flaw in concrete products.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Vulnerability {
     id: CveId,
     description: String,

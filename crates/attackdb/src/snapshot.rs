@@ -9,7 +9,7 @@
 //!
 //! The framing above this layer (magic, format version, section table,
 //! checksums) lives in `cpssec_search::snapshot`, which composes the record
-//! payload produced here with the frozen index payloads.
+//! payload produced here with the index payloads.
 
 use core::fmt;
 
@@ -142,15 +142,6 @@ impl<'a> Reader<'a> {
         ))
     }
 
-    /// Reads an `f64` stored as raw IEEE-754 bits (bit-exact round trip).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] at end of input.
-    pub fn f64_bits(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
     /// Reads a `u32`-length-prefixed UTF-8 string slice.
     ///
     /// # Errors
@@ -191,11 +182,6 @@ pub fn put_u32(out: &mut Vec<u8>, v: u32) {
 /// Appends a little-endian `u64`.
 pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends an `f64` as raw IEEE-754 bits (bit-exact round trip).
-pub fn put_f64_bits(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
 }
 
 /// Appends a `u32`-length-prefixed UTF-8 string.

@@ -2,9 +2,9 @@
 //! `.cpsnap` decode, plus the sharded index build and the adaptive
 //! parallel fan-out ablation (E12b).
 //!
-//! The snapshot stores the frozen indices with precomputed weights as raw
-//! `f64` bits, so the decoded engine answers queries immediately and
-//! bit-identically. `CPSSEC_BENCH_FAST=1` (CI test mode) shrinks sample
+//! The snapshot stores the indices as term frequencies and document
+//! lengths, so the decoded engine answers queries immediately, computing
+//! bit-identical weights at query time. `CPSSEC_BENCH_FAST=1` (CI test mode) shrinks sample
 //! counts; `CPSSEC_SCALE` picks the corpus scale (default 0.3 here — the
 //! paper-shaped 11k-record corpus the acceptance target is stated at).
 

@@ -304,7 +304,7 @@ fn snapshot_build_inspect_verify_round_trip() {
 
     let (success, stdout, _) = run(&["snapshot", "inspect", &path]);
     assert!(success);
-    assert!(stdout.contains("format version 2"), "{stdout}");
+    assert!(stdout.contains("format version 3"), "{stdout}");
     assert!(stdout.contains("snapshot id"), "{stdout}");
     for section in ["corpus", "patterns", "weaknesses", "vulnerabilities"] {
         assert!(stdout.contains(section), "missing {section}: {stdout}");
@@ -380,7 +380,7 @@ fn corrupted_snapshots_fail_verify_with_one_line_errors() {
     assert_one_line_failure(&["serve", "--snapshot", &bad_sum_path], "checksum");
     let (success, stdout, _) = run(&["snapshot", "inspect", &bad_sum_path]);
     assert!(success, "inspect reads headers only");
-    assert!(stdout.contains("format version 2"), "{stdout}");
+    assert!(stdout.contains("format version 3"), "{stdout}");
 
     // Byte-flip sweep over every section: a flip in the middle of each
     // payload is caught by that section's own checksum, both by `verify`

@@ -17,7 +17,6 @@ use crate::{Fidelity, ModelError};
 /// relate to concrete vulnerabilities, function and description attributes
 /// relate to attack patterns and weaknesses (§2 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum AttributeKind {
     /// Hardware or software vendor ("Cisco", "National Instruments").
@@ -121,7 +120,6 @@ impl FromStr for AttributeKind {
 /// assert!(os.kind().is_concrete());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Attribute {
     kind: AttributeKind,
     key: String,
@@ -195,7 +193,6 @@ impl fmt::Display for Attribute {
 /// rejected on insert, but the same key may appear with several values
 /// (a workstation can run more than one piece of software).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AttributeSet {
     entries: Vec<Attribute>,
 }

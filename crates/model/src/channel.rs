@@ -11,7 +11,6 @@ use crate::{AttributeSet, ChannelKind, ComponentId, Direction, Fidelity};
 /// [`SystemModelBuilder`](crate::SystemModelBuilder) or
 /// [`SystemModel::add_channel`](crate::SystemModel::add_channel).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Channel {
     from: ComponentId,
     to: ComponentId,

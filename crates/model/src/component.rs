@@ -12,7 +12,6 @@ use crate::{Attribute, AttributeSet, ComponentKind, Fidelity, ModelError};
 /// [`Criticality::SafetyCritical`] components are the ones whose compromise
 /// the paper's thesis says IT-style modeling misses.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Criticality {
     /// Compromise is an inconvenience only.
     #[default]
@@ -95,7 +94,6 @@ impl FromStr for Criticality {
 /// assert!(sis.kind().is_controlling());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Component {
     name: String,
     kind: ComponentKind,

@@ -17,7 +17,6 @@ use crate::ModelError;
 /// The ordering is `Conceptual < Architectural < Implementation`; refining a
 /// model only ever *adds* information.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Fidelity {
     /// Mission-level: functions and flows, no technology choices.
     #[default]

@@ -24,7 +24,6 @@ use core::fmt;
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ComponentId(pub(crate) u32);
 
 /// Identifier of a [`Channel`](crate::Channel) within one
@@ -32,7 +31,6 @@ pub struct ComponentId(pub(crate) u32);
 ///
 /// See [`ComponentId`] for identifier semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChannelId(pub(crate) u32);
 
 impl ComponentId {

@@ -16,7 +16,6 @@ use crate::ModelError;
 /// able to match exhaustively. Anything that genuinely fits no category can
 /// use [`ComponentKind::Other`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum ComponentKind {
     /// A process controller (PLC, BPCS, DCS node).
@@ -139,7 +138,6 @@ impl FromStr for ComponentKind {
 
 /// The medium of a [`Channel`](crate::Channel).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum ChannelKind {
     /// Switched Ethernet (possibly industrial Ethernet).
@@ -218,7 +216,6 @@ impl FromStr for ChannelKind {
 
 /// Direction of information or energy flow on a channel.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Direction {
     /// Flow in both directions (the common case for request/response buses).
     #[default]

@@ -4,10 +4,10 @@
 //! A delta carries a *batch* of new records plus their pre-tokenized term
 //! runs, chained to a specific parent state by id. Applying it appends the
 //! records to the corpus and the runs to the three family indices
-//! ([`InvertedIndex::append_document_runs`]), then re-freezes — every IDF
-//! and weight recomputes from raw term frequencies exactly as a
-//! from-scratch build would, so the grown engine is *bit-identical* to one
-//! rebuilt over the merged corpus. Combined with the append-only id floor
+//! ([`InvertedIndex::append_document_runs`]). The indices store only term
+//! frequencies and document lengths, and every weight is computed at query
+//! time from them, so the grown engine is *bit-identical* to one rebuilt
+//! over the merged corpus. Combined with the append-only id floor
 //! (new ids must exceed every existing id, keeping `BTreeMap` id order
 //! equal to append order) and the sorted-term snapshot encoding
 //! (independent of term-id numbering), this yields the compaction
@@ -124,10 +124,9 @@ fn put_doc_runs(out: &mut Vec<u8>, doc: &DocRuns) {
 /// Serializes a `.cpsdelta` chaining `batch` onto `parent_id`.
 ///
 /// The batch is tokenized here, at build time — apply never re-tokenizes,
-/// it replays the stored runs. Raw `(term, tf)` runs (not weights) ship on
-/// the wire because every IDF depends on the post-apply document count;
-/// re-freezing after apply recomputes all weights bit-identically to a
-/// from-scratch build.
+/// it replays the stored runs. Raw `(term, tf)` runs ship on the wire —
+/// exactly what the index stores; weights depend on the post-apply
+/// document count and are computed at query time.
 #[must_use]
 pub fn build(parent_id: u64, batch: &Corpus) -> Vec<u8> {
     let mut payload = Vec::new();
@@ -249,9 +248,9 @@ pub fn inspect_delta(bytes: &[u8]) -> Result<DeltaInfo, SnapshotError> {
 /// Verifies the chain (`parent_id` must equal `expected_parent`), enforces
 /// the append-only id floor (every batch id must exceed every existing id
 /// of its family — the invariant that keeps compaction byte-identical to
-/// rebuild), appends records and index runs, and re-freezes the three
-/// family indices so weight recomputation lands here, not on the next
-/// query. Cost is *O(batch)*, not *O(corpus)*.
+/// rebuild), and appends records and index runs. Cost is *O(batch)*, not
+/// *O(corpus)*, once the engine's families are uniquely owned (a family
+/// shared with another engine is copied on first append).
 ///
 /// On error the pair may be partially modified and must be discarded:
 /// apply to clones and swap on success (what the server and CLI do).
@@ -301,17 +300,17 @@ pub fn apply_delta(
     span.add_items(parsed.info.records() as u64);
 
     let dup = |e: cpssec_attackdb::AttackDbError| SnapshotError::Corrupt(e.to_string());
-    let ((p_index, p_ids), (w_index, w_ids), (v_index, v_ids)) = engine.parts_mut();
+    let (p, w, v) = engine.parts_mut();
     for (record, doc) in parsed.patterns.into_iter().zip(&parsed.pattern_runs) {
         let refs: Vec<(&str, u32)> = doc.runs.iter().map(|(t, tf)| (t.as_str(), *tf)).collect();
-        p_index.append_document_runs(doc.token_count, &refs)?;
-        p_ids.push(record.id());
+        p.index.append_document_runs(doc.token_count, &refs)?;
+        p.ids.push(record.id());
         corpus.add_pattern(record).map_err(dup)?;
     }
     for (record, doc) in parsed.weaknesses.into_iter().zip(&parsed.weakness_runs) {
         let refs: Vec<(&str, u32)> = doc.runs.iter().map(|(t, tf)| (t.as_str(), *tf)).collect();
-        w_index.append_document_runs(doc.token_count, &refs)?;
-        w_ids.push(record.id());
+        w.index.append_document_runs(doc.token_count, &refs)?;
+        w.ids.push(record.id());
         corpus.add_weakness(record).map_err(dup)?;
     }
     for (record, doc) in parsed
@@ -320,13 +319,10 @@ pub fn apply_delta(
         .zip(&parsed.vulnerability_runs)
     {
         let refs: Vec<(&str, u32)> = doc.runs.iter().map(|(t, tf)| (t.as_str(), *tf)).collect();
-        v_index.append_document_runs(doc.token_count, &refs)?;
-        v_ids.push(record.id());
+        v.index.append_document_runs(doc.token_count, &refs)?;
+        v.ids.push(record.id());
         corpus.add_vulnerability(record).map_err(dup)?;
     }
-    p_index.freeze();
-    w_index.freeze();
-    v_index.freeze();
     Ok(parsed.info)
 }
 

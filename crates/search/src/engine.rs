@@ -8,7 +8,7 @@ use cpssec_attackdb::{AttackVectorId, CapecId, Corpus, CveId, CweId};
 use cpssec_model::{Channel, ChannelId, Component, Fidelity, SystemModel};
 
 use crate::index::{InvertedIndex, TermLookup};
-use crate::score::{expand_query, ScoringModel};
+use crate::score::{expand_query, ScoringModel, TermScorer};
 use crate::text::tokenize;
 
 /// Matching thresholds.
@@ -176,13 +176,22 @@ thread_local! {
     static SCRATCH: RefCell<QueryScratch> = RefCell::new(QueryScratch::new());
 }
 
+/// One indexed record family: the index plus the record id of each dense
+/// document.
+#[derive(Debug, Clone)]
+pub(crate) struct Family<I> {
+    pub(crate) index: InvertedIndex,
+    pub(crate) ids: Vec<I>,
+}
+
 /// The search engine: three per-family indices over one corpus snapshot.
 ///
 /// Building is `O(total corpus text)` (the three family indices build on
-/// separate threads, and per-posting weights for both scoring models are
-/// precomputed at freeze time); matching is `O(postings touched)`. The
-/// engine holds no reference to the corpus — record ids are the currency
-/// between the two.
+/// separate threads); matching is `O(postings touched)`, with each
+/// posting's weight computed from its stored term frequency. The families
+/// sit behind `Arc`s, so engines that differ only in configuration share
+/// them. The engine holds no reference to the corpus — record ids are the
+/// currency between the two.
 ///
 /// # Examples
 ///
@@ -198,26 +207,21 @@ thread_local! {
 #[derive(Debug, Clone)]
 pub struct SearchEngine {
     config: MatchConfig,
-    patterns: InvertedIndex,
-    pattern_ids: Vec<CapecId>,
-    weaknesses: InvertedIndex,
-    weakness_ids: Vec<CweId>,
-    vulnerabilities: InvertedIndex,
-    vulnerability_ids: Vec<CveId>,
+    patterns: Arc<Family<CapecId>>,
+    weaknesses: Arc<Family<CweId>>,
+    vulnerabilities: Arc<Family<CveId>>,
     /// Lifetime query counter, shared across clones of this engine so the
     /// incremental-association tests (and the server's metrics) can observe
     /// exactly how many matcher runs an operation cost.
     queries: Arc<AtomicU64>,
 }
 
-/// Indexes one record family and pre-freezes its query-side image so the
-/// cost lands in the build phase (off the first query). Large families
-/// shard across worker threads inside [`InvertedIndex::from_documents`].
-fn build_family<I>(records: impl Iterator<Item = (String, I)>) -> (InvertedIndex, Vec<I>) {
+/// Indexes one record family. Large families shard across worker threads
+/// inside [`InvertedIndex::from_documents`].
+fn build_family<I>(records: impl Iterator<Item = (String, I)>) -> Family<I> {
     let (texts, ids): (Vec<String>, Vec<I>) = records.unzip();
     let index = InvertedIndex::from_documents(&texts);
-    index.freeze();
-    (index, ids)
+    Family { index, ids }
 }
 
 impl SearchEngine {
@@ -231,11 +235,7 @@ impl SearchEngine {
     /// indices are independent, so they build on separate scoped threads.
     #[must_use]
     pub fn with_config(corpus: &Corpus, config: MatchConfig) -> Self {
-        let (
-            (patterns, pattern_ids),
-            (weaknesses, weakness_ids),
-            (vulnerabilities, vulnerability_ids),
-        ) = std::thread::scope(|s| {
+        let (patterns, weaknesses, vulnerabilities) = std::thread::scope(|s| {
             let patterns =
                 s.spawn(|| build_family(corpus.patterns().map(|p| (p.search_text(), p.id()))));
             let weaknesses =
@@ -248,74 +248,48 @@ impl SearchEngine {
                 vulnerabilities,
             )
         });
-        SearchEngine {
-            config,
-            patterns,
-            pattern_ids,
-            weaknesses,
-            weakness_ids,
-            vulnerabilities,
-            vulnerability_ids,
-            queries: Arc::new(AtomicU64::new(0)),
-        }
+        SearchEngine::from_parts(config, patterns, weaknesses, vulnerabilities)
     }
 
     /// Assembles an engine from pre-built (e.g. snapshot-thawed) parts.
     pub(crate) fn from_parts(
         config: MatchConfig,
-        patterns: (InvertedIndex, Vec<CapecId>),
-        weaknesses: (InvertedIndex, Vec<CweId>),
-        vulnerabilities: (InvertedIndex, Vec<CveId>),
+        patterns: Family<CapecId>,
+        weaknesses: Family<CweId>,
+        vulnerabilities: Family<CveId>,
     ) -> SearchEngine {
         SearchEngine {
             config,
-            patterns: patterns.0,
-            pattern_ids: patterns.1,
-            weaknesses: weaknesses.0,
-            weakness_ids: weaknesses.1,
-            vulnerabilities: vulnerabilities.0,
-            vulnerability_ids: vulnerabilities.1,
+            patterns: Arc::new(patterns),
+            weaknesses: Arc::new(weaknesses),
+            vulnerabilities: Arc::new(vulnerabilities),
             queries: Arc::new(AtomicU64::new(0)),
         }
     }
 
-    /// The three family indices with their id tables, for serialization.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn parts(
-        &self,
-    ) -> (
-        (&InvertedIndex, &[CapecId]),
-        (&InvertedIndex, &[CweId]),
-        (&InvertedIndex, &[CveId]),
-    ) {
-        (
-            (&self.patterns, &self.pattern_ids),
-            (&self.weaknesses, &self.weakness_ids),
-            (&self.vulnerabilities, &self.vulnerability_ids),
-        )
+    /// The three families, for serialization.
+    pub(crate) fn parts(&self) -> (&Family<CapecId>, &Family<CweId>, &Family<CveId>) {
+        (&self.patterns, &self.weaknesses, &self.vulnerabilities)
     }
 
-    /// Mutable access to the three family indices and id tables, for the
-    /// `.cpsdelta` apply path (append documents + ids in lockstep).
-    #[allow(clippy::type_complexity)]
+    /// Mutable access to the three families, for the `.cpsdelta` apply
+    /// path (append documents + ids in lockstep). A family shared with
+    /// another engine is copied first, so the other engine never sees the
+    /// appends.
     pub(crate) fn parts_mut(
         &mut self,
-    ) -> (
-        (&mut InvertedIndex, &mut Vec<CapecId>),
-        (&mut InvertedIndex, &mut Vec<CweId>),
-        (&mut InvertedIndex, &mut Vec<CveId>),
-    ) {
+    ) -> (&mut Family<CapecId>, &mut Family<CweId>, &mut Family<CveId>) {
         (
-            (&mut self.patterns, &mut self.pattern_ids),
-            (&mut self.weaknesses, &mut self.weakness_ids),
-            (&mut self.vulnerabilities, &mut self.vulnerability_ids),
+            Arc::make_mut(&mut self.patterns),
+            Arc::make_mut(&mut self.weaknesses),
+            Arc::make_mut(&mut self.vulnerabilities),
         )
     }
 
-    /// A copy of this engine under a different scoring model. Both models'
-    /// weights are precomputed in every frozen index, so no text is
-    /// re-processed — this is how a server derives its BM25 engine from
-    /// one snapshot decode.
+    /// A copy of this engine under a different scoring model. Weights are
+    /// computed at query time, so the copy shares this engine's indices
+    /// (three `Arc` bumps) — this is how a server derives its BM25 engine
+    /// without a second index.
     #[must_use]
     pub fn with_scoring(&self, scoring: ScoringModel) -> SearchEngine {
         let mut engine = self.clone();
@@ -359,26 +333,17 @@ impl SearchEngine {
         scratch: &mut QueryScratch,
     ) -> MatchSet {
         let mut span = cpssec_obs::span!("score");
+        let (p, w, v) = self.parts();
         let set = MatchSet {
-            patterns: run_family(&self.patterns, terms, extras, self.config, scratch, |doc| {
-                AttackVectorId::Pattern(self.pattern_ids[doc])
+            patterns: run_family(&p.index, terms, extras, self.config, scratch, |doc| {
+                AttackVectorId::Pattern(p.ids[doc])
             }),
-            weaknesses: run_family(
-                &self.weaknesses,
-                terms,
-                extras,
-                self.config,
-                scratch,
-                |doc| AttackVectorId::Weakness(self.weakness_ids[doc]),
-            ),
-            vulnerabilities: run_family(
-                &self.vulnerabilities,
-                terms,
-                extras,
-                self.config,
-                scratch,
-                |doc| AttackVectorId::Vulnerability(self.vulnerability_ids[doc]),
-            ),
+            weaknesses: run_family(&w.index, terms, extras, self.config, scratch, |doc| {
+                AttackVectorId::Weakness(w.ids[doc])
+            }),
+            vulnerabilities: run_family(&v.index, terms, extras, self.config, scratch, |doc| {
+                AttackVectorId::Vulnerability(v.ids[doc])
+            }),
         };
         span.add_items(set.total() as u64);
         set
@@ -574,18 +539,20 @@ pub(crate) fn run_family<L: TermLookup>(
     scratch: &mut QueryScratch,
     wrap: impl Fn(usize) -> AttackVectorId,
 ) -> Vec<Hit> {
-    scratch.ensure(index.doc_count());
-    let model = config.scoring;
+    let (doc_count, avg) = (index.doc_count(), index.avg_len());
+    scratch.ensure(doc_count);
     for term in terms {
-        let Some((idf, postings)) = index.lookup(term) else {
+        let Some((df, postings)) = index.lookup(term) else {
             continue;
         };
+        let scorer = TermScorer::new(config.scoring, doc_count, df, avg);
+        let idf = scorer.idf;
         for p in postings {
             let slot = &mut scratch.accum[p.doc.index()];
             if slot.matched == 0 {
                 scratch.touched.push(p.doc.0);
             }
-            slot.score += p.weight(model);
+            slot.score += scorer.weight(index, p.doc, p.tf);
             slot.matched += 1;
             if idf > slot.max_idf {
                 slot.max_idf = idf;
@@ -595,13 +562,14 @@ pub(crate) fn run_family<L: TermLookup>(
     // Synonym-expansion terms only refine the scores of documents that
     // already matched an original term — they never create hits.
     for term in extras {
-        let Some((_, postings)) = index.lookup(term) else {
+        let Some((df, postings)) = index.lookup(term) else {
             continue;
         };
+        let scorer = TermScorer::new(config.scoring, doc_count, df, avg);
         for p in postings {
             let slot = &mut scratch.accum[p.doc.index()];
             if slot.matched > 0 {
-                slot.score += p.weight(model);
+                slot.score += scorer.weight(index, p.doc, p.tf);
             }
         }
     }

@@ -1,17 +1,18 @@
-//! The `.cpsnap` container: corpus + frozen indices in one binary artifact.
+//! The `.cpsnap` container: corpus + indices in one binary artifact.
 //!
 //! A snapshot converts cold start from *O(parse + tokenize + build)* to
 //! *O(read)*: the corpus records (via `cpssec_attackdb::snapshot`) and the
-//! three frozen family indices — term dictionaries, postings, and the
-//! precomputed TF-IDF/BM25 weights as raw `f64` bits — land in one file
-//! behind a section table, and [`decode`] restores a [`SearchEngine`]
-//! whose scores are bit-identical to one built from the original corpus.
-//! Format version 2 goes further: every section is offset-based and
+//! three family indices — sorted term dictionaries over `(doc, tf)`
+//! postings plus per-document token counts — land in one file behind a
+//! section table, and [`decode`] restores a [`SearchEngine`] whose scores
+//! are bit-identical to one built from the original corpus. No weight is
+//! stored: both readers compute them at query time from the same columns
+//! with the same function. Every section is offset-based and
 //! self-describing, so [`crate::view::SnapshotView`] can serve queries
 //! straight from the mapped bytes after *O(header)* validation, without
 //! decoding anything into owned memory.
 //!
-//! # Layout (format version 2)
+//! # Layout (format version 3)
 //!
 //! ```text
 //! magic        "CPSNAP"                      6 bytes
@@ -25,7 +26,8 @@
 //! Sections: `1` corpus records (per-family record directories: count,
 //! per-record byte offsets, concatenated records in id order), `2`/`3`/`4`
 //! the pattern / weakness / vulnerability family (id table + columnar
-//! inverted index, see [`InvertedIndex`] wire docs). Offsets are absolute
+//! inverted index with 16-byte term entries and 8-byte `{doc, tf}`
+//! postings, see [`InvertedIndex`] wire docs). Offsets are absolute
 //! and rounded up to 8-byte boundaries (zero padding between sections);
 //! each checksum is word-folded FNV ([`cpssec_model::fnv1a_64_wide`]) over
 //! the section payload. `snapshot_id` is the same FNV over the serialized
@@ -48,7 +50,7 @@ use cpssec_model::fnv1a_64_wide;
 
 pub use cpssec_attackdb::snapshot::SnapshotError;
 
-use crate::engine::MatchConfig;
+use crate::engine::{Family, MatchConfig};
 use crate::index::InvertedIndex;
 use crate::SearchEngine;
 
@@ -56,7 +58,7 @@ use crate::SearchEngine;
 pub const MAGIC: [u8; 6] = *b"CPSNAP";
 
 /// The format version this build writes and reads.
-pub const FORMAT_VERSION: u16 = 2;
+pub const FORMAT_VERSION: u16 = 3;
 
 /// Bytes per section-table entry: id + offset + len + checksum.
 pub(crate) const TABLE_ENTRY_LEN: usize = 2 + 8 + 8 + 8;
@@ -236,6 +238,17 @@ fn decode_corpus_section(payload: &[u8]) -> Result<Corpus, SnapshotError> {
     Ok(corpus)
 }
 
+/// One family section payload: the id table, then the index.
+fn encode_family<I>(family: &Family<I>, put_id: impl Fn(&mut Vec<u8>, &I)) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_u32(&mut out, u32::try_from(family.ids.len()).expect("fits u32"));
+    for id in &family.ids {
+        put_id(&mut out, id);
+    }
+    family.index.encode_into(&mut out);
+    out
+}
+
 /// Serializes `corpus` and `engine` into a `.cpsnap` byte image.
 ///
 /// The engine must have been built over `corpus` — the id tables are
@@ -252,41 +265,15 @@ fn decode_corpus_section(payload: &[u8]) -> Result<Corpus, SnapshotError> {
 #[must_use]
 pub fn encode(corpus: &Corpus, engine: &SearchEngine) -> Vec<u8> {
     let _span = cpssec_obs::span!("snapshot-encode");
-    let ((p_index, p_ids), (w_index, w_ids), (v_index, v_ids)) = engine.parts();
-
-    let corpus_payload = encode_corpus_section(corpus);
-
-    let encode_family = |index: &InvertedIndex, put_ids: &dyn Fn(&mut Vec<u8>)| {
-        let mut out = Vec::new();
-        put_ids(&mut out);
-        index.encode_into(&mut out);
-        out
-    };
-    let patterns_payload = encode_family(p_index, &|out| {
-        put_u32(out, u32::try_from(p_ids.len()).expect("fits u32"));
-        for id in p_ids {
-            put_u32(out, id.number());
-        }
-    });
-    let weaknesses_payload = encode_family(w_index, &|out| {
-        put_u32(out, u32::try_from(w_ids.len()).expect("fits u32"));
-        for id in w_ids {
-            put_u32(out, id.number());
-        }
-    });
-    let vulnerabilities_payload = encode_family(v_index, &|out| {
-        put_u32(out, u32::try_from(v_ids.len()).expect("fits u32"));
-        for id in v_ids {
+    let (patterns, weaknesses, vulnerabilities) = engine.parts();
+    let payloads = [
+        encode_corpus_section(corpus),
+        encode_family(patterns, |out, id| put_u32(out, id.number())),
+        encode_family(weaknesses, |out, id| put_u32(out, id.number())),
+        encode_family(vulnerabilities, |out, id| {
             put_u16(out, id.year());
             put_u32(out, id.number());
-        }
-    });
-
-    let payloads = [
-        corpus_payload,
-        patterns_payload,
-        weaknesses_payload,
-        vulnerabilities_payload,
+        }),
     ];
     let header_len = (MAGIC.len() + 2 + 4 + 8 + payloads.len() * TABLE_ENTRY_LEN) as u64;
     let mut table = Vec::with_capacity(payloads.len() * TABLE_ENTRY_LEN);
@@ -400,7 +387,7 @@ pub(crate) fn find_section<'a>(
 fn decode_family<I>(
     section: &Section<'_>,
     mut read_id: impl FnMut(&mut Reader<'_>) -> Result<I, SnapshotError>,
-) -> Result<(InvertedIndex, Vec<I>), SnapshotError> {
+) -> Result<Family<I>, SnapshotError> {
     let mut r = Reader::new(section.payload);
     let count = r.u32()?;
     let mut ids = Vec::with_capacity(r.capacity_for(count, 4));
@@ -423,14 +410,14 @@ fn decode_family<I>(
             index.len()
         )));
     }
-    Ok((index, ids))
+    Ok(Family { index, ids })
 }
 
 /// Decodes a snapshot into its corpus and a search engine using `config`.
 ///
-/// All section checksums are verified first; the engine's frozen weights
-/// come straight from the stored bits, so its scores are bit-identical to
-/// the engine that was encoded.
+/// All section checksums are verified first, and every posting is checked
+/// against its document table; the restored postings and lengths are the
+/// encoded engine's, so its scores are bit-identical to that engine's.
 ///
 /// # Errors
 ///
@@ -458,11 +445,11 @@ pub fn decode_with_config(
 
     let stats = corpus.stats();
     for (name, got, expected) in [
-        ("patterns", patterns.1.len(), stats.patterns),
-        ("weaknesses", weaknesses.1.len(), stats.weaknesses),
+        ("patterns", patterns.ids.len(), stats.patterns),
+        ("weaknesses", weaknesses.ids.len(), stats.weaknesses),
         (
             "vulnerabilities",
-            vulnerabilities.1.len(),
+            vulnerabilities.ids.len(),
             stats.vulnerabilities,
         ),
     ] {
@@ -571,7 +558,7 @@ mod tests {
     }
 
     #[test]
-    fn with_scoring_reuses_the_thawed_weights() {
+    fn with_scoring_on_a_thawed_engine_matches_a_fresh_build() {
         let (corpus, bytes) = snapshot();
         let (_, engine) = decode(&bytes).unwrap();
         let bm25 = engine.with_scoring(ScoringModel::Bm25);

@@ -5,23 +5,26 @@
 //! geometric tiling of every section (each family's id table, document
 //! lengths, term heap, entry table, and postings arena must account for
 //! every byte) — and returns a [`SnapshotView`] that reads the bytes where
-//! they are. No record is decoded, no term is re-interned, no weight is
-//! recomputed: a [`ViewEngine`] binary-searches the sorted on-disk term
-//! dictionary and iterates postings straight out of the file image, which
-//! is what makes cold start *O(read + header)* instead of
-//! *O(decode everything)*.
+//! they are. No record is decoded and no term is re-interned: a
+//! [`ViewEngine`] binary-searches the sorted on-disk term dictionary and
+//! iterates postings straight out of the file image, which is what makes
+//! cold start *O(read + header)* instead of *O(decode everything)*. The
+//! one linear pass, summing document lengths for BM25's mean length,
+//! happens when a [`ViewEngine`] is built, never in [`open`].
 //!
 //! Safety without `unsafe`: the view never transmutes. Every multi-byte
 //! field goes through `from_le_bytes` on a bounds-checked subslice, and
 //! the query hot path uses *clamped* reads — an out-of-range entry (only
 //! possible when the caller skipped [`open_verified`]'s checksum pass)
-//! degrades to a term miss or a truncated posting list, never a panic.
+//! degrades to a term miss, a truncated posting list or a meaningless
+//! score, never a panic.
 //!
 //! Equivalence contract: every query on a [`ViewEngine`] returns results
 //! byte-identical (ids, order, score bits) to the same query on the owned
 //! [`SearchEngine`] decoded from the same snapshot. The engine scores
-//! through the same generic [`run_family`](crate::engine) path; the view
-//! merely substitutes where postings are read from. The proptest suite in
+//! through the same generic [`run_family`](crate::engine) path and the
+//! same weight function; the view merely substitutes where postings and
+//! document lengths are read from. The proptest suite in
 //! `tests/view_equivalence.rs` holds this across corpus scales and delta
 //! chains.
 
@@ -36,16 +39,17 @@ use cpssec_attackdb::{
 use cpssec_model::{Channel, ChannelId, Component, Fidelity, SystemModel};
 
 use crate::engine::{par_fan_out, prepare_query, run_family, MatchConfig, MatchSet, QueryScratch};
-use crate::index::{DocId, PostingWeight, TermLookup};
+use crate::index::{DocId, Posting, TermLookup};
+use crate::score::average_length;
 use crate::snapshot::{
     checked_sections, find_section, split_sections, Section, SnapshotError, SEC_CORPUS,
     SEC_PATTERNS, SEC_VULNERABILITIES, SEC_WEAKNESSES,
 };
 
 /// Bytes per term entry in the wire layout (see [`crate::snapshot`]).
-const TERM_ENTRY_LEN: usize = 24;
+const TERM_ENTRY_LEN: usize = 16;
 /// Bytes per posting in the wire layout.
-const POSTING_LEN: usize = 24;
+const POSTING_LEN: usize = 8;
 
 /// Reads a `u32` at `off`, clamping out-of-range access to zero.
 fn u32_at(bytes: &[u8], off: usize) -> u32 {
@@ -59,15 +63,6 @@ fn u16_at(bytes: &[u8], off: usize) -> u16 {
     bytes
         .get(off..off + 2)
         .map_or(0, |b| u16::from_le_bytes(b.try_into().expect("2 bytes")))
-}
-
-/// Reads an `f64` (stored as raw bits) at `off`, clamping to zero.
-fn f64_at(bytes: &[u8], off: usize) -> f64 {
-    f64::from_bits(
-        bytes
-            .get(off..off + 8)
-            .map_or(0, |b| u64::from_le_bytes(b.try_into().expect("8 bytes"))),
-    )
 }
 
 /// Absolute byte spans of one record family directory in the corpus
@@ -87,6 +82,7 @@ struct FamilySpans {
     ids_off: usize,
     id_stride: usize,
     doc_count: u32,
+    lengths_off: usize,
     term_count: u32,
     heap_off: usize,
     heap_len: u32,
@@ -130,7 +126,8 @@ fn parse_family_section(
             section.name
         )));
     }
-    r.take(doc_count as usize * 4)?; // document lengths: build-side data only
+    let lengths_off = pos(&r);
+    r.take(doc_count as usize * 4)?;
     let term_count = r.u32()?;
     let heap_len = r.u32()?;
     let heap_off = pos(&r);
@@ -151,6 +148,7 @@ fn parse_family_section(
         ids_off,
         id_stride,
         doc_count,
+        lengths_off,
         term_count,
         heap_off,
         heap_len,
@@ -264,11 +262,21 @@ impl SnapshotView {
         CorpusView { view: self }
     }
 
-    fn index_view(&self, spans: FamilySpans) -> IndexView<'_> {
+    fn index_view(&self, spans: FamilySpans, avg_len: f64) -> IndexView<'_> {
         IndexView {
             bytes: &self.bytes,
             spans,
+            avg_len,
         }
+    }
+
+    /// BM25's mean document length of one family: the single O(documents)
+    /// read a view needs, paid by [`ViewEngine`] construction.
+    fn average_length(&self, spans: FamilySpans) -> f64 {
+        let total: u64 = (0..spans.doc_count as usize)
+            .map(|doc| u64::from(u32_at(&self.bytes, spans.lengths_off + doc * 4)))
+            .sum();
+        average_length(total, spans.doc_count as usize)
     }
 }
 
@@ -398,13 +406,15 @@ impl<'a> CorpusView<'a> {
 }
 
 /// Zero-copy [`TermLookup`] over one family's columnar index bytes:
-/// binary search on the sorted on-disk term dictionary, postings iterated
-/// straight from the arena bytes. All reads are clamped; corrupt entries
-/// degrade to misses or truncated iteration, never a panic.
+/// binary search on the sorted on-disk term dictionary, postings and
+/// document lengths read straight from the section bytes. All reads are
+/// clamped; corrupt entries degrade to misses or truncated iteration,
+/// never a panic.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct IndexView<'a> {
     bytes: &'a [u8],
     spans: FamilySpans,
+    avg_len: f64,
 }
 
 impl<'a> IndexView<'a> {
@@ -420,7 +430,7 @@ impl<'a> IndexView<'a> {
     }
 }
 
-/// Posting iterator reading `{doc, tf, tfidf, bm25}` records in place.
+/// Posting iterator reading `{doc, tf}` records in place.
 /// Iteration stops early if a posting references a document outside the
 /// family — the corruption guard that keeps the dense scratch table (sized
 /// to `doc_count`) in bounds without verifying checksums up front.
@@ -432,9 +442,9 @@ pub(crate) struct ViewPostings<'a> {
 }
 
 impl Iterator for ViewPostings<'_> {
-    type Item = PostingWeight;
+    type Item = Posting;
 
-    fn next(&mut self) -> Option<PostingWeight> {
+    fn next(&mut self) -> Option<Posting> {
         if self.remaining == 0 {
             return None;
         }
@@ -443,14 +453,12 @@ impl Iterator for ViewPostings<'_> {
             self.remaining = 0;
             return None;
         }
-        let tfidf = f64_at(self.bytes, self.off + 8);
-        let bm25 = f64_at(self.bytes, self.off + 16);
+        let tf = u32_at(self.bytes, self.off + 4);
         self.off += POSTING_LEN;
         self.remaining -= 1;
-        Some(PostingWeight {
+        Some(Posting {
             doc: DocId(doc),
-            tfidf,
-            bm25,
+            tf,
         })
     }
 }
@@ -465,7 +473,15 @@ impl TermLookup for IndexView<'_> {
         self.spans.doc_count as usize
     }
 
-    fn lookup(&self, term: &str) -> Option<(f64, Self::PostingIter<'_>)> {
+    fn avg_len(&self) -> f64 {
+        self.avg_len
+    }
+
+    fn doc_len(&self, doc: DocId) -> u32 {
+        u32_at(self.bytes, self.spans.lengths_off + doc.index() * 4)
+    }
+
+    fn lookup(&self, term: &str) -> Option<(usize, Self::PostingIter<'_>)> {
         // Byte-lexicographic comparison equals `str` ordering, which is the
         // order `encode_into` sorted the dictionary by.
         let needle = term.as_bytes();
@@ -478,15 +494,14 @@ impl TermLookup for IndexView<'_> {
                 std::cmp::Ordering::Greater => hi = mid,
                 std::cmp::Ordering::Equal => {
                     let entry = self.spans.entries_off + mid * TERM_ENTRY_LEN;
-                    let idf = f64_at(self.bytes, entry + 8);
-                    let post_start = u32_at(self.bytes, entry + 16);
-                    let post_len = u32_at(self.bytes, entry + 20);
+                    let post_start = u32_at(self.bytes, entry + 8);
+                    let post_len = u32_at(self.bytes, entry + 12);
                     // Clamp the span to the arena so a corrupt entry cannot
                     // run past the section.
                     let start = post_start.min(self.spans.posting_total);
                     let len = post_len.min(self.spans.posting_total - start);
                     return Some((
-                        idf,
+                        len as usize,
                         ViewPostings {
                             bytes: self.bytes,
                             off: self.spans.postings_off + start as usize * POSTING_LEN,
@@ -513,6 +528,9 @@ thread_local! {
 pub struct ViewEngine {
     view: SnapshotView,
     config: MatchConfig,
+    /// Mean document length per family (patterns, weaknesses,
+    /// vulnerabilities), summed once here rather than per query.
+    avg_lens: [f64; 3],
 }
 
 impl ViewEngine {
@@ -522,10 +540,17 @@ impl ViewEngine {
         ViewEngine::with_config(view, MatchConfig::default())
     }
 
-    /// Wraps a view with an explicit configuration.
+    /// Wraps a view with an explicit configuration. Reads every document
+    /// length once, to compute each family's mean length.
     #[must_use]
     pub fn with_config(view: SnapshotView, config: MatchConfig) -> Self {
-        ViewEngine { view, config }
+        let avg_lens = [view.patterns, view.weaknesses, view.vulnerabilities]
+            .map(|spans| view.average_length(spans));
+        ViewEngine {
+            view,
+            config,
+            avg_lens,
+        }
     }
 
     /// The underlying snapshot view.
@@ -556,9 +581,10 @@ impl ViewEngine {
         let p = self.view.patterns;
         let w = self.view.weaknesses;
         let v = self.view.vulnerabilities;
+        let [p_avg, w_avg, v_avg] = self.avg_lens;
         let set = MatchSet {
             patterns: run_family(
-                &self.view.index_view(p),
+                &self.view.index_view(p, p_avg),
                 &terms,
                 &extras,
                 self.config,
@@ -566,7 +592,7 @@ impl ViewEngine {
                 |doc| AttackVectorId::Pattern(CapecId::new(u32_at(bytes, p.ids_off + doc * 4))),
             ),
             weaknesses: run_family(
-                &self.view.index_view(w),
+                &self.view.index_view(w, w_avg),
                 &terms,
                 &extras,
                 self.config,
@@ -574,7 +600,7 @@ impl ViewEngine {
                 |doc| AttackVectorId::Weakness(CweId::new(u32_at(bytes, w.ids_off + doc * 4))),
             ),
             vulnerabilities: run_family(
-                &self.view.index_view(v),
+                &self.view.index_view(v, v_avg),
                 &terms,
                 &extras,
                 self.config,
@@ -760,25 +786,56 @@ mod tests {
 
     #[test]
     fn unverified_view_never_panics_on_corrupt_payload_bytes() {
-        // Flip every byte of the vulnerabilities section (one at a time is
-        // too slow here; stride through it) and require queries to complete
-        // without panicking — results may differ, safety may not.
         let (_, bytes) = mapped();
-        let info = inspect(&bytes).unwrap();
-        let vuln = info.sections.last().unwrap();
-        let (start, end) = (vuln.offset as usize, (vuln.offset + vuln.len) as usize);
-        for pos in (start..end).step_by(97) {
-            let mut corrupt = bytes.to_vec();
-            corrupt[pos] ^= 0xFF;
-            let corrupt: Arc<[u8]> = corrupt.into();
+        let survives = |corrupt: Vec<u8>| {
             // Geometry may now be invalid (header counts live in the
             // payload): an error is fine, a panic is not.
-            if let Ok(view) = open(corrupt) {
-                let ve = ViewEngine::new(view);
-                for query in table1_attributes() {
-                    let _ = ve.match_text(query);
+            if let Ok(view) = open(corrupt.into()) {
+                for scoring in ScoringModel::ALL {
+                    let config = MatchConfig {
+                        scoring,
+                        ..MatchConfig::default()
+                    };
+                    let ve = ViewEngine::with_config(view.clone(), config);
+                    for query in table1_attributes() {
+                        let _ = ve.match_text(query);
+                    }
                 }
             }
+        };
+        // Flip every byte of the vulnerabilities section (one at a time is
+        // too slow here; stride through it) — results may differ, safety
+        // may not.
+        let info = inspect(&bytes).unwrap();
+        let vuln = info.sections.last().unwrap();
+        for pos in (vuln.offset as usize..(vuln.offset + vuln.len) as usize).step_by(97) {
+            let mut corrupt = bytes.to_vec();
+            corrupt[pos] ^= 0xFF;
+            survives(corrupt);
+        }
+        // The words that feed the query-time weight: every posting's `tf`
+        // set to 0 (`ln 0`), above its document's length, and past the
+        // `ln` table; every document length set to 0 and to `u32::MAX`.
+        let spans = open(bytes.clone()).unwrap().vulnerabilities;
+        let tfs: Vec<usize> = (0..spans.posting_total as usize)
+            .map(|i| spans.postings_off + i * POSTING_LEN + 4)
+            .collect();
+        let lens: Vec<usize> = (0..spans.doc_count as usize)
+            .map(|i| spans.lengths_off + i * 4)
+            .collect();
+        assert!(lens.iter().all(|&off| u32_at(&bytes, off) < 1_000));
+        for (words, value) in [
+            (&tfs, 0),
+            (&tfs, 1_000),
+            (&tfs, u32::MAX),
+            (&lens, 0),
+            (&lens, u32::MAX),
+        ] {
+            let mut corrupt = bytes.to_vec();
+            for &off in words {
+                corrupt[off..off + 4].copy_from_slice(&value.to_le_bytes());
+            }
+            survives(corrupt);
         }
     }
 }

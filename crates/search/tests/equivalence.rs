@@ -1,10 +1,10 @@
 //! Property tests pinning the interned hot path to a naive reference
 //! scorer, and the parallel fan-out to the sequential path.
 //!
-//! The interned engine precomputes per-posting weights at freeze time and
-//! accumulates scores through a dense scratch table; the reference below
-//! recomputes everything from raw record text on every query, straight from
-//! the formulas in the module docs. Identical hit sets with scores within
+//! The interned engine computes each posting's weight from its stored term
+//! frequency and accumulates scores through a dense scratch table; the
+//! reference below recomputes everything from raw record text on every
+//! query, straight from the formulas in the module docs. Identical hit sets with scores within
 //! 1e-9 means the rewrite changed the mechanics, not the model.
 
 use std::collections::BTreeMap;

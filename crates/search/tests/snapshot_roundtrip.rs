@@ -1,11 +1,11 @@
 //! Snapshot round-trip properties: `decode(encode(corpus, engine))` must
 //! preserve every record, cross-reference, and CVSS vector, and the thawed
-//! index must carry bit-identical weights at every experiment scale.
+//! index must score bit-identically at every experiment scale.
 //!
 //! Byte-level fixpoint (`encode(decode(bytes)) == bytes`) is the strongest
-//! form of the weight check: the encoding stores each idf/tfidf/bm25 value
-//! as its raw `f64` bits, so byte equality of two encodings is exactly
-//! bit equality of every stored weight, posting, and term.
+//! form of the index check: the encoding stores every term, posting
+//! (`doc`, `tf`) and document length, which is all the scorer reads, so
+//! byte equality of two encodings means equal scores on every query.
 
 use cpssec_attackdb::seed::seed_corpus;
 use cpssec_attackdb::synth::{generate, SynthSpec};
@@ -213,9 +213,9 @@ proptest! {
     }
 }
 
-/// At all three E7b scales, the engine thawed from a snapshot carries
-/// weights bit-identical to a freshly built one: their encodings (raw
-/// `f64` bits of every idf/tfidf/bm25 value) are byte-equal.
+/// At all three E7b scales, the engine thawed from a snapshot computes
+/// weights bit-identical to a freshly built one: their encodings (every
+/// term, posting and document length the scorer reads) are byte-equal.
 #[test]
 fn thawed_weights_are_bit_identical_at_all_e7b_scales() {
     for scale in [0.02, 0.1, 0.3] {

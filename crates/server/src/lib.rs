@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 use cpssec_analysis::AssociationMap;
 use cpssec_attackdb::Corpus;
 use cpssec_search::snapshot::SnapshotError;
-use cpssec_search::{snapshot, view, DeltaInfo, MatchConfig, ScoringModel, SearchEngine};
+use cpssec_search::{snapshot, view, DeltaInfo, ScoringModel, SearchEngine};
 
 use cache::Cache;
 use metrics::{CorpusGauges, Metrics, StartupStats};
@@ -189,9 +189,10 @@ fn content_state_id(corpus: &Corpus, engine: &SearchEngine) -> u64 {
 }
 
 impl AppState {
-    /// Builds the shared state: indexes the corpus once per scoring model
-    /// and preloads the `scada` session. Counts as a snapshot *miss* in
-    /// `/metrics` — the engines were built, not thawed.
+    /// Builds the shared state: indexes the corpus once (the BM25 engine
+    /// shares the TF-IDF engine's indices) and preloads the `scada`
+    /// session. Counts as a snapshot *miss* in `/metrics` — the engines
+    /// were built, not thawed.
     #[must_use]
     pub fn new(corpus: Corpus) -> Arc<AppState> {
         Self::with_capacities(corpus, 256, 64)
@@ -202,17 +203,9 @@ impl AppState {
     #[must_use]
     pub fn with_capacities(corpus: Corpus, responses: usize, priors: usize) -> Arc<AppState> {
         let started = Instant::now();
-        let engine_of = |scoring| {
-            Arc::new(SearchEngine::with_config(
-                &corpus,
-                MatchConfig {
-                    scoring,
-                    ..MatchConfig::default()
-                },
-            ))
-        };
-        let tfidf = engine_of(ScoringModel::TfIdf);
-        let bm25 = engine_of(ScoringModel::Bm25);
+        let tfidf = SearchEngine::build(&corpus);
+        let bm25 = Arc::new(tfidf.with_scoring(ScoringModel::Bm25));
+        let tfidf = Arc::new(tfidf);
         let state_id = content_state_id(&corpus, &tfidf);
         let startup = StartupStats {
             index_load_us: elapsed_us(started),
@@ -228,35 +221,6 @@ impl AppState {
             deltas_since_compaction: 0,
         };
         Self::assemble(Some(store), startup, responses, priors)
-    }
-
-    /// Thaws the shared state from a `.cpsnap` image: one decode restores
-    /// the corpus and the TF-IDF engine with its precomputed weights; the
-    /// BM25 twin shares the same thawed index. Counts as a snapshot *hit*.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapshotError`] from [`snapshot::decode`].
-    pub fn from_snapshot(bytes: &[u8]) -> Result<Arc<AppState>, SnapshotError> {
-        let started = Instant::now();
-        let state_id = snapshot::inspect(bytes)?.snapshot_id;
-        let (corpus, engine_tfidf) = snapshot::decode(bytes)?;
-        let engine_bm25 = engine_tfidf.with_scoring(ScoringModel::Bm25);
-        let load_us = elapsed_us(started);
-        let startup = StartupStats {
-            index_load_us: load_us,
-            snapshot_hits: 1,
-            snapshot_misses: 0,
-            snapshot_load_us: load_us,
-        };
-        let store = CorpusStore {
-            corpus: Arc::new(corpus),
-            tfidf: Arc::new(engine_tfidf),
-            bm25: Arc::new(engine_bm25),
-            state_id,
-            deltas_since_compaction: 0,
-        };
-        Ok(Self::assemble(Some(store), startup, 256, 64))
     }
 
     /// Boots from a mapped `.cpsnap` image without decoding it up front.

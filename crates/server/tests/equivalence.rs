@@ -28,13 +28,13 @@ impl TestServer {
         Self::start_with(workers, AppState::new(seed_corpus()))
     }
 
-    /// Boots a server whose state was thawed from a `.cpsnap` image
-    /// instead of built from the corpus.
+    /// Boots a server from a mapped `.cpsnap` image (thawed in the
+    /// background) instead of building from the corpus.
     fn start_from_snapshot(workers: usize) -> TestServer {
         let corpus = seed_corpus();
         let engine = SearchEngine::build(&corpus);
         let bytes = cpssec_search::snapshot::encode(&corpus, &engine);
-        let state = AppState::from_snapshot(&bytes).expect("thaw");
+        let state = AppState::from_snapshot_mapped(bytes.into()).expect("open");
         Self::start_with(workers, state)
     }
 
