@@ -1,6 +1,8 @@
 //! The corpus: all three record families plus the cross-reference index.
 
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::Arc;
 
 use crate::{
     Abstraction, AttackDbError, AttackPattern, AttackVectorId, CapecId, CveId, CweId, Severity,
@@ -30,6 +32,119 @@ impl CorpusStats {
     }
 }
 
+/// One record family: append-only segments with disjoint ascending id
+/// ranges (see the layout notes on [`Corpus`]). `starts[i]` is the lowest
+/// id in `segments[i]`.
+#[derive(Clone)]
+struct Family<K, V> {
+    segments: Vec<Arc<BTreeMap<K, V>>>,
+    starts: Vec<K>,
+    len: usize,
+}
+
+impl<K, V> Default for Family<K, V> {
+    fn default() -> Self {
+        Family {
+            segments: Vec::new(),
+            starts: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl<K: Ord + Copy, V: Clone> Family<K, V> {
+    /// Index of the segment whose range covers `id`, if `id` is not below
+    /// every segment.
+    fn covering(&self, id: &K) -> Option<usize> {
+        self.starts
+            .partition_point(|start| start <= id)
+            .checked_sub(1)
+    }
+
+    fn get(&self, id: &K) -> Option<&V> {
+        self.segments[self.covering(id)?].get(id)
+    }
+
+    fn contains(&self, id: &K) -> bool {
+        self.get(id).is_some()
+    }
+
+    /// Inserts a record whose id is not present yet.
+    fn insert(&mut self, id: K, record: V) {
+        self.len += 1;
+        let Some(i) = self.covering(&id) else {
+            // Below every id: the first segment now starts at `id`.
+            match self.segments.first_mut() {
+                Some(first) => {
+                    Arc::make_mut(first).insert(id, record);
+                    self.starts[0] = id;
+                }
+                None => self.open_segment(id, record),
+            }
+            return;
+        };
+        let is_tail = i + 1 == self.segments.len();
+        let segment = &mut self.segments[i];
+        if is_tail {
+            if let Some(tail) = Arc::get_mut(segment) {
+                tail.insert(id, record);
+                return;
+            }
+            if segment.keys().next_back().is_some_and(|last| *last < id) {
+                // Above a tail another generation shares: leave it as is.
+                self.open_segment(id, record);
+                return;
+            }
+        }
+        Arc::make_mut(segment).insert(id, record);
+    }
+
+    fn open_segment(&mut self, id: K, record: V) {
+        self.segments.push(Arc::new(BTreeMap::from([(id, record)])));
+        self.starts.push(id);
+    }
+
+    fn entries(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.segments.iter().flat_map(|segment| segment.iter())
+    }
+
+    fn values(&self) -> impl Iterator<Item = &V> {
+        self.segments.iter().flat_map(|segment| segment.values())
+    }
+
+    fn last_id(&self) -> Option<K> {
+        self.segments
+            .last()
+            .and_then(|segment| segment.keys().next_back())
+            .copied()
+    }
+
+    /// The records in id order, moved out of every segment this family
+    /// owns alone and cloned out of shared ones.
+    fn into_values(self) -> Vec<V> {
+        let mut out = Vec::with_capacity(self.len);
+        for segment in self.segments {
+            match Arc::try_unwrap(segment) {
+                Ok(owned) => out.extend(owned.into_values()),
+                Err(shared) => out.extend(shared.values().cloned()),
+            }
+        }
+        out
+    }
+}
+
+impl<K: Ord + Copy, V: Clone + PartialEq> PartialEq for Family<K, V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.entries().eq(other.entries())
+    }
+}
+
+impl<K: Ord + Copy + fmt::Debug, V: Clone + fmt::Debug> fmt::Debug for Family<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.entries()).finish()
+    }
+}
+
 /// An attack vector corpus: patterns, weaknesses, and vulnerabilities with
 /// their interconnections, as published by MITRE-style databases.
 ///
@@ -37,6 +152,21 @@ impl CorpusStats {
 /// in sync on insert. Dangling cross-references are allowed at insert time
 /// (MITRE feeds have them too) and can be audited with
 /// [`Corpus::dangling_references`].
+///
+/// # Layout
+///
+/// Each family is a list of append-only *segments*, each an
+/// `Arc<BTreeMap>`, with disjoint ascending id ranges: every id in a
+/// segment is below the lowest id of the next one, and no segment is
+/// empty. A lookup binary-searches the segments' lowest ids, then does
+/// one `BTreeMap` search. `clone()` copies a few `Arc`s, so two
+/// generations of a growing corpus share every base record. An insert
+/// above the family's highest id goes into the last segment when this
+/// corpus owns it alone, and opens a new segment when the last one is
+/// shared; any other insert goes into the segment covering its id, which
+/// is copied first only if shared. Equality, iteration and every query
+/// are logical — records in id order — whatever the segmentation. The
+/// reverse-link maps are whole-corpus and cloned with it.
 ///
 /// # Examples
 ///
@@ -54,9 +184,9 @@ impl CorpusStats {
 /// ```
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct Corpus {
-    patterns: BTreeMap<CapecId, AttackPattern>,
-    weaknesses: BTreeMap<CweId, Weakness>,
-    vulnerabilities: BTreeMap<CveId, Vulnerability>,
+    patterns: Family<CapecId, AttackPattern>,
+    weaknesses: Family<CweId, Weakness>,
+    vulnerabilities: Family<CveId, Vulnerability>,
     // Reverse links, maintained on insert.
     weakness_to_patterns: BTreeMap<CweId, Vec<CapecId>>,
     weakness_to_vulns: BTreeMap<CweId, Vec<CveId>>,
@@ -75,7 +205,7 @@ impl Corpus {
     ///
     /// [`AttackDbError::DuplicateRecord`] if the id is already present.
     pub fn add_pattern(&mut self, pattern: AttackPattern) -> Result<(), AttackDbError> {
-        if self.patterns.contains_key(&pattern.id()) {
+        if self.patterns.contains(&pattern.id()) {
             return Err(AttackDbError::DuplicateRecord(pattern.id().into()));
         }
         for cwe in pattern.related_weaknesses() {
@@ -95,7 +225,7 @@ impl Corpus {
     ///
     /// [`AttackDbError::DuplicateRecord`] if the id is already present.
     pub fn add_weakness(&mut self, weakness: Weakness) -> Result<(), AttackDbError> {
-        if self.weaknesses.contains_key(&weakness.id()) {
+        if self.weaknesses.contains(&weakness.id()) {
             return Err(AttackDbError::DuplicateRecord(weakness.id().into()));
         }
         self.weaknesses.insert(weakness.id(), weakness);
@@ -108,7 +238,7 @@ impl Corpus {
     ///
     /// [`AttackDbError::DuplicateRecord`] if the id is already present.
     pub fn add_vulnerability(&mut self, vuln: Vulnerability) -> Result<(), AttackDbError> {
-        if self.vulnerabilities.contains_key(&vuln.id()) {
+        if self.vulnerabilities.contains(&vuln.id()) {
             return Err(AttackDbError::DuplicateRecord(vuln.id().into()));
         }
         for cwe in vuln.weaknesses() {
@@ -142,9 +272,9 @@ impl Corpus {
     #[must_use]
     pub fn contains(&self, id: AttackVectorId) -> bool {
         match id {
-            AttackVectorId::Pattern(p) => self.patterns.contains_key(&p),
-            AttackVectorId::Weakness(w) => self.weaknesses.contains_key(&w),
-            AttackVectorId::Vulnerability(v) => self.vulnerabilities.contains_key(&v),
+            AttackVectorId::Pattern(p) => self.patterns.contains(&p),
+            AttackVectorId::Weakness(w) => self.weaknesses.contains(&w),
+            AttackVectorId::Vulnerability(v) => self.vulnerabilities.contains(&v),
         }
     }
 
@@ -225,7 +355,7 @@ impl Corpus {
         let mut out = Vec::new();
         for p in self.patterns.values() {
             for cwe in p.related_weaknesses() {
-                if !self.weaknesses.contains_key(cwe) {
+                if !self.weaknesses.contains(cwe) {
                     out.push(AttackDbError::DanglingReference {
                         from: p.id().into(),
                         to: (*cwe).into(),
@@ -235,7 +365,7 @@ impl Corpus {
         }
         for v in self.vulnerabilities.values() {
             for cwe in v.weaknesses() {
-                if !self.weaknesses.contains_key(cwe) {
+                if !self.weaknesses.contains(cwe) {
                     out.push(AttackDbError::DanglingReference {
                         from: v.id().into(),
                         to: (*cwe).into(),
@@ -251,20 +381,20 @@ impl Corpus {
     /// to a rebuild (both walk records in id order).
     #[must_use]
     pub fn last_pattern_id(&self) -> Option<CapecId> {
-        self.patterns.keys().next_back().copied()
+        self.patterns.last_id()
     }
 
     /// The highest weakness id present, if any (see [`Self::last_pattern_id`]).
     #[must_use]
     pub fn last_weakness_id(&self) -> Option<CweId> {
-        self.weaknesses.keys().next_back().copied()
+        self.weaknesses.last_id()
     }
 
     /// The highest vulnerability id present, if any (see
     /// [`Self::last_pattern_id`]).
     #[must_use]
     pub fn last_vulnerability_id(&self) -> Option<CveId> {
-        self.vulnerabilities.keys().next_back().copied()
+        self.vulnerabilities.last_id()
     }
 
     /// Merges another corpus into this one.
@@ -274,25 +404,51 @@ impl Corpus {
     /// [`AttackDbError::DuplicateRecord`] on the first id collision; records
     /// inserted before the collision remain.
     pub fn merge(&mut self, other: Corpus) -> Result<(), AttackDbError> {
-        for (_, p) in other.patterns {
+        let (patterns, weaknesses, vulnerabilities) = other.into_records();
+        for p in patterns {
             self.add_pattern(p)?;
         }
-        for (_, w) in other.weaknesses {
+        for w in weaknesses {
             self.add_weakness(w)?;
         }
-        for (_, v) in other.vulnerabilities {
+        for v in vulnerabilities {
             self.add_vulnerability(v)?;
         }
         Ok(())
+    }
+
+    /// Number of records across all three families, without walking them
+    /// (equals `stats().total()`).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.patterns.len + self.weaknesses.len + self.vulnerabilities.len
+    }
+
+    /// Whether the corpus holds no records.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Consumes the corpus and yields its patterns, weaknesses and
+    /// vulnerabilities, each in id order. Records of segments this corpus
+    /// owns alone are moved, not cloned.
+    #[must_use]
+    pub fn into_records(self) -> (Vec<AttackPattern>, Vec<Weakness>, Vec<Vulnerability>) {
+        (
+            self.patterns.into_values(),
+            self.weaknesses.into_values(),
+            self.vulnerabilities.into_values(),
+        )
     }
 
     /// Computes summary statistics.
     #[must_use]
     pub fn stats(&self) -> CorpusStats {
         CorpusStats {
-            patterns: self.patterns.len(),
-            weaknesses: self.weaknesses.len(),
-            vulnerabilities: self.vulnerabilities.len(),
+            patterns: self.patterns.len,
+            weaknesses: self.weaknesses.len,
+            vulnerabilities: self.vulnerabilities.len,
             pattern_weakness_links: self
                 .patterns
                 .values()
@@ -470,5 +626,320 @@ mod tests {
         assert!(c.contains(CapecId::new(88).into()));
         assert!(c.contains(CveId::new(2018, 101).into()));
         assert!(!c.contains(CweId::new(1234).into()));
+    }
+
+    impl<K: Ord + Copy + fmt::Debug, V: Clone> Family<K, V> {
+        /// Asserts the segment invariant: one start per segment, no empty
+        /// segment, each start the segment's lowest id, ranges disjoint
+        /// and ascending, and `len` the sum of the segment lengths.
+        fn assert_segmented(&self) {
+            assert_eq!(self.starts.len(), self.segments.len());
+            let mut previous_last = None;
+            for (start, segment) in self.starts.iter().zip(&self.segments) {
+                let first = segment.keys().next().expect("no empty segment");
+                assert_eq!(first, start, "start is the segment's lowest id");
+                if let Some(previous) = previous_last {
+                    assert!(previous < start, "segments overlap");
+                }
+                previous_last = segment.keys().next_back();
+            }
+            let total: usize = self.segments.iter().map(|s| s.len()).sum();
+            assert_eq!(total, self.len);
+        }
+    }
+
+    fn pattern(id: u32) -> AttackPattern {
+        AttackPattern::new(CapecId::new(id), "p", "d", Abstraction::Meta)
+            .with_weakness(CweId::new(id % 3))
+    }
+
+    fn vulnerability(id: u32) -> Vulnerability {
+        Vulnerability::new(CveId::new(2020, id), "v").with_weakness(CweId::new(id % 3))
+    }
+
+    fn base(ids: std::ops::Range<u32>) -> Corpus {
+        let mut c = Corpus::new();
+        for id in ids {
+            c.add_pattern(pattern(id)).unwrap();
+            c.add_weakness(Weakness::new(CweId::new(id), "w", "d"))
+                .unwrap();
+            c.add_vulnerability(vulnerability(id)).unwrap();
+        }
+        c
+    }
+
+    #[test]
+    fn an_unshared_corpus_stays_one_segment_per_family() {
+        let mut c = base(10..20);
+        // Out of order on an unshared corpus: below, inside, above.
+        c.add_pattern(pattern(3)).unwrap();
+        c.add_pattern(pattern(25)).unwrap();
+        c.add_pattern(pattern(22)).unwrap();
+        assert_eq!(c.patterns.segments.len(), 1);
+        assert_eq!(c.weaknesses.segments.len(), 1);
+        c.patterns.assert_segmented();
+        let ids: Vec<u32> = c.patterns().map(|p| p.id().number()).collect();
+        assert_eq!(ids[..2], [3, 10]);
+        assert_eq!(ids[ids.len() - 2..], [22, 25]);
+    }
+
+    #[test]
+    fn appending_to_a_clone_opens_a_segment_and_shares_the_base() {
+        let original = base(1..50);
+        let mut grown = original.clone();
+        for id in 50..60 {
+            grown.add_pattern(pattern(id)).unwrap();
+            grown.add_vulnerability(vulnerability(id)).unwrap();
+        }
+        // One new segment per family for the whole batch; untouched
+        // families keep theirs.
+        assert_eq!(grown.patterns.segments.len(), 2);
+        assert_eq!(grown.vulnerabilities.segments.len(), 2);
+        assert_eq!(grown.weaknesses.segments.len(), 1);
+        grown.patterns.assert_segmented();
+
+        // The original generation is unchanged.
+        assert_eq!(original, base(1..50));
+        assert_eq!(original.len(), 3 * 49);
+        assert_eq!(original.last_pattern_id(), Some(CapecId::new(49)));
+        assert!(original.pattern(CapecId::new(55)).is_none());
+        assert!(!original.contains(CveId::new(2020, 55).into()));
+        assert!(!original
+            .patterns_for_weakness(CweId::new(1))
+            .contains(&CapecId::new(55)));
+
+        // The grown generation sees both, and shares the base records.
+        assert_eq!(grown.len(), 3 * 49 + 20);
+        assert_eq!(grown.last_pattern_id(), Some(CapecId::new(59)));
+        assert!(grown
+            .patterns_for_weakness(CweId::new(1))
+            .contains(&CapecId::new(55)));
+        let id = CapecId::new(7);
+        assert!(std::ptr::eq(
+            original.pattern(id).unwrap(),
+            grown.pattern(id).unwrap()
+        ));
+        let cve = CveId::new(2020, 31);
+        assert!(std::ptr::eq(
+            original.vulnerability(cve).unwrap(),
+            grown.vulnerability(cve).unwrap()
+        ));
+
+        // Equality is logical, not per segment.
+        assert_eq!(grown, with_batch(base(1..50), 50..60));
+    }
+
+    #[test]
+    fn an_out_of_order_insert_copies_only_a_shared_segment() {
+        let original = base(10..20);
+        let mut grown = original.clone();
+        grown.add_pattern(pattern(30)).unwrap();
+        grown.add_pattern(pattern(5)).unwrap();
+        grown.add_pattern(pattern(15_000)).unwrap();
+        grown.patterns.assert_segmented();
+        assert_eq!(original, base(10..20));
+        assert!(original.pattern(CapecId::new(5)).is_none());
+        assert_eq!(grown.patterns().count(), 13);
+        assert_eq!(grown.pattern(CapecId::new(5)), Some(&pattern(5)));
+    }
+
+    #[test]
+    fn into_records_moves_every_family_out_in_id_order() {
+        let mut c = base(20..30);
+        c.add_pattern(pattern(2)).unwrap();
+        let held = c.clone();
+        c.add_pattern(pattern(40)).unwrap();
+        let (patterns, weaknesses, vulnerabilities) = c.into_records();
+        let ids: Vec<u32> = patterns.iter().map(|p| p.id().number()).collect();
+        assert_eq!(ids.len(), 12);
+        assert_eq!((ids[0], ids[11]), (2, 40));
+        assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(weaknesses.len(), 10);
+        assert_eq!(vulnerabilities.len(), 10);
+        assert_eq!(held.len(), 31);
+    }
+
+    fn with_batch(mut c: Corpus, ids: std::ops::Range<u32>) -> Corpus {
+        for id in ids {
+            c.add_pattern(pattern(id)).unwrap();
+            c.add_vulnerability(vulnerability(id)).unwrap();
+        }
+        c
+    }
+
+    /// Inserts `record` unless `id` is taken; whether it was inserted.
+    fn insert_new<K: Ord, V: Clone>(map: &mut BTreeMap<K, V>, id: K, record: &V) -> bool {
+        let fresh = !map.contains_key(&id);
+        map.entry(id).or_insert_with(|| record.clone());
+        fresh
+    }
+
+    /// The reference model: one plain map per family.
+    #[derive(Clone, Default)]
+    struct Model {
+        patterns: BTreeMap<CapecId, AttackPattern>,
+        weaknesses: BTreeMap<CweId, Weakness>,
+        vulnerabilities: BTreeMap<CveId, Vulnerability>,
+    }
+
+    impl Model {
+        fn insert(&mut self, corpus: &mut Corpus, family: u8, id: u32, link: u32) {
+            let cwe = CweId::new(link);
+            let result = match family {
+                0 => {
+                    let p = AttackPattern::new(CapecId::new(id), "p", "d", Abstraction::Detailed)
+                        .with_weakness(cwe);
+                    (
+                        insert_new(&mut self.patterns, p.id(), &p),
+                        corpus.add_pattern(p),
+                    )
+                }
+                1 => {
+                    let w = Weakness::new(CweId::new(id), "w", "d");
+                    (
+                        insert_new(&mut self.weaknesses, w.id(), &w),
+                        corpus.add_weakness(w),
+                    )
+                }
+                _ => {
+                    let v = Vulnerability::new(CveId::new(2021, id), "v").with_weakness(cwe);
+                    let fresh = insert_new(&mut self.vulnerabilities, v.id(), &v);
+                    (fresh, corpus.add_vulnerability(v))
+                }
+            };
+            match result {
+                (true, Ok(())) | (false, Err(AttackDbError::DuplicateRecord(_))) => {}
+                (fresh, got) => panic!("fresh={fresh} but insert returned {got:?}"),
+            }
+        }
+
+        /// The highest id number in `family`, or 0.
+        fn last(&self, family: u8) -> u32 {
+            let last = match family {
+                0 => self.patterns.keys().next_back().map(|id| id.number()),
+                1 => self.weaknesses.keys().next_back().map(|id| id.number()),
+                _ => self
+                    .vulnerabilities
+                    .keys()
+                    .next_back()
+                    .map(|id| id.number()),
+            };
+            last.unwrap_or(0)
+        }
+
+        /// Rebuilds a corpus from the model in descending id order, so
+        /// every insert lands below the first segment.
+        fn rebuild_descending(&self) -> Corpus {
+            let mut c = Corpus::new();
+            for p in self.patterns.values().rev() {
+                c.add_pattern(p.clone()).unwrap();
+            }
+            for w in self.weaknesses.values().rev() {
+                c.add_weakness(w.clone()).unwrap();
+            }
+            for v in self.vulnerabilities.values().rev() {
+                c.add_vulnerability(v.clone()).unwrap();
+            }
+            c
+        }
+
+        fn assert_agrees(&self, c: &Corpus) {
+            c.patterns.assert_segmented();
+            c.weaknesses.assert_segmented();
+            c.vulnerabilities.assert_segmented();
+            assert!(c.patterns().eq(self.patterns.values()));
+            assert!(c.weaknesses().eq(self.weaknesses.values()));
+            assert!(c.vulnerabilities().eq(self.vulnerabilities.values()));
+            let top = (0..3).map(|family| self.last(family)).max().unwrap_or(0);
+            for n in 0..=top + 2 {
+                let (p, w, v) = (CapecId::new(n), CweId::new(n), CveId::new(2021, n));
+                assert_eq!(c.pattern(p), self.patterns.get(&p));
+                assert_eq!(c.weakness(w), self.weaknesses.get(&w));
+                assert_eq!(c.vulnerability(v), self.vulnerabilities.get(&v));
+                assert_eq!(c.contains(p.into()), self.patterns.contains_key(&p));
+                assert_eq!(c.contains(w.into()), self.weaknesses.contains_key(&w));
+                assert_eq!(c.contains(v.into()), self.vulnerabilities.contains_key(&v));
+            }
+            for link in 0..LINKS {
+                let cwe = CweId::new(link);
+                let patterns: Vec<CapecId> = self
+                    .patterns
+                    .values()
+                    .filter(|p| p.related_weaknesses().contains(&cwe))
+                    .map(AttackPattern::id)
+                    .collect();
+                let vulns: Vec<CveId> = self
+                    .vulnerabilities
+                    .values()
+                    .filter(|v| v.weaknesses().contains(&cwe))
+                    .map(Vulnerability::id)
+                    .collect();
+                assert_eq!(c.patterns_for_weakness(cwe), patterns);
+                assert_eq!(c.vulnerabilities_for_weakness(cwe), vulns);
+            }
+            assert_eq!(
+                c.last_pattern_id(),
+                self.patterns.keys().next_back().copied()
+            );
+            assert_eq!(
+                c.last_weakness_id(),
+                self.weaknesses.keys().next_back().copied()
+            );
+            assert_eq!(
+                c.last_vulnerability_id(),
+                self.vulnerabilities.keys().next_back().copied()
+            );
+            let stats = c.stats();
+            assert_eq!(
+                stats,
+                CorpusStats {
+                    patterns: self.patterns.len(),
+                    weaknesses: self.weaknesses.len(),
+                    vulnerabilities: self.vulnerabilities.len(),
+                    pattern_weakness_links: self.patterns.len(),
+                    vulnerability_weakness_links: self.vulnerabilities.len(),
+                }
+            );
+            assert_eq!(c.len(), stats.total());
+            assert_eq!(c.is_empty(), stats.total() == 0);
+            assert_eq!(*c, self.rebuild_descending());
+        }
+    }
+
+    /// Out-of-order ids are drawn below this; appends go above the floor.
+    const ID_SPACE: u32 = 48;
+    /// Weakness ids the generated records link to.
+    const LINKS: u32 = 4;
+
+    proptest::proptest! {
+        #[test]
+        fn segmented_corpus_agrees_with_a_plain_map_model(
+            ops in proptest::collection::vec((0u8..8, 0u8..3, 0u32..ID_SPACE, 0u32..LINKS), 1..60)
+        ) {
+            let mut corpus = Corpus::new();
+            let mut model = Model::default();
+            let mut held: Vec<(Corpus, Model)> = Vec::new();
+            for (op, family, id, link) in ops {
+                match op {
+                    // Hold the current generation; later inserts must not
+                    // reach it.
+                    0 => held.push((corpus.clone(), model.clone())),
+                    // Release every held generation: the corpus is
+                    // unshared again.
+                    1 => held.clear(),
+                    // Append above the family's floor.
+                    2..=4 => {
+                        let above = model.last(family).max(ID_SPACE) + 1 + id % 3;
+                        model.insert(&mut corpus, family, above, link);
+                    }
+                    // Insert anywhere, duplicates included.
+                    _ => model.insert(&mut corpus, family, id, link),
+                }
+            }
+            model.assert_agrees(&corpus);
+            for (generation, generation_model) in &held {
+                generation_model.assert_agrees(generation);
+            }
+        }
     }
 }

@@ -195,13 +195,11 @@ fn parse(bytes: &[u8]) -> Result<ParsedDelta, SnapshotError> {
     if fnv1a_64_wide(payload) != payload_checksum {
         return Err(SnapshotError::ChecksumMismatch("delta payload"));
     }
-    // Decoding through a `Corpus` enforces strictly-ascending unique ids
-    // within the batch; the per-family vectors come back out in id order.
+    // Decoding through a `Corpus` enforces unique ids within the batch;
+    // the per-family vectors move back out in id order.
     let mut pr = Reader::new(payload);
-    let batch = record_wire::decode_corpus_from(&mut pr)?;
-    let patterns: Vec<AttackPattern> = batch.patterns().cloned().collect();
-    let weaknesses: Vec<Weakness> = batch.weaknesses().cloned().collect();
-    let vulnerabilities: Vec<Vulnerability> = batch.vulnerabilities().cloned().collect();
+    let (patterns, weaknesses, vulnerabilities) =
+        record_wire::decode_corpus_from(&mut pr)?.into_records();
     let pattern_runs = read_doc_runs(&mut pr, patterns.len())?;
     let weakness_runs = read_doc_runs(&mut pr, weaknesses.len())?;
     let vulnerability_runs = read_doc_runs(&mut pr, vulnerabilities.len())?;
@@ -248,9 +246,12 @@ pub fn inspect_delta(bytes: &[u8]) -> Result<DeltaInfo, SnapshotError> {
 /// Verifies the chain (`parent_id` must equal `expected_parent`), enforces
 /// the append-only id floor (every batch id must exceed every existing id
 /// of its family — the invariant that keeps compaction byte-identical to
-/// rebuild), and appends records and index runs. Cost is *O(batch)*, not
-/// *O(corpus)*, once the engine's families are uniquely owned (a family
-/// shared with another engine is copied on first append).
+/// rebuild), and appends records and index runs. The corpus side costs
+/// *O(batch)* even on a clone: a cloned [`Corpus`] shares its record
+/// segments, and the batch lands in a new one. What is still
+/// *O(corpus)* is the engine side: an index family shared with another
+/// engine (a clone, or a [`SearchEngine::with_scoring`] copy) is copied
+/// on first append (`Arc::make_mut`).
 ///
 /// On error the pair may be partially modified and must be discarded:
 /// apply to clones and swap on success (what the server and CLI do).

@@ -170,13 +170,12 @@ fn encode_corpus_section(corpus: &Corpus) -> Vec<u8> {
     out
 }
 
-/// Decodes one family record directory, feeding each record to `add`.
+/// Decodes one family record directory into its records, in order.
 fn decode_family_records<T>(
     r: &mut Reader<'_>,
     family: &'static str,
     decode: impl Fn(&mut Reader<'_>) -> Result<T, SnapshotError>,
-    mut add: impl FnMut(T) -> Result<(), SnapshotError>,
-) -> Result<(), SnapshotError> {
+) -> Result<Vec<T>, SnapshotError> {
     let count = r.u32()?;
     let mut offsets = Vec::with_capacity(r.capacity_for(count, 4));
     for _ in 0..count {
@@ -184,6 +183,7 @@ fn decode_family_records<T>(
     }
     let blob_len = r.u32()? as usize;
     let blob = r.take(blob_len)?;
+    let mut records = Vec::new();
     for i in 0..offsets.len() {
         let start = offsets[i] as usize;
         let end = offsets.get(i + 1).map_or(blob_len, |&o| o as usize);
@@ -200,35 +200,32 @@ fn decode_family_records<T>(
                 rr.remaining()
             )));
         }
-        add(record)?;
+        records.push(record);
     }
-    Ok(())
+    Ok(records)
 }
 
 /// Decodes the corpus section payload back into an owned [`Corpus`].
+///
+/// Each family is decoded in full before any record is inserted, so the
+/// map's nodes are allocated back to back instead of between the records'
+/// strings. Random lookups on the thawed corpus are measurably faster
+/// that way, and a delta-grown corpus keeps its thawed base for life.
 fn decode_corpus_section(payload: &[u8]) -> Result<Corpus, SnapshotError> {
+    let corrupt = |e: cpssec_attackdb::AttackDbError| SnapshotError::Corrupt(e.to_string());
     let mut corpus = Corpus::new();
     let mut r = Reader::new(payload);
-    decode_family_records(&mut r, "patterns", record_wire::decode_pattern, |p| {
-        corpus
-            .add_pattern(p)
-            .map_err(|e| SnapshotError::Corrupt(e.to_string()))
-    })?;
-    decode_family_records(&mut r, "weaknesses", record_wire::decode_weakness, |w| {
-        corpus
-            .add_weakness(w)
-            .map_err(|e| SnapshotError::Corrupt(e.to_string()))
-    })?;
-    decode_family_records(
-        &mut r,
-        "vulnerabilities",
-        record_wire::decode_vulnerability,
-        |v| {
-            corpus
-                .add_vulnerability(v)
-                .map_err(|e| SnapshotError::Corrupt(e.to_string()))
-        },
-    )?;
+    for p in decode_family_records(&mut r, "patterns", record_wire::decode_pattern)? {
+        corpus.add_pattern(p).map_err(corrupt)?;
+    }
+    for w in decode_family_records(&mut r, "weaknesses", record_wire::decode_weakness)? {
+        corpus.add_weakness(w).map_err(corrupt)?;
+    }
+    let vulnerabilities =
+        decode_family_records(&mut r, "vulnerabilities", record_wire::decode_vulnerability)?;
+    for v in vulnerabilities {
+        corpus.add_vulnerability(v).map_err(corrupt)?;
+    }
     if !r.finished() {
         return Err(SnapshotError::Corrupt(format!(
             "{} trailing byte(s) after the last record directory",

@@ -289,7 +289,7 @@ impl AppState {
         responses: usize,
         priors: usize,
     ) -> Arc<AppState> {
-        let records = store.as_ref().map(|s| s.corpus.stats().total());
+        let records = store.as_ref().map(|s| s.corpus.len());
         let state = Arc::new(AppState {
             store: StoreSlot {
                 slot: Mutex::new(store),
@@ -371,6 +371,9 @@ impl AppState {
         }
         let current = slot.as_ref().expect("store installed").clone();
         // Grow clones; the installed state stays valid if anything fails.
+        // The corpus clone shares every record segment, so it and the
+        // later drop of the old generation cost O(segments); the index
+        // families are copied on the first append (O(corpus)).
         let mut corpus = (*current.corpus).clone();
         let mut tfidf = (*current.tfidf).clone();
         let info = cpssec_search::apply_delta(&mut corpus, &mut tfidf, bytes, current.state_id)?;
@@ -403,7 +406,7 @@ impl AppState {
             .fetch_add(1, Ordering::Relaxed);
         self.gauges
             .corpus_records
-            .store(next.corpus.stats().total() as u64, Ordering::Relaxed);
+            .store(next.corpus.len() as u64, Ordering::Relaxed);
         *slot = Some(next);
         drop(slot);
         // Cached bodies and priors predate the grown corpus — drop them.

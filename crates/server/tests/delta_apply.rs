@@ -177,6 +177,48 @@ fn corpus_built_state_shares_the_delta_chain() {
 }
 
 #[test]
+fn a_held_generation_survives_an_apply_and_shares_its_records() {
+    let state = AppState::new(seed_corpus());
+    let held = state.corpus();
+    let before = held.len();
+    let probe = held.vulnerabilities().next().expect("seed CVEs").id();
+
+    let batch = synth::delta_batch(13, 40, 0);
+    let delta = build_delta(state.state_id(), &batch);
+    state.apply_corpus_delta(&delta).expect("apply");
+    let grown = state.corpus();
+
+    // The generation a reader held across the apply is unchanged.
+    assert_eq!(held.len(), before);
+    assert!(held.vulnerability(probe).is_some());
+    assert!(batch
+        .vulnerabilities()
+        .all(|v| !held.contains(v.id().into())));
+
+    // The new generation shares every base record instead of a copy...
+    assert_eq!(grown.len(), before + batch.len());
+    for p in held.patterns() {
+        assert!(std::ptr::eq(p, grown.pattern(p.id()).expect("base")));
+    }
+    for w in held.weaknesses() {
+        assert!(std::ptr::eq(w, grown.weakness(w.id()).expect("base")));
+    }
+    for v in held.vulnerabilities() {
+        assert!(std::ptr::eq(v, grown.vulnerability(v.id()).expect("base")));
+    }
+    // ...and holds the batch.
+    for p in batch.patterns() {
+        assert_eq!(grown.pattern(p.id()), Some(p));
+    }
+    for w in batch.weaknesses() {
+        assert_eq!(grown.weakness(w.id()), Some(w));
+    }
+    for v in batch.vulnerabilities() {
+        assert_eq!(grown.vulnerability(v.id()), Some(v));
+    }
+}
+
+#[test]
 fn malformed_and_stale_bodies_are_rejected() {
     let server = TestServer::start(AppState::new(seed_corpus()));
     let (status, _) = server.post_bytes("/corpus/delta", &[]);
