@@ -12,7 +12,8 @@
 //! equal to append order) and the sorted-term snapshot encoding
 //! (independent of term-id numbering), this yields the compaction
 //! guarantee: [`compact_verified`] proves the re-encoded base snapshot is
-//! byte-identical to rebuild-from-scratch at every compaction point.
+//! byte-identical to rebuild-from-scratch at every compaction point, by
+//! comparing the engine-dependent family sections of the two.
 //!
 //! # Layout (delta version 1)
 //!
@@ -34,13 +35,15 @@
 //!
 //! [`InvertedIndex::append_document_runs`]: crate::index::InvertedIndex
 
+use std::collections::HashMap;
+
 use cpssec_attackdb::snapshot as record_wire;
 use cpssec_attackdb::snapshot::{put_str, put_u16, put_u32, put_u64, Reader};
 use cpssec_attackdb::{AttackPattern, Corpus, Vulnerability, Weakness};
 use cpssec_model::fnv1a_64_wide;
 
-use crate::snapshot::{encode, SnapshotError};
-use crate::text::tokenize;
+use crate::snapshot::{self, SnapshotError};
+use crate::text::{for_each_word, normalize_word};
 use crate::SearchEngine;
 
 /// The six magic bytes every `.cpsdelta` file starts with.
@@ -100,15 +103,22 @@ struct DocRuns {
 /// exact shape [`crate::index::InvertedIndex::append_document_runs`]
 /// consumes to replicate `add_document` byte-for-byte.
 fn token_runs(text: &str) -> DocRuns {
-    let tokens = tokenize(text);
-    let token_count = tokens.len() as u32;
+    let mut token_count = 0u32;
     let mut runs: Vec<(String, u32)> = Vec::new();
-    for token in tokens {
-        match runs.iter_mut().find(|(t, _)| *t == token) {
-            Some((_, tf)) => *tf += 1,
-            None => runs.push((token, 1)),
+    let mut slots: HashMap<String, usize> = HashMap::new();
+    for_each_word(text, |raw| {
+        let Some(term) = normalize_word(raw) else {
+            return;
+        };
+        token_count += 1;
+        match slots.get(&term) {
+            Some(&slot) => runs[slot].1 += 1,
+            None => {
+                slots.insert(term.clone(), runs.len());
+                runs.push((term, 1));
+            }
         }
-    }
+    });
     DocRuns { token_count, runs }
 }
 
@@ -328,10 +338,17 @@ pub fn apply_delta(
 }
 
 /// Compacts a delta-grown state into a new base snapshot, **proving** the
-/// equivalence invariant on the way: the encoded bytes must be identical
+/// equivalence invariant on the way: the snapshot must be byte-identical
 /// to encoding a from-scratch rebuild over the same corpus. The proof
 /// costs one rebuild — paid only at compaction points (every K deltas),
 /// never per apply.
+///
+/// Only the engine's family sections are compared. Both sides encode the
+/// same `corpus`, the corpus section is a function of the corpus alone,
+/// and [`snapshot::encode`] is a deterministic assembly of the corpus and
+/// the family sections, so equal family sections are equivalent to equal
+/// files. Each section is encoded once: the grown family sections are
+/// assembled with the corpus into the returned snapshot.
 ///
 /// # Errors
 ///
@@ -340,20 +357,20 @@ pub fn apply_delta(
 /// the state must not be persisted.
 pub fn compact_verified(corpus: &Corpus, engine: &SearchEngine) -> Result<Vec<u8>, SnapshotError> {
     let _span = cpssec_obs::span!("delta-compact");
-    let grown = encode(corpus, engine);
+    let grown = snapshot::family_sections(engine);
     let rebuilt = SearchEngine::with_config(corpus, engine.config());
-    if grown != encode(corpus, &rebuilt) {
+    if grown != snapshot::family_sections(&rebuilt) {
         return Err(SnapshotError::Corrupt(
             "compacted snapshot diverges from rebuild-from-scratch".into(),
         ));
     }
-    Ok(grown)
+    Ok(snapshot::assemble(corpus, grown))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{decode, inspect};
+    use crate::snapshot::{decode, encode, inspect};
     use cpssec_attackdb::seed::{seed_corpus, table1_attributes};
     use cpssec_attackdb::{Abstraction, CapecId, CveId, CweId};
 
@@ -448,6 +465,59 @@ mod tests {
             let (c2, _) = decode(&compacted).expect("compacted snapshot decodes");
             assert_eq!(c2, corpus);
         }
+    }
+
+    /// Asserts the compaction proof rejects `(corpus, engine)` with the
+    /// one-line divergence error.
+    fn assert_compaction_rejected(corpus: &Corpus, engine: &SearchEngine) {
+        let err = compact_verified(corpus, engine).unwrap_err();
+        assert!(
+            matches!(&err, SnapshotError::Corrupt(msg) if msg.contains("diverges")),
+            "{err}"
+        );
+        assert!(!err.to_string().contains('\n'), "{err}");
+    }
+
+    #[test]
+    fn compaction_rejects_an_engine_built_over_a_different_corpus() {
+        let corpus = seed_corpus();
+        let (patterns, weaknesses, mut vulnerabilities) = corpus.clone().into_records();
+        let changed = &mut vulnerabilities[0];
+        *changed = Vulnerability::new(changed.id(), "quantumworks flownet gateway overflow");
+        let mut other = Corpus::new();
+        for p in patterns {
+            other.add_pattern(p).unwrap();
+        }
+        for w in weaknesses {
+            other.add_weakness(w).unwrap();
+        }
+        for v in vulnerabilities {
+            other.add_vulnerability(v).unwrap();
+        }
+        // Same record ids and counts, so only the index contents differ.
+        assert_compaction_rejected(&corpus, &SearchEngine::build(&other));
+    }
+
+    #[test]
+    fn compaction_rejects_a_delta_with_tampered_runs() {
+        let (mut corpus, mut engine, id) = base();
+        let mut bytes = build(id, &batch(1));
+        // The runs follow the record batch, so the last `flownet` in the
+        // payload is a vulnerability's term run; the same-length rename
+        // keeps every run well-formed, and the recomputed checksum lets
+        // the tampered delta apply.
+        let at = bytes
+            .windows(7)
+            .rposition(|w| w == b"flownet")
+            .expect("term run present");
+        bytes[at + 6] = b'z';
+        // Header: magic, version u16, parent id u64, then the checksum.
+        let checksum_at = DELTA_MAGIC.len() + 2 + 8;
+        let checksum = fnv1a_64_wide(&bytes[checksum_at + 8..]);
+        bytes[checksum_at..checksum_at + 8].copy_from_slice(&checksum.to_le_bytes());
+        apply_delta(&mut corpus, &mut engine, &bytes, id).expect("tampered runs still apply");
+        assert_eq!(engine.match_text("flownez").vulnerabilities.len(), 1);
+        assert_compaction_rejected(&corpus, &engine);
     }
 
     #[test]

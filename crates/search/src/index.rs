@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use cpssec_attackdb::snapshot::{put_u32, Reader, SnapshotError};
 
 use crate::score::{self, length_norm};
-use crate::text::tokenize;
+use crate::text::{for_each_word, normalize_word, tokenize};
 
 /// Dense index of a document within one [`InvertedIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -34,10 +34,15 @@ pub(crate) struct Posting {
 }
 
 /// Minimum documents per worker before [`InvertedIndex::from_documents`]
-/// shards the build. Tokenizing one corpus record costs ~10 µs; a scoped
-/// thread costs ~50–100 µs to start, so a shard needs a few hundred
-/// documents before the parallel build wins (measured in EXPERIMENTS §E12b).
+/// shards the build. Indexing one 100k-corpus vulnerability record costs
+/// ~1.2 µs with the shard's word memo warm (one hash probe per word;
+/// tokenizing it from scratch costs ~8–9 µs); a scoped thread costs
+/// ~50–100 µs to start, so a shard needs a few hundred documents before
+/// the parallel build wins (measured in EXPERIMENTS §E17).
 const SHARD_MIN_DOCS: usize = 512;
+
+/// Word-memo value for a raw word that normalizes to nothing.
+const DROPPED: u32 = u32::MAX;
 
 /// One worker's partial index: terms in local first-occurrence order,
 /// postings carrying *global* doc ids (each shard owns a contiguous range).
@@ -47,25 +52,25 @@ struct ShardIndex {
     doc_lengths: Vec<u32>,
 }
 
-/// Interns `tokens` and appends one posting run per distinct term —
-/// the shared inner loop of the sequential and sharded builds.
-fn push_token_runs(
-    tokens: Vec<String>,
-    doc: DocId,
+/// Returns `term`'s id, interning it (with an empty postings list) if new.
+fn intern(
+    term: String,
     term_ids: &mut HashMap<String, u32>,
     postings: &mut Vec<Vec<Posting>>,
-) {
-    let mut tids: Vec<u32> = Vec::with_capacity(tokens.len());
-    for token in tokens {
-        let next = postings.len() as u32;
-        let tid = *term_ids.entry(token).or_insert(next);
-        if tid == next {
-            postings.push(Vec::new());
-        }
-        tids.push(tid);
+) -> u32 {
+    let next = postings.len() as u32;
+    let tid = *term_ids.entry(term).or_insert(next);
+    if tid == next {
+        postings.push(Vec::new());
     }
+    tid
+}
+
+/// Appends one posting per distinct term id in `tids` (one id per token),
+/// in ascending term-id order — the shared tail of every document add.
+fn push_runs(tids: &mut [u32], doc: DocId, postings: &mut [Vec<Posting>]) {
     tids.sort_unstable();
-    let mut run = tids.as_slice();
+    let mut run = &*tids;
     while let Some(&tid) = run.first() {
         let tf = run.iter().take_while(|&&t| t == tid).count();
         postings[tid as usize].push(Posting { doc, tf: tf as u32 });
@@ -74,15 +79,31 @@ fn push_token_runs(
 }
 
 /// Indexes one contiguous chunk of documents starting at global id `base`.
-fn index_shard<S: AsRef<str>>(docs: &[S], base: u32) -> ShardIndex {
+///
+/// A word's term depends on the raw word alone, so each distinct raw word
+/// (case variants are distinct keys) is normalized and interned once, on
+/// its first occurrence; every later occurrence costs one probe of `memo`
+/// and allocates nothing. Terms are still interned at their first token,
+/// so term ids keep first-occurrence order.
+fn index_shard<'a, S: AsRef<str>>(docs: &'a [S], base: u32) -> ShardIndex {
+    let mut memo: HashMap<&'a str, u32> = HashMap::new();
     let mut term_ids: HashMap<String, u32> = HashMap::new();
     let mut postings: Vec<Vec<Posting>> = Vec::new();
     let mut doc_lengths = Vec::with_capacity(docs.len());
+    let mut tids: Vec<u32> = Vec::new();
     for (offset, doc) in docs.iter().enumerate() {
-        let id = DocId(base + offset as u32);
-        let tokens = tokenize(doc.as_ref());
-        doc_lengths.push(tokens.len() as u32);
-        push_token_runs(tokens, id, &mut term_ids, &mut postings);
+        tids.clear();
+        for_each_word(doc.as_ref(), |raw| {
+            let tid = *memo.entry(raw).or_insert_with(|| {
+                normalize_word(raw)
+                    .map_or(DROPPED, |term| intern(term, &mut term_ids, &mut postings))
+            });
+            if tid != DROPPED {
+                tids.push(tid);
+            }
+        });
+        doc_lengths.push(tids.len() as u32);
+        push_runs(&mut tids, DocId(base + offset as u32), &mut postings);
     }
     let mut terms = vec![String::new(); term_ids.len()];
     for (term, tid) in term_ids {
@@ -98,8 +119,9 @@ fn index_shard<S: AsRef<str>>(docs: &[S], base: u32) -> ShardIndex {
 /// Merges shards (in doc order) into one index. Term ids are assigned in
 /// shard order and local first-occurrence order, which — because shards
 /// cover contiguous ascending doc ranges — is exactly the global
-/// first-occurrence order the sequential build produces; per-term postings
-/// concatenate in shard order, preserving the doc-ascending invariant.
+/// first-occurrence order of adding the documents one by one; per-term
+/// postings concatenate in shard order, preserving the doc-ascending
+/// invariant.
 fn merge_shards(shards: Vec<ShardIndex>) -> InvertedIndex {
     let mut index = InvertedIndex::new();
     for shard in shards {
@@ -174,17 +196,20 @@ impl InvertedIndex {
     /// Adds a document and returns its id. Order of insertion defines ids.
     pub fn add_document(&mut self, text: &str) -> DocId {
         let id = DocId(u32::try_from(self.doc_lengths.len()).expect("doc count fits u32"));
-        let tokens = tokenize(text);
-        self.push_doc_length(tokens.len() as u32);
-        push_token_runs(tokens, id, &mut self.term_ids, &mut self.postings);
+        let mut tids: Vec<u32> = tokenize(text)
+            .into_iter()
+            .map(|term| intern(term, &mut self.term_ids, &mut self.postings))
+            .collect();
+        self.push_doc_length(tids.len() as u32);
+        push_runs(&mut tids, id, &mut self.postings);
         id
     }
 
     /// Builds an index over `docs`, sharding tokenization and term
     /// interning across `std::thread::scope` workers when the input is
     /// large enough to amortize thread startup (below
-    /// [`SHARD_MIN_DOCS`] per worker it falls back to the sequential
-    /// build). The result is identical (`==` on every observable, and
+    /// [`SHARD_MIN_DOCS`] per worker it builds on the calling thread).
+    /// The result is identical (`==` on every observable, and
     /// byte-identical under snapshot encoding) to adding the documents
     /// one by one: shards own contiguous ascending doc-id ranges and the
     /// merge assigns term ids in global first-occurrence order.
@@ -199,6 +224,8 @@ impl InvertedIndex {
 
     /// [`Self::from_documents`] with an explicit worker count, exposed so
     /// tests and benchmarks can exercise the sharded merge on any machine.
+    /// The first shard is indexed on the calling thread, so one shard
+    /// spawns nothing.
     ///
     /// # Panics
     ///
@@ -211,24 +238,17 @@ impl InvertedIndex {
         assert!(shards > 0, "at least one shard");
         let mut span = cpssec_obs::span!("index-build");
         span.add_items(docs.len() as u64);
-        if shards == 1 || docs.len() < 2 {
-            let mut index = InvertedIndex::new();
-            for doc in docs {
-                index.add_document(doc.as_ref());
-            }
-            return index;
-        }
-        let chunk = docs.len().div_ceil(shards);
+        let chunk = docs.len().div_ceil(shards).max(1);
+        let mut chunks = docs.chunks(chunk);
+        let first = chunks.next().unwrap_or_default();
         let built: Vec<ShardIndex> = std::thread::scope(|s| {
-            let handles: Vec<_> = docs
-                .chunks(chunk)
+            let handles: Vec<_> = chunks
                 .enumerate()
-                .map(|(i, docs)| s.spawn(move || index_shard(docs, (i * chunk) as u32)))
+                .map(|(i, docs)| s.spawn(move || index_shard(docs, ((i + 1) * chunk) as u32)))
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard build"))
-                .collect()
+            let mut built = vec![index_shard(first, 0)];
+            built.extend(handles.into_iter().map(|h| h.join().expect("shard build")));
+            built
         });
         merge_shards(built)
     }
@@ -549,6 +569,7 @@ impl TermLookup for InvertedIndex {
 mod tests {
     use super::*;
     use crate::score::{ScoringModel, TermScorer};
+    use proptest::prelude::*;
 
     fn sample() -> InvertedIndex {
         let mut idx = InvertedIndex::new();
@@ -724,6 +745,58 @@ mod tests {
             sharded.average_document_length(),
             sequential.average_document_length()
         );
+    }
+
+    /// Raw words that trap a memo keyed on raw text: `Σ` lowercases
+    /// differently word-finally under `str::to_lowercase`, `İ` lowercases
+    /// to `i` plus a non-alphanumeric combining dot, `ß` and digits, bare
+    /// stopwords, words that stem into a stopword (`cans`) or a single
+    /// letter (`中s`), and case variants of one term.
+    const TRAP_WORDS: &[&str] = &[
+        "Σ", "ΟΔΟΣ", "οδος", "İ", "İnject", "inject", "ß", "STRASSE", "straße", "7", "9063", "the",
+        "The", "THE", "cans", "Cans", "中s", "Bs", "bs", "b", "kernel", "Kernel", "KERNEL",
+        "kernels", "parsing", "Parses", "overflow",
+    ];
+    /// Separators, including none at all (words run together into new
+    /// raw words) and a bare combining dot (not alphanumeric).
+    const TRAP_SEPARATORS: &[&str] = &[" ", " ", "-", ", ", "", "\u{307}", "\n"];
+
+    proptest! {
+        /// The memoized build at 1–4 shards is the same index as adding
+        /// the documents one by one: identical term ids and encoding.
+        #[test]
+        fn memoized_build_matches_per_document_add(
+            docs in prop::collection::vec(
+                prop::collection::vec(
+                    (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
+                    0..12,
+                ),
+                1..24,
+            ),
+        ) {
+            let texts: Vec<String> = docs
+                .iter()
+                .map(|words| {
+                    words
+                        .iter()
+                        .map(|(w, sep)| {
+                            let word = TRAP_WORDS[w.index(TRAP_WORDS.len())];
+                            format!("{word}{}", TRAP_SEPARATORS[sep.index(TRAP_SEPARATORS.len())])
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut sequential = InvertedIndex::new();
+            for text in &texts {
+                sequential.add_document(text);
+            }
+            for shards in 1..=4 {
+                let built = InvertedIndex::from_documents_sharded(&texts, shards);
+                prop_assert_eq!(&built.term_ids, &sequential.term_ids);
+                prop_assert_eq!(&built.doc_lengths, &sequential.doc_lengths);
+                prop_assert_eq!(encode(&built), encode(&sequential));
+            }
+        }
     }
 
     #[test]

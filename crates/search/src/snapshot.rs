@@ -246,7 +246,8 @@ fn encode_family<I>(family: &Family<I>, put_id: impl Fn(&mut Vec<u8>, &I)) -> Ve
     out
 }
 
-/// Serializes `corpus` and `engine` into a `.cpsnap` byte image.
+/// Serializes `corpus` and `engine` into a `.cpsnap` byte image: the
+/// engine's [`family_sections`], then [`assemble`] with the corpus.
 ///
 /// The engine must have been built over `corpus` — the id tables are
 /// validated against the corpus on decode. Output is deterministic: the
@@ -262,15 +263,34 @@ fn encode_family<I>(family: &Family<I>, put_id: impl Fn(&mut Vec<u8>, &I)) -> Ve
 #[must_use]
 pub fn encode(corpus: &Corpus, engine: &SearchEngine) -> Vec<u8> {
     let _span = cpssec_obs::span!("snapshot-encode");
+    assemble(corpus, family_sections(engine))
+}
+
+/// The engine's three family section payloads (patterns, weaknesses,
+/// vulnerabilities) — everything in a snapshot that depends on the engine
+/// rather than the corpus.
+pub(crate) fn family_sections(engine: &SearchEngine) -> [Vec<u8>; 3] {
     let (patterns, weaknesses, vulnerabilities) = engine.parts();
-    let payloads = [
-        encode_corpus_section(corpus),
+    [
         encode_family(patterns, |out, id| put_u32(out, id.number())),
         encode_family(weaknesses, |out, id| put_u32(out, id.number())),
         encode_family(vulnerabilities, |out, id| {
             put_u16(out, id.year());
             put_u32(out, id.number());
         }),
+    ]
+}
+
+/// Encodes the corpus section and lays it out, followed by the three
+/// family section payloads from [`family_sections`], behind the header and
+/// section table. A pure function of the corpus and the family payloads.
+pub(crate) fn assemble(corpus: &Corpus, families: [Vec<u8>; 3]) -> Vec<u8> {
+    let [patterns, weaknesses, vulnerabilities] = families;
+    let payloads = [
+        encode_corpus_section(corpus),
+        patterns,
+        weaknesses,
+        vulnerabilities,
     ];
     let header_len = (MAGIC.len() + 2 + 4 + 8 + payloads.len() * TABLE_ENTRY_LEN) as u64;
     let mut table = Vec::with_capacity(payloads.len() * TABLE_ENTRY_LEN);

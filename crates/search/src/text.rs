@@ -119,7 +119,8 @@ fn stem_once(word: &str) -> String {
 
 /// Tokenizes text into normalized terms: lowercase, alphanumeric runs,
 /// stopwords removed, stemmed. Single characters are kept only if they are
-/// digits (so "Windows 7" keeps its "7").
+/// digits (so "Windows 7" keeps its "7"). This is [`for_each_word`]
+/// composed with [`normalize_word`].
 ///
 /// # Examples
 ///
@@ -130,36 +131,49 @@ fn stem_once(word: &str) -> String {
 #[must_use]
 pub fn tokenize(text: &str) -> Vec<String> {
     let mut tokens = Vec::new();
-    let mut current = String::new();
-    for ch in text.chars() {
-        if ch.is_alphanumeric() {
-            current.extend(ch.to_lowercase());
-        } else if !current.is_empty() {
-            push_token(&mut tokens, std::mem::take(&mut current));
-        }
-    }
-    if !current.is_empty() {
-        push_token(&mut tokens, current);
-    }
+    for_each_word(text, |raw| tokens.extend(normalize_word(raw)));
     tokens
 }
 
-fn push_token(tokens: &mut Vec<String>, raw: String) {
-    if is_stopword(&raw) {
-        return;
+/// Calls `f` on each maximal run of [`char::is_alphanumeric`] characters
+/// in `text`, in order, borrowed from `text` — the raw words before any
+/// normalization.
+pub(crate) fn for_each_word<'a>(text: &'a str, mut f: impl FnMut(&'a str)) {
+    let mut start = None;
+    for (i, ch) in text.char_indices() {
+        if ch.is_alphanumeric() {
+            start.get_or_insert(i);
+        } else if let Some(s) = start.take() {
+            f(&text[s..i]);
+        }
     }
-    let stemmed = stem(&raw);
+    if let Some(s) = start {
+        f(&text[s..]);
+    }
+}
+
+/// Normalizes one raw word from [`for_each_word`] into its term, or `None`
+/// if the word is dropped. Lowercasing is per `char` (not
+/// [`str::to_lowercase`], whose word-final `Σ` rule depends on context),
+/// so a word's term depends on the word alone — which is what lets the
+/// index build memoize it.
+pub(crate) fn normalize_word(raw: &str) -> Option<String> {
+    let lower: String = raw.chars().flat_map(char::to_lowercase).collect();
+    if is_stopword(&lower) {
+        return None;
+    }
+    let stemmed = stem(&lower);
     // Both drop checks must run on the *stemmed* form too, or a token would
-    // survive one pass of tokenization but not two ("Bs" → "b" for the
+    // survive one pass of tokenization but not two ("中s" → "中" for the
     // single-character check, "cans" → "can" for the stopword check) —
     // breaking tokenize(tokenize(..)) == tokenize(..).
     if is_stopword(&stemmed) {
-        return;
+        return None;
     }
     if stemmed.chars().count() == 1 && !stemmed.chars().next().expect("nonempty").is_ascii_digit() {
-        return;
+        return None;
     }
-    tokens.push(stemmed);
+    Some(stemmed)
 }
 
 #[cfg(test)]
@@ -267,6 +281,23 @@ mod tests {
     #[test]
     fn unicode_is_tolerated() {
         assert_eq!(tokenize("Überflow café"), ["überflow", "café"]);
+    }
+
+    #[test]
+    fn lowercasing_is_per_char_and_drops_apply_after_stemming() {
+        // Per-char lowercasing: a word-final `Σ` becomes `σ`, never the
+        // context-dependent `ς` of `str::to_lowercase`.
+        assert_eq!(tokenize("ΟΔΟΣ οδοσ"), ["οδοσ", "οδοσ"]);
+        // `İ` lowercases to `i` plus a combining dot that stays in the
+        // term even though it is not alphanumeric itself.
+        assert_eq!(tokenize("İnject"), ["i\u{307}nject"]);
+        assert_eq!(tokenize("Straße 7"), ["straß", "7"]);
+        // "cans" stems into a stopword and "中s" into a single letter (the
+        // plural rule counts bytes); "Bs" is too short to stem at all.
+        assert!(tokenize("Cans 中s THE").is_empty());
+        assert_eq!(tokenize("Bs"), ["bs"]);
+        assert_eq!(normalize_word("Kernels"), Some("kernel".to_owned()));
+        assert_eq!(normalize_word("cans"), None);
     }
 
     #[test]
