@@ -114,6 +114,7 @@ fn bench_snapshot_scale(c: &mut Criterion) {
     println!("  view open_verified  : {verified_us:>10.0} us  (adds the checksum pass)");
     println!("  first query (view)  : {first_query_view_us:>10.0} us");
     println!("  first query (owned) : {first_query_owned_us:>10.0} us");
+    println!("  delta size (1k rec) : {:>10} bytes", delta.len());
     println!(
         "  delta apply (1k rec): {apply_us:>10.0} us  vs rebuild {rebuild_us:>10.0} us ({:.1}x)",
         rebuild_us / apply_us.max(1.0)
@@ -125,9 +126,10 @@ fn bench_snapshot_scale(c: &mut Criterion) {
          \"viewOpenVerifiedUs\":{verified_us:.1},\"openSpeedup\":{speedup:.1},\
          \"firstQueryViewUs\":{first_query_view_us:.1},\
          \"firstQueryOwnedUs\":{first_query_owned_us:.1},\
-         \"deltaApplyUs\":{apply_us:.1},\"rebuildUs\":{rebuild_us:.1},\
+         \"deltaBytes\":{},\"deltaApplyUs\":{apply_us:.1},\"rebuildUs\":{rebuild_us:.1},\
          \"rssOwnedKb\":{rss_owned_kb}}}",
-        snap.len()
+        snap.len(),
+        delta.len()
     );
     std::fs::write("BENCH_snapshot_scale.json", &json).expect("write bench artifact");
     println!("  wrote BENCH_snapshot_scale.json");

@@ -1,10 +1,12 @@
 //! The `.cpsdelta` sidecar: incremental corpus/index growth without a
 //! full rebuild.
 //!
-//! A delta carries a *batch* of new records plus their pre-tokenized term
-//! runs, chained to a specific parent state by id. Applying it appends the
-//! records to the corpus and the runs to the three family indices
-//! ([`InvertedIndex::append_document_runs`]). The indices store only term
+//! A delta carries a *batch* of new records, chained to a specific
+//! parent state by id, and nothing derived from them. Applying it appends
+//! the records to the corpus and indexes them into the three family
+//! indices with the build's own tokenize-and-intern loop
+//! ([`InvertedIndex::append_documents`]), so the index follows from the
+//! stored records by construction. The indices store only term
 //! frequencies and document lengths, and every weight is computed at query
 //! time from them, so the grown engine is *bit-identical* to one rebuilt
 //! over the merged corpus. Combined with the append-only id floor
@@ -15,42 +17,39 @@
 //! byte-identical to rebuild-from-scratch at every compaction point, by
 //! comparing the engine-dependent family sections of the two.
 //!
-//! # Layout (delta version 1)
+//! # Layout (delta version 2)
 //!
 //! ```text
 //! magic             "CPSDLT"                 6 bytes
 //! version           u16 LE                   2 bytes
 //! parent_id         u64 LE                   8 bytes
 //! payload_checksum  u64 LE (wide FNV)        8 bytes
-//! payload:
-//!   batch           record batch (corpus wire format, three families)
-//!   runs × 3        per family, per record in id order:
-//!                     token_count u32, run_count u32,
-//!                     run_count × { term str, tf u32 }
+//! payload           record batch (corpus wire format, three families)
 //! ```
+//!
+//! Version 1 also carried each record's pre-tokenized `(term, tf)` runs,
+//! which nothing checked against the records; it is refused.
 //!
 //! `parent_id` is either a base snapshot's `snapshot_id` or the
 //! [`chain_id`] of a previously applied delta — a hash chain, so a delta
 //! can never be applied out of order or to the wrong base.
 //!
-//! [`InvertedIndex::append_document_runs`]: crate::index::InvertedIndex
-
-use std::collections::HashMap;
+//! [`InvertedIndex::append_documents`]: crate::index::InvertedIndex
 
 use cpssec_attackdb::snapshot as record_wire;
-use cpssec_attackdb::snapshot::{put_str, put_u16, put_u32, put_u64, Reader};
+use cpssec_attackdb::snapshot::{put_u16, put_u64, Reader};
 use cpssec_attackdb::{AttackPattern, Corpus, Vulnerability, Weakness};
 use cpssec_model::fnv1a_64_wide;
 
+use crate::engine::Family;
 use crate::snapshot::{self, SnapshotError};
-use crate::text::{for_each_word, normalize_word};
 use crate::SearchEngine;
 
 /// The six magic bytes every `.cpsdelta` file starts with.
 pub const DELTA_MAGIC: [u8; 6] = *b"CPSDLT";
 
 /// The delta format version this build writes and reads.
-pub const DELTA_VERSION: u16 = 1;
+pub const DELTA_VERSION: u16 = 2;
 
 /// The state id reached by applying a delta: a hash chain over the parent
 /// id and the delta's payload checksum. Deterministic, order-sensitive,
@@ -93,63 +92,11 @@ impl DeltaInfo {
     }
 }
 
-/// One document's pre-tokenized term runs, in first-occurrence order.
-struct DocRuns {
-    token_count: u32,
-    runs: Vec<(String, u32)>,
-}
-
-/// Tokenizes `text` into `(token_count, first-occurrence runs)` — the
-/// exact shape [`crate::index::InvertedIndex::append_document_runs`]
-/// consumes to replicate `add_document` byte-for-byte.
-fn token_runs(text: &str) -> DocRuns {
-    let mut token_count = 0u32;
-    let mut runs: Vec<(String, u32)> = Vec::new();
-    let mut slots: HashMap<String, usize> = HashMap::new();
-    for_each_word(text, |raw| {
-        let Some(term) = normalize_word(raw) else {
-            return;
-        };
-        token_count += 1;
-        match slots.get(&term) {
-            Some(&slot) => runs[slot].1 += 1,
-            None => {
-                slots.insert(term.clone(), runs.len());
-                runs.push((term, 1));
-            }
-        }
-    });
-    DocRuns { token_count, runs }
-}
-
-fn put_doc_runs(out: &mut Vec<u8>, doc: &DocRuns) {
-    put_u32(out, doc.token_count);
-    put_u32(out, u32::try_from(doc.runs.len()).expect("runs fit u32"));
-    for (term, tf) in &doc.runs {
-        put_str(out, term);
-        put_u32(out, *tf);
-    }
-}
-
-/// Serializes a `.cpsdelta` chaining `batch` onto `parent_id`.
-///
-/// The batch is tokenized here, at build time — apply never re-tokenizes,
-/// it replays the stored runs. Raw `(term, tf)` runs ship on the wire —
-/// exactly what the index stores; weights depend on the post-apply
-/// document count and are computed at query time.
+/// Serializes a `.cpsdelta` chaining `batch` onto `parent_id`. Only the
+/// records ship; apply indexes them.
 #[must_use]
 pub fn build(parent_id: u64, batch: &Corpus) -> Vec<u8> {
-    let mut payload = Vec::new();
-    record_wire::encode_corpus_into(batch, &mut payload);
-    for pattern in batch.patterns() {
-        put_doc_runs(&mut payload, &token_runs(&pattern.search_text()));
-    }
-    for weakness in batch.weaknesses() {
-        put_doc_runs(&mut payload, &token_runs(&weakness.search_text()));
-    }
-    for vulnerability in batch.vulnerabilities() {
-        put_doc_runs(&mut payload, &token_runs(&vulnerability.search_text()));
-    }
+    let payload = record_wire::encode_corpus(batch);
     let mut out = Vec::with_capacity(DELTA_MAGIC.len() + 18 + payload.len());
     out.extend_from_slice(&DELTA_MAGIC);
     put_u16(&mut out, DELTA_VERSION);
@@ -159,32 +106,13 @@ pub fn build(parent_id: u64, batch: &Corpus) -> Vec<u8> {
     out
 }
 
-/// Fully parsed delta: info plus the batch records and their runs, each
-/// family's vectors aligned index-for-index.
+/// Fully parsed delta: info plus the batch records, per family in id
+/// order.
 struct ParsedDelta {
     info: DeltaInfo,
     patterns: Vec<AttackPattern>,
     weaknesses: Vec<Weakness>,
     vulnerabilities: Vec<Vulnerability>,
-    pattern_runs: Vec<DocRuns>,
-    weakness_runs: Vec<DocRuns>,
-    vulnerability_runs: Vec<DocRuns>,
-}
-
-fn read_doc_runs(r: &mut Reader<'_>, count: usize) -> Result<Vec<DocRuns>, SnapshotError> {
-    let mut docs = Vec::with_capacity(count.min(r.remaining() / 8 + 1));
-    for _ in 0..count {
-        let token_count = r.u32()?;
-        let run_count = r.u32()?;
-        let mut runs = Vec::with_capacity(r.capacity_for(run_count, 8));
-        for _ in 0..run_count {
-            let term = r.str()?.to_owned();
-            let tf = r.u32()?;
-            runs.push((term, tf));
-        }
-        docs.push(DocRuns { token_count, runs });
-    }
-    Ok(docs)
 }
 
 fn parse(bytes: &[u8]) -> Result<ParsedDelta, SnapshotError> {
@@ -205,20 +133,10 @@ fn parse(bytes: &[u8]) -> Result<ParsedDelta, SnapshotError> {
     if fnv1a_64_wide(payload) != payload_checksum {
         return Err(SnapshotError::ChecksumMismatch("delta payload"));
     }
-    // Decoding through a `Corpus` enforces unique ids within the batch;
-    // the per-family vectors move back out in id order.
-    let mut pr = Reader::new(payload);
+    // Decoding through a `Corpus` enforces unique ids within the batch and
+    // no trailing bytes; the per-family vectors move back out in id order.
     let (patterns, weaknesses, vulnerabilities) =
-        record_wire::decode_corpus_from(&mut pr)?.into_records();
-    let pattern_runs = read_doc_runs(&mut pr, patterns.len())?;
-    let weakness_runs = read_doc_runs(&mut pr, weaknesses.len())?;
-    let vulnerability_runs = read_doc_runs(&mut pr, vulnerabilities.len())?;
-    if !pr.finished() {
-        return Err(SnapshotError::Corrupt(format!(
-            "{} trailing byte(s) after the run table",
-            pr.remaining()
-        )));
-    }
+        record_wire::decode_corpus(payload)?.into_records();
     let info = DeltaInfo {
         version,
         parent_id,
@@ -234,9 +152,6 @@ fn parse(bytes: &[u8]) -> Result<ParsedDelta, SnapshotError> {
         patterns,
         weaknesses,
         vulnerabilities,
-        pattern_runs,
-        weakness_runs,
-        vulnerability_runs,
     })
 }
 
@@ -256,7 +171,9 @@ pub fn inspect_delta(bytes: &[u8]) -> Result<DeltaInfo, SnapshotError> {
 /// Verifies the chain (`parent_id` must equal `expected_parent`), enforces
 /// the append-only id floor (every batch id must exceed every existing id
 /// of its family — the invariant that keeps compaction byte-identical to
-/// rebuild), and appends records and index runs. The corpus side costs
+/// rebuild), then indexes the batch records into the three families with
+/// the build's tokenize-and-intern loop and appends them to the corpus.
+/// The corpus side costs
 /// *O(batch)* even on a clone: a cloned [`Corpus`] shares its record
 /// segments, and the batch lands in a new one. What is still
 /// *O(corpus)* is the engine side: an index family shared with another
@@ -310,31 +227,43 @@ pub fn apply_delta(
     }
     span.add_items(parsed.info.records() as u64);
 
-    let dup = |e: cpssec_attackdb::AttackDbError| SnapshotError::Corrupt(e.to_string());
     let (p, w, v) = engine.parts_mut();
-    for (record, doc) in parsed.patterns.into_iter().zip(&parsed.pattern_runs) {
-        let refs: Vec<(&str, u32)> = doc.runs.iter().map(|(t, tf)| (t.as_str(), *tf)).collect();
-        p.index.append_document_runs(doc.token_count, &refs)?;
-        p.ids.push(record.id());
+    index_batch(
+        p,
+        &parsed.patterns,
+        AttackPattern::search_text,
+        AttackPattern::id,
+    );
+    index_batch(w, &parsed.weaknesses, Weakness::search_text, Weakness::id);
+    index_batch(
+        v,
+        &parsed.vulnerabilities,
+        Vulnerability::search_text,
+        Vulnerability::id,
+    );
+    let dup = |e: cpssec_attackdb::AttackDbError| SnapshotError::Corrupt(e.to_string());
+    for record in parsed.patterns {
         corpus.add_pattern(record).map_err(dup)?;
     }
-    for (record, doc) in parsed.weaknesses.into_iter().zip(&parsed.weakness_runs) {
-        let refs: Vec<(&str, u32)> = doc.runs.iter().map(|(t, tf)| (t.as_str(), *tf)).collect();
-        w.index.append_document_runs(doc.token_count, &refs)?;
-        w.ids.push(record.id());
+    for record in parsed.weaknesses {
         corpus.add_weakness(record).map_err(dup)?;
     }
-    for (record, doc) in parsed
-        .vulnerabilities
-        .into_iter()
-        .zip(&parsed.vulnerability_runs)
-    {
-        let refs: Vec<(&str, u32)> = doc.runs.iter().map(|(t, tf)| (t.as_str(), *tf)).collect();
-        v.index.append_document_runs(doc.token_count, &refs)?;
-        v.ids.push(record.id());
+    for record in parsed.vulnerabilities {
         corpus.add_vulnerability(record).map_err(dup)?;
     }
     Ok(parsed.info)
+}
+
+/// Indexes one family's batch records and appends their ids in lockstep.
+fn index_batch<R, I>(
+    family: &mut Family<I>,
+    records: &[R],
+    text: impl Fn(&R) -> String,
+    id: impl Fn(&R) -> I,
+) {
+    let texts: Vec<String> = records.iter().map(text).collect();
+    family.index.append_documents(&texts);
+    family.ids.extend(records.iter().map(id));
 }
 
 /// Compacts a delta-grown state into a new base snapshot, **proving** the
@@ -372,7 +301,7 @@ mod tests {
     use super::*;
     use crate::snapshot::{decode, encode, inspect};
     use cpssec_attackdb::seed::{seed_corpus, table1_attributes};
-    use cpssec_attackdb::{Abstraction, CapecId, CveId, CweId};
+    use cpssec_attackdb::{Abstraction, AttackVectorId, CapecId, CveId, CweId};
 
     /// A small batch with ids safely above everything in the seed corpus.
     fn batch(serial: u32) -> Corpus {
@@ -467,17 +396,6 @@ mod tests {
         }
     }
 
-    /// Asserts the compaction proof rejects `(corpus, engine)` with the
-    /// one-line divergence error.
-    fn assert_compaction_rejected(corpus: &Corpus, engine: &SearchEngine) {
-        let err = compact_verified(corpus, engine).unwrap_err();
-        assert!(
-            matches!(&err, SnapshotError::Corrupt(msg) if msg.contains("diverges")),
-            "{err}"
-        );
-        assert!(!err.to_string().contains('\n'), "{err}");
-    }
-
     #[test]
     fn compaction_rejects_an_engine_built_over_a_different_corpus() {
         let corpus = seed_corpus();
@@ -495,29 +413,94 @@ mod tests {
             other.add_vulnerability(v).unwrap();
         }
         // Same record ids and counts, so only the index contents differ.
-        assert_compaction_rejected(&corpus, &SearchEngine::build(&other));
+        let err = compact_verified(&corpus, &SearchEngine::build(&other)).unwrap_err();
+        assert!(
+            matches!(&err, SnapshotError::Corrupt(msg) if msg.contains("diverges")),
+            "{err}"
+        );
+        assert!(!err.to_string().contains('\n'), "{err}");
+    }
+
+    /// Recomputes the payload checksum of an edited delta, so the edit
+    /// reaches the decoder instead of stopping at the checksum.
+    fn reseal(bytes: &mut [u8]) {
+        // Header: magic, version u16, parent id u64, then the checksum.
+        let at = DELTA_MAGIC.len() + 2 + 8;
+        if bytes.len() >= at + 8 {
+            let checksum = fnv1a_64_wide(&bytes[at + 8..]);
+            bytes[at..at + 8].copy_from_slice(&checksum.to_le_bytes());
+        }
     }
 
     #[test]
-    fn compaction_rejects_a_delta_with_tampered_runs() {
+    fn an_edited_record_text_is_indexed_as_edited_and_compacts() {
         let (mut corpus, mut engine, id) = base();
         let mut bytes = build(id, &batch(1));
-        // The runs follow the record batch, so the last `flownet` in the
-        // payload is a vulnerability's term run; the same-length rename
-        // keeps every run well-formed, and the recomputed checksum lets
-        // the tampered delta apply.
+        // The last `flownet` in the payload is in the last vulnerability's
+        // description; a same-length edit keeps the batch well-formed.
         let at = bytes
             .windows(7)
             .rposition(|w| w == b"flownet")
-            .expect("term run present");
+            .expect("description present");
         bytes[at + 6] = b'z';
-        // Header: magic, version u16, parent id u64, then the checksum.
-        let checksum_at = DELTA_MAGIC.len() + 2 + 8;
-        let checksum = fnv1a_64_wide(&bytes[checksum_at + 8..]);
-        bytes[checksum_at..checksum_at + 8].copy_from_slice(&checksum.to_le_bytes());
-        apply_delta(&mut corpus, &mut engine, &bytes, id).expect("tampered runs still apply");
-        assert_eq!(engine.match_text("flownez").vulnerabilities.len(), 1);
-        assert_compaction_rejected(&corpus, &engine);
+        reseal(&mut bytes);
+        apply_delta(&mut corpus, &mut engine, &bytes, id).expect("edited delta applies");
+        let edited = CveId::new(2030, 1002);
+        let hits = engine.match_text("flownez");
+        let ids: Vec<AttackVectorId> = hits.vulnerabilities.iter().map(|h| h.id).collect();
+        assert_eq!(ids, [AttackVectorId::from(edited)]);
+        assert!(corpus
+            .vulnerability(edited)
+            .is_some_and(|v| v.description().contains("flownez")));
+        let compacted = compact_verified(&corpus, &engine).expect("equivalence holds");
+        assert_eq!(decode(&compacted).expect("decodes").0, corpus);
+    }
+
+    /// Asserts `result` is `Ok` or a one-line error; returns whether it
+    /// is `Ok`.
+    fn is_ok_or_one_line<T>(result: Result<T, SnapshotError>) -> bool {
+        match result {
+            Ok(_) => true,
+            Err(err) => {
+                assert!(!err.to_string().contains('\n'), "{err}");
+                false
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_delta_bytes_never_panic() {
+        let (corpus, engine, id) = base();
+        let bytes = build(id, &batch(1));
+        let mut applied = 0;
+        let mut try_bytes = |hostile: &[u8]| {
+            let inspected = is_ok_or_one_line(inspect_delta(hostile));
+            let (mut c, mut e) = (corpus.clone(), engine.clone());
+            if is_ok_or_one_line(apply_delta(&mut c, &mut e, hostile, id)) {
+                // Whatever a hostile batch says, an applied one is the index
+                // of its records, so the compaction proof holds.
+                compact_verified(&c, &e).expect("an applied delta compacts");
+                applied += 1;
+            }
+            inspected
+        };
+        for len in 0..bytes.len() {
+            assert!(!try_bytes(&bytes[..len]), "truncated to {len}");
+            let mut resealed = bytes[..len].to_vec();
+            reseal(&mut resealed);
+            assert!(!try_bytes(&resealed), "truncated to {len}, resealed");
+        }
+        let payload_at = DELTA_MAGIC.len() + 2 + 8 + 8;
+        for at in payload_at..bytes.len() {
+            for mask in [0x01, 0x20, 0x80, 0xFF] {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= mask;
+                reseal(&mut flipped);
+                try_bytes(&flipped);
+            }
+        }
+        // Flips inside record text reach the index, not just the decoder.
+        assert!(applied > 0);
     }
 
     #[test]
@@ -567,12 +550,14 @@ mod tests {
         let mut magic = bytes.clone();
         magic[0] = b'X';
         assert_eq!(inspect_delta(&magic).unwrap_err(), SnapshotError::BadMagic);
-        let mut version = bytes.clone();
-        version[6] = 9;
-        assert_eq!(
-            inspect_delta(&version).unwrap_err(),
-            SnapshotError::UnsupportedVersion(9)
-        );
+        // Version 1 carried pre-tokenized term runs; it is refused too.
+        for v in [1u16, 9] {
+            let mut version = bytes.clone();
+            version[6..8].copy_from_slice(&v.to_le_bytes());
+            let err = inspect_delta(&version).unwrap_err();
+            assert_eq!(err, SnapshotError::UnsupportedVersion(v));
+            assert!(!err.to_string().contains('\n'), "{err}");
+        }
         let mut payload = bytes.clone();
         let last = payload.len() - 1;
         payload[last] ^= 0xFF;

@@ -44,14 +44,6 @@ const SHARD_MIN_DOCS: usize = 512;
 /// Word-memo value for a raw word that normalizes to nothing.
 const DROPPED: u32 = u32::MAX;
 
-/// One worker's partial index: terms in local first-occurrence order,
-/// postings carrying *global* doc ids (each shard owns a contiguous range).
-struct ShardIndex {
-    terms: Vec<String>,
-    postings: Vec<Vec<Posting>>,
-    doc_lengths: Vec<u32>,
-}
-
 /// Returns `term`'s id, interning it (with an empty postings list) if new.
 fn intern(
     term: String,
@@ -78,67 +70,36 @@ fn push_runs(tids: &mut [u32], doc: DocId, postings: &mut [Vec<Posting>]) {
     }
 }
 
-/// Indexes one contiguous chunk of documents starting at global id `base`.
-///
-/// A word's term depends on the raw word alone, so each distinct raw word
-/// (case variants are distinct keys) is normalized and interned once, on
-/// its first occurrence; every later occurrence costs one probe of `memo`
-/// and allocates nothing. Terms are still interned at their first token,
-/// so term ids keep first-occurrence order.
-fn index_shard<'a, S: AsRef<str>>(docs: &'a [S], base: u32) -> ShardIndex {
-    let mut memo: HashMap<&'a str, u32> = HashMap::new();
-    let mut term_ids: HashMap<String, u32> = HashMap::new();
-    let mut postings: Vec<Vec<Posting>> = Vec::new();
-    let mut doc_lengths = Vec::with_capacity(docs.len());
-    let mut tids: Vec<u32> = Vec::new();
-    for (offset, doc) in docs.iter().enumerate() {
-        tids.clear();
-        for_each_word(doc.as_ref(), |raw| {
-            let tid = *memo.entry(raw).or_insert_with(|| {
-                normalize_word(raw)
-                    .map_or(DROPPED, |term| intern(term, &mut term_ids, &mut postings))
-            });
-            if tid != DROPPED {
-                tids.push(tid);
-            }
-        });
-        doc_lengths.push(tids.len() as u32);
-        push_runs(&mut tids, DocId(base + offset as u32), &mut postings);
-    }
-    let mut terms = vec![String::new(); term_ids.len()];
-    for (term, tid) in term_ids {
-        terms[tid as usize] = term;
-    }
-    ShardIndex {
-        terms,
-        postings,
-        doc_lengths,
-    }
+/// Indexes one contiguous chunk of documents starting at global id
+/// `first` into a fresh partial index. Its postings carry *global* doc
+/// ids (each shard owns a contiguous range) while its per-document
+/// columns are local, so it is only an input to [`merge_shards`].
+fn index_shard<S: AsRef<str>>(docs: &[S], first: u32) -> InvertedIndex {
+    let mut shard = InvertedIndex::new();
+    shard.index_documents(docs, first);
+    shard
 }
 
-/// Merges shards (in doc order) into one index. Term ids are assigned in
-/// shard order and local first-occurrence order, which — because shards
-/// cover contiguous ascending doc ranges — is exactly the global
-/// first-occurrence order of adding the documents one by one; per-term
-/// postings concatenate in shard order, preserving the doc-ascending
-/// invariant.
-fn merge_shards(shards: Vec<ShardIndex>) -> InvertedIndex {
-    let mut index = InvertedIndex::new();
+/// Merges shards (in doc order) into one index. The first shard is the
+/// start of the result; every later shard's terms are interned in its
+/// local first-occurrence order, which — because shards cover contiguous
+/// ascending doc ranges — is exactly the global first-occurrence order of
+/// adding the documents one by one; per-term postings concatenate in
+/// shard order, preserving the doc-ascending invariant.
+fn merge_shards(shards: Vec<InvertedIndex>) -> InvertedIndex {
+    let mut shards = shards.into_iter();
+    let mut index = shards.next().unwrap_or_default();
     for shard in shards {
-        for len in shard.doc_lengths {
-            index.push_doc_length(len);
+        index.doc_lengths.extend(shard.doc_lengths);
+        index.len_norms.extend(shard.len_norms);
+        index.total_tokens += shard.total_tokens;
+        let mut terms = vec![String::new(); shard.term_ids.len()];
+        for (term, tid) in shard.term_ids {
+            terms[tid as usize] = term;
         }
-        let mut remap: Vec<u32> = Vec::with_capacity(shard.terms.len());
-        for term in shard.terms {
-            let next = index.postings.len() as u32;
-            let gid = *index.term_ids.entry(term).or_insert(next);
-            if gid == next {
-                index.postings.push(Vec::new());
-            }
-            remap.push(gid);
-        }
-        for (local, postings) in shard.postings.into_iter().enumerate() {
-            let slot = &mut index.postings[remap[local] as usize];
+        for (term, postings) in terms.into_iter().zip(shard.postings) {
+            let gid = intern(term, &mut index.term_ids, &mut index.postings);
+            let slot = &mut index.postings[gid as usize];
             if slot.is_empty() {
                 *slot = postings; // First shard holding this term: move, no copy.
             } else {
@@ -205,6 +166,47 @@ impl InvertedIndex {
         id
     }
 
+    /// Appends `docs` in order, as documents [`Self::len`] onward — the
+    /// `.cpsdelta` apply path. Runs the build's tokenize-and-intern loop
+    /// straight into this index, so the result is the index that adding
+    /// the documents one by one with [`Self::add_document`] would give.
+    pub(crate) fn append_documents<S: AsRef<str>>(&mut self, docs: &[S]) {
+        let first = u32::try_from(self.len()).expect("doc count fits u32");
+        self.index_documents(docs, first);
+    }
+
+    /// Indexes `docs` as documents `first`, `first + 1`, …: the one
+    /// tokenize-and-intern loop, run by every build shard and by
+    /// [`Self::append_documents`].
+    ///
+    /// A word's term depends on the raw word alone, so each distinct raw
+    /// word (case variants are distinct keys) is normalized and interned
+    /// once per call, on its first occurrence; every later occurrence
+    /// costs one probe of `memo` and allocates nothing. Terms are still
+    /// interned at their first token, so term ids keep first-occurrence
+    /// order.
+    fn index_documents<'a, S: AsRef<str>>(&mut self, docs: &'a [S], first: u32) {
+        let mut memo: HashMap<&'a str, u32> = HashMap::new();
+        let mut tids: Vec<u32> = Vec::new();
+        self.doc_lengths.reserve(docs.len());
+        self.len_norms.reserve(docs.len());
+        for (offset, doc) in docs.iter().enumerate() {
+            tids.clear();
+            for_each_word(doc.as_ref(), |raw| {
+                let tid = *memo.entry(raw).or_insert_with(|| {
+                    normalize_word(raw).map_or(DROPPED, |term| {
+                        intern(term, &mut self.term_ids, &mut self.postings)
+                    })
+                });
+                if tid != DROPPED {
+                    tids.push(tid);
+                }
+            });
+            self.push_doc_length(tids.len() as u32);
+            push_runs(&mut tids, DocId(first + offset as u32), &mut self.postings);
+        }
+    }
+
     /// Builds an index over `docs`, sharding tokenization and term
     /// interning across `std::thread::scope` workers when the input is
     /// large enough to amortize thread startup (below
@@ -241,7 +243,7 @@ impl InvertedIndex {
         let chunk = docs.len().div_ceil(shards).max(1);
         let mut chunks = docs.chunks(chunk);
         let first = chunks.next().unwrap_or_default();
-        let built: Vec<ShardIndex> = std::thread::scope(|s| {
+        let built: Vec<InvertedIndex> = std::thread::scope(|s| {
             let handles: Vec<_> = chunks
                 .enumerate()
                 .map(|(i, docs)| s.spawn(move || index_shard(docs, ((i + 1) * chunk) as u32)))
@@ -447,65 +449,6 @@ impl InvertedIndex {
             index.postings.push(postings);
         }
         Ok(index)
-    }
-
-    /// Appends one document from pre-tokenized `(term, frequency)` runs in
-    /// first-occurrence order — the `.cpsdelta` apply path. Equivalent to
-    /// [`Self::add_document`] on the original text when the runs were
-    /// produced by [`tokenize`]: terms are interned in run order and
-    /// postings are emitted in ascending term-id order.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Corrupt`] on a zero frequency, a duplicated term,
-    /// or a `token_count` that disagrees with the frequency sum. On error
-    /// the index may hold newly interned terms and must be discarded —
-    /// callers apply deltas to a scratch clone and swap on success.
-    pub(crate) fn append_document_runs(
-        &mut self,
-        token_count: u32,
-        runs: &[(&str, u32)],
-    ) -> Result<DocId, SnapshotError> {
-        let doc = DocId(
-            u32::try_from(self.doc_lengths.len())
-                .map_err(|_| SnapshotError::Corrupt("document count overflows u32".into()))?,
-        );
-        let mut sum = 0u64;
-        let mut tids: Vec<(u32, u32)> = Vec::with_capacity(runs.len());
-        for &(term, tf) in runs {
-            if tf == 0 {
-                return Err(SnapshotError::Corrupt(format!(
-                    "term `{term}` has zero frequency in a delta run"
-                )));
-            }
-            sum += u64::from(tf);
-            let next = self.postings.len() as u32;
-            let tid = match self.term_ids.get(term) {
-                Some(&tid) => tid,
-                None => {
-                    self.term_ids.insert(term.to_owned(), next);
-                    self.postings.push(Vec::new());
-                    next
-                }
-            };
-            tids.push((tid, tf));
-        }
-        if sum != u64::from(token_count) {
-            return Err(SnapshotError::Corrupt(format!(
-                "document length {token_count} disagrees with run frequency sum {sum}"
-            )));
-        }
-        tids.sort_unstable_by_key(|&(tid, _)| tid);
-        if tids.windows(2).any(|w| w[0].0 == w[1].0) {
-            return Err(SnapshotError::Corrupt(
-                "duplicate term in delta runs".into(),
-            ));
-        }
-        self.push_doc_length(token_count);
-        for (tid, tf) in tids {
-            self.postings[tid as usize].push(Posting { doc, tf });
-        }
-        Ok(doc)
     }
 }
 
@@ -857,50 +800,26 @@ mod tests {
     }
 
     #[test]
-    fn append_document_runs_matches_add_document() {
-        let text = "kernel overflow kernel panic in routing daemon";
+    fn append_documents_matches_add_document() {
+        let texts = [
+            "kernel overflow kernel panic in routing daemon",
+            "Kernel PANIC: routing daemons overflowed",
+        ];
         let mut grown = sample();
-        grown.add_document(text);
-        let mut appended = sample();
-        let tokens = tokenize(text);
-        let mut runs: Vec<(String, u32)> = Vec::new();
-        for token in &tokens {
-            match runs.iter_mut().find(|(t, _)| t == token) {
-                Some((_, tf)) => *tf += 1,
-                None => runs.push((token.clone(), 1)),
-            }
+        for text in texts {
+            grown.add_document(text);
         }
-        let refs: Vec<(&str, u32)> = runs.iter().map(|(t, tf)| (t.as_str(), *tf)).collect();
-        appended
-            .append_document_runs(tokens.len() as u32, &refs)
-            .expect("apply");
+        let mut appended = sample();
+        appended.append_documents(&texts);
         assert_eq!(
             encode(&grown),
             encode(&appended),
-            "run-based append must be byte-identical"
+            "memoized append must be byte-identical"
         );
+        assert_eq!(grown.term_ids, appended.term_ids);
         assert_eq!(
             grown.average_document_length(),
             appended.average_document_length()
         );
-    }
-
-    #[test]
-    fn append_document_runs_rejects_malformed_runs() {
-        let mut idx = sample();
-        assert!(matches!(
-            idx.append_document_runs(1, &[("kernel", 0)]),
-            Err(SnapshotError::Corrupt(_))
-        ));
-        let mut idx = sample();
-        assert!(matches!(
-            idx.append_document_runs(3, &[("kernel", 1), ("kernel", 2)]),
-            Err(SnapshotError::Corrupt(_))
-        ));
-        let mut idx = sample();
-        assert!(matches!(
-            idx.append_document_runs(5, &[("kernel", 1)]),
-            Err(SnapshotError::Corrupt(_))
-        ));
     }
 }

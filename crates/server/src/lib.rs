@@ -604,27 +604,22 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and
-    /// prepares `workers` worker threads over `state`. The backend
-    /// defaults to [`Backend::Reactor`] on Unix;
-    /// `CPSSEC_SERVE_BACKEND=legacy` forces the legacy accept loop.
+    /// prepares `workers` worker threads over `state`. The backend is
+    /// [`Backend::Reactor`] on Unix and [`Backend::Legacy`] elsewhere;
+    /// [`Server::set_backend`] overrides it.
     ///
     /// # Errors
     ///
     /// Propagates bind errors.
     pub fn bind(addr: &str, workers: usize, state: Arc<AppState>) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        let backend = match std::env::var("CPSSEC_SERVE_BACKEND").as_deref() {
-            Ok("legacy") => Backend::Legacy,
-            Ok("reactor") => Backend::Reactor,
-            _ => Backend::default_for_target(),
-        };
         Ok(Server {
             listener,
             state,
             workers,
             shutdown: Arc::new(AtomicBool::new(false)),
             tick_ms: telemetry::DEFAULT_TICK_MS,
-            backend,
+            backend: Backend::default_for_target(),
         })
     }
 

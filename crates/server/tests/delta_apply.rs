@@ -10,7 +10,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use cpssec_attackdb::seed::seed_corpus;
-use cpssec_attackdb::synth;
+use cpssec_attackdb::{synth, AttackVectorId, CveId};
+use cpssec_model::fnv1a_64_wide;
+use cpssec_search::delta::DELTA_MAGIC;
 use cpssec_search::{build_delta, ScoringModel, SearchEngine};
 use cpssec_server::load::read_response;
 use cpssec_server::{AppState, Server, COMPACTION_EVERY};
@@ -65,6 +67,17 @@ impl Drop for TestServer {
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
+    }
+}
+
+/// Recomputes the payload checksum of an edited delta, as any client
+/// can, so the edit reaches the decoder.
+fn reseal(bytes: &mut [u8]) {
+    // Header: magic, version u16, parent id u64, then the checksum.
+    let at = DELTA_MAGIC.len() + 2 + 8;
+    if bytes.len() >= at + 8 {
+        let checksum = fnv1a_64_wide(&bytes[at + 8..]);
+        bytes[at..at + 8].copy_from_slice(&checksum.to_le_bytes());
     }
 }
 
@@ -233,4 +246,84 @@ fn malformed_and_stale_bodies_are_rejected() {
     // GET on the endpoint is method-not-allowed, not 404.
     let (status, _) = server.get("/corpus/delta");
     assert_eq!(status, 405);
+}
+
+#[test]
+fn an_edited_record_text_applies_and_later_deltas_still_compact() {
+    let server = TestServer::start(AppState::new(seed_corpus()));
+    let mut parent = server.state.state_id();
+    for serial in 0..COMPACTION_EVERY {
+        let mut delta = build_delta(parent, &synth::delta_batch(7, 50, serial));
+        if serial == 0 {
+            // The last `FlowNet` is in the last vulnerability's description
+            // (its CPE is lower-case); a same-length edit keeps it valid.
+            let at = delta
+                .windows(7)
+                .rposition(|w| w == b"FlowNet")
+                .expect("description present");
+            delta[at + 6] = b'z';
+            reseal(&mut delta);
+        }
+        let (status, body) = server.post_bytes("/corpus/delta", &delta);
+        let text = String::from_utf8(body).expect("utf8");
+        assert_eq!(status, 200, "serial {serial}: {text}");
+        let expect_compacted = serial == COMPACTION_EVERY - 1;
+        assert!(
+            text.contains(&format!("\"compacted\":{expect_compacted}")),
+            "serial {serial}: {text}"
+        );
+        parent = server.state.state_id();
+    }
+    // 50 records: 2 patterns, 5 weaknesses, then CVE-2030-0 ..= 42.
+    let edited = AttackVectorId::from(CveId::new(2030, 42));
+    for scoring in [ScoringModel::TfIdf, ScoringModel::Bm25] {
+        let hits = server.state.engine(scoring).match_text("flownez");
+        let ids: Vec<AttackVectorId> = hits.vulnerabilities.iter().map(|h| h.id).collect();
+        assert_eq!(ids, [edited], "{scoring:?}");
+    }
+}
+
+#[test]
+fn hostile_delta_bytes_leave_the_state_unchanged_on_error() {
+    let state = AppState::new(seed_corpus());
+    let records = || state.gauges.corpus_records.load(Ordering::Relaxed);
+    let full = build_delta(0, &synth::delta_batch(3, 10, 0)).len();
+    let payload_at = DELTA_MAGIC.len() + 2 + 8 + 8;
+    // Every truncation, then two flips at every payload byte; the
+    // checksum is recomputed each time so the bytes reach the decoder.
+    let truncations = (0..full).map(|len| (len, None));
+    let flips = (payload_at..full)
+        .flat_map(|at| [(at, 0x01u8), (at, 0xFF)])
+        .map(|flip| (usize::MAX, Some(flip)));
+    let mut applied = 0;
+    for (len, flip) in truncations.chain(flips) {
+        // Each applied delta advances the chain and the id floor.
+        let batch = synth::delta_batch(3, 10, applied);
+        let mut delta = build_delta(state.state_id(), &batch);
+        delta.truncate(len);
+        if let Some((at, mask)) = flip {
+            match delta.get_mut(at) {
+                Some(byte) => *byte ^= mask,
+                None => continue,
+            }
+        }
+        reseal(&mut delta);
+        let (before_id, before_records) = (state.state_id(), records());
+        match state.apply_corpus_delta(&delta) {
+            Ok(outcome) => {
+                assert_eq!(outcome.state_id, state.state_id());
+                applied += 1;
+            }
+            Err(err) => {
+                assert!(!err.to_string().contains('\n'), "{err}");
+                assert_eq!(state.state_id(), before_id, "{err}");
+                assert_eq!(records(), before_records, "{err}");
+            }
+        }
+    }
+    assert!(applied > 0, "no flip reached the index");
+    assert_eq!(
+        records() as usize,
+        seed_corpus().len() + 10 * applied as usize
+    );
 }

@@ -4,7 +4,8 @@
 //! `traceparent`, answer with `X-Trace-Id`, and leave a reconstructable
 //! entry at `GET /debug/requests/:id` — the shed is exactly the moment
 //! an operator needs the correlation. The happy path is asserted under
-//! both `CPSSEC_SERVE_BACKEND` values (legacy and reactor).
+//! both backends, selected through `Server::set_backend` (legacy and
+//! reactor).
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
