@@ -1,6 +1,9 @@
 //! Command parsing and execution, separated from `main` for testability.
 
 use std::io::Write;
+use std::path::{Path, PathBuf};
+use std::slice::Iter;
+use std::str::FromStr;
 
 use cpssec_analysis::consequence::standard_analysis;
 use cpssec_analysis::render::text_table;
@@ -10,8 +13,7 @@ use cpssec_attackdb::synth::{delta_batch, stream_into, SynthSpec};
 use cpssec_attackdb::Corpus;
 use cpssec_model::{Fidelity, SystemModel};
 use cpssec_scada::{
-    attacks, faults, run_campaign, AttackClass, BatchReport, CampaignSpec, ScadaConfig,
-    ScadaHarness,
+    attacks, faults, run_campaign, AttackClass, CampaignSpec, ScadaConfig, ScadaHarness,
 };
 use cpssec_search::{apply_delta, build_delta, compact_verified, inspect_delta};
 use cpssec_search::{FilterPipeline, SearchEngine};
@@ -45,7 +47,8 @@ const USAGE: &str = "usage:
   cpssec flight inspect <FILE.cpsflight>
   cpssec help
 
-the corpus defaults to the built-in seed + synthetic corpus at --scale;
+the corpus defaults to the built-in seed + synthetic corpus at --scale
+(0 < S <= 1000; 1000 is about 32M records);
 --corpus loads a JSON Lines corpus (see cpssec_attackdb::jsonl) instead;
 --snapshot warm-starts `serve` from a binary snapshot (see `snapshot build`);
 --slo loads latency/error objectives for `serve` (the CPSSEC_SLO env var
@@ -74,6 +77,11 @@ profiler (default 99 Hz) and prints a top-stages self-time table;
 `flight inspect` verifies a `.cpsflight` black-box dump (written by a
 serving process on SLO alert, panic, SIGUSR1, or POST /debug/flight/dump)
 and renders its per-thread event timeline.";
+
+/// Largest accepted `--scale`. The synthetic record count grows linearly
+/// with it (about 32M records here); past this a run cannot finish, and
+/// at `inf` the count saturates.
+const MAX_SCALE: f64 = 1000.0;
 
 /// Parsed global options.
 #[derive(Debug, Clone, PartialEq)]
@@ -167,164 +175,90 @@ impl Default for Options {
     }
 }
 
+/// Takes the value after `flag`, or fails with "`flag` needs `what`".
+fn flag_value<'a>(args: &mut Iter<'a, String>, flag: &str, what: &str) -> Result<&'a str, String> {
+    args.next()
+        .map(String::as_str)
+        .ok_or_else(|| format!("{flag} needs {what}"))
+}
+
+/// Parses the `value` given to `flag` and accepts it if `ok` holds, or
+/// fails with "invalid NAME `value`", NAME being the flag without `--`.
+fn parse_value<T: FromStr>(
+    flag: &str,
+    value: &str,
+    ok: impl FnOnce(&T) -> bool,
+) -> Result<T, String> {
+    let name = flag.trim_start_matches('-');
+    value
+        .parse()
+        .ok()
+        .filter(ok)
+        .ok_or_else(|| format!("invalid {name} `{value}`"))
+}
+
+impl Options {
+    /// Positional argument `index`, or the one-line `missing` error.
+    fn arg(&self, index: usize, missing: &str) -> Result<&str, String> {
+        let arg = self.positional.get(index).map(String::as_str);
+        arg.ok_or_else(|| missing.to_owned())
+    }
+}
+
+fn positive<T: PartialOrd + Default>(n: &T) -> bool {
+    *n > T::default()
+}
+
+/// [`parse_value`] for a count in `1..=10000`, naming that range when
+/// the value is out of it.
+fn parse_count<T: FromStr + PartialOrd + From<u16>>(flag: &str, value: &str) -> Result<T, String> {
+    parse_value(flag, value, |n| (T::from(1)..=T::from(10_000)).contains(n))
+        .map_err(|e| format!("{e} (expected 1..=10000)"))
+}
+
 /// Parses everything after the subcommand.
 pub fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut options = Options::default();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        match arg.as_str() {
+        let flag = arg.as_str();
+        let mut value = |what| flag_value(&mut iter, flag, what);
+        match flag {
             "--scale" => {
-                let value = iter.next().ok_or("--scale needs a value")?;
-                options.scale = value
-                    .parse()
-                    .map_err(|_| format!("invalid scale `{value}`"))?;
+                // NaN and inf fail the bound; -inf is "not positive" below.
+                options.scale = parse_value(flag, value("a value")?, |s: &f64| *s <= MAX_SCALE)?;
                 if options.scale <= 0.0 {
                     return Err("scale must be positive".into());
                 }
             }
-            "--fidelity" => {
-                let value = iter.next().ok_or("--fidelity needs a value")?;
-                options.fidelity = value
-                    .parse()
-                    .map_err(|_| format!("invalid fidelity `{value}`"))?;
-            }
-            "--top" => {
-                let value = iter.next().ok_or("--top needs a value")?;
-                options.top = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("invalid top `{value}`"))?,
-                );
-            }
-            "--ticks" => {
-                let value = iter.next().ok_or("--ticks needs a value")?;
-                options.ticks = value
-                    .parse()
-                    .map_err(|_| format!("invalid ticks `{value}`"))?;
-            }
+            "--fidelity" => options.fidelity = parse_value(flag, value("a value")?, |_| true)?,
+            "--top" => options.top = Some(parse_value(flag, value("a value")?, |_| true)?),
+            "--ticks" => options.ticks = parse_value(flag, value("a value")?, positive)?,
             "--simulate" => options.simulate = true,
-            "--scenarios" => {
-                let value = iter.next().ok_or("--scenarios needs a value")?;
-                options.scenarios = value
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| format!("invalid scenarios `{value}`"))?;
-            }
-            "--seed" => {
-                let value = iter.next().ok_or("--seed needs a value")?;
-                options.seed = value
-                    .parse()
-                    .map_err(|_| format!("invalid seed `{value}`"))?;
-            }
-            "--threads" => {
-                let value = iter.next().ok_or("--threads needs a value")?;
-                options.threads = Some(
-                    value
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| format!("invalid threads `{value}`"))?,
-                );
-            }
-            "--classes" => {
-                let value = iter.next().ok_or("--classes needs a value")?;
-                options.classes = Some(value.clone());
-            }
+            "--scenarios" => options.scenarios = parse_value(flag, value("a value")?, positive)?,
+            "--seed" => options.seed = parse_value(flag, value("a value")?, |_| true)?,
+            "--threads" => options.threads = Some(parse_value(flag, value("a value")?, positive)?),
+            "--classes" => options.classes = Some(value("a value")?.to_owned()),
             "--json" => options.json = true,
             "--csv" => options.csv = true,
-            "--corpus" => {
-                let value = iter.next().ok_or("--corpus needs a path")?;
-                options.corpus_path = Some(value.clone());
-            }
-            "--snapshot" => {
-                let value = iter.next().ok_or("--snapshot needs a path")?;
-                options.snapshot_path = Some(value.clone());
-            }
-            "--slo" => {
-                let value = iter.next().ok_or("--slo needs a path")?;
-                options.slo_path = Some(value.clone());
-            }
-            "--tick-ms" => {
-                let value = iter.next().ok_or("--tick-ms needs a value")?;
-                options.tick_ms = Some(
-                    value
-                        .parse::<u64>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| format!("invalid tick-ms `{value}`"))?,
-                );
-            }
+            "--corpus" => options.corpus_path = Some(value("a path")?.to_owned()),
+            "--snapshot" => options.snapshot_path = Some(value("a path")?.to_owned()),
+            "--slo" => options.slo_path = Some(value("a path")?.to_owned()),
+            "--tick-ms" => options.tick_ms = Some(parse_value(flag, value("a value")?, positive)?),
             "--max-conns" => {
-                let value = iter.next().ok_or("--max-conns needs a value")?;
-                options.max_conns = Some(
-                    value
-                        .parse::<u64>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| format!("invalid max-conns `{value}`"))?,
-                );
+                options.max_conns = Some(parse_value(flag, value("a value")?, positive)?)
             }
             "--queue-depth" => {
-                let value = iter.next().ok_or("--queue-depth needs a value")?;
-                options.queue_depth = Some(
-                    value
-                        .parse::<u64>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| format!("invalid queue-depth `{value}`"))?,
-                );
+                options.queue_depth = Some(parse_value(flag, value("a value")?, positive)?)
             }
-            "--trace" => {
-                let value = iter.next().ok_or("--trace needs a path")?;
-                options.trace_path = Some(value.clone());
-            }
-            "--addr" => {
-                let value = iter.next().ok_or("--addr needs a HOST:PORT value")?;
-                options.addr = value.clone();
-            }
-            "--workers" => {
-                let value = iter.next().ok_or("--workers needs a value")?;
-                options.workers = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| format!("invalid workers `{value}`"))?;
-            }
-            "--clients" => {
-                let value = iter.next().ok_or("--clients needs a value")?;
-                options.clients = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| format!("invalid clients `{value}`"))?;
-            }
-            "--requests" => {
-                let value = iter.next().ok_or("--requests needs a value")?;
-                options.requests = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| format!("invalid requests `{value}`"))?;
-            }
-            "--records" => {
-                let value = iter.next().ok_or("--records needs a value")?;
-                options.records = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0 && n <= 10_000)
-                    .ok_or_else(|| format!("invalid records `{value}` (expected 1..=10000)"))?;
-            }
-            "--serial" => {
-                let value = iter.next().ok_or("--serial needs a value")?;
-                options.serial = value
-                    .parse::<u32>()
-                    .map_err(|_| format!("invalid serial `{value}`"))?;
-            }
-            "--out" => {
-                let value = iter.next().ok_or("--out needs a path")?;
-                options.out_path = Some(value.clone());
-            }
+            "--trace" => options.trace_path = Some(value("a path")?.to_owned()),
+            "--addr" => options.addr = value("a HOST:PORT value")?.to_owned(),
+            "--workers" => options.workers = parse_value(flag, value("a value")?, positive)?,
+            "--clients" => options.clients = parse_value(flag, value("a value")?, positive)?,
+            "--requests" => options.requests = parse_value(flag, value("a value")?, positive)?,
+            "--records" => options.records = parse_count(flag, value("a value")?)?,
+            "--serial" => options.serial = parse_value(flag, value("a value")?, |_| true)?,
+            "--out" => options.out_path = Some(value("a path")?.to_owned()),
             other if other.starts_with("--") => {
                 return Err(format!("unknown option `{other}`"));
             }
@@ -334,26 +268,91 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
     Ok(options)
 }
 
-fn corpus_at(scale: f64) -> Result<Corpus, String> {
+/// Reads `path` with `read` (`fs::read` or `fs::read_to_string`); every
+/// command's read failure is this one-line `cannot read` error.
+fn read_file<'a, T>(path: &'a str, read: fn(&'a str) -> std::io::Result<T>) -> Result<T, String> {
+    read(path).map_err(|e| format!("cannot read `{path}`: {e}"))
+}
+
+/// Writes `bytes` to `path` through a synced temp file in the same
+/// directory that is then renamed over `path`, so a kill or a full disk
+/// mid-write leaves the old file or the new one, never a truncated mix.
+/// Existing non-regular targets (`/dev/stdout`, a directory) get a plain
+/// write, as do paths without a file name.
+fn write_file(path: &str, bytes: &[u8]) -> std::io::Result<()> {
+    // Resolve symlinks so the rename replaces the file a link points at.
+    let target = std::fs::canonicalize(path).unwrap_or_else(|_| PathBuf::from(path));
+    let name = match (target.file_name(), std::fs::metadata(&target)) {
+        (Some(name), Err(_)) => name,
+        (Some(name), Ok(meta)) if meta.is_file() => name,
+        _ => return std::fs::write(&target, bytes),
+    };
+    let temp_name = format!(".{}.{}.tmp", name.to_string_lossy(), std::process::id());
+    let temp = target.with_file_name(temp_name);
+    let written = std::fs::File::create(&temp)
+        .and_then(|mut file| {
+            file.write_all(bytes)?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&temp, &target));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&temp);
+        return written;
+    }
+    // Sync the directory too, so the rename itself survives a crash
+    // (where the platform can open a directory at all).
+    let dir = target.parent().filter(|dir| !dir.as_os_str().is_empty());
+    std::fs::File::open(dir.unwrap_or(Path::new("."))).map_or(Ok(()), |dir| dir.sync_all())
+}
+
+/// Writes a command's output: the one place an output error becomes a
+/// message. Flushes, so a banner is visible before `serve` blocks.
+fn emit(out: &mut dyn Write, text: &str) -> Result<(), String> {
+    out.write_all(text.as_bytes())
+        .and_then(|()| out.flush())
+        .map_err(|e| e.to_string())
+}
+
+/// The corpus `options` select: a `--corpus` JSON Lines file, or the
+/// built-in seed plus the synthetic corpus at `--scale`.
+fn load_corpus(options: &Options) -> Result<Corpus, String> {
+    if let Some(path) = &options.corpus_path {
+        let text = read_file(path, std::fs::read_to_string)?;
+        return cpssec_attackdb::jsonl::from_jsonl(&text)
+            .map_err(|e| format!("cannot parse `{path}`: {e}"));
+    }
     let mut corpus = seed_corpus();
     // Streaming generation: byte-identical to generate-then-merge but
     // never builds a second corpus, so `snapshot build --scale 30` stays
     // in bounded memory at the ~1M-record mark.
-    stream_into(&mut corpus, &SynthSpec::paper2020(2020, scale))
+    stream_into(&mut corpus, &SynthSpec::paper2020(2020, options.scale))
         .map_err(|e| format!("cannot merge synthetic corpus: {e}"))?;
     Ok(corpus)
 }
 
-fn load_corpus(options: &Options) -> Result<Corpus, String> {
-    match &options.corpus_path {
-        Some(path) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-            cpssec_attackdb::jsonl::from_jsonl(&text)
-                .map_err(|e| format!("cannot parse `{path}`: {e}"))
-        }
-        None => corpus_at(options.scale),
-    }
+/// The corpus `options` select and the search engine over it.
+fn indexed_corpus(options: &Options) -> Result<(Corpus, SearchEngine), String> {
+    let corpus = load_corpus(options)?;
+    let engine = SearchEngine::build(&corpus);
+    Ok((corpus, engine))
+}
+
+/// "N records (P patterns, W weaknesses, V vulnerabilities)".
+fn record_counts(patterns: usize, weaknesses: usize, vulnerabilities: usize) -> String {
+    format!(
+        "{} records ({patterns} patterns, {weaknesses} weaknesses, {vulnerabilities} vulnerabilities)",
+        patterns + weaknesses + vulnerabilities
+    )
+}
+
+/// A 64-bit id or checksum as the 16-digit hex string the JSON outputs use.
+fn hex_id(id: u64) -> render::Json {
+    format!("{id:016x}").as_str().into()
+}
+
+fn corpus_counts(corpus: &Corpus) -> String {
+    let stats = corpus.stats();
+    record_counts(stats.patterns, stats.weaknesses, stats.vulnerabilities)
 }
 
 /// Executes a full command line; output goes to `out`.
@@ -376,72 +375,57 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         // per-request ids instead).
         cpssec_obs::set_trace_id(cpssec_obs::mint_trace_id());
     }
-    let result = match command.as_str() {
-        "table1" => cmd_table1(&options, out),
-        "associate" => cmd_associate(&options, out),
-        "figure" => cmd_figure(&options, out),
-        "report" => cmd_report(&options, out),
-        "simulate" => cmd_simulate(&options, out),
-        "fleet" => cmd_fleet(&options, out),
-        "campaign" => cmd_campaign(&options, out),
-        "scenarios" => cmd_scenarios(out),
-        "export-model" => cmd_export_model(&options, out),
-        "export-corpus" => cmd_export_corpus(&options, out),
-        "json" => cmd_json(&options, out),
-        "snapshot" => cmd_snapshot(&options, out),
-        "delta" => cmd_delta(&options, out),
+    // Each command renders its output, and it is written once here.
+    // `serve` (its banner, before it blocks) and `load` (its summary, even
+    // when requests failed) also write to `out` before they return.
+    let output = match command.as_str() {
+        "table1" => cmd_table1(&options),
+        "associate" => cmd_associate(&options),
+        "figure" => cmd_figure(&options),
+        "report" => cmd_report(&options),
+        "simulate" => cmd_simulate(&options),
+        "fleet" => cmd_fleet(&options),
+        "campaign" => cmd_campaign(&options),
+        "scenarios" => Ok(cmd_scenarios()),
+        "export-model" => Ok(cmd_export_model(&options)),
+        "export-corpus" => load_corpus(&options).map(|c| cpssec_attackdb::jsonl::to_jsonl(&c)),
+        "json" => cmd_json(&options),
+        "snapshot" => cmd_snapshot(&options),
+        "delta" => cmd_delta(&options),
         "serve" => cmd_serve(&options, out),
         "load" => cmd_load(&options, out),
-        "flight" => cmd_flight(&options, out),
-        "help" | "--help" | "-h" => writeln!(out, "{USAGE}").map_err(|e| e.to_string()),
+        "flight" => cmd_flight(&options),
+        "help" | "--help" | "-h" => Ok(format!("{USAGE}\n")),
         other => Err(format!(
             "unknown command `{other}` (run `cpssec help` for usage)"
         )),
     };
+    emit(out, &output?)?;
     if let Some(path) = &options.trace_path {
-        result?;
-        std::fs::write(path, cpssec_obs::recorder().trace_json())
+        write_file(path, cpssec_obs::recorder().trace_json().as_bytes())
             .map_err(|e| format!("cannot write trace `{path}`: {e}"))?;
-        return Ok(());
     }
-    result
+    Ok(())
 }
 
-fn read_snapshot(path: &str) -> Result<Vec<u8>, String> {
-    std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))
-}
-
-fn cmd_snapshot(options: &Options, out: &mut dyn Write) -> Result<(), String> {
-    let action = options
-        .positional
-        .first()
-        .ok_or("snapshot needs an action: build, inspect, or verify")?;
-    let path = options
-        .positional
-        .get(1)
-        .ok_or_else(|| format!("snapshot {action} needs a .cpsnap file path"))?;
-    match action.as_str() {
+fn cmd_snapshot(options: &Options) -> Result<String, String> {
+    let action = options.arg(0, "snapshot needs an action: build, inspect, or verify")?;
+    let path = options.arg(1, &format!("snapshot {action} needs a .cpsnap file path"))?;
+    let invalid = |e| format!("invalid snapshot `{path}`: {e}");
+    match action {
         "build" => {
-            let corpus = load_corpus(options)?;
-            let engine = SearchEngine::build(&corpus);
+            let (corpus, engine) = indexed_corpus(options)?;
             let bytes = cpssec_search::snapshot::encode(&corpus, &engine);
-            std::fs::write(path, &bytes).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-            let stats = corpus.stats();
-            writeln!(
-                out,
-                "wrote {path}: {} bytes, {} records ({} patterns, {} weaknesses, {} vulnerabilities)",
+            write_file(path, &bytes).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+            Ok(format!(
+                "wrote {path}: {} bytes, {}\n",
                 bytes.len(),
-                stats.total(),
-                stats.patterns,
-                stats.weaknesses,
-                stats.vulnerabilities
-            )
-            .map_err(|e| e.to_string())
+                corpus_counts(&corpus)
+            ))
         }
         "inspect" => {
-            let bytes = read_snapshot(path)?;
-            let info = cpssec_search::snapshot::inspect(&bytes)
-                .map_err(|e| format!("invalid snapshot `{path}`: {e}"))?;
+            let info = cpssec_search::snapshot::inspect(&read_file(path, std::fs::read)?)
+                .map_err(invalid)?;
             if options.json {
                 let sections: Vec<render::Json> = info
                     .sections
@@ -451,55 +435,39 @@ fn cmd_snapshot(options: &Options, out: &mut dyn Write) -> Result<(), String> {
                             ("name".into(), section.name.into()),
                             ("offset".into(), (section.offset as f64).into()),
                             ("bytes".into(), (section.len as f64).into()),
-                            (
-                                "checksum".into(),
-                                format!("{:016x}", section.checksum).as_str().into(),
-                            ),
+                            ("checksum".into(), hex_id(section.checksum)),
                         ])
                     })
                     .collect();
                 let artifact = render::Json::Object(vec![
-                    ("path".into(), path.as_str().into()),
+                    ("path".into(), path.into()),
                     ("formatVersion".into(), f64::from(info.version).into()),
-                    (
-                        "snapshotId".into(),
-                        format!("{:016x}", info.snapshot_id).as_str().into(),
-                    ),
+                    ("snapshotId".into(), hex_id(info.snapshot_id)),
                     ("payloadBytes".into(), (info.payload_len() as f64).into()),
                     ("sections".into(), render::Json::Array(sections)),
                 ]);
-                return writeln!(out, "{}", artifact.to_text()).map_err(|e| e.to_string());
+                return Ok(format!("{}\n", artifact.to_text()));
             }
-            writeln!(
-                out,
-                "{path}: format version {}, snapshot id {:016x}",
+            let sections: String = info
+                .sections
+                .iter()
+                .map(|s| {
+                    format!(
+                        "  {:<16} offset {:>12}  {:>12} bytes  checksum {:016x}\n",
+                        s.name, s.offset, s.len, s.checksum
+                    )
+                })
+                .collect();
+            Ok(format!(
+                "{path}: format version {}, snapshot id {:016x}\n{sections}",
                 info.version, info.snapshot_id
-            )
-            .map_err(|e| e.to_string())?;
-            for section in &info.sections {
-                writeln!(
-                    out,
-                    "  {:<16} offset {:>12}  {:>12} bytes  checksum {:016x}",
-                    section.name, section.offset, section.len, section.checksum
-                )
-                .map_err(|e| e.to_string())?;
-            }
-            Ok(())
+            ))
         }
         "verify" => {
-            let bytes = read_snapshot(path)?;
-            let (corpus, _engine) = cpssec_search::snapshot::verify(&bytes)
-                .map_err(|e| format!("invalid snapshot `{path}`: {e}"))?;
-            let stats = corpus.stats();
-            writeln!(
-                out,
-                "ok: {} records ({} patterns, {} weaknesses, {} vulnerabilities)",
-                stats.total(),
-                stats.patterns,
-                stats.weaknesses,
-                stats.vulnerabilities
-            )
-            .map_err(|e| e.to_string())
+            let (corpus, _engine) =
+                cpssec_search::snapshot::verify(&read_file(path, std::fs::read)?)
+                    .map_err(invalid)?;
+            Ok(format!("ok: {}\n", corpus_counts(&corpus)))
         }
         other => Err(format!(
             "unknown snapshot action `{other}` (expected build, inspect, or verify)"
@@ -511,7 +479,7 @@ fn cmd_snapshot(options: &Options, out: &mut dyn Write) -> Result<(), String> {
 /// of a `.cpsnap`, or the child id of a `.cpsdelta` (so delta files can
 /// chain on each other without re-reading the growing base).
 fn parent_state_id(path: &str) -> Result<u64, String> {
-    let bytes = read_snapshot(path)?;
+    let bytes = read_file(path, std::fs::read)?;
     if let Ok(info) = cpssec_search::snapshot::inspect(&bytes) {
         return Ok(info.snapshot_id);
     }
@@ -520,101 +488,74 @@ fn parent_state_id(path: &str) -> Result<u64, String> {
         .map_err(|e| format!("`{path}` is neither a valid .cpsnap nor .cpsdelta: {e}"))
 }
 
-fn cmd_delta(options: &Options, out: &mut dyn Write) -> Result<(), String> {
-    let action = options
-        .positional
-        .first()
-        .ok_or("delta needs an action: build, inspect, apply, or compact")?;
-    match action.as_str() {
+fn cmd_delta(options: &Options) -> Result<String, String> {
+    let action = options.arg(
+        0,
+        "delta needs an action: build, inspect, apply, or compact",
+    )?;
+    match action {
         "build" => {
-            let parent_path = options
-                .positional
-                .get(1)
-                .ok_or("delta build needs a parent .cpsnap or .cpsdelta path")?;
-            let out_path = options
-                .positional
-                .get(2)
-                .ok_or("delta build needs an output .cpsdelta path")?;
+            let parent_path =
+                options.arg(1, "delta build needs a parent .cpsnap or .cpsdelta path")?;
+            let out_path = options.arg(2, "delta build needs an output .cpsdelta path")?;
             let parent = parent_state_id(parent_path)?;
             let batch = delta_batch(options.seed, options.records, options.serial);
             let bytes = build_delta(parent, &batch);
             let info = inspect_delta(&bytes).map_err(|e| format!("encode bug: {e}"))?;
-            std::fs::write(out_path, &bytes)
-                .map_err(|e| format!("cannot write `{out_path}`: {e}"))?;
-            writeln!(
-                out,
-                "wrote {out_path}: {} bytes, {} records, parent {:016x} -> child {:016x}",
+            write_file(out_path, &bytes).map_err(|e| format!("cannot write `{out_path}`: {e}"))?;
+            Ok(format!(
+                "wrote {out_path}: {} bytes, {} records, parent {:016x} -> child {:016x}\n",
                 bytes.len(),
                 info.records(),
                 info.parent_id,
                 info.child_id
-            )
-            .map_err(|e| e.to_string())
+            ))
         }
         "inspect" => {
-            let path = options
-                .positional
-                .get(1)
-                .ok_or("delta inspect needs a .cpsdelta file path")?;
-            let bytes = read_snapshot(path)?;
-            let info = inspect_delta(&bytes).map_err(|e| format!("invalid delta `{path}`: {e}"))?;
+            let path = options.arg(1, "delta inspect needs a .cpsdelta file path")?;
+            let info = inspect_delta(&read_file(path, std::fs::read)?)
+                .map_err(|e| format!("invalid delta `{path}`: {e}"))?;
             if options.json {
                 let artifact = render::Json::Object(vec![
-                    ("path".into(), path.as_str().into()),
+                    ("path".into(), path.into()),
                     ("formatVersion".into(), f64::from(info.version).into()),
-                    (
-                        "parentId".into(),
-                        format!("{:016x}", info.parent_id).as_str().into(),
-                    ),
-                    (
-                        "childId".into(),
-                        format!("{:016x}", info.child_id).as_str().into(),
-                    ),
+                    ("parentId".into(), hex_id(info.parent_id)),
+                    ("childId".into(), hex_id(info.child_id)),
                     ("records".into(), info.records().into()),
                     ("patterns".into(), info.patterns.into()),
                     ("weaknesses".into(), info.weaknesses.into()),
                     ("vulnerabilities".into(), info.vulnerabilities.into()),
                     ("payloadBytes".into(), info.payload_len.into()),
                 ]);
-                return writeln!(out, "{}", artifact.to_text()).map_err(|e| e.to_string());
+                return Ok(format!("{}\n", artifact.to_text()));
             }
-            writeln!(
-                out,
-                "{path}: format version {}, parent {:016x} -> child {:016x}",
-                info.version, info.parent_id, info.child_id
-            )
-            .map_err(|e| e.to_string())?;
-            writeln!(
-                out,
-                "  {} records ({} patterns, {} weaknesses, {} vulnerabilities), {} payload bytes",
-                info.records(),
-                info.patterns,
-                info.weaknesses,
-                info.vulnerabilities,
+            Ok(format!(
+                "{path}: format version {}, parent {:016x} -> child {:016x}\n  {}, {} payload bytes\n",
+                info.version,
+                info.parent_id,
+                info.child_id,
+                record_counts(info.patterns, info.weaknesses, info.vulnerabilities),
                 info.payload_len
-            )
-            .map_err(|e| e.to_string())
+            ))
         }
         "apply" | "compact" => {
-            let base_path = options
-                .positional
-                .get(1)
-                .ok_or_else(|| format!("delta {action} needs a base .cpsnap path"))?;
+            let base_path = options.arg(1, &format!("delta {action} needs a base .cpsnap path"))?;
             let delta_paths = &options.positional[2..];
             if delta_paths.is_empty() {
                 return Err(format!(
                     "delta {action} needs at least one .cpsdelta file after the base"
                 ));
             }
-            let base_bytes = read_snapshot(base_path)?;
+            let invalid = |e| format!("invalid snapshot `{base_path}`: {e}");
+            let base_bytes = read_file(base_path, std::fs::read)?;
             let mut state = cpssec_search::snapshot::inspect(&base_bytes)
-                .map_err(|e| format!("invalid snapshot `{base_path}`: {e}"))?
+                .map_err(invalid)?
                 .snapshot_id;
-            let (mut corpus, mut engine) = cpssec_search::snapshot::decode(&base_bytes)
-                .map_err(|e| format!("invalid snapshot `{base_path}`: {e}"))?;
+            let (mut corpus, mut engine) =
+                cpssec_search::snapshot::decode(&base_bytes).map_err(invalid)?;
             let mut applied = 0usize;
             for path in delta_paths {
-                let delta_bytes = read_snapshot(path)?;
+                let delta_bytes = read_file(path, std::fs::read)?;
                 let info = apply_delta(&mut corpus, &mut engine, &delta_bytes, state)
                     .map_err(|e| format!("cannot apply `{path}`: {e}"))?;
                 state = info.child_id;
@@ -629,20 +570,17 @@ fn cmd_delta(options: &Options, out: &mut dyn Write) -> Result<(), String> {
                 cpssec_search::snapshot::encode(&corpus, &engine)
             };
             let out_path = options.out_path.as_deref().unwrap_or(base_path);
-            std::fs::write(out_path, &encoded)
+            write_file(out_path, &encoded)
                 .map_err(|e| format!("cannot write `{out_path}`: {e}"))?;
-            let stats = corpus.stats();
             let snapshot_id = cpssec_search::snapshot::inspect(&encoded)
                 .map_err(|e| format!("encode bug: {e}"))?
                 .snapshot_id;
-            writeln!(
-                out,
-                "wrote {out_path}: {} bytes, {} records after {} delta(s) (+{applied}), snapshot id {snapshot_id:016x}",
+            Ok(format!(
+                "wrote {out_path}: {} bytes, {} records after {} delta(s) (+{applied}), snapshot id {snapshot_id:016x}\n",
                 encoded.len(),
-                stats.total(),
+                corpus.stats().total(),
                 delta_paths.len()
-            )
-            .map_err(|e| e.to_string())
+            ))
         }
         other => Err(format!(
             "unknown delta action `{other}` (expected build, inspect, apply, or compact)"
@@ -650,14 +588,16 @@ fn cmd_delta(options: &Options, out: &mut dyn Write) -> Result<(), String> {
     }
 }
 
-fn cmd_serve(options: &Options, out: &mut dyn Write) -> Result<(), String> {
+/// `cpssec serve`: writes the banner to `out` as soon as the server
+/// listens, and returns the final telemetry lines after the drain.
+fn cmd_serve(options: &Options, out: &mut dyn Write) -> Result<String, String> {
     let state = match &options.snapshot_path {
         Some(path) => {
             // Zero-copy boot: the file becomes one shared buffer that is
             // validated in place, the server starts listening right away,
             // and the owned decode thaws on a background thread (corpus
             // endpoints block until it lands).
-            let bytes: std::sync::Arc<[u8]> = read_snapshot(path)?.into();
+            let bytes: std::sync::Arc<[u8]> = read_file(path, std::fs::read)?.into();
             cpssec_server::AppState::from_snapshot_mapped(bytes)
                 .map_err(|e| format!("invalid snapshot `{path}`: {e}"))?
         }
@@ -665,9 +605,7 @@ fn cmd_serve(options: &Options, out: &mut dyn Write) -> Result<(), String> {
     };
     // SLO config: --slo file wins over the CPSSEC_SLO env var.
     let slo_text = match &options.slo_path {
-        Some(path) => {
-            Some(std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?)
-        }
+        Some(path) => Some(read_file(path, std::fs::read_to_string)?),
         None => std::env::var("CPSSEC_SLO").ok(),
     };
     let slo_routes = match slo_text {
@@ -698,50 +636,35 @@ fn cmd_serve(options: &Options, out: &mut dyn Write) -> Result<(), String> {
         .local_addr()
         .map_err(|e| format!("cannot resolve bound address: {e}"))?;
     cpssec_server::signal::install(&server.shutdown_flag());
-    writeln!(
-        out,
-        "listening on {addr} ({} workers, {} SLOs)",
-        options.workers, slo_routes
-    )
-    .map_err(|e| e.to_string())?;
-    out.flush().map_err(|e| e.to_string())?;
+    let banner = format!(
+        "listening on {addr} ({} workers, {slo_routes} SLOs)\n",
+        options.workers
+    );
+    emit(out, &banner)?;
     let state = server.state();
     server.run().map_err(|e| format!("server error: {e}"))?;
     // Final telemetry snapshot after the drain — the trace ring flush
     // (--trace) happens in `run` once this command returns.
     let (cache_hits, cache_misses) = state.responses.stats();
-    writeln!(
-        out,
-        "final snapshot: {} ticks, {} requests, {} slow, cache {cache_hits} hits / {cache_misses} misses",
+    Ok(format!(
+        "final snapshot: {} ticks, {} requests, {} slow, cache {cache_hits} hits / {cache_misses} misses\nshutdown complete\n",
         state.telemetry.ticks(),
         state.requests.recorded(),
         state.slow.observed(),
-    )
-    .map_err(|e| e.to_string())?;
-    writeln!(out, "shutdown complete").map_err(|e| e.to_string())
+    ))
 }
 
 /// `cpssec profile`: runs any other command under the continuous
 /// sampling profiler and reports where the wall time went.
 fn cmd_profile(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let mut hz: u64 = 99;
-    let mut flame: Option<String> = None;
+    let mut flame: Option<&str> = None;
     let mut inner: Vec<String> = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--hz" => {
-                let value = iter.next().ok_or("--hz needs a value")?;
-                hz = value
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| (1..=10_000).contains(&n))
-                    .ok_or_else(|| format!("invalid hz `{value}` (expected 1..=10000)"))?;
-            }
-            "--flame" => {
-                let value = iter.next().ok_or("--flame needs a path")?;
-                flame = Some(value.clone());
-            }
+            "--hz" => hz = parse_count(arg, flag_value(&mut iter, arg, "a value")?)?,
+            "--flame" => flame = Some(flag_value(&mut iter, arg, "a path")?),
             other => inner.push(other.to_owned()),
         }
     }
@@ -760,162 +683,117 @@ fn cmd_profile(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let result = run(&inner, out);
     let graph = sampler.stop();
     result?;
-    write!(out, "{}", graph.table(15, cpssec_obs::stage_label)).map_err(|e| e.to_string())?;
+    emit(out, &graph.table(15, cpssec_obs::stage_label))?;
     if let Some(path) = flame {
-        std::fs::write(&path, graph.flame_json(cpssec_obs::stage_label))
+        write_file(path, graph.flame_json(cpssec_obs::stage_label).as_bytes())
             .map_err(|e| format!("cannot write flame graph `{path}`: {e}"))?;
-        writeln!(out, "wrote {path}").map_err(|e| e.to_string())?;
+        emit(out, &format!("wrote {path}\n"))?;
     }
     Ok(())
 }
 
 /// `cpssec flight inspect`: verify and render a `.cpsflight` dump.
-fn cmd_flight(options: &Options, out: &mut dyn Write) -> Result<(), String> {
-    let action = options
-        .positional
-        .first()
-        .ok_or("flight needs an action: inspect")?;
+fn cmd_flight(options: &Options) -> Result<String, String> {
+    let action = options.arg(0, "flight needs an action: inspect")?;
     if action != "inspect" {
         return Err(format!(
             "unknown flight action `{action}` (expected inspect)"
         ));
     }
-    let path = options
-        .positional
-        .get(1)
-        .ok_or("flight inspect needs a .cpsflight file path")?;
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    let path = options.arg(1, "flight inspect needs a .cpsflight file path")?;
+    let bytes = read_file(path, std::fs::read)?;
+    let invalid = |e| format!("invalid flight dump `{path}`: {e}");
     // `inspect` walks the section table and re-checksums every payload;
     // `decode` then trusts the verified bytes.
-    cpssec_obs::flight::inspect(&bytes)
-        .map_err(|e| format!("invalid flight dump `{path}`: {e}"))?;
-    let dump = cpssec_obs::flight::decode(&bytes)
-        .map_err(|e| format!("invalid flight dump `{path}`: {e}"))?;
-    writeln!(out, "{path}:").map_err(|e| e.to_string())?;
-    write!(out, "{}", dump.timeline()).map_err(|e| e.to_string())
+    cpssec_obs::flight::inspect(&bytes).map_err(invalid)?;
+    let dump = cpssec_obs::flight::decode(&bytes).map_err(invalid)?;
+    Ok(format!("{path}:\n{}", dump.timeline()))
 }
 
-fn cmd_load(options: &Options, out: &mut dyn Write) -> Result<(), String> {
+/// `cpssec load`: writes the run's summary to `out` even when some
+/// requests failed, then fails if any did.
+fn cmd_load(options: &Options, out: &mut dyn Write) -> Result<String, String> {
     let report = cpssec_server::load::run(&cpssec_server::load::LoadConfig {
         addr: options.addr.clone(),
         clients: options.clients,
         requests: options.requests,
     });
-    writeln!(out, "{}", report.summary()).map_err(|e| e.to_string())?;
+    emit(out, &format!("{}\n", report.summary()))?;
     if report.errors > 0 {
-        Err(format!("{} request(s) failed", report.errors))
-    } else {
-        Ok(())
+        return Err(format!("{} request(s) failed", report.errors));
     }
+    Ok(String::new())
 }
 
-fn cmd_table1(options: &Options, out: &mut dyn Write) -> Result<(), String> {
-    let corpus = load_corpus(options)?;
-    let engine = SearchEngine::build(&corpus);
+fn cmd_table1(options: &Options) -> Result<String, String> {
+    let (corpus, engine) = indexed_corpus(options)?;
     let model = cpssec_scada::model::scada_model();
-    let rows = attribute_rows(
-        &model,
-        &engine,
-        &corpus,
-        Fidelity::Implementation,
-        &FilterPipeline::new(),
-    );
-    let cells: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.attribute.clone(),
-                r.patterns.to_string(),
-                r.weaknesses.to_string(),
-                r.vulnerabilities.to_string(),
-            ]
-        })
-        .collect();
-    write!(
-        out,
-        "{}",
-        text_table(
-            &[
-                "Attribute",
-                "Attack Patterns",
-                "Weaknesses",
-                "Vulnerabilities"
-            ],
-            &cells,
+    let filters = FilterPipeline::new();
+    let rows = attribute_rows(&model, &engine, &corpus, Fidelity::Implementation, &filters);
+    let rows = rows.iter().map(|r| {
+        (
+            r.attribute.as_str(),
+            (r.patterns, r.weaknesses, r.vulnerabilities),
         )
-    )
-    .map_err(|e| e.to_string())
+    });
+    Ok(counts_table("Attribute", "Attack Patterns", rows))
+}
+
+/// A text table with one row of (patterns, weaknesses, vulnerabilities)
+/// counts per named item.
+fn counts_table<'a>(
+    item: &str,
+    patterns: &str,
+    rows: impl Iterator<Item = (&'a str, (usize, usize, usize))>,
+) -> String {
+    let cells: Vec<Vec<String>> = rows
+        .map(|(name, (p, w, v))| vec![name.to_owned(), p.to_string(), w.to_string(), v.to_string()])
+        .collect();
+    text_table(&[item, patterns, "Weaknesses", "Vulnerabilities"], &cells)
 }
 
 fn load_model(path: &str) -> Result<SystemModel, String> {
-    let xml = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    let xml = read_file(path, std::fs::read_to_string)?;
     cpssec_model::from_graphml(&xml).map_err(|e| format!("cannot parse `{path}`: {e}"))
 }
 
-fn cmd_associate(options: &Options, out: &mut dyn Write) -> Result<(), String> {
-    let path = options
-        .positional
-        .first()
-        .ok_or("associate needs a GraphML model path (or `scada` for the built-in model)")?;
+fn cmd_associate(options: &Options) -> Result<String, String> {
+    let path = options.arg(
+        0,
+        "associate needs a GraphML model path (or `scada` for the built-in model)",
+    )?;
     let model = if path == "scada" {
         cpssec_scada::model::scada_model()
     } else {
         load_model(path)?
     };
-    let corpus = load_corpus(options)?;
-    let engine = SearchEngine::build(&corpus);
+    let (corpus, engine) = indexed_corpus(options)?;
     let mut filters = FilterPipeline::new();
     if let Some(top) = options.top {
         filters = filters.then(cpssec_search::Filter::TopKPerFamily(top));
     }
     let map = AssociationMap::build(&model, &engine, &corpus, options.fidelity, &filters);
-    let cells: Vec<Vec<String>> = map
+    let rows = map
         .iter()
-        .map(|(component, matches)| {
-            let (p, w, v) = matches.counts();
-            vec![
-                component.to_owned(),
-                p.to_string(),
-                w.to_string(),
-                v.to_string(),
-            ]
-        })
-        .collect();
-    write!(
-        out,
-        "{}",
-        text_table(
-            &["Component", "Patterns", "Weaknesses", "Vulnerabilities"],
-            &cells
-        )
-    )
-    .map_err(|e| e.to_string())?;
-    writeln!(
-        out,
-        "total: {} associated vectors at {} fidelity",
+        .map(|(component, matches)| (component, matches.counts()));
+    Ok(format!(
+        "{}total: {} associated vectors at {} fidelity\n",
+        counts_table("Component", "Patterns", rows),
         map.total_vectors(),
         options.fidelity
-    )
-    .map_err(|e| e.to_string())
+    ))
 }
 
-fn cmd_figure(options: &Options, out: &mut dyn Write) -> Result<(), String> {
-    let corpus = load_corpus(options)?;
-    let engine = SearchEngine::build(&corpus);
+fn cmd_figure(options: &Options) -> Result<String, String> {
+    let (corpus, engine) = indexed_corpus(options)?;
     let model = cpssec_scada::model::scada_model();
-    let map = AssociationMap::build(
-        &model,
-        &engine,
-        &corpus,
-        Fidelity::Implementation,
-        &FilterPipeline::new(),
-    );
-    write!(out, "{}", render::model_dot(&model, Some(&map))).map_err(|e| e.to_string())
+    let filters = FilterPipeline::new();
+    let map = AssociationMap::build(&model, &engine, &corpus, Fidelity::Implementation, &filters);
+    Ok(render::model_dot(&model, Some(&map)))
 }
 
-fn cmd_report(options: &Options, out: &mut dyn Write) -> Result<(), String> {
-    let corpus = load_corpus(options)?;
-    let engine = SearchEngine::build(&corpus);
+fn cmd_report(options: &Options) -> Result<String, String> {
+    let (corpus, engine) = indexed_corpus(options)?;
     let model = cpssec_scada::model::scada_model();
     let filters = FilterPipeline::new();
     let association =
@@ -927,55 +805,29 @@ fn cmd_report(options: &Options, out: &mut dyn Write) -> Result<(), String> {
     } else {
         Vec::new()
     };
-    let markdown = report::render_report(&report::ReportInput {
+    Ok(report::render_report(&report::ReportInput {
         model: &model,
         corpus: &corpus,
         association: &association,
         attribute_rows: &rows,
         posture: &posture,
         consequences: &consequences,
-    });
-    write!(out, "{markdown}").map_err(|e| e.to_string())
+    }))
 }
 
-fn print_batch(report: &BatchReport, out: &mut dyn Write) -> Result<(), String> {
-    writeln!(out, "product:            {}", report.product).map_err(|e| e.to_string())?;
-    writeln!(out, "emergency stop:     {}", report.emergency_stopped).map_err(|e| e.to_string())?;
-    writeln!(out, "exploded:           {}", report.exploded).map_err(|e| e.to_string())?;
-    writeln!(
-        out,
-        "max temperature:    {:.1} °C",
-        report.max_temperature_c
-    )
-    .map_err(|e| e.to_string())?;
-    writeln!(
-        out,
-        "max speed deviation: {:.2} rpm",
-        report.max_speed_deviation_rpm
-    )
-    .map_err(|e| e.to_string())?;
-    for hazard in &report.hazards {
-        writeln!(out, "hazard: {hazard}").map_err(|e| e.to_string())?;
-    }
-    Ok(())
-}
-
-fn cmd_simulate(options: &Options, out: &mut dyn Write) -> Result<(), String> {
-    let name = options
-        .positional
-        .first()
-        .ok_or("simulate needs a scenario name (see `cpssec scenarios`)")?;
+fn cmd_simulate(options: &Options) -> Result<String, String> {
+    let name = options.arg(0, "simulate needs a scenario name (see `cpssec scenarios`)")?;
     let config = ScadaConfig::default();
     let report = if name == "nominal" {
         ScadaHarness::new(config).run_batch_for(options.ticks)
     } else if let Some(attack) = attacks::all_scenarios()
         .into_iter()
-        .find(|s| &s.name == name)
+        .find(|s| s.name == name)
     {
         ScadaHarness::with_attack(config, &attack).run_batch_for(options.ticks)
     } else if let Some(fault) = faults::all_fault_scenarios()
         .into_iter()
-        .find(|s| &s.name == name)
+        .find(|s| s.name == name)
     {
         ScadaHarness::with_fault(config, &fault).run_batch_for(options.ticks)
     } else {
@@ -983,8 +835,26 @@ fn cmd_simulate(options: &Options, out: &mut dyn Write) -> Result<(), String> {
             "unknown scenario `{name}` (see `cpssec scenarios`)"
         ));
     };
-    writeln!(out, "scenario: {name} ({} ticks)", options.ticks).map_err(|e| e.to_string())?;
-    print_batch(&report, out)
+    let hazards: String = report
+        .hazards
+        .iter()
+        .map(|hazard| format!("hazard: {hazard}\n"))
+        .collect();
+    Ok(format!(
+        "scenario: {name} ({} ticks)\n\
+         product:            {}\n\
+         emergency stop:     {}\n\
+         exploded:           {}\n\
+         max temperature:    {:.1} °C\n\
+         max speed deviation: {:.2} rpm\n\
+         {hazards}",
+        options.ticks,
+        report.product,
+        report.emergency_stopped,
+        report.exploded,
+        report.max_temperature_c,
+        report.max_speed_deviation_rpm
+    ))
 }
 
 /// `cpssec fleet`: a Monte-Carlo attack campaign over the centrifuge.
@@ -992,19 +862,18 @@ fn cmd_simulate(options: &Options, out: &mut dyn Write) -> Result<(), String> {
 /// Records (and therefore the aggregate hash) are a pure function of
 /// `(--seed, --scenarios, --ticks, --classes)` — `--threads` only changes
 /// the wall clock, never the statistics.
-fn cmd_fleet(options: &Options, out: &mut dyn Write) -> Result<(), String> {
+fn cmd_fleet(options: &Options) -> Result<String, String> {
     let mut spec = CampaignSpec::new(options.scenarios, options.seed);
     spec.max_ticks = options.ticks;
-    if let Some(threads) = options.threads {
-        spec.threads = threads;
-    }
+    spec.threads = options.threads.unwrap_or(spec.threads);
     if let Some(raw) = &options.classes {
-        let mut classes = Vec::new();
-        for name in raw.split(',').filter(|s| !s.is_empty()) {
-            classes.push(
-                AttackClass::parse(name).ok_or_else(|| format!("unknown attack class `{name}`"))?,
-            );
-        }
+        let classes: Vec<AttackClass> = raw
+            .split(',')
+            .filter(|s| !s.is_empty())
+            .map(|name| {
+                AttackClass::parse(name).ok_or_else(|| format!("unknown attack class `{name}`"))
+            })
+            .collect::<Result<_, _>>()?;
         if classes.is_empty() {
             return Err("--classes needs at least one class name".into());
         }
@@ -1016,23 +885,17 @@ fn cmd_fleet(options: &Options, out: &mut dyn Write) -> Result<(), String> {
     let elapsed = started.elapsed().as_secs_f64();
     let aggregate = cpssec_analysis::aggregate(&records);
     if options.json {
-        return writeln!(
-            out,
-            "{}",
-            cpssec_analysis::aggregate_json(&aggregate).to_text()
-        )
-        .map_err(|e| e.to_string());
+        let json = cpssec_analysis::aggregate_json(&aggregate);
+        return Ok(format!("{}\n", json.to_text()));
     }
-    write!(out, "{}", cpssec_analysis::aggregate_table(&aggregate)).map_err(|e| e.to_string())?;
-    writeln!(
-        out,
-        "{} scenarios in {elapsed:.2}s ({:.1}/s, {} threads)",
+    Ok(format!(
+        "{}{} scenarios in {elapsed:.2}s ({:.1}/s, {} threads)\naggregate hash: {:016x}\n",
+        cpssec_analysis::aggregate_table(&aggregate),
         spec.scenarios,
         spec.scenarios as f64 / elapsed.max(1e-9),
-        spec.threads
-    )
-    .map_err(|e| e.to_string())?;
-    writeln!(out, "aggregate hash: {:016x}", aggregate.records_hash).map_err(|e| e.to_string())
+        spec.threads,
+        aggregate.records_hash
+    ))
 }
 
 /// `cpssec campaign`: executes every exploit chain matched against a
@@ -1041,89 +904,69 @@ fn cmd_fleet(options: &Options, out: &mut dyn Write) -> Result<(), String> {
 ///
 /// Records (and therefore the records hash) are a pure function of
 /// `(testbed, --seed)` — `--threads` only changes the wall clock.
-fn cmd_campaign(options: &Options, out: &mut dyn Write) -> Result<(), String> {
-    let name = options
-        .positional
-        .first()
-        .ok_or("campaign needs a testbed: scada or water")?;
+fn cmd_campaign(options: &Options) -> Result<String, String> {
+    let name = options.arg(0, "campaign needs a testbed: scada or water")?;
     let testbed = cpssec_campaign::Testbed::parse(name)
         .ok_or_else(|| format!("unknown testbed `{name}` (expected scada or water)"))?;
     let mut run = cpssec_campaign::CampaignRun::new(testbed, options.seed);
-    if let Some(threads) = options.threads {
-        run.threads = threads;
-    }
+    run.threads = options.threads.unwrap_or(run.threads);
 
     let started = std::time::Instant::now();
     let records = cpssec_campaign::run_campaign(&run);
     let elapsed = started.elapsed().as_secs_f64();
     if options.csv {
-        return write!(out, "{}", cpssec_analysis::campaign_csv(&records))
-            .map_err(|e| e.to_string());
+        return Ok(cpssec_analysis::campaign_csv(&records));
     }
     let aggregate = cpssec_analysis::campaign_aggregate(testbed.as_str(), &records);
     if options.json {
-        return writeln!(
-            out,
-            "{}",
-            cpssec_analysis::campaign_json(&aggregate).to_text()
-        )
-        .map_err(|e| e.to_string());
+        let json = cpssec_analysis::campaign_json(&aggregate);
+        return Ok(format!("{}\n", json.to_text()));
     }
-    write!(out, "{}", cpssec_analysis::campaign_table(&aggregate)).map_err(|e| e.to_string())?;
-    writeln!(
-        out,
-        "{} chains in {elapsed:.2}s ({} reached hazard, {} contained, {} textual-only, {} threads)",
-        aggregate.chains, aggregate.reached, aggregate.contained, aggregate.textual, run.threads
-    )
-    .map_err(|e| e.to_string())?;
-    writeln!(out, "records hash: {:016x}", aggregate.records_hash).map_err(|e| e.to_string())
+    Ok(format!(
+        "{}{} chains in {elapsed:.2}s ({} reached hazard, {} contained, {} textual-only, {} threads)\nrecords hash: {:016x}\n",
+        cpssec_analysis::campaign_table(&aggregate),
+        aggregate.chains,
+        aggregate.reached,
+        aggregate.contained,
+        aggregate.textual,
+        run.threads,
+        aggregate.records_hash
+    ))
 }
 
-fn cmd_scenarios(out: &mut dyn Write) -> Result<(), String> {
-    writeln!(out, "attack scenarios:").map_err(|e| e.to_string())?;
-    for scenario in attacks::all_scenarios() {
-        writeln!(
-            out,
-            "  {:<32} [{} / {}] -> {}",
-            scenario.name,
-            scenario.weakness_ids.join(","),
-            scenario.pattern_ids.join(","),
-            scenario.target_component
-        )
-        .map_err(|e| e.to_string())?;
-    }
-    writeln!(out, "fault scenarios:").map_err(|e| e.to_string())?;
-    for scenario in faults::all_fault_scenarios() {
-        writeln!(out, "  {:<32} {}", scenario.name, scenario.description)
-            .map_err(|e| e.to_string())?;
-    }
-    writeln!(out, "plus: nominal").map_err(|e| e.to_string())
+fn cmd_scenarios() -> String {
+    let attacks: String = attacks::all_scenarios()
+        .into_iter()
+        .map(|s| {
+            format!(
+                "  {:<32} [{} / {}] -> {}\n",
+                s.name,
+                s.weakness_ids.join(","),
+                s.pattern_ids.join(","),
+                s.target_component
+            )
+        })
+        .collect();
+    let faults: String = faults::all_fault_scenarios()
+        .into_iter()
+        .map(|s| format!("  {:<32} {}\n", s.name, s.description))
+        .collect();
+    format!("attack scenarios:\n{attacks}fault scenarios:\n{faults}plus: nominal\n")
 }
 
-fn cmd_export_model(options: &Options, out: &mut dyn Write) -> Result<(), String> {
+fn cmd_export_model(options: &Options) -> String {
     let model = cpssec_scada::model::scada_model().at_fidelity(options.fidelity);
-    write!(out, "{}", cpssec_model::to_graphml(&model)).map_err(|e| e.to_string())
+    cpssec_model::to_graphml(&model)
 }
 
-fn cmd_export_corpus(options: &Options, out: &mut dyn Write) -> Result<(), String> {
-    let corpus = load_corpus(options)?;
-    write!(out, "{}", cpssec_attackdb::jsonl::to_jsonl(&corpus)).map_err(|e| e.to_string())
-}
-
-fn cmd_json(options: &Options, out: &mut dyn Write) -> Result<(), String> {
-    let corpus = load_corpus(options)?;
-    let engine = SearchEngine::build(&corpus);
+fn cmd_json(options: &Options) -> Result<String, String> {
+    let (corpus, engine) = indexed_corpus(options)?;
     let model = cpssec_scada::model::scada_model();
-    let map = AssociationMap::build(
-        &model,
-        &engine,
-        &corpus,
-        options.fidelity,
-        &FilterPipeline::new(),
-    );
+    let filters = FilterPipeline::new();
+    let map = AssociationMap::build(&model, &engine, &corpus, options.fidelity, &filters);
     let posture = SystemPosture::compute(&model, &corpus, &map);
     let artifact = render::association_json(&model, &map, &posture);
-    writeln!(out, "{}", artifact.to_text()).map_err(|e| e.to_string())
+    Ok(format!("{}\n", artifact.to_text()))
 }
 
 #[cfg(test)]
@@ -1172,6 +1015,61 @@ mod tests {
         assert!(parse_options(&["--scale".into(), "0".into()]).is_err());
         assert!(parse_options(&["--fidelity".into(), "exact".into()]).is_err());
         assert!(parse_options(&["--bogus".into()]).is_err());
+        // Non-finite and oversized scales fail here instead of panicking
+        // or never returning in the generator.
+        for scale in ["NaN", "nan", "inf", "1e300", "1000.5"] {
+            assert_eq!(
+                parse_options(&["--scale".into(), scale.into()]),
+                Err(format!("invalid scale `{scale}`"))
+            );
+        }
+        for scale in ["-2", "-inf"] {
+            assert_eq!(
+                parse_options(&["--scale".into(), scale.into()]),
+                Err("scale must be positive".into())
+            );
+        }
+        let options = parse_options(&["--scale".into(), "1000".into()]).unwrap();
+        assert_eq!(options.scale, MAX_SCALE);
+    }
+
+    #[test]
+    fn parse_rejects_zero_ticks() {
+        assert_eq!(
+            parse_options(&["--ticks".into(), "0".into()]),
+            Err("invalid ticks `0`".into())
+        );
+        assert_eq!(
+            parse_options(&["--ticks".into(), "1".into()])
+                .unwrap()
+                .ticks,
+            1
+        );
+        let err = run_capture(&["simulate", "nominal", "--ticks", "0"]).unwrap_err();
+        assert_eq!(err, "invalid ticks `0`");
+    }
+
+    #[test]
+    fn write_file_replaces_the_target_and_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("cpssec-cli-write-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("out.bin");
+        let path_str = path.to_str().unwrap();
+        write_file(path_str, b"first version, longer").unwrap();
+        write_file(path_str, b"second").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"second");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["out.bin"], "temp file left behind");
+
+        // A directory target gets the plain write's error and stays a
+        // directory.
+        assert!(write_file(dir.to_str().unwrap(), b"x").is_err());
+        assert!(dir.is_dir());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

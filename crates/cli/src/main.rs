@@ -1,16 +1,7 @@
 //! `cpssec` — the command-line face of the toolchain.
 //!
-//! ```text
-//! cpssec table1 [--scale S]                    regenerate the paper's Table 1
-//! cpssec associate <model.graphml> [options]   match a model against the corpus
-//! cpssec figure [--scale S]                    Figure 1 as Graphviz DOT
-//! cpssec report [--scale S] [--simulate]       full Markdown analyst report
-//! cpssec simulate <scenario> [--ticks N]       run an attack/fault in the plant
-//! cpssec scenarios                             list built-in scenarios
-//! cpssec export-model [--fidelity LEVEL]       emit the SCADA model as GraphML
-//! cpssec serve [--addr A] [--workers N]        run the concurrent analysis service
-//! cpssec load [--addr A] [--clients N] [--requests M]   drive a running service
-//! ```
+//! `cpssec help` lists every subcommand and flag; its usage text (`USAGE`
+//! in `cli.rs`) is the one list of them.
 
 mod cli;
 

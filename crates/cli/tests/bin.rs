@@ -106,6 +106,105 @@ fn bad_flag_values_are_one_line_errors() {
     assert_one_line_failure(&["load", "--clients", "none"], "invalid clients");
 }
 
+/// Asserts `args` exits with code 1 and prints exactly `cpssec: {message}`
+/// as its only stderr line.
+fn assert_exit_1_with(args: &[&str], message: &str) {
+    let output = cpssec().args(args).output().expect("spawn cpssec");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+    assert_eq!(stderr, format!("cpssec: {message}\n"), "{args:?}");
+}
+
+#[test]
+fn non_finite_and_oversized_scales_exit_1_on_one_line() {
+    for scale in ["NaN", "inf", "1e300"] {
+        assert_exit_1_with(
+            &["table1", "--scale", scale],
+            &format!("invalid scale `{scale}`"),
+        );
+    }
+}
+
+#[test]
+fn zero_ticks_exit_1_on_one_line() {
+    assert_exit_1_with(
+        &["simulate", "nominal", "--ticks", "0"],
+        "invalid ticks `0`",
+    );
+}
+
+/// A fresh, empty directory for one test.
+fn fresh_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir()
+        .join("cpssec-bin-test")
+        .join(format!("{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("tempdir");
+    dir
+}
+
+fn file_names(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("read dir")
+        .map(|entry| {
+            entry
+                .expect("entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn in_place_delta_apply_matches_out_and_leaves_no_temp_file() {
+    let dir = fresh_dir("in-place");
+    let path = |name: &str| dir.join(name).to_str().expect("utf8 path").to_owned();
+    let (base, delta, out) = (path("base.cpsnap"), path("d.cpsdelta"), path("out.cpsnap"));
+    let ok = |args: &[&str]| {
+        let (success, _, stderr) = run(args);
+        assert!(success, "{args:?}: {stderr}");
+    };
+    ok(&["snapshot", "build", &base, "--scale", "0.01"]);
+    ok(&["delta", "build", &base, &delta, "--records", "25"]);
+    ok(&["delta", "apply", &base, &delta, "--out", &out]);
+    let pristine = std::fs::read(&base).expect("read base");
+    // A reader that opened the base before the in-place apply keeps
+    // seeing the old bytes: the base is replaced, never truncated.
+    let mut held = std::fs::File::open(&base).expect("open base");
+    ok(&["delta", "apply", &base, &delta]);
+    let mut seen = Vec::new();
+    std::io::Read::read_to_end(&mut held, &mut seen).expect("read held base");
+    assert!(seen == pristine, "the held base changed under its reader");
+    let grown = std::fs::read(&out).expect("read --out result");
+    assert_eq!(std::fs::read(&base).expect("read base"), grown);
+    assert_eq!(
+        file_names(&dir),
+        ["base.cpsnap", "d.cpsdelta", "out.cpsnap"],
+        "only the written files remain"
+    );
+    let (success, stdout, _) = run(&["snapshot", "verify", &base]);
+    assert!(success && stdout.starts_with("ok: "), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn writing_into_a_missing_directory_fails_on_one_line_and_creates_nothing() {
+    let dir = fresh_dir("missing");
+    let missing = dir.join("no-such-dir");
+    let target = missing.join("x.cpsnap");
+    let target = target.to_str().expect("utf8 path");
+    assert_one_line_failure(
+        &["snapshot", "build", target, "--scale", "0.01"],
+        "cannot write",
+    );
+    assert!(!missing.exists(), "the missing directory was created");
+    assert!(file_names(&dir).is_empty(), "{:?}", file_names(&dir));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn help_exits_zero_with_usage() {
     let (success, stdout, _) = run(&["help"]);

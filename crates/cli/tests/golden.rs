@@ -124,7 +124,7 @@ fn batch_command_outputs_are_pinned() {
     // 200 × 12,000 so the debug binary stays fast; the output path is the
     // same.
     let cases: &[(&[&str], &str)] = &[
-        (&["help"], "2dffa0da3c9b5d2d"),
+        (&["help"], "874829f384b33600"),
         (&["scenarios"], "f193277e0f867998"),
         (&["table1", "--scale", "0.01"], "5d6eac80570655a3"),
         (
@@ -260,12 +260,16 @@ fn usage_and_file_errors_are_pinned() {
         (&["table1", "--scale", "x"], "invalid scale `x`"),
         (&["table1", "--scale", "0"], "scale must be positive"),
         (&["table1", "--scale", "-1"], "scale must be positive"),
+        (&["table1", "--scale", "NaN"], "invalid scale `NaN`"),
+        (&["table1", "--scale", "inf"], "invalid scale `inf`"),
+        (&["table1", "--scale", "1e300"], "invalid scale `1e300`"),
         (&["json", "--fidelity"], "--fidelity needs a value"),
         (&["json", "--fidelity", "exact"], "invalid fidelity `exact`"),
         (&["associate", "--top"], "--top needs a value"),
         (&["associate", "--top", "-1"], "invalid top `-1`"),
         (&["simulate", "--ticks"], "--ticks needs a value"),
         (&["simulate", "--ticks", "x"], "invalid ticks `x`"),
+        (&["simulate", "--ticks", "0"], "invalid ticks `0`"),
         (&["fleet", "--scenarios"], "--scenarios needs a value"),
         (&["fleet", "--scenarios", "0"], "invalid scenarios `0`"),
         (&["fleet", "--seed"], "--seed needs a value"),
