@@ -1,10 +1,11 @@
-//! E17 — Zero-copy snapshot mapping at corpus scale: `view::open` versus
-//! the owned `snapshot::decode`, plus incremental `.cpsdelta` growth
-//! versus rebuild-from-scratch.
+//! E17 — Snapshot mapping at corpus scale: `view::open` versus the full
+//! `snapshot::decode`, plus incremental `.cpsdelta` growth versus
+//! rebuild-from-scratch.
 //!
-//! The borrowed view validates the header and section geometry in
-//! *O(header)* and answers queries straight from the mapped bytes, so its
-//! open cost stays flat while the owned decode grows with the corpus. The
+//! The view validates the header and section geometry in *O(header)*, so
+//! its open cost stays flat while the full decode grows with the corpus;
+//! the engine a mapped boot queries opens over it with
+//! `SearchEngine::from_view`. The
 //! acceptance criterion is a >=50x open speedup at the 100k-record scale
 //! (`CPSSEC_SCALE=3`); the assertion is guarded below 50k records so the
 //! default 11k run reports without failing. `CPSSEC_BENCH_FAST=1` (CI
@@ -17,7 +18,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cpssec_attackdb::synth::delta_batch;
-use cpssec_search::{apply_delta, build_delta, snapshot, view, SearchEngine, ViewEngine};
+use cpssec_search::{apply_delta, build_delta, snapshot, view, MatchConfig, SearchEngine};
 
 fn fast_mode() -> bool {
     std::env::var("CPSSEC_BENCH_FAST").is_ok_and(|v| v == "1")
@@ -81,7 +82,8 @@ fn bench_snapshot_scale(c: &mut Criterion) {
 
     // Time-to-first-answer from cold bytes, both sides.
     let first_query_view_us = mean_us(decode_rounds, || {
-        let viewed = ViewEngine::new(view::open_verified(Arc::clone(&mapped)).expect("open"));
+        let view = view::open_verified(Arc::clone(&mapped)).expect("open");
+        let viewed = SearchEngine::from_view(&view, MatchConfig::default()).expect("open engine");
         black_box(viewed.match_text(query));
     });
     let first_query_owned_us = mean_us(decode_rounds, || {

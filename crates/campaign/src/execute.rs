@@ -1,7 +1,8 @@
 //! The campaign executor and scorer.
 //!
 //! Every compiled chain runs as a staged injection on the event kernel
-//! (see [`cpssec_scada::staged`]) with its own [`derive_seed`]-derived
+//! (see [`cpssec_scada::staged`]) with its own
+//! [`derive_seed`](cpssec_sim::derive_seed)-derived
 //! sensor seed, fanned out over [`run_fleet`] so the records come back
 //! in chain order and are identical at any thread count. The scorer
 //! collapses each run to one of three verdicts:

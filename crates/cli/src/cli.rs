@@ -593,10 +593,10 @@ fn cmd_delta(options: &Options) -> Result<String, String> {
 fn cmd_serve(options: &Options, out: &mut dyn Write) -> Result<String, String> {
     let state = match &options.snapshot_path {
         Some(path) => {
-            // Zero-copy boot: the file becomes one shared buffer that is
-            // validated in place, the server starts listening right away,
-            // and the owned decode thaws on a background thread (corpus
-            // endpoints block until it lands).
+            // Mapped boot: the file becomes one shared buffer whose
+            // checksums and index sections are validated before the server
+            // listens; the owned corpus thaws on a background thread
+            // (corpus endpoints block until it lands).
             let bytes: std::sync::Arc<[u8]> = read_file(path, std::fs::read)?.into();
             cpssec_server::AppState::from_snapshot_mapped(bytes)
                 .map_err(|e| format!("invalid snapshot `{path}`: {e}"))?

@@ -5,6 +5,8 @@
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
 
+use cpssec_model::fnv1a_64_wide;
+
 fn cpssec() -> Command {
     Command::new(env!("CARGO_BIN_EXE_cpssec"))
 }
@@ -394,6 +396,55 @@ fn build_snapshot(name: &str) -> String {
     assert!(success, "snapshot build failed: {stderr}");
     assert!(stdout.contains("wrote "), "{stdout}");
     path
+}
+
+/// Sets the `tf` of the first vulnerabilities posting in a `.cpsnap` to 0
+/// and recomputes that section's checksum and the `snapshot_id`, so the
+/// bytes pass every integrity check and only the index validator can
+/// refuse them.
+fn zero_first_vulnerability_tf(bytes: &mut [u8]) {
+    let u32_at =
+        |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap()) as usize;
+    let u64_at =
+        |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap()) as usize;
+    // Header: magic, version, section count, snapshot id; then four
+    // 26-byte table entries (id, offset, len, checksum), vulnerabilities
+    // last.
+    let (table, entry) = (20, 20 + 3 * 26);
+    let (start, len) = (u64_at(bytes, entry + 2), u64_at(bytes, entry + 10));
+    // Section: ids (6 bytes each), lengths, term heap, 16-byte entries,
+    // then the postings arena.
+    let docs = u32_at(bytes, start);
+    let terms_at = start + 4 + docs * 6 + 4 + docs * 4;
+    let (terms, heap_len) = (u32_at(bytes, terms_at), u32_at(bytes, terms_at + 4));
+    let first_tf = terms_at + 8 + heap_len + terms * 16 + 4 + 4;
+    bytes[first_tf..first_tf + 4].copy_from_slice(&0u32.to_le_bytes());
+    let checksum = fnv1a_64_wide(&bytes[start..start + len]);
+    bytes[entry + 18..entry + 26].copy_from_slice(&checksum.to_le_bytes());
+    let id = fnv1a_64_wide(&bytes[table..table + 4 * 26]);
+    bytes[12..20].copy_from_slice(&id.to_le_bytes());
+}
+
+#[test]
+#[cfg(unix)]
+fn a_snapshot_with_a_bad_posting_fails_the_boot_before_listening() {
+    let path = build_snapshot("bad-tf.cpsnap");
+    let mut bytes = std::fs::read(&path).expect("read snapshot");
+    zero_first_vulnerability_tf(&mut bytes);
+    std::fs::write(&path, &bytes).expect("write");
+    assert_one_line_failure(&["snapshot", "verify", &path], "posting tf 0 is outside");
+    let output = cpssec()
+        .args(["serve", "--addr", "127.0.0.1:0", "--snapshot", &path])
+        .output()
+        .expect("spawn cpssec");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&output.stdout),
+        String::from_utf8_lossy(&output.stderr),
+    );
+    assert_eq!(output.status.code(), Some(1), "{stdout}{stderr}");
+    assert!(!stdout.contains("listening"), "{stdout}");
+    assert_eq!(stderr.trim_end().lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("posting tf 0 is outside"), "{stderr}");
 }
 
 #[test]

@@ -91,8 +91,8 @@ use cpssec_search::{FilterPipeline, MatchConfig, ScoringModel, SearchEngine};
 ///
 /// For fine-grained control use the constituent crates directly; the
 /// pipeline exists so the common path is one expression. The search engine
-/// is built lazily on first use and cached, so repeated [`associate`]
-/// (Pipeline::associate) calls — or a long-lived service holding one
+/// is built lazily on first use and cached, so repeated
+/// [`associate`](Pipeline::associate) calls — or a long-lived service holding one
 /// pipeline per corpus — pay the indexing cost once.
 #[derive(Debug)]
 pub struct Pipeline {

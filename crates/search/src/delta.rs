@@ -3,10 +3,10 @@
 //!
 //! A delta carries a *batch* of new records, chained to a specific
 //! parent state by id, and nothing derived from them. Applying it appends
-//! the records to the corpus and indexes them into the three family
-//! indices with the build's own tokenize-and-intern loop
-//! ([`InvertedIndex::append_documents`]), so the index follows from the
-//! stored records by construction. The indices store only term
+//! the records to the corpus, indexes the batch of each family with the
+//! build's own tokenize-and-intern loop, and merges that small section
+//! into the family's in one pass (`Family::merge`), so the index follows
+//! from the stored records by construction. The indices store only term
 //! frequencies and document lengths, and every weight is computed at query
 //! time from them, so the grown engine is *bit-identical* to one rebuilt
 //! over the merged corpus. Combined with the append-only id floor
@@ -33,15 +33,13 @@
 //! `parent_id` is either a base snapshot's `snapshot_id` or the
 //! [`chain_id`] of a previously applied delta — a hash chain, so a delta
 //! can never be applied out of order or to the wrong base.
-//!
-//! [`InvertedIndex::append_documents`]: crate::index::InvertedIndex
 
 use cpssec_attackdb::snapshot as record_wire;
 use cpssec_attackdb::snapshot::{put_u16, put_u64, Reader};
 use cpssec_attackdb::{AttackPattern, Corpus, Vulnerability, Weakness};
 use cpssec_model::fnv1a_64_wide;
 
-use crate::engine::Family;
+use crate::index::{Family, FamilyKind};
 use crate::snapshot::{self, SnapshotError};
 use crate::SearchEngine;
 
@@ -171,14 +169,14 @@ pub fn inspect_delta(bytes: &[u8]) -> Result<DeltaInfo, SnapshotError> {
 /// Verifies the chain (`parent_id` must equal `expected_parent`), enforces
 /// the append-only id floor (every batch id must exceed every existing id
 /// of its family — the invariant that keeps compaction byte-identical to
-/// rebuild), then indexes the batch records into the three families with
-/// the build's tokenize-and-intern loop and appends them to the corpus.
-/// The corpus side costs
-/// *O(batch)* even on a clone: a cloned [`Corpus`] shares its record
-/// segments, and the batch lands in a new one. What is still
-/// *O(corpus)* is the engine side: an index family shared with another
-/// engine (a clone, or a [`SearchEngine::with_scoring`] copy) is copied
-/// on first append (`Arc::make_mut`).
+/// rebuild), then indexes each family's batch with the build's
+/// tokenize-and-intern loop, merges it into the family, and appends the
+/// records to the corpus. The corpus side costs *O(batch)* even on a
+/// clone: a cloned [`Corpus`] shares its record segments, and the batch
+/// lands in a new one. The engine side writes each grown family once, a
+/// copy of its section with the batch merged in, so an engine sharing the
+/// old families (a clone, or a [`SearchEngine::with_scoring`] copy) keeps
+/// them unchanged.
 ///
 /// On error the pair may be partially modified and must be discarded:
 /// apply to clones and swap on success (what the server and CLI do).
@@ -227,20 +225,29 @@ pub fn apply_delta(
     }
     span.add_items(parsed.info.records() as u64);
 
-    let (p, w, v) = engine.parts_mut();
-    index_batch(
-        p,
-        &parsed.patterns,
-        AttackPattern::search_text,
-        AttackPattern::id,
-    );
-    index_batch(w, &parsed.weaknesses, Weakness::search_text, Weakness::id);
-    index_batch(
-        v,
-        &parsed.vulnerabilities,
-        Vulnerability::search_text,
-        Vulnerability::id,
-    );
+    engine.append([
+        Family::build(
+            FamilyKind::Patterns,
+            parsed
+                .patterns
+                .iter()
+                .map(|p| (p.search_text(), p.id().into())),
+        ),
+        Family::build(
+            FamilyKind::Weaknesses,
+            parsed
+                .weaknesses
+                .iter()
+                .map(|w| (w.search_text(), w.id().into())),
+        ),
+        Family::build(
+            FamilyKind::Vulnerabilities,
+            parsed
+                .vulnerabilities
+                .iter()
+                .map(|v| (v.search_text(), v.id().into())),
+        ),
+    ]);
     let dup = |e: cpssec_attackdb::AttackDbError| SnapshotError::Corrupt(e.to_string());
     for record in parsed.patterns {
         corpus.add_pattern(record).map_err(dup)?;
@@ -254,18 +261,6 @@ pub fn apply_delta(
     Ok(parsed.info)
 }
 
-/// Indexes one family's batch records and appends their ids in lockstep.
-fn index_batch<R, I>(
-    family: &mut Family<I>,
-    records: &[R],
-    text: impl Fn(&R) -> String,
-    id: impl Fn(&R) -> I,
-) {
-    let texts: Vec<String> = records.iter().map(text).collect();
-    family.index.append_documents(&texts);
-    family.ids.extend(records.iter().map(id));
-}
-
 /// Compacts a delta-grown state into a new base snapshot, **proving** the
 /// equivalence invariant on the way: the snapshot must be byte-identical
 /// to encoding a from-scratch rebuild over the same corpus. The proof
@@ -276,8 +271,9 @@ fn index_batch<R, I>(
 /// same `corpus`, the corpus section is a function of the corpus alone,
 /// and [`snapshot::encode`] is a deterministic assembly of the corpus and
 /// the family sections, so equal family sections are equivalent to equal
-/// files. Each section is encoded once: the grown family sections are
-/// assembled with the corpus into the returned snapshot.
+/// files. The grown engine's sections are its in-memory families, so
+/// they are assembled with the corpus into the returned snapshot as they
+/// are.
 ///
 /// # Errors
 ///
@@ -286,9 +282,9 @@ fn index_batch<R, I>(
 /// the state must not be persisted.
 pub fn compact_verified(corpus: &Corpus, engine: &SearchEngine) -> Result<Vec<u8>, SnapshotError> {
     let _span = cpssec_obs::span!("delta-compact");
-    let grown = snapshot::family_sections(engine);
+    let grown = engine.families().map(|family| family.section());
     let rebuilt = SearchEngine::with_config(corpus, engine.config());
-    if grown != snapshot::family_sections(&rebuilt) {
+    if grown != rebuilt.families().map(|family| family.section()) {
         return Err(SnapshotError::Corrupt(
             "compacted snapshot diverges from rebuild-from-scratch".into(),
         ));

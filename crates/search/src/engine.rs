@@ -7,9 +7,11 @@ use std::sync::Arc;
 use cpssec_attackdb::{AttackVectorId, CapecId, Corpus, CveId, CweId};
 use cpssec_model::{Channel, ChannelId, Component, Fidelity, SystemModel};
 
-use crate::index::{InvertedIndex, TermLookup};
+use crate::index::{Family, FamilyKind};
 use crate::score::{expand_query, ScoringModel, TermScorer};
+use crate::snapshot::SnapshotError;
 use crate::text::tokenize;
+use crate::view::SnapshotView;
 
 /// Matching thresholds.
 ///
@@ -176,22 +178,16 @@ thread_local! {
     static SCRATCH: RefCell<QueryScratch> = RefCell::new(QueryScratch::new());
 }
 
-/// One indexed record family: the index plus the record id of each dense
-/// document.
-#[derive(Debug, Clone)]
-pub(crate) struct Family<I> {
-    pub(crate) index: InvertedIndex,
-    pub(crate) ids: Vec<I>,
-}
-
 /// The search engine: three per-family indices over one corpus snapshot.
 ///
 /// Building is `O(total corpus text)` (the three family indices build on
 /// separate threads); matching is `O(postings touched)`, with each
-/// posting's weight computed from its stored term frequency. The families
-/// sit behind `Arc`s, so engines that differ only in configuration share
-/// them. The engine holds no reference to the corpus — record ids are the
-/// currency between the two.
+/// posting's weight computed from its stored term frequency. Each family
+/// is held as its columnar snapshot section, whether it was built here,
+/// decoded from a `.cpsnap` or opened over a mapped one, and sits behind
+/// an `Arc`, so engines that differ only in configuration share it. The
+/// engine holds no reference to the corpus — record ids are the currency
+/// between the two.
 ///
 /// # Examples
 ///
@@ -207,21 +203,12 @@ pub(crate) struct Family<I> {
 #[derive(Debug, Clone)]
 pub struct SearchEngine {
     config: MatchConfig,
-    patterns: Arc<Family<CapecId>>,
-    weaknesses: Arc<Family<CweId>>,
-    vulnerabilities: Arc<Family<CveId>>,
+    /// Patterns, weaknesses, vulnerabilities.
+    families: [Arc<Family>; 3],
     /// Lifetime query counter, shared across clones of this engine so the
     /// incremental-association tests (and the server's metrics) can observe
     /// exactly how many matcher runs an operation cost.
     queries: Arc<AtomicU64>,
-}
-
-/// Indexes one record family. Large families shard across worker threads
-/// inside [`InvertedIndex::from_documents`].
-fn build_family<I>(records: impl Iterator<Item = (String, I)>) -> Family<I> {
-    let (texts, ids): (Vec<String>, Vec<I>) = records.unzip();
-    let index = InvertedIndex::from_documents(&texts);
-    Family { index, ids }
 }
 
 impl SearchEngine {
@@ -232,58 +219,86 @@ impl SearchEngine {
     }
 
     /// Indexes a corpus with an explicit configuration. The three family
-    /// indices are independent, so they build on separate scoped threads.
+    /// indices are independent, so they build on separate scoped threads
+    /// (and large families shard further inside
+    /// [`InvertedIndex::from_documents`](crate::InvertedIndex::from_documents)).
     #[must_use]
     pub fn with_config(corpus: &Corpus, config: MatchConfig) -> Self {
-        let (patterns, weaknesses, vulnerabilities) = std::thread::scope(|s| {
-            let patterns =
-                s.spawn(|| build_family(corpus.patterns().map(|p| (p.search_text(), p.id()))));
-            let weaknesses =
-                s.spawn(|| build_family(corpus.weaknesses().map(|w| (w.search_text(), w.id()))));
-            let vulnerabilities =
-                build_family(corpus.vulnerabilities().map(|v| (v.search_text(), v.id())));
-            (
+        let families = std::thread::scope(|s| {
+            let patterns = s.spawn(|| {
+                let records = corpus.patterns().map(|p| (p.search_text(), p.id().into()));
+                Family::build(FamilyKind::Patterns, records)
+            });
+            let weaknesses = s.spawn(|| {
+                let records = corpus
+                    .weaknesses()
+                    .map(|w| (w.search_text(), w.id().into()));
+                Family::build(FamilyKind::Weaknesses, records)
+            });
+            let records = corpus
+                .vulnerabilities()
+                .map(|v| (v.search_text(), v.id().into()));
+            let vulnerabilities = Family::build(FamilyKind::Vulnerabilities, records);
+            [
                 patterns.join().expect("pattern index build"),
                 weaknesses.join().expect("weakness index build"),
                 vulnerabilities,
-            )
+            ]
         });
-        SearchEngine::from_parts(config, patterns, weaknesses, vulnerabilities)
+        SearchEngine::from_families(config, families)
     }
 
-    /// Assembles an engine from pre-built (e.g. snapshot-thawed) parts.
-    pub(crate) fn from_parts(
+    /// Opens an engine over a snapshot view. The three family sections are
+    /// copied out of the image, so the engine outlives it, and each is
+    /// validated in full ([`crate::snapshot::decode`] runs the same
+    /// checks): an engine that opens answers every query.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] naming the first structural fault in a
+    /// family section.
+    pub fn from_view(view: &SnapshotView, config: MatchConfig) -> Result<Self, SnapshotError> {
+        SearchEngine::from_sections(view.family_sections(), config)
+    }
+
+    /// Opens an engine over three family section payloads (patterns,
+    /// weaknesses, vulnerabilities), copying and validating each.
+    pub(crate) fn from_sections(
+        sections: [&[u8]; 3],
         config: MatchConfig,
-        patterns: Family<CapecId>,
-        weaknesses: Family<CweId>,
-        vulnerabilities: Family<CveId>,
-    ) -> SearchEngine {
+    ) -> Result<Self, SnapshotError> {
+        let [p, w, v] = sections;
+        let families = [
+            Family::open(FamilyKind::Patterns, p.to_vec())?,
+            Family::open(FamilyKind::Weaknesses, w.to_vec())?,
+            Family::open(FamilyKind::Vulnerabilities, v.to_vec())?,
+        ];
+        Ok(SearchEngine::from_families(config, families))
+    }
+
+    fn from_families(config: MatchConfig, families: [Family; 3]) -> SearchEngine {
         SearchEngine {
             config,
-            patterns: Arc::new(patterns),
-            weaknesses: Arc::new(weaknesses),
-            vulnerabilities: Arc::new(vulnerabilities),
+            families: families.map(Arc::new),
             queries: Arc::new(AtomicU64::new(0)),
         }
     }
 
-    /// The three families, for serialization.
-    pub(crate) fn parts(&self) -> (&Family<CapecId>, &Family<CweId>, &Family<CveId>) {
-        (&self.patterns, &self.weaknesses, &self.vulnerabilities)
+    /// The three families (patterns, weaknesses, vulnerabilities).
+    pub(crate) fn families(&self) -> [&Family; 3] {
+        let [p, w, v] = &self.families;
+        [p, w, v]
     }
 
-    /// Mutable access to the three families, for the `.cpsdelta` apply
-    /// path (append documents + ids in lockstep). A family shared with
-    /// another engine is copied first, so the other engine never sees the
-    /// appends.
-    pub(crate) fn parts_mut(
-        &mut self,
-    ) -> (&mut Family<CapecId>, &mut Family<CweId>, &mut Family<CveId>) {
-        (
-            Arc::make_mut(&mut self.patterns),
-            Arc::make_mut(&mut self.weaknesses),
-            Arc::make_mut(&mut self.vulnerabilities),
-        )
+    /// Appends one batch per family, as documents after the family's own:
+    /// each non-empty batch is merged into a new family
+    /// ([`Family::merge`]), so engines sharing the old one never see it.
+    pub(crate) fn append(&mut self, batches: [Family; 3]) {
+        for (family, batch) in self.families.iter_mut().zip(batches) {
+            if batch.doc_count() > 0 {
+                *family = Arc::new(family.merge(&batch));
+            }
+        }
     }
 
     /// A copy of this engine under a different scoring model. Weights are
@@ -333,17 +348,11 @@ impl SearchEngine {
         scratch: &mut QueryScratch,
     ) -> MatchSet {
         let mut span = cpssec_obs::span!("score");
-        let (p, w, v) = self.parts();
+        let [p, w, v] = self.families();
         let set = MatchSet {
-            patterns: run_family(&p.index, terms, extras, self.config, scratch, |doc| {
-                AttackVectorId::Pattern(p.ids[doc])
-            }),
-            weaknesses: run_family(&w.index, terms, extras, self.config, scratch, |doc| {
-                AttackVectorId::Weakness(w.ids[doc])
-            }),
-            vulnerabilities: run_family(&v.index, terms, extras, self.config, scratch, |doc| {
-                AttackVectorId::Vulnerability(v.ids[doc])
-            }),
+            patterns: run_family(p, terms, extras, self.config, scratch),
+            weaknesses: run_family(w, terms, extras, self.config, scratch),
+            vulnerabilities: run_family(v, terms, extras, self.config, scratch),
         };
         span.add_items(set.total() as u64);
         set
@@ -411,7 +420,7 @@ const PAR_FAN_OUT_MIN: usize = 32;
 /// per available core; each scoped thread fills a disjoint chunk of the
 /// output, preserving input order exactly. Inputs below [`PAR_FAN_OUT_MIN`]
 /// run on the calling thread — same results, no spawn overhead.
-pub(crate) fn par_fan_out<T: Sync, R: Send>(items: &[T], work: impl Fn(&T) -> R + Sync) -> Vec<R> {
+fn par_fan_out<T: Sync, R: Send>(items: &[T], work: impl Fn(&T) -> R + Sync) -> Vec<R> {
     if items.is_empty() {
         return Vec::new();
     }
@@ -505,11 +514,8 @@ fn top_k_hits(hits: impl Iterator<Item = Hit>, k: usize) -> Vec<Hit> {
 }
 
 /// Normalizes query text into sorted, deduplicated terms plus (when
-/// `expand` is set) the synonym-expansion extras that are genuinely new —
-/// shared by [`SearchEngine`] and the zero-copy
-/// [`ViewEngine`](crate::view::ViewEngine) so both prepare byte-identical
-/// term lists.
-pub(crate) fn prepare_query(text: &str, expand: bool) -> (Vec<String>, Vec<String>) {
+/// `expand` is set) the synonym-expansion extras that are genuinely new.
+fn prepare_query(text: &str, expand: bool) -> (Vec<String>, Vec<String>) {
     let mut span = cpssec_obs::span!("tokenize");
     let mut terms = tokenize(text);
     terms.sort_unstable();
@@ -527,32 +533,28 @@ pub(crate) fn prepare_query(text: &str, expand: bool) -> (Vec<String>, Vec<Strin
     (terms, extras)
 }
 
-/// Scores one family index — owned or zero-copy, via [`TermLookup`] — and
-/// returns the admitted hits. `wrap` maps a dense doc index to the record
-/// id (the caller owns the id table; the view decodes ids straight from
-/// snapshot bytes).
-pub(crate) fn run_family<L: TermLookup>(
-    index: &L,
+/// Scores one family and returns the admitted hits.
+fn run_family(
+    family: &Family,
     terms: &[String],
     extras: &[String],
     config: MatchConfig,
     scratch: &mut QueryScratch,
-    wrap: impl Fn(usize) -> AttackVectorId,
 ) -> Vec<Hit> {
-    let (doc_count, avg) = (index.doc_count(), index.avg_len());
+    let (doc_count, avg) = (family.doc_count(), family.avg_len());
     scratch.ensure(doc_count);
     for term in terms {
-        let Some((df, postings)) = index.lookup(term) else {
+        let Some(postings) = family.postings(term) else {
             continue;
         };
-        let scorer = TermScorer::new(config.scoring, doc_count, df, avg);
+        let scorer = TermScorer::new(config.scoring, doc_count, postings.len(), avg);
         let idf = scorer.idf;
-        for p in postings {
-            let slot = &mut scratch.accum[p.doc.index()];
+        for (doc, tf) in postings {
+            let slot = &mut scratch.accum[doc];
             if slot.matched == 0 {
-                scratch.touched.push(p.doc.0);
+                scratch.touched.push(doc as u32);
             }
-            slot.score += scorer.weight(index, p.doc, p.tf);
+            slot.score += scorer.weight(family, doc, tf);
             slot.matched += 1;
             if idf > slot.max_idf {
                 slot.max_idf = idf;
@@ -562,14 +564,14 @@ pub(crate) fn run_family<L: TermLookup>(
     // Synonym-expansion terms only refine the scores of documents that
     // already matched an original term — they never create hits.
     for term in extras {
-        let Some((df, postings)) = index.lookup(term) else {
+        let Some(postings) = family.postings(term) else {
             continue;
         };
-        let scorer = TermScorer::new(config.scoring, doc_count, df, avg);
-        for p in postings {
-            let slot = &mut scratch.accum[p.doc.index()];
+        let scorer = TermScorer::new(config.scoring, doc_count, postings.len(), avg);
+        for (doc, tf) in postings {
+            let slot = &mut scratch.accum[doc];
             if slot.matched > 0 {
-                slot.score += scorer.weight(index, p.doc, p.tf);
+                slot.score += scorer.weight(family, doc, tf);
             }
         }
     }
@@ -579,7 +581,7 @@ pub(crate) fn run_family<L: TermLookup>(
             || acc.matched as usize >= config.min_terms)
             && acc.score >= config.min_score;
         admitted.then(|| Hit {
-            id: wrap(doc as usize),
+            id: family.id(doc as usize),
             score: acc.score,
             matched_terms: acc.matched as usize,
         })

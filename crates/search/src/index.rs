@@ -1,36 +1,29 @@
-//! A TF-IDF inverted index over one record family.
+//! The inverted index of one record family, in the one form it takes.
 //!
-//! The index stores exactly what scoring needs and nothing derived from
-//! the corpus size: a term dictionary (`HashMap<String, u32>`) over
-//! doc-ascending `(doc, tf)` postings, per-document token counts with
-//! their `√max(len, 1)` normalizers, and a running token total. Every
+//! [`InvertedIndex`] is the builder: the memoized tokenize-and-intern loop,
+//! sharded across threads for large inputs, ending in
+//! [`InvertedIndex::encode_into`] — the only code that writes an index.
+//! What it writes, the columnar family section of a `.cpsnap`, is also the
+//! only form an index takes in memory: a [`Family`] owns the section bytes
+//! plus the per-document `√max(len, 1)` column and the token total, both
+//! computed in one pass when the section is opened. Queries binary-search
+//! the sorted term dictionary and read `(doc, tf)` postings in place; every
 //! weight is computed at query time by [`crate::score::TermScorer`], so
-//! adding a document appends to these columns and invalidates nothing.
+//! appending documents ([`Family::merge`]) invalidates nothing.
 
 use std::collections::HashMap;
 
-use cpssec_attackdb::snapshot::{put_u32, Reader, SnapshotError};
+use cpssec_attackdb::snapshot::{put_u16, put_u32, Reader, SnapshotError};
+use cpssec_attackdb::{AttackVectorId, CapecId, CveId, CweId};
 
-use crate::score::{self, length_norm};
+use crate::score::{average_length, length_norm};
 use crate::text::{for_each_word, normalize_word, tokenize};
-
-/// Dense index of a document within one [`InvertedIndex`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct DocId(pub(crate) u32);
-
-impl DocId {
-    /// The dense index backing this identifier.
-    #[must_use]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
 
 /// One posting: a document and how often the term occurs in it.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Posting {
-    pub doc: DocId,
-    pub tf: u32,
+struct Posting {
+    doc: u32,
+    tf: u32,
 }
 
 /// Minimum documents per worker before [`InvertedIndex::from_documents`]
@@ -60,7 +53,7 @@ fn intern(
 
 /// Appends one posting per distinct term id in `tids` (one id per token),
 /// in ascending term-id order — the shared tail of every document add.
-fn push_runs(tids: &mut [u32], doc: DocId, postings: &mut [Vec<Posting>]) {
+fn push_runs(tids: &mut [u32], doc: u32, postings: &mut [Vec<Posting>]) {
     tids.sort_unstable();
     let mut run = &*tids;
     while let Some(&tid) = run.first() {
@@ -91,8 +84,6 @@ fn merge_shards(shards: Vec<InvertedIndex>) -> InvertedIndex {
     let mut index = shards.next().unwrap_or_default();
     for shard in shards {
         index.doc_lengths.extend(shard.doc_lengths);
-        index.len_norms.extend(shard.len_norms);
-        index.total_tokens += shard.total_tokens;
         let mut terms = vec![String::new(); shard.term_ids.len()];
         for (term, tid) in shard.term_ids {
             terms[tid as usize] = term;
@@ -110,11 +101,9 @@ fn merge_shards(shards: Vec<InvertedIndex>) -> InvertedIndex {
     index
 }
 
-/// An inverted index with TF-IDF weighting.
-///
-/// Scoring uses `idf(t) = ln(N / df(t))` and term weight
-/// `(1 + ln(tf)) * idf`, normalized by `sqrt(|doc|)`, all evaluated at
-/// query time from the stored term frequencies.
+/// The index builder: a term dictionary over doc-ascending `(doc, tf)`
+/// postings plus per-document token counts, written out as the family
+/// section that snapshots store and engines query.
 ///
 /// # Examples
 ///
@@ -134,10 +123,6 @@ pub struct InvertedIndex {
     /// Postings, indexed by term id; doc-ascending within a term.
     postings: Vec<Vec<Posting>>,
     doc_lengths: Vec<u32>,
-    /// `√max(len, 1)` per document, appended alongside `doc_lengths`.
-    len_norms: Vec<f64>,
-    /// Sum of `doc_lengths`, so the mean length is O(1).
-    total_tokens: u64,
 }
 
 impl InvertedIndex {
@@ -147,37 +132,19 @@ impl InvertedIndex {
         InvertedIndex::default()
     }
 
-    /// Appends the per-document columns of a new document.
-    fn push_doc_length(&mut self, len: u32) {
-        self.doc_lengths.push(len);
-        self.len_norms.push(length_norm(len));
-        self.total_tokens += u64::from(len);
-    }
-
-    /// Adds a document and returns its id. Order of insertion defines ids.
-    pub fn add_document(&mut self, text: &str) -> DocId {
-        let id = DocId(u32::try_from(self.doc_lengths.len()).expect("doc count fits u32"));
+    /// Adds a document. Order of insertion defines document ids.
+    pub fn add_document(&mut self, text: &str) {
+        let doc = u32::try_from(self.doc_lengths.len()).expect("doc count fits u32");
         let mut tids: Vec<u32> = tokenize(text)
             .into_iter()
             .map(|term| intern(term, &mut self.term_ids, &mut self.postings))
             .collect();
-        self.push_doc_length(tids.len() as u32);
-        push_runs(&mut tids, id, &mut self.postings);
-        id
-    }
-
-    /// Appends `docs` in order, as documents [`Self::len`] onward — the
-    /// `.cpsdelta` apply path. Runs the build's tokenize-and-intern loop
-    /// straight into this index, so the result is the index that adding
-    /// the documents one by one with [`Self::add_document`] would give.
-    pub(crate) fn append_documents<S: AsRef<str>>(&mut self, docs: &[S]) {
-        let first = u32::try_from(self.len()).expect("doc count fits u32");
-        self.index_documents(docs, first);
+        self.doc_lengths.push(tids.len() as u32);
+        push_runs(&mut tids, doc, &mut self.postings);
     }
 
     /// Indexes `docs` as documents `first`, `first + 1`, …: the one
-    /// tokenize-and-intern loop, run by every build shard and by
-    /// [`Self::append_documents`].
+    /// tokenize-and-intern loop, run by every build shard.
     ///
     /// A word's term depends on the raw word alone, so each distinct raw
     /// word (case variants are distinct keys) is normalized and interned
@@ -189,7 +156,6 @@ impl InvertedIndex {
         let mut memo: HashMap<&'a str, u32> = HashMap::new();
         let mut tids: Vec<u32> = Vec::new();
         self.doc_lengths.reserve(docs.len());
-        self.len_norms.reserve(docs.len());
         for (offset, doc) in docs.iter().enumerate() {
             tids.clear();
             for_each_word(doc.as_ref(), |raw| {
@@ -202,19 +168,19 @@ impl InvertedIndex {
                     tids.push(tid);
                 }
             });
-            self.push_doc_length(tids.len() as u32);
-            push_runs(&mut tids, DocId(first + offset as u32), &mut self.postings);
+            self.doc_lengths.push(tids.len() as u32);
+            push_runs(&mut tids, first + offset as u32, &mut self.postings);
         }
     }
 
     /// Builds an index over `docs`, sharding tokenization and term
     /// interning across `std::thread::scope` workers when the input is
-    /// large enough to amortize thread startup (below
-    /// [`SHARD_MIN_DOCS`] per worker it builds on the calling thread).
-    /// The result is identical (`==` on every observable, and
-    /// byte-identical under snapshot encoding) to adding the documents
-    /// one by one: shards own contiguous ascending doc-id ranges and the
-    /// merge assigns term ids in global first-occurrence order.
+    /// large enough to amortize thread startup (below a few hundred
+    /// documents per worker it builds on the calling thread). The result
+    /// is identical (`==` on every observable, and byte-identical under
+    /// snapshot encoding) to adding the documents one by one: shards own
+    /// contiguous ascending doc-id ranges and the merge assigns term ids in
+    /// global first-occurrence order.
     #[must_use]
     pub fn from_documents<S: AsRef<str> + Sync>(docs: &[S]) -> InvertedIndex {
         let threads = std::thread::available_parallelism()
@@ -282,27 +248,8 @@ impl InvertedIndex {
             .map_or(0, |&tid| self.postings[tid as usize].len())
     }
 
-    /// Inverse document frequency of `term`: `ln(N / df)`, or `0.0` for
-    /// unknown terms or an empty index.
-    #[must_use]
-    pub fn idf(&self, term: &str) -> f64 {
-        score::idf(self.len(), self.document_frequency(term))
-    }
-
-    /// The token count of a document (used for length normalization).
-    #[must_use]
-    pub fn document_length(&self, doc: DocId) -> usize {
-        self.doc_lengths.get(doc.index()).copied().unwrap_or(0) as usize
-    }
-
-    /// Mean document length in tokens (1.0 for an empty index).
-    #[must_use]
-    pub fn average_document_length(&self) -> f64 {
-        score::average_length(self.total_tokens, self.len())
-    }
-
-    /// Serializes the index in the columnar wire layout shared with the
-    /// zero-copy [`crate::view::IndexView`]:
+    /// Serializes the index in the columnar wire layout a [`Family`]
+    /// queries in place:
     ///
     /// ```text
     /// doc_count      u32
@@ -316,13 +263,13 @@ impl InvertedIndex {
     /// postings       posting_total × { doc u32, tf u32 }
     /// ```
     ///
-    /// Terms are written in lexicographic order (so a borrowed view can
+    /// Terms are written in lexicographic order (so a reader can
     /// binary-search the entry table in place) and each term's postings
     /// are contiguous in the arena. Nothing derived from the corpus size
     /// is stored: readers compute weights from `tf`, the document
     /// lengths, `df = post_len` and `N = doc_count`. Sorting also makes
-    /// the bytes independent of term-id numbering, so an engine grown by
-    /// delta appends encodes identically to one rebuilt from scratch.
+    /// the bytes independent of term-id numbering, so the sections of two
+    /// builds over the same documents are byte-identical.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         put_u32(out, self.doc_lengths.len() as u32);
         for &len in &self.doc_lengths {
@@ -355,182 +302,475 @@ impl InvertedIndex {
         put_u32(out, post_start);
         for &tid in &order {
             for p in &self.postings[tid as usize] {
-                put_u32(out, p.doc.0);
+                put_u32(out, p.doc);
                 put_u32(out, p.tf);
             }
         }
     }
+}
 
-    /// Restores an index serialized by [`Self::encode_into`], assigning
-    /// term ids in the (lexicographic) wire order. Re-encoding the result
-    /// is a byte-level fixpoint. Every posting is checked against the
-    /// document table — an in-range doc and `1 <= tf <= len` — because
-    /// query-time scoring takes `ln tf`.
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<InvertedIndex, SnapshotError> {
+/// Bytes per term entry: `str_off`, `str_len`, `post_start`, `post_len`.
+const TERM_ENTRY_LEN: usize = 16;
+/// Bytes per posting: `doc`, `tf`.
+const POSTING_LEN: usize = 8;
+
+/// Reads the little-endian `u32` at `off`.
+fn u32_at(bytes: &[u8], off: usize) -> u32 {
+    u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes"))
+}
+
+/// Reads the two little-endian `u32`s at `off` with one 8-byte load.
+fn u32_pair_at(bytes: &[u8], off: usize) -> (u32, u32) {
+    let pair = u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes"));
+    (pair as u32, (pair >> 32) as u32)
+}
+
+/// The record family a section indexes, which fixes its id encoding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FamilyKind {
+    Patterns,
+    Weaknesses,
+    Vulnerabilities,
+}
+
+impl FamilyKind {
+    /// The three families, in section order.
+    pub(crate) const ALL: [FamilyKind; 3] = [
+        FamilyKind::Patterns,
+        FamilyKind::Weaknesses,
+        FamilyKind::Vulnerabilities,
+    ];
+
+    /// The section name, as errors report it.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            FamilyKind::Patterns => "patterns",
+            FamilyKind::Weaknesses => "weaknesses",
+            FamilyKind::Vulnerabilities => "vulnerabilities",
+        }
+    }
+
+    /// Bytes per id-table entry: a CAPEC or CWE number, or a CVE year and
+    /// number.
+    fn id_len(self) -> usize {
+        match self {
+            FamilyKind::Vulnerabilities => 6,
+            FamilyKind::Patterns | FamilyKind::Weaknesses => 4,
+        }
+    }
+}
+
+/// Appends one id-table entry.
+fn put_id(out: &mut Vec<u8>, id: AttackVectorId) {
+    match id {
+        AttackVectorId::Pattern(id) => put_u32(out, id.number()),
+        AttackVectorId::Weakness(id) => put_u32(out, id.number()),
+        AttackVectorId::Vulnerability(id) => {
+            put_u16(out, id.year());
+            put_u32(out, id.number());
+        }
+    }
+}
+
+/// Where each region of a family section starts. A `Layout` exists only
+/// for bytes whose declared regions tile the section exactly.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Layout {
+    pub(crate) doc_count: usize,
+    lengths_off: usize,
+    term_count: usize,
+    heap_off: usize,
+    heap_len: usize,
+    entries_off: usize,
+    posting_total: usize,
+    postings_off: usize,
+}
+
+impl Layout {
+    /// Reads a family section's region counts and checks that the id
+    /// table, document lengths, term heap, entry table and postings arena
+    /// account for every byte — *O(1)* reads, no payload scan.
+    pub(crate) fn parse(kind: FamilyKind, bytes: &[u8]) -> Result<Layout, SnapshotError> {
+        let mut r = Reader::new(bytes);
+        let pos = |r: &Reader<'_>| bytes.len() - r.remaining();
+        let id_count = r.u32()?;
+        r.take(id_count as usize * kind.id_len())?;
         let doc_count = r.u32()?;
-        let mut index = InvertedIndex::new();
-        index.doc_lengths.reserve(r.capacity_for(doc_count, 4));
-        for _ in 0..doc_count {
-            index.push_doc_length(r.u32()?);
+        if doc_count != id_count {
+            return Err(SnapshotError::Corrupt(format!(
+                "`{}` id table has {id_count} entries for {doc_count} indexed documents",
+                kind.name()
+            )));
         }
-        let term_count = r.u32()?;
+        let lengths_off = pos(&r);
+        r.take(doc_count as usize * 4)?;
+        let term_count = r.u32()? as usize;
         let heap_len = r.u32()? as usize;
-        let heap = r.take(heap_len)?;
-        let capacity = r.capacity_for(term_count, 16);
-        index.term_ids.reserve(capacity);
-        let mut post_lens: Vec<u32> = Vec::with_capacity(capacity);
-        let mut expected_str_off = 0u32;
-        let mut expected_post_start = 0u32;
-        let mut prev_term: Option<&str> = None;
-        for tid in 0..term_count {
-            let str_off = r.u32()?;
-            let str_len = r.u32()?;
-            let post_start = r.u32()?;
-            let post_len = r.u32()?;
-            if str_off != expected_str_off || post_start != expected_post_start {
-                return Err(SnapshotError::Corrupt(format!(
-                    "term {tid} entry is not contiguous with its predecessor"
-                )));
-            }
-            let end = (str_off as usize)
-                .checked_add(str_len as usize)
-                .filter(|&end| end <= heap.len())
-                .ok_or_else(|| {
-                    SnapshotError::Corrupt(format!("term {tid} string overruns the heap"))
-                })?;
-            let term = core::str::from_utf8(&heap[str_off as usize..end])
-                .map_err(|_| SnapshotError::Corrupt(format!("term {tid} is not valid UTF-8")))?;
-            if prev_term.is_some_and(|prev| prev >= term) {
-                return Err(SnapshotError::Corrupt(format!(
-                    "term dictionary is not strictly sorted at entry {tid}"
-                )));
-            }
-            prev_term = Some(term);
-            index.term_ids.insert(term.to_owned(), tid);
-            post_lens.push(post_len);
-            expected_str_off += str_len;
-            expected_post_start = post_start
-                .checked_add(post_len)
-                .ok_or_else(|| SnapshotError::Corrupt("postings arena overflows u32".into()))?;
-        }
-        if expected_str_off as usize != heap.len() {
+        let heap_off = pos(&r);
+        r.take(heap_len)?;
+        let entries_off = pos(&r);
+        r.take(term_count * TERM_ENTRY_LEN)?;
+        let posting_total = r.u32()? as usize;
+        let postings_off = pos(&r);
+        r.take(posting_total * POSTING_LEN)?;
+        if !r.finished() {
             return Err(SnapshotError::Corrupt(format!(
+                "{} trailing byte(s) in `{}` section",
+                r.remaining(),
+                kind.name()
+            )));
+        }
+        Ok(Layout {
+            doc_count: doc_count as usize,
+            lengths_off,
+            term_count,
+            heap_off,
+            heap_len,
+            entries_off,
+            posting_total,
+            postings_off,
+        })
+    }
+}
+
+/// One record family's index: its family section (the id table, then the
+/// [`InvertedIndex::encode_into`] layout) plus the columns scoring reads
+/// per posting. Every accessor trusts the section, so bytes from outside
+/// reach a `Family` only through [`Family::open`]'s checks.
+#[derive(Debug)]
+pub(crate) struct Family {
+    kind: FamilyKind,
+    bytes: Vec<u8>,
+    layout: Layout,
+    /// `√max(len, 1)` per document: the TF-IDF normalizer.
+    norms: Vec<f64>,
+    /// Sum of the document lengths, so BM25's mean length is O(1).
+    total_tokens: u64,
+}
+
+impl Family {
+    /// Indexes `records` — `(search text, id)` in id order — with the
+    /// builder and encodes the result as this family's section.
+    pub(crate) fn build(
+        kind: FamilyKind,
+        records: impl Iterator<Item = (String, AttackVectorId)>,
+    ) -> Family {
+        let (texts, ids): (Vec<String>, Vec<AttackVectorId>) = records.unzip();
+        let mut bytes = Vec::new();
+        put_u32(&mut bytes, u32::try_from(ids.len()).expect("fits u32"));
+        for &id in &ids {
+            put_id(&mut bytes, id);
+        }
+        InvertedIndex::from_documents(&texts).encode_into(&mut bytes);
+        let layout = Layout::parse(kind, &bytes).expect("a built section tiles");
+        Family::with_columns(kind, bytes, layout)
+    }
+
+    /// Opens a family section from outside: the geometry of
+    /// [`Layout::parse`], then every check the geometry cannot make — the
+    /// term entries are contiguous, the dictionary is strictly sorted
+    /// valid UTF-8 that consumes the heap exactly, and each posting names
+    /// a document of this family with `1 <= tf <= len` (query-time
+    /// scoring takes `ln tf`).
+    pub(crate) fn open(kind: FamilyKind, bytes: Vec<u8>) -> Result<Family, SnapshotError> {
+        let layout = Layout::parse(kind, &bytes)?;
+        let family = Family::with_columns(kind, bytes, layout);
+        family.validate()?;
+        Ok(family)
+    }
+
+    /// Computes the per-document columns in one pass over the lengths.
+    fn with_columns(kind: FamilyKind, bytes: Vec<u8>, layout: Layout) -> Family {
+        let mut norms = Vec::with_capacity(layout.doc_count);
+        let mut total_tokens = 0;
+        for doc in 0..layout.doc_count {
+            let len = u32_at(&bytes, layout.lengths_off + doc * 4);
+            norms.push(length_norm(len));
+            total_tokens += u64::from(len);
+        }
+        Family {
+            kind,
+            bytes,
+            layout,
+            norms,
+            total_tokens,
+        }
+    }
+
+    fn validate(&self) -> Result<(), SnapshotError> {
+        let corrupt = |detail: String| Err(SnapshotError::Corrupt(detail));
+        let l = &self.layout;
+        let heap = &self.bytes[l.heap_off..l.heap_off + l.heap_len];
+        let (mut str_end, mut post_end) = (0, 0);
+        let mut prev: Option<&[u8]> = None;
+        for i in 0..l.term_count {
+            let [str_off, str_len, post_start, post_len] = self.entry(i);
+            if str_off != str_end || post_start != post_end {
+                return corrupt(format!(
+                    "term {i} entry is not contiguous with its predecessor"
+                ));
+            }
+            let Some(term) = heap.get(str_off..str_off + str_len) else {
+                return corrupt(format!("term {i} string overruns the heap"));
+            };
+            if core::str::from_utf8(term).is_err() {
+                return corrupt(format!("term {i} is not valid UTF-8"));
+            }
+            if prev.is_some_and(|prev| prev >= term) {
+                return corrupt(format!(
+                    "term dictionary is not strictly sorted at entry {i}"
+                ));
+            }
+            prev = Some(term);
+            str_end += str_len;
+            post_end += post_len;
+        }
+        if str_end != heap.len() {
+            return corrupt(format!(
                 "term heap holds {} byte(s) beyond the last term",
-                heap.len() - expected_str_off as usize
-            )));
+                heap.len() - str_end
+            ));
         }
-        let posting_total = r.u32()?;
-        if posting_total != expected_post_start {
-            return Err(SnapshotError::Corrupt(format!(
-                "posting arena declares {posting_total} entries but the terms span {expected_post_start}"
-            )));
+        if post_end != l.posting_total {
+            return corrupt(format!(
+                "posting arena declares {} entries but the terms span {post_end}",
+                l.posting_total
+            ));
         }
-        index.postings.reserve(post_lens.len());
-        for post_len in post_lens {
-            let mut postings = Vec::with_capacity(r.capacity_for(post_len, 8));
-            for _ in 0..post_len {
-                let doc = r.u32()?;
-                let tf = r.u32()?;
-                let Some(&len) = index.doc_lengths.get(doc as usize) else {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "posting references document {doc} of {doc_count}"
-                    )));
-                };
-                if tf == 0 || tf > len {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "posting tf {tf} is outside 1..={len} for document {doc}"
-                    )));
-                }
-                postings.push(Posting {
-                    doc: DocId(doc),
-                    tf,
-                });
+        let arena = &self.bytes[l.postings_off..l.postings_off + l.posting_total * POSTING_LEN];
+        for p in arena.chunks_exact(POSTING_LEN) {
+            let (doc, tf) = (u32_at(p, 0), u32_at(p, 4));
+            if doc as usize >= l.doc_count {
+                return corrupt(format!(
+                    "posting references document {doc} of {}",
+                    l.doc_count
+                ));
             }
-            index.postings.push(postings);
+            let len = self.doc_len(doc as usize);
+            if tf == 0 || tf > len {
+                return corrupt(format!(
+                    "posting tf {tf} is outside 1..={len} for document {doc}"
+                ));
+            }
         }
-        Ok(index)
-    }
-}
-
-/// Abstraction over term-postings storage the query engine scores against:
-/// either an owned [`InvertedIndex`] or a zero-copy
-/// [`crate::view::IndexView`] reading a snapshot byte image in place. Both
-/// yield the same postings in the same order and the same per-document
-/// lengths, and both are scored by [`crate::score::TermScorer`], which is
-/// what makes view queries byte-identical to owned queries.
-pub(crate) trait TermLookup {
-    /// Iterator over one term's postings, in stored (doc-ascending) order.
-    type PostingIter<'a>: Iterator<Item = Posting>
-    where
-        Self: 'a;
-
-    /// Number of documents in the family (sizes the dense scratch table).
-    fn doc_count(&self) -> usize;
-
-    /// Mean document length (BM25's `avg`), in O(1).
-    fn avg_len(&self) -> f64;
-
-    /// Token count of a document yielded by this lookup's postings.
-    fn doc_len(&self, doc: DocId) -> u32;
-
-    /// TF-IDF normalizer `√max(len, 1)` of a document.
-    fn len_norm(&self, doc: DocId) -> f64 {
-        length_norm(self.doc_len(doc))
+        Ok(())
     }
 
-    /// Resolves one query term to its document frequency and posting
-    /// iterator, or `None` for unknown terms.
-    fn lookup(&self, term: &str) -> Option<(usize, Self::PostingIter<'_>)>;
-}
-
-impl TermLookup for InvertedIndex {
-    type PostingIter<'a> = std::iter::Copied<std::slice::Iter<'a, Posting>>;
-
-    fn doc_count(&self) -> usize {
-        self.len()
+    /// Term entry `i` as `[str_off, str_len, post_start, post_len]`.
+    fn entry(&self, i: usize) -> [usize; 4] {
+        let at = self.layout.entries_off + i * TERM_ENTRY_LEN;
+        [0, 4, 8, 12].map(|field| u32_at(&self.bytes, at + field) as usize)
     }
 
-    fn avg_len(&self) -> f64 {
-        self.average_document_length()
+    /// The text of term `i`.
+    fn term(&self, i: usize) -> &[u8] {
+        let at = self.layout.entries_off + i * TERM_ENTRY_LEN;
+        let (str_off, str_len) = u32_pair_at(&self.bytes, at);
+        &self.bytes[self.layout.heap_off + str_off as usize..][..str_len as usize]
     }
 
-    fn doc_len(&self, doc: DocId) -> u32 {
-        self.doc_lengths[doc.index()]
+    /// The postings of term `i`, as raw `{doc, tf}` records.
+    fn posting_bytes(&self, i: usize) -> &[u8] {
+        let [.., post_start, post_len] = self.entry(i);
+        &self.bytes[self.layout.postings_off + post_start * POSTING_LEN..][..post_len * POSTING_LEN]
     }
 
-    fn len_norm(&self, doc: DocId) -> f64 {
-        self.len_norms[doc.index()]
+    /// The postings of `term` as `(doc, tf)`, doc-ascending, found by
+    /// binary search on the sorted dictionary; `None` if no document
+    /// holds it. Byte order equals `str` order, the order the builder
+    /// sorted by.
+    pub(crate) fn postings(
+        &self,
+        term: &str,
+    ) -> Option<impl ExactSizeIterator<Item = (usize, u32)> + '_> {
+        let (mut lo, mut hi) = (0, self.layout.term_count);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.term(mid).cmp(term.as_bytes()) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => {
+                    return Some(self.posting_bytes(mid).chunks_exact(POSTING_LEN).map(|p| {
+                        let (doc, tf) = u32_pair_at(p, 0);
+                        (doc as usize, tf)
+                    }));
+                }
+            }
+        }
+        None
     }
 
-    fn lookup(&self, term: &str) -> Option<(usize, Self::PostingIter<'_>)> {
-        let postings = &self.postings[*self.term_ids.get(term)? as usize];
-        Some((postings.len(), postings.iter().copied()))
+    /// The section name, as errors report it.
+    pub(crate) fn name(&self) -> &'static str {
+        self.kind.name()
+    }
+
+    /// Number of documents.
+    pub(crate) fn doc_count(&self) -> usize {
+        self.layout.doc_count
+    }
+
+    /// Token count of document `doc`.
+    pub(crate) fn doc_len(&self, doc: usize) -> u32 {
+        u32_at(&self.bytes, self.layout.lengths_off + doc * 4)
+    }
+
+    /// `√max(len, 1)` of document `doc`.
+    pub(crate) fn norm(&self, doc: usize) -> f64 {
+        self.norms[doc]
+    }
+
+    /// Mean document length (BM25's `avg`).
+    pub(crate) fn avg_len(&self) -> f64 {
+        average_length(self.total_tokens, self.doc_count())
+    }
+
+    /// The record id of document `doc`.
+    pub(crate) fn id(&self, doc: usize) -> AttackVectorId {
+        let at = 4 + doc * self.kind.id_len();
+        match self.kind {
+            FamilyKind::Patterns => CapecId::new(u32_at(&self.bytes, at)).into(),
+            FamilyKind::Weaknesses => CweId::new(u32_at(&self.bytes, at)).into(),
+            FamilyKind::Vulnerabilities => {
+                let year = u16::from_le_bytes([self.bytes[at], self.bytes[at + 1]]);
+                CveId::new(year, u32_at(&self.bytes, at + 2)).into()
+            }
+        }
+    }
+
+    /// The section bytes, exactly as a snapshot stores them.
+    pub(crate) fn section(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Appends `batch`'s documents after this family's, as documents
+    /// `doc_count()..`, in one pass over the two sections: ids and lengths
+    /// concatenate, the two sorted dictionaries are walked in lockstep,
+    /// and each term of the union keeps this family's postings followed by
+    /// the batch's, doc ids shifted. Postings stay doc-ascending, so the
+    /// result is byte-identical to building the concatenated documents
+    /// from scratch.
+    pub(crate) fn merge(&self, batch: &Family) -> Family {
+        let (a, b) = (&self.layout, &batch.layout);
+        let shift = a.doc_count as u32;
+        let doc_count = u32::try_from(a.doc_count + b.doc_count).expect("doc count fits u32");
+        // The union dictionary in order: the term's index on each side.
+        let mut terms: Vec<(Option<usize>, Option<usize>)> =
+            Vec::with_capacity(a.term_count + b.term_count);
+        let (mut i, mut j) = (0, 0);
+        while i < a.term_count || j < b.term_count {
+            let order = match (i < a.term_count, j < b.term_count) {
+                (true, true) => self.term(i).cmp(batch.term(j)),
+                (true, false) => std::cmp::Ordering::Less,
+                _ => std::cmp::Ordering::Greater,
+            };
+            terms.push((order.is_le().then_some(i), order.is_ge().then_some(j)));
+            i += usize::from(order.is_le());
+            j += usize::from(order.is_ge());
+        }
+        let text = |&(i, j): &(Option<usize>, Option<usize>)| match i {
+            Some(i) => self.term(i),
+            None => batch.term(j.expect("a union term is on one side")),
+        };
+        let post_len = |&(i, j): &(Option<usize>, Option<usize>)| {
+            i.map_or(0, |i| self.entry(i)[3]) + j.map_or(0, |j| batch.entry(j)[3])
+        };
+
+        let mut out = Vec::with_capacity(self.bytes.len() + batch.bytes.len());
+        put_u32(&mut out, doc_count);
+        out.extend_from_slice(&self.bytes[4..a.lengths_off - 4]);
+        out.extend_from_slice(&batch.bytes[4..b.lengths_off - 4]);
+        put_u32(&mut out, doc_count);
+        out.extend_from_slice(&self.bytes[a.lengths_off..a.heap_off - 8]);
+        out.extend_from_slice(&batch.bytes[b.lengths_off..b.heap_off - 8]);
+        put_u32(&mut out, terms.len() as u32);
+        let heap_len: usize = terms.iter().map(|t| text(t).len()).sum();
+        put_u32(
+            &mut out,
+            u32::try_from(heap_len).expect("term heap fits u32"),
+        );
+        for t in &terms {
+            out.extend_from_slice(text(t));
+        }
+        let (mut str_off, mut post_start) = (0, 0);
+        for t in &terms {
+            let (str_len, post_len) = (text(t).len(), post_len(t));
+            for field in [str_off, str_len, post_start, post_len] {
+                put_u32(
+                    &mut out,
+                    u32::try_from(field).expect("section offsets fit u32"),
+                );
+            }
+            str_off += str_len;
+            post_start += post_len;
+        }
+        put_u32(
+            &mut out,
+            u32::try_from(post_start).expect("posting count fits u32"),
+        );
+        for &(i, j) in &terms {
+            if let Some(i) = i {
+                out.extend_from_slice(self.posting_bytes(i));
+            }
+            for p in j
+                .map_or(&[][..], |j| batch.posting_bytes(j))
+                .chunks_exact(POSTING_LEN)
+            {
+                put_u32(&mut out, u32_at(p, 0) + shift);
+                out.extend_from_slice(&p[4..]);
+            }
+        }
+        let layout = Layout::parse(self.kind, &out).expect("a merged section tiles");
+        let mut norms = Vec::with_capacity(layout.doc_count);
+        norms.extend_from_slice(&self.norms);
+        norms.extend_from_slice(&batch.norms);
+        Family {
+            kind: self.kind,
+            bytes: out,
+            layout,
+            norms,
+            total_tokens: self.total_tokens + batch.total_tokens,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::score::{ScoringModel, TermScorer};
+    use crate::score::{idf, ScoringModel, TermScorer};
     use proptest::prelude::*;
 
-    fn sample() -> InvertedIndex {
-        let mut idx = InvertedIndex::new();
-        idx.add_document("buffer overflow in the kernel network stack");
-        idx.add_document("kernel race condition");
-        idx.add_document("cross site scripting in the web interface");
-        idx
+    /// A family over `docs`, document `i` carrying CWE id `i`.
+    fn family(docs: &[&str]) -> Family {
+        Family::build(
+            FamilyKind::Weaknesses,
+            docs.iter()
+                .enumerate()
+                .map(|(i, doc)| ((*doc).to_owned(), CweId::new(i as u32).into())),
+        )
+    }
+
+    fn sample() -> Family {
+        family(&[
+            "buffer overflow in the kernel network stack",
+            "kernel race condition",
+            "cross site scripting in the web interface",
+        ])
+    }
+
+    fn df(family: &Family, term: &str) -> usize {
+        family.postings(term).map_or(0, |p| p.len())
     }
 
     /// `(doc, weight, idf)` for every posting of `term` under `model`,
     /// scored exactly as the query engine scores them.
-    fn weights(idx: &InvertedIndex, term: &str, model: ScoringModel) -> Vec<(DocId, f64, f64)> {
-        let Some((df, postings)) = idx.lookup(term) else {
+    fn weights(family: &Family, term: &str, model: ScoringModel) -> Vec<(usize, f64, f64)> {
+        let Some(postings) = family.postings(term) else {
             return Vec::new();
         };
-        let scorer = TermScorer::new(model, idx.doc_count(), df, idx.avg_len());
+        let scorer = TermScorer::new(model, family.doc_count(), postings.len(), family.avg_len());
         postings
-            .map(|p| (p.doc, scorer.weight(idx, p.doc, p.tf), scorer.idf))
+            .map(|(doc, tf)| (doc, scorer.weight(family, doc, tf), scorer.idf))
             .collect()
     }
 
@@ -546,42 +786,46 @@ mod tests {
         idx.add_document("kernel kernel kernel");
         idx.add_document("kernel");
         assert_eq!(idx.document_frequency("kernel"), 2);
+        assert_eq!(
+            df(&family(&["kernel kernel kernel", "kernel"]), "kernel"),
+            2
+        );
     }
 
     #[test]
     fn idf_orders_rare_above_common() {
-        let idx = sample();
-        assert!(idx.idf("overflow") > idx.idf("kernel"));
-        assert_eq!(idx.idf("ghost"), 0.0);
+        let fam = sample();
+        let idf = |term| idf(fam.doc_count(), df(&fam, term));
+        assert!(idf("overflow") > idf("kernel"));
+        assert_eq!(idf("ghost"), 0.0);
     }
 
     #[test]
     fn documents_are_normalized_terms_are_verbatim() {
-        let idx = sample();
+        let fam = sample();
         // Documents were stemmed: "scripting" → "script".
-        assert_eq!(idx.document_frequency("script"), 1);
-        assert_eq!(idx.document_frequency("scripting"), 0);
+        assert_eq!(df(&fam, "script"), 1);
+        assert_eq!(df(&fam, "scripting"), 0);
     }
 
     #[test]
     fn term_matches_weight_repeats_sublinearly() {
-        let mut idx = InvertedIndex::new();
-        idx.add_document("kernel kernel");
-        idx.add_document("other text entirely");
-        let matches = weights(&idx, "kernel", ScoringModel::TfIdf);
+        let fam = family(&["kernel kernel", "other text entirely"]);
+        let matches = weights(&fam, "kernel", ScoringModel::TfIdf);
         assert_eq!(matches.len(), 1);
         // Normalized weight: (1 + ln 2) * idf / sqrt(2).
-        let expected = (1.0 + 2.0f64.ln()) * idx.idf("kernel") / 2.0f64.sqrt();
+        let expected = (1.0 + 2.0f64.ln()) * 2.0f64.ln() / 2.0f64.sqrt();
         assert!((matches[0].1 - expected).abs() < 1e-12);
     }
 
     #[test]
     fn bm25_weights_saturate_with_term_frequency() {
-        let mut idx = InvertedIndex::new();
-        idx.add_document("kernel");
-        idx.add_document("kernel kernel kernel kernel kernel");
-        idx.add_document("other words here");
-        let matches = weights(&idx, "kernel", ScoringModel::Bm25);
+        let fam = family(&[
+            "kernel",
+            "kernel kernel kernel kernel kernel",
+            "other words here",
+        ]);
+        let matches = weights(&fam, "kernel", ScoringModel::Bm25);
         assert_eq!(matches.len(), 2);
         // Five occurrences score better than one, but far less than 5x.
         assert!(matches[1].1 > matches[0].1);
@@ -590,9 +834,9 @@ mod tests {
 
     #[test]
     fn bm25_idf_differs_from_tfidf_but_reported_idf_is_shared() {
-        let idx = sample();
-        let tfidf = weights(&idx, "kernel", ScoringModel::TfIdf);
-        let bm25 = weights(&idx, "kernel", ScoringModel::Bm25);
+        let fam = sample();
+        let tfidf = weights(&fam, "kernel", ScoringModel::TfIdf);
+        let bm25 = weights(&fam, "kernel", ScoringModel::Bm25);
         assert_eq!(tfidf.len(), bm25.len());
         for (a, b) in tfidf.iter().zip(bm25.iter()) {
             assert_eq!(a.2, b.2, "hit criteria must be model-independent");
@@ -604,66 +848,80 @@ mod tests {
     fn query_time_weights_are_the_documented_expressions_bit_for_bit() {
         // Long documents and repeated terms exercise both the ln table
         // (tf < 32) and its fallback (tf >= 32).
-        let mut idx = sample();
-        idx.add_document(&"kernel ".repeat(40));
-        idx.add_document("kernel kernel panic");
-        let n = idx.len() as f64;
-        let avg = idx.average_document_length();
-        let df = idx.document_frequency("kernel") as f64;
+        let long = "kernel ".repeat(40);
+        let fam = family(&[
+            "buffer overflow in the kernel network stack",
+            "kernel race condition",
+            "cross site scripting in the web interface",
+            &long,
+            "kernel kernel panic",
+        ]);
+        let n = fam.doc_count() as f64;
+        let avg = fam.avg_len();
+        let df = df(&fam, "kernel") as f64;
         let idf = (n / df).ln();
         let bm25_idf = ((n - df + 0.5) / (df + 0.5) + 1.0).ln();
-        let (_, postings) = idx.lookup("kernel").expect("indexed");
-        let postings: Vec<Posting> = postings.collect();
-        let tfidf = weights(&idx, "kernel", ScoringModel::TfIdf);
-        let bm25 = weights(&idx, "kernel", ScoringModel::Bm25);
-        assert!(postings.iter().any(|p| p.tf >= 32));
-        for ((p, t), b) in postings.iter().zip(&tfidf).zip(&bm25) {
-            let (tf, len) = (f64::from(p.tf), f64::from(idx.doc_lengths[p.doc.index()]));
+        let postings: Vec<(usize, u32)> = fam.postings("kernel").expect("indexed").collect();
+        let tfidf = weights(&fam, "kernel", ScoringModel::TfIdf);
+        let bm25 = weights(&fam, "kernel", ScoringModel::Bm25);
+        assert!(postings.iter().any(|&(_, tf)| tf >= 32));
+        for ((&(doc, tf), t), b) in postings.iter().zip(&tfidf).zip(&bm25) {
+            let (tf, len) = (f64::from(tf), f64::from(fam.doc_len(doc)));
             let tfidf_bits = ((1.0 + tf.ln()) * idf / len.max(1.0).sqrt()).to_bits();
             let saturation = tf * (1.2 + 1.0) / (tf + 1.2 * (1.0 - 0.75 + 0.75 * len / avg));
             let expected = (tfidf_bits, (bm25_idf * saturation).to_bits(), idf.to_bits());
             let got = (t.1.to_bits(), b.1.to_bits(), t.2.to_bits());
-            assert_eq!(got, expected, "tf={}", p.tf);
+            assert_eq!(got, expected, "tf={tf}");
         }
     }
 
     #[test]
-    fn average_length_is_safe_on_empty_index() {
-        assert_eq!(InvertedIndex::new().average_document_length(), 1.0);
-        let mut idx = InvertedIndex::new();
-        idx.add_document("two words");
-        idx.add_document("four words right here"); // "right"/"here" kept, 4 tokens
-        assert_eq!(idx.average_document_length(), 3.0);
+    fn average_length_is_safe_on_empty_family() {
+        assert_eq!(family(&[]).avg_len(), 1.0);
+        // "right"/"here" are kept, so the second document has 4 tokens.
+        assert_eq!(
+            family(&["two words", "four words right here"]).avg_len(),
+            3.0
+        );
     }
 
     #[test]
-    fn lengths_track_token_counts() {
-        let idx = sample();
-        assert_eq!(idx.document_length(DocId(1)), 3);
-        assert_eq!(idx.document_length(DocId(99)), 0);
+    fn columns_track_token_counts_and_ids() {
+        let fam = sample();
+        assert_eq!(fam.doc_len(1), 3);
+        assert_eq!(fam.norm(1).to_bits(), 3.0f64.sqrt().to_bits());
+        assert_eq!(fam.id(2), CweId::new(2).into());
+        let cves = Family::build(
+            FamilyKind::Vulnerabilities,
+            [("kernel".to_owned(), CveId::new(2021, 7).into())].into_iter(),
+        );
+        assert_eq!(cves.id(0), CveId::new(2021, 7).into());
     }
 
     #[test]
-    fn empty_index_is_well_behaved() {
-        let idx = InvertedIndex::new();
-        assert!(idx.is_empty());
-        assert_eq!(idx.idf("anything"), 0.0);
-        assert!(weights(&idx, "anything", ScoringModel::TfIdf).is_empty());
-        assert!(weights(&idx, "anything", ScoringModel::Bm25).is_empty());
+    fn empty_family_is_well_behaved() {
+        let fam = family(&[]);
+        assert_eq!(fam.doc_count(), 0);
+        assert!(fam.postings("anything").is_none());
+        assert!(weights(&fam, "anything", ScoringModel::TfIdf).is_empty());
+        assert!(weights(&fam, "anything", ScoringModel::Bm25).is_empty());
     }
 
     #[test]
-    fn weights_follow_the_document_count_as_documents_are_added() {
-        let mut idx = InvertedIndex::new();
-        idx.add_document("kernel overflow");
-        let before = weights(&idx, "kernel", ScoringModel::TfIdf)[0].2;
-        idx.add_document("kernel panic");
-        idx.add_document("web interface");
-        let after = weights(&idx, "kernel", ScoringModel::TfIdf);
+    fn weights_follow_the_document_count_as_documents_are_merged() {
+        let base = family(&["kernel overflow"]);
+        let before = weights(&base, "kernel", ScoringModel::TfIdf)[0].2;
+        let grown = base.merge(&family(&["kernel panic", "web interface"]));
+        let after = weights(&grown, "kernel", ScoringModel::TfIdf);
         // df went 1/1 → 2/3: the idf follows N with nothing to invalidate.
         assert!(before.abs() < 1e-12, "idf of the only doc's term is ln(1)");
         assert!((after[0].2 - (3.0f64 / 2.0).ln()).abs() < 1e-12);
         assert_eq!(after.len(), 2);
+        assert_eq!(
+            grown.id(2),
+            CweId::new(1).into(),
+            "batch ids keep their values"
+        );
     }
 
     #[test]
@@ -682,12 +940,6 @@ mod tests {
             let sharded = encode(&InvertedIndex::from_documents_sharded(&docs, shards));
             assert_eq!(sequential, sharded, "{shards} shards diverged");
         }
-        let sharded = InvertedIndex::from_documents_sharded(&docs, 4);
-        let sequential = InvertedIndex::from_documents_sharded(&docs, 1);
-        assert_eq!(
-            sharded.average_document_length(),
-            sequential.average_document_length()
-        );
     }
 
     /// Raw words that trap a memo keyed on raw text: `Σ` lowercases
@@ -706,9 +958,11 @@ mod tests {
 
     proptest! {
         /// The memoized build at 1–4 shards is the same index as adding
-        /// the documents one by one: identical term ids and encoding.
+        /// the documents one by one: identical term ids and encoding. And
+        /// merging the families of any split of the documents gives the
+        /// section of the whole.
         #[test]
-        fn memoized_build_matches_per_document_add(
+        fn memoized_build_and_merge_match_per_document_add(
             docs in prop::collection::vec(
                 prop::collection::vec(
                     (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
@@ -716,6 +970,7 @@ mod tests {
                 ),
                 1..24,
             ),
+            split in any::<prop::sample::Index>(),
         ) {
             let texts: Vec<String> = docs
                 .iter()
@@ -739,87 +994,70 @@ mod tests {
                 prop_assert_eq!(&built.doc_lengths, &sequential.doc_lengths);
                 prop_assert_eq!(encode(&built), encode(&sequential));
             }
+            let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+            let (head, tail) = refs.split_at(split.index(refs.len() + 1));
+            let merged = family(head).merge(&family(tail).with_ids_from(head.len()));
+            prop_assert_eq!(merged.section(), family(&refs).section());
+        }
+    }
+
+    impl Family {
+        /// This family with document `i` carrying CWE id `first + i`.
+        fn with_ids_from(&self, first: usize) -> Family {
+            let mut bytes = self.bytes.clone();
+            for doc in 0..self.doc_count() {
+                let at = 4 + doc * 4;
+                bytes[at..at + 4].copy_from_slice(&((first + doc) as u32).to_le_bytes());
+            }
+            Family::open(self.kind, bytes).expect("ids are not validated")
         }
     }
 
     #[test]
-    fn decode_is_a_fixpoint_with_bit_identical_weights() {
-        let idx = sample();
-        let bytes = encode(&idx);
-        let mut r = Reader::new(&bytes);
-        let thawed = InvertedIndex::decode(&mut r).expect("decode");
-        assert!(r.finished(), "decode must consume the payload exactly");
-        assert_eq!(
-            bytes,
-            encode(&thawed),
-            "decode → encode must be the identity"
-        );
-        let bits = |index: &InvertedIndex, model| {
-            let matches = weights(index, "kernel", model);
-            matches
-                .iter()
-                .map(|m| (m.0, m.1.to_bits(), m.2.to_bits()))
-                .collect::<Vec<_>>()
-        };
+    fn open_is_a_fixpoint_with_bit_identical_weights() {
+        let built = sample();
+        let opened = Family::open(built.kind, built.section().to_vec()).expect("open");
+        assert_eq!(built.section(), opened.section());
         for model in ScoringModel::ALL {
-            assert_eq!(bits(&idx, model), bits(&thawed, model), "{model}");
+            let bits = |fam: &Family| {
+                weights(fam, "kernel", model)
+                    .iter()
+                    .map(|m| (m.0, m.1.to_bits(), m.2.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&built), bits(&opened), "{model}");
         }
-        // The thawed index stays appendable.
-        let mut grown = thawed;
-        grown.add_document("kernel regression");
-        assert_eq!(grown.document_frequency("kernel"), 3);
     }
 
     #[test]
-    fn decode_rejects_dangling_doc_reference() {
-        let idx = sample();
-        let bytes = encode(&idx);
-        // The first posting sits right after the doc-length table, term
-        // heap, 16-byte entry table, and posting_total word.
-        let mut r = Reader::new(&bytes);
-        let doc_count = r.u32().unwrap();
-        for _ in 0..doc_count {
-            r.u32().unwrap();
-        }
-        let term_count = r.u32().unwrap();
-        let heap_len = r.u32().unwrap();
-        r.take(heap_len as usize).unwrap();
-        r.take(term_count as usize * 16).unwrap();
-        let posting_total = r.u32().unwrap();
-        assert!(posting_total > 0);
-        let pos = bytes.len() - r.remaining();
-        // A dangling doc id, a zero tf (it would feed `ln 0`), and a tf
-        // larger than its document are each rejected with one line.
-        for (offset, value) in [(0, u32::MAX), (4, 0), (4, 1_000)] {
+    fn merge_onto_or_of_an_empty_family_is_the_identity() {
+        let fam = sample();
+        assert_eq!(fam.merge(&family(&[])).section(), fam.section());
+        assert_eq!(family(&[]).merge(&fam).section(), fam.section());
+    }
+
+    #[test]
+    fn open_rejects_semantic_corruption_with_one_line_errors() {
+        let bytes = sample().section().to_vec();
+        let layout = Layout::parse(FamilyKind::Weaknesses, &bytes).unwrap();
+        let (posting, entry, heap) = (layout.postings_off, layout.entries_off, layout.heap_off);
+        // A dangling doc id, a zero tf (it would feed `ln 0`), a tf larger
+        // than its document, a non-contiguous entry, a first term that is
+        // not UTF-8 or sorts after the second are each rejected with one
+        // line.
+        for (at, value, expect) in [
+            (posting, u32::MAX, "references document"),
+            (posting + 4, 0, "tf 0 is outside"),
+            (posting + 4, 1_000, "tf 1000 is outside"),
+            (entry + TERM_ENTRY_LEN, 0, "not contiguous"),
+            (heap, u32::MAX, "not valid UTF-8"),
+            (heap, u32::from_le_bytes(*b"zzzz"), "not strictly sorted"),
+        ] {
             let mut corrupt = bytes.clone();
-            corrupt[pos + offset..pos + offset + 4].copy_from_slice(&value.to_le_bytes());
-            let err = InvertedIndex::decode(&mut Reader::new(&corrupt)).unwrap_err();
-            assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+            corrupt[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            let err = Family::open(FamilyKind::Weaknesses, corrupt).unwrap_err();
+            assert!(err.to_string().contains(expect), "{err}");
             assert!(!err.to_string().contains('\n'), "{err}");
         }
-    }
-
-    #[test]
-    fn append_documents_matches_add_document() {
-        let texts = [
-            "kernel overflow kernel panic in routing daemon",
-            "Kernel PANIC: routing daemons overflowed",
-        ];
-        let mut grown = sample();
-        for text in texts {
-            grown.add_document(text);
-        }
-        let mut appended = sample();
-        appended.append_documents(&texts);
-        assert_eq!(
-            encode(&grown),
-            encode(&appended),
-            "memoized append must be byte-identical"
-        );
-        assert_eq!(grown.term_ids, appended.term_ids);
-        assert_eq!(
-            grown.average_document_length(),
-            appended.average_document_length()
-        );
     }
 }

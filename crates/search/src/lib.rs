@@ -45,6 +45,6 @@ pub use chains::{chains_for_weakness, exploit_chains, ExploitChain};
 pub use delta::{apply_delta, build as build_delta, compact_verified, inspect_delta, DeltaInfo};
 pub use engine::{Hit, MatchConfig, MatchSet, QueryScratch, SearchEngine};
 pub use filter::{Filter, FilterPipeline};
-pub use index::{DocId, InvertedIndex};
+pub use index::InvertedIndex;
 pub use score::{expand_query, ScoringModel, UnknownScoringModel};
-pub use view::{CorpusView, SnapshotView, ViewEngine};
+pub use view::{CorpusView, SnapshotView};

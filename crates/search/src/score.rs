@@ -9,14 +9,14 @@
 //! Weights are computed at query time from what the index stores — term
 //! frequency, document length, document frequency, document count and the
 //! mean length — by [`TermScorer::weight`], the one place either formula
-//! is written down. Owned indices and snapshot views both score through
-//! it, so their score bits agree by construction.
+//! is written down. A built family and one opened from a snapshot hold
+//! the same columns, so their score bits agree by construction.
 
 use core::fmt;
 use core::str::FromStr;
 use std::sync::OnceLock;
 
-use crate::index::{DocId, TermLookup};
+use crate::index::Family;
 
 /// The lexical ranking function used for hit scores.
 ///
@@ -103,7 +103,7 @@ pub(crate) fn idf(doc_count: usize, df: usize) -> f64 {
 }
 
 /// TF-IDF length normalizer `√max(len, 1)`. It does not depend on the
-/// corpus size, so an owned index keeps it as a per-document column that
+/// corpus size, so a family keeps it as a per-document column that
 /// appends never recompute.
 pub(crate) fn length_norm(len: u32) -> f64 {
     f64::from(len).max(1.0).sqrt()
@@ -144,12 +144,13 @@ impl TermScorer {
         }
     }
 
-    /// The weight of one posting (`tf` occurrences in `doc`):
+    /// The weight of one posting (`tf` occurrences in document `doc` of
+    /// `family`):
     ///
     /// * TF-IDF: `(1 + ln tf) · idf / √max(len, 1)`
     /// * BM25: `bm25_idf · tf(k1 + 1) / (tf + k1(1 − b + b·len/avg))`
     #[inline]
-    pub(crate) fn weight<L: TermLookup>(&self, index: &L, doc: DocId, tf: u32) -> f64 {
+    pub(crate) fn weight(&self, family: &Family, doc: usize, tf: u32) -> f64 {
         match self.model {
             ScoringModel::TfIdf => {
                 let log_tf = self
@@ -157,11 +158,11 @@ impl TermScorer {
                     .get(tf as usize)
                     .copied()
                     .unwrap_or_else(|| 1.0 + f64::from(tf).ln());
-                log_tf * self.idf / index.len_norm(doc)
+                log_tf * self.idf / family.norm(doc)
             }
             ScoringModel::Bm25 => {
                 let tf = f64::from(tf);
-                let len = f64::from(index.doc_len(doc));
+                let len = f64::from(family.doc_len(doc));
                 self.bm25_idf
                     * (tf * (BM25_K1 + 1.0)
                         / (tf + BM25_K1 * (1.0 - BM25_B + BM25_B * len / self.avg)))

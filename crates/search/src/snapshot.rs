@@ -6,11 +6,11 @@
 //! postings plus per-document token counts — land in one file behind a
 //! section table, and [`decode`] restores a [`SearchEngine`] whose scores
 //! are bit-identical to one built from the original corpus. No weight is
-//! stored: both readers compute them at query time from the same columns
-//! with the same function. Every section is offset-based and
-//! self-describing, so [`crate::view::SnapshotView`] can serve queries
-//! straight from the mapped bytes after *O(header)* validation, without
-//! decoding anything into owned memory.
+//! stored: scoring computes them at query time from the stored columns.
+//! An engine's in-memory index *is* its family sections, so encoding
+//! copies them and decoding validates and copies them back. Every section
+//! is offset-based and self-describing, so [`crate::view::SnapshotView`]
+//! can validate a mapped image in *O(header)* without decoding anything.
 //!
 //! # Layout (format version 3)
 //!
@@ -27,7 +27,7 @@
 //! per-record byte offsets, concatenated records in id order), `2`/`3`/`4`
 //! the pattern / weakness / vulnerability family (id table + columnar
 //! inverted index with 16-byte term entries and 8-byte `{doc, tf}`
-//! postings, see [`InvertedIndex`] wire docs). Offsets are absolute
+//! postings, see the `InvertedIndex` wire docs). Offsets are absolute
 //! and rounded up to 8-byte boundaries (zero padding between sections);
 //! each checksum is word-folded FNV ([`cpssec_model::fnv1a_64_wide`]) over
 //! the section payload. `snapshot_id` is the same FNV over the serialized
@@ -35,23 +35,23 @@
 //! its payload checksum), doubles as the header's own integrity check, and
 //! anchors the `.cpsdelta` parent chain ([`crate::delta`]).
 //!
-//! Two read paths share this layout. [`decode`] verifies every payload
-//! checksum and materializes owned types. [`crate::view::open`] validates
-//! the header and section geometry in *O(header)* and reads in place; the
-//! deep payload checksums move to [`crate::view::open_verified`] or stay
-//! with [`verify`]. Compatibility is strict: readers reject any version
+//! Two read paths share this layout and its one index validator. [`decode`]
+//! verifies every payload checksum, decodes the corpus and opens the
+//! engine. [`crate::view::open`] validates the header and section geometry
+//! in *O(header)* and reads in place; the deep payload checksums move to
+//! [`crate::view::open_verified`] or stay with [`verify`], and
+//! [`SearchEngine::from_view`] opens the engine. Compatibility is strict: readers reject any version
 //! they were not built for — a snapshot is a cache artifact, regenerable
 //! from the corpus, never an archival format.
 
 use cpssec_attackdb::snapshot as record_wire;
 use cpssec_attackdb::snapshot::{put_u16, put_u32, put_u64, Reader};
-use cpssec_attackdb::{CapecId, Corpus, CveId, CweId};
+use cpssec_attackdb::Corpus;
 use cpssec_model::fnv1a_64_wide;
 
 pub use cpssec_attackdb::snapshot::SnapshotError;
 
-use crate::engine::{Family, MatchConfig};
-use crate::index::InvertedIndex;
+use crate::engine::MatchConfig;
 use crate::SearchEngine;
 
 /// The six magic bytes every `.cpsnap` file starts with.
@@ -67,6 +67,8 @@ pub(crate) const SEC_CORPUS: u16 = 1;
 pub(crate) const SEC_PATTERNS: u16 = 2;
 pub(crate) const SEC_WEAKNESSES: u16 = 3;
 pub(crate) const SEC_VULNERABILITIES: u16 = 4;
+/// The family sections, in the engine's family order.
+pub(crate) const FAMILY_SECTIONS: [u16; 3] = [SEC_PATTERNS, SEC_WEAKNESSES, SEC_VULNERABILITIES];
 /// Section order in every written snapshot.
 const SECTION_IDS: [u16; 4] = [
     SEC_CORPUS,
@@ -211,7 +213,7 @@ fn decode_family_records<T>(
 /// map's nodes are allocated back to back instead of between the records'
 /// strings. Random lookups on the thawed corpus are measurably faster
 /// that way, and a delta-grown corpus keeps its thawed base for life.
-fn decode_corpus_section(payload: &[u8]) -> Result<Corpus, SnapshotError> {
+pub(crate) fn decode_corpus_section(payload: &[u8]) -> Result<Corpus, SnapshotError> {
     let corrupt = |e: cpssec_attackdb::AttackDbError| SnapshotError::Corrupt(e.to_string());
     let mut corpus = Corpus::new();
     let mut r = Reader::new(payload);
@@ -235,19 +237,8 @@ fn decode_corpus_section(payload: &[u8]) -> Result<Corpus, SnapshotError> {
     Ok(corpus)
 }
 
-/// One family section payload: the id table, then the index.
-fn encode_family<I>(family: &Family<I>, put_id: impl Fn(&mut Vec<u8>, &I)) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u32(&mut out, u32::try_from(family.ids.len()).expect("fits u32"));
-    for id in &family.ids {
-        put_id(&mut out, id);
-    }
-    family.index.encode_into(&mut out);
-    out
-}
-
 /// Serializes `corpus` and `engine` into a `.cpsnap` byte image: the
-/// engine's [`family_sections`], then [`assemble`] with the corpus.
+/// corpus section, then the engine's three family sections as they are.
 ///
 /// The engine must have been built over `corpus` — the id tables are
 /// validated against the corpus on decode. Output is deterministic: the
@@ -258,40 +249,21 @@ fn encode_family<I>(family: &Family<I>, put_id: impl Fn(&mut Vec<u8>, &I)) -> Ve
 ///
 /// # Panics
 ///
-/// Panics if a section exceeds `u64::MAX` bytes or a family holds more
-/// than `u32::MAX` records — unreachable for any corpus that fits memory.
+/// Panics if a corpus family holds more than `u32::MAX` records or bytes
+/// of records — unreachable for any corpus that fits memory.
 #[must_use]
 pub fn encode(corpus: &Corpus, engine: &SearchEngine) -> Vec<u8> {
     let _span = cpssec_obs::span!("snapshot-encode");
-    assemble(corpus, family_sections(engine))
-}
-
-/// The engine's three family section payloads (patterns, weaknesses,
-/// vulnerabilities) — everything in a snapshot that depends on the engine
-/// rather than the corpus.
-pub(crate) fn family_sections(engine: &SearchEngine) -> [Vec<u8>; 3] {
-    let (patterns, weaknesses, vulnerabilities) = engine.parts();
-    [
-        encode_family(patterns, |out, id| put_u32(out, id.number())),
-        encode_family(weaknesses, |out, id| put_u32(out, id.number())),
-        encode_family(vulnerabilities, |out, id| {
-            put_u16(out, id.year());
-            put_u32(out, id.number());
-        }),
-    ]
+    assemble(corpus, engine.families().map(|family| family.section()))
 }
 
 /// Encodes the corpus section and lays it out, followed by the three
-/// family section payloads from [`family_sections`], behind the header and
-/// section table. A pure function of the corpus and the family payloads.
-pub(crate) fn assemble(corpus: &Corpus, families: [Vec<u8>; 3]) -> Vec<u8> {
+/// family section payloads, behind the header and section table. A pure
+/// function of the corpus and the family payloads.
+pub(crate) fn assemble(corpus: &Corpus, families: [&[u8]; 3]) -> Vec<u8> {
     let [patterns, weaknesses, vulnerabilities] = families;
-    let payloads = [
-        encode_corpus_section(corpus),
-        patterns,
-        weaknesses,
-        vulnerabilities,
-    ];
+    let corpus_section = encode_corpus_section(corpus);
+    let payloads = [&corpus_section[..], patterns, weaknesses, vulnerabilities];
     let header_len = (MAGIC.len() + 2 + 4 + 8 + payloads.len() * TABLE_ENTRY_LEN) as u64;
     let mut table = Vec::with_capacity(payloads.len() * TABLE_ENTRY_LEN);
     let mut section_offsets = Vec::with_capacity(payloads.len());
@@ -400,41 +372,11 @@ pub(crate) fn find_section<'a>(
     })
 }
 
-/// Decodes one family section: id table + index, fully consumed.
-fn decode_family<I>(
-    section: &Section<'_>,
-    mut read_id: impl FnMut(&mut Reader<'_>) -> Result<I, SnapshotError>,
-) -> Result<Family<I>, SnapshotError> {
-    let mut r = Reader::new(section.payload);
-    let count = r.u32()?;
-    let mut ids = Vec::with_capacity(r.capacity_for(count, 4));
-    for _ in 0..count {
-        ids.push(read_id(&mut r)?);
-    }
-    let index = InvertedIndex::decode(&mut r)?;
-    if !r.finished() {
-        return Err(SnapshotError::Corrupt(format!(
-            "{} trailing byte(s) in `{}` section",
-            r.remaining(),
-            section.name
-        )));
-    }
-    if index.len() != ids.len() {
-        return Err(SnapshotError::Corrupt(format!(
-            "`{}` id table has {} entries for {} indexed documents",
-            section.name,
-            ids.len(),
-            index.len()
-        )));
-    }
-    Ok(Family { index, ids })
-}
-
 /// Decodes a snapshot into its corpus and a search engine using `config`.
 ///
-/// All section checksums are verified first, and every posting is checked
-/// against its document table; the restored postings and lengths are the
-/// encoded engine's, so its scores are bit-identical to that engine's.
+/// All section checksums are verified first, then the engine opens with
+/// the checks [`SearchEngine::from_view`] runs; the restored sections are
+/// the encoded engine's, so its scores are bit-identical to that engine's.
 ///
 /// # Errors
 ///
@@ -450,34 +392,27 @@ pub fn decode_with_config(
     let corpus_section = find_section(&sections, SEC_CORPUS)?;
     let corpus = decode_corpus_section(corpus_section.payload)?;
 
-    let patterns = decode_family(find_section(&sections, SEC_PATTERNS)?, |r| {
-        Ok(CapecId::new(r.u32()?))
-    })?;
-    let weaknesses = decode_family(find_section(&sections, SEC_WEAKNESSES)?, |r| {
-        Ok(CweId::new(r.u32()?))
-    })?;
-    let vulnerabilities = decode_family(find_section(&sections, SEC_VULNERABILITIES)?, |r| {
-        Ok(CveId::new(r.u16()?, r.u32()?))
-    })?;
+    let [p, w, v] = FAMILY_SECTIONS;
+    let engine = SearchEngine::from_sections(
+        [
+            find_section(&sections, p)?.payload,
+            find_section(&sections, w)?.payload,
+            find_section(&sections, v)?.payload,
+        ],
+        config,
+    )?;
 
     let stats = corpus.stats();
-    for (name, got, expected) in [
-        ("patterns", patterns.ids.len(), stats.patterns),
-        ("weaknesses", weaknesses.ids.len(), stats.weaknesses),
-        (
-            "vulnerabilities",
-            vulnerabilities.ids.len(),
-            stats.vulnerabilities,
-        ),
-    ] {
+    let expected = [stats.patterns, stats.weaknesses, stats.vulnerabilities];
+    for (family, expected) in engine.families().into_iter().zip(expected) {
+        let got = family.doc_count();
         if got != expected {
             return Err(SnapshotError::Corrupt(format!(
-                "`{name}` index covers {got} documents but the corpus holds {expected} records"
+                "`{}` index covers {got} documents but the corpus holds {expected} records",
+                family.name()
             )));
         }
     }
-
-    let engine = SearchEngine::from_parts(config, patterns, weaknesses, vulnerabilities);
     Ok((corpus, engine))
 }
 

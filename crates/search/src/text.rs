@@ -119,8 +119,8 @@ fn stem_once(word: &str) -> String {
 
 /// Tokenizes text into normalized terms: lowercase, alphanumeric runs,
 /// stopwords removed, stemmed. Single characters are kept only if they are
-/// digits (so "Windows 7" keeps its "7"). This is [`for_each_word`]
-/// composed with [`normalize_word`].
+/// digits (so "Windows 7" keeps its "7"). This is `for_each_word`
+/// composed with `normalize_word`.
 ///
 /// # Examples
 ///

@@ -6,8 +6,9 @@
 //! fidelity, under both scoring models with synonym expansion on and off,
 //! over the seed corpus and the seed plus a 0.1-scale synthetic corpus.
 //! Any change to tokenization, weighting, accumulation order, admission or
-//! ranking moves it. The view engine must reproduce the owned engine's
-//! stream exactly, so both are checked against the same constant.
+//! ranking moves it. An engine opened over the mapped snapshot must
+//! reproduce the built engine's stream exactly, so both are checked
+//! against the same constant.
 
 use std::sync::Arc;
 
@@ -16,9 +17,7 @@ use cpssec_attackdb::synth::{stream_into, SynthSpec};
 use cpssec_attackdb::Corpus;
 use cpssec_model::{fnv1a_64_wide, Fidelity};
 use cpssec_scada::model::scada_model;
-use cpssec_search::{
-    snapshot, view, MatchConfig, MatchSet, ScoringModel, SearchEngine, ViewEngine,
-};
+use cpssec_search::{snapshot, view, MatchConfig, MatchSet, ScoringModel, SearchEngine};
 
 /// The pinned hash of every score bit on the oracle workloads.
 const SCORE_BITS_HASH: u64 = 0xb5fe_5da2_eb51_5964;
@@ -55,7 +54,7 @@ fn configs() -> impl Iterator<Item = MatchConfig> {
     })
 }
 
-/// Serializes every oracle answer of one engine (owned or view).
+/// Serializes every oracle answer of one engine (built or mapped).
 fn answers(
     match_text: impl Fn(&str) -> MatchSet,
     match_model: impl Fn(Fidelity) -> Vec<(String, MatchSet)>,
@@ -75,8 +74,8 @@ fn answers(
 #[test]
 fn score_bits_match_the_pinned_hash() {
     let model = scada_model();
-    let mut owned = Vec::new();
-    let mut viewed = Vec::new();
+    let mut built = Vec::new();
+    let mut mapped = Vec::new();
     for corpus in corpora() {
         let bytes: Arc<[u8]> = snapshot::encode(&corpus, &SearchEngine::build(&corpus)).into();
         let snapshot_view = view::open_verified(bytes).expect("open view");
@@ -85,22 +84,22 @@ fn score_bits_match_the_pinned_hash() {
             answers(
                 |text| engine.match_text(text),
                 |level| engine.match_model(&model, level),
-                &mut owned,
+                &mut built,
             );
-            let engine = ViewEngine::with_config(snapshot_view.clone(), config);
+            let engine = SearchEngine::from_view(&snapshot_view, config).expect("open engine");
             answers(
                 |text| engine.match_text(text),
                 |level| engine.match_model(&model, level),
-                &mut viewed,
+                &mut mapped,
             );
         }
     }
-    assert!(owned == viewed, "view answers diverge from owned answers");
-    let hash = fnv1a_64_wide(&owned);
+    assert!(built == mapped, "mapped answers diverge from built answers");
+    let hash = fnv1a_64_wide(&built);
     assert_eq!(
         hash,
         SCORE_BITS_HASH,
         "score bits moved: {hash:#018x} over {} bytes",
-        owned.len()
+        built.len()
     );
 }

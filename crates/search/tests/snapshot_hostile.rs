@@ -6,7 +6,8 @@
 //! Both read paths — the full [`snapshot::decode`] and the mapped
 //! [`view::open_verified`] plus engine open — must answer each input with
 //! `Ok` or a one-line `Err`, never a panic, and every engine they hand
-//! back must answer a query.
+//! back must answer a query. Both open the index with one validator, so
+//! they accept exactly the same inputs.
 
 use std::sync::Arc;
 
@@ -15,7 +16,7 @@ use cpssec_attackdb::{
 };
 use cpssec_model::fnv1a_64_wide;
 use cpssec_search::snapshot::{self, SnapshotError};
-use cpssec_search::{view, SearchEngine, ViewEngine};
+use cpssec_search::{view, MatchConfig, SearchEngine};
 
 /// Header bytes before the section table: magic, version, count, id.
 const TABLE_AT: usize = 6 + 2 + 4 + 8;
@@ -97,8 +98,12 @@ fn read_both(bytes: &[u8], what: &str) -> (bool, bool) {
     let decoded = ok_or_one_line(snapshot::decode(bytes), what)
         .map(|(_, engine)| engine.match_text("buffer overflow"));
     let mapped: Arc<[u8]> = bytes.to_vec().into();
-    let opened = ok_or_one_line(view::open_verified(mapped), what)
-        .map(|view| ViewEngine::new(view).match_text("buffer overflow"));
+    let opened = ok_or_one_line(
+        view::open_verified(mapped)
+            .and_then(|view| SearchEngine::from_view(&view, MatchConfig::default())),
+        what,
+    )
+    .map(|engine| engine.match_text("buffer overflow"));
     (decoded.is_some(), opened.is_some())
 }
 

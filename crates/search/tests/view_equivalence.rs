@@ -1,7 +1,7 @@
-//! The zero-copy proof: every query answered by a [`ViewEngine`] reading
-//! postings straight out of the mapped snapshot bytes must be
-//! *byte-identical* to the same query on the owned, decoded
-//! [`SearchEngine`] — same hits, same order, same `f64` score bits.
+//! The mapped-boot proof: every query answered by a [`SearchEngine`]
+//! opened over a verified snapshot view must be *byte-identical* to the
+//! same query on the engine [`snapshot::decode`] restores — same hits,
+//! same order, same `f64` score bits.
 //!
 //! Covered here: arbitrary queries under arbitrary configs (proptest),
 //! the three E7b corpus scales, and the delta chain — after 1, 3, and K
@@ -14,7 +14,7 @@ use cpssec_attackdb::synth::{delta_batch, stream_into, SynthSpec, DELTA_MENTION}
 use cpssec_attackdb::Corpus;
 use cpssec_search::{
     apply_delta, build_delta, compact_verified, snapshot, view, MatchConfig, ScoringModel,
-    SearchEngine, ViewEngine,
+    SearchEngine,
 };
 use proptest::prelude::*;
 
@@ -58,17 +58,23 @@ fn corpus_at(scale: f64) -> Corpus {
     corpus
 }
 
-/// Asserts that `bytes` answers every query in `queries` identically
-/// through the borrowed view and the owned decode, under `config`.
-fn assert_equivalent(bytes: &[u8], config: MatchConfig, queries: &[String], label: &str) {
+/// The engine a mapped boot opens over `bytes`.
+fn mapped_engine(bytes: &[u8], config: MatchConfig) -> SearchEngine {
     let mapped: Arc<[u8]> = bytes.to_vec().into();
-    let viewed = ViewEngine::with_config(view::open_verified(mapped).expect("open view"), config);
+    let view = view::open_verified(mapped).expect("open view");
+    SearchEngine::from_view(&view, config).expect("open engine")
+}
+
+/// Asserts that `bytes` answers every query in `queries` identically
+/// through the mapped open and the full decode, under `config`.
+fn assert_equivalent(bytes: &[u8], config: MatchConfig, queries: &[String], label: &str) {
+    let viewed = mapped_engine(bytes, config);
     let (_, owned) = snapshot::decode_with_config(bytes, config).expect("decode");
     for query in queries {
         assert_eq!(
             viewed.match_text(query),
             owned.match_text(query),
-            "{label}: view and owned disagree on {query:?}"
+            "{label}: mapped and decoded engines disagree on {query:?}"
         );
     }
 }
@@ -84,8 +90,8 @@ fn base_bytes() -> &'static Vec<u8> {
 }
 
 proptest! {
-    /// Any query, either scoring model, synonyms on or off: the view's
-    /// MatchSet equals the owned engine's, score bits included.
+    /// Any query, either scoring model, synonyms on or off: the mapped
+    /// engine's MatchSet equals the decoded engine's, score bits included.
     #[test]
     fn any_query_is_byte_identical_on_the_view(
         words in prop::collection::vec(any::<prop::sample::Index>(), 0..10),
@@ -107,7 +113,7 @@ proptest! {
 }
 
 /// Scales 0.02 / 0.1 / 0.3 (the E7b ladder up to the paper-shaped 11k
-/// corpus): both scoring models agree between view and owned.
+/// corpus): both scoring models agree between mapped and decoded.
 #[test]
 fn view_matches_owned_across_scales() {
     let queries: Vec<String> = QUERIES.iter().map(|q| (*q).to_owned()).collect();
@@ -132,7 +138,8 @@ fn view_matches_owned_across_scales() {
 
 /// Grows the owned pair through K = 4 delta applies, re-encoding at the
 /// 1-, 3-, and K-apply checkpoints: each intermediate snapshot answers
-/// identically through view and owned, the delta's unique mention term
+/// identically through mapped and decoded, the grown engine itself
+/// answers like both, the delta's unique mention term
 /// becomes reachable, and the final verified compaction is the same
 /// bytes the canonical encoder produces.
 #[test]
@@ -152,6 +159,14 @@ fn view_matches_owned_after_delta_applies_and_compaction() {
         let applies = serial + 1;
         if applies == 1 || applies == 3 || applies == K {
             let grown = snapshot::encode(&corpus, &engine);
+            let viewed = mapped_engine(&grown, MatchConfig::default());
+            for query in &queries {
+                assert_eq!(
+                    engine.match_text(query),
+                    viewed.match_text(query),
+                    "after {applies} delta applies: the merged engine diverges on {query:?}"
+                );
+            }
             for scoring in [ScoringModel::TfIdf, ScoringModel::Bm25] {
                 let config = MatchConfig {
                     scoring,
@@ -165,9 +180,7 @@ fn view_matches_owned_after_delta_applies_and_compaction() {
                 );
             }
             // The appended records are genuinely query-reachable on the
-            // borrowed side, not just equal-by-both-missing.
-            let mapped: Arc<[u8]> = grown.into();
-            let viewed = ViewEngine::new(view::open_verified(mapped).expect("open view"));
+            // mapped side, not just equal-by-both-missing.
             assert!(
                 !viewed.match_text(DELTA_MENTION).vulnerabilities.is_empty(),
                 "after {applies} applies: delta mention not reachable from the view"

@@ -7,7 +7,7 @@
 //! verdict report ([`cpssec_analysis::campaign_json`]). The job
 //! lifecycle mirrors `POST /scenarios/batch`: `202 Accepted` with a
 //! pollable job id by default, `?wait=true` for the finished report in
-//! one round trip. Jobs live in their own [`FleetJobs`] registry and
+//! one round trip. Jobs live in their own [`crate::scenarios::FleetJobs`] registry and
 //! age out through the same TTL sweep.
 //!
 //! Campaigns only run on the built-in testbeds — an uploaded model has

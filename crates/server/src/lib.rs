@@ -1,8 +1,8 @@
 //! `cpssec-server`: the analysis pipeline as a concurrent service.
 //!
 //! The paper's dashboard is interactive — "the systems engineer or
-//! security analyst … change[s] the model on the fly and immediately
-//! see[s] the new results" (§3). This crate serves that loop over HTTP:
+//! security analyst … change\[s\] the model on the fly and immediately
+//! see\[s\] the new results" (§3). This crate serves that loop over HTTP:
 //! a multithreaded TCP server (hand-rolled HTTP/1.1, no external crates)
 //! in front of the exact same pipeline the CLI runs in batch, with three
 //! service-shaped additions:
@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 use cpssec_analysis::AssociationMap;
 use cpssec_attackdb::Corpus;
 use cpssec_search::snapshot::SnapshotError;
-use cpssec_search::{snapshot, view, DeltaInfo, ScoringModel, SearchEngine};
+use cpssec_search::{snapshot, view, DeltaInfo, MatchConfig, ScoringModel, SearchEngine};
 
 use cache::Cache;
 use metrics::{CorpusGauges, Metrics, StartupStats};
@@ -223,19 +223,24 @@ impl AppState {
         Self::assemble(Some(store), startup, responses, priors)
     }
 
-    /// Boots from a mapped `.cpsnap` image without decoding it up front.
-    /// The zero-copy view is opened and checksum-verified synchronously —
-    /// corruption fails fast, and that open is what `snapshot_load_us`
-    /// measures — then the owned corpus + engines thaw on a background
-    /// thread and are swapped in. `/healthz` and `/metrics` serve
-    /// immediately; corpus-backed endpoints block until the thaw lands.
+    /// Boots from a mapped `.cpsnap` image. The view is opened and
+    /// checksum-verified, and both engines are opened over it and
+    /// validated in full, before this returns — so a corrupt snapshot
+    /// fails the boot with one error, and that open is what
+    /// `snapshot_load_us` measures. Only the owned corpus, which the
+    /// analysis layer needs, thaws on a background thread; `/healthz`
+    /// and `/metrics` serve immediately, corpus-backed endpoints block
+    /// until the thaw lands.
     ///
     /// # Errors
     ///
-    /// Any [`SnapshotError`] from [`view::open_verified`].
+    /// Any [`SnapshotError`] from [`view::open_verified`] or
+    /// [`SearchEngine::from_view`].
     pub fn from_snapshot_mapped(bytes: Arc<[u8]>) -> Result<Arc<AppState>, SnapshotError> {
         let started = Instant::now();
         let mapped = view::open_verified(Arc::clone(&bytes))?;
+        let tfidf = SearchEngine::from_view(&mapped, MatchConfig::default())?;
+        let bm25 = tfidf.with_scoring(ScoringModel::Bm25);
         let startup = StartupStats {
             index_load_us: 0,
             snapshot_hits: 1,
@@ -258,14 +263,15 @@ impl AppState {
             .name("cpssec-thaw".to_owned())
             .spawn(move || {
                 let started = Instant::now();
-                // `open_verified` already proved every checksum, so a
-                // decode failure here is an invariant breach, not bad
-                // input — exiting beats blocking every query forever.
-                let (corpus, tfidf) = snapshot::decode(&bytes[..]).unwrap_or_else(|e| {
-                    eprintln!("fatal: snapshot thaw failed after verification: {e}");
+                // The checksums hold and the engines opened, but the
+                // corpus section is only validated by decoding it: a
+                // section corrupted under valid checksums lands here, and
+                // exiting beats blocking every query forever.
+                let corpus = mapped.thaw_corpus().unwrap_or_else(|e| {
+                    eprintln!("fatal: snapshot corpus thaw failed: {e}");
                     std::process::exit(1);
                 });
-                let bm25 = tfidf.with_scoring(ScoringModel::Bm25);
+                drop(mapped);
                 thaw_state.store.install(CorpusStore {
                     corpus: Arc::new(corpus),
                     tfidf: Arc::new(tfidf),
@@ -372,8 +378,8 @@ impl AppState {
         let current = slot.as_ref().expect("store installed").clone();
         // Grow clones; the installed state stays valid if anything fails.
         // The corpus clone shares every record segment, so it and the
-        // later drop of the old generation cost O(segments); the index
-        // families are copied on the first append (O(corpus)).
+        // later drop of the old generation cost O(segments); each grown
+        // index family is written once, with the batch merged in.
         let mut corpus = (*current.corpus).clone();
         let mut tfidf = (*current.tfidf).clone();
         let info = cpssec_search::apply_delta(&mut corpus, &mut tfidf, bytes, current.state_id)?;

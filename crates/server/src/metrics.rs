@@ -52,18 +52,20 @@ impl RouteStats {
 /// built from the corpus (miss).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StartupStats {
-    /// Wall time to produce the ready-to-query engines, in microseconds.
-    /// On a mapped-snapshot boot this is the background owned decode and
-    /// is filled in once that thaw completes.
+    /// Wall time to produce the ready-to-query state, in microseconds. On
+    /// a mapped-snapshot boot the engines open before the boot returns
+    /// (see `snapshot_load_us`), and this is the background corpus thaw,
+    /// filled in once it completes.
     pub index_load_us: u64,
     /// Engines thawed from a `.cpsnap` snapshot.
     pub snapshot_hits: u64,
     /// Engines built from the corpus (no usable snapshot).
     pub snapshot_misses: u64,
     /// Wall time from snapshot bytes to a query-ready state, in
-    /// microseconds. For a mapped boot this is the zero-copy view open
-    /// (checksum pass included) — the number the cold-start budget is
-    /// asserted against; 0 when no snapshot was involved.
+    /// microseconds. For a mapped boot this is the view open (checksum
+    /// pass included) plus opening and validating the engines — the
+    /// number the cold-start budget is asserted against; 0 when no
+    /// snapshot was involved.
     pub snapshot_load_us: u64,
 }
 

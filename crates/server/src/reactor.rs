@@ -5,14 +5,14 @@
 //! blocks on it for the connection's whole life, capping concurrency at
 //! the pool size. The reactor inverts that: all sockets are nonblocking
 //! and registered with one [`Poller`] (epoll on Linux, `poll(2)` on
-//! other Unixes — see the [`sys`] shim), and the single reactor thread
+//! other Unixes — see the `sys` shim), and the single reactor thread
 //! drives every connection through `read → parse → dispatch → write`.
 //! Only fully-parsed requests cross to the worker pool, so handler code
 //! is untouched and a worker is occupied exactly for the time a request
 //! actually computes. Ten thousand idle keep-alive connections cost ten
 //! thousand fds and buffers, not ten thousand threads.
 //!
-//! Workers hand finished responses back through a [`Mailbox`]: a mutexed
+//! Workers hand finished responses back through a `Mailbox`: a mutexed
 //! vector plus a self-pipe-style waker (a loopback TCP pair — the only
 //! std-only way to make `epoll_wait` return early). Each completion
 //! names its connection slot *and generation*, so a response for a
@@ -30,7 +30,7 @@
 //! closes every *idle* keep-alive connection immediately (the
 //! idle-deadline sweep with a zero deadline); connections with a
 //! request in flight drain untruncated, and half-received requests get
-//! the normal [`crate::READ_TIMEOUT`] grace before the socket is
+//! the normal `READ_TIMEOUT` grace before the socket is
 //! dropped.
 
 use std::io::{self, Read, Write};

@@ -81,10 +81,48 @@ fn reseal(bytes: &mut [u8]) {
     }
 }
 
+/// Sets the `tf` of the first vulnerabilities posting in a `.cpsnap` to 0
+/// and recomputes that section's checksum and the `snapshot_id`, so the
+/// bytes pass every integrity check and only the index validator can
+/// refuse them.
+fn zero_first_vulnerability_tf(bytes: &mut [u8]) {
+    let u32_at =
+        |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap()) as usize;
+    let u64_at =
+        |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap()) as usize;
+    // Header: magic, version, section count, snapshot id; then four
+    // 26-byte table entries (id, offset, len, checksum), vulnerabilities
+    // last.
+    let (table, entry) = (20, 20 + 3 * 26);
+    let (start, len) = (u64_at(bytes, entry + 2), u64_at(bytes, entry + 10));
+    // Section: ids (6 bytes each), lengths, term heap, 16-byte entries,
+    // then the postings arena.
+    let docs = u32_at(bytes, start);
+    let terms_at = start + 4 + docs * 6 + 4 + docs * 4;
+    let (terms, heap_len) = (u32_at(bytes, terms_at), u32_at(bytes, terms_at + 4));
+    let first_tf = terms_at + 8 + heap_len + terms * 16 + 4 + 4;
+    bytes[first_tf..first_tf + 4].copy_from_slice(&0u32.to_le_bytes());
+    let checksum = fnv1a_64_wide(&bytes[start..start + len]);
+    bytes[entry + 18..entry + 26].copy_from_slice(&checksum.to_le_bytes());
+    let id = fnv1a_64_wide(&bytes[table..table + 4 * 26]);
+    bytes[12..20].copy_from_slice(&id.to_le_bytes());
+}
+
 fn snapshot_bytes() -> Vec<u8> {
     let corpus = seed_corpus();
     let engine = SearchEngine::build(&corpus);
     cpssec_search::snapshot::encode(&corpus, &engine)
+}
+
+#[test]
+fn mapped_boot_refuses_an_index_that_only_decode_used_to_check() {
+    let mut bytes = snapshot_bytes();
+    zero_first_vulnerability_tf(&mut bytes);
+    // The engines open before the boot returns, so the bad posting fails
+    // the boot itself instead of a background thread later.
+    let err = AppState::from_snapshot_mapped(bytes.into()).unwrap_err();
+    assert!(err.to_string().contains("posting tf 0 is outside"), "{err}");
+    assert!(!err.to_string().contains('\n'), "{err}");
 }
 
 #[test]
