@@ -35,14 +35,15 @@
 //! its payload checksum), doubles as the header's own integrity check, and
 //! anchors the `.cpsdelta` parent chain ([`crate::delta`]).
 //!
-//! Two read paths share this layout and its one index validator. [`decode`]
-//! verifies every payload checksum, decodes the corpus and opens the
-//! engine. [`crate::view::open`] validates the header and section geometry
-//! in *O(header)* and reads in place; the deep payload checksums move to
-//! [`crate::view::open_verified`] or stay with [`verify`], and
-//! [`SearchEngine::from_view`] opens the engine. Compatibility is strict: readers reject any version
-//! they were not built for — a snapshot is a cache artifact, regenerable
-//! from the corpus, never an archival format.
+//! Two read paths share this layout and its one index validator.
+//! [`decode`] verifies every payload checksum, decodes the corpus and
+//! opens the engine. [`crate::view::open`] validates the header and
+//! section geometry in *O(header)* and reads in place; the deep payload
+//! checksums move to [`crate::view::open_verified`] or stay with
+//! [`verify`], and [`SearchEngine::from_view`] opens the engine.
+//! Compatibility is strict: readers reject any version they were not
+//! built for — a snapshot is a cache artifact, regenerable from the
+//! corpus, never an archival format.
 
 use cpssec_attackdb::snapshot as record_wire;
 use cpssec_attackdb::snapshot::{put_u16, put_u32, put_u64, Reader};
