@@ -224,11 +224,11 @@ impl AppState {
     }
 
     /// Boots from a mapped `.cpsnap` image. The view is opened and
-    /// checksum-verified, and both engines are opened over it and
-    /// validated in full, before this returns — so a corrupt snapshot
-    /// fails the boot with one error, and that open is what
-    /// `snapshot_load_us` measures. Only the owned corpus, which the
-    /// analysis layer needs, thaws on a background thread; `/healthz`
+    /// checksum-verified, and the engine is opened over it and validated
+    /// in full (its BM25 twin shares the families), before this returns —
+    /// so a corrupt snapshot fails the boot with one error, and that open
+    /// is what `snapshot_load_us` measures. Only the owned corpus, which
+    /// the analysis layer needs, thaws on a background thread; `/healthz`
     /// and `/metrics` serve immediately, corpus-backed endpoints block
     /// until the thaw lands.
     ///
