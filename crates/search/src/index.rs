@@ -539,7 +539,7 @@ impl Family {
         }
         let arena = &self.bytes[l.postings_off..l.postings_off + l.posting_total * POSTING_LEN];
         for p in arena.chunks_exact(POSTING_LEN) {
-            let (doc, tf) = (u32_at(p, 0), u32_at(p, 4));
+            let (doc, tf) = u32_pair_at(p, 0);
             if doc as usize >= l.doc_count {
                 return corrupt(format!(
                     "posting references document {doc} of {}",
@@ -721,14 +721,11 @@ impl Family {
             }
         }
         let layout = Layout::parse(self.kind, &out).expect("a merged section tiles");
-        let mut norms = Vec::with_capacity(layout.doc_count);
-        norms.extend_from_slice(&self.norms);
-        norms.extend_from_slice(&batch.norms);
         Family {
             kind: self.kind,
             bytes: out,
             layout,
-            norms,
+            norms: [&self.norms[..], &batch.norms[..]].concat(),
             total_tokens: self.total_tokens + batch.total_tokens,
         }
     }
