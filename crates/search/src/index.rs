@@ -312,7 +312,7 @@ impl InvertedIndex {
 /// Bytes per term entry: `str_off`, `str_len`, `post_start`, `post_len`.
 const TERM_ENTRY_LEN: usize = 16;
 /// Bytes per posting: `doc`, `tf`.
-const POSTING_LEN: usize = 8;
+pub(crate) const POSTING_LEN: usize = 8;
 
 /// Reads the little-endian `u32` at `off`.
 fn u32_at(bytes: &[u8], off: usize) -> u32 {
@@ -377,13 +377,13 @@ fn put_id(out: &mut Vec<u8>, id: AttackVectorId) {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Layout {
     pub(crate) doc_count: usize,
-    lengths_off: usize,
+    pub(crate) lengths_off: usize,
     term_count: usize,
     heap_off: usize,
     heap_len: usize,
     entries_off: usize,
-    posting_total: usize,
-    postings_off: usize,
+    pub(crate) posting_total: usize,
+    pub(crate) postings_off: usize,
 }
 
 impl Layout {

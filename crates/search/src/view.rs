@@ -298,6 +298,7 @@ impl<'a> CorpusView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::POSTING_LEN;
     use crate::snapshot::{encode, inspect};
     use crate::{MatchConfig, MatchSet, ScoringModel, SearchEngine};
     use cpssec_attackdb::seed::{seed_corpus, table1_attributes};
@@ -413,27 +414,69 @@ mod tests {
     #[test]
     fn engine_open_on_an_unverified_view_never_panics() {
         let (_, bytes) = mapped();
+        // Opens `corrupt` without checking its checksums: the geometry or
+        // the engine open may refuse it with one line, and an engine that
+        // opens must answer under both scoring models. Returns whether the
+        // engine opened.
+        let survives = |corrupt: Vec<u8>| -> bool {
+            let opened = open(corrupt.into())
+                .and_then(|view| SearchEngine::from_view(&view, MatchConfig::default()));
+            match opened {
+                Ok(engine) => {
+                    for scoring in ScoringModel::ALL {
+                        let engine = engine.with_scoring(scoring);
+                        for query in table1_attributes() {
+                            let _ = engine.match_text(query);
+                        }
+                    }
+                    true
+                }
+                Err(err) => {
+                    assert!(!err.to_string().contains('\n'), "{err}");
+                    false
+                }
+            }
+        };
         // Flip bytes of the vulnerabilities section (striding through it;
-        // every byte of every section is swept in tests/snapshot_hostile.rs)
-        // without touching its checksum: the geometry may still tile, and
-        // the engine open must then refuse the section with one line or
-        // hand back an engine that answers queries.
+        // every byte of every section is swept, resealed, in
+        // tests/snapshot_hostile.rs) — results may differ, safety may not.
         let info = inspect(&bytes).unwrap();
         let vuln = info.sections.last().unwrap();
-        for pos in (vuln.offset as usize..(vuln.offset + vuln.len) as usize).step_by(97) {
+        let (start, end) = (vuln.offset as usize, (vuln.offset + vuln.len) as usize);
+        for pos in (start..end).step_by(97) {
             let mut corrupt = bytes.to_vec();
             corrupt[pos] ^= 0xFF;
-            let Ok(view) = open(corrupt.into()) else {
-                continue;
-            };
-            match SearchEngine::from_view(&view, MatchConfig::default()) {
-                Ok(engine) => {
-                    for query in table1_attributes() {
-                        let _ = engine.match_text(query);
-                    }
+            survives(corrupt);
+        }
+        // The words that feed the query-time weight. A `tf` of 0 (`ln 0`)
+        // or above its document's length is refused; lengths of
+        // `u32::MAX` (BM25's `len / avg` at its extreme) and `tf`s past
+        // the `ln` table with lengths to match are valid and must score.
+        let layout = Layout::parse(FamilyKind::Vulnerabilities, &bytes[start..end]).unwrap();
+        let tfs: Vec<usize> = (0..layout.posting_total)
+            .map(|i| start + layout.postings_off + i * POSTING_LEN + 4)
+            .collect();
+        let lens: Vec<usize> = (0..layout.doc_count)
+            .map(|i| start + layout.lengths_off + i * 4)
+            .collect();
+        assert!(lens.iter().all(|&off| u32_at(&bytes, off) < 1_000));
+        for (rewrites, opens) in [
+            (vec![(&tfs, 0)], false),
+            (vec![(&tfs, 1_000)], false),
+            (vec![(&tfs, u32::MAX)], false),
+            (vec![(&lens, 0)], false),
+            (vec![(&lens, u32::MAX)], true),
+            (vec![(&tfs, 1_000), (&lens, 1_000)], true),
+            (vec![(&tfs, u32::MAX), (&lens, u32::MAX)], true),
+        ] {
+            let mut corrupt = bytes.to_vec();
+            for &(words, value) in &rewrites {
+                for &off in words {
+                    corrupt[off..off + 4].copy_from_slice(&value.to_le_bytes());
                 }
-                Err(err) => assert!(!err.to_string().contains('\n'), "{err}"),
             }
+            let values: Vec<u32> = rewrites.iter().map(|&(_, value)| value).collect();
+            assert_eq!(survives(corrupt), opens, "rewrite to {values:?}");
         }
     }
 }
