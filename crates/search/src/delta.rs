@@ -39,7 +39,7 @@ use cpssec_attackdb::snapshot::{put_u16, put_u64, Reader};
 use cpssec_attackdb::{AttackPattern, Corpus, Vulnerability, Weakness};
 use cpssec_model::fnv1a_64_wide;
 
-use crate::index::{Family, FamilyKind};
+use crate::engine::build_families;
 use crate::snapshot::{self, SnapshotError};
 use crate::SearchEngine;
 
@@ -225,29 +225,11 @@ pub fn apply_delta(
     }
     span.add_items(parsed.info.records() as u64);
 
-    engine.append([
-        Family::build(
-            FamilyKind::Patterns,
-            parsed
-                .patterns
-                .iter()
-                .map(|p| (p.search_text(), p.id().into())),
-        ),
-        Family::build(
-            FamilyKind::Weaknesses,
-            parsed
-                .weaknesses
-                .iter()
-                .map(|w| (w.search_text(), w.id().into())),
-        ),
-        Family::build(
-            FamilyKind::Vulnerabilities,
-            parsed
-                .vulnerabilities
-                .iter()
-                .map(|v| (v.search_text(), v.id().into())),
-        ),
-    ]);
+    engine.append(build_families(
+        parsed.patterns.iter(),
+        parsed.weaknesses.iter(),
+        parsed.vulnerabilities.iter(),
+    ));
     let dup = |e: cpssec_attackdb::AttackDbError| SnapshotError::Corrupt(e.to_string());
     for record in parsed.patterns {
         corpus.add_pattern(record).map_err(dup)?;

@@ -4,7 +4,9 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cpssec_attackdb::{AttackVectorId, CapecId, Corpus, CveId, CweId};
+use cpssec_attackdb::{
+    AttackPattern, AttackVectorId, CapecId, Corpus, CveId, CweId, Vulnerability, Weakness,
+};
 use cpssec_model::{Channel, ChannelId, Component, Fidelity, SystemModel};
 
 use crate::index::{Family, FamilyKind};
@@ -218,33 +220,15 @@ impl SearchEngine {
         SearchEngine::with_config(corpus, MatchConfig::default())
     }
 
-    /// Indexes a corpus with an explicit configuration. The three family
-    /// indices are independent, so they build on separate scoped threads
-    /// (and large families shard further inside
-    /// [`InvertedIndex::from_documents`](crate::InvertedIndex::from_documents)).
+    /// Indexes a corpus with an explicit configuration (see
+    /// [`build_families`]).
     #[must_use]
     pub fn with_config(corpus: &Corpus, config: MatchConfig) -> Self {
-        let families = std::thread::scope(|s| {
-            let patterns = s.spawn(|| {
-                let records = corpus.patterns().map(|p| (p.search_text(), p.id().into()));
-                Family::build(FamilyKind::Patterns, records)
-            });
-            let weaknesses = s.spawn(|| {
-                let records = corpus
-                    .weaknesses()
-                    .map(|w| (w.search_text(), w.id().into()));
-                Family::build(FamilyKind::Weaknesses, records)
-            });
-            let records = corpus
-                .vulnerabilities()
-                .map(|v| (v.search_text(), v.id().into()));
-            let vulnerabilities = Family::build(FamilyKind::Vulnerabilities, records);
-            [
-                patterns.join().expect("pattern index build"),
-                weaknesses.join().expect("weakness index build"),
-                vulnerabilities,
-            ]
-        });
+        let families = build_families(
+            corpus.patterns(),
+            corpus.weaknesses(),
+            corpus.vulnerabilities(),
+        );
         SearchEngine::from_families(config, families)
     }
 
@@ -407,6 +391,35 @@ impl SearchEngine {
             (id, self.match_channel(channel, level))
         })
     }
+}
+
+/// Indexes one run of records per family, each in id order, into its
+/// family section. The three families are independent, so patterns and
+/// weaknesses build on scoped threads beside the vulnerabilities (and
+/// large families shard further inside
+/// [`InvertedIndex::from_documents`](crate::InvertedIndex::from_documents)).
+pub(crate) fn build_families<'a>(
+    patterns: impl Iterator<Item = &'a AttackPattern> + Send,
+    weaknesses: impl Iterator<Item = &'a Weakness> + Send,
+    vulnerabilities: impl Iterator<Item = &'a Vulnerability>,
+) -> [Family; 3] {
+    std::thread::scope(|s| {
+        let patterns = s.spawn(|| {
+            let records = patterns.map(|p| (p.search_text(), p.id().into()));
+            Family::build(FamilyKind::Patterns, records)
+        });
+        let weaknesses = s.spawn(|| {
+            let records = weaknesses.map(|w| (w.search_text(), w.id().into()));
+            Family::build(FamilyKind::Weaknesses, records)
+        });
+        let records = vulnerabilities.map(|v| (v.search_text(), v.id().into()));
+        let vulnerabilities = Family::build(FamilyKind::Vulnerabilities, records);
+        [
+            patterns.join().expect("pattern index build"),
+            weaknesses.join().expect("weakness index build"),
+            vulnerabilities,
+        ]
+    })
 }
 
 /// Fan-outs smaller than this run sequentially: spawning a scoped thread
