@@ -5,8 +5,8 @@
 //! [`InvertedIndex::encode_into`] — the only code that writes an index.
 //! What it writes, the columnar family section of a `.cpsnap`, is also the
 //! only form an index takes in memory: a [`Family`] owns the section bytes
-//! plus the per-document `√max(len, 1)` column and the token total, both
-//! computed in one pass when the section is opened. Queries binary-search
+//! plus the decoded record ids, the per-document `√max(len, 1)` column and
+//! the token total, all computed in one pass when the section is opened. Queries binary-search
 //! the sorted term dictionary and read `(doc, tf)` postings in place; every
 //! weight is computed at query time by [`crate::score::TermScorer`], so
 //! appending documents ([`Family::merge`]) invalidates nothing.
@@ -358,6 +358,19 @@ impl FamilyKind {
             FamilyKind::Patterns | FamilyKind::Weaknesses => 4,
         }
     }
+
+    /// Reads id-table entry `doc` of a section.
+    fn id_at(self, section: &[u8], doc: usize) -> AttackVectorId {
+        let at = 4 + doc * self.id_len();
+        match self {
+            FamilyKind::Patterns => CapecId::new(u32_at(section, at)).into(),
+            FamilyKind::Weaknesses => CweId::new(u32_at(section, at)).into(),
+            FamilyKind::Vulnerabilities => {
+                let year = u16::from_le_bytes([section[at], section[at + 1]]);
+                CveId::new(year, u32_at(section, at + 2)).into()
+            }
+        }
+    }
 }
 
 /// Appends one id-table entry.
@@ -433,15 +446,43 @@ impl Layout {
     }
 }
 
+/// Where each first byte's run of a section's sorted dictionary begins
+/// (see `Family::runs`). It reads only bytes [`Layout::parse`] has
+/// bounded, so it cannot panic on a section [`Family::open`] has yet to
+/// validate; it is exact once the dictionary is known to be sorted.
+fn first_byte_runs(section: &[u8], layout: &Layout) -> [u32; 257] {
+    let heap = &section[layout.heap_off..layout.heap_off + layout.heap_len];
+    let mut runs = [0u32; 257];
+    for i in 0..layout.term_count {
+        let (str_off, str_len) = u32_pair_at(section, layout.entries_off + i * TERM_ENTRY_LEN);
+        match heap.get(str_off as usize).filter(|_| str_len > 0) {
+            Some(&b) => runs[usize::from(b) + 1] += 1,
+            None => runs[0] += 1,
+        }
+    }
+    for b in 1..runs.len() {
+        runs[b] += runs[b - 1];
+    }
+    runs
+}
+
 /// One record family's index: its family section (the id table, then the
-/// [`InvertedIndex::encode_into`] layout) plus the columns scoring reads
-/// per posting. Every accessor trusts the section, so bytes from outside
-/// reach a `Family` only through [`Family::open`]'s checks.
+/// [`InvertedIndex::encode_into`] layout) plus the columns a query reads
+/// per posting or per hit. Every accessor trusts the section, so bytes
+/// from outside reach a `Family` only through [`Family::open`]'s checks.
 #[derive(Debug)]
 pub(crate) struct Family {
     kind: FamilyKind,
     bytes: Vec<u8>,
     layout: Layout,
+    /// The id table, decoded: every hit names its record, and decoding
+    /// the entry per hit made a paper-scale `match_model` ~6% slower
+    /// (EXPERIMENTS §E17).
+    ids: Vec<AttackVectorId>,
+    /// `runs[b]..runs[b + 1]` are the dictionary entries whose first byte
+    /// is `b` (an empty term sorts before them all, below `runs[0]`), so
+    /// a lookup binary-searches one run instead of the whole dictionary.
+    runs: [u32; 257],
     /// `√max(len, 1)` per document: the TF-IDF normalizer.
     norms: Vec<f64>,
     /// Sum of the document lengths, so BM25's mean length is O(1).
@@ -479,19 +520,24 @@ impl Family {
         Ok(family)
     }
 
-    /// Computes the per-document columns in one pass over the lengths.
+    /// Computes the per-document columns in one pass over the id table
+    /// and the lengths.
     fn with_columns(kind: FamilyKind, bytes: Vec<u8>, layout: Layout) -> Family {
+        let mut ids = Vec::with_capacity(layout.doc_count);
         let mut norms = Vec::with_capacity(layout.doc_count);
         let mut total_tokens = 0;
         for doc in 0..layout.doc_count {
+            ids.push(kind.id_at(&bytes, doc));
             let len = u32_at(&bytes, layout.lengths_off + doc * 4);
             norms.push(length_norm(len));
             total_tokens += u64::from(len);
         }
         Family {
             kind,
+            runs: first_byte_runs(&bytes, &layout),
             bytes,
             layout,
+            ids,
             norms,
             total_tokens,
         }
@@ -576,14 +622,18 @@ impl Family {
     }
 
     /// The postings of `term` as `(doc, tf)`, doc-ascending, found by
-    /// binary search on the sorted dictionary; `None` if no document
-    /// holds it. Byte order equals `str` order, the order the builder
-    /// sorted by.
+    /// binary search on its first byte's run of the sorted dictionary;
+    /// `None` if no document holds it. Byte order equals `str` order, the
+    /// order the builder sorted by.
     pub(crate) fn postings(
         &self,
         term: &str,
     ) -> Option<impl ExactSizeIterator<Item = (usize, u32)> + '_> {
-        let (mut lo, mut hi) = (0, self.layout.term_count);
+        let (lo, hi) = match term.as_bytes().first() {
+            Some(&b) => (self.runs[usize::from(b)], self.runs[usize::from(b) + 1]),
+            None => (0, self.runs[0]),
+        };
+        let (mut lo, mut hi) = (lo as usize, hi as usize);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             match self.term(mid).cmp(term.as_bytes()) {
@@ -627,15 +677,7 @@ impl Family {
 
     /// The record id of document `doc`.
     pub(crate) fn id(&self, doc: usize) -> AttackVectorId {
-        let at = 4 + doc * self.kind.id_len();
-        match self.kind {
-            FamilyKind::Patterns => CapecId::new(u32_at(&self.bytes, at)).into(),
-            FamilyKind::Weaknesses => CweId::new(u32_at(&self.bytes, at)).into(),
-            FamilyKind::Vulnerabilities => {
-                let year = u16::from_le_bytes([self.bytes[at], self.bytes[at + 1]]);
-                CveId::new(year, u32_at(&self.bytes, at + 2)).into()
-            }
-        }
+        self.ids[doc]
     }
 
     /// The section bytes, exactly as a snapshot stores them.
@@ -723,8 +765,10 @@ impl Family {
         let layout = Layout::parse(self.kind, &out).expect("a merged section tiles");
         Family {
             kind: self.kind,
+            runs: first_byte_runs(&out, &layout),
             bytes: out,
             layout,
+            ids: [&self.ids[..], &batch.ids[..]].concat(),
             norms: [&self.norms[..], &batch.norms[..]].concat(),
             total_tokens: self.total_tokens + batch.total_tokens,
         }
@@ -994,7 +1038,18 @@ mod tests {
             let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
             let (head, tail) = refs.split_at(split.index(refs.len() + 1));
             let merged = family(head).merge(&family(tail).with_ids_from(head.len()));
-            prop_assert_eq!(merged.section(), family(&refs).section());
+            let whole = family(&refs);
+            prop_assert_eq!(merged.section(), whole.section());
+            // So do the derived columns, and the merged dictionary's first
+            // byte runs find every term.
+            prop_assert_eq!(merged.runs, whole.runs);
+            prop_assert_eq!(&merged.ids, &whole.ids);
+            prop_assert_eq!(&merged.norms, &whole.norms);
+            for i in 0..whole.layout.term_count {
+                let term = std::str::from_utf8(whole.term(i)).unwrap();
+                let df = merged.postings(term).map(|p| p.len());
+                prop_assert_eq!(df, Some(whole.entry(i)[3]), "{}", term);
+            }
         }
     }
 
@@ -1024,6 +1079,27 @@ mod tests {
             };
             assert_eq!(bits(&built), bits(&opened), "{model}");
         }
+    }
+
+    #[test]
+    fn lookups_find_every_term_and_nothing_else() {
+        let built = family(&[
+            "apple banana 9063 zeta",
+            "ωmega 中s apples apple",
+            "Zulu ßeta banana",
+        ]);
+        let opened = Family::open(built.kind, built.section().to_vec()).expect("open");
+        assert_eq!(built.runs, opened.runs);
+        for i in 0..built.layout.term_count {
+            let term = std::str::from_utf8(built.term(i)).unwrap();
+            assert_eq!(df(&opened, term), built.entry(i)[3], "{term}");
+        }
+        // Before, between and after the runs, a neighbouring prefix, a
+        // first byte no term starts with, and the empty term.
+        for absent in ["", "0", "a", "ap", "applx", "c", "zz", "~", "ω", "中", "ÿ"] {
+            assert!(opened.postings(absent).is_none(), "{absent}");
+        }
+        assert!(family(&[]).postings("").is_none());
     }
 
     #[test]
