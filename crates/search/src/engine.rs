@@ -220,8 +220,10 @@ impl SearchEngine {
         SearchEngine::with_config(corpus, MatchConfig::default())
     }
 
-    /// Indexes a corpus with an explicit configuration (see
-    /// [`build_families`]).
+    /// Indexes a corpus with an explicit configuration. The three family
+    /// indices are independent, so they build on separate scoped threads
+    /// (and large families shard further inside
+    /// [`InvertedIndex::from_documents`](crate::InvertedIndex::from_documents)).
     #[must_use]
     pub fn with_config(corpus: &Corpus, config: MatchConfig) -> Self {
         let families = build_families(
@@ -394,10 +396,8 @@ impl SearchEngine {
 }
 
 /// Indexes one run of records per family, each in id order, into its
-/// family section. The three families are independent, so patterns and
-/// weaknesses build on scoped threads beside the vulnerabilities (and
-/// large families shard further inside
-/// [`InvertedIndex::from_documents`](crate::InvertedIndex::from_documents)).
+/// family section: for an engine build and for a delta's batch. Patterns
+/// and weaknesses build on scoped threads beside the vulnerabilities.
 pub(crate) fn build_families<'a>(
     patterns: impl Iterator<Item = &'a AttackPattern> + Send,
     weaknesses: impl Iterator<Item = &'a Weakness> + Send,
