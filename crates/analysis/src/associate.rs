@@ -7,6 +7,8 @@ use cpssec_attackdb::Corpus;
 use cpssec_model::{fnv1a_64, Fidelity, ModelDiff, SystemModel};
 use cpssec_search::{FilterPipeline, MatchSet, SearchEngine};
 
+use crate::posture::severity_mass;
+
 /// One row of a Table 1-style report: an attribute value and how many
 /// attack vectors of each family associate with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,11 +35,35 @@ impl AttributeRow {
 
 /// The association of attack vectors to every component of a model, at one
 /// fidelity level, after one filter pipeline.
+///
+/// Each component's entry carries the severity mass of its hits beside the
+/// match set, weighed once against the corpus when the entry is computed,
+/// so posture reads it instead of re-weighing every hit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AssociationMap {
     fidelity: Fidelity,
-    by_component: BTreeMap<String, MatchSet>,
+    by_component: BTreeMap<String, Weighed>,
     by_channel: BTreeMap<String, MatchSet>,
+}
+
+/// One component's filtered match set and the severity mass of its hits.
+#[derive(Debug, Clone, PartialEq)]
+struct Weighed {
+    set: MatchSet,
+    mass: f64,
+}
+
+/// Weighs each `(component, match set)` pair against `corpus` under one
+/// `severity-mass` span whose items are the hits weighed.
+fn weigh(sets: Vec<(String, MatchSet)>, corpus: &Corpus) -> Vec<(String, Weighed)> {
+    let mut span = cpssec_obs::span!("severity-mass");
+    span.add_items(sets.iter().map(|(_, set)| set.total() as u64).sum());
+    sets.into_iter()
+        .map(|(name, set)| {
+            let mass = severity_mass(&set, corpus);
+            (name, Weighed { set, mass })
+        })
+        .collect()
 }
 
 impl AssociationMap {
@@ -72,14 +98,14 @@ impl AssociationMap {
         span.add_items(model.component_count() as u64);
         // The per-element matching fans out across scoped threads; results
         // come back in model insertion order, so the map is deterministic.
-        let by_component = engine
+        let sets = engine
             .par_match_model(model, level)
             .into_iter()
             .map(|(name, raw)| (name, filters.apply(&raw, corpus)))
             .collect();
         AssociationMap {
             fidelity: level,
-            by_component,
+            by_component: weigh(sets, corpus).into_iter().collect(),
             by_channel: build_channels(model, engine, corpus, level, filters),
         }
     }
@@ -92,7 +118,9 @@ impl AssociationMap {
     /// re-queried; every other entry is spliced from `prior`. Channels are
     /// spliced wholesale when the channel lists and component name order
     /// are unchanged (the usual what-if case of attribute edits), and
-    /// rebuilt otherwise.
+    /// rebuilt otherwise. A spliced component keeps its severity mass from
+    /// `prior`; only re-queried components are weighed, so the cost of a
+    /// rebuild follows the edit, not the model.
     ///
     /// # Contract
     ///
@@ -100,7 +128,8 @@ impl AssociationMap {
     /// `corpus`, and `filters`, and `diff` must be
     /// `ModelDiff::between(old, new)`. Under that contract the result is
     /// exactly `AssociationMap::build(new, engine, corpus,
-    /// prior.fidelity(), filters)` — bit-identical scores and order.
+    /// prior.fidelity(), filters)` — bit-identical scores, order and
+    /// severity masses.
     #[allow(clippy::too_many_arguments)]
     #[must_use]
     pub fn rebuild(
@@ -131,17 +160,21 @@ impl AssociationMap {
                 requery.insert(&change.name);
             }
         }
-        let by_component = new
-            .components()
-            .map(|(_, component)| {
-                let name = component.name();
-                let set = match prior.by_component.get(name) {
-                    Some(prior_set) if !requery.contains(name) => prior_set.clone(),
-                    _ => filters.apply(&engine.match_component(component, level), corpus),
-                };
-                (name.to_owned(), set)
-            })
-            .collect();
+        let mut by_component = BTreeMap::new();
+        let mut requeried = Vec::new();
+        for (_, component) in new.components() {
+            let name = component.name();
+            match prior.by_component.get(name) {
+                Some(entry) if !requery.contains(name) => {
+                    by_component.insert(name.to_owned(), entry.clone());
+                }
+                _ => requeried.push((
+                    name.to_owned(),
+                    filters.apply(&engine.match_component(component, level), corpus),
+                )),
+            }
+        }
+        by_component.extend(weigh(requeried, corpus));
         let same_names = old
             .components()
             .map(|(_, c)| c.name())
@@ -168,12 +201,23 @@ impl AssociationMap {
     /// The match set for one component name.
     #[must_use]
     pub fn matches(&self, component: &str) -> Option<&MatchSet> {
-        self.by_component.get(component)
+        self.by_component.get(component).map(|entry| &entry.set)
+    }
+
+    /// The severity mass of one component's hits: each vulnerability
+    /// weighs its CVSS base score / 10, each pattern its typical-severity
+    /// band weight, each weakness 0.5 (see
+    /// [`ComponentPosture::severity_weighted`](crate::ComponentPosture::severity_weighted)).
+    #[must_use]
+    pub fn severity_mass(&self, component: &str) -> Option<f64> {
+        self.by_component.get(component).map(|entry| entry.mass)
     }
 
     /// Iterates `(component name, match set)` in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &MatchSet)> {
-        self.by_component.iter().map(|(k, v)| (k.as_str(), v))
+        self.by_component
+            .iter()
+            .map(|(k, entry)| (k.as_str(), &entry.set))
     }
 
     /// Iterates `(channel description, match set)` in channel-id order.
@@ -188,7 +232,10 @@ impl AssociationMap {
     /// [`channel_vectors`](Self::channel_vectors).
     #[must_use]
     pub fn total_vectors(&self) -> usize {
-        self.by_component.values().map(MatchSet::total).sum()
+        self.by_component
+            .values()
+            .map(|entry| entry.set.total())
+            .sum()
     }
 
     /// Total matched vectors across all channels.
@@ -203,7 +250,7 @@ impl AssociationMap {
         let mut ranked: Vec<(&str, usize)> = self
             .by_component
             .iter()
-            .map(|(name, set)| (name.as_str(), set.total()))
+            .map(|(name, entry)| (name.as_str(), entry.set.total()))
             .collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
         ranked

@@ -136,18 +136,21 @@ impl Dashboard {
         SystemPosture::compute(&self.model, &self.corpus, map)
     }
 
-    /// Evaluates edits without applying them.
+    /// Evaluates edits without applying them. The current association is
+    /// the prior, so only the components the edits touch are re-queried.
     ///
     /// # Errors
     ///
-    /// Propagates [`whatif::evaluate`] errors.
-    pub fn what_if(&self, changes: &[ModelChange]) -> Result<WhatIfReport, ModelError> {
-        whatif::evaluate(
+    /// Propagates [`whatif::evaluate_with_prior`] errors.
+    pub fn what_if(&mut self, changes: &[ModelChange]) -> Result<WhatIfReport, ModelError> {
+        self.association();
+        let prior = self.association.as_ref().expect("just computed");
+        whatif::evaluate_with_prior(
             &self.model,
             changes,
+            prior,
             &self.engine,
             &self.corpus,
-            self.fidelity,
             &self.filters,
         )
     }
@@ -251,15 +254,28 @@ mod tests {
 
     #[test]
     fn what_if_does_not_mutate_the_session_model() {
-        let d = dashboard();
-        let report = d
-            .what_if(&[ModelChange::RemoveAttribute {
-                component: names::WORKSTATION.into(),
-                key: "software".into(),
-                value: "Labview".into(),
-            }])
-            .unwrap();
+        let mut d = dashboard();
+        let changes = [ModelChange::RemoveAttribute {
+            component: names::WORKSTATION.into(),
+            key: "software".into(),
+            value: "Labview".into(),
+        }];
+        let baseline = d.association().clone();
+        let report = d.what_if(&changes).unwrap();
         assert!(report.score_delta <= 0.0);
+        // Served from the held association, it equals the full path, and
+        // the held association is still the baseline's.
+        let full = whatif::evaluate(
+            d.model(),
+            &changes,
+            &d.engine,
+            d.corpus(),
+            d.fidelity(),
+            &d.filters,
+        )
+        .unwrap();
+        assert_eq!(report, full);
+        assert_eq!(d.association(), &baseline);
         // The session model still has LabVIEW.
         assert!(d
             .model()

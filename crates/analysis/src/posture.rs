@@ -53,19 +53,24 @@ pub struct SystemPosture {
 }
 
 impl SystemPosture {
-    /// Computes the posture of `model` from an association map.
+    /// Computes the posture of `model` from an association map, in
+    /// O(components): each component's severity mass was weighed when the
+    /// map was built (or rebuilt), so this only scales it by criticality
+    /// and sums in map order.
     ///
     /// Components present in the model but absent from the map (or vice
     /// versa) are skipped — the map should have been built from the same
-    /// model.
+    /// model. `corpus` is unused: the masses were weighed against the
+    /// corpus the map was built from. The parameter is kept so that
+    /// existing callers stay source-compatible.
     #[must_use]
-    pub fn compute(model: &SystemModel, corpus: &Corpus, map: &AssociationMap) -> SystemPosture {
+    pub fn compute(model: &SystemModel, _corpus: &Corpus, map: &AssociationMap) -> SystemPosture {
         let mut components = Vec::new();
         for (name, set) in map.iter() {
             let Some(component) = model.component_by_name(name) else {
                 continue;
             };
-            let severity_weighted = severity_mass(set, corpus);
+            let severity_weighted = map.severity_mass(name).expect("every component is weighed");
             let (patterns, weaknesses, vulnerabilities) = set.counts();
             let score = severity_weighted * f64::from(component.criticality().weight());
             components.push(ComponentPosture {
@@ -108,7 +113,9 @@ fn severity_band_weight(severity: Severity) -> f64 {
     }
 }
 
-fn severity_mass(set: &MatchSet, corpus: &Corpus) -> f64 {
+/// The severity mass of one match set, summed in hit order. Weighed once
+/// per component by [`AssociationMap`] and stored beside its match set.
+pub(crate) fn severity_mass(set: &MatchSet, corpus: &Corpus) -> f64 {
     let mut mass = 0.0;
     for hit in set.iter() {
         mass += match hit.id {

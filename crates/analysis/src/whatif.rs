@@ -151,8 +151,10 @@ pub fn evaluate(
 /// [`evaluate`] with a precomputed association of the baseline model: the
 /// baseline is not re-associated at all, and the edited model is
 /// re-associated *incrementally* ([`AssociationMap::rebuild`]) — only
-/// components whose query text changed are re-queried. This is the hot
-/// path behind the analysis service's what-if endpoint.
+/// components whose query text changed are re-queried and weighed. Both
+/// postures read the per-component severity masses the maps carry, so
+/// the cost follows the edit, not the model. This is the hot path behind
+/// the analysis service's what-if endpoint.
 ///
 /// `prior` must have been built from `model` with the same `engine`,
 /// `corpus`, and `filters`; the report is then identical to

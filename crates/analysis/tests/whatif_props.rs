@@ -145,11 +145,19 @@ fn set_bits(set: &MatchSet) -> Vec<u64> {
         .collect()
 }
 
+/// Every component's hit bits and severity-mass bits, then every
+/// channel's hit bits.
 fn map_bits(map: &AssociationMap) -> Vec<(String, Vec<u64>)> {
-    map.iter()
-        .chain(map.iter_channels())
-        .map(|(name, set)| (name.to_owned(), set_bits(set)))
-        .collect()
+    let components = map.iter().map(|(name, set)| {
+        let mass = map.severity_mass(name).expect("component has a mass");
+        let mut bits = set_bits(set);
+        bits.push(mass.to_bits());
+        (name.to_owned(), bits)
+    });
+    let channels = map
+        .iter_channels()
+        .map(|(name, set)| (name.to_owned(), set_bits(set)));
+    components.chain(channels).collect()
 }
 
 fn posture_bits(posture: &SystemPosture) -> Vec<u64> {

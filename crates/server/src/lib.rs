@@ -58,12 +58,16 @@ use cache::Cache;
 use metrics::{CorpusGauges, Metrics, StartupStats};
 use session::SessionStore;
 
-/// One immutable generation of queryable corpus state. Delta applies and
+/// One immutable generation of queryable corpus state: the corpus, both
+/// engines over it, and the state id that names them. Delta applies and
 /// compactions build the *next* generation off-lock and swap it in;
 /// in-flight queries keep whatever `Arc` clones they already took, so a
-/// swap never invalidates a running request.
+/// swap never invalidates a running request. A request takes one
+/// generation ([`AppState::generation`]) and reads corpus, engine and
+/// cache tag from it, so it can never pair one generation's engine with
+/// another's corpus.
 #[derive(Debug, Clone)]
-struct CorpusStore {
+pub struct Generation {
     corpus: Arc<Corpus>,
     tfidf: Arc<SearchEngine>,
     bm25: Arc<SearchEngine>,
@@ -76,21 +80,45 @@ struct CorpusStore {
     deltas_since_compaction: u32,
 }
 
-/// The swappable slot holding the current [`CorpusStore`]. `None` while a
+impl Generation {
+    /// The corpus of this generation.
+    #[must_use]
+    pub fn corpus(&self) -> &Arc<Corpus> {
+        &self.corpus
+    }
+
+    /// The engine for a scoring model, over this generation's corpus.
+    #[must_use]
+    pub fn engine(&self, scoring: ScoringModel) -> &Arc<SearchEngine> {
+        match scoring {
+            ScoringModel::TfIdf => &self.tfidf,
+            ScoringModel::Bm25 => &self.bm25,
+        }
+    }
+
+    /// The state id naming this generation: the chain anchor, and the
+    /// tag of every cache entry computed from it.
+    #[must_use]
+    pub fn state_id(&self) -> u64 {
+        self.state_id
+    }
+}
+
+/// The swappable slot holding the current [`Generation`]. `None` while a
 /// mapped-snapshot boot is still thawing the owned state in the
 /// background; readers block on the condvar, so `/healthz` and
 /// `/metrics` (which never touch the slot) answer immediately while
 /// corpus-backed endpoints wait for the thaw.
 #[derive(Debug, Default)]
 struct StoreSlot {
-    slot: Mutex<Option<CorpusStore>>,
+    slot: Mutex<Option<Generation>>,
     ready: Condvar,
 }
 
 impl StoreSlot {
     /// Blocks until a store is installed, then returns a clone (four
     /// `Arc` bumps) of the current generation.
-    fn wait(&self) -> CorpusStore {
+    fn wait(&self) -> Generation {
         let mut slot = self.slot.lock().expect("corpus store poisoned");
         loop {
             if let Some(store) = slot.as_ref() {
@@ -100,7 +128,7 @@ impl StoreSlot {
         }
     }
 
-    fn install(&self, store: CorpusStore) {
+    fn install(&self, store: Generation) {
         *self.slot.lock().expect("corpus store poisoned") = Some(store);
         self.ready.notify_all();
     }
@@ -113,9 +141,11 @@ pub struct AppState {
     store: StoreSlot,
     /// Named models.
     pub sessions: SessionStore,
-    /// Rendered response bodies, content-addressed.
+    /// Rendered response bodies, content-addressed and tagged with the
+    /// state id of the generation they were computed under.
     pub responses: Cache<Arc<String>>,
-    /// Baseline association maps (the what-if priors), content-addressed.
+    /// Baseline association maps (the what-if priors), content-addressed
+    /// and tagged like `responses`.
     pub priors: Cache<Arc<AssociationMap>>,
     /// Request counters and latency histograms.
     pub metrics: Metrics,
@@ -213,14 +243,14 @@ impl AppState {
             snapshot_misses: 1,
             snapshot_load_us: 0,
         };
-        let store = CorpusStore {
+        let store = Generation {
             corpus: Arc::new(corpus),
             tfidf,
             bm25,
             state_id,
             deltas_since_compaction: 0,
         };
-        Self::assemble(Some(store), startup, responses, priors)
+        Self::assemble(state_id, Some(store), startup, responses, priors)
     }
 
     /// Boots from a mapped `.cpsnap` image. The view is opened and
@@ -249,7 +279,7 @@ impl AppState {
         };
         let snapshot_id = mapped.snapshot_id();
         let records = mapped.corpus().record_count();
-        let state = Self::assemble(None, startup, 256, 64);
+        let state = Self::assemble(snapshot_id, None, startup, 256, 64);
         state
             .gauges
             .snapshot_mapped_bytes
@@ -272,7 +302,7 @@ impl AppState {
                     std::process::exit(1);
                 });
                 drop(mapped);
-                thaw_state.store.install(CorpusStore {
+                thaw_state.store.install(Generation {
                     corpus: Arc::new(corpus),
                     tfidf: Arc::new(tfidf),
                     bm25: Arc::new(bm25),
@@ -289,8 +319,11 @@ impl AppState {
         Ok(state)
     }
 
+    /// Wires the shared state; both caches start at `state_id`, the id of
+    /// the generation `store` holds (or the thaw will install).
     fn assemble(
-        store: Option<CorpusStore>,
+        state_id: u64,
+        store: Option<Generation>,
         startup: StartupStats,
         responses: usize,
         priors: usize,
@@ -316,6 +349,8 @@ impl AppState {
             campaigns: scenarios::FleetJobs::new(),
             admission: admission::Admission::new(),
         });
+        state.responses.advance(state_id);
+        state.priors.advance(state_id);
         if let Some(n) = records {
             state
                 .gauges
@@ -325,22 +360,27 @@ impl AppState {
         state
     }
 
-    /// The shared corpus (current generation). Blocks during a mapped
-    /// boot until the background thaw installs the owned state.
+    /// The current generation: corpus, engines and state id, taken
+    /// together. Blocks during a mapped boot until the background thaw
+    /// installs the owned state. A request takes this once and reads
+    /// everything corpus-backed from it.
+    #[must_use]
+    pub fn generation(&self) -> Generation {
+        self.store.wait()
+    }
+
+    /// The shared corpus (current generation); blocks like
+    /// [`AppState::generation`].
     #[must_use]
     pub fn corpus(&self) -> Arc<Corpus> {
         self.store.wait().corpus
     }
 
     /// The shared engine for a scoring model (current generation);
-    /// blocks like [`AppState::corpus`].
+    /// blocks like [`AppState::generation`].
     #[must_use]
     pub fn engine(&self, scoring: ScoringModel) -> Arc<SearchEngine> {
-        let store = self.store.wait();
-        match scoring {
-            ScoringModel::TfIdf => store.tfidf,
-            ScoringModel::Bm25 => store.bm25,
-        }
+        Arc::clone(self.store.wait().engine(scoring))
     }
 
     /// The current chain anchor: the snapshot id the installed state
@@ -362,8 +402,9 @@ impl AppState {
     /// lock, so they stall briefly rather than observe a half-applied
     /// state. Every [`COMPACTION_EVERY`]-th apply also rebases: the
     /// grown state is proven byte-identical to a rebuild-from-scratch
-    /// before the new anchor is adopted. Both result caches are cleared
-    /// on success — their keys do not encode corpus content.
+    /// before the new anchor is adopted. Both result caches advance to the
+    /// new state id on success — their keys do not encode corpus content,
+    /// their generation tags do.
     ///
     /// # Errors
     ///
@@ -384,7 +425,7 @@ impl AppState {
         let mut tfidf = (*current.tfidf).clone();
         let info = cpssec_search::apply_delta(&mut corpus, &mut tfidf, bytes, current.state_id)?;
         let bm25 = tfidf.with_scoring(ScoringModel::Bm25);
-        let mut next = CorpusStore {
+        let mut next = Generation {
             corpus: Arc::new(corpus),
             tfidf: Arc::new(tfidf),
             bm25: Arc::new(bm25),
@@ -414,10 +455,13 @@ impl AppState {
             .corpus_records
             .store(next.corpus.len() as u64, Ordering::Relaxed);
         *slot = Some(next);
+        // Cached bodies and priors predate the grown corpus: drop them,
+        // and refuse any that a request still holding the old generation
+        // inserts later. Advancing under the store lock means no request
+        // can take the new generation before the caches are at it.
+        self.responses.advance(outcome.state_id);
+        self.priors.advance(outcome.state_id);
         drop(slot);
-        // Cached bodies and priors predate the grown corpus — drop them.
-        self.responses.clear();
-        self.priors.clear();
         Ok(outcome)
     }
 

@@ -18,7 +18,7 @@ use cpssec_model::{fnv1a_64, Attribute, AttributeKind, Fidelity};
 use cpssec_search::{Filter, FilterPipeline, ScoringModel};
 
 use crate::http::{Request, Response};
-use crate::AppState;
+use crate::{AppState, Generation};
 
 /// The analysis knobs every read endpoint accepts, plus their canonical
 /// cache-key rendering.
@@ -517,26 +517,29 @@ fn upload_model(state: &AppState, req: &Request) -> Response {
     Response::json(201, body.to_text())
 }
 
-/// Computes (or fetches) the association map for `stored` under `spec`.
-/// The map doubles as the *prior* for incremental what-if requests, so it
-/// is cached separately from rendered responses.
+/// Computes (or fetches) the association map for `stored` under `spec`
+/// from `generation`. The map doubles as the *prior* for incremental
+/// what-if requests, so it is cached separately from rendered responses.
 fn prior_map(
     state: &AppState,
+    generation: &Generation,
     stored: &crate::session::StoredModel,
     spec: &RequestSpec,
 ) -> Arc<AssociationMap> {
     let key = format!("prior/{}", spec.key_prefix(stored.hash));
-    if let Some(map) = state.priors.get(&key) {
+    if let Some(map) = state.priors.get_at(&key, generation.state_id()) {
         return map;
     }
     let map = Arc::new(AssociationMap::build(
         &stored.model,
-        &state.engine(spec.scoring),
-        &state.corpus(),
+        generation.engine(spec.scoring),
+        generation.corpus(),
         spec.fidelity,
         &spec.filters,
     ));
-    state.priors.insert(key, Arc::clone(&map));
+    state
+        .priors
+        .insert(key, generation.state_id(), Arc::clone(&map));
     map
 }
 
@@ -550,20 +553,21 @@ fn associate(state: &AppState, req: &Request, id: &str) -> Response {
     };
     cpssec_obs::note_model(stored.hash, spec.fidelity.as_str());
     state.apply_test_delay();
+    let generation = state.generation();
     let component = req.query_param("component");
     let key = format!(
         "assoc/{}/{}",
         spec.key_prefix(stored.hash),
         component.unwrap_or("-")
     );
-    if let Some(body) = state.responses.get(&key) {
+    if let Some(body) = state.responses.get_at(&key, generation.state_id()) {
         cpssec_obs::annotate("cache", "hit");
         return Response::json(200, body.as_str());
     }
     cpssec_obs::annotate("cache", "miss");
 
-    let map = prior_map(state, &stored, &spec);
-    let posture = SystemPosture::compute(&stored.model, &state.corpus(), &map);
+    let map = prior_map(state, &generation, &stored, &spec);
+    let posture = SystemPosture::compute(&stored.model, generation.corpus(), &map);
     let body = match component {
         None => render::association_json(&stored.model, &map, &posture).to_text(),
         Some(name) => {
@@ -585,7 +589,9 @@ fn associate(state: &AppState, req: &Request, id: &str) -> Response {
             Json::Object(fields).to_text()
         }
     };
-    state.responses.insert(key, Arc::new(body.clone()));
+    state
+        .responses
+        .insert(key, generation.state_id(), Arc::new(body.clone()));
     Response::json(200, body)
 }
 
@@ -599,12 +605,13 @@ fn whatif_route(state: &AppState, req: &Request, id: &str) -> Response {
     };
     cpssec_obs::note_model(stored.hash, spec.fidelity.as_str());
     state.apply_test_delay();
+    let generation = state.generation();
     let key = format!(
         "whatif/{}/{:016x}",
         spec.key_prefix(stored.hash),
         fnv1a_64(&req.body)
     );
-    if let Some(body) = state.responses.get(&key) {
+    if let Some(body) = state.responses.get_at(&key, generation.state_id()) {
         cpssec_obs::annotate("cache", "hit");
         return Response::json(200, body.as_str());
     }
@@ -614,20 +621,22 @@ fn whatif_route(state: &AppState, req: &Request, id: &str) -> Response {
         Ok(changes) => changes,
         Err(message) => return Response::error(400, &message),
     };
-    let prior = prior_map(state, &stored, &spec);
+    let prior = prior_map(state, &generation, &stored, &spec);
     let report = match whatif::evaluate_with_prior(
         &stored.model,
         &changes,
         &prior,
-        &state.engine(spec.scoring),
-        &state.corpus(),
+        generation.engine(spec.scoring),
+        generation.corpus(),
         &spec.filters,
     ) {
         Ok(report) => report,
         Err(e) => return Response::error(400, &e.to_string()),
     };
     let body = render::whatif_json(stored.model.name(), spec.fidelity, &report).to_text();
-    state.responses.insert(key, Arc::new(body.clone()));
+    state
+        .responses
+        .insert(key, generation.state_id(), Arc::new(body.clone()));
     Response::json(200, body)
 }
 
@@ -642,8 +651,9 @@ fn table1(state: &AppState, req: &Request) -> Response {
     };
     cpssec_obs::note_model(stored.hash, spec.fidelity.as_str());
     state.apply_test_delay();
+    let generation = state.generation();
     let key = format!("table1/{}", spec.key_prefix(stored.hash));
-    if let Some(body) = state.responses.get(&key) {
+    if let Some(body) = state.responses.get_at(&key, generation.state_id()) {
         cpssec_obs::annotate("cache", "hit");
         return Response::text(200, body.as_str());
     }
@@ -651,8 +661,8 @@ fn table1(state: &AppState, req: &Request) -> Response {
 
     let rows = attribute_rows(
         &stored.model,
-        &state.engine(spec.scoring),
-        &state.corpus(),
+        generation.engine(spec.scoring),
+        generation.corpus(),
         spec.fidelity,
         &spec.filters,
     );
@@ -676,7 +686,9 @@ fn table1(state: &AppState, req: &Request) -> Response {
         ],
         &cells,
     );
-    state.responses.insert(key, Arc::new(body.clone()));
+    state
+        .responses
+        .insert(key, generation.state_id(), Arc::new(body.clone()));
     Response::text(200, body)
 }
 

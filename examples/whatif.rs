@@ -8,7 +8,7 @@ use cpssec::attackdb::seed::seed_corpus;
 use cpssec::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let dashboard = Dashboard::new(seed_corpus(), cpssec::scada::model::scada_model());
+    let mut dashboard = Dashboard::new(seed_corpus(), cpssec::scada::model::scada_model());
 
     let alternatives: Vec<(&str, Vec<ModelChange>)> = vec![
         (
