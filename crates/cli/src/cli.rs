@@ -367,9 +367,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     }
     let options = parse_options(rest)?;
     if options.trace_path.is_some() {
-        let recorder = cpssec_obs::recorder();
-        recorder.enable_spans();
-        recorder.enable_trace();
+        cpssec_obs::recorder().enable_trace();
         // A root trace id for the whole batch run, so every span in the
         // exported Chrome trace groups under one id (the server mints
         // per-request ids instead).
@@ -643,14 +641,15 @@ fn cmd_serve(options: &Options, out: &mut dyn Write) -> Result<String, String> {
     emit(out, &banner)?;
     let state = server.state();
     server.run().map_err(|e| format!("server error: {e}"))?;
-    // Final telemetry snapshot after the drain — the trace ring flush
-    // (--trace) happens in `run` once this command returns.
+    // Final telemetry snapshot after the drain — the --trace export of
+    // the flight rings, the joined workers' included, happens in `run`
+    // once this command returns.
     let (cache_hits, cache_misses) = state.responses.stats();
     Ok(format!(
         "final snapshot: {} ticks, {} requests, {} slow, cache {cache_hits} hits / {cache_misses} misses\nshutdown complete\n",
         state.telemetry.ticks(),
         state.requests.recorded(),
-        state.slow.observed(),
+        state.requests.slow_observed(),
     ))
 }
 

@@ -57,6 +57,7 @@ fn associate_scada_with_trace_emits_a_valid_chrome_trace() {
         .expect("traceEvents is an array");
     assert!(!events.is_empty(), "trace should contain span events");
     let mut names = Vec::new();
+    let mut tids = std::collections::BTreeSet::new();
     for event in events {
         // Complete events carry a phase, a timestamp, and a duration.
         assert_eq!(event.get("ph").and_then(|v| v.as_str()), Some("X"));
@@ -65,6 +66,7 @@ fn associate_scada_with_trace_emits_a_valid_chrome_trace() {
         if let Some(name) = event.get("name").and_then(|v| v.as_str()) {
             names.push(name.to_owned());
         }
+        tids.insert(format!("{:?}", event.get("tid")));
     }
     for stage in ["tokenize", "score", "associate"] {
         assert!(
@@ -72,6 +74,13 @@ fn associate_scada_with_trace_emits_a_valid_chrome_trace() {
             "missing {stage} span, got {names:?}"
         );
     }
+    // The index build fans out to shard threads that have exited by the
+    // time the trace is written; their spans must still be exported.
+    assert!(
+        tids.len() >= 2,
+        "spans from {} thread ids: {tids:?}",
+        tids.len()
+    );
 }
 
 #[test]

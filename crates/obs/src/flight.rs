@@ -3,15 +3,18 @@
 //!
 //! Every thread that emits events owns a fixed-size ring of packed
 //! events (span enter/exit, request trace ids, admission sheds, alert
-//! transitions, reactor readiness stalls). Pushing is single-writer —
-//! only the owning thread touches its ring — guarded by the same
-//! per-slot seqlock discipline as the trace ring so a dump can read
-//! stable slots without ever blocking the writer; steady-state cost is
-//! a handful of uncontended atomic stores (bench-bounded under 100 ns
-//! in `profile_overhead`).
+//! transitions, reactor readiness stalls), each stamped with the trace
+//! id active on the thread. The rings are the only store of completed
+//! spans: the Chrome trace export ([`crate::Recorder::trace_json`]) and
+//! a served request's stage breakdown ([`spans_since`]) are views over
+//! them. Pushing is single-writer — only the owning thread touches its
+//! ring — guarded by a per-slot seqlock so other threads read stable
+//! slots without ever blocking the writer; steady-state cost is a
+//! handful of uncontended atomic stores (bench-bounded under 100 ns in
+//! `profile_overhead`).
 //!
-//! A dump ([`encode_dump`]) atomically snapshots every live ring plus
-//! the recorder's stage aggregates, the interned label table, and
+//! A dump ([`encode_dump`]) atomically snapshots every ring plus the
+//! recorder's stage aggregates, the interned label table, and
 //! caller-supplied context (recent-request ring, active alerts, a
 //! metrics scrape) into a `.cpsflight` file using the `.cpsnap` v2
 //! section-table container: magic + version + checksummed sections at
@@ -20,9 +23,11 @@
 //! /debug/flight/dump`; the trigger paths all route through the
 //! process-wide hook installed with [`set_dump_hook`].
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock, Weak};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
+
+use crate::{StageId, TraceEvent};
 
 /// The six magic bytes every `.cpsflight` file starts with.
 pub const MAGIC: [u8; 6] = *b"CPSFLT";
@@ -116,14 +121,32 @@ impl FlightKind {
 struct EventSlot {
     seq: AtomicU64,
     ts_us: AtomicU64,
-    /// kind (8 bits) | unused.
+    /// kind (8 bits) | span depth (16 bits) | span items (40 bits,
+    /// saturating). Only a `SpanExit` fills the upper bits; a dump keeps
+    /// the kind byte.
     kind: AtomicU64,
     a: AtomicU64,
     b: AtomicU64,
+    /// Trace id active on the thread when the event was pushed (0 = none).
+    trace_hi: AtomicU64,
+    trace_lo: AtomicU64,
 }
 
-/// One thread's event ring. Single writer (the owning thread); the
-/// dumper reads stable slots through the per-slot seqlock.
+/// Largest item count a `SpanExit` slot holds.
+const ITEMS_MAX: u64 = (1 << 40) - 1;
+
+/// One stable slot as the live readers see it: the dump's four fields
+/// plus the span depth, item count and trace id, which a dump leaves out.
+#[derive(Debug, Clone, Copy)]
+struct LiveEvent {
+    event: FlightEvent,
+    depth: u16,
+    items: u64,
+    trace: u128,
+}
+
+/// One thread's event ring. Single writer (the owning thread); other
+/// threads read stable slots through the per-slot seqlock.
 struct EventRing {
     tid: u32,
     head: AtomicU64,
@@ -142,53 +165,82 @@ impl EventRing {
                     kind: AtomicU64::new(0),
                     a: AtomicU64::new(0),
                     b: AtomicU64::new(0),
+                    trace_hi: AtomicU64::new(0),
+                    trace_lo: AtomicU64::new(0),
                 })
                 .collect(),
         }
     }
 
-    fn push(&self, ts_us: u64, kind: FlightKind, a: u64, b: u64) {
-        let n = self.head.fetch_add(1, Ordering::Relaxed) as usize % self.slots.len();
-        let slot = &self.slots[n];
-        slot.seq.fetch_add(1, Ordering::AcqRel); // even -> odd
+    /// Append one event. Only the owning thread calls this, so the head
+    /// and the slot sequence are plain loads and stores, not
+    /// read-modify-writes.
+    fn push(&self, ts_us: u64, kind: u64, a: u64, b: u64, trace: u128) {
+        let n = self.head.load(Ordering::Relaxed);
+        let slot = &self.slots[(n % self.slots.len() as u64) as usize];
+        let seq = slot.seq.load(Ordering::Relaxed);
+        slot.seq.store(seq + 1, Ordering::Relaxed); // odd: write in progress
+        fence(Ordering::Release);
         slot.ts_us.store(ts_us, Ordering::Relaxed);
-        slot.kind.store(kind as u64, Ordering::Relaxed);
+        slot.kind.store(kind, Ordering::Relaxed);
         slot.a.store(a, Ordering::Relaxed);
         slot.b.store(b, Ordering::Relaxed);
-        slot.seq.fetch_add(1, Ordering::Release); // odd -> even
+        slot.trace_hi.store((trace >> 64) as u64, Ordering::Relaxed);
+        slot.trace_lo.store(trace as u64, Ordering::Relaxed);
+        slot.seq.store(seq + 2, Ordering::Release); // even: stable
+        self.head.store(n + 1, Ordering::Release);
     }
 
-    /// Stable events in timestamp order.
-    fn events(&self) -> Vec<FlightEvent> {
-        let mut out = Vec::new();
-        for slot in self.slots.iter() {
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == 0 || seq % 2 == 1 {
-                continue;
+    /// Events pushed at or after position `from`, in push order. Only the
+    /// newest `capacity` are still held. A slot is read only while its
+    /// sequence says it holds exactly event `n`, so a slot being written,
+    /// or one already lapped by the writer, is skipped rather than torn
+    /// or read out of order.
+    fn read(&self, from: u64) -> impl Iterator<Item = LiveEvent> + '_ {
+        let cap = self.slots.len() as u64;
+        let head = self.head.load(Ordering::Acquire);
+        (from.max(head.saturating_sub(cap))..head).filter_map(move |n| {
+            let slot = &self.slots[(n % cap) as usize];
+            // The k-th write to a slot leaves its sequence at 2(k + 1).
+            let want = 2 * (n / cap + 1);
+            if slot.seq.load(Ordering::Acquire) != want {
+                return None;
             }
             let ts_us = slot.ts_us.load(Ordering::Relaxed);
-            let kind = slot.kind.load(Ordering::Relaxed) as u8;
+            let word = slot.kind.load(Ordering::Relaxed);
             let a = slot.a.load(Ordering::Relaxed);
             let b = slot.b.load(Ordering::Relaxed);
-            if slot.seq.load(Ordering::Acquire) != seq {
-                continue;
+            let hi = slot.trace_hi.load(Ordering::Relaxed);
+            let lo = slot.trace_lo.load(Ordering::Relaxed);
+            fence(Ordering::Acquire);
+            if slot.seq.load(Ordering::Relaxed) != want {
+                return None;
             }
-            let Some(kind) = FlightKind::from_u8(kind) else {
-                continue;
-            };
-            out.push(FlightEvent { ts_us, kind, a, b });
-        }
-        out.sort_by_key(|e| e.ts_us);
-        out
+            let kind = FlightKind::from_u8(word as u8)?;
+            Some(LiveEvent {
+                event: FlightEvent { ts_us, kind, a, b },
+                depth: (word >> 8) as u16,
+                items: word >> 24,
+                trace: (u128::from(hi) << 64) | u128::from(lo),
+            })
+        })
     }
 }
+
+/// Exited threads whose rings stay readable, oldest dropped first: a
+/// `--trace` export after a fan-out or a pool drain still shows the
+/// threads that did the work.
+const EXITED_RINGS: usize = 32;
 
 /// Process-global flight recorder state.
 pub struct Flight {
     epoch: Instant,
     enabled: AtomicBool,
     ring_events: usize,
-    rings: Mutex<Vec<Weak<EventRing>>>,
+    /// Every live ring plus up to [`EXITED_RINGS`] of exited threads, in
+    /// registration order. A ring only the registry holds is an exited
+    /// thread's.
+    rings: Mutex<Vec<Arc<EventRing>>>,
     labels: RwLock<Vec<String>>,
 }
 
@@ -208,13 +260,25 @@ pub fn flight() -> &'static Flight {
     })
 }
 
+impl Flight {
+    fn rings(&self) -> Vec<Arc<EventRing>> {
+        self.rings.lock().unwrap().clone()
+    }
+}
+
 thread_local! {
     static RING: Arc<EventRing> = {
         let f = flight();
         let ring = Arc::new(EventRing::new(crate::thread_ordinal(), f.ring_events));
         let mut rings = f.rings.lock().unwrap();
-        rings.retain(|w| w.strong_count() > 0);
-        rings.push(Arc::downgrade(&ring));
+        let exited = rings.iter().filter(|r| Arc::strong_count(r) == 1).count();
+        let mut excess = exited.saturating_sub(EXITED_RINGS);
+        rings.retain(|r| {
+            let drop = excess > 0 && Arc::strong_count(r) == 1;
+            excess -= usize::from(drop);
+            !drop
+        });
+        rings.push(Arc::clone(&ring));
         ring
     };
 }
@@ -230,15 +294,85 @@ pub fn set_enabled(on: bool) {
     flight().enabled.store(on, Ordering::Relaxed);
 }
 
-/// Record one event on this thread's ring. No-op while disabled.
+/// Record one event on this thread's ring, stamped with the thread's
+/// current trace id. No-op while disabled.
 #[inline]
 pub fn event(kind: FlightKind, a: u64, b: u64) {
     let f = flight();
-    if !f.enabled.load(Ordering::Relaxed) {
-        return;
+    if f.enabled.load(Ordering::Relaxed) {
+        push(f.epoch.elapsed().as_micros() as u64, kind as u64, a, b);
     }
-    let ts_us = f.epoch.elapsed().as_micros() as u64;
-    RING.with(|ring| ring.push(ts_us, kind, a, b));
+}
+
+/// Record a span opening at `start` (`a` = stage).
+pub(crate) fn span_enter(stage: StageId, start: Instant) {
+    let f = flight();
+    if f.enabled.load(Ordering::Relaxed) {
+        let ts_us = start.saturating_duration_since(f.epoch).as_micros() as u64;
+        push(ts_us, FlightKind::SpanEnter as u64, u64::from(stage.0), 0);
+    }
+}
+
+/// Record a completed span: `a` = stage, `b` = duration, and the depth
+/// and item count in the kind word. Its timestamp is the span's start
+/// plus its duration, so a reader recovers the start exactly.
+pub(crate) fn span_exit(stage: StageId, start: Instant, dur_us: u64, depth: u16, items: u64) {
+    let f = flight();
+    if f.enabled.load(Ordering::Relaxed) {
+        let ts_us = start.saturating_duration_since(f.epoch).as_micros() as u64 + dur_us;
+        let kind = FlightKind::SpanExit as u64 | u64::from(depth) << 8 | items.min(ITEMS_MAX) << 24;
+        push(ts_us, kind, u64::from(stage.0), dur_us);
+    }
+}
+
+#[inline]
+fn push(ts_us: u64, kind: u64, a: u64, b: u64) {
+    let trace = crate::current_trace_id();
+    RING.with(|ring| ring.push(ts_us, kind, a, b, trace));
+}
+
+/// This thread's ring position: [`spans_since`] with it reads what the
+/// thread records afterwards.
+pub fn mark() -> u64 {
+    RING.with(|ring| ring.head.load(Ordering::Relaxed))
+}
+
+/// The spans this thread completed since `mark`, as (stage, µs) in
+/// completion order (children before parents), newest `max` kept. The
+/// ring has one writer, this thread, so the read takes no lock.
+pub fn spans_since(mark: u64, max: usize) -> Vec<(StageId, u64)> {
+    let mut spans: Vec<(StageId, u64)> = RING.with(|ring| {
+        ring.read(mark)
+            .filter(|e| e.event.kind == FlightKind::SpanExit)
+            .map(|e| (StageId(e.event.a as u16), e.event.b))
+            .collect()
+    });
+    spans.drain(..spans.len().saturating_sub(max));
+    spans
+}
+
+/// Every completed span the rings hold, live threads and retained
+/// exited ones, ordered by start time.
+pub(crate) fn span_events() -> Vec<TraceEvent> {
+    let rings = flight().rings();
+    let mut out: Vec<TraceEvent> = rings
+        .iter()
+        .flat_map(|ring| {
+            ring.read(0)
+                .filter(|e| e.event.kind == FlightKind::SpanExit)
+                .map(|e| TraceEvent {
+                    stage: e.event.a as u16,
+                    depth: e.depth,
+                    tid: ring.tid,
+                    ts_us: e.event.ts_us.saturating_sub(e.event.b),
+                    dur_us: e.event.b,
+                    items: e.items,
+                    trace: e.trace,
+                })
+        })
+        .collect();
+    out.sort_by_key(|e| (e.ts_us, std::cmp::Reverse(e.dur_us)));
+    out
 }
 
 /// Intern a label (route name, shed reason, …) into the dump's string
@@ -554,8 +688,8 @@ impl FlightDump {
     }
 }
 
-/// Snapshot every live ring + recorder aggregates + caller context
-/// into `.cpsflight` bytes.
+/// Snapshot every ring (live and retained exited threads) + recorder
+/// aggregates + caller context into `.cpsflight` bytes.
 pub fn encode_dump(input: &DumpInput<'_>) -> Vec<u8> {
     let f = flight();
 
@@ -582,8 +716,8 @@ pub fn encode_dump(input: &DumpInput<'_>) -> Vec<u8> {
         let rec = crate::recorder();
         let stats = rec.stage_stats();
         put_u32(&mut stages_payload, stats.len() as u32);
-        for (i, s) in stats.iter().enumerate() {
-            put_u16(&mut stages_payload, i as u16);
+        for s in &stats {
+            put_u16(&mut stages_payload, s.id.0);
             put_str(&mut stages_payload, s.name);
             put_u64(&mut stages_payload, s.count);
             put_u64(&mut stages_payload, s.total_us);
@@ -594,14 +728,10 @@ pub fn encode_dump(input: &DumpInput<'_>) -> Vec<u8> {
 
     let mut events_payload = Vec::new();
     {
-        let rings: Vec<Arc<EventRing>> = {
-            let mut rings = f.rings.lock().unwrap();
-            rings.retain(|w| w.strong_count() > 0);
-            rings.iter().filter_map(Weak::upgrade).collect()
-        };
+        let rings = f.rings();
         put_u32(&mut events_payload, rings.len() as u32);
         for ring in rings {
-            let events = ring.events();
+            let events: Vec<FlightEvent> = ring.read(0).map(|e| e.event).collect();
             put_u32(&mut events_payload, ring.tid);
             put_u32(&mut events_payload, events.len() as u32);
             for e in events {
@@ -830,30 +960,79 @@ pub fn decode(bytes: &[u8]) -> Result<FlightDump, FlightError> {
     })
 }
 
+/// Serializes tests that depend on the process-wide enabled flag and
+/// sets it: the flag is global, and tests run in parallel.
+#[cfg(test)]
+pub(crate) fn test_flag(on: bool) -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    let guard = LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    set_enabled(on);
+    guard
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn pushed(ring: &EventRing) -> Vec<u64> {
+        ring.read(0).map(|e| e.event.a).collect()
+    }
 
     #[test]
     fn ring_push_wraps_keeping_latest() {
         let ring = EventRing::new(1, 4);
         for i in 0..10u64 {
-            ring.push(i, FlightKind::SpanEnter, i, 0);
+            ring.push(i, FlightKind::SpanEnter as u64, i, 0, 0);
         }
-        let events = ring.events();
-        assert_eq!(events.len(), 4);
-        assert!(events.iter().all(|e| e.a >= 6));
-        assert!(events.windows(2).all(|w| w[0].ts_us <= w[1].ts_us));
+        assert_eq!(pushed(&ring), [6, 7, 8, 9]);
+        assert_eq!(ring.read(8).count(), 2);
+    }
+
+    #[test]
+    fn ring_reads_in_push_order_across_the_wrap() {
+        // Equal timestamps on both sides of the wrap point: a 0 µs span
+        // must still read enter before exit.
+        let ring = EventRing::new(1, 4);
+        for i in 0..6u64 {
+            let kind = if i % 2 == 0 {
+                FlightKind::SpanEnter
+            } else {
+                FlightKind::SpanExit
+            };
+            ring.push(7, kind as u64, i, 0, 0);
+        }
+        assert_eq!(pushed(&ring), [2, 3, 4, 5]);
+        let kinds: Vec<FlightKind> = ring.read(0).map(|e| e.event.kind).collect();
+        assert_eq!(kinds[0], FlightKind::SpanEnter);
+        assert_eq!(kinds[1], FlightKind::SpanExit);
+    }
+
+    #[test]
+    fn span_exit_slots_carry_depth_items_and_trace() {
+        let ring = EventRing::new(1, 4);
+        let word = FlightKind::SpanExit as u64 | 3 << 8 | (ITEMS_MAX + 5).min(ITEMS_MAX) << 24;
+        ring.push(10, word, 2, 5, 0xabc);
+        let e = ring.read(0).next().unwrap();
+        assert_eq!(
+            e.event,
+            FlightEvent {
+                ts_us: 10,
+                kind: FlightKind::SpanExit,
+                a: 2,
+                b: 5
+            }
+        );
+        assert_eq!((e.depth, e.items, e.trace), (3, ITEMS_MAX, 0xabc));
     }
 
     #[test]
     fn disabled_event_records_nothing() {
-        set_enabled(false);
+        let _flight = test_flag(false);
+        let mark = mark();
         event(FlightKind::Shed, 0, 0);
-        // No assertion on ring contents (other tests share the thread);
-        // the check is that the call is a cheap no-op and doesn't touch
-        // the epoch or allocate.
-        assert!(!enabled());
+        assert_eq!(super::mark(), mark);
     }
 
     #[test]
@@ -868,13 +1047,12 @@ mod tests {
 
     #[test]
     fn dump_round_trips_events_labels_and_context() {
-        set_enabled(true);
+        let _flight = test_flag(true);
         let route = label_id("t-dump-route");
         let reason = label_id("queue-full");
         event(FlightKind::Shed, route, reason);
         event(FlightKind::Request, 0xdead_beef, (route << 16) | 200);
         event(FlightKind::ReactorStall, 12_345, 0);
-        set_enabled(false);
 
         let bytes = encode_dump(&DumpInput {
             reason: "manual",
@@ -905,6 +1083,32 @@ mod tests {
         assert!(timeline.contains("shed"), "{timeline}");
         assert!(timeline.contains("t-dump-route"), "{timeline}");
         assert!(timeline.contains("reactor busy 12345 µs"), "{timeline}");
+    }
+
+    #[test]
+    fn dump_names_stages_by_registered_index() {
+        let _flight = test_flag(true);
+        let rec = crate::recorder();
+        rec.enable_spans();
+        // A stage that never completes is left out of the stage lines,
+        // but every later stage keeps its registered index on the wire.
+        rec.register("t-dump-never");
+        let done = rec.register("t-dump-done");
+        drop(rec.span(done));
+        let dump = decode(&encode_dump(&DumpInput::default())).expect("decode");
+        let tid = crate::thread_ordinal();
+        let thread = dump.threads.iter().find(|t| t.tid == tid).unwrap();
+        let exit = thread
+            .events
+            .iter()
+            .rev()
+            .find(|e| e.kind == FlightKind::SpanExit && e.a == u64::from(done.0))
+            .unwrap();
+        assert!(
+            dump.describe(exit).contains("t-dump-done"),
+            "{}",
+            dump.describe(exit)
+        );
     }
 
     #[test]

@@ -5,15 +5,16 @@
 //! filter → chain-build → render, plus associate/whatif/serve). Each
 //! completed span feeds a per-stage aggregate — count, total wall
 //! time, item count, and a log-linear latency [`hist::Histogram`] —
-//! and, when tracing is on, a wait-free ring of Chrome
-//! `trace_event`s ([`trace`]).
+//! and, while the flight recorder is on, its thread's [`flight`] ring,
+//! the one store every span view reads: the Chrome `trace_event`
+//! export ([`trace`]) and a served request's stage breakdown.
 //!
 //! Disabled is the default and costs one relaxed atomic load per span
 //! site (no `Instant::now()`, no allocation); the overhead bench in
 //! `crates/bench` holds that under 2% on the whole-model match path.
 //! All of this is safe Rust: the "lock-free" structures are arrays of
 //! `AtomicU64` plus a per-slot seqlock, and the only mutexes
-//! (stage-name interning, slow-query ring) sit on cold paths.
+//! (stage-name interning, ring registration) sit on cold paths.
 
 #![forbid(unsafe_code)]
 
@@ -21,7 +22,6 @@ pub mod flight;
 pub mod hist;
 pub mod profile;
 pub mod slo;
-pub mod slow;
 pub mod timeseries;
 pub mod trace;
 
@@ -29,29 +29,23 @@ pub use flight::{FlightDump, FlightError, FlightKind};
 pub use hist::Histogram;
 pub use profile::{FlameGraph, ProfileGuard, Sampler};
 pub use slo::{AlertState, RouteSlo, SloConfig, SloMonitor};
-pub use slow::{SlowEntry, SlowLog};
 pub use timeseries::{Agg, Resolution, TimeSeriesStore, RESOLUTIONS};
-pub use trace::{chrome_trace_json, TraceEvent, TraceRing};
+pub use trace::{chrome_trace_json, TraceEvent};
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Spans feed per-stage aggregates (and the slow-log capture).
+/// Spans feed per-stage aggregates (and, with [`flight`] on, the rings).
 const FLAG_SPANS: u8 = 1;
-/// Completed spans are additionally pushed into the trace ring.
-const FLAG_TRACE: u8 = 2;
 /// Span boundaries additionally publish the thread's current stack
 /// for the sampling profiler ([`profile`]).
-const FLAG_PROFILE: u8 = 4;
+const FLAG_PROFILE: u8 = 2;
 
 /// Fixed number of stage slots; registration beyond this aliases into
 /// the last slot rather than failing.
 pub const MAX_STAGES: usize = 64;
-
-/// Cap on stages captured per request for the slow-query breakdown.
-const MAX_CAPTURE: usize = 64;
 
 /// Interned identifier for a stage name. Cheap to copy; resolved back
 /// to its name via [`Recorder::stage_name`].
@@ -74,6 +68,8 @@ struct StageAgg {
 /// Aggregate view of one stage, as returned by [`Recorder::stage_stats`].
 #[derive(Debug, Clone)]
 pub struct StageStats {
+    /// The registered index flight events carry.
+    pub id: StageId,
     pub name: &'static str,
     pub count: u64,
     pub total_us: u64,
@@ -84,10 +80,8 @@ pub struct StageStats {
 
 pub struct Recorder {
     flags: AtomicU8,
-    epoch: Instant,
     names: Mutex<Vec<&'static str>>,
     stages: Vec<StageAgg>,
-    trace: OnceLock<TraceRing>,
 }
 
 static GLOBAL: OnceLock<Recorder> = OnceLock::new();
@@ -105,12 +99,10 @@ thread_local! {
     static TID: u32 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
     /// Current span nesting depth on this thread.
     static DEPTH: Cell<u16> = const { Cell::new(0) };
-    /// Per-request stage capture for the slow-query log.
-    static CAPTURE: RefCell<Option<Vec<(StageId, u64)>>> = const { RefCell::new(None) };
-    /// Model identity noted by route handlers for the slow-query log.
+    /// Model identity noted by route handlers for the request log.
     static NOTE: RefCell<Option<(u64, String)>> = const { RefCell::new(None) };
     /// Trace id of the request currently being served on this thread
-    /// (0 = none). Stamped onto every trace-ring event.
+    /// (0 = none). Stamped onto every flight event.
     static CURRENT_TRACE: Cell<u128> = const { Cell::new(0) };
     /// Free-form key/value annotations attached to the current request
     /// (e.g. cache hit/miss), drained once per request.
@@ -131,7 +123,6 @@ impl Recorder {
     pub fn new() -> Self {
         Recorder {
             flags: AtomicU8::new(0),
-            epoch: Instant::now(),
             names: Mutex::new(Vec::new()),
             stages: (0..MAX_STAGES)
                 .map(|_| StageAgg {
@@ -141,7 +132,6 @@ impl Recorder {
                     hist: Histogram::new(),
                 })
                 .collect(),
-            trace: OnceLock::new(),
         }
     }
 
@@ -149,27 +139,24 @@ impl Recorder {
         self.flags.load(Ordering::Relaxed) & FLAG_SPANS != 0
     }
 
-    pub fn trace_enabled(&self) -> bool {
-        self.flags.load(Ordering::Relaxed) & FLAG_TRACE != 0
-    }
-
     /// Turn on span aggregation (idempotent).
     pub fn enable_spans(&self) {
         self.flags.fetch_or(FLAG_SPANS, Ordering::Relaxed);
     }
 
-    /// Turn on tracing (implies spans); allocates the ring on first use.
+    /// Turn on tracing: spans plus the [`flight`] rings they are
+    /// exported from.
     pub fn enable_trace(&self) {
-        self.trace
-            .get_or_init(|| TraceRing::new(trace::DEFAULT_TRACE_CAPACITY));
-        self.flags
-            .fetch_or(FLAG_SPANS | FLAG_TRACE, Ordering::Relaxed);
+        self.enable_spans();
+        flight::set_enabled(true);
     }
 
-    /// Turn everything off. In-flight spans still record their
-    /// aggregates (they captured the enabled flags at entry).
+    /// Turn everything off, the flight rings included. In-flight spans
+    /// still record their aggregates (they captured the enabled flags at
+    /// entry).
     pub fn disable(&self) {
         self.flags.store(0, Ordering::Relaxed);
+        flight::set_enabled(false);
     }
 
     pub fn profile_enabled(&self) -> bool {
@@ -220,7 +207,6 @@ impl Recorder {
             return Span { inner: None };
         }
         let start = Instant::now();
-        let ts_us = start.duration_since(self.epoch).as_micros() as u64;
         let depth = DEPTH.with(|d| {
             let v = d.get();
             d.set(v.saturating_add(1));
@@ -229,15 +215,12 @@ impl Recorder {
         if flags & FLAG_PROFILE != 0 {
             profile::publish_push(id.0);
         }
-        if flight::enabled() {
-            flight::event(FlightKind::SpanEnter, u64::from(id.0), 0);
-        }
+        flight::span_enter(id, start);
         Span {
             inner: Some(SpanInner {
                 rec: self,
                 id,
                 start,
-                ts_us,
                 depth,
                 items: 0,
                 flags,
@@ -259,6 +242,7 @@ impl Recorder {
                 }
                 let snap = agg.hist.snapshot();
                 Some(StageStats {
+                    id: StageId(i as u16),
                     name,
                     count,
                     total_us: agg.total_us.load(Ordering::Relaxed),
@@ -275,13 +259,14 @@ impl Recorder {
         &self.stages[id.index()].hist
     }
 
-    /// Events currently retained in the trace ring (empty when tracing
-    /// was never enabled).
+    /// Completed spans the [`flight`] rings still hold, ordered by start
+    /// time: each thread's newest events, live threads and a bounded set
+    /// of exited ones (empty while the rings were never on).
     pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.trace.get().map(|r| r.events()).unwrap_or_default()
+        flight::span_events()
     }
 
-    /// Chrome `trace_event` JSON for everything in the trace ring.
+    /// Chrome `trace_event` JSON for [`Recorder::trace_events`].
     pub fn trace_json(&self) -> String {
         let names = self.names.lock().unwrap().clone();
         chrome_trace_json(&self.trace_events(), |stage| {
@@ -297,7 +282,6 @@ struct SpanInner<'a> {
     rec: &'a Recorder,
     id: StageId,
     start: Instant,
-    ts_us: u64,
     depth: u16,
     items: u64,
     flags: u8,
@@ -332,28 +316,12 @@ impl Drop for Span<'_> {
         if inner.flags & FLAG_PROFILE != 0 {
             profile::publish_pop();
         }
-        if flight::enabled() {
-            flight::event(FlightKind::SpanExit, u64::from(inner.id.0), dur_us);
-        }
+        flight::span_exit(inner.id, inner.start, dur_us, inner.depth, inner.items);
         let agg = &inner.rec.stages[inner.id.index()];
         agg.count.fetch_add(1, Ordering::Relaxed);
         agg.total_us.fetch_add(dur_us, Ordering::Relaxed);
         agg.items.fetch_add(inner.items, Ordering::Relaxed);
         agg.hist.record(dur_us);
-        if inner.flags & FLAG_TRACE != 0 {
-            if let Some(ring) = inner.rec.trace.get() {
-                ring.push(
-                    inner.id.0,
-                    inner.depth,
-                    thread_ordinal(),
-                    inner.ts_us,
-                    dur_us,
-                    inner.items,
-                    current_trace_id(),
-                );
-            }
-        }
-        capture_push(inner.id, dur_us);
     }
 }
 
@@ -375,45 +343,7 @@ macro_rules! span {
     }};
 }
 
-/// Begin capturing span completions on this thread (for the slow-query
-/// stage breakdown). Nest-safe: restores any outer capture on finish.
-pub struct Capture {
-    prev: Option<Vec<(StageId, u64)>>,
-}
-
-impl Capture {
-    pub fn begin() -> Capture {
-        let prev = CAPTURE.with(|c| c.borrow_mut().replace(Vec::new()));
-        Capture { prev }
-    }
-
-    /// Stop capturing and return (stage, µs) pairs in completion order
-    /// (children before parents), resolved to names by `rec`.
-    pub fn finish(mut self, rec: &Recorder) -> Vec<(String, u64)> {
-        let cur = CAPTURE.with(|c| {
-            let mut slot = c.borrow_mut();
-            std::mem::replace(&mut *slot, self.prev.take())
-        });
-        cur.unwrap_or_default()
-            .into_iter()
-            .map(|(id, us)| (rec.stage_name(id).to_string(), us))
-            .collect()
-    }
-}
-
-fn capture_push(id: StageId, dur_us: u64) {
-    CAPTURE.with(|c| {
-        if let Ok(mut slot) = c.try_borrow_mut() {
-            if let Some(v) = slot.as_mut() {
-                if v.len() < MAX_CAPTURE {
-                    v.push((id, dur_us));
-                }
-            }
-        }
-    });
-}
-
-/// Note the model a request is operating on, for the slow-query log.
+/// Note the model a request is operating on, for the request log.
 /// Called by route handlers; consumed once per request via
 /// [`take_note`].
 pub fn note_model(hash: u64, fidelity: &str) {
@@ -537,61 +467,95 @@ mod tests {
         }
     }
 
+    /// This thread's exported spans of stage `name`. The flight rings are
+    /// process-global, so tests filter by their own thread and stage.
+    fn exported(name: &str) -> Vec<TraceEvent> {
+        let rec = recorder();
+        let tid = thread_ordinal();
+        rec.trace_events()
+            .into_iter()
+            .filter(|e| e.tid == tid && rec.stage_name(StageId(e.stage)) == name)
+            .collect()
+    }
+
     #[test]
-    fn trace_ring_collects_nested_spans() {
-        let rec = Recorder::new();
-        rec.enable_trace();
-        let outer = rec.register("t-outer");
-        let inner = rec.register("t-inner");
+    fn trace_export_keeps_depth_items_and_start() {
+        let _flight = flight::test_flag(true);
+        recorder().enable_spans();
         {
-            let _o = rec.span(outer);
-            let _i = rec.span(inner);
+            let _outer = span!("t-outer");
+            let mut inner = span!("t-inner");
+            inner.add_items(3);
         }
-        let events = rec.trace_events();
-        assert_eq!(events.len(), 2);
-        let inner_ev = events.iter().find(|e| e.stage == inner.0).unwrap();
-        let outer_ev = events.iter().find(|e| e.stage == outer.0).unwrap();
-        assert_eq!(outer_ev.depth, 0);
-        assert_eq!(inner_ev.depth, 1);
-        assert!(inner_ev.ts_us >= outer_ev.ts_us);
-        let json = rec.trace_json();
+        let outer = exported("t-outer");
+        let inner = exported("t-inner");
+        assert_eq!((outer.len(), inner.len()), (1, 1));
+        assert_eq!((outer[0].depth, inner[0].depth), (0, 1));
+        assert_eq!((outer[0].items, inner[0].items), (0, 3));
+        assert!(inner[0].ts_us >= outer[0].ts_us);
+        assert!(inner[0].ts_us + inner[0].dur_us <= outer[0].ts_us + outer[0].dur_us + 1);
+        let json = recorder().trace_json();
         assert!(json.contains("\"name\":\"t-inner\""));
         assert!(json.contains("\"ph\":\"X\""));
     }
 
     #[test]
-    fn capture_restores_outer_scope() {
-        let rec = recorder();
-        rec.enable_spans();
-        let outer_cap = Capture::begin();
-        drop(span!("t-cap-outer"));
-        {
-            let inner_cap = Capture::begin();
-            drop(span!("t-cap-inner"));
-            let stages = inner_cap.finish(rec);
-            assert_eq!(stages.len(), 1);
-            assert_eq!(stages[0].0, "t-cap-inner");
-        }
-        drop(span!("t-cap-outer"));
-        let stages = outer_cap.finish(rec);
-        let names: Vec<&str> = stages.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, ["t-cap-outer", "t-cap-outer"]);
-    }
-
-    #[test]
     fn spans_carry_the_active_trace_id() {
-        let rec = Recorder::new();
-        rec.enable_trace();
-        let id = rec.register("t-traceid");
-        let trace = mint_trace_id();
+        let _flight = flight::test_flag(true);
+        recorder().enable_spans();
+        let trace = 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210;
         set_trace_id(trace);
-        drop(rec.span(id));
+        drop(span!("t-traceid"));
         set_trace_id(0);
-        drop(rec.span(id));
-        let events = rec.trace_events();
+        drop(span!("t-traceid"));
+        let events = exported("t-traceid");
         assert_eq!(events.len(), 2);
         assert!(events.iter().any(|e| e.trace == trace));
         assert!(events.iter().any(|e| e.trace == 0));
+        let json = chrome_trace_json(&events, |_| "serve".to_string());
+        assert!(json.contains("\"trace_id\":\"0123456789abcdeffedcba9876543210\""));
+        // Spans with no active trace omit the key entirely.
+        assert_eq!(json.matches("trace_id").count(), 1);
+    }
+
+    #[test]
+    fn spans_since_keeps_the_newest_completions() {
+        let _flight = flight::test_flag(true);
+        recorder().enable_spans();
+        drop(span!("t-before-mark"));
+        let mark = flight::mark();
+        {
+            let _root = span!("t-root");
+            for _ in 0..70 {
+                drop(span!("t-leaf"));
+            }
+        }
+        let spans = flight::spans_since(mark, 64);
+        let names: Vec<&str> = spans
+            .iter()
+            .map(|&(id, _)| recorder().stage_name(id))
+            .collect();
+        assert_eq!(names.len(), 64);
+        // Children complete before parents, so the root is last.
+        assert_eq!(names.last(), Some(&"t-root"));
+        assert!(names[..63].iter().all(|n| *n == "t-leaf"), "{names:?}");
+    }
+
+    #[test]
+    fn exited_threads_stay_in_the_export() {
+        let _flight = flight::test_flag(true);
+        recorder().enable_spans();
+        let tid = std::thread::spawn(|| {
+            drop(span!("t-exited"));
+            thread_ordinal()
+        })
+        .join()
+        .unwrap();
+        let rec = recorder();
+        assert!(rec
+            .trace_events()
+            .iter()
+            .any(|e| e.tid == tid && rec.stage_name(StageId(e.stage)) == "t-exited"));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Every thread that opens spans publishes its *current* span stack
 //! into a registered per-thread slot: a fixed array of stage ids plus
 //! a depth counter, guarded by the same safe seqlock discipline as the
-//! trace ring (writer bumps the sequence odd, stores, bumps it even;
+//! flight rings (writer bumps the sequence odd, stores, bumps it even;
 //! readers retry on odd or changed sequences). Only the owning thread
 //! ever writes its slot, so publishing is two uncontended `fetch_add`s
 //! and a couple of relaxed stores per span boundary.

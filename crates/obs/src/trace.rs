@@ -1,36 +1,8 @@
-//! Lock-free ring buffer of completed spans plus a Chrome
-//! `trace_event` JSON exporter (loadable in `chrome://tracing` and
-//! Perfetto).
-//!
-//! Each slot is guarded by a per-slot sequence counter (a safe
-//! seqlock): writers bump it odd, store the fields, bump it even;
-//! the exporter skips slots whose sequence is odd or changed while
-//! reading. Writers claim slots with a single `fetch_add` on the ring
-//! head, so recording never blocks.
+//! Chrome `trace_event` JSON export (loadable in `chrome://tracing`
+//! and Perfetto) of the completed spans the [`crate::flight`] rings
+//! hold.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Default ring capacity (events); ~0.7 MB of atomics.
-pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 14;
-
-struct Slot {
-    seq: AtomicU64,
-    /// stage id (16 bits) | depth (16 bits) | thread ordinal (32 bits)
-    meta: AtomicU64,
-    ts_us: AtomicU64,
-    dur_us: AtomicU64,
-    items: AtomicU64,
-    /// 16-byte request trace id, split across two words (0 = none).
-    trace_hi: AtomicU64,
-    trace_lo: AtomicU64,
-}
-
-pub struct TraceRing {
-    head: AtomicU64,
-    slots: Box<[Slot]>,
-}
-
-/// One completed span, decoded from the ring.
+/// One completed span, read from a thread's flight ring.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     pub stage: u16,
@@ -41,89 +13,6 @@ pub struct TraceEvent {
     pub items: u64,
     /// Request trace id the span belonged to (0 when none was active).
     pub trace: u128,
-}
-
-impl TraceRing {
-    pub fn new(capacity: usize) -> Self {
-        let slots = (0..capacity.max(1))
-            .map(|_| Slot {
-                seq: AtomicU64::new(0),
-                meta: AtomicU64::new(0),
-                ts_us: AtomicU64::new(0),
-                dur_us: AtomicU64::new(0),
-                items: AtomicU64::new(0),
-                trace_hi: AtomicU64::new(0),
-                trace_lo: AtomicU64::new(0),
-            })
-            .collect();
-        TraceRing {
-            head: AtomicU64::new(0),
-            slots,
-        }
-    }
-
-    /// Record one completed span. Wait-free for the writer; on wrap the
-    /// oldest events are overwritten.
-    #[allow(clippy::too_many_arguments)]
-    pub fn push(
-        &self,
-        stage: u16,
-        depth: u16,
-        tid: u32,
-        ts_us: u64,
-        dur_us: u64,
-        items: u64,
-        trace: u128,
-    ) {
-        let n = self.head.fetch_add(1, Ordering::Relaxed) as usize % self.slots.len();
-        let slot = &self.slots[n];
-        slot.seq.fetch_add(1, Ordering::AcqRel); // even -> odd: write in progress
-        let meta = ((stage as u64) << 48) | ((depth as u64) << 32) | tid as u64;
-        slot.meta.store(meta, Ordering::Relaxed);
-        slot.ts_us.store(ts_us, Ordering::Relaxed);
-        slot.dur_us.store(dur_us, Ordering::Relaxed);
-        slot.items.store(items, Ordering::Relaxed);
-        slot.trace_hi.store((trace >> 64) as u64, Ordering::Relaxed);
-        slot.trace_lo.store(trace as u64, Ordering::Relaxed);
-        slot.seq.fetch_add(1, Ordering::Release); // odd -> even: stable
-    }
-
-    /// Number of events ever pushed (may exceed capacity).
-    pub fn pushed(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
-    }
-
-    /// Decode every stable slot, sorted by start timestamp. Slots mid
-    /// write (odd or changed sequence) are skipped rather than torn.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::new();
-        for slot in self.slots.iter() {
-            let seq1 = slot.seq.load(Ordering::Acquire);
-            if seq1 == 0 || seq1 % 2 == 1 {
-                continue;
-            }
-            let meta = slot.meta.load(Ordering::Relaxed);
-            let ts_us = slot.ts_us.load(Ordering::Relaxed);
-            let dur_us = slot.dur_us.load(Ordering::Relaxed);
-            let items = slot.items.load(Ordering::Relaxed);
-            let trace_hi = slot.trace_hi.load(Ordering::Relaxed);
-            let trace_lo = slot.trace_lo.load(Ordering::Relaxed);
-            if slot.seq.load(Ordering::Acquire) != seq1 {
-                continue; // overwritten while reading
-            }
-            out.push(TraceEvent {
-                stage: (meta >> 48) as u16,
-                depth: (meta >> 32) as u16,
-                tid: meta as u32,
-                ts_us,
-                dur_us,
-                items,
-                trace: ((trace_hi as u128) << 64) | trace_lo as u128,
-            });
-        }
-        out.sort_by_key(|e| (e.ts_us, std::cmp::Reverse(e.dur_us)));
-        out
-    }
 }
 
 /// Minimal JSON string escaping (names and labels are plain ASCII in
@@ -179,62 +68,45 @@ pub fn chrome_trace_json(events: &[TraceEvent], stage_name: impl Fn(u16) -> Stri
 mod tests {
     use super::*;
 
-    #[test]
-    fn push_and_decode() {
-        let ring = TraceRing::new(8);
-        ring.push(3, 1, 7, 100, 25, 4, 0);
-        ring.push(1, 0, 7, 90, 50, 0, 0);
-        let events = ring.events();
-        assert_eq!(events.len(), 2);
-        // Sorted by start time.
-        assert_eq!(events[0].stage, 1);
-        assert_eq!(events[1].stage, 3);
-        assert_eq!(events[1].tid, 7);
-        assert_eq!(events[1].depth, 1);
-        assert_eq!(events[1].items, 4);
-    }
-
-    #[test]
-    fn wraps_keeping_latest() {
-        let ring = TraceRing::new(4);
-        for i in 0..10u64 {
-            ring.push(i as u16, 0, 1, i * 10, 1, 0, 0);
+    fn span(trace: u128) -> TraceEvent {
+        TraceEvent {
+            stage: 0,
+            depth: 1,
+            tid: 7,
+            ts_us: 5,
+            dur_us: 17,
+            items: 2,
+            trace,
         }
-        let events = ring.events();
-        assert_eq!(events.len(), 4);
-        assert!(events.iter().all(|e| e.stage >= 6));
-        assert_eq!(ring.pushed(), 10);
-    }
-
-    #[test]
-    fn trace_id_round_trips_through_the_ring() {
-        let ring = TraceRing::new(4);
-        let id: u128 = 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210;
-        ring.push(2, 0, 1, 10, 5, 0, id);
-        ring.push(2, 0, 1, 20, 5, 0, 0);
-        let events = ring.events();
-        assert_eq!(events[0].trace, id);
-        assert_eq!(events[1].trace, 0);
-        let json = chrome_trace_json(&events, |_| "serve".to_string());
-        assert!(json.contains("\"trace_id\":\"0123456789abcdeffedcba9876543210\""));
-        // Events with no active trace omit the key entirely.
-        assert_eq!(json.matches("trace_id").count(), 1);
     }
 
     #[test]
     fn chrome_json_shape() {
-        let ring = TraceRing::new(4);
-        ring.push(0, 0, 1, 5, 17, 2, 0);
-        let json = chrome_trace_json(&ring.events(), |_| "associate".to_string());
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ts\":5"));
-        assert!(json.contains("\"dur\":17"));
-        assert!(json.contains("\"name\":\"associate\""));
+        let json = chrome_trace_json(&[span(0)], |_| "associate".to_string());
+        for key in [
+            "\"ph\":\"X\"",
+            "\"ts\":5",
+            "\"dur\":17",
+            "\"tid\":7",
+            "\"args\":{\"items\":2,\"depth\":1}",
+            "\"name\":\"associate\"",
+        ] {
+            assert!(json.contains(key), "{key} missing: {json}");
+        }
         assert!(json.starts_with('{') && json.ends_with('}'));
+    }
+
+    #[test]
+    fn trace_id_key_only_when_set() {
+        let json = chrome_trace_json(&[span(0xab), span(0)], |_| "serve".to_string());
+        assert!(json.contains("\"trace_id\":\"000000000000000000000000000000ab\""));
+        assert_eq!(json.matches("trace_id").count(), 1);
     }
 
     #[test]
     fn escapes_controls() {
         assert_eq!(escape_json("a\"b\\c\n"), "a\\\"b\\\\c\\n");
+        let json = chrome_trace_json(&[span(0)], |_| "x\"y".to_string());
+        assert!(json.contains("\"name\":\"x\\\"y\""), "{json}");
     }
 }

@@ -177,7 +177,8 @@ async function refresh() {
   const slowEntries = (await (await fetch("/debug/slow")).json()).entries || [];
   const body = document.querySelector("#slowfeed tbody");
   body.innerHTML = "";
-  for (const e of slowEntries.slice(0, 12)) {
+  // /debug/slow lists newest last; the feed shows the newest 12 first.
+  for (const e of slowEntries.slice(-12).reverse()) {
     const tr = document.createElement("tr");
     const link = e.trace_id
       ? `<a href="/debug/requests/${e.trace_id}">${e.trace_id.slice(0, 12)}…</a>` : "–";
@@ -219,6 +220,8 @@ mod tests {
         ] {
             assert!(DASHBOARD_HTML.contains(series), "missing {series}");
         }
+        // The slow feed reads /debug/slow (newest last) from its end.
+        assert!(DASHBOARD_HTML.contains("slowEntries.slice(-12).reverse()"));
         // Self-contained: no external scripts, stylesheets, or images.
         assert!(!DASHBOARD_HTML.contains("src=\"http"));
         assert!(!DASHBOARD_HTML.contains("href=\"http"));

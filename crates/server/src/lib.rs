@@ -149,9 +149,6 @@ pub struct AppState {
     pub priors: Cache<Arc<AssociationMap>>,
     /// Request counters and latency histograms.
     pub metrics: Metrics,
-    /// Ring of requests that crossed the slow-query threshold, served at
-    /// `GET /debug/slow`.
-    pub slow: cpssec_obs::SlowLog,
     /// Index-load timing and snapshot hit/miss. Behind a mutex because a
     /// mapped boot fills `index_load_us` in once the background thaw
     /// lands; read it through [`AppState::startup`].
@@ -161,8 +158,9 @@ pub struct AppState {
     pub gauges: CorpusGauges,
     /// Time-series store + SLO monitor, fed by the telemetry tick.
     pub telemetry: telemetry::Telemetry,
-    /// Ring of recently served requests, keyed by trace id
-    /// (`GET /debug/requests/:id`).
+    /// Every finished request, recorded once: the recent ones keyed by
+    /// trace id (`GET /debug/requests/:id`) and the slow ones
+    /// (`GET /debug/slow`).
     pub requests: requests::RequestLog,
     /// Worker-pool saturation gauges, sampled each tick.
     pub pool_stats: Arc<pool::PoolStats>,
@@ -178,8 +176,6 @@ pub struct AppState {
     pub admission: admission::Admission,
 }
 
-/// Retained slow-query entries.
-const SLOW_LOG_CAPACITY: usize = 64;
 /// Default slow-query threshold (µs); `CPSSEC_SLOW_US` overrides it.
 const SLOW_THRESHOLD_US: u64 = 100_000;
 
@@ -338,11 +334,13 @@ impl AppState {
             responses: Cache::new(responses),
             priors: Cache::new(priors),
             metrics: Metrics::new(),
-            slow: cpssec_obs::SlowLog::new(SLOW_LOG_CAPACITY, slow_threshold_us()),
             startup: Mutex::new(startup),
             gauges: CorpusGauges::default(),
             telemetry: telemetry::Telemetry::new(),
-            requests: requests::RequestLog::new(requests::DEFAULT_REQUEST_LOG_CAPACITY),
+            requests: requests::RequestLog::new(
+                requests::DEFAULT_REQUEST_LOG_CAPACITY,
+                slow_threshold_us(),
+            ),
             pool_stats: Arc::new(pool::PoolStats::new()),
             test_delay: AtomicU64::new(0),
             fleet: scenarios::FleetJobs::new(),
@@ -483,7 +481,7 @@ impl AppState {
                 ("priors", prior_hits, prior_misses),
             ],
             &self.pool_stats,
-            &self.slow,
+            self.requests.slow_observed(),
         );
         let corpus = self.gauges.sample();
         self.telemetry
@@ -722,8 +720,8 @@ impl Server {
     /// Propagates fatal listener errors (per-connection I/O errors are
     /// absorbed).
     pub fn run(self) -> io::Result<()> {
-        // Spans are cheap (atomics only) and feed the slow-query stage
-        // breakdown and /metrics histograms, so serving enables them.
+        // Spans are cheap (atomics only) and feed the request stage
+        // breakdowns and /metrics histograms, so serving enables them.
         cpssec_obs::recorder().enable_spans();
         // The flight recorder is always-on while serving: per-thread
         // event rings plus a dump hook that bundles server context
@@ -854,71 +852,86 @@ fn handle_connection(stream: TcpStream, state: &AppState, shutdown: &AtomicBool)
     }
 }
 
-/// Runs one fully-parsed request through the router with all of its
-/// per-request bookkeeping: trace-id propagation, span capture, metrics,
-/// the slow-query log, and the request ring. Both backends call this on
-/// a worker thread (the span capture and trace id are thread-local), so
-/// reactor and legacy responses are byte-identical by construction.
-pub(crate) fn process_request(state: &AppState, request: &http::Request) -> http::Response {
-    // Honor an inbound W3C `traceparent`, else mint a fresh trace
-    // id. The id rides the thread-local through every span this
-    // request opens, so `--trace` output, the slow-query log, and
-    // `/debug/requests/:id` all correlate on it.
-    let remote_parent = request
-        .header("traceparent")
-        .and_then(requests::parse_traceparent);
-    let trace_id = remote_parent.unwrap_or_else(cpssec_obs::mint_trace_id);
-    cpssec_obs::set_trace_id(trace_id);
+/// Stages a request's breakdown keeps: the newest completions, so the
+/// root spans, which complete last, are always in it.
+const MAX_BREAKDOWN: usize = 64;
 
+/// Runs one fully-parsed request through the router with all of its
+/// per-request bookkeeping: trace-id propagation, the stage breakdown,
+/// and [`record_request`]. Both backends call this on a worker thread
+/// (the flight ring and trace id are thread-local), so reactor and
+/// legacy responses are byte-identical by construction.
+pub(crate) fn process_request(state: &AppState, request: &http::Request) -> http::Response {
+    // The id rides the thread-local through every span this request
+    // opens, so `--trace` output, the request log, and flight dumps all
+    // correlate on it.
+    let trace = requests::trace_of(request);
+    cpssec_obs::set_trace_id(trace.0);
     let started = Instant::now();
-    let capture = cpssec_obs::Capture::begin();
+    let mark = cpssec_obs::flight::mark();
     let (route, mut response) = {
         let _span = cpssec_obs::span!("serve-request");
         router::dispatch(state, request)
     };
-    let stages = capture.finish(cpssec_obs::recorder());
+    let stages = cpssec_obs::flight::spans_since(mark, MAX_BREAKDOWN);
+    let elapsed = started.elapsed();
+    record_request(state, trace, route, response.status, elapsed, stages, None);
     // Clear before any pooled-thread reuse: the next request on
     // this thread must not inherit this id.
     cpssec_obs::set_trace_id(0);
-    let annotations = cpssec_obs::take_annotations();
-    let elapsed = started.elapsed();
-    state.metrics.record(route, response.status, elapsed);
-    let note = cpssec_obs::take_note();
-    let total_us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-    if total_us >= state.slow.threshold_us() {
-        state.slow.observe(cpssec_obs::SlowEntry {
-            route: route.to_owned(),
-            status: response.status,
-            total_us,
-            trace_id,
-            model_hash: note.as_ref().map(|(hash, _)| *hash),
-            fidelity: note.clone().map(|(_, fidelity)| fidelity),
-            stages: stages.clone(),
-        });
+    response.add_header("X-Trace-Id", format!("{:032x}", trace.0));
+    response
+}
+
+/// Records one finished request, served or shed (`shed` names why):
+/// its route metrics, one entry in the request log carrying this
+/// thread's annotations and model note, and one flight event — a
+/// `Request`, or a `Shed` with its reason.
+pub(crate) fn record_request(
+    state: &AppState,
+    (trace_id, remote_parent): (u128, bool),
+    route: &'static str,
+    status: u16,
+    elapsed: Duration,
+    stages: Vec<(cpssec_obs::StageId, u64)>,
+    shed: Option<admission::ShedReason>,
+) {
+    use cpssec_obs::flight;
+    state.metrics.record(route, status, elapsed);
+    let mut annotations = cpssec_obs::take_annotations();
+    if let Some(reason) = shed {
+        annotations.push(("shed".to_owned(), reason.as_str().to_owned()));
     }
+    if flight::enabled() {
+        let route_label = flight::label_id(route);
+        match shed {
+            Some(reason) => flight::event(
+                cpssec_obs::FlightKind::Shed,
+                route_label,
+                flight::label_id(reason.as_str()),
+            ),
+            // Low 64 bits of the trace id are enough to correlate a ring
+            // event with the request ring and `.cpsflight` requests section.
+            None => flight::event(
+                cpssec_obs::FlightKind::Request,
+                trace_id as u64,
+                (route_label << 16) | u64::from(status),
+            ),
+        }
+    }
+    let (model_hash, fidelity) = cpssec_obs::take_note().unzip();
     state.requests.record(requests::RequestEntry {
         trace_id,
-        route: route.to_owned(),
-        status: response.status,
+        route,
+        status,
         ts_ms: telemetry::now_ms(),
-        total_us,
-        remote_parent: remote_parent.is_some(),
+        total_us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
+        remote_parent,
         stages,
         annotations,
-        model_hash: note.as_ref().map(|(hash, _)| *hash),
-        fidelity: note.map(|(_, fidelity)| fidelity),
+        model_hash,
+        fidelity,
     });
-    if cpssec_obs::flight::enabled() {
-        // Low 64 bits of the trace id are enough to correlate a ring
-        // event with the request ring and `.cpsflight` requests section.
-        cpssec_obs::flight::event(
-            cpssec_obs::FlightKind::Request,
-            trace_id as u64,
-            (cpssec_obs::flight::label_id(route) << 16) | u64::from(response.status),
-        );
-    }
-    response.add_header("X-Trace-Id", format!("{trace_id:032x}"));
-    response
 }
 
 #[cfg(test)]

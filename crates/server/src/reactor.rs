@@ -574,34 +574,19 @@ impl Reactor<'_> {
                 match self.state.admission.try_admit(route) {
                     Ok(guard) => Step::Dispatch(request, guard),
                     Err(reason) => {
-                        // Sheds get the same trace-id treatment as served
-                        // requests: honor an inbound `traceparent`, else
-                        // mint — so a shed 429 still lands in the request
-                        // ring and answers `GET /debug/requests/:id`.
-                        let remote_parent = request
-                            .header("traceparent")
-                            .and_then(crate::requests::parse_traceparent);
-                        let trace_id = remote_parent.unwrap_or_else(cpssec_obs::mint_trace_id);
-                        self.state.metrics.record(route, 429, Duration::ZERO);
-                        self.state.requests.record(crate::requests::RequestEntry {
-                            trace_id,
-                            route: route.to_owned(),
-                            status: 429,
-                            ts_ms: crate::telemetry::now_ms(),
-                            total_us: 0,
-                            remote_parent: remote_parent.is_some(),
-                            stages: Vec::new(),
-                            annotations: vec![("shed".to_owned(), reason.as_str().to_owned())],
-                            model_hash: None,
-                            fidelity: None,
-                        });
-                        if cpssec_obs::flight::enabled() {
-                            cpssec_obs::flight::event(
-                                cpssec_obs::FlightKind::Shed,
-                                cpssec_obs::flight::label_id(route),
-                                cpssec_obs::flight::label_id(reason.as_str()),
-                            );
-                        }
+                        // Sheds get the same trace-id treatment and the
+                        // same record as served requests, so a shed 429
+                        // still answers `GET /debug/requests/:id`.
+                        let trace = crate::requests::trace_of(&request);
+                        crate::record_request(
+                            self.state,
+                            trace,
+                            route,
+                            429,
+                            Duration::ZERO,
+                            Vec::new(),
+                            Some(reason),
+                        );
                         let detail = match reason {
                             ShedReason::SloBurn => {
                                 "shed: SLO burn-rate admission control engaged; retry shortly"
@@ -610,7 +595,7 @@ impl Reactor<'_> {
                         };
                         let mut response = http::Response::error(429, detail);
                         response.add_header("Retry-After", "1");
-                        response.add_header("X-Trace-Id", format!("{trace_id:032x}"));
+                        response.add_header("X-Trace-Id", format!("{:032x}", trace.0));
                         let header_close = request.wants_close() || shutting_down;
                         Step::Shed(response, header_close)
                     }

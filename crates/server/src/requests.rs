@@ -1,30 +1,39 @@
-//! Ring buffer of recently served requests, indexed by trace id.
+//! The request log: every request the server finishes — served or
+//! shed, fast or slow — recorded once, indexed by trace id.
 //!
-//! Every request the server finishes — fast or slow — lands here with
-//! its trace id, stage breakdown, and annotations, so
+//! Each finished request becomes one `Arc<RequestEntry>` with its trace
+//! id, stage breakdown and annotations. The recent ring holds it so
 //! `GET /debug/requests/:id` can reconstruct exactly where one request
-//! spent its time. The ring is bounded; an evicted id answers 404
+//! spent its time; when it took at least the slow threshold the slow
+//! ring holds the same `Arc` for `GET /debug/slow`. Both rings are
+//! bounded and drop their oldest first; an evicted id answers 404
 //! (history endpoints are for the recent past, `--trace` files for
-//! archaeology).
+//! archaeology). The slow ring cannot be a window over the flight
+//! rings: a slow request is kept for as long as 64 slower ones allow,
+//! however many fast requests follow it.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cpssec_attackdb::json::write_escaped;
+use cpssec_obs::StageId;
 
 /// Retained requests. At the bench's ~400 req/s this covers the last
 /// second or two — enough for "why was *that* curl slow?".
 pub const DEFAULT_REQUEST_LOG_CAPACITY: usize = 512;
 
-/// One served request.
+/// Retained slow requests.
+const SLOW_CAPACITY: usize = 64;
+
+/// One finished request.
 #[derive(Debug, Clone)]
 pub struct RequestEntry {
     /// The request's trace id (never 0 — the server mints one when the
     /// caller didn't send `traceparent`).
     pub trace_id: u128,
     /// Matched route pattern.
-    pub route: String,
+    pub route: &'static str,
     /// Response status.
     pub status: u16,
     /// Unix milliseconds when the request finished.
@@ -33,9 +42,10 @@ pub struct RequestEntry {
     pub total_us: u64,
     /// Whether the trace id came from an inbound `traceparent` header.
     pub remote_parent: bool,
-    /// Stage breakdown in span completion order (children first).
-    pub stages: Vec<(String, u64)>,
-    /// Key/value annotations (e.g. `cache=hit`).
+    /// Stage breakdown in span completion order (children first); stage
+    /// ids resolve to names when rendered.
+    pub stages: Vec<(StageId, u64)>,
+    /// Key/value annotations (e.g. `cache=hit`, `shed=queue_full`).
     pub annotations: Vec<(String, String)>,
     /// Model content hash, when the route touched a model.
     pub model_hash: Option<u64>,
@@ -52,7 +62,7 @@ impl RequestEntry {
             "{{\"trace_id\":\"{:032x}\",\"route\":",
             self.trace_id
         ));
-        write_escaped(&mut out, &self.route);
+        write_escaped(&mut out, self.route);
         out.push_str(&format!(
             ",\"status\":{},\"ts_ms\":{},\"total_us\":{},\"remote_parent\":{}",
             self.status, self.ts_ms, self.total_us, self.remote_parent
@@ -69,12 +79,13 @@ impl RequestEntry {
             None => out.push_str(",\"fidelity\":null"),
         }
         out.push_str(",\"stages\":[");
-        for (i, (stage, us)) in self.stages.iter().enumerate() {
+        let recorder = cpssec_obs::recorder();
+        for (i, &(stage, us)) in self.stages.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str("{\"stage\":");
-            write_escaped(&mut out, stage);
+            write_escaped(&mut out, recorder.stage_name(stage));
             out.push_str(&format!(",\"us\":{us}}}"));
         }
         out.push_str("],\"annotations\":{");
@@ -91,22 +102,34 @@ impl RequestEntry {
     }
 }
 
-/// Bounded ring of [`RequestEntry`], looked up by trace id.
+#[derive(Debug, Default)]
+struct Rings {
+    recent: VecDeque<Arc<RequestEntry>>,
+    slow: VecDeque<Arc<RequestEntry>>,
+}
+
+/// Bounded rings of [`RequestEntry`]: the recent requests, looked up by
+/// trace id, and the slow ones.
 #[derive(Debug)]
 pub struct RequestLog {
     capacity: usize,
+    slow_threshold_us: u64,
     recorded: AtomicU64,
-    ring: Mutex<VecDeque<Arc<RequestEntry>>>,
+    slow_observed: AtomicU64,
+    rings: Mutex<Rings>,
 }
 
 impl RequestLog {
-    /// An empty log retaining at most `capacity` entries (min 1).
+    /// An empty log retaining at most `capacity` recent entries (min 1)
+    /// and the 64 newest entries that took at least `slow_threshold_us`.
     #[must_use]
-    pub fn new(capacity: usize) -> RequestLog {
+    pub fn new(capacity: usize, slow_threshold_us: u64) -> RequestLog {
         RequestLog {
             capacity: capacity.max(1),
+            slow_threshold_us,
             recorded: AtomicU64::new(0),
-            ring: Mutex::new(VecDeque::new()),
+            slow_observed: AtomicU64::new(0),
+            rings: Mutex::new(Rings::default()),
         }
     }
 
@@ -115,21 +138,34 @@ impl RequestLog {
         self.recorded.load(Ordering::Relaxed)
     }
 
+    /// Total slow requests ever recorded (including evicted ones).
+    pub fn slow_observed(&self) -> u64 {
+        self.slow_observed.load(Ordering::Relaxed)
+    }
+
     /// Append one finished request.
     pub fn record(&self, entry: RequestEntry) {
+        let slow = entry.total_us >= self.slow_threshold_us;
+        let entry = Arc::new(entry);
         self.recorded.fetch_add(1, Ordering::Relaxed);
-        let mut ring = self.ring.lock().expect("request log poisoned");
-        ring.push_back(Arc::new(entry));
-        while ring.len() > self.capacity {
-            ring.pop_front();
+        let mut rings = self.rings.lock().expect("request log poisoned");
+        if slow {
+            self.slow_observed.fetch_add(1, Ordering::Relaxed);
+            push_bounded(&mut rings.slow, Arc::clone(&entry), SLOW_CAPACITY);
         }
+        push_bounded(&mut rings.recent, entry, self.capacity);
     }
 
     /// Look up a request by trace id (newest match wins, in case a
     /// caller reused a `traceparent`).
     pub fn find(&self, trace_id: u128) -> Option<Arc<RequestEntry>> {
-        let ring = self.ring.lock().expect("request log poisoned");
-        ring.iter().rev().find(|e| e.trace_id == trace_id).cloned()
+        let rings = self.rings.lock().expect("request log poisoned");
+        rings
+            .recent
+            .iter()
+            .rev()
+            .find(|e| e.trace_id == trace_id)
+            .cloned()
     }
 
     /// The newest `n` entries as a JSON document, newest first. The
@@ -138,9 +174,9 @@ impl RequestLog {
     /// event rings.
     #[must_use]
     pub fn recent_json(&self, n: usize) -> String {
-        let ring = self.ring.lock().expect("request log poisoned");
+        let rings = self.rings.lock().expect("request log poisoned");
         let mut out = String::from("{\"requests\":[");
-        for (i, entry) in ring.iter().rev().take(n).enumerate() {
+        for (i, entry) in rings.recent.iter().rev().take(n).enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -148,6 +184,42 @@ impl RequestLog {
         }
         out.push_str("]}");
         out
+    }
+
+    /// JSON document for `GET /debug/slow`: the threshold, the slow
+    /// count, and the retained slow entries, newest last.
+    #[must_use]
+    pub fn slow_json(&self) -> String {
+        let rings = self.rings.lock().expect("request log poisoned");
+        let mut out = format!(
+            "{{\"threshold_us\":{},\"observed\":{},\"entries\":[",
+            self.slow_threshold_us,
+            self.slow_observed()
+        );
+        for (i, entry) in rings.slow.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&entry.to_json());
+        }
+        out.push_str("]}");
+        out
+    }
+}
+
+fn push_bounded(ring: &mut VecDeque<Arc<RequestEntry>>, entry: Arc<RequestEntry>, capacity: usize) {
+    if ring.len() == capacity {
+        ring.pop_front();
+    }
+    ring.push_back(entry);
+}
+
+/// A request's trace id and whether the caller sent it: an inbound W3C
+/// `traceparent` is honored, anything else gets a freshly minted id.
+pub(crate) fn trace_of(request: &crate::http::Request) -> (u128, bool) {
+    match request.header("traceparent").and_then(parse_traceparent) {
+        Some(id) => (id, true),
+        None => (cpssec_obs::mint_trace_id(), false),
     }
 }
 
@@ -186,15 +258,22 @@ pub fn parse_traceparent(value: &str) -> Option<u128> {
 mod tests {
     use super::*;
 
-    fn entry(trace_id: u128, route: &str) -> RequestEntry {
+    fn entry(trace_id: u128, route: &'static str) -> RequestEntry {
+        timed(trace_id, route, 42)
+    }
+
+    fn timed(trace_id: u128, route: &'static str, total_us: u64) -> RequestEntry {
         RequestEntry {
             trace_id,
-            route: route.to_string(),
+            route,
             status: 200,
             ts_ms: 1_000,
-            total_us: 42,
+            total_us,
             remote_parent: false,
-            stages: vec![("serve-request".to_string(), 40)],
+            stages: vec![
+                (cpssec_obs::recorder().register("tokenize"), 10),
+                (cpssec_obs::recorder().register("serve-request"), 40),
+            ],
             annotations: vec![("cache".to_string(), "miss".to_string())],
             model_hash: Some(0xfeed),
             fidelity: Some("implementation".to_string()),
@@ -203,7 +282,7 @@ mod tests {
 
     #[test]
     fn find_returns_newest_match_and_evicts_oldest() {
-        let log = RequestLog::new(2);
+        let log = RequestLog::new(2, u64::MAX);
         log.record(entry(1, "GET /a"));
         log.record(entry(2, "GET /b"));
         log.record(entry(2, "GET /c")); // reused id: newest wins
@@ -214,7 +293,7 @@ mod tests {
 
     #[test]
     fn recent_json_is_newest_first_and_bounded() {
-        let log = RequestLog::new(8);
+        let log = RequestLog::new(8, u64::MAX);
         log.record(entry(1, "GET /a"));
         log.record(entry(2, "GET /b"));
         log.record(entry(3, "GET /c"));
@@ -231,9 +310,46 @@ mod tests {
         let json = entry(0xab, "GET /models/:id/associate").to_json();
         assert!(json.contains("\"trace_id\":\"000000000000000000000000000000ab\""));
         assert!(json.contains("\"route\":\"GET /models/:id/associate\""));
+        assert!(json.contains("{\"stage\":\"tokenize\",\"us\":10}"));
         assert!(json.contains("{\"stage\":\"serve-request\",\"us\":40}"));
         assert!(json.contains("\"annotations\":{\"cache\":\"miss\"}"));
         assert!(json.contains("\"model_hash\":\"000000000000feed\""));
+        assert!(json.contains("\"fidelity\":\"implementation\""));
+    }
+
+    #[test]
+    fn slow_ring_keeps_requests_at_or_over_the_threshold() {
+        let log = RequestLog::new(8, 100);
+        log.record(timed(1, "GET /a", 99));
+        log.record(timed(2, "GET /a", 100));
+        assert_eq!(log.recorded(), 2);
+        assert_eq!(log.slow_observed(), 1);
+        let json = log.slow_json();
+        assert!(json.starts_with("{\"threshold_us\":100,\"observed\":1,\"entries\":["));
+        assert!(!json.contains(&format!("{:032x}", 1)), "{json}");
+        assert!(json.contains(&format!("{:032x}", 2)), "{json}");
+        // The slow ring shares the entry the recent ring holds.
+        assert!(log.find(2).is_some());
+    }
+
+    #[test]
+    fn slow_ring_drops_oldest_and_outlives_the_recent_ring() {
+        let log = RequestLog::new(2, 0);
+        for i in 0..SLOW_CAPACITY as u128 + 3 {
+            log.record(timed(i, "GET /x", 10));
+        }
+        let json = log.slow_json();
+        assert_eq!(json.matches("\"trace_id\"").count(), SLOW_CAPACITY);
+        assert_eq!(log.slow_observed(), SLOW_CAPACITY as u64 + 3);
+        // Oldest dropped first, newest last.
+        assert!(!json.contains(&format!("\"{:032x}\"", 2)), "{json}");
+        let first = json.find(&format!("\"{:032x}\"", 3)).unwrap();
+        let last = json
+            .find(&format!("\"{:032x}\"", SLOW_CAPACITY + 2))
+            .unwrap();
+        assert!(first < last);
+        // Evicted from the recent ring, still in the slow one.
+        assert!(log.find(3).is_none());
     }
 
     #[test]

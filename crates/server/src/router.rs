@@ -292,9 +292,10 @@ pub fn dispatch(state: &AppState, req: &Request) -> (&'static str, Response) {
                 crate::dashboard::DASHBOARD_HTML,
             ),
         ),
-        ("GET", ["debug", "slow"]) => {
-            ("GET /debug/slow", Response::json(200, state.slow.to_json()))
-        }
+        ("GET", ["debug", "slow"]) => (
+            "GET /debug/slow",
+            Response::json(200, state.requests.slow_json()),
+        ),
         ("GET", ["debug", "requests", id]) => ("GET /debug/requests/:id", debug_request(state, id)),
         ("GET", ["debug", "profile"]) => ("GET /debug/profile", debug_profile(req)),
         ("POST", ["debug", "delay"]) => ("POST /debug/delay", set_delay(state, req)),

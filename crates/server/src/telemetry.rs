@@ -18,7 +18,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 use cpssec_obs::hist::Snapshot;
 use cpssec_obs::slo::Transition;
 use cpssec_obs::timeseries::RESOLUTIONS;
-use cpssec_obs::{Agg, SloConfig, SloMonitor, SlowLog, TimeSeriesStore};
+use cpssec_obs::{Agg, SloConfig, SloMonitor, TimeSeriesStore};
 
 use crate::metrics::{Metrics, RouteObservation};
 use crate::pool::PoolStats;
@@ -122,15 +122,16 @@ impl Telemetry {
         self.slo.lock().expect("slo poisoned").firing_routes()
     }
 
-    /// Run one tick at wall time `now_ms`. Returns SLO transitions so
-    /// the caller can log them.
+    /// Run one tick at wall time `now_ms`; `slow_observed` is the
+    /// request log's running count of slow requests. Returns SLO
+    /// transitions so the caller can log them.
     pub fn tick(
         &self,
         ts_ms: u64,
         metrics: &Metrics,
         caches: &[(&str, u64, u64)],
         pool: &PoolStats,
-        slow: &SlowLog,
+        slow_observed: u64,
     ) -> Vec<Transition> {
         let started = Instant::now();
         let routes = metrics.snapshot_all();
@@ -220,9 +221,8 @@ impl Telemetry {
             .record("pool:utilization", Agg::Mean, ts_ms, pool.utilization());
 
         // Slow-query arrivals this tick.
-        let slow_now = slow.observed();
-        let slow_delta = slow_now.saturating_sub(inner.prev_slow);
-        inner.prev_slow = slow_now;
+        let slow_delta = slow_observed.saturating_sub(inner.prev_slow);
+        inner.prev_slow = slow_observed;
         self.store
             .record("slow:observed", Agg::Sum, ts_ms, slow_delta as f64);
         drop(inner);
@@ -323,13 +323,7 @@ mod tests {
     use std::time::Duration;
 
     fn tick_at(tel: &Telemetry, metrics: &Metrics, ts_ms: u64) -> Vec<Transition> {
-        tel.tick(
-            ts_ms,
-            metrics,
-            &[("responses", 0, 0)],
-            &PoolStats::new(),
-            &SlowLog::new(4, u64::MAX),
-        )
+        tel.tick(ts_ms, metrics, &[("responses", 0, 0)], &PoolStats::new(), 0)
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! End-to-end request correlation: a caller-supplied `traceparent` (or a
 //! server-minted id) must link the response header, the request log
-//! (`/debug/requests/:id`), the slow-query log, and the exported Chrome
+//! (`/debug/requests/:id` and `/debug/slow`), and the exported Chrome
 //! trace — and a pooled worker thread serving request B after a slow
 //! request A must not leak A's stage breakdown into B.
 
@@ -10,6 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use cpssec_attackdb::json::{parse as parse_json, JsonValue};
+use cpssec_model::{Attribute, AttributeKind, ComponentKind, SystemModelBuilder};
 use cpssec_server::load::{read_response, WireResponse};
 use cpssec_server::{AppState, Server};
 
@@ -24,13 +25,27 @@ fn start_server(workers: usize) -> (SocketAddr, Arc<AtomicBool>, std::thread::Jo
 
 /// One request on a fresh connection; extra headers are raw lines.
 fn send(addr: SocketAddr, method: &str, target: &str, headers: &[&str]) -> WireResponse {
+    send_body(addr, method, target, headers, "")
+}
+
+fn send_body(
+    addr: SocketAddr,
+    method: &str,
+    target: &str,
+    headers: &[&str],
+    body: &str,
+) -> WireResponse {
     let mut stream = TcpStream::connect(addr).unwrap();
-    let mut request = format!("{method} {target} HTTP/1.1\r\nConnection: close\r\n");
+    let mut request = format!(
+        "{method} {target} HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n",
+        body.len()
+    );
     for header in headers {
         request.push_str(header);
         request.push_str("\r\n");
     }
     request.push_str("\r\n");
+    request.push_str(body);
     stream.write_all(request.as_bytes()).unwrap();
     read_response(&mut BufReader::new(stream)).unwrap()
 }
@@ -170,11 +185,50 @@ fn worker_reuse_does_not_leak_stage_breakdowns_between_requests() {
         "fast stages: {fast_stages:?}"
     );
 
-    // The slow request (120 ms > the 100 ms threshold) also landed in
-    // the slow-query log with the same trace id.
+    // The slow request (120 ms > the 100 ms threshold) is also listed
+    // at /debug/slow with the same trace id.
     let slow_log = send(addr, "GET", "/debug/slow", &[]);
     let body = std::str::from_utf8(&slow_log.body).unwrap();
     assert!(body.contains(&slow_id), "slow log missing trace id: {body}");
+
+    flag.store(true, Ordering::Relaxed);
+    handle.join().unwrap();
+}
+
+#[test]
+fn breakdown_of_a_wide_model_keeps_its_root_stages() {
+    // 25 components: one associate completes more than 64 spans. The
+    // parents complete last, so a breakdown that kept the first 64 would
+    // lose `associate` and `serve-request`.
+    let (addr, flag, handle) = start_server(1);
+    let mut builder = SystemModelBuilder::new("wide");
+    for i in 0..25 {
+        builder = builder.component_with(format!("plc-{i}"), ComponentKind::Controller, |c| {
+            c.with_attribute(Attribute::new(AttributeKind::OperatingSystem, "Windows 7"))
+        });
+    }
+    let graphml = cpssec_model::to_graphml(&builder.build().unwrap());
+    let upload = send_body(addr, "POST", "/models?id=wide", &[], &graphml);
+    assert_eq!(
+        upload.status,
+        201,
+        "{:?}",
+        std::str::from_utf8(&upload.body)
+    );
+
+    let response = send(addr, "GET", "/models/wide/associate", &[]);
+    assert_eq!(response.status, 200);
+    let id = response.header("x-trace-id").unwrap().to_owned();
+    let detail = send(addr, "GET", &format!("/debug/requests/{id}"), &[]);
+    let entry = parse_json(std::str::from_utf8(&detail.body).unwrap()).unwrap();
+    let stages = stages_of(&entry);
+    for root in ["serve-request", "associate"] {
+        assert!(
+            stages.iter().any(|s| s == root),
+            "{root} missing: {stages:?}"
+        );
+    }
+    assert!(stages.len() <= 64, "{} stages", stages.len());
 
     flag.store(true, Ordering::Relaxed);
     handle.join().unwrap();
