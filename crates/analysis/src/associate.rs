@@ -37,8 +37,8 @@ impl AttributeRow {
 /// fidelity level, after one filter pipeline.
 ///
 /// Each component's entry carries the severity mass of its hits beside the
-/// match set, weighed once against the corpus when the entry is computed,
-/// so posture reads it instead of re-weighing every hit.
+/// match set, weighed once from the hits' severity codes when the entry is
+/// computed, so posture reads it instead of re-weighing every hit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AssociationMap {
     fidelity: Fidelity,
@@ -53,14 +53,14 @@ struct Weighed {
     mass: f64,
 }
 
-/// Weighs each `(component, match set)` pair against `corpus` under one
-/// `severity-mass` span whose items are the hits weighed.
-fn weigh(sets: Vec<(String, MatchSet)>, corpus: &Corpus) -> Vec<(String, Weighed)> {
+/// Weighs each `(component, match set)` pair from its hits' severity codes
+/// under one `severity-mass` span whose items are the hits weighed.
+fn weigh(sets: Vec<(String, MatchSet)>) -> Vec<(String, Weighed)> {
     let mut span = cpssec_obs::span!("severity-mass");
     span.add_items(sets.iter().map(|(_, set)| set.total() as u64).sum());
     sets.into_iter()
         .map(|(name, set)| {
-            let mass = severity_mass(&set, corpus);
+            let mass = severity_mass(&set);
             (name, Weighed { set, mass })
         })
         .collect()
@@ -105,7 +105,7 @@ impl AssociationMap {
             .collect();
         AssociationMap {
             fidelity: level,
-            by_component: weigh(sets, corpus).into_iter().collect(),
+            by_component: weigh(sets).into_iter().collect(),
             by_channel: build_channels(model, engine, corpus, level, filters),
         }
     }
@@ -174,7 +174,7 @@ impl AssociationMap {
                 )),
             }
         }
-        by_component.extend(weigh(requeried, corpus));
+        by_component.extend(weigh(requeried));
         let same_names = old
             .components()
             .map(|(_, c)| c.name())

@@ -8,9 +8,9 @@
 //! risk numbers (the paper is explicit that CVSS measures severity, not
 //! risk).
 
-use cpssec_attackdb::{AttackVectorId, Corpus, Severity};
+use cpssec_attackdb::{Corpus, Severity};
 use cpssec_model::{Criticality, SystemModel};
-use cpssec_search::MatchSet;
+use cpssec_search::{MatchSet, SeverityCode};
 
 use crate::AssociationMap;
 
@@ -103,32 +103,48 @@ impl SystemPosture {
     }
 }
 
-fn severity_band_weight(severity: Severity) -> f64 {
-    match severity {
-        Severity::None => 0.0,
-        Severity::Low => 0.25,
-        Severity::Medium => 0.5,
-        Severity::High => 0.75,
-        Severity::Critical => 1.0,
+/// The weight of each severity code, indexed by its byte:
+/// - a CVSS code `t` weighs `(t / 10) / 10`, the base score / 10 (the
+///   score is `t / 10` bit for bit, see [`SeverityCode`]);
+/// - a typical-severity band weighs 0, 0.25, 0.5, 0.75 or 1 (`None` to
+///   `Critical`);
+/// - an unscored record (and every weakness) weighs 0.5.
+static WEIGHTS: [f64; 256] = weights();
+
+const fn weights() -> [f64; 256] {
+    let mut table = [0.5; 256];
+    let mut t = 0;
+    while t <= SeverityCode::MAX_TENTHS {
+        table[t as usize] = (t as f64 / 10.0) / 10.0;
+        t += 1;
     }
+    let bands = [
+        (Severity::None, 0.0),
+        (Severity::Low, 0.25),
+        (Severity::Medium, 0.5),
+        (Severity::High, 0.75),
+        (Severity::Critical, 1.0),
+    ];
+    let mut i = 0;
+    while i < bands.len() {
+        table[SeverityCode::of_band(bands[i].0).byte() as usize] = bands[i].1;
+        i += 1;
+    }
+    table
 }
 
-/// The severity mass of one match set, summed in hit order. Weighed once
-/// per component by [`AssociationMap`] and stored beside its match set.
-pub(crate) fn severity_mass(set: &MatchSet, corpus: &Corpus) -> f64 {
+/// The weight of one severity code.
+fn weight(code: SeverityCode) -> f64 {
+    WEIGHTS[usize::from(code.byte())]
+}
+
+/// The severity mass of one match set, summed in hit order from each hit's
+/// severity code: one table read per hit, no corpus. Weighed once per
+/// component by [`AssociationMap`] and stored beside its match set.
+pub(crate) fn severity_mass(set: &MatchSet) -> f64 {
     let mut mass = 0.0;
     for hit in set.iter() {
-        mass += match hit.id {
-            AttackVectorId::Vulnerability(id) => corpus
-                .vulnerability(id)
-                .and_then(|v| v.cvss())
-                .map_or(0.5, |c| c.base_score() / 10.0),
-            AttackVectorId::Pattern(id) => corpus
-                .pattern(id)
-                .and_then(|p| p.typical_severity())
-                .map_or(0.5, severity_band_weight),
-            AttackVectorId::Weakness(_) => 0.5,
-        };
+        mass += weight(hit.severity);
     }
     mass
 }
@@ -137,6 +153,8 @@ pub(crate) fn severity_mass(set: &MatchSet, corpus: &Corpus) -> f64 {
 mod tests {
     use super::*;
     use cpssec_attackdb::seed::seed_corpus;
+    use cpssec_attackdb::synth::{stream_into, SynthSpec};
+    use cpssec_attackdb::{CveId, CvssVector, Vulnerability};
     use cpssec_model::Fidelity;
     use cpssec_scada::model::{names, scada_model};
     use cpssec_search::{FilterPipeline, SearchEngine};
@@ -180,6 +198,110 @@ mod tests {
             if c.severity_weighted > 0.0 {
                 let ratio = c.score / c.severity_weighted;
                 assert!((ratio - f64::from(c.criticality.weight())).abs() < 1e-9);
+            }
+        }
+    }
+
+    /// Every CVSS v3.1 base metric combination (4·2·3·2·2·27 = 2,592), as
+    /// parsed vectors: combination `n` is `n` in mixed radix.
+    fn every_cvss_vector() -> Vec<CvssVector> {
+        let metrics: [(&str, &[&str]); 8] = [
+            ("AV", &["N", "A", "L", "P"]),
+            ("AC", &["L", "H"]),
+            ("PR", &["N", "L", "H"]),
+            ("UI", &["N", "R"]),
+            ("S", &["U", "C"]),
+            ("C", &["N", "L", "H"]),
+            ("I", &["N", "L", "H"]),
+            ("A", &["N", "L", "H"]),
+        ];
+        let count: usize = metrics.iter().map(|(_, values)| values.len()).product();
+        (0..count)
+            .map(|mut n| {
+                let mut text = String::from("CVSS:3.1");
+                for (name, values) in metrics {
+                    text += &format!("/{name}:{}", values[n % values.len()]);
+                    n /= values.len();
+                }
+                text.parse().expect("valid vector")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn weight_table_reproduces_every_cvss_weight_bit_for_bit() {
+        let vectors = every_cvss_vector();
+        assert_eq!(vectors.len(), 2592);
+        for cvss in vectors {
+            let record = Vulnerability::new(CveId::new(2021, 1), "v").with_cvss(cvss);
+            let code = SeverityCode::of_vulnerability(&record);
+            let score = code.score().expect("a vector scores");
+            assert_eq!(score.to_bits(), cvss.base_score().to_bits(), "{cvss}");
+            assert_eq!(
+                weight(code).to_bits(),
+                (cvss.base_score() / 10.0).to_bits(),
+                "{cvss}"
+            );
+            assert_eq!(Severity::from_score(score), cvss.severity(), "{cvss}");
+            assert_eq!(code.severity(), Some(cvss.severity()), "{cvss}");
+        }
+    }
+
+    #[test]
+    fn bands_and_unscored_records_keep_their_weights() {
+        for (band, expected) in [
+            (Severity::None, 0.0),
+            (Severity::Low, 0.25),
+            (Severity::Medium, 0.5),
+            (Severity::High, 0.75),
+            (Severity::Critical, 1.0),
+        ] {
+            assert_eq!(weight(SeverityCode::of_band(band)), expected, "{band}");
+        }
+        assert_eq!(weight(SeverityCode::UNSCORED), 0.5);
+    }
+
+    #[test]
+    fn masses_equal_weighing_each_hit_from_the_corpus() {
+        // The corpus-reading weighing that the severity codes replaced,
+        // kept here as the oracle.
+        fn from_corpus(set: &MatchSet, corpus: &Corpus) -> f64 {
+            use cpssec_attackdb::AttackVectorId;
+            let mut mass = 0.0;
+            for hit in set.iter() {
+                mass += match hit.id {
+                    AttackVectorId::Vulnerability(id) => corpus
+                        .vulnerability(id)
+                        .and_then(|v| v.cvss())
+                        .map_or(0.5, |c| c.base_score() / 10.0),
+                    AttackVectorId::Pattern(id) => corpus
+                        .pattern(id)
+                        .and_then(|p| p.typical_severity())
+                        .map_or(0.5, |band| match band {
+                            Severity::None => 0.0,
+                            Severity::Low => 0.25,
+                            Severity::Medium => 0.5,
+                            Severity::High => 0.75,
+                            Severity::Critical => 1.0,
+                        }),
+                    AttackVectorId::Weakness(_) => 0.5,
+                };
+            }
+            mass
+        }
+        let mut corpus = seed_corpus();
+        stream_into(&mut corpus, &SynthSpec::paper2020(2020, 0.02)).expect("disjoint ids");
+        let engine = SearchEngine::build(&corpus);
+        let model = scada_model();
+        for level in [Fidelity::Conceptual, Fidelity::Implementation] {
+            let map =
+                AssociationMap::build(&model, &engine, &corpus, level, &FilterPipeline::new());
+            for (name, set) in map.iter() {
+                assert_eq!(
+                    map.severity_mass(name).map(f64::to_bits),
+                    Some(from_corpus(set, &corpus).to_bits()),
+                    "{name} at {level:?}"
+                );
             }
         }
     }

@@ -1425,7 +1425,7 @@ mod tests {
 
         let json = run_capture(&["snapshot", "inspect", &path, "--json"]).unwrap();
         let value = cpssec_attackdb::json::parse(json.trim()).expect("valid json");
-        assert_eq!(value.get("formatVersion"), Some(&JsonValue::Number(3.0)));
+        assert_eq!(value.get("formatVersion"), Some(&JsonValue::Number(4.0)));
         let sections = value.get("sections").unwrap().as_array().unwrap();
         assert_eq!(sections.len(), 4);
         for section in sections {

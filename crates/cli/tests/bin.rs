@@ -421,10 +421,10 @@ fn zero_first_vulnerability_tf(bytes: &mut [u8]) {
     // last.
     let (table, entry) = (20, 20 + 3 * 26);
     let (start, len) = (u64_at(bytes, entry + 2), u64_at(bytes, entry + 10));
-    // Section: ids (6 bytes each), lengths, term heap, 16-byte entries,
-    // then the postings arena.
+    // Section: ids (6 bytes each), severity codes (1 byte each), lengths,
+    // term heap, 16-byte entries, then the postings arena.
     let docs = u32_at(bytes, start);
-    let terms_at = start + 4 + docs * 6 + 4 + docs * 4;
+    let terms_at = start + 4 + docs * 6 + docs + 4 + docs * 4;
     let (terms, heap_len) = (u32_at(bytes, terms_at), u32_at(bytes, terms_at + 4));
     let first_tf = terms_at + 8 + heap_len + terms * 16 + 4 + 4;
     bytes[first_tf..first_tf + 4].copy_from_slice(&0u32.to_le_bytes());
@@ -463,7 +463,7 @@ fn snapshot_build_inspect_verify_round_trip() {
 
     let (success, stdout, _) = run(&["snapshot", "inspect", &path]);
     assert!(success);
-    assert!(stdout.contains("format version 3"), "{stdout}");
+    assert!(stdout.contains("format version 4"), "{stdout}");
     assert!(stdout.contains("snapshot id"), "{stdout}");
     for section in ["corpus", "patterns", "weaknesses", "vulnerabilities"] {
         assert!(stdout.contains(section), "missing {section}: {stdout}");
@@ -539,7 +539,7 @@ fn corrupted_snapshots_fail_verify_with_one_line_errors() {
     assert_one_line_failure(&["serve", "--snapshot", &bad_sum_path], "checksum");
     let (success, stdout, _) = run(&["snapshot", "inspect", &bad_sum_path]);
     assert!(success, "inspect reads headers only");
-    assert!(stdout.contains("format version 3"), "{stdout}");
+    assert!(stdout.contains("format version 4"), "{stdout}");
 
     // Byte-flip sweep over every section: a flip in the middle of each
     // payload is caught by that section's own checksum, both by `verify`

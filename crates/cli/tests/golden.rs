@@ -173,12 +173,12 @@ fn snapshot_and_delta_outputs_and_files_are_pinned() {
     let steps: &[(&[&str], &str)] = &[
         (
             &["snapshot", "build", &base, "--scale", "0.01"],
-            "53b76b2dc49a502c",
+            "ee8e721fbac8822c",
         ),
-        (&["snapshot", "inspect", &base], "c63e9993ac62f831"),
+        (&["snapshot", "inspect", &base], "d8213509d1fc5ce1"),
         (
             &["snapshot", "inspect", &base, "--json"],
-            "6b5dfee8a42ab3ed",
+            "26921e980e710c6b",
         ),
         (&["snapshot", "verify", &base], "cab902ee2982dcf1"),
         (
@@ -192,7 +192,7 @@ fn snapshot_and_delta_outputs_and_files_are_pinned() {
                 "--seed",
                 "5",
             ],
-            "e95fc147e288e11a",
+            "9ea1b4b6ebffa583",
         ),
         (
             &[
@@ -207,17 +207,17 @@ fn snapshot_and_delta_outputs_and_files_are_pinned() {
                 "--serial",
                 "1",
             ],
-            "a1ea3f90e1c1b809",
+            "b7f687d14e17ed75",
         ),
-        (&["delta", "inspect", &d1], "683ec049fa321190"),
-        (&["delta", "inspect", &d1, "--json"], "fd635671f5d0c883"),
+        (&["delta", "inspect", &d1], "d6ed37608193f478"),
+        (&["delta", "inspect", &d1, "--json"], "e67b4244b263ecc3"),
         (
             &["delta", "apply", &base, &d0, &d1, "--out", &applied],
-            "4e87b1b5af561283",
+            "d78ddbf7a6cfb220",
         ),
         (
             &["delta", "compact", &base, &d0, &d1, "--out", &compacted],
-            "9edb890f320d5572",
+            "d35a8507f97e132f",
         ),
         (&["snapshot", "verify", &compacted], "24459f0f14f3fef1"),
     ];
@@ -231,11 +231,11 @@ fn snapshot_and_delta_outputs_and_files_are_pinned() {
         })
         .collect();
     for (path, expected) in [
-        (&base, "68af27bbd7906a81"),
-        (&d0, "4cc645d7085db6aa"),
-        (&d1, "c5dab71ecd5ae8e4"),
-        (&applied, "12805ee94a5323b1"),
-        (&compacted, "12805ee94a5323b1"),
+        (&base, "76399410c423b49e"),
+        (&d0, "d906ae04085bcb4c"),
+        (&d1, "03f0246c3346919e"),
+        (&applied, "197ba4a6c4f91580"),
+        (&compacted, "197ba4a6c4f91580"),
     ] {
         let bytes = std::fs::read(path).expect("written file");
         let label = format!("file {}", path.replace(&dir_text, "DIR"));

@@ -172,13 +172,18 @@ mod tests {
         assert!(exploit_chains(&set, &corpus, 10).is_empty());
     }
 
-    /// A match set containing exactly one vulnerability hit.
-    fn set_with_vulnerability(cve: CveId) -> MatchSet {
+    /// A match set containing exactly one vulnerability hit, its severity
+    /// code taken from the corpus record the way the index build takes it.
+    fn set_with_vulnerability(corpus: &Corpus, cve: CveId) -> MatchSet {
+        let record = corpus
+            .vulnerability(cve)
+            .expect("the record is in the corpus");
         MatchSet {
             vulnerabilities: vec![crate::Hit {
                 id: cve.into(),
                 score: 1.0,
                 matched_terms: 1,
+                severity: crate::SeverityCode::of_vulnerability(record),
             }],
             ..MatchSet::default()
         }
@@ -228,7 +233,7 @@ mod tests {
             )
             .unwrap();
 
-        let chains = exploit_chains(&set_with_vulnerability(cve), &corpus, 1000);
+        let chains = exploit_chains(&set_with_vulnerability(&corpus, cve), &corpus, 1000);
         // CWE-1 reaches CAPEC-10 and CAPEC-20, CWE-2 reaches CAPEC-10:
         // three distinct stories, and the shared pattern appears once per
         // weakness, never per duplicate cross-reference row.
@@ -271,7 +276,7 @@ mod tests {
             .add_vulnerability(Vulnerability::new(cve, "never classified"))
             .unwrap();
 
-        assert!(exploit_chains(&set_with_vulnerability(cve), &corpus, 1000).is_empty());
+        assert!(exploit_chains(&set_with_vulnerability(&corpus, cve), &corpus, 1000).is_empty());
         assert!(chains_for_weakness(&corpus, CweId::new(3), 1000).is_empty());
         assert!(corpus.weaknesses_for_vulnerability(cve).is_empty());
         assert!(corpus.patterns_for_weakness(CweId::new(3)).is_empty());

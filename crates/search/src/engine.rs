@@ -11,6 +11,7 @@ use cpssec_model::{Channel, ChannelId, Component, Fidelity, SystemModel};
 
 use crate::index::{Family, FamilyKind};
 use crate::score::{expand_query, ScoringModel, TermScorer};
+use crate::severity::SeverityCode;
 use crate::snapshot::SnapshotError;
 use crate::text::tokenize;
 use crate::view::SnapshotView;
@@ -67,6 +68,10 @@ pub struct Hit {
     pub score: f64,
     /// Number of distinct query terms found in the record.
     pub matched_terms: usize,
+    /// The record's severity, copied from its family's severity column so
+    /// weighing and the severity filters never look the record up. It sits
+    /// in what was padding: a `Hit` is still 32 bytes.
+    pub severity: SeverityCode,
 }
 
 /// The association of attack vectors to one queried model element: the
@@ -396,7 +401,8 @@ impl SearchEngine {
 }
 
 /// Indexes one run of records per family, each in id order, into its
-/// family section: for an engine build and for a delta's batch. Patterns
+/// family section, with each record's [`SeverityCode`] as its document's
+/// severity column: for an engine build and for a delta's batch. Patterns
 /// and weaknesses build on scoped threads beside the vulnerabilities.
 pub(crate) fn build_families<'a>(
     patterns: impl Iterator<Item = &'a AttackPattern> + Send,
@@ -405,14 +411,19 @@ pub(crate) fn build_families<'a>(
 ) -> [Family; 3] {
     std::thread::scope(|s| {
         let patterns = s.spawn(|| {
-            let records = patterns.map(|p| (p.search_text(), p.id().into()));
+            let records =
+                patterns.map(|p| (p.search_text(), p.id().into(), SeverityCode::of_pattern(p)));
             Family::build(FamilyKind::Patterns, records)
         });
         let weaknesses = s.spawn(|| {
-            let records = weaknesses.map(|w| (w.search_text(), w.id().into()));
+            let records =
+                weaknesses.map(|w| (w.search_text(), w.id().into(), SeverityCode::UNSCORED));
             Family::build(FamilyKind::Weaknesses, records)
         });
-        let records = vulnerabilities.map(|v| (v.search_text(), v.id().into()));
+        let records = vulnerabilities.map(|v| {
+            let code = SeverityCode::of_vulnerability(v);
+            (v.search_text(), v.id().into(), code)
+        });
         let vulnerabilities = Family::build(FamilyKind::Vulnerabilities, records);
         [
             patterns.join().expect("pattern index build"),
@@ -597,6 +608,7 @@ fn run_family(
             id: family.id(doc as usize),
             score: acc.score,
             matched_terms: acc.matched as usize,
+            severity: family.severity(doc as usize),
         })
     });
     let hits = match config.max_hits {
@@ -626,6 +638,47 @@ mod tests {
 
     fn engine() -> SearchEngine {
         SearchEngine::build(&seed_corpus())
+    }
+
+    /// A hit on a vulnerability without CVSS, its code taken from the
+    /// record the way `build_families` takes it.
+    fn unscored_hit(id: CveId, score: f64) -> Hit {
+        Hit {
+            id: id.into(),
+            score,
+            matched_terms: 1,
+            severity: SeverityCode::of_vulnerability(&Vulnerability::new(id, "unscored")),
+        }
+    }
+
+    #[test]
+    fn a_hit_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Hit>(), 32);
+    }
+
+    #[test]
+    fn hits_carry_their_records_severity_codes() {
+        let corpus = seed_corpus();
+        let engine = SearchEngine::build(&corpus);
+        let hits: Vec<Hit> = ["operating system command injection", "Windows 7"]
+            .into_iter()
+            .flat_map(|query| engine.match_text(query).iter().cloned().collect::<Vec<_>>())
+            .collect();
+        assert!(hits.iter().any(|h| h.severity.is_band()));
+        assert!(hits.iter().any(|h| h.severity.is_cvss()));
+        assert!(hits.iter().any(|h| h.severity == SeverityCode::UNSCORED));
+        for hit in &hits {
+            let expected = match hit.id {
+                AttackVectorId::Pattern(id) => {
+                    SeverityCode::of_pattern(corpus.pattern(id).unwrap())
+                }
+                AttackVectorId::Weakness(_) => SeverityCode::UNSCORED,
+                AttackVectorId::Vulnerability(id) => {
+                    SeverityCode::of_vulnerability(corpus.vulnerability(id).unwrap())
+                }
+            };
+            assert_eq!(hit.severity, expected, "{}", hit.id);
+        }
     }
 
     #[test]
@@ -835,11 +888,7 @@ mod tests {
 
     #[test]
     fn sort_hits_orders_nan_scores_deterministically() {
-        let hit = |n: u32, score: f64| Hit {
-            id: AttackVectorId::Vulnerability(CveId::new(2020, n)),
-            score,
-            matched_terms: 1,
-        };
+        let hit = |n: u32, score: f64| unscored_hit(CveId::new(2020, n), score);
         let mut a = vec![hit(1, f64::NAN), hit(2, 1.0), hit(3, f64::NAN), hit(4, 2.0)];
         let mut b = a.clone();
         b.reverse();
@@ -891,11 +940,7 @@ mod tests {
 
     #[test]
     fn top_k_orders_nan_scores_like_the_sort() {
-        let hit = |n: u32, score: f64| Hit {
-            id: AttackVectorId::Vulnerability(CveId::new(2020, n)),
-            score,
-            matched_terms: 1,
-        };
+        let hit = |n: u32, score: f64| unscored_hit(CveId::new(2020, n), score);
         let pool = vec![
             hit(5, f64::NAN),
             hit(2, 1.0),

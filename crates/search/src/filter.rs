@@ -3,7 +3,9 @@
 //! "Running the prototype tools shows that the total number of attack
 //! vectors returned by the search process is large. Filtering functionality
 //! is implemented to manage these attack vectors" (§3). Filters compose into
-//! a [`FilterPipeline`] applied against a corpus snapshot.
+//! a [`FilterPipeline`] applied against a corpus snapshot. The severity
+//! filters read each hit's [`SeverityCode`](crate::SeverityCode), not the
+//! corpus.
 
 use cpssec_attackdb::{Abstraction, AttackVectorId, Corpus, Severity};
 
@@ -58,20 +60,9 @@ impl Filter {
                 set.vulnerabilities.truncate(*k);
             }
             Filter::SeverityAtLeast(band) => {
-                set.vulnerabilities.retain(|h| match h.id {
-                    AttackVectorId::Vulnerability(id) => corpus
-                        .vulnerability(id)
-                        .and_then(|v| v.severity())
-                        .is_some_and(|s| s >= *band),
-                    _ => false,
-                });
-                set.patterns.retain(|h| match h.id {
-                    AttackVectorId::Pattern(id) => corpus
-                        .pattern(id)
-                        .and_then(|p| p.typical_severity())
-                        .is_some_and(|s| s >= *band),
-                    _ => false,
-                });
+                let keep = |h: &Hit| h.severity.severity().is_some_and(|s| s >= *band);
+                set.vulnerabilities.retain(keep);
+                set.patterns.retain(keep);
             }
             Filter::AbstractionIn(levels) => {
                 set.patterns.retain(|h| match h.id {
@@ -82,16 +73,8 @@ impl Filter {
                 });
             }
             Filter::CvssRange { min, max } => {
-                set.vulnerabilities.retain(|h| match h.id {
-                    AttackVectorId::Vulnerability(id) => corpus
-                        .vulnerability(id)
-                        .and_then(|v| v.cvss())
-                        .is_some_and(|c| {
-                            let score = c.base_score();
-                            score >= *min && score <= *max
-                        }),
-                    _ => false,
-                });
+                set.vulnerabilities
+                    .retain(|h| h.severity.score().is_some_and(|s| s >= *min && s <= *max));
             }
             Filter::IdIn(ids) => {
                 retain_all(set, |h| ids.contains(&h.id));

@@ -7,9 +7,10 @@
 //! only form an index takes in memory: a [`Family`] owns the section bytes
 //! plus the decoded record ids, the per-document `√max(len, 1)` column and
 //! the token total, all computed in one pass when the section is opened. Queries binary-search
-//! the sorted term dictionary and read `(doc, tf)` postings in place; every
-//! weight is computed at query time by [`crate::score::TermScorer`], so
-//! appending documents ([`Family::merge`]) invalidates nothing.
+//! the sorted term dictionary and read `(doc, tf)` postings in place, and
+//! each hit's [`SeverityCode`] straight from the section's severity column;
+//! every weight is computed at query time by [`crate::score::TermScorer`],
+//! so appending documents ([`Family::merge`]) invalidates nothing.
 
 use std::collections::HashMap;
 
@@ -17,6 +18,7 @@ use cpssec_attackdb::snapshot::{put_u16, put_u32, Reader, SnapshotError};
 use cpssec_attackdb::{AttackVectorId, CapecId, CveId, CweId};
 
 use crate::score::{average_length, length_norm};
+use crate::severity::SeverityCode;
 use crate::text::{for_each_word, normalize_word, tokenize};
 
 /// One posting: a document and how often the term occurs in it.
@@ -371,6 +373,18 @@ impl FamilyKind {
             }
         }
     }
+
+    /// Whether a document of this family may carry `code`: a CVSS score
+    /// for a vulnerability, a band for a pattern, and each may be
+    /// unscored; a weakness is always unscored.
+    fn admits(self, code: SeverityCode) -> bool {
+        code == SeverityCode::UNSCORED
+            || match self {
+                FamilyKind::Vulnerabilities => code.is_cvss(),
+                FamilyKind::Patterns => code.is_band(),
+                FamilyKind::Weaknesses => false,
+            }
+    }
 }
 
 /// Appends one id-table entry.
@@ -390,6 +404,7 @@ fn put_id(out: &mut Vec<u8>, id: AttackVectorId) {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Layout {
     pub(crate) doc_count: usize,
+    severity_off: usize,
     pub(crate) lengths_off: usize,
     term_count: usize,
     heap_off: usize,
@@ -401,13 +416,16 @@ pub(crate) struct Layout {
 
 impl Layout {
     /// Reads a family section's region counts and checks that the id
-    /// table, document lengths, term heap, entry table and postings arena
-    /// account for every byte — *O(1)* reads, no payload scan.
+    /// table, severity column, document lengths, term heap, entry table
+    /// and postings arena account for every byte — *O(1)* reads, no
+    /// payload scan.
     pub(crate) fn parse(kind: FamilyKind, bytes: &[u8]) -> Result<Layout, SnapshotError> {
         let mut r = Reader::new(bytes);
         let pos = |r: &Reader<'_>| bytes.len() - r.remaining();
         let id_count = r.u32()?;
         r.take(id_count as usize * kind.id_len())?;
+        let severity_off = pos(&r);
+        r.take(id_count as usize)?;
         let doc_count = r.u32()?;
         if doc_count != id_count {
             return Err(SnapshotError::Corrupt(format!(
@@ -435,6 +453,7 @@ impl Layout {
         }
         Ok(Layout {
             doc_count: doc_count as usize,
+            severity_off,
             lengths_off,
             term_count,
             heap_off,
@@ -466,10 +485,19 @@ fn first_byte_runs(section: &[u8], layout: &Layout) -> [u32; 257] {
     runs
 }
 
-/// One record family's index: its family section (the id table, then the
-/// [`InvertedIndex::encode_into`] layout) plus the columns a query reads
-/// per posting or per hit. Every accessor trusts the section, so bytes
-/// from outside reach a `Family` only through [`Family::open`]'s checks.
+/// One record family's index: its family section plus the columns a query
+/// reads per posting or per hit. The section is
+///
+/// ```text
+/// id_count       u32
+/// ids            id_count × { u32 }            patterns, weaknesses
+///                id_count × { year u16, u32 }  vulnerabilities
+/// severity       id_count × u8                 SeverityCode per document
+/// (the InvertedIndex::encode_into layout, doc_count == id_count)
+/// ```
+///
+/// Every accessor trusts the section, so bytes from outside reach a
+/// `Family` only through [`Family::open`]'s checks.
 #[derive(Debug)]
 pub(crate) struct Family {
     kind: FamilyKind,
@@ -490,29 +518,37 @@ pub(crate) struct Family {
 }
 
 impl Family {
-    /// Indexes `records` — `(search text, id)` in id order — with the
-    /// builder and encodes the result as this family's section.
+    /// Indexes `records` — `(search text, id, severity code)` in id
+    /// order — with the builder and encodes the result as this family's
+    /// section.
     pub(crate) fn build(
         kind: FamilyKind,
-        records: impl Iterator<Item = (String, AttackVectorId)>,
+        records: impl Iterator<Item = (String, AttackVectorId, SeverityCode)>,
     ) -> Family {
-        let (texts, ids): (Vec<String>, Vec<AttackVectorId>) = records.unzip();
+        let (mut texts, mut ids, mut severities) = (Vec::new(), Vec::new(), Vec::new());
+        for (text, id, code) in records {
+            texts.push(text);
+            ids.push(id);
+            severities.push(code.byte());
+        }
         let mut bytes = Vec::new();
         put_u32(&mut bytes, u32::try_from(ids.len()).expect("fits u32"));
         for &id in &ids {
             put_id(&mut bytes, id);
         }
+        bytes.extend_from_slice(&severities);
         InvertedIndex::from_documents(&texts).encode_into(&mut bytes);
         let layout = Layout::parse(kind, &bytes).expect("a built section tiles");
         Family::with_columns(kind, bytes, layout)
     }
 
     /// Opens a family section from outside: the geometry of
-    /// [`Layout::parse`], then every check the geometry cannot make — the
-    /// term entries are contiguous, the dictionary is strictly sorted
-    /// valid UTF-8 that consumes the heap exactly, and each posting names
-    /// a document of this family with `1 <= tf <= len` (query-time
-    /// scoring takes `ln tf`).
+    /// [`Layout::parse`], then every check the geometry cannot make — each
+    /// severity code is one this family's records can carry, the term
+    /// entries are contiguous, the dictionary is strictly sorted valid
+    /// UTF-8 that consumes the heap exactly, and each posting names a
+    /// document of this family with `1 <= tf <= len` (query-time scoring
+    /// takes `ln tf`).
     pub(crate) fn open(kind: FamilyKind, bytes: Vec<u8>) -> Result<Family, SnapshotError> {
         let layout = Layout::parse(kind, &bytes)?;
         let family = Family::with_columns(kind, bytes, layout);
@@ -546,6 +582,15 @@ impl Family {
     fn validate(&self) -> Result<(), SnapshotError> {
         let corrupt = |detail: String| Err(SnapshotError::Corrupt(detail));
         let l = &self.layout;
+        let severities = &self.bytes[l.severity_off..l.severity_off + l.doc_count];
+        for (doc, &byte) in severities.iter().enumerate() {
+            if !SeverityCode::from_byte(byte).is_some_and(|code| self.kind.admits(code)) {
+                return corrupt(format!(
+                    "`{}` document {doc} has severity code {byte}",
+                    self.kind.name()
+                ));
+            }
+        }
         let heap = &self.bytes[l.heap_off..l.heap_off + l.heap_len];
         let (mut str_end, mut post_end) = (0, 0);
         let mut prev: Option<&[u8]> = None;
@@ -680,16 +725,22 @@ impl Family {
         self.ids[doc]
     }
 
+    /// The severity code of document `doc`, read in place from the
+    /// section's severity column.
+    pub(crate) fn severity(&self, doc: usize) -> SeverityCode {
+        SeverityCode(self.bytes[self.layout.severity_off + doc])
+    }
+
     /// The section bytes, exactly as a snapshot stores them.
     pub(crate) fn section(&self) -> &[u8] {
         &self.bytes
     }
 
     /// Appends `batch`'s documents after this family's, as documents
-    /// `doc_count()..`, in one pass over the two sections: ids and lengths
-    /// concatenate, the two sorted dictionaries are walked in lockstep,
-    /// and each term of the union keeps this family's postings followed by
-    /// the batch's, doc ids shifted. Postings stay doc-ascending, so the
+    /// `doc_count()..`, in one pass over the two sections: ids, severity
+    /// codes and lengths concatenate, the two sorted dictionaries are
+    /// walked in lockstep, and each term of the union keeps this family's
+    /// postings followed by the batch's, doc ids shifted. Postings stay doc-ascending, so the
     /// result is byte-identical to building the concatenated documents
     /// from scratch.
     pub(crate) fn merge(&self, batch: &Family) -> Family {
@@ -720,8 +771,10 @@ impl Family {
 
         let mut out = Vec::with_capacity(self.bytes.len() + batch.bytes.len());
         put_u32(&mut out, doc_count);
-        out.extend_from_slice(&self.bytes[4..a.lengths_off - 4]);
-        out.extend_from_slice(&batch.bytes[4..b.lengths_off - 4]);
+        out.extend_from_slice(&self.bytes[4..a.severity_off]);
+        out.extend_from_slice(&batch.bytes[4..b.severity_off]);
+        out.extend_from_slice(&self.bytes[a.severity_off..a.lengths_off - 4]);
+        out.extend_from_slice(&batch.bytes[b.severity_off..b.lengths_off - 4]);
         put_u32(&mut out, doc_count);
         out.extend_from_slice(&self.bytes[a.lengths_off..a.heap_off - 8]);
         out.extend_from_slice(&batch.bytes[b.lengths_off..b.heap_off - 8]);
@@ -785,9 +838,10 @@ mod tests {
     fn family(docs: &[&str]) -> Family {
         Family::build(
             FamilyKind::Weaknesses,
-            docs.iter()
-                .enumerate()
-                .map(|(i, doc)| ((*doc).to_owned(), CweId::new(i as u32).into())),
+            docs.iter().enumerate().map(|(i, doc)| {
+                let id = CweId::new(i as u32).into();
+                ((*doc).to_owned(), id, SeverityCode::UNSCORED)
+            }),
         )
     }
 
@@ -932,11 +986,35 @@ mod tests {
         assert_eq!(fam.doc_len(1), 3);
         assert_eq!(fam.norm(1).to_bits(), 3.0f64.sqrt().to_bits());
         assert_eq!(fam.id(2), CweId::new(2).into());
+        let code = SeverityCode::of_band(cpssec_attackdb::Severity::High);
         let cves = Family::build(
             FamilyKind::Vulnerabilities,
-            [("kernel".to_owned(), CveId::new(2021, 7).into())].into_iter(),
+            [
+                (
+                    "kernel".to_owned(),
+                    CveId::new(2021, 7).into(),
+                    SeverityCode::UNSCORED,
+                ),
+                (
+                    "panic".to_owned(),
+                    CveId::new(2021, 8).into(),
+                    SeverityCode(98),
+                ),
+            ]
+            .into_iter(),
         );
         assert_eq!(cves.id(0), CveId::new(2021, 7).into());
+        assert_eq!(cves.severity(0), SeverityCode::UNSCORED);
+        assert_eq!(cves.severity(1), SeverityCode(98));
+        let patterns = Family::build(
+            FamilyKind::Patterns,
+            [("kernel".to_owned(), CapecId::new(7).into(), code)].into_iter(),
+        );
+        assert_eq!(patterns.severity(0), code);
+        // Merged severities follow their documents.
+        let grown = cves.merge(&cves);
+        let codes: Vec<SeverityCode> = (0..4).map(|doc| grown.severity(doc)).collect();
+        assert_eq!(codes[2..], codes[..2]);
     }
 
     #[test]
@@ -1129,6 +1207,52 @@ mod tests {
             let mut corrupt = bytes.clone();
             corrupt[at..at + 4].copy_from_slice(&value.to_le_bytes());
             let err = Family::open(FamilyKind::Weaknesses, corrupt).unwrap_err();
+            assert!(err.to_string().contains(expect), "{err}");
+            assert!(!err.to_string().contains('\n'), "{err}");
+        }
+        // A severity code out of every range, or in a range another
+        // family's records use, is rejected the same way.
+        let scored = |kind, code: SeverityCode| {
+            let id = match kind {
+                FamilyKind::Vulnerabilities => CveId::new(2021, 1).into(),
+                _ => CapecId::new(1).into(),
+            };
+            Family::build(kind, [("kernel".to_owned(), id, code)].into_iter())
+        };
+        for (kind, code, bad, expect) in [
+            (
+                FamilyKind::Weaknesses,
+                SeverityCode::UNSCORED,
+                0,
+                "`weaknesses` document 0 has severity code 0",
+            ),
+            (
+                FamilyKind::Vulnerabilities,
+                SeverityCode(0),
+                101,
+                "severity code 101",
+            ),
+            (
+                FamilyKind::Vulnerabilities,
+                SeverityCode(100),
+                200,
+                "severity code 200",
+            ),
+            (
+                FamilyKind::Patterns,
+                SeverityCode::UNSCORED,
+                50,
+                "`patterns` document 0 has severity code 50",
+            ),
+        ] {
+            let built = if kind == FamilyKind::Weaknesses {
+                sample()
+            } else {
+                scored(kind, code)
+            };
+            let mut corrupt = built.section().to_vec();
+            corrupt[built.layout.severity_off] = bad;
+            let err = Family::open(kind, corrupt).unwrap_err();
             assert!(err.to_string().contains(expect), "{err}");
             assert!(!err.to_string().contains('\n'), "{err}");
         }

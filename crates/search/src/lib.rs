@@ -37,6 +37,7 @@ mod engine;
 mod filter;
 mod index;
 mod score;
+mod severity;
 pub mod snapshot;
 pub mod text;
 pub mod view;
@@ -47,4 +48,5 @@ pub use engine::{Hit, MatchConfig, MatchSet, QueryScratch, SearchEngine};
 pub use filter::{Filter, FilterPipeline};
 pub use index::InvertedIndex;
 pub use score::{expand_query, ScoringModel, UnknownScoringModel};
+pub use severity::SeverityCode;
 pub use view::{CorpusView, SnapshotView};

@@ -3,7 +3,8 @@
 //! A snapshot converts cold start from *O(parse + tokenize + build)* to
 //! *O(read)*: the corpus records (via `cpssec_attackdb::snapshot`) and the
 //! three family indices — sorted term dictionaries over `(doc, tf)`
-//! postings plus per-document token counts — land in one file behind a
+//! postings plus per-document token counts and severity codes — land in
+//! one file behind a
 //! section table, and [`decode`] restores a [`SearchEngine`] whose scores
 //! are bit-identical to one built from the original corpus. No weight is
 //! stored: scoring computes them at query time from the stored columns.
@@ -12,7 +13,7 @@
 //! is offset-based and self-describing, so [`crate::view::SnapshotView`]
 //! can validate a mapped image in *O(header)* without decoding anything.
 //!
-//! # Layout (format version 3)
+//! # Layout (format version 4)
 //!
 //! ```text
 //! magic        "CPSNAP"                      6 bytes
@@ -25,9 +26,21 @@
 //!
 //! Sections: `1` corpus records (per-family record directories: count,
 //! per-record byte offsets, concatenated records in id order), `2`/`3`/`4`
-//! the pattern / weakness / vulnerability family (id table + columnar
-//! inverted index with 16-byte term entries and 8-byte `{doc, tf}`
-//! postings, see the `InvertedIndex` wire docs). Offsets are absolute
+//! the pattern / weakness / vulnerability family:
+//!
+//! ```text
+//! id_count     u32
+//! ids          id_count × u32 (CAPEC/CWE) or { year u16, number u32 } (CVE)
+//! severity     id_count × u8   one SeverityCode per document
+//! index        columnar inverted index: doc_count (== id_count), doc
+//!              lengths, sorted term heap, 16-byte term entries, 8-byte
+//!              {doc, tf} postings (see the `InvertedIndex` wire docs)
+//! ```
+//!
+//! The severity column (new in version 4) holds each record's CVSS base
+//! score in tenths (`0..=100`), a pattern's typical-severity band
+//! (`101..=105`) or `255` for an unscored record, so hits are weighed and
+//! severity-filtered without the corpus. Offsets are absolute
 //! and rounded up to 8-byte boundaries (zero padding between sections);
 //! each checksum is word-folded FNV ([`cpssec_model::fnv1a_64_wide`]) over
 //! the section payload. `snapshot_id` is the same FNV over the serialized
@@ -59,7 +72,7 @@ use crate::SearchEngine;
 pub const MAGIC: [u8; 6] = *b"CPSNAP";
 
 /// The format version this build writes and reads.
-pub const FORMAT_VERSION: u16 = 3;
+pub const FORMAT_VERSION: u16 = 4;
 
 /// Bytes per section-table entry: id + offset + len + checksum.
 pub(crate) const TABLE_ENTRY_LEN: usize = 2 + 8 + 8 + 8;

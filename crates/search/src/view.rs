@@ -2,9 +2,9 @@
 //!
 //! [`open`] validates a mapped snapshot in *O(header)* — magic, version,
 //! the `snapshot_id` integrity check over the section table, and an exact
-//! geometric tiling of every section (each family's id table, document
-//! lengths, term heap, entry table, and postings arena must account for
-//! every byte) — and returns a [`SnapshotView`] that reads the bytes where
+//! geometric tiling of every section (each family's id table, severity
+//! column, document lengths, term heap, entry table, and postings arena
+//! must account for every byte) — and returns a [`SnapshotView`] that reads the bytes where
 //! they are. No record is decoded and no index is opened, which is what
 //! makes a mapped boot's first answer *O(read + header)* on `/healthz`.
 //! [`SearchEngine::from_view`](crate::SearchEngine::from_view) then copies

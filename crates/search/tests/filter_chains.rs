@@ -25,6 +25,7 @@ use cpssec_attackdb::{
 };
 use cpssec_search::{
     chains_for_weakness, exploit_chains, ExploitChain, Filter, FilterPipeline, Hit, MatchSet,
+    SeverityCode,
 };
 
 const CRITICAL: &str = "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H";
@@ -100,11 +101,22 @@ fn tiny_corpus() -> Corpus {
     corpus
 }
 
+/// A hit on a tiny-corpus record, its severity code taken from the record
+/// the way the index build takes it.
 fn hit(id: impl Into<AttackVectorId>, score: f64, matched_terms: usize) -> Hit {
+    let (id, corpus) = (id.into(), tiny_corpus());
+    let severity = match id {
+        AttackVectorId::Pattern(id) => SeverityCode::of_pattern(corpus.pattern(id).unwrap()),
+        AttackVectorId::Weakness(_) => SeverityCode::UNSCORED,
+        AttackVectorId::Vulnerability(id) => {
+            SeverityCode::of_vulnerability(corpus.vulnerability(id).unwrap())
+        }
+    };
     Hit {
-        id: id.into(),
+        id,
         score,
         matched_terms,
+        severity,
     }
 }
 

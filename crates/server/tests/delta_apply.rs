@@ -9,11 +9,14 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use cpssec_analysis::render::association_json;
+use cpssec_analysis::{AssociationMap, SystemPosture};
 use cpssec_attackdb::seed::seed_corpus;
-use cpssec_attackdb::{synth, AttackVectorId, CveId};
-use cpssec_model::fnv1a_64_wide;
+use cpssec_attackdb::{synth, AttackVectorId, Corpus, CveId, Severity, Vulnerability};
+use cpssec_model::{fnv1a_64_wide, Fidelity};
+use cpssec_scada::model::scada_model;
 use cpssec_search::delta::DELTA_MAGIC;
-use cpssec_search::{build_delta, ScoringModel, SearchEngine};
+use cpssec_search::{build_delta, Filter, FilterPipeline, ScoringModel, SearchEngine};
 use cpssec_server::load::read_response;
 use cpssec_server::{AppState, Server, COMPACTION_EVERY};
 
@@ -95,10 +98,10 @@ fn zero_first_vulnerability_tf(bytes: &mut [u8]) {
     // last.
     let (table, entry) = (20, 20 + 3 * 26);
     let (start, len) = (u64_at(bytes, entry + 2), u64_at(bytes, entry + 10));
-    // Section: ids (6 bytes each), lengths, term heap, 16-byte entries,
-    // then the postings arena.
+    // Section: ids (6 bytes each), severity codes (1 byte each), lengths,
+    // term heap, 16-byte entries, then the postings arena.
     let docs = u32_at(bytes, start);
-    let terms_at = start + 4 + docs * 6 + 4 + docs * 4;
+    let terms_at = start + 4 + docs * 6 + docs + 4 + docs * 4;
     let (terms, heap_len) = (u32_at(bytes, terms_at), u32_at(bytes, terms_at + 4));
     let first_tf = terms_at + 8 + heap_len + terms * 16 + 4 + 4;
     bytes[first_tf..first_tf + 4].copy_from_slice(&0u32.to_le_bytes());
@@ -206,6 +209,55 @@ fn mapped_boot_applies_deltas_and_compacts() {
     );
     assert!(text.contains("compactions_total 1"), "{text}");
     assert!(text.contains(&format!("corpus_records {total}")), "{text}");
+}
+
+#[test]
+fn a_delta_records_severity_reaches_the_served_severity_filter() {
+    // A critical CVE on a product the scada model names. Served under
+    // `severity=critical` after the apply, it is weighed and filtered by
+    // the code `Family::merge` appended to the mapped section's column.
+    let bytes = snapshot_bytes();
+    let parent = cpssec_search::snapshot::inspect(&bytes)
+        .expect("inspect")
+        .snapshot_id;
+    let state = AppState::from_snapshot_mapped(bytes.into()).expect("mapped boot");
+    let server = TestServer::start(state);
+    let target = "/models/scada/associate?fidelity=implementation&severity=critical";
+    let (status, before) = server.get(target);
+    assert_eq!(status, 200);
+
+    let id = CveId::new(2031, 1);
+    let critical = "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H"
+        .parse()
+        .unwrap();
+    let mut batch = Corpus::new();
+    batch
+        .add_vulnerability(
+            Vulnerability::new(id, "Labview on Windows 7 remote code execution")
+                .with_cvss(critical),
+        )
+        .unwrap();
+    let (status, body) = server.post_bytes("/corpus/delta", &build_delta(parent, &batch));
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    let hits = server
+        .state
+        .engine(ScoringModel::TfIdf)
+        .match_text("Labview on Windows 7");
+    let hit = hits.vulnerabilities.iter().find(|h| h.id == id.into());
+    assert_eq!(hit.map(|h| h.severity.byte()), Some(98));
+
+    let mut grown = seed_corpus();
+    grown.merge(batch).unwrap();
+    let engine = SearchEngine::build(&grown);
+    let model = scada_model();
+    let filters = FilterPipeline::new().then(Filter::SeverityAtLeast(Severity::Critical));
+    let map = AssociationMap::build(&model, &engine, &grown, Fidelity::Implementation, &filters);
+    let posture = SystemPosture::compute(&model, &grown, &map);
+    let expected = association_json(&model, &map, &posture).to_text();
+    let (status, after) = server.get(target);
+    assert_eq!(status, 200);
+    assert_eq!(after, expected.as_bytes());
+    assert_ne!(after, before, "the critical record passes the filter");
 }
 
 #[test]

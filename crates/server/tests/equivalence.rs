@@ -11,6 +11,7 @@ use std::sync::Arc;
 use cpssec_analysis::render::{association_json, whatif_json};
 use cpssec_analysis::{whatif, AssociationMap, SystemPosture};
 use cpssec_attackdb::seed::seed_corpus;
+use cpssec_attackdb::Severity;
 use cpssec_model::{Attribute, AttributeKind, Fidelity};
 use cpssec_scada::model::{names, scada_model};
 use cpssec_search::{Filter, FilterPipeline, MatchConfig, ScoringModel, SearchEngine};
@@ -104,6 +105,11 @@ const WHATIF_BODY: &str = r#"{"changes":[{"op":"replace","component":"Programmin
 
 /// The direct what-if rendering for the same edit `WHATIF_BODY` encodes.
 fn direct_whatif() -> String {
+    direct_whatif_with(&FilterPipeline::new())
+}
+
+/// [`direct_whatif`] under a filter pipeline.
+fn direct_whatif_with(filters: &FilterPipeline) -> String {
     let corpus = seed_corpus();
     let engine = SearchEngine::build(&corpus);
     let model = scada_model();
@@ -126,7 +132,7 @@ fn direct_whatif() -> String {
         &engine,
         &corpus,
         Fidelity::Implementation,
-        &FilterPipeline::new(),
+        filters,
     )
     .expect("evaluate");
     whatif_json(model.name(), Fidelity::Implementation, &report).to_text()
@@ -297,6 +303,41 @@ fn snapshot_thawed_server_is_byte_identical_to_the_direct_pipeline() {
     let expected = direct_association(Fidelity::Conceptual, ScoringModel::Bm25, &filters);
     let (status, body) =
         server.get("/models/scada/associate?fidelity=conceptual&scoring=bm25&topK=2");
+    assert_eq!(status, 200);
+    assert_eq!(body, expected.as_bytes());
+
+    // The severity filters read the severity column of the mapped family
+    // sections; the direct pipeline builds its own. The router applies
+    // `topK` before `severity`.
+    let unfiltered = direct_association(
+        Fidelity::Implementation,
+        ScoringModel::TfIdf,
+        &FilterPipeline::new(),
+    );
+    for (query, filters) in [
+        (
+            "severity=high",
+            FilterPipeline::new().then(Filter::SeverityAtLeast(Severity::High)),
+        ),
+        (
+            "severity=critical&topK=5",
+            FilterPipeline::new()
+                .then(Filter::TopKPerFamily(5))
+                .then(Filter::SeverityAtLeast(Severity::Critical)),
+        ),
+    ] {
+        let expected = direct_association(Fidelity::Implementation, ScoringModel::TfIdf, &filters);
+        assert_ne!(expected, unfiltered, "{query} filters something");
+        let (status, body) = server.get(&format!(
+            "/models/scada/associate?fidelity=implementation&{query}"
+        ));
+        assert_eq!(status, 200, "{query}");
+        assert_eq!(body, expected.as_bytes(), "{query}");
+    }
+    let filters = FilterPipeline::new().then(Filter::SeverityAtLeast(Severity::High));
+    let expected = direct_whatif_with(&filters);
+    assert_ne!(expected, direct_whatif());
+    let (status, body) = server.post("/models/scada/whatif?severity=high", WHATIF_BODY);
     assert_eq!(status, 200);
     assert_eq!(body, expected.as_bytes());
 
