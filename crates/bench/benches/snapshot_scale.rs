@@ -3,9 +3,8 @@
 //! rebuild-from-scratch.
 //!
 //! The view validates the header and section geometry in *O(header)*, so
-//! its open cost stays flat while the full decode grows with the corpus;
-//! the engine a mapped boot queries opens over it with
-//! `SearchEngine::from_view`. The
+//! its open cost stays flat while the full decode — what a snapshot boot
+//! runs before it answers — grows with the corpus. The
 //! acceptance criterion is a >=50x open speedup at the 100k-record scale
 //! (`CPSSEC_SCALE=3`); the assertion is guarded below 50k records so the
 //! default 11k run reports without failing. `CPSSEC_BENCH_FAST=1` (CI
@@ -18,7 +17,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cpssec_attackdb::synth::delta_batch;
-use cpssec_search::{apply_delta, build_delta, snapshot, view, MatchConfig, SearchEngine};
+use cpssec_search::{apply_delta, build_delta, snapshot, view, SearchEngine};
 
 fn fast_mode() -> bool {
     std::env::var("CPSSEC_BENCH_FAST").is_ok_and(|v| v == "1")
@@ -80,12 +79,7 @@ fn bench_snapshot_scale(c: &mut Criterion) {
     });
     let speedup = decode_us / open_us.max(1e-3);
 
-    // Time-to-first-answer from cold bytes, both sides.
-    let first_query_view_us = mean_us(decode_rounds, || {
-        let view = view::open_verified(Arc::clone(&mapped)).expect("open");
-        let viewed = SearchEngine::from_view(&view, MatchConfig::default()).expect("open engine");
-        black_box(viewed.match_text(query));
-    });
+    // Time-to-first-answer from cold bytes: the snapshot boot's decode.
     let first_query_owned_us = mean_us(decode_rounds, || {
         let (_, thawed) = snapshot::decode(&snap).expect("decode");
         black_box(thawed.match_text(query));
@@ -114,7 +108,6 @@ fn bench_snapshot_scale(c: &mut Criterion) {
     println!("  owned decode        : {decode_us:>10.0} us  (rss {rss_owned_kb} kB, baseline {rss_before_kb} kB)");
     println!("  view open           : {open_us:>10.2} us  ({speedup:.0}x faster than decode)");
     println!("  view open_verified  : {verified_us:>10.0} us  (adds the checksum pass)");
-    println!("  first query (view)  : {first_query_view_us:>10.0} us");
     println!("  first query (owned) : {first_query_owned_us:>10.0} us");
     println!("  delta size (1k rec) : {:>10} bytes", delta.len());
     println!(
@@ -126,7 +119,6 @@ fn bench_snapshot_scale(c: &mut Criterion) {
         "{{\"scale\":{scale},\"records\":{records},\"snapshotBytes\":{},\
          \"decodeUs\":{decode_us:.1},\"viewOpenUs\":{open_us:.2},\
          \"viewOpenVerifiedUs\":{verified_us:.1},\"openSpeedup\":{speedup:.1},\
-         \"firstQueryViewUs\":{first_query_view_us:.1},\
          \"firstQueryOwnedUs\":{first_query_owned_us:.1},\
          \"deltaBytes\":{},\"deltaApplyUs\":{apply_us:.1},\"rebuildUs\":{rebuild_us:.1},\
          \"rssOwnedKb\":{rss_owned_kb}}}",

@@ -463,7 +463,7 @@ fn cmd_snapshot(options: &Options) -> Result<String, String> {
         }
         "verify" => {
             let (corpus, _engine) =
-                cpssec_search::snapshot::verify(&read_file(path, std::fs::read)?)
+                cpssec_search::snapshot::decode(&read_file(path, std::fs::read)?)
                     .map_err(invalid)?;
             Ok(format!("ok: {}\n", corpus_counts(&corpus)))
         }
@@ -591,10 +591,9 @@ fn cmd_delta(options: &Options) -> Result<String, String> {
 fn cmd_serve(options: &Options, out: &mut dyn Write) -> Result<String, String> {
     let state = match &options.snapshot_path {
         Some(path) => {
-            // Mapped boot: the file becomes one shared buffer whose
-            // checksums and index sections are validated before the server
-            // listens; the owned corpus thaws on a background thread
-            // (corpus endpoints block until it lands).
+            // Snapshot boot: the file is decoded and validated in full
+            // (the decode `snapshot verify` runs) before the server
+            // listens, so a bad snapshot exits here with one line.
             let bytes: std::sync::Arc<[u8]> = read_file(path, std::fs::read)?.into();
             cpssec_server::AppState::from_snapshot_mapped(bytes)
                 .map_err(|e| format!("invalid snapshot `{path}`: {e}"))?

@@ -434,6 +434,50 @@ fn zero_first_vulnerability_tf(bytes: &mut [u8]) {
     bytes[12..20].copy_from_slice(&id.to_le_bytes());
 }
 
+/// Sets the first pattern record's directory offset in a `.cpsnap`'s
+/// corpus section to 1 and recomputes that section's checksum and the
+/// `snapshot_id`: the section still tiles, so only the record decode
+/// refuses it.
+fn misplace_first_pattern_record(bytes: &mut [u8]) {
+    let u64_at =
+        |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap()) as usize;
+    // Header: magic, version, section count, snapshot id; then four
+    // 26-byte table entries (id, offset, len, checksum), corpus first.
+    let (table, entry) = (20, 20);
+    let (start, len) = (u64_at(bytes, entry + 2), u64_at(bytes, entry + 10));
+    // Section: the pattern count, then one u32 offset per pattern.
+    bytes[start + 4..start + 8].copy_from_slice(&1u32.to_le_bytes());
+    let checksum = fnv1a_64_wide(&bytes[start..start + len]);
+    bytes[entry + 18..entry + 26].copy_from_slice(&checksum.to_le_bytes());
+    let id = fnv1a_64_wide(&bytes[table..table + 4 * 26]);
+    bytes[12..20].copy_from_slice(&id.to_le_bytes());
+}
+
+#[test]
+#[cfg(unix)]
+fn a_snapshot_with_a_bad_corpus_record_fails_the_boot_before_listening() {
+    let path = build_snapshot("bad-record.cpsnap");
+    let mut bytes = std::fs::read(&path).expect("read snapshot");
+    misplace_first_pattern_record(&mut bytes);
+    std::fs::write(&path, &bytes).expect("write");
+    let output = cpssec()
+        .args(["serve", "--addr", "127.0.0.1:0", "--snapshot", &path])
+        .output()
+        .expect("spawn cpssec");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&output.stdout),
+        String::from_utf8_lossy(&output.stderr),
+    );
+    assert_eq!(output.status.code(), Some(1), "{stdout}{stderr}");
+    assert!(!stdout.contains("listening"), "{stdout}");
+    assert_eq!(stderr.trim_end().lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("invalid snapshot"), "{stderr}");
+    assert!(
+        stderr.contains("`patterns` record 0 directory entry is out of bounds"),
+        "{stderr}"
+    );
+}
+
 #[test]
 #[cfg(unix)]
 fn a_snapshot_with_a_bad_posting_fails_the_boot_before_listening() {

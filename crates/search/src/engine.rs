@@ -14,7 +14,6 @@ use crate::score::{expand_query, ScoringModel, TermScorer};
 use crate::severity::SeverityCode;
 use crate::snapshot::SnapshotError;
 use crate::text::tokenize;
-use crate::view::SnapshotView;
 
 /// Matching thresholds.
 ///
@@ -239,21 +238,9 @@ impl SearchEngine {
         SearchEngine::from_families(config, families)
     }
 
-    /// Opens an engine over a snapshot view. The three family sections are
-    /// copied out of the image, so the engine outlives it, and each is
-    /// validated in full ([`crate::snapshot::decode`] runs the same
-    /// checks): an engine that opens answers every query.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Corrupt`] naming the first structural fault in a
-    /// family section.
-    pub fn from_view(view: &SnapshotView, config: MatchConfig) -> Result<Self, SnapshotError> {
-        SearchEngine::from_sections(view.family_sections(), config)
-    }
-
     /// Opens an engine over three family section payloads (patterns,
-    /// weaknesses, vulnerabilities), copying and validating each.
+    /// weaknesses, vulnerabilities), copying each and validating it in
+    /// full: an engine that opens answers every query.
     pub(crate) fn from_sections(
         sections: [&[u8]; 3],
         config: MatchConfig,

@@ -48,12 +48,13 @@
 //! its payload checksum), doubles as the header's own integrity check, and
 //! anchors the `.cpsdelta` parent chain ([`crate::delta`]).
 //!
-//! Two read paths share this layout and its one index validator.
-//! [`decode`] verifies every payload checksum, decodes the corpus and
-//! opens the engine. [`crate::view::open`] validates the header and
-//! section geometry in *O(header)* and reads in place; the deep payload
-//! checksums move to [`crate::view::open_verified`] or stay with
-//! [`verify`], and [`SearchEngine::from_view`] opens the engine.
+//! Two read paths share this layout. [`decode`] verifies every payload
+//! checksum, decodes the corpus, opens and validates the engine and
+//! cross-checks their document counts: it is the one path that turns
+//! bytes into queryable state (`snapshot verify`, `delta apply` and the
+//! server's snapshot boot all run it). [`crate::view::open`] validates
+//! the header and section geometry in *O(header)* and reads records in
+//! place; [`crate::view::open_verified`] adds the payload checksums.
 //! Compatibility is strict: readers reject any version they were not
 //! built for — a snapshot is a cache artifact, regenerable from the
 //! corpus, never an archival format.
@@ -225,9 +226,9 @@ fn decode_family_records<T>(
 ///
 /// Each family is decoded in full before any record is inserted, so the
 /// map's nodes are allocated back to back instead of between the records'
-/// strings. Random lookups on the thawed corpus are measurably faster
-/// that way, and a delta-grown corpus keeps its thawed base for life.
-pub(crate) fn decode_corpus_section(payload: &[u8]) -> Result<Corpus, SnapshotError> {
+/// strings. Random lookups on the decoded corpus are measurably faster
+/// that way, and a delta-grown corpus keeps its decoded base for life.
+fn decode_corpus_section(payload: &[u8]) -> Result<Corpus, SnapshotError> {
     let corrupt = |e: cpssec_attackdb::AttackDbError| SnapshotError::Corrupt(e.to_string());
     let mut corpus = Corpus::new();
     let mut r = Reader::new(payload);
@@ -388,9 +389,10 @@ pub(crate) fn find_section<'a>(
 
 /// Decodes a snapshot into its corpus and a search engine using `config`.
 ///
-/// All section checksums are verified first, then the engine opens with
-/// the checks [`SearchEngine::from_view`] runs; the restored sections are
-/// the encoded engine's, so its scores are bit-identical to that engine's.
+/// All section checksums are verified first, then the corpus is decoded
+/// and each family section is validated in full; the restored sections
+/// are the encoded engine's, so its scores are bit-identical to that
+/// engine's, and an engine that decodes answers every query.
 ///
 /// # Errors
 ///
@@ -442,7 +444,7 @@ pub fn decode(bytes: &[u8]) -> Result<(Corpus, SearchEngine), SnapshotError> {
 /// Parses the header and section table without decoding payloads — the
 /// cheap `snapshot inspect` path. The table's own integrity is checked
 /// (via `snapshot_id`) and every span is bounds-checked; payload checksums
-/// are not verified (use [`verify`] for that).
+/// are not verified (use [`decode`] for that).
 ///
 /// # Errors
 ///
@@ -465,20 +467,11 @@ pub fn inspect(bytes: &[u8]) -> Result<SnapshotInfo, SnapshotError> {
     })
 }
 
-/// Fully verifies a snapshot — header, checksums, and a complete decode —
-/// and returns the decoded corpus and engine for further use.
-///
-/// # Errors
-///
-/// As [`decode`].
-pub fn verify(bytes: &[u8]) -> Result<(Corpus, SearchEngine), SnapshotError> {
-    decode(bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ScoringModel;
+    use crate::index::{FamilyKind, Layout, POSTING_LEN};
+    use crate::{MatchSet, ScoringModel};
     use cpssec_attackdb::seed::{seed_corpus, table1_attributes};
 
     fn snapshot() -> (Corpus, Vec<u8>) {
@@ -537,6 +530,111 @@ mod tests {
         );
         for query in table1_attributes() {
             assert_eq!(fresh.match_text(query), bm25.match_text(query), "{query}");
+        }
+    }
+
+    fn assert_bit_identical(a: &MatchSet, b: &MatchSet, context: &str) {
+        assert_eq!(a.counts(), b.counts(), "{context}");
+        for (x, y) in a.iter().zip(b.iter()) {
+            assert_eq!(x.id, y.id, "{context}");
+            assert_eq!(x.score.to_bits(), y.score.to_bits(), "{context}");
+            assert_eq!(x.matched_terms, y.matched_terms, "{context}");
+        }
+    }
+
+    #[test]
+    fn decoded_engine_honors_every_scoring_configuration() {
+        let (corpus, bytes) = snapshot();
+        for scoring in ScoringModel::ALL {
+            for expand in [false, true] {
+                let config = MatchConfig {
+                    scoring,
+                    expand_synonyms: expand,
+                    max_hits: Some(5),
+                    ..MatchConfig::default()
+                };
+                let built = SearchEngine::with_config(&corpus, config);
+                let (_, decoded) = decode_with_config(&bytes, config).expect("decode");
+                for query in table1_attributes()
+                    .iter()
+                    .chain(&["", "zephyr marmalade", "&&&"])
+                {
+                    assert_bit_identical(
+                        &built.match_text(query),
+                        &decoded.match_text(query),
+                        &format!("{scoring:?} expand={expand} {query}"),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_index_words_are_refused_or_scored_never_panic() {
+        let corpus = seed_corpus();
+        let engine = SearchEngine::build(&corpus);
+        let [patterns, weaknesses, vulnerabilities] =
+            engine.families().map(|family| family.section());
+        // Seals `corrupt` as the vulnerabilities section under valid
+        // checksums and decodes it: the index validator may refuse it
+        // with one line, and an engine that decodes must answer under
+        // both scoring models. Returns whether it decoded.
+        let survives = |corrupt: &[u8]| -> bool {
+            match decode(&assemble(&corpus, [patterns, weaknesses, corrupt])) {
+                Ok((_, engine)) => {
+                    for scoring in ScoringModel::ALL {
+                        let engine = engine.with_scoring(scoring);
+                        for query in table1_attributes() {
+                            let _ = engine.match_text(query);
+                        }
+                    }
+                    true
+                }
+                Err(err) => {
+                    assert!(!err.to_string().contains('\n'), "{err}");
+                    false
+                }
+            }
+        };
+        // Flip bytes of the section (striding through it; every byte of
+        // every section is swept in tests/snapshot_hostile.rs) — results
+        // may differ, safety may not.
+        for pos in (0..vulnerabilities.len()).step_by(97) {
+            let mut corrupt = vulnerabilities.to_vec();
+            corrupt[pos] ^= 0xFF;
+            survives(&corrupt);
+        }
+        // The words that feed the query-time weight. A `tf` of 0 (`ln 0`)
+        // or above its document's length is refused; lengths of
+        // `u32::MAX` (BM25's `len / avg` at its extreme) and `tf`s past
+        // the `ln` table with lengths to match are valid and must score.
+        let layout = Layout::parse(FamilyKind::Vulnerabilities, vulnerabilities).unwrap();
+        let tfs: Vec<usize> = (0..layout.posting_total)
+            .map(|i| layout.postings_off + i * POSTING_LEN + 4)
+            .collect();
+        let lens: Vec<usize> = (0..layout.doc_count)
+            .map(|i| layout.lengths_off + i * 4)
+            .collect();
+        let word =
+            |off: usize| u32::from_le_bytes(vulnerabilities[off..off + 4].try_into().unwrap());
+        assert!(lens.iter().all(|&off| word(off) < 1_000));
+        for (rewrites, opens) in [
+            (vec![(&tfs, 0)], false),
+            (vec![(&tfs, 1_000)], false),
+            (vec![(&tfs, u32::MAX)], false),
+            (vec![(&lens, 0)], false),
+            (vec![(&lens, u32::MAX)], true),
+            (vec![(&tfs, 1_000), (&lens, 1_000)], true),
+            (vec![(&tfs, u32::MAX), (&lens, u32::MAX)], true),
+        ] {
+            let mut corrupt = vulnerabilities.to_vec();
+            for &(words, value) in &rewrites {
+                for &off in words {
+                    corrupt[off..off + 4].copy_from_slice(&value.to_le_bytes());
+                }
+            }
+            let values: Vec<u32> = rewrites.iter().map(|&(_, value)| value).collect();
+            assert_eq!(survives(&corrupt), opens, "rewrite to {values:?}");
         }
     }
 

@@ -5,29 +5,25 @@
 //! geometric tiling of every section (each family's id table, severity
 //! column, document lengths, term heap, entry table, and postings arena
 //! must account for every byte) — and returns a [`SnapshotView`] that reads the bytes where
-//! they are. No record is decoded and no index is opened, which is what
-//! makes a mapped boot's first answer *O(read + header)* on `/healthz`.
-//! [`SearchEngine::from_view`](crate::SearchEngine::from_view) then copies
-//! the three family sections out and validates each in full, the same
-//! checks [`crate::snapshot::decode`] runs, and [`SnapshotView::thaw_corpus`]
-//! decodes the records with the decoder `decode` uses.
+//! they are. No record is decoded and no index is opened: [`CorpusView`]
+//! decodes one record at a time on demand. Serving does not read through
+//! a view; a snapshot boot runs the full [`crate::snapshot::decode`].
 //!
 //! Safety without `unsafe`: the view never transmutes. Every multi-byte
 //! field goes through `from_le_bytes` on a bounds-checked subslice, and
 //! [`CorpusView`]'s per-record reads are bounds-checked against the
 //! directory, so corrupt bytes surface as errors, never a panic.
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use cpssec_attackdb::snapshot as record_wire;
 use cpssec_attackdb::snapshot::Reader;
-use cpssec_attackdb::{AttackPattern, Corpus, Vulnerability, Weakness};
+use cpssec_attackdb::{AttackPattern, Vulnerability, Weakness};
 
 use crate::index::{FamilyKind, Layout};
 use crate::snapshot::{
-    checked_sections, decode_corpus_section, find_section, split_sections, Section, SnapshotError,
-    FAMILY_SECTIONS, SEC_CORPUS,
+    checked_sections, find_section, split_sections, Section, SnapshotError, FAMILY_SECTIONS,
+    SEC_CORPUS,
 };
 
 /// Reads a `u32` at `off`, clamping out-of-range access to zero.
@@ -57,15 +53,6 @@ pub struct SnapshotView {
     bytes: Arc<[u8]>,
     snapshot_id: u64,
     corpus: [RecordFamilySpans; 3],
-    /// The corpus section payload.
-    corpus_section: Range<usize>,
-    /// The pattern, weakness and vulnerability section payloads.
-    families: [Range<usize>; 3],
-}
-
-/// The absolute byte range of a section's payload.
-fn payload_range(section: &Section<'_>) -> Range<usize> {
-    section.offset as usize..section.offset as usize + section.payload.len()
 }
 
 /// Parses the corpus section's three record directories into spans.
@@ -118,7 +105,6 @@ pub fn open(bytes: Arc<[u8]>) -> Result<SnapshotView, SnapshotError> {
     let (_, snapshot_id, sections) = split_sections(&bytes)?;
     let corpus_section = find_section(&sections, SEC_CORPUS)?;
     let corpus = parse_corpus_section(corpus_section)?;
-    let mut families: [Range<usize>; 3] = Default::default();
     for (i, (kind, id)) in FamilyKind::ALL.into_iter().zip(FAMILY_SECTIONS).enumerate() {
         let section = find_section(&sections, id)?;
         if Layout::parse(kind, section.payload)?.doc_count != corpus[i].count as usize {
@@ -126,16 +112,12 @@ pub fn open(bytes: Arc<[u8]>) -> Result<SnapshotView, SnapshotError> {
                 "index document counts disagree with the corpus record directories".into(),
             ));
         }
-        families[i] = payload_range(section);
     }
-    let corpus_section = payload_range(corpus_section);
     drop(sections);
     Ok(SnapshotView {
         bytes,
         snapshot_id,
         corpus,
-        corpus_section,
-        families,
     })
 }
 
@@ -169,27 +151,6 @@ impl SnapshotView {
     #[must_use]
     pub fn corpus(&self) -> CorpusView<'_> {
         CorpusView { view: self }
-    }
-
-    /// The pattern, weakness and vulnerability section payloads.
-    pub(crate) fn family_sections(&self) -> [&[u8]; 3] {
-        let [p, w, v] = &self.families;
-        [
-            &self.bytes[p.clone()],
-            &self.bytes[w.clone()],
-            &self.bytes[v.clone()],
-        ]
-    }
-
-    /// Decodes every record into an owned [`Corpus`] with the decoder
-    /// [`crate::snapshot::decode`] uses — the bridge from a mapped view to
-    /// the owned world the analysis layer needs.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Corrupt`] on any malformed or duplicated record.
-    pub fn thaw_corpus(&self) -> Result<Corpus, SnapshotError> {
-        decode_corpus_section(&self.bytes[self.corpus_section.clone()])
     }
 }
 
@@ -298,10 +259,10 @@ impl<'a> CorpusView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::POSTING_LEN;
     use crate::snapshot::{encode, inspect};
-    use crate::{MatchConfig, MatchSet, ScoringModel, SearchEngine};
-    use cpssec_attackdb::seed::{seed_corpus, table1_attributes};
+    use crate::SearchEngine;
+    use cpssec_attackdb::seed::seed_corpus;
+    use cpssec_attackdb::Corpus;
 
     fn mapped() -> (Corpus, Arc<[u8]>) {
         let corpus = seed_corpus();
@@ -310,45 +271,8 @@ mod tests {
         (corpus, bytes)
     }
 
-    fn assert_bit_identical(a: &MatchSet, b: &MatchSet, context: &str) {
-        assert_eq!(a.counts(), b.counts(), "{context}");
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.id, y.id, "{context}");
-            assert_eq!(x.score.to_bits(), y.score.to_bits(), "{context}");
-            assert_eq!(x.matched_terms, y.matched_terms, "{context}");
-        }
-    }
-
     #[test]
-    fn mapped_engine_honors_every_scoring_configuration() {
-        let (corpus, bytes) = mapped();
-        let view = open(bytes).unwrap();
-        for scoring in ScoringModel::ALL {
-            for expand in [false, true] {
-                let config = MatchConfig {
-                    scoring,
-                    expand_synonyms: expand,
-                    max_hits: Some(5),
-                    ..MatchConfig::default()
-                };
-                let built = SearchEngine::with_config(&corpus, config);
-                let opened = SearchEngine::from_view(&view, config).expect("open engine");
-                for query in table1_attributes()
-                    .iter()
-                    .chain(&["", "zephyr marmalade", "&&&"])
-                {
-                    assert_bit_identical(
-                        &built.match_text(query),
-                        &opened.match_text(query),
-                        &format!("{scoring:?} expand={expand} {query}"),
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn corpus_view_reads_every_record_and_thaws_the_corpus() {
+    fn corpus_view_reads_every_record() {
         let (corpus, bytes) = mapped();
         let view = open(bytes).unwrap();
         let cv = view.corpus();
@@ -367,7 +291,6 @@ mod tests {
             assert_eq!(&cv.vulnerability(i).unwrap(), v);
         }
         assert!(cv.pattern(cv.pattern_count()).is_err());
-        assert_eq!(view.thaw_corpus().expect("thaw"), corpus);
     }
 
     #[test]
@@ -409,74 +332,5 @@ mod tests {
             open(table).unwrap_err(),
             SnapshotError::ChecksumMismatch("section table")
         );
-    }
-
-    #[test]
-    fn engine_open_on_an_unverified_view_never_panics() {
-        let (_, bytes) = mapped();
-        // Opens `corrupt` without checking its checksums: the geometry or
-        // the engine open may refuse it with one line, and an engine that
-        // opens must answer under both scoring models. Returns whether the
-        // engine opened.
-        let survives = |corrupt: Vec<u8>| -> bool {
-            let opened = open(corrupt.into())
-                .and_then(|view| SearchEngine::from_view(&view, MatchConfig::default()));
-            match opened {
-                Ok(engine) => {
-                    for scoring in ScoringModel::ALL {
-                        let engine = engine.with_scoring(scoring);
-                        for query in table1_attributes() {
-                            let _ = engine.match_text(query);
-                        }
-                    }
-                    true
-                }
-                Err(err) => {
-                    assert!(!err.to_string().contains('\n'), "{err}");
-                    false
-                }
-            }
-        };
-        // Flip bytes of the vulnerabilities section (striding through it;
-        // every byte of every section is swept, resealed, in
-        // tests/snapshot_hostile.rs) — results may differ, safety may not.
-        let info = inspect(&bytes).unwrap();
-        let vuln = info.sections.last().unwrap();
-        let (start, end) = (vuln.offset as usize, (vuln.offset + vuln.len) as usize);
-        for pos in (start..end).step_by(97) {
-            let mut corrupt = bytes.to_vec();
-            corrupt[pos] ^= 0xFF;
-            survives(corrupt);
-        }
-        // The words that feed the query-time weight. A `tf` of 0 (`ln 0`)
-        // or above its document's length is refused; lengths of
-        // `u32::MAX` (BM25's `len / avg` at its extreme) and `tf`s past
-        // the `ln` table with lengths to match are valid and must score.
-        let layout = Layout::parse(FamilyKind::Vulnerabilities, &bytes[start..end]).unwrap();
-        let tfs: Vec<usize> = (0..layout.posting_total)
-            .map(|i| start + layout.postings_off + i * POSTING_LEN + 4)
-            .collect();
-        let lens: Vec<usize> = (0..layout.doc_count)
-            .map(|i| start + layout.lengths_off + i * 4)
-            .collect();
-        assert!(lens.iter().all(|&off| u32_at(&bytes, off) < 1_000));
-        for (rewrites, opens) in [
-            (vec![(&tfs, 0)], false),
-            (vec![(&tfs, 1_000)], false),
-            (vec![(&tfs, u32::MAX)], false),
-            (vec![(&lens, 0)], false),
-            (vec![(&lens, u32::MAX)], true),
-            (vec![(&tfs, 1_000), (&lens, 1_000)], true),
-            (vec![(&tfs, u32::MAX), (&lens, u32::MAX)], true),
-        ] {
-            let mut corrupt = bytes.to_vec();
-            for &(words, value) in &rewrites {
-                for &off in words {
-                    corrupt[off..off + 4].copy_from_slice(&value.to_le_bytes());
-                }
-            }
-            let values: Vec<u32> = rewrites.iter().map(|&(_, value)| value).collect();
-            assert_eq!(survives(corrupt), opens, "rewrite to {values:?}");
-        }
     }
 }

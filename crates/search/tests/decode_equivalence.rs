@@ -1,20 +1,20 @@
-//! The mapped-boot proof: every query answered by a [`SearchEngine`]
-//! opened over a verified snapshot view must be *byte-identical* to the
-//! same query on the engine [`snapshot::decode`] restores — same hits,
+//! The snapshot-boot proof: every query answered by the [`SearchEngine`]
+//! [`snapshot::decode_with_config`] restores — the engine a server booted
+//! from a `.cpsnap` serves — must be *byte-identical* to the same query on
+//! an engine built from the same corpus under the same config: same hits,
 //! same order, same `f64` score bits.
 //!
 //! Covered here: arbitrary queries under arbitrary configs (proptest),
 //! the three E7b corpus scales, and the delta chain — after 1, 3, and K
 //! applies, plus one verified compaction.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use cpssec_attackdb::seed::seed_corpus;
 use cpssec_attackdb::synth::{delta_batch, stream_into, SynthSpec, DELTA_MENTION};
 use cpssec_attackdb::Corpus;
 use cpssec_search::{
-    apply_delta, build_delta, compact_verified, snapshot, view, MatchConfig, ScoringModel,
-    SearchEngine,
+    apply_delta, build_delta, compact_verified, snapshot, MatchConfig, ScoringModel, SearchEngine,
 };
 use proptest::prelude::*;
 
@@ -58,42 +58,51 @@ fn corpus_at(scale: f64) -> Corpus {
     corpus
 }
 
-/// The engine a mapped boot opens over `bytes`.
-fn mapped_engine(bytes: &[u8], config: MatchConfig) -> SearchEngine {
-    let mapped: Arc<[u8]> = bytes.to_vec().into();
-    let view = view::open_verified(mapped).expect("open view");
-    SearchEngine::from_view(&view, config).expect("open engine")
+/// The engine a snapshot boot serves from `bytes`.
+fn served_engine(bytes: &[u8], config: MatchConfig) -> SearchEngine {
+    snapshot::decode_with_config(bytes, config)
+        .expect("decode")
+        .1
 }
 
-/// Asserts that `bytes` answers every query in `queries` identically
-/// through the mapped open and the full decode, under `config`.
-fn assert_equivalent(bytes: &[u8], config: MatchConfig, queries: &[String], label: &str) {
-    let viewed = mapped_engine(bytes, config);
-    let (_, owned) = snapshot::decode_with_config(bytes, config).expect("decode");
+/// Asserts that `bytes`, the snapshot of `corpus`, answers every query in
+/// `queries` through the decoded engine exactly as an engine built from
+/// `corpus` does, under `config`.
+fn assert_equivalent(
+    corpus: &Corpus,
+    bytes: &[u8],
+    config: MatchConfig,
+    queries: &[String],
+    label: &str,
+) {
+    let served = served_engine(bytes, config);
+    let built = SearchEngine::with_config(corpus, config);
     for query in queries {
         assert_eq!(
-            viewed.match_text(query),
-            owned.match_text(query),
-            "{label}: mapped and decoded engines disagree on {query:?}"
+            served.match_text(query),
+            built.match_text(query),
+            "{label}: decoded and built engines disagree on {query:?}"
         );
     }
 }
 
-/// The small base snapshot the proptest queries against, built once.
-fn base_bytes() -> &'static Vec<u8> {
-    static BASE: OnceLock<Vec<u8>> = OnceLock::new();
+/// The small base corpus the proptest queries against and its snapshot,
+/// built once.
+fn base() -> &'static (Corpus, Vec<u8>) {
+    static BASE: OnceLock<(Corpus, Vec<u8>)> = OnceLock::new();
     BASE.get_or_init(|| {
         let corpus = corpus_at(0.02);
         let engine = SearchEngine::build(&corpus);
-        snapshot::encode(&corpus, &engine)
+        let bytes = snapshot::encode(&corpus, &engine);
+        (corpus, bytes)
     })
 }
 
 proptest! {
-    /// Any query, either scoring model, synonyms on or off: the mapped
-    /// engine's MatchSet equals the decoded engine's, score bits included.
+    /// Any query, either scoring model, synonyms on or off: the decoded
+    /// engine's MatchSet equals the built engine's, score bits included.
     #[test]
-    fn any_query_is_byte_identical_on_the_view(
+    fn any_query_is_byte_identical_on_the_decoded_engine(
         words in prop::collection::vec(any::<prop::sample::Index>(), 0..10),
         bm25 in any::<bool>(),
         expand in any::<bool>(),
@@ -108,14 +117,15 @@ proptest! {
             expand_synonyms: expand,
             ..MatchConfig::default()
         };
-        assert_equivalent(base_bytes(), config, &[query], "proptest");
+        let (corpus, bytes) = base();
+        assert_equivalent(corpus, bytes, config, &[query], "proptest");
     }
 }
 
 /// Scales 0.02 / 0.1 / 0.3 (the E7b ladder up to the paper-shaped 11k
-/// corpus): both scoring models agree between mapped and decoded.
+/// corpus): both scoring models agree between decoded and built.
 #[test]
-fn view_matches_owned_across_scales() {
+fn decoded_matches_built_across_scales() {
     let queries: Vec<String> = QUERIES.iter().map(|q| (*q).to_owned()).collect();
     for scale in [0.02, 0.1, 0.3] {
         let corpus = corpus_at(scale);
@@ -127,6 +137,7 @@ fn view_matches_owned_across_scales() {
                 ..MatchConfig::default()
             };
             assert_equivalent(
+                &corpus,
                 &bytes,
                 config,
                 &queries,
@@ -138,12 +149,12 @@ fn view_matches_owned_across_scales() {
 
 /// Grows the owned pair through K = 4 delta applies, re-encoding at the
 /// 1-, 3-, and K-apply checkpoints: each intermediate snapshot answers
-/// identically through mapped and decoded, the grown engine itself
-/// answers like both, the delta's unique mention term
-/// becomes reachable, and the final verified compaction is the same
-/// bytes the canonical encoder produces.
+/// identically decoded and rebuilt, the grown engine itself answers like
+/// the decoded one, the delta's unique mention term becomes reachable,
+/// and the final verified compaction is the same bytes the canonical
+/// encoder produces.
 #[test]
-fn view_matches_owned_after_delta_applies_and_compaction() {
+fn decoded_matches_built_after_delta_applies_and_compaction() {
     const K: u32 = 4;
     let queries: Vec<String> = QUERIES.iter().map(|q| (*q).to_owned()).collect();
     let mut corpus = corpus_at(0.02);
@@ -159,11 +170,11 @@ fn view_matches_owned_after_delta_applies_and_compaction() {
         let applies = serial + 1;
         if applies == 1 || applies == 3 || applies == K {
             let grown = snapshot::encode(&corpus, &engine);
-            let viewed = mapped_engine(&grown, MatchConfig::default());
+            let served = served_engine(&grown, MatchConfig::default());
             for query in &queries {
                 assert_eq!(
                     engine.match_text(query),
-                    viewed.match_text(query),
+                    served.match_text(query),
                     "after {applies} delta applies: the merged engine diverges on {query:?}"
                 );
             }
@@ -173,6 +184,7 @@ fn view_matches_owned_after_delta_applies_and_compaction() {
                     ..MatchConfig::default()
                 };
                 assert_equivalent(
+                    &corpus,
                     &grown,
                     config,
                     &queries,
@@ -180,10 +192,10 @@ fn view_matches_owned_after_delta_applies_and_compaction() {
                 );
             }
             // The appended records are genuinely query-reachable on the
-            // mapped side, not just equal-by-both-missing.
+            // decoded side, not just equal-by-both-missing.
             assert!(
-                !viewed.match_text(DELTA_MENTION).vulnerabilities.is_empty(),
-                "after {applies} applies: delta mention not reachable from the view"
+                !served.match_text(DELTA_MENTION).vulnerabilities.is_empty(),
+                "after {applies} applies: delta mention not reachable after decode"
             );
         }
     }

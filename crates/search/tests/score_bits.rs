@@ -6,18 +6,16 @@
 //! fidelity, under both scoring models with synonym expansion on and off,
 //! over the seed corpus and the seed plus a 0.1-scale synthetic corpus.
 //! Any change to tokenization, weighting, accumulation order, admission or
-//! ranking moves it. An engine opened over the mapped snapshot must
-//! reproduce the built engine's stream exactly, so both are checked
-//! against the same constant.
-
-use std::sync::Arc;
+//! ranking moves it. The engine a snapshot boot decodes must reproduce
+//! the built engine's stream exactly, so both are checked against the
+//! same constant.
 
 use cpssec_attackdb::seed::{seed_corpus, table1_attributes};
 use cpssec_attackdb::synth::{stream_into, SynthSpec};
 use cpssec_attackdb::Corpus;
 use cpssec_model::{fnv1a_64_wide, Fidelity};
 use cpssec_scada::model::scada_model;
-use cpssec_search::{snapshot, view, MatchConfig, MatchSet, ScoringModel, SearchEngine};
+use cpssec_search::{snapshot, MatchConfig, MatchSet, ScoringModel, SearchEngine};
 
 /// The pinned hash of every score bit on the oracle workloads.
 const SCORE_BITS_HASH: u64 = 0xb5fe_5da2_eb51_5964;
@@ -54,7 +52,7 @@ fn configs() -> impl Iterator<Item = MatchConfig> {
     })
 }
 
-/// Serializes every oracle answer of one engine (built or mapped).
+/// Serializes every oracle answer of one engine (built or decoded).
 fn answers(
     match_text: impl Fn(&str) -> MatchSet,
     match_model: impl Fn(Fidelity) -> Vec<(String, MatchSet)>,
@@ -75,10 +73,9 @@ fn answers(
 fn score_bits_match_the_pinned_hash() {
     let model = scada_model();
     let mut built = Vec::new();
-    let mut mapped = Vec::new();
+    let mut decoded = Vec::new();
     for corpus in corpora() {
-        let bytes: Arc<[u8]> = snapshot::encode(&corpus, &SearchEngine::build(&corpus)).into();
-        let snapshot_view = view::open_verified(bytes).expect("open view");
+        let bytes = snapshot::encode(&corpus, &SearchEngine::build(&corpus));
         for config in configs() {
             let engine = SearchEngine::with_config(&corpus, config);
             answers(
@@ -86,15 +83,18 @@ fn score_bits_match_the_pinned_hash() {
                 |level| engine.match_model(&model, level),
                 &mut built,
             );
-            let engine = SearchEngine::from_view(&snapshot_view, config).expect("open engine");
+            let (_, engine) = snapshot::decode_with_config(&bytes, config).expect("decode");
             answers(
                 |text| engine.match_text(text),
                 |level| engine.match_model(&model, level),
-                &mut mapped,
+                &mut decoded,
             );
         }
     }
-    assert!(built == mapped, "mapped answers diverge from built answers");
+    assert!(
+        built == decoded,
+        "decoded answers diverge from built answers"
+    );
     let hash = fnv1a_64_wide(&built);
     assert_eq!(
         hash,

@@ -19,9 +19,15 @@
 //!
 //! Concurrency shape: one nonblocking accept loop feeding a fixed
 //! [`pool::WorkerPool`] over `mpsc`; shared state is an `Arc<AppState>`
-//! (immutable corpus + search engines, `RwLock` session store, sharded
-//! `Mutex` caches). Responses are byte-identical to the single-threaded
-//! pipeline because both sides call the same canonical renderers.
+//! (one swappable [`Generation`] of corpus + search engines, `RwLock`
+//! session store, sharded `Mutex` caches). Responses are byte-identical
+//! to the single-threaded pipeline because both sides call the same
+//! canonical renderers.
+//!
+//! The state is ready to query before a server binds: it is built from a
+//! corpus ([`AppState::new`]) or decoded from a `.cpsnap` image with
+//! [`cpssec_search::snapshot::decode`] ([`AppState::from_snapshot_mapped`]),
+//! so a snapshot that fails any check fails the boot before `listening`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,13 +52,13 @@ pub mod telemetry;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cpssec_analysis::AssociationMap;
 use cpssec_attackdb::Corpus;
 use cpssec_search::snapshot::SnapshotError;
-use cpssec_search::{snapshot, view, DeltaInfo, MatchConfig, ScoringModel, SearchEngine};
+use cpssec_search::{snapshot, DeltaInfo, ScoringModel, SearchEngine};
 
 use cache::Cache;
 use metrics::{CorpusGauges, Metrics, StartupStats};
@@ -81,6 +87,24 @@ pub struct Generation {
 }
 
 impl Generation {
+    /// A generation over `corpus` and its TF-IDF engine; the BM25 engine
+    /// shares the TF-IDF engine's families.
+    fn new(
+        corpus: Corpus,
+        tfidf: SearchEngine,
+        state_id: u64,
+        deltas_since_compaction: u32,
+    ) -> Generation {
+        let bm25 = tfidf.with_scoring(ScoringModel::Bm25);
+        Generation {
+            corpus: Arc::new(corpus),
+            tfidf: Arc::new(tfidf),
+            bm25: Arc::new(bm25),
+            state_id,
+            deltas_since_compaction,
+        }
+    }
+
     /// The corpus of this generation.
     #[must_use]
     pub fn corpus(&self) -> &Arc<Corpus> {
@@ -104,41 +128,21 @@ impl Generation {
     }
 }
 
-/// The swappable slot holding the current [`Generation`]. `None` while a
-/// mapped-snapshot boot is still thawing the owned state in the
-/// background; readers block on the condvar, so `/healthz` and
-/// `/metrics` (which never touch the slot) answer immediately while
-/// corpus-backed endpoints wait for the thaw.
-#[derive(Debug, Default)]
-struct StoreSlot {
-    slot: Mutex<Option<Generation>>,
-    ready: Condvar,
-}
-
-impl StoreSlot {
-    /// Blocks until a store is installed, then returns a clone (four
-    /// `Arc` bumps) of the current generation.
-    fn wait(&self) -> Generation {
-        let mut slot = self.slot.lock().expect("corpus store poisoned");
-        loop {
-            if let Some(store) = slot.as_ref() {
-                return store.clone();
-            }
-            slot = self.ready.wait(slot).expect("corpus store poisoned");
-        }
-    }
-
-    fn install(&self, store: Generation) {
-        *self.slot.lock().expect("corpus store poisoned") = Some(store);
-        self.ready.notify_all();
-    }
-}
-
 /// Everything the workers share.
 #[derive(Debug)]
 pub struct AppState {
-    /// The current corpus + engines generation (swapped by delta applies).
-    store: StoreSlot,
+    /// The current corpus + engines generation, swapped by delta
+    /// applies. Held only to clone the generation out or to install the
+    /// next one, never while one is built.
+    store: Mutex<Generation>,
+    /// Serializes delta applies, so each builds on the generation the
+    /// previous one installed.
+    applying: Mutex<()>,
+    /// Test hook: an apply that finds a pair here reports on the first
+    /// channel once its next generation is built, then waits on the
+    /// second before installing it.
+    #[cfg(test)]
+    apply_pause: Mutex<Option<(std::sync::mpsc::Sender<()>, std::sync::mpsc::Receiver<()>)>>,
     /// Named models.
     pub sessions: SessionStore,
     /// Rendered response bodies, content-addressed and tagged with the
@@ -149,10 +153,8 @@ pub struct AppState {
     pub priors: Cache<Arc<AssociationMap>>,
     /// Request counters and latency histograms.
     pub metrics: Metrics,
-    /// Index-load timing and snapshot hit/miss. Behind a mutex because a
-    /// mapped boot fills `index_load_us` in once the background thaw
-    /// lands; read it through [`AppState::startup`].
-    startup: Mutex<StartupStats>,
+    /// Index-load timing and snapshot hit/miss.
+    pub startup: StartupStats,
     /// Live corpus-state gauges (`corpus_records`, `delta_applies_total`,
     /// `compactions_total`, `snapshot_mapped_bytes`).
     pub gauges: CorpusGauges,
@@ -230,8 +232,6 @@ impl AppState {
     pub fn with_capacities(corpus: Corpus, responses: usize, priors: usize) -> Arc<AppState> {
         let started = Instant::now();
         let tfidf = SearchEngine::build(&corpus);
-        let bm25 = Arc::new(tfidf.with_scoring(ScoringModel::Bm25));
-        let tfidf = Arc::new(tfidf);
         let state_id = content_state_id(&corpus, &tfidf);
         let startup = StartupStats {
             index_load_us: elapsed_us(started),
@@ -239,102 +239,63 @@ impl AppState {
             snapshot_misses: 1,
             snapshot_load_us: 0,
         };
-        let store = Generation {
-            corpus: Arc::new(corpus),
-            tfidf,
-            bm25,
-            state_id,
-            deltas_since_compaction: 0,
-        };
-        Self::assemble(state_id, Some(store), startup, responses, priors)
+        Self::assemble(
+            Generation::new(corpus, tfidf, state_id, 0),
+            startup,
+            responses,
+            priors,
+        )
     }
 
-    /// Boots from a mapped `.cpsnap` image. The view is opened and
-    /// checksum-verified, and the engine is opened over it and validated
-    /// in full (its BM25 twin shares the families), before this returns —
-    /// so a corrupt snapshot fails the boot with one error, and that open
-    /// is what `snapshot_load_us` measures. Only the owned corpus, which
-    /// the analysis layer needs, thaws on a background thread; `/healthz`
-    /// and `/metrics` serve immediately, corpus-backed endpoints block
-    /// until the thaw lands.
+    /// Boots from a `.cpsnap` image with [`snapshot::decode`], the decode
+    /// `cpssec snapshot verify` runs: every section checksum, the corpus
+    /// records, the three index families and their document counts are
+    /// validated before this returns, and the returned state is ready to
+    /// query. A snapshot that fails any check fails the boot with one
+    /// error. The decode is what `snapshot_load_us` and `index_load_us`
+    /// measure; `snapshot_mapped_bytes` is the image's size.
     ///
     /// # Errors
     ///
-    /// Any [`SnapshotError`] from [`view::open_verified`] or
-    /// [`SearchEngine::from_view`].
+    /// Any [`SnapshotError`] from [`snapshot::decode`].
     pub fn from_snapshot_mapped(bytes: Arc<[u8]>) -> Result<Arc<AppState>, SnapshotError> {
         let started = Instant::now();
-        let mapped = view::open_verified(Arc::clone(&bytes))?;
-        let tfidf = SearchEngine::from_view(&mapped, MatchConfig::default())?;
-        let bm25 = tfidf.with_scoring(ScoringModel::Bm25);
+        let (corpus, tfidf) = snapshot::decode(&bytes)?;
+        let snapshot_id = snapshot::inspect(&bytes)?.snapshot_id;
+        let load_us = elapsed_us(started);
         let startup = StartupStats {
-            index_load_us: 0,
+            index_load_us: load_us,
             snapshot_hits: 1,
             snapshot_misses: 0,
-            snapshot_load_us: elapsed_us(started),
+            snapshot_load_us: load_us,
         };
-        let snapshot_id = mapped.snapshot_id();
-        let records = mapped.corpus().record_count();
-        let state = Self::assemble(snapshot_id, None, startup, 256, 64);
+        let store = Generation::new(corpus, tfidf, snapshot_id, 0);
+        let state = Self::assemble(store, startup, 256, 64);
         state
             .gauges
             .snapshot_mapped_bytes
             .store(bytes.len() as u64, Ordering::Relaxed);
-        state
-            .gauges
-            .corpus_records
-            .store(records as u64, Ordering::Relaxed);
-        let thaw_state = Arc::clone(&state);
-        std::thread::Builder::new()
-            .name("cpssec-thaw".to_owned())
-            .spawn(move || {
-                let started = Instant::now();
-                // The checksums hold and the engines opened, but the
-                // corpus section is only validated by decoding it: a
-                // section corrupted under valid checksums lands here, and
-                // exiting beats blocking every query forever.
-                let corpus = mapped.thaw_corpus().unwrap_or_else(|e| {
-                    eprintln!("fatal: snapshot corpus thaw failed: {e}");
-                    std::process::exit(1);
-                });
-                drop(mapped);
-                thaw_state.store.install(Generation {
-                    corpus: Arc::new(corpus),
-                    tfidf: Arc::new(tfidf),
-                    bm25: Arc::new(bm25),
-                    state_id: snapshot_id,
-                    deltas_since_compaction: 0,
-                });
-                thaw_state
-                    .startup
-                    .lock()
-                    .expect("startup poisoned")
-                    .index_load_us = elapsed_us(started);
-            })
-            .expect("spawn thaw thread");
         Ok(state)
     }
 
-    /// Wires the shared state; both caches start at `state_id`, the id of
-    /// the generation `store` holds (or the thaw will install).
+    /// Wires the shared state; both caches start at the id of `store`.
     fn assemble(
-        state_id: u64,
-        store: Option<Generation>,
+        store: Generation,
         startup: StartupStats,
         responses: usize,
         priors: usize,
     ) -> Arc<AppState> {
-        let records = store.as_ref().map(|s| s.corpus.len());
+        let (state_id, records) = (store.state_id, store.corpus.len());
         let state = Arc::new(AppState {
-            store: StoreSlot {
-                slot: Mutex::new(store),
-                ready: Condvar::new(),
-            },
+            store: Mutex::new(store),
+            applying: Mutex::new(()),
+            #[cfg(test)]
+            apply_pause: Mutex::new(None),
             sessions: SessionStore::new(),
             responses: Cache::new(responses),
             priors: Cache::new(priors),
             metrics: Metrics::new(),
-            startup: Mutex::new(startup),
+            startup,
             gauges: CorpusGauges::default(),
             telemetry: telemetry::Telemetry::new(),
             requests: requests::RequestLog::new(
@@ -349,60 +310,49 @@ impl AppState {
         });
         state.responses.advance(state_id);
         state.priors.advance(state_id);
-        if let Some(n) = records {
-            state
-                .gauges
-                .corpus_records
-                .store(n as u64, Ordering::Relaxed);
-        }
+        state
+            .gauges
+            .corpus_records
+            .store(records as u64, Ordering::Relaxed);
         state
     }
 
     /// The current generation: corpus, engines and state id, taken
-    /// together. Blocks during a mapped boot until the background thaw
-    /// installs the owned state. A request takes this once and reads
-    /// everything corpus-backed from it.
+    /// together (four `Arc` bumps under the store lock). A request takes
+    /// this once and reads everything corpus-backed from it.
     #[must_use]
     pub fn generation(&self) -> Generation {
-        self.store.wait()
+        self.store.lock().expect("corpus store poisoned").clone()
     }
 
-    /// The shared corpus (current generation); blocks like
-    /// [`AppState::generation`].
+    /// The shared corpus of the current generation.
     #[must_use]
     pub fn corpus(&self) -> Arc<Corpus> {
-        self.store.wait().corpus
+        self.generation().corpus
     }
 
-    /// The shared engine for a scoring model (current generation);
-    /// blocks like [`AppState::generation`].
+    /// The shared engine for a scoring model (current generation).
     #[must_use]
     pub fn engine(&self, scoring: ScoringModel) -> Arc<SearchEngine> {
-        Arc::clone(self.store.wait().engine(scoring))
+        Arc::clone(self.generation().engine(scoring))
     }
 
     /// The current chain anchor: the snapshot id the installed state
     /// encodes to. A delta must name it as its parent to apply.
     #[must_use]
     pub fn state_id(&self) -> u64 {
-        self.store.wait().state_id
-    }
-
-    /// Point-in-time copy of the startup facts.
-    #[must_use]
-    pub fn startup(&self) -> StartupStats {
-        *self.startup.lock().expect("startup poisoned")
+        self.generation().state_id
     }
 
     /// Applies a `.cpsdelta` batch to the current generation and swaps
-    /// the grown state in. The store lock is held for the whole apply so
-    /// concurrent deltas serialize; queries only clone `Arc`s under that
-    /// lock, so they stall briefly rather than observe a half-applied
-    /// state. Every [`COMPACTION_EVERY`]-th apply also rebases: the
-    /// grown state is proven byte-identical to a rebuild-from-scratch
-    /// before the new anchor is adopted. Both result caches advance to the
-    /// new state id on success — their keys do not encode corpus content,
-    /// their generation tags do.
+    /// the grown state in. Applies serialize on their own lock and build
+    /// the next generation off the store lock, so queries keep taking the
+    /// current generation for the whole apply. Every
+    /// [`COMPACTION_EVERY`]-th apply also rebases: the grown state is
+    /// proven byte-identical to a rebuild-from-scratch before the new
+    /// anchor is adopted. Both result caches advance to the new state id
+    /// on success — their keys do not encode corpus content, their
+    /// generation tags do.
     ///
     /// # Errors
     ///
@@ -410,11 +360,8 @@ impl AppState {
     /// router maps that one to 409), an append-only id violation, or a
     /// compaction divergence. On error the installed state is untouched.
     pub fn apply_corpus_delta(&self, bytes: &[u8]) -> Result<DeltaOutcome, SnapshotError> {
-        let mut slot = self.store.slot.lock().expect("corpus store poisoned");
-        while slot.is_none() {
-            slot = self.store.ready.wait(slot).expect("corpus store poisoned");
-        }
-        let current = slot.as_ref().expect("store installed").clone();
+        let _applying = self.applying.lock().expect("delta apply lock poisoned");
+        let current = self.generation();
         // Grow clones; the installed state stays valid if anything fails.
         // The corpus clone shares every record segment, so it and the
         // later drop of the old generation cost O(segments); each grown
@@ -422,14 +369,12 @@ impl AppState {
         let mut corpus = (*current.corpus).clone();
         let mut tfidf = (*current.tfidf).clone();
         let info = cpssec_search::apply_delta(&mut corpus, &mut tfidf, bytes, current.state_id)?;
-        let bm25 = tfidf.with_scoring(ScoringModel::Bm25);
-        let mut next = Generation {
-            corpus: Arc::new(corpus),
-            tfidf: Arc::new(tfidf),
-            bm25: Arc::new(bm25),
-            state_id: info.child_id,
-            deltas_since_compaction: current.deltas_since_compaction + 1,
-        };
+        let mut next = Generation::new(
+            corpus,
+            tfidf,
+            info.child_id,
+            current.deltas_since_compaction + 1,
+        );
         let mut compacted = false;
         if next.deltas_since_compaction >= COMPACTION_EVERY {
             let base = cpssec_search::compact_verified(&next.corpus, &next.tfidf)?;
@@ -446,21 +391,33 @@ impl AppState {
             state_id: next.state_id,
             compacted,
         };
-        self.gauges
-            .delta_applies_total
-            .fetch_add(1, Ordering::Relaxed);
-        self.gauges
-            .corpus_records
-            .store(next.corpus.len() as u64, Ordering::Relaxed);
-        *slot = Some(next);
+        #[cfg(test)]
+        self.pause_apply();
+        let records = next.corpus.len() as u64;
+        let mut store = self.store.lock().expect("corpus store poisoned");
+        *store = next;
         // Cached bodies and priors predate the grown corpus: drop them,
         // and refuse any that a request still holding the old generation
         // inserts later. Advancing under the store lock means no request
         // can take the new generation before the caches are at it.
         self.responses.advance(outcome.state_id);
         self.priors.advance(outcome.state_id);
-        drop(slot);
+        drop(store);
+        self.gauges
+            .delta_applies_total
+            .fetch_add(1, Ordering::Relaxed);
+        self.gauges.corpus_records.store(records, Ordering::Relaxed);
         Ok(outcome)
+    }
+
+    /// Runs the `apply_pause` hook, if one is set.
+    #[cfg(test)]
+    fn pause_apply(&self) {
+        let pause = self.apply_pause.lock().expect("pause poisoned").take();
+        if let Some((reached, resume)) = pause {
+            let _ = reached.send(());
+            let _ = resume.recv();
+        }
     }
 
     /// Runs one telemetry tick at wall time `ts_ms`: diffs counters and
@@ -961,6 +918,41 @@ mod tests {
         assert!(response.ends_with("ok\n"), "{response}");
         flag.store(true, Ordering::Relaxed);
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn generation_serves_the_old_state_while_a_delta_apply_builds() {
+        let state = AppState::new(cpssec_attackdb::seed::seed_corpus());
+        let before = state.state_id();
+        let batch = cpssec_attackdb::synth::delta_batch(5, 30, 0);
+        let delta = cpssec_search::build_delta(before, &batch);
+        let (reached_tx, reached) = std::sync::mpsc::channel();
+        let (resume, resume_rx) = std::sync::mpsc::channel();
+        *state.apply_pause.lock().unwrap() = Some((reached_tx, resume_rx));
+        let applier = {
+            let state = Arc::clone(&state);
+            std::thread::spawn(move || state.apply_corpus_delta(&delta))
+        };
+        reached.recv().unwrap();
+        // The next generation is built and the apply is paused before
+        // installing it: a reader on another thread gets the current
+        // generation instead of waiting for the apply.
+        let (read_tx, read) = std::sync::mpsc::channel();
+        let reader = {
+            let state = Arc::clone(&state);
+            std::thread::spawn(move || read_tx.send(state.generation()).unwrap())
+        };
+        let current = read
+            .recv_timeout(Duration::from_secs(10))
+            .expect("generation() waited for the apply");
+        assert_eq!(current.state_id(), before);
+        assert_eq!(current.corpus().len(), state.corpus().len());
+        reader.join().unwrap();
+        resume.send(()).unwrap();
+        let outcome = applier.join().unwrap().expect("apply");
+        assert_ne!(outcome.state_id, before);
+        assert_eq!(state.state_id(), outcome.state_id);
+        assert_eq!(state.corpus().len(), current.corpus().len() + batch.len());
     }
 
     #[test]

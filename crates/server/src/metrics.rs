@@ -48,24 +48,21 @@ impl RouteStats {
 }
 
 /// Startup facts recorded once when the shared state is built: how long
-/// the index came up and whether it was thawed from a snapshot (hit) or
+/// the index came up and whether it was decoded from a snapshot (hit) or
 /// built from the corpus (miss).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StartupStats {
-    /// Wall time to produce the ready-to-query state, in microseconds. On
-    /// a mapped-snapshot boot the engines open before the boot returns
-    /// (see `snapshot_load_us`), and this is the background corpus thaw,
-    /// filled in once it completes.
+    /// Wall time to produce the ready-to-query state, in microseconds:
+    /// the index build, or on a snapshot boot the snapshot decode.
     pub index_load_us: u64,
-    /// Engines thawed from a `.cpsnap` snapshot.
+    /// Engines decoded from a `.cpsnap` snapshot.
     pub snapshot_hits: u64,
     /// Engines built from the corpus (no usable snapshot).
     pub snapshot_misses: u64,
     /// Wall time from snapshot bytes to a query-ready state, in
-    /// microseconds. For a mapped boot this is the view open (checksum
-    /// pass included) plus opening and validating the engines — the
-    /// number the cold-start budget is asserted against; 0 when no
-    /// snapshot was involved.
+    /// microseconds: the full snapshot decode (checksum pass, corpus,
+    /// engines), the number the cold-start budget is asserted against;
+    /// 0 when no snapshot was involved.
     pub snapshot_load_us: u64,
 }
 

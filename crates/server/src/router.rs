@@ -354,7 +354,7 @@ pub(crate) fn metrics_text(state: &AppState) -> String {
             ("responses", resp_hits, resp_misses),
             ("priors", prior_hits, prior_misses),
         ],
-        &state.startup(),
+        &state.startup,
         &state.gauges.sample(),
     );
     body.push_str(&state.telemetry.render_prom());

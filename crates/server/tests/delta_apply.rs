@@ -1,5 +1,5 @@
-//! Live corpus growth over HTTP: a server booted from a mapped
-//! `.cpsnap` image answers immediately, accepts `.cpsdelta` batches on
+//! Live corpus growth over HTTP: a server booted from a `.cpsnap` image
+//! is ready to query once the boot returns, accepts `.cpsdelta` batches on
 //! `POST /corpus/delta` without an index rebuild, rejects stale or
 //! replayed parents with 409, and compacts (verified byte-identical to
 //! a rebuild) every K-th apply.
@@ -111,6 +111,25 @@ fn zero_first_vulnerability_tf(bytes: &mut [u8]) {
     bytes[12..20].copy_from_slice(&id.to_le_bytes());
 }
 
+/// Sets the first pattern record's directory offset in a `.cpsnap`'s
+/// corpus section to 1 and recomputes that section's checksum and the
+/// `snapshot_id`: the section still tiles, so only the record decode
+/// refuses it.
+fn misplace_first_pattern_record(bytes: &mut [u8]) {
+    let u64_at =
+        |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap()) as usize;
+    // Header: magic, version, section count, snapshot id; then four
+    // 26-byte table entries (id, offset, len, checksum), corpus first.
+    let (table, entry) = (20, 20);
+    let (start, len) = (u64_at(bytes, entry + 2), u64_at(bytes, entry + 10));
+    // Section: the pattern count, then one u32 offset per pattern.
+    bytes[start + 4..start + 8].copy_from_slice(&1u32.to_le_bytes());
+    let checksum = fnv1a_64_wide(&bytes[start..start + len]);
+    bytes[entry + 18..entry + 26].copy_from_slice(&checksum.to_le_bytes());
+    let id = fnv1a_64_wide(&bytes[table..table + 4 * 26]);
+    bytes[12..20].copy_from_slice(&id.to_le_bytes());
+}
+
 fn snapshot_bytes() -> Vec<u8> {
     let corpus = seed_corpus();
     let engine = SearchEngine::build(&corpus);
@@ -129,6 +148,22 @@ fn mapped_boot_refuses_an_index_that_only_decode_used_to_check() {
 }
 
 #[test]
+fn mapped_boot_refuses_a_corpus_section_that_only_the_record_decode_checks() {
+    let mut bytes = snapshot_bytes();
+    misplace_first_pattern_record(&mut bytes);
+    // Checksums and section geometry hold, so only decoding the records
+    // finds the fault, and the boot decodes them before it returns.
+    assert!(cpssec_search::view::open_verified(bytes.clone().into()).is_ok());
+    let err = AppState::from_snapshot_mapped(bytes.into()).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("`patterns` record 0 directory entry is out of bounds"),
+        "{err}"
+    );
+    assert!(!err.to_string().contains('\n'), "{err}");
+}
+
+#[test]
 fn mapped_boot_applies_deltas_and_compacts() {
     let bytes = snapshot_bytes();
     let parent = cpssec_search::snapshot::inspect(&bytes)
@@ -138,7 +173,7 @@ fn mapped_boot_applies_deltas_and_compacts() {
     let state = AppState::from_snapshot_mapped(Arc::clone(&mapped)).expect("mapped boot");
     let server = TestServer::start(state);
 
-    // The mapped boot recorded its fast path before the thaw finished.
+    // The snapshot boot recorded its decode.
     let (status, body) = server.get("/metrics");
     assert_eq!(status, 200);
     let text = String::from_utf8(body).expect("utf8");
@@ -152,7 +187,7 @@ fn mapped_boot_applies_deltas_and_compacts() {
         "{text}"
     );
 
-    // Corpus-backed endpoints block on the thaw, then answer normally.
+    // Corpus-backed endpoints answer from the decoded state.
     let (status, _) = server.get("/table1");
     assert_eq!(status, 200);
     assert_eq!(server.state.state_id(), parent);

@@ -29,8 +29,8 @@ impl TestServer {
         Self::start_with(workers, AppState::new(seed_corpus()))
     }
 
-    /// Boots a server from a mapped `.cpsnap` image (thawed in the
-    /// background) instead of building from the corpus.
+    /// Boots a server from a `.cpsnap` image (decoded before the boot
+    /// returns) instead of building from the corpus.
     fn start_from_snapshot(workers: usize) -> TestServer {
         let corpus = seed_corpus();
         let engine = SearchEngine::build(&corpus);
@@ -288,7 +288,7 @@ fn snapshot_thawed_server_is_byte_identical_to_the_direct_pipeline() {
     let server = TestServer::start_from_snapshot(2);
 
     // Default knobs and the bm25/conceptual/topK variant: both engines
-    // (the thawed TF-IDF one and its BM25 twin) must reproduce the
+    // (the decoded TF-IDF one and its BM25 twin) must reproduce the
     // direct pipeline byte for byte.
     let expected = direct_association(
         Fidelity::Implementation,
