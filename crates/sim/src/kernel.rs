@@ -913,11 +913,10 @@ mod tests {
         );
     }
 
-    /// Runs the closed loop under one engine and fingerprints everything
-    /// observable: trace CSV bytes, bus log shape, hazards, plant bits.
-    fn fingerprint(engine: KernelEngine, ticks: u64) -> (String, Vec<String>, Vec<String>, u64) {
+    /// The closed loop with everything observable wired up: two probes,
+    /// a hazard monitor, and a sensor override between ticks 40 and 60.
+    fn instrumented_loop() -> Simulation<Tank> {
         let mut sim = closed_loop();
-        sim.set_engine(engine);
         sim.probe("level", |t: &Tank| t.level);
         sim.probe("inflow", |t: &Tank| t.inflow);
         sim.add_monitor(HazardMonitor::new("half-full", |t: &Tank| t.level > 2.5));
@@ -928,6 +927,15 @@ mod tests {
             0,
             0,
         ));
+        sim
+    }
+
+    /// Runs `sim` for `ticks` and fingerprints everything observable:
+    /// trace CSV bytes, bus log lines, hazards, plant bits.
+    fn fingerprint(
+        mut sim: Simulation<Tank>,
+        ticks: u64,
+    ) -> (String, Vec<String>, Vec<String>, u64) {
         sim.run(ticks);
         let log: Vec<String> = sim
             .bus()
@@ -949,9 +957,32 @@ mod tests {
     }
 
     #[test]
+    fn closed_loop_matches_its_pinned_fingerprint() {
+        // Pinned when the event queue reproduced the original fixed
+        // six-phase loop byte for byte; each part is pinned on its own
+        // so a failure names what diverged.
+        let (trace, log, hazards, level) = fingerprint(instrumented_loop(), 300);
+        let wide = |text: &str| cpssec_model::fnv1a_64_wide(text.as_bytes());
+        assert_eq!(wide(&trace), 0x4976b9945127d0b8, "trace CSV diverged");
+        assert_eq!(
+            wide(&log.join("\n")),
+            0x63cd4b23275e6577,
+            "bus log diverged"
+        );
+        assert_eq!(
+            wide(&hazards.join("\n")),
+            0x9ce1e6edc8fd2939,
+            "hazards diverged"
+        );
+        assert_eq!(level, 0x401416c6035adcce, "plant state diverged");
+    }
+
+    #[test]
     fn event_engine_matches_reference_loop_byte_for_byte() {
-        let event = fingerprint(KernelEngine::EventQueue, 300);
-        let reference = fingerprint(KernelEngine::ReferenceLoop, 300);
+        let event = fingerprint(instrumented_loop(), 300);
+        let mut reference = instrumented_loop();
+        reference.set_engine(KernelEngine::ReferenceLoop);
+        let reference = fingerprint(reference, 300);
         assert_eq!(event.0, reference.0, "trace CSV must be byte-identical");
         assert_eq!(event.1, reference.1, "bus logs must match entry-for-entry");
         assert_eq!(event.2, reference.2, "hazards must match");
