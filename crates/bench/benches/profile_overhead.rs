@@ -40,7 +40,6 @@ mod unix_bench {
         fn start(workers: usize) -> Running {
             let state = AppState::new(cpssec_bench::corpus());
             let server = Server::bind("127.0.0.1:0", workers, state).expect("bind");
-            assert_eq!(server.backend(), cpssec_server::Backend::Reactor);
             let addr = server.local_addr().expect("addr");
             let flag = server.shutdown_flag();
             let handle = std::thread::spawn(move || server.run().expect("serve"));

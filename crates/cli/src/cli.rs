@@ -117,7 +117,7 @@ pub struct Options {
     pub slo_path: Option<String>,
     /// Telemetry tick interval for `serve`, in milliseconds.
     pub tick_ms: Option<u64>,
-    /// Concurrent-connection cap for `serve` (reactor backend).
+    /// Concurrent-connection cap for `serve`.
     pub max_conns: Option<u64>,
     /// Per-route outstanding-request budget for `serve`.
     pub queue_depth: Option<u64>,

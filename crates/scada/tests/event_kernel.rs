@@ -9,7 +9,6 @@
 
 use cpssec_model::fnv1a_64_wide;
 use cpssec_scada::{attacks, ScadaConfig, ScadaHarness};
-use cpssec_sim::KernelEngine;
 
 const TICKS: u64 = 4000;
 
@@ -111,46 +110,4 @@ fn every_attack_scenario_matches_its_pinned_fingerprint() {
     // One pin per scenario plus the nominal batch: a new scenario needs
     // a pin, and a removed one takes its pin with it.
     assert_eq!(PINS.len(), scenarios.len() + 1);
-}
-
-fn assert_equivalent(attack: Option<&str>) {
-    let label = attack.unwrap_or("nominal");
-    let event = fingerprint(harness(attack));
-    let mut reference = harness(attack);
-    reference.sim_mut().set_engine(KernelEngine::ReferenceLoop);
-    let reference = fingerprint(reference);
-    assert_eq!(
-        event.trace_csv, reference.trace_csv,
-        "{label}: trace CSV must be byte-identical"
-    );
-    assert_eq!(
-        event.bus_log, reference.bus_log,
-        "{label}: bus logs must match entry-for-entry"
-    );
-    assert_eq!(
-        event.hazards, reference.hazards,
-        "{label}: hazards must match"
-    );
-    assert_eq!(
-        event.report, reference.report,
-        "{label}: batch reports must match"
-    );
-}
-
-#[test]
-fn nominal_batch_is_byte_identical_across_engines() {
-    assert_equivalent(None);
-}
-
-#[test]
-fn every_attack_scenario_is_byte_identical_across_engines() {
-    for scenario in attacks::all_scenarios() {
-        assert_equivalent(Some(&scenario.name));
-    }
-}
-
-#[test]
-fn the_default_engine_is_the_event_queue() {
-    let harness = ScadaHarness::new(ScadaConfig::default());
-    assert_eq!(harness.sim().engine(), KernelEngine::EventQueue);
 }

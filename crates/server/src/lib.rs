@@ -17,8 +17,10 @@
 //!   *prior* and [`cpssec_analysis::AssociationMap::rebuild`] re-queries
 //!   only components whose query text actually changed.
 //!
-//! Concurrency shape: one nonblocking accept loop feeding a fixed
-//! [`pool::WorkerPool`] over `mpsc`; shared state is an `Arc<AppState>`
+//! Concurrency shape: one [`reactor`] thread owns every socket and hands
+//! fully-parsed requests to a fixed [`pool::WorkerPool`] over `mpsc`
+//! (serving is Unix-only: the reactor polls with epoll or `poll(2)`);
+//! shared state is an `Arc<AppState>`
 //! (one swappable [`Generation`] of corpus + search engines, `RwLock`
 //! session store, sharded `Mutex` caches). Responses are byte-identical
 //! to the single-threaded pipeline because both sides call the same
@@ -40,7 +42,6 @@ pub mod http;
 pub mod load;
 pub mod metrics;
 pub mod pool;
-#[cfg(unix)]
 pub mod reactor;
 pub mod requests;
 pub mod router;
@@ -49,8 +50,8 @@ pub mod session;
 pub mod signal;
 pub mod telemetry;
 
-use std::io::{self, BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -174,7 +175,7 @@ pub struct AppState {
     /// Exploit-chain campaign jobs (`POST /models/:id/campaigns`).
     pub campaigns: scenarios::FleetJobs,
     /// Bounded per-route request queues with SLO-wired load shedding
-    /// (enforced by the reactor backend).
+    /// (enforced by the reactor before dispatch).
     pub admission: admission::Admission,
 }
 
@@ -567,36 +568,6 @@ fn elapsed_us(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// How long an idle keep-alive connection may sit between requests.
-const READ_TIMEOUT: Duration = Duration::from_secs(5);
-/// Accept-loop poll interval while no connection is pending. Short enough
-/// that connection setup never dominates request latency; the idle loop is
-/// still >99% asleep.
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
-
-/// Which I/O engine drives the accepted sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Readiness loop: one reactor thread owns every connection's state
-    /// machine and only fully-parsed requests occupy workers. Default
-    /// on Unix.
-    Reactor,
-    /// Thread-per-connection accept loop (one worker blocks on each
-    /// connection for its whole life). Kept selectable for equivalence
-    /// testing and as the non-Unix fallback.
-    Legacy,
-}
-
-impl Backend {
-    fn default_for_target() -> Backend {
-        if cfg!(unix) {
-            Backend::Reactor
-        } else {
-            Backend::Legacy
-        }
-    }
-}
-
 /// The server: a bound listener plus shared state, not yet accepting.
 pub struct Server {
     listener: TcpListener,
@@ -604,14 +575,11 @@ pub struct Server {
     workers: usize,
     shutdown: Arc<AtomicBool>,
     tick_ms: u64,
-    backend: Backend,
 }
 
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and
-    /// prepares `workers` worker threads over `state`. The backend is
-    /// [`Backend::Reactor`] on Unix and [`Backend::Legacy`] elsewhere;
-    /// [`Server::set_backend`] overrides it.
+    /// prepares `workers` worker threads over `state`.
     ///
     /// # Errors
     ///
@@ -624,19 +592,7 @@ impl Server {
             workers,
             shutdown: Arc::new(AtomicBool::new(false)),
             tick_ms: telemetry::DEFAULT_TICK_MS,
-            backend: Backend::default_for_target(),
         })
-    }
-
-    /// Selects the serving backend (reactor or legacy accept loop).
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.backend = backend;
-    }
-
-    /// The selected backend.
-    #[must_use]
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// Overrides the telemetry tick interval (default 1000 ms). Tests
@@ -719,10 +675,7 @@ impl Server {
             })
             .expect("spawn tick thread");
 
-        let result = match self.backend {
-            Backend::Legacy => self.run_legacy(&pool),
-            Backend::Reactor => self.run_reactor(&pool),
-        };
+        let result = reactor::serve(&self.listener, &self.state, &pool, &self.shutdown);
         // Even on a fatal listener error the ticker must see the flag,
         // or the join below would hang.
         self.shutdown.store(true, Ordering::Relaxed);
@@ -732,34 +685,6 @@ impl Server {
         // traffic is in the time-series store before we exit.
         self.state.telemetry_tick(telemetry::now_ms());
         result
-    }
-
-    #[cfg(unix)]
-    fn run_reactor(&self, pool: &pool::WorkerPool) -> io::Result<()> {
-        reactor::serve(&self.listener, &self.state, pool, &self.shutdown)
-    }
-
-    #[cfg(not(unix))]
-    fn run_reactor(&self, pool: &pool::WorkerPool) -> io::Result<()> {
-        self.run_legacy(pool)
-    }
-
-    fn run_legacy(&self, pool: &pool::WorkerPool) -> io::Result<()> {
-        while !self.shutdown.load(Ordering::Relaxed) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let state = Arc::clone(&self.state);
-                    let shutdown = Arc::clone(&self.shutdown);
-                    pool.execute(move || handle_connection(stream, &state, &shutdown));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
     }
 }
 
@@ -772,52 +697,14 @@ impl std::fmt::Debug for Server {
     }
 }
 
-/// Serves one connection: keep-alive request loop until the peer closes,
-/// asks to close, errors, times out, or the server begins shutdown.
-fn handle_connection(stream: TcpStream, state: &AppState, shutdown: &AtomicBool) {
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    let mut writer = BufWriter::new(write_half);
-
-    loop {
-        let request = match http::read_request(&mut reader) {
-            Ok(Some(request)) => request,
-            Ok(None) => return,                    // Peer closed cleanly.
-            Err(http::HttpError::Io(_)) => return, // Timeout or reset.
-            Err(http::HttpError::TooLarge) => {
-                let _ = http::Response::error(413, "request body too large")
-                    .write_to(&mut writer, true);
-                return;
-            }
-            Err(http::HttpError::Malformed(detail)) => {
-                let _ = http::Response::error(400, &detail).write_to(&mut writer, true);
-                return;
-            }
-        };
-
-        let response = process_request(state, &request);
-
-        // Close after this response if the client asked, or if the server
-        // is draining (keeps shutdown prompt under keep-alive load).
-        let close = request.wants_close() || shutdown.load(Ordering::Relaxed);
-        if response.write_to(&mut writer, close).is_err() || close {
-            return;
-        }
-    }
-}
-
 /// Stages a request's breakdown keeps: the newest completions, so the
 /// root spans, which complete last, are always in it.
 const MAX_BREAKDOWN: usize = 64;
 
 /// Runs one fully-parsed request through the router with all of its
 /// per-request bookkeeping: trace-id propagation, the stage breakdown,
-/// and [`record_request`]. Both backends call this on a worker thread
-/// (the flight ring and trace id are thread-local), so reactor and
-/// legacy responses are byte-identical by construction.
+/// and [`record_request`]. The reactor calls this on a worker thread
+/// (the flight ring and trace id are thread-local).
 pub(crate) fn process_request(state: &AppState, request: &http::Request) -> http::Response {
     // The id rides the thread-local through every span this request
     // opens, so `--trace` output, the request log, and flight dumps all
@@ -894,7 +781,8 @@ pub(crate) fn record_request(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read as _, Write as _};
+    use std::io::{BufReader, Read as _, Write as _};
+    use std::net::TcpStream;
 
     fn start_server() -> (SocketAddr, Arc<AtomicBool>, std::thread::JoinHandle<()>) {
         let state = AppState::new(cpssec_attackdb::seed::seed_corpus());

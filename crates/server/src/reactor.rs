@@ -1,12 +1,11 @@
 //! Readiness-driven serving core: one reactor thread owns every
 //! connection's state machine.
 //!
-//! The legacy accept loop hands each connection to a worker thread that
-//! blocks on it for the connection's whole life, capping concurrency at
-//! the pool size. The reactor inverts that: all sockets are nonblocking
-//! and registered with one [`Poller`] (epoll on Linux, `poll(2)` on
-//! other Unixes — see the `sys` shim), and the single reactor thread
-//! drives every connection through `read → parse → dispatch → write`.
+//! No worker ever blocks on a socket, so concurrency is not capped at
+//! the pool size: all sockets are nonblocking and registered with one
+//! [`Poller`] (epoll on Linux, `poll(2)` on other Unixes — see the `sys`
+//! shim), and the single reactor thread drives every connection through
+//! `read → parse → dispatch → write`.
 //! Only fully-parsed requests cross to the worker pool, so handler code
 //! is untouched and a worker is occupied exactly for the time a request
 //! actually computes. Ten thousand idle keep-alive connections cost ten
@@ -30,8 +29,7 @@
 //! closes every *idle* keep-alive connection immediately (the
 //! idle-deadline sweep with a zero deadline); connections with a
 //! request in flight drain untruncated, and half-received requests get
-//! the normal `READ_TIMEOUT` grace before the socket is
-//! dropped.
+//! the normal [`READ_TIMEOUT`] grace before the socket is dropped.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -47,6 +45,8 @@ use crate::AppState;
 
 pub use sys::{raise_nofile_limit, PollEvent, Poller};
 
+/// How long an idle keep-alive connection may sit between requests.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
 /// Token for the waker's read half.
 const WAKER_TOKEN: u64 = 0;
 /// Token for the listening socket.
@@ -633,9 +633,9 @@ impl Reactor<'_> {
     }
 
     /// Hands a fully-parsed request to the worker pool. The worker runs
-    /// the exact same per-request bookkeeping as the legacy path
-    /// ([`crate::process_request`]), serializes the response off the
-    /// reactor thread, and mails the bytes back.
+    /// the per-request bookkeeping ([`crate::process_request`]),
+    /// serializes the response off the reactor thread, and mails the
+    /// bytes back.
     fn dispatch(
         &mut self,
         slot: usize,
@@ -653,8 +653,9 @@ impl Reactor<'_> {
         let mailbox = Arc::clone(&self.mailbox);
         self.pool.execute(move || {
             let response = crate::process_request(&state, &request);
-            // Same close rule as the legacy loop, evaluated at the same
-            // point (after the handler ran): byte-identical headers.
+            // Close if the client asked, or if the server began draining
+            // while the handler ran (keeps shutdown prompt under
+            // keep-alive load).
             let close = wants_close || shutdown.load(Ordering::Relaxed);
             let mut bytes = Vec::with_capacity(response.body.len() + 256);
             let _ = response.write_to(&mut bytes, close);
@@ -709,7 +710,7 @@ impl Reactor<'_> {
     }
 
     /// Idle-deadline sweep: drops connections quiet past
-    /// [`crate::READ_TIMEOUT`] (matching the legacy read timeout), and —
+    /// [`READ_TIMEOUT`], and —
     /// once draining — drops *idle* keep-alive connections immediately
     /// so shutdown never waits on clients that are merely holding a
     /// socket open.
@@ -724,7 +725,7 @@ impl Reactor<'_> {
             let idle_ok = if self.draining && conn.rbuf.is_empty() && conn.wbuf.is_empty() {
                 Duration::ZERO
             } else {
-                crate::READ_TIMEOUT
+                READ_TIMEOUT
             };
             if now.duration_since(conn.last_activity) >= idle_ok {
                 expired.push(slot);

@@ -3,23 +3,20 @@
 //! Like the reactor's [`crate::reactor`] syscall shim, this binds libc
 //! directly (`signal(2)`) rather than pulling in a crate. The handler
 //! does one async-signal-safe thing — a relaxed store to a
-//! process-global `AtomicBool` that both serving backends poll.
+//! process-global `AtomicBool` that the reactor and the telemetry tick
+//! thread poll. Serving is Unix-only, so these are Unix signals.
 
 #![allow(unsafe_code)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
-#[cfg(unix)]
 extern "C" {
     fn signal(signum: i32, handler: usize) -> usize;
 }
 
-#[cfg(unix)]
 const SIGINT: i32 = 2;
-#[cfg(unix)]
 const SIGUSR1: i32 = 10;
-#[cfg(unix)]
 const SIGTERM: i32 = 15;
 
 static FLAG: OnceLock<Arc<AtomicBool>> = OnceLock::new();
@@ -28,7 +25,6 @@ static FLAG: OnceLock<Arc<AtomicBool>> = OnceLock::new();
 /// (which reacts by writing a flight-recorder dump).
 static USR1: AtomicBool = AtomicBool::new(false);
 
-#[cfg(unix)]
 extern "C" fn on_signal(_signum: i32) {
     // OnceLock::get and AtomicBool::store are both lock-free loads/stores;
     // safe inside a signal handler.
@@ -38,37 +34,27 @@ extern "C" fn on_signal(_signum: i32) {
 }
 
 /// Routes SIGTERM and SIGINT to `flag`. Idempotent: only the first call's
-/// flag is registered (the process has one shutdown flag). On non-Unix
-/// targets this is a no-op and shutdown relies on the flag being set
-/// programmatically.
+/// flag is registered (the process has one shutdown flag).
 pub fn install(flag: &Arc<AtomicBool>) {
     let _ = FLAG.set(Arc::clone(flag));
-    #[cfg(unix)]
-    {
-        let handler: extern "C" fn(i32) = on_signal;
-        unsafe {
-            signal(SIGTERM, handler as usize);
-            signal(SIGINT, handler as usize);
-        }
+    let handler: extern "C" fn(i32) = on_signal;
+    unsafe {
+        signal(SIGTERM, handler as usize);
+        signal(SIGINT, handler as usize);
     }
 }
 
-#[cfg(unix)]
 extern "C" fn on_usr1(_signum: i32) {
     USR1.store(true, Ordering::Relaxed);
 }
 
 /// Routes SIGUSR1 to the flight-dump request flag. Like [`install`],
 /// the handler only performs an async-signal-safe atomic store; the
-/// tick thread polls [`take_usr1`] and does the actual dump. No-op on
-/// non-Unix targets.
+/// tick thread polls [`take_usr1`] and does the actual dump.
 pub fn install_usr1() {
-    #[cfg(unix)]
-    {
-        let handler: extern "C" fn(i32) = on_usr1;
-        unsafe {
-            signal(SIGUSR1, handler as usize);
-        }
+    let handler: extern "C" fn(i32) = on_usr1;
+    unsafe {
+        signal(SIGUSR1, handler as usize);
     }
 }
 
@@ -83,7 +69,6 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg(unix)]
     fn raised_sigterm_sets_the_flag() {
         extern "C" {
             fn raise(signum: i32) -> i32;
@@ -99,7 +84,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(unix)]
     fn raised_sigusr1_is_consumed_exactly_once() {
         extern "C" {
             fn raise(signum: i32) -> i32;

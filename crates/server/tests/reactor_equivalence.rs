@@ -1,12 +1,16 @@
-//! The reactor backend serves byte-identical responses to the legacy
-//! thread-per-connection accept loop — across the router surface,
-//! success and error paths, keep-alive and close, under eight
-//! concurrent clients doing 200 requests each.
+//! The reactor serves byte-identical responses to the router called
+//! in-process — across the router surface, success and error paths,
+//! keep-alive and close, under eight concurrent clients doing 200
+//! requests each.
 //!
-//! The only per-request bytes allowed to differ are the `X-Trace-Id`
-//! header (a fresh id is minted for every request by design) — the
-//! comparison strips it and checks everything else: status line,
-//! header set, and body.
+//! The in-process reference does for each request what a blocking
+//! per-connection loop would, minus the socket: parse the raw bytes with
+//! [`http::read_request`], answer with [`router::dispatch`] on a state
+//! over the same corpus, write with `Response::write_to(.., false)`, and
+//! read the bytes back with [`read_response`]. The only per-request
+//! bytes allowed to differ are the `X-Trace-Id` header (the reactor mints
+//! a fresh id for every request by design) — the comparison strips it
+//! and checks everything else: status line, header set, and body.
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -15,7 +19,7 @@ use std::sync::Arc;
 
 use cpssec_attackdb::seed::seed_corpus;
 use cpssec_server::load::read_response;
-use cpssec_server::{AppState, Backend, Server};
+use cpssec_server::{http, router, AppState, Server};
 
 struct TestServer {
     addr: SocketAddr,
@@ -24,10 +28,9 @@ struct TestServer {
 }
 
 impl TestServer {
-    fn start(backend: Backend, workers: usize) -> TestServer {
+    fn start(workers: usize) -> TestServer {
         let state = AppState::new(seed_corpus());
-        let mut server = Server::bind("127.0.0.1:0", workers, state).expect("bind");
-        server.set_backend(backend);
+        let server = Server::bind("127.0.0.1:0", workers, state).expect("bind");
         let addr = server.local_addr().expect("addr");
         let flag = server.shutdown_flag();
         let handle = std::thread::spawn(move || server.run().expect("serve"));
@@ -49,7 +52,8 @@ impl Drop for TestServer {
 }
 
 /// A response with the per-request trace id stripped: everything that
-/// must match between backends, byte for byte.
+/// must match between the reactor and the in-process reference, byte
+/// for byte.
 #[derive(Debug, PartialEq, Eq)]
 struct Comparable {
     status: u16,
@@ -73,7 +77,7 @@ const WHATIF_BODY: &str = r#"{"changes":[{"op":"replace","component":"Programmin
 /// The mixed workload: every deterministic route family, plus error
 /// paths (404/400/405/413-free — body-size limits are covered in unit
 /// tests). `/metrics` is deliberately absent: its counters depend on
-/// request interleaving, not on the serving backend.
+/// request interleaving, not on how a request is served.
 fn workload() -> Vec<Vec<u8>> {
     let get = |target: &str| format!("GET {target} HTTP/1.1\r\n\r\n").into_bytes();
     let post = |target: &str, body: &str| {
@@ -115,53 +119,56 @@ fn run_lane(addr: SocketAddr, lane: usize, count: usize) -> Vec<Comparable> {
     out
 }
 
-/// The full 8×200 mixed workload against one backend.
-fn collect(backend: Backend) -> Vec<Vec<Comparable>> {
-    let server = TestServer::start(backend, 4);
-    std::thread::scope(|scope| {
+/// The response the router gives `raw` in-process, through the same
+/// parse, write and read-back steps a socket exchange takes.
+fn in_process(state: &AppState, raw: &[u8]) -> Comparable {
+    let request = http::read_request(&mut &raw[..])
+        .expect("parse")
+        .expect("one request");
+    let (_route, response) = router::dispatch(state, &request);
+    let mut bytes = Vec::new();
+    response.write_to(&mut bytes, false).expect("write");
+    let response = read_response(&mut &bytes[..]).expect("read back");
+    comparable(response.status, response.headers, response.body)
+}
+
+#[test]
+fn reactor_matches_in_process_dispatch_across_the_router_surface() {
+    let server = TestServer::start(4);
+    let served: Vec<Vec<Comparable>> = std::thread::scope(|scope| {
         let lanes: Vec<_> = (0..8)
             .map(|lane| scope.spawn(move || run_lane(server.addr, lane, 200)))
             .collect();
         lanes.into_iter().map(|l| l.join().expect("lane")).collect()
-    })
-}
-
-#[test]
-fn reactor_matches_legacy_across_the_router_surface() {
-    let legacy = collect(Backend::Legacy);
-    let reactor = collect(Backend::Reactor);
-    assert_eq!(legacy.len(), reactor.len());
-    for (lane, (l, r)) in legacy.iter().zip(&reactor).enumerate() {
-        assert_eq!(l.len(), r.len(), "lane {lane} response count");
-        for (round, (lr, rr)) in l.iter().zip(r).enumerate() {
+    });
+    let state = AppState::new(seed_corpus());
+    let requests = workload();
+    assert_eq!(served.len(), 8);
+    for (lane, responses) in served.iter().enumerate() {
+        assert_eq!(responses.len(), 200, "lane {lane} response count");
+        for (round, response) in responses.iter().enumerate() {
+            let expected = in_process(&state, &requests[(lane + round) % requests.len()]);
             assert_eq!(
-                lr, rr,
-                "lane {lane} round {round}: reactor and legacy responses diverge"
+                response, &expected,
+                "lane {lane} round {round}: reactor and in-process responses diverge"
             );
         }
     }
 }
 
 #[test]
-fn connection_close_is_honored_identically() {
-    // `Connection: close` must terminate the exchange on both backends
-    // with the same response bytes and an actual close.
-    for backend in [Backend::Legacy, Backend::Reactor] {
-        let server = TestServer::start(backend, 2);
-        let mut stream = TcpStream::connect(server.addr).expect("connect");
-        stream
-            .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
-            .expect("send");
-        let mut reader = BufReader::new(stream);
-        let response = read_response(&mut reader).expect("response");
-        assert_eq!(response.status, 200, "{backend:?}");
-        assert_eq!(
-            response.header("connection"),
-            Some("close"),
-            "{backend:?} must announce the close"
-        );
-        // EOF follows: the server, not the client, closes.
-        let eof = read_response(&mut reader);
-        assert!(eof.is_err(), "{backend:?} left the connection open");
-    }
+fn connection_close_is_honored() {
+    // `Connection: close` must terminate the exchange: the response
+    // announces the close, and the server, not the client, closes.
+    let server = TestServer::start(2);
+    let mut stream = TcpStream::connect(server.addr).expect("connect");
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+        .expect("send");
+    let mut reader = BufReader::new(stream);
+    let response = read_response(&mut reader).expect("response");
+    assert_eq!(response.status, 200);
+    assert_eq!(response.header("connection"), Some("close"));
+    let eof = read_response(&mut reader);
+    assert!(eof.is_err(), "the connection was left open");
 }

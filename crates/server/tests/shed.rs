@@ -30,7 +30,6 @@ impl TestServer {
     fn start(workers: usize) -> TestServer {
         let server =
             Server::bind("127.0.0.1:0", workers, AppState::new(seed_corpus())).expect("bind");
-        assert_eq!(server.backend(), cpssec_server::Backend::Reactor);
         let addr = server.local_addr().expect("addr");
         let state = server.state();
         let flag = server.shutdown_flag();

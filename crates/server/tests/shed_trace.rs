@@ -1,11 +1,9 @@
-//! Trace-id correlation must survive the shed path and both serving
-//! backends. A 429 minted by the reactor's admission check happens
-//! before any worker runs, but it still must honor an inbound
-//! `traceparent`, answer with `X-Trace-Id`, and leave a reconstructable
-//! entry at `GET /debug/requests/:id` — the shed is exactly the moment
-//! an operator needs the correlation. The happy path is asserted under
-//! both backends, selected through `Server::set_backend` (legacy and
-//! reactor).
+//! Trace-id correlation must survive both the served path and the shed
+//! path. A 429 minted by the reactor's admission check happens before
+//! any worker runs, but it still must honor an inbound `traceparent`,
+//! answer with `X-Trace-Id`, and leave a reconstructable entry at
+//! `GET /debug/requests/:id` — the shed is exactly the moment an
+//! operator needs the correlation.
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -15,7 +13,7 @@ use std::sync::Arc;
 use cpssec_attackdb::json::{parse as parse_json, JsonValue};
 use cpssec_attackdb::seed::seed_corpus;
 use cpssec_server::load::{read_response, WireResponse};
-use cpssec_server::{AppState, Backend, Server};
+use cpssec_server::{AppState, Server};
 
 struct TestServer {
     addr: SocketAddr,
@@ -25,10 +23,9 @@ struct TestServer {
 }
 
 impl TestServer {
-    fn start(backend: Backend, workers: usize) -> TestServer {
-        let mut server =
+    fn start(workers: usize) -> TestServer {
+        let server =
             Server::bind("127.0.0.1:0", workers, AppState::new(seed_corpus())).expect("bind");
-        server.set_backend(backend);
         let addr = server.local_addr().expect("addr");
         let state = server.state();
         let flag = server.shutdown_flag();
@@ -70,38 +67,31 @@ fn detail(server: &TestServer, id: &str) -> JsonValue {
 }
 
 #[test]
-fn debug_requests_resolves_trace_ids_under_both_backends() {
-    for backend in [Backend::Legacy, Backend::Reactor] {
-        let server = TestServer::start(backend, 2);
-        let sent_id = "1af7651916cd43dd8448eb211c80319c";
-        let response = server.send(
-            "GET",
-            "/models/scada/associate",
-            &[&format!("traceparent: 00-{sent_id}-b7ad6b7169203331-01")],
-        );
-        assert_eq!(response.status, 200, "{backend:?}");
-        assert_eq!(
-            response.header("x-trace-id"),
-            Some(sent_id),
-            "{backend:?} must echo the caller's trace id"
-        );
-        let entry = detail(&server, sent_id);
-        assert_eq!(
-            entry.get("route").and_then(JsonValue::as_str),
-            Some("GET /models/:id/associate"),
-            "{backend:?}"
-        );
-        assert_eq!(
-            entry.get("remote_parent"),
-            Some(&JsonValue::Bool(true)),
-            "{backend:?}"
-        );
-    }
+fn debug_requests_resolves_the_trace_id_of_a_served_request() {
+    let server = TestServer::start(2);
+    let sent_id = "1af7651916cd43dd8448eb211c80319c";
+    let response = server.send(
+        "GET",
+        "/models/scada/associate",
+        &[&format!("traceparent: 00-{sent_id}-b7ad6b7169203331-01")],
+    );
+    assert_eq!(response.status, 200);
+    assert_eq!(
+        response.header("x-trace-id"),
+        Some(sent_id),
+        "the caller's trace id must be echoed"
+    );
+    let entry = detail(&server, sent_id);
+    assert_eq!(
+        entry.get("route").and_then(JsonValue::as_str),
+        Some("GET /models/:id/associate")
+    );
+    assert_eq!(entry.get("remote_parent"), Some(&JsonValue::Bool(true)));
 }
 
 #[test]
 fn reactor_shed_429_keeps_the_trace_id_and_logs_the_request() {
-    let server = TestServer::start(Backend::Reactor, 1);
+    let server = TestServer::start(1);
     // Hold the route's only admission slot from the test itself: every
     // request on the route now sheds deterministically, no racing
     // clients needed.

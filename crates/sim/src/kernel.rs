@@ -13,24 +13,9 @@ pub trait Plant {
     fn integrate(&mut self, dt: f64);
 }
 
-/// Which stepping engine drives the kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelEngine {
-    /// The min-heap event queue (the default): every phase is a scheduled
-    /// event popped in `(tick, class, FIFO)` order, so device poll
-    /// periods, injector arming, and future event kinds compose freely.
-    #[default]
-    EventQueue,
-    /// The original hand-rolled six-phase loop, kept as the oracle for
-    /// equivalence testing. Period/arming features are event-queue-only;
-    /// under this engine every device polls every tick and injectors
-    /// registered with [`Simulation::add_injector_at`] never arm.
-    ReferenceLoop,
-}
-
 /// Event phase classes: within one tick, lower classes run first. The
-/// ranks mirror the reference loop's phase order exactly, which is what
-/// makes "every event at period 1" reproduce it byte-for-byte.
+/// ranks follow the phase order (integrate, arm, poll, route,
+/// bookkeeping, monitor, record).
 const CLASS_INTEGRATE: u8 = 0;
 const CLASS_ARM: u8 = 1;
 const CLASS_POLL: u8 = 2;
@@ -69,8 +54,7 @@ struct ArmedInjector {
 /// monitors, and a trace.
 ///
 /// Work is ordered by a [`Tick`]-keyed min-heap of events. Within one
-/// tick, events run by phase class — the same six phases the original
-/// fixed-step kernel hardcoded:
+/// tick, events run by phase class, in six phases:
 ///
 /// 1. **integrate** — the plant advances by `dt`;
 /// 2. **poll** — devices do physical I/O and queue bus requests, in
@@ -84,8 +68,8 @@ struct ArmedInjector {
 /// 6. **record** — the trace recorder samples its probes.
 ///
 /// Exact ties within a class pop FIFO, so registration order is
-/// preserved. With every event at period 1 this is exactly the fixed
-/// schedule; [`Simulation::set_poll_period`] stretches a device's poll
+/// preserved. With every event at period 1 this is a fixed six-phase
+/// step per tick; [`Simulation::set_poll_period`] stretches a device's poll
 /// interval without disturbing anything else.
 pub struct Simulation<P> {
     plant: P,
@@ -98,7 +82,6 @@ pub struct Simulation<P> {
     monitors: Vec<HazardMonitor<P>>,
     hazards: Vec<HazardEvent>,
     trace: TraceRecorder<P>,
-    engine: KernelEngine,
     queue: EventQueue<KernelEvent>,
     pending: Vec<BusRequest>,
     primed: bool,
@@ -124,23 +107,10 @@ impl<P: Plant> Simulation<P> {
             monitors: Vec::new(),
             hazards: Vec::new(),
             trace: TraceRecorder::new(),
-            engine: KernelEngine::default(),
             queue: EventQueue::new(),
             pending: Vec::new(),
             primed: false,
         }
-    }
-
-    /// Selects the stepping engine. Choose before the first step; the
-    /// reference loop ignores the event queue entirely.
-    pub fn set_engine(&mut self, engine: KernelEngine) {
-        self.engine = engine;
-    }
-
-    /// The active stepping engine.
-    #[must_use]
-    pub fn engine(&self) -> KernelEngine {
-        self.engine
     }
 
     /// Registers a device (polled every tick until
@@ -161,7 +131,7 @@ impl<P: Plant> Simulation<P> {
         if self.primed {
             // The running schedule was seeded without this device; give it
             // events from the next tick on. FIFO tie-breaking puts them
-            // after every earlier registration, as the loop would.
+            // after every earlier registration.
             let index = self.devices.len() - 1;
             let at = self.now.next();
             self.queue
@@ -173,7 +143,6 @@ impl<P: Plant> Simulation<P> {
 
     /// Sets how many ticks elapse between polls of `unit` (default 1).
     /// Takes effect when the device's next already-scheduled poll fires.
-    /// Event-queue engine only; the reference loop polls every tick.
     ///
     /// # Panics
     ///
@@ -205,7 +174,6 @@ impl<P: Plant> Simulation<P> {
     /// Registers an injector that stays dormant until its arming event
     /// fires at `arm_at` — the event-queue form of a staged intrusion.
     /// (The injector's own [`crate::TickWindow`] still applies on top.)
-    /// Event-queue engine only.
     pub fn add_injector_at(&mut self, injector: impl Injector + Send + 'static, arm_at: Tick) {
         let index = self.injectors.len();
         self.injectors.push(ArmedInjector {
@@ -232,19 +200,12 @@ impl<P: Plant> Simulation<P> {
         self.trace.set_enabled(enabled);
     }
 
-    /// Advances one tick.
+    /// Advances one tick: pops and executes every event due at (or
+    /// overdue by) the new tick. Recurring events reschedule themselves,
+    /// so the queue always holds the next tick's schedule when this
+    /// returns.
     pub fn step(&mut self) {
         self.now = self.now.next();
-        match self.engine {
-            KernelEngine::EventQueue => self.step_events(),
-            KernelEngine::ReferenceLoop => self.step_reference(),
-        }
-    }
-
-    /// Pops and executes every event due at (or overdue by) the current
-    /// tick. Recurring events reschedule themselves, so the queue always
-    /// holds the next tick's schedule when this returns.
-    fn step_events(&mut self) {
         if !self.primed {
             self.prime();
         }
@@ -323,40 +284,6 @@ impl<P: Plant> Simulation<P> {
                     .schedule(self.now.next(), CLASS_RECORD, KernelEvent::Record);
             }
         }
-    }
-
-    /// The original six-phase loop, preserved verbatim as the oracle the
-    /// event engine is tested against.
-    fn step_reference(&mut self) {
-        self.plant.integrate(self.dt);
-
-        // Poll phase.
-        let mut queued: Vec<BusRequest> = Vec::new();
-        for device in &mut self.devices {
-            let mut outbox = Outbox::default();
-            device.poll(&mut self.plant, &mut outbox);
-            queued.extend(outbox.requests);
-        }
-
-        // Routing phase.
-        for original in queued {
-            self.route(original);
-        }
-
-        // Bookkeeping phase.
-        for device in &mut self.devices {
-            device.after_tick(&mut self.plant, self.now);
-        }
-
-        // Monitor phase.
-        for monitor in &mut self.monitors {
-            if let Some(event) = monitor.check(self.now, &self.plant) {
-                self.hazards.push(event);
-            }
-        }
-
-        // Record phase.
-        self.trace.sample(&self.plant);
     }
 
     fn route(&mut self, original: BusRequest) {
@@ -499,7 +426,7 @@ impl<P: Plant> Simulation<P> {
     }
 
     /// Number of events currently waiting in the kernel's queue (zero
-    /// until the first event-engine step primes the schedule).
+    /// until the first step primes the schedule).
     #[must_use]
     pub fn pending_events(&self) -> usize {
         self.queue.len()
@@ -534,7 +461,6 @@ impl<P: fmt::Debug> fmt::Debug for Simulation<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Simulation")
             .field("now", &self.now)
-            .field("engine", &self.engine)
             .field("dt", &self.dt)
             .field("devices", &self.devices.len())
             .field("injectors", &self.injectors.len())
@@ -975,18 +901,6 @@ mod tests {
             "hazards diverged"
         );
         assert_eq!(level, 0x401416c6035adcce, "plant state diverged");
-    }
-
-    #[test]
-    fn event_engine_matches_reference_loop_byte_for_byte() {
-        let event = fingerprint(instrumented_loop(), 300);
-        let mut reference = instrumented_loop();
-        reference.set_engine(KernelEngine::ReferenceLoop);
-        let reference = fingerprint(reference, 300);
-        assert_eq!(event.0, reference.0, "trace CSV must be byte-identical");
-        assert_eq!(event.1, reference.1, "bus logs must match entry-for-entry");
-        assert_eq!(event.2, reference.2, "hazards must match");
-        assert_eq!(event.3, reference.3, "plant state must be bit-identical");
     }
 
     #[test]

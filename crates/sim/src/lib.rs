@@ -72,7 +72,7 @@ pub use inject::{
     DropMatching, Injector, RegisterOverride, ResponseOverride, Stage, StageLog, StageTrigger,
     StagedInjection, TickWindow, Verdict,
 };
-pub use kernel::{KernelEngine, Plant, Simulation};
+pub use kernel::{Plant, Simulation};
 pub use monitor::{HazardEvent, HazardMonitor};
 pub use scheduler::EventQueue;
 pub use time::Tick;
