@@ -5,7 +5,7 @@
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
 
-use cpssec_model::fnv1a_64_wide;
+use cpssec_model::{fnv1a_64, fnv1a_64_wide};
 
 fn cpssec() -> Command {
     Command::new(env!("CARGO_BIN_EXE_cpssec"))
@@ -766,4 +766,26 @@ fn corrupted_flight_dumps_fail_inspect_with_one_line_errors() {
         assert_one_line_failure(&["flight", "inspect", &flipped], "checksum");
         assert_one_line_failure(&["flight", "inspect", &flipped], section.name);
     }
+
+    // A `labels` count of 0xFFFF_FFF0 under a recomputed section
+    // checksum and dump id: the count must not size an allocation, so
+    // the read runs out of bytes and fails with exit 1, not an abort.
+    let labels = info.sections.iter().find(|s| s.name == "labels").unwrap();
+    let mut bytes = pristine.clone();
+    let (start, len) = (labels.offset as usize, labels.len as usize);
+    bytes[start..start + 4].copy_from_slice(&0xFFFF_FFF0_u32.to_le_bytes());
+    // Header: magic, version, section count, dump id; then seven 26-byte
+    // table entries (id, offset, len, checksum), labels second.
+    let (table, entry) = (20, 20 + 26);
+    let checksum = fnv1a_64(&bytes[start..start + len]);
+    bytes[entry + 18..entry + 26].copy_from_slice(&checksum.to_le_bytes());
+    let id = fnv1a_64(&bytes[table..table + 7 * 26]);
+    bytes[12..20].copy_from_slice(&id.to_le_bytes());
+    let huge = write_variant("huge-count.cpsflight", &bytes);
+    let output = cpssec()
+        .args(["flight", "inspect", &huge])
+        .output()
+        .expect("spawn cpssec");
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    assert_one_line_failure(&["flight", "inspect", &huge], "truncated");
 }

@@ -892,7 +892,9 @@ pub fn inspect(bytes: &[u8]) -> Result<FlightInfo, FlightError> {
     })
 }
 
-/// Fully decode a dump, verifying every section checksum.
+/// Fully decode a dump, verifying every section checksum. Item counts
+/// come from the file, so nothing is reserved from them: a hostile count
+/// runs the reader out of bytes and fails as truncated.
 pub fn decode(bytes: &[u8]) -> Result<FlightDump, FlightError> {
     let sections = checked_sections(bytes)?;
 
@@ -903,14 +905,14 @@ pub fn decode(bytes: &[u8]) -> Result<FlightDump, FlightError> {
 
     let mut r = Reader::new(find_section(&sections, SEC_LABELS)?.payload);
     let count = r.u32()?;
-    let mut labels = Vec::with_capacity(count as usize);
+    let mut labels = Vec::new();
     for _ in 0..count {
         labels.push(r.str()?);
     }
 
     let mut r = Reader::new(find_section(&sections, SEC_STAGES)?.payload);
     let count = r.u32()?;
-    let mut stages = Vec::with_capacity(count as usize);
+    let mut stages = Vec::new();
     for _ in 0..count {
         stages.push(StageLine {
             id: r.u16()?,
@@ -924,11 +926,11 @@ pub fn decode(bytes: &[u8]) -> Result<FlightDump, FlightError> {
 
     let mut r = Reader::new(find_section(&sections, SEC_EVENTS)?.payload);
     let thread_count = r.u32()?;
-    let mut threads = Vec::with_capacity(thread_count as usize);
+    let mut threads = Vec::new();
     for _ in 0..thread_count {
         let tid = r.u32()?;
         let event_count = r.u32()?;
-        let mut events = Vec::with_capacity(event_count as usize);
+        let mut events = Vec::new();
         for _ in 0..event_count {
             let ts_us = r.u64()?;
             let kind_byte = r.take(1)?[0];

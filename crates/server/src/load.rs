@@ -101,7 +101,9 @@ impl WireResponse {
 ///
 /// # Errors
 ///
-/// `InvalidData` on protocol violations, otherwise transport errors.
+/// `InvalidData` on protocol violations, `UnexpectedEof` if the stream
+/// ends before the blank line that closes the headers or inside the
+/// body, otherwise transport errors.
 pub fn read_response(reader: &mut impl BufRead) -> io::Result<WireResponse> {
     let mut status_line = String::new();
     if reader.read_line(&mut status_line)? == 0 {
@@ -119,7 +121,12 @@ pub fn read_response(reader: &mut impl BufRead) -> io::Result<WireResponse> {
     let mut headers = Vec::new();
     loop {
         let mut line = String::new();
-        reader.read_line(&mut line)?;
+        if reader.read_line(&mut line)? == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed inside the header block",
+            ));
+        }
         let line = line.trim_end();
         if line.is_empty() {
             break;
@@ -229,6 +236,17 @@ mod tests {
         assert_eq!(response.status, 200);
         assert_eq!(response.header("Content-Type"), Some("text/plain"));
         assert_eq!(response.body, b"ok\n");
+    }
+
+    #[test]
+    fn read_response_refuses_a_response_cut_off_in_its_headers() {
+        for raw in [
+            &b"HTTP/1.1 200 OK\r\n"[..],
+            b"HTTP/1.1 200 OK\r\nContent-Len",
+        ] {
+            let err = read_response(&mut BufReader::new(raw)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{raw:?}");
+        }
     }
 
     #[test]
