@@ -29,7 +29,7 @@
 //! closes every *idle* keep-alive connection immediately (the
 //! idle-deadline sweep with a zero deadline); connections with a
 //! request in flight drain untruncated, and half-received requests get
-//! the normal [`READ_TIMEOUT`] grace before the socket is dropped.
+//! the normal `READ_TIMEOUT` grace before the socket is dropped.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
