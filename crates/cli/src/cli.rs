@@ -711,14 +711,12 @@ fn cmd_flight(options: &Options) -> Result<String, String> {
 /// `cpssec load`: writes the run's summary to `out` even when some
 /// requests failed, then fails if any did.
 fn cmd_load(options: &Options, out: &mut dyn Write) -> Result<String, String> {
-    let report = cpssec_server::load::run(&cpssec_server::load::LoadConfig {
-        addr: options.addr.clone(),
-        clients: options.clients,
-        requests: options.requests,
-    });
+    use cpssec_server::load::{run, LoadConfig};
+    let config = LoadConfig::new(options.addr.clone(), options.clients, options.requests);
+    let report = run(&config).map_err(|e| format!("cannot start load: {e}"))?;
     emit(out, &format!("{}\n", report.summary()))?;
-    if report.errors > 0 {
-        return Err(format!("{} request(s) failed", report.errors));
+    if report.errors() > 0 {
+        return Err(format!("{} request(s) failed", report.errors()));
     }
     Ok(String::new())
 }

@@ -225,7 +225,6 @@ fn help_exits_zero_with_usage() {
 }
 
 #[test]
-#[cfg(unix)]
 fn serve_survives_load_and_sigterm_shuts_down_cleanly() {
     let dir = std::env::temp_dir().join("cpssec-bin-test");
     std::fs::create_dir_all(&dir).expect("tempdir");
@@ -318,7 +317,6 @@ fn serve_survives_load_and_sigterm_shuts_down_cleanly() {
 }
 
 #[test]
-#[cfg(unix)]
 fn sigterm_drain_closes_idle_keep_alive_connections() {
     use std::io::{Read, Write};
 
@@ -395,7 +393,6 @@ fn sigterm_drain_closes_idle_keep_alive_connections() {
 
 /// Builds a snapshot of the tiny corpus into a fresh temp dir and returns
 /// its path as a string.
-#[cfg(unix)]
 fn build_snapshot(name: &str) -> String {
     let dir = std::env::temp_dir().join("cpssec-bin-test");
     std::fs::create_dir_all(&dir).expect("tempdir");
@@ -454,7 +451,6 @@ fn misplace_first_pattern_record(bytes: &mut [u8]) {
 }
 
 #[test]
-#[cfg(unix)]
 fn a_snapshot_with_a_bad_corpus_record_fails_the_boot_before_listening() {
     let path = build_snapshot("bad-record.cpsnap");
     let mut bytes = std::fs::read(&path).expect("read snapshot");
@@ -479,7 +475,6 @@ fn a_snapshot_with_a_bad_corpus_record_fails_the_boot_before_listening() {
 }
 
 #[test]
-#[cfg(unix)]
 fn a_snapshot_with_a_bad_posting_fails_the_boot_before_listening() {
     let path = build_snapshot("bad-tf.cpsnap");
     let mut bytes = std::fs::read(&path).expect("read snapshot");
@@ -501,7 +496,6 @@ fn a_snapshot_with_a_bad_posting_fails_the_boot_before_listening() {
 }
 
 #[test]
-#[cfg(unix)]
 fn snapshot_build_inspect_verify_round_trip() {
     let path = build_snapshot("roundtrip.cpsnap");
 
@@ -537,7 +531,6 @@ fn snapshot_usage_errors_are_one_line() {
 }
 
 #[test]
-#[cfg(unix)]
 fn corrupted_snapshots_fail_verify_with_one_line_errors() {
     let path = build_snapshot("corrupt.cpsnap");
     let pristine = std::fs::read(&path).expect("read snapshot");
@@ -613,7 +606,6 @@ fn corrupted_snapshots_fail_verify_with_one_line_errors() {
 }
 
 #[test]
-#[cfg(unix)]
 fn corrupted_deltas_fail_with_one_line_errors() {
     let base = build_snapshot("delta-corrupt.cpsnap");
     let dir = std::env::temp_dir().join("cpssec-bin-test");
@@ -660,7 +652,6 @@ fn corrupted_deltas_fail_with_one_line_errors() {
 }
 
 #[test]
-#[cfg(unix)]
 fn serve_boots_from_a_snapshot_and_survives_load() {
     let path = build_snapshot("serve.cpsnap");
     let mut serve = cpssec()

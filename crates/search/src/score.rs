@@ -2,7 +2,7 @@
 //!
 //! The paper's prototype matches with plain keyword search; this module
 //! provides the two standard lexical ranking functions so the choice can
-//! be ablated (`cargo bench -p cpssec-bench --bench search_scale`), plus a
+//! be ablated (`cargo run --release --example scoring`), plus a
 //! small domain synonym table: model attributes abbreviate ("OS", "WS",
 //! "HMI") where corpus prose spells out, and expansion closes that gap.
 //!

@@ -16,8 +16,21 @@ extern "C" {
 }
 
 const SIGINT: i32 = 2;
-const SIGUSR1: i32 = 10;
 const SIGTERM: i32 = 15;
+// SIGUSR1 is the one number here that differs between Unixes (on macOS
+// and the BSDs 10 is SIGBUS), picked per OS like the reactor's
+// RLIMIT_NOFILE.
+#[cfg(any(target_os = "linux", target_os = "android"))]
+const SIGUSR1: i32 = 10;
+#[cfg(any(target_os = "solaris", target_os = "illumos"))]
+const SIGUSR1: i32 = 16;
+#[cfg(not(any(
+    target_os = "linux",
+    target_os = "android",
+    target_os = "solaris",
+    target_os = "illumos"
+)))]
+const SIGUSR1: i32 = 30;
 
 static FLAG: OnceLock<Arc<AtomicBool>> = OnceLock::new();
 

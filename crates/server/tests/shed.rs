@@ -8,8 +8,6 @@
 //! - a request in flight when shutdown begins (SIGTERM's flag) is
 //!   served untruncated while the drain closes the connection after it.
 
-#![cfg(unix)]
-
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};

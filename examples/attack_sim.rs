@@ -1,59 +1,56 @@
-//! Attack vectors to physical consequences: run every built-in attack
-//! scenario against the simulated centrifuge and map the outcomes to
-//! hazards and losses.
+//! E6: attack vectors to physical consequences (the §3 narrative and
+//! Triton). Runs every built-in attack scenario against the simulated
+//! centrifuge and maps the outcomes to STPA-Sec hazards and losses.
 //!
-//! Run with `cargo run --release --example attack_sim`.
+//! Run with `cargo run --release --example attack_sim [scale]` (scale
+//! defaults to 0.05).
 
-use cpssec::analysis::consequence::standard_analysis;
-use cpssec::analysis::render::text_table;
+use cpssec::analysis::consequence::analyze_scenario;
+use cpssec::analysis::stpa::centrifuge_analysis;
+use cpssec::analysis::AssociationMap;
 use cpssec::attackdb::seed::seed_corpus;
-use cpssec::prelude::*;
+use cpssec::attackdb::synth::{generate, SynthSpec};
+use cpssec::model::Fidelity;
+use cpssec::scada::{attacks, ScadaConfig};
+use cpssec::search::{FilterPipeline, SearchEngine};
 
 fn main() {
-    let corpus = seed_corpus();
+    let scale: f64 = std::env::args()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0.05);
+    let mut corpus = seed_corpus();
+    corpus
+        .merge(generate(&SynthSpec::paper2020(2020, scale)))
+        .expect("seed and synthetic id spaces are disjoint");
     let engine = SearchEngine::build(&corpus);
+    let model = cpssec::scada::model::scada_model();
+    let association = AssociationMap::build(
+        &model,
+        &engine,
+        &corpus,
+        Fidelity::Implementation,
+        &FilterPipeline::new(),
+    );
+    let stpa = centrifuge_analysis();
+    let config = ScadaConfig::default();
 
-    // Nominal reference batch first.
-    let mut nominal = ScadaHarness::new(ScadaConfig::default());
-    let baseline = nominal.run_batch();
+    println!("\nAttack consequence table:");
     println!(
-        "nominal batch: product={}, max temp {:.1} °C, max speed deviation {:.2} rpm\n",
-        baseline.product, baseline.max_temperature_c, baseline.max_speed_deviation_rpm
+        "{:<32} {:<16} {:>8} {:>8} {:<10} {:<14}",
+        "Scenario", "product", "SIStrip", "exploded", "hazards", "losses"
     );
-
-    let records = standard_analysis(&corpus, &engine, Fidelity::Implementation, 12_000);
-    let rows: Vec<Vec<String>> = records
-        .iter()
-        .map(|r| {
-            vec![
-                r.scenario.clone(),
-                r.target_component.clone(),
-                r.confirmed_weaknesses.join(" "),
-                r.product.to_string(),
-                if r.emergency_stopped { "yes" } else { "no" }.to_owned(),
-                r.hazard_ids.join(" "),
-                r.loss_ids.join(" "),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        text_table(
-            &[
-                "Scenario",
-                "Target",
-                "Confirmed CWE",
-                "Product",
-                "SIS trip",
-                "Hazards",
-                "Losses"
-            ],
-            &rows,
-        )
-    );
-    println!(
-        "\n`Confirmed CWE` = weaknesses the design-phase association already surfaced for the\n\
-         targeted component; hazards/losses come from the STPA-Sec structure driven by the\n\
-         simulated plant excursion."
-    );
+    let yes_no = |flag: bool| if flag { "yes" } else { "no" };
+    for scenario in attacks::all_scenarios() {
+        let record = analyze_scenario(&scenario, &association, &stpa, &config, 12_000);
+        println!(
+            "{:<32} {:<16} {:>8} {:>8} {:<10} {:<14}",
+            record.scenario,
+            record.product.to_string(),
+            yes_no(record.emergency_stopped),
+            yes_no(record.exploded),
+            record.hazard_ids.join(","),
+            record.loss_ids.join(","),
+        );
+    }
 }

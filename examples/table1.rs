@@ -1,17 +1,18 @@
-//! Regenerates Table 1 of the paper: per-attribute counts of associated
-//! attack patterns, weaknesses, and vulnerabilities for the SCADA model.
+//! E1: regenerates Table 1 of the paper, the per-attribute counts of
+//! associated attack patterns, weaknesses and vulnerabilities for the
+//! SCADA model, next to the paper's values.
 //!
-//! Run with `cargo run --release --example table1 [scale]` where `scale`
+//! Run with `cargo run --release --example table1 [scale]`. `scale`
 //! (default 0.05) scales the synthetic corpus's vulnerability counts; 1.0
-//! reproduces the paper's magnitudes exactly at the cost of indexing a
-//! ~32k-record corpus.
+//! reproduces the paper's magnitudes at the cost of indexing a
+//! ~32k-record corpus. The shape (which attributes match many vectors and
+//! which few) does not depend on the scale.
 
-use cpssec::analysis::render::text_table;
-use cpssec::attackdb::seed::{seed_corpus, table1_attributes};
+use cpssec::attackdb::seed::seed_corpus;
 use cpssec::attackdb::synth::{generate, SynthSpec};
-use cpssec::prelude::*;
+use cpssec::search::SearchEngine;
 
-/// The paper's reported values, for side-by-side comparison.
+/// The paper's Table 1: `(attribute, patterns, weaknesses, vulnerabilities)`.
 const PAPER: [(&str, usize, usize, usize); 6] = [
     ("Cisco ASA", 2, 1, 3776),
     ("NI RT Linux OS", 54, 75, 9673),
@@ -26,44 +27,29 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.05);
-
     let mut corpus = seed_corpus();
     corpus
         .merge(generate(&SynthSpec::paper2020(2020, scale)))
         .expect("seed and synthetic id spaces are disjoint");
     let stats = corpus.stats();
-    eprintln!(
-        "corpus: {} patterns, {} weaknesses, {} vulnerabilities (scale {scale})",
+    println!(
+        "corpus: {} patterns / {} weaknesses / {} vulnerabilities (scale {scale})",
         stats.patterns, stats.weaknesses, stats.vulnerabilities
     );
 
     let engine = SearchEngine::build(&corpus);
-    let mut rows = Vec::new();
-    for (attribute, paper_p, paper_w, paper_v) in PAPER {
-        let counts = engine.match_text(attribute).counts();
-        rows.push(vec![
-            attribute.to_owned(),
-            format!("{} ({paper_p})", counts.0),
-            format!("{} ({paper_w})", counts.1),
-            format!("{} ({paper_v})", counts.2),
-        ]);
-    }
-    println!("Table 1 — measured (paper) per attribute:");
-    print!(
-        "{}",
-        text_table(
-            &[
-                "Attribute",
-                "Attack Patterns",
-                "Weaknesses",
-                "Vulnerabilities"
-            ],
-            &rows,
-        )
-    );
-    debug_assert_eq!(table1_attributes().len(), PAPER.len());
+    println!("\nTable 1 — measured (paper):");
     println!(
-        "\nAbsolute vulnerability counts scale with the corpus (scale {scale}); the paper's\n\
-         shape — which attributes match many vs. few vectors — is corpus-size invariant."
+        "{:<16} {:>18} {:>14} {:>18}",
+        "Attribute", "Attack Patterns", "Weaknesses", "Vulnerabilities"
     );
+    for (attribute, p, w, v) in PAPER {
+        let counts = engine.match_text(attribute).counts();
+        println!(
+            "{attribute:<16} {:>18} {:>14} {:>18}",
+            format!("{} ({p})", counts.0),
+            format!("{} ({w})", counts.1),
+            format!("{} ({v})", counts.2),
+        );
+    }
 }
