@@ -3,6 +3,12 @@
 //! under a recomputed section checksum and `dump_id` (so the edit reaches
 //! the payload decoders instead of stopping at a checksum).
 //!
+//! A second sweep flips every byte of the section table itself under a
+//! recomputed `dump_id`, once as it is and once with every section
+//! checksum recomputed too, so the table checks behind a valid id
+//! (alignment, span bounds, `offset + len` overflow, unknown and missing
+//! ids) are reached.
+//!
 //! [`flight::inspect`] and [`flight::decode`] — the two steps
 //! `cpssec flight inspect` runs — must answer each input with `Ok` or a
 //! one-line `Err`, never a panic or an abort, and every dump `decode`
@@ -36,19 +42,30 @@ fn sections(bytes: &[u8]) -> Vec<(&'static str, usize, usize)> {
         .collect()
 }
 
-/// Recomputes every section checksum and then `dump_id`, so a payload
-/// edit passes both integrity checks.
+/// Recomputes `dump_id` over the section table as it stands.
+fn reseal_id(bytes: &mut [u8]) {
+    let count = u32_at(bytes, 8);
+    let dump_id = fnv1a_64(&bytes[TABLE_AT..TABLE_AT + count * ENTRY_LEN]);
+    bytes[12..20].copy_from_slice(&dump_id.to_le_bytes());
+}
+
+/// Recomputes the checksum of every section whose span lies inside the
+/// file and then `dump_id`, so a payload edit passes both integrity
+/// checks.
 fn reseal(bytes: &mut [u8]) {
     let count = u32_at(bytes, 8);
     for i in 0..count {
         let entry = TABLE_AT + i * ENTRY_LEN;
-        let offset = u64_at(bytes, entry + 2) as usize;
-        let len = u64_at(bytes, entry + 10) as usize;
-        let checksum = fnv1a_64(&bytes[offset..offset + len]);
-        bytes[entry + 18..entry + 26].copy_from_slice(&checksum.to_le_bytes());
+        let (offset, len) = (u64_at(bytes, entry + 2), u64_at(bytes, entry + 10));
+        let checksum = offset
+            .checked_add(len)
+            .and_then(|end| bytes.get(offset as usize..end as usize))
+            .map(fnv1a_64);
+        if let Some(checksum) = checksum {
+            bytes[entry + 18..entry + 26].copy_from_slice(&checksum.to_le_bytes());
+        }
     }
-    let dump_id = fnv1a_64(&bytes[TABLE_AT..TABLE_AT + count * ENTRY_LEN]);
-    bytes[12..20].copy_from_slice(&dump_id.to_le_bytes());
+    reseal_id(bytes);
 }
 
 /// A dump with labels, a stage line, and events of every kind, with
@@ -161,6 +178,46 @@ fn hostile_flight_dumps_are_refused_or_read_never_abort() {
         assert!(
             accepted > 0 && refused > 0,
             "{name}: {accepted} accepted, {refused} refused"
+        );
+    }
+}
+
+#[test]
+fn hostile_section_tables_are_refused_or_read_never_abort() {
+    let pristine = small_dump();
+    let table_len = sections(&pristine).len() * ENTRY_LEN;
+    let (mut inputs, mut refusals) = (0, std::collections::BTreeSet::new());
+    for resealed_payloads in [false, true] {
+        for at in TABLE_AT..TABLE_AT + table_len {
+            for mask in [0x01, 0x80, 0xFF] {
+                let mut bytes = pristine.clone();
+                bytes[at] ^= mask;
+                if resealed_payloads {
+                    reseal(&mut bytes);
+                } else {
+                    reseal_id(&mut bytes);
+                }
+                read_both(&bytes, &format!("table byte {at} ^ {mask:#04x}"));
+                if let Err(err) = flight::decode(&bytes) {
+                    // The message up to its first number: one entry per check.
+                    let err = err.to_string();
+                    refusals
+                        .insert(err[..err.find(char::is_numeric).unwrap_or(err.len())].to_owned());
+                }
+                inputs += 1;
+            }
+        }
+    }
+    assert_eq!(inputs, 1_092);
+    for check in [
+        "flight dump is truncated",
+        "unknown section id ",
+        "`meta` section offset ",
+        "missing `labels` section",
+    ] {
+        assert!(
+            refusals.contains(check),
+            "{check:?} never reached: {refusals:?}"
         );
     }
 }

@@ -4,6 +4,12 @@
 //! recomputed section checksum and `snapshot_id` (so the edit reaches the
 //! payload decoders instead of stopping at a checksum).
 //!
+//! A second sweep flips every byte of the section table itself under a
+//! recomputed `snapshot_id`, once as it is and once with every section
+//! checksum recomputed too, so the table checks behind a valid id
+//! (alignment, span bounds, `offset + len` overflow, unknown and missing
+//! ids) are reached.
+//!
 //! Both read paths — the full [`snapshot::decode`] a snapshot boot runs
 //! and the in-place [`view::open_verified`] — must answer each input with
 //! `Ok` or a one-line `Err`, never a panic, and every engine `decode`
@@ -74,19 +80,31 @@ fn tiny_corpus() -> Corpus {
     corpus
 }
 
-/// Recomputes every section checksum and then `snapshot_id`, so a payload
-/// edit passes both integrity checks.
+/// Recomputes `snapshot_id` over the section table as it stands.
+fn reseal_id(bytes: &mut [u8]) {
+    let count = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+    let id = fnv1a_64_wide(&bytes[TABLE_AT..TABLE_AT + count * ENTRY_LEN]);
+    bytes[12..20].copy_from_slice(&id.to_le_bytes());
+}
+
+/// Recomputes the checksum of every section whose span lies inside the
+/// file and then `snapshot_id`, so a payload edit passes both integrity
+/// checks.
 fn reseal(bytes: &mut [u8]) {
     let count = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
     for i in 0..count {
         let entry = TABLE_AT + i * ENTRY_LEN;
-        let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
         let (offset, len) = (field(entry + 2), field(entry + 10));
-        let checksum = fnv1a_64_wide(&bytes[offset..offset + len]);
-        bytes[entry + 18..entry + 26].copy_from_slice(&checksum.to_le_bytes());
+        let checksum = offset
+            .checked_add(len)
+            .and_then(|end| bytes.get(offset as usize..end as usize))
+            .map(fnv1a_64_wide);
+        if let Some(checksum) = checksum {
+            bytes[entry + 18..entry + 26].copy_from_slice(&checksum.to_le_bytes());
+        }
     }
-    let id = fnv1a_64_wide(&bytes[TABLE_AT..TABLE_AT + count * ENTRY_LEN]);
-    bytes[12..20].copy_from_slice(&id.to_le_bytes());
+    reseal_id(bytes);
 }
 
 /// `Ok` or a one-line `Err`; returns the `Ok` value.
@@ -158,6 +176,51 @@ fn hostile_snapshot_bytes_never_panic() {
             accepted > 0,
             "no flip of {flips} in `{}` was accepted",
             section.name
+        );
+    }
+}
+
+#[test]
+fn hostile_section_tables_never_panic() {
+    let corpus = tiny_corpus();
+    let bytes = snapshot::encode(&corpus, &SearchEngine::build(&corpus));
+    let table_len = snapshot::inspect(&bytes).unwrap().sections.len() * ENTRY_LEN;
+    let (mut inputs, mut refusals) = (0, std::collections::BTreeSet::new());
+    for resealed_payloads in [false, true] {
+        for at in TABLE_AT..TABLE_AT + table_len {
+            for mask in [0x01, 0x80, 0xFF] {
+                let mut hostile = bytes.clone();
+                hostile[at] ^= mask;
+                if resealed_payloads {
+                    reseal(&mut hostile);
+                } else {
+                    reseal_id(&mut hostile);
+                }
+                let what = format!("table byte {at} ^ {mask:#04x}");
+                let (decoded, viewed) = read_both(&hostile, &what);
+                assert!(
+                    viewed || !decoded,
+                    "{what}: decoded but the view refused it"
+                );
+                if let Err(err) = snapshot::inspect(&hostile) {
+                    // The message up to its first number: one entry per check.
+                    let err = err.to_string();
+                    refusals
+                        .insert(err[..err.find(char::is_numeric).unwrap_or(err.len())].to_owned());
+                }
+                inputs += 1;
+            }
+        }
+    }
+    assert_eq!(inputs, 624);
+    for check in [
+        "snapshot is truncated",
+        "corrupt snapshot: unknown section id ",
+        "corrupt snapshot: `corpus` section offset ",
+    ] {
+        assert!(
+            refusals.contains(check),
+            "{check:?} never reached: {refusals:?}"
         );
     }
 }
