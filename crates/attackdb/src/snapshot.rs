@@ -8,8 +8,9 @@
 //! a decoded corpus is structurally identical (`==`) to the encoded one.
 //!
 //! The framing above this layer (magic, format version, section table,
-//! checksums) lives in `cpssec_search::snapshot`, which composes the record
-//! payload produced here with the index payloads.
+//! checksums) is the section-table container of `cpssec_obs::container`;
+//! `cpssec_search::snapshot` supplies its checksum and section names and
+//! composes the record payload produced here with the index payloads.
 
 use core::fmt;
 

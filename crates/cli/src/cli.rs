@@ -700,11 +700,9 @@ fn cmd_flight(options: &Options) -> Result<String, String> {
     }
     let path = options.arg(1, "flight inspect needs a .cpsflight file path")?;
     let bytes = read_file(path, std::fs::read)?;
-    let invalid = |e| format!("invalid flight dump `{path}`: {e}");
-    // `inspect` walks the section table and re-checksums every payload;
-    // `decode` then trusts the verified bytes.
-    cpssec_obs::flight::inspect(&bytes).map_err(invalid)?;
-    let dump = cpssec_obs::flight::decode(&bytes).map_err(invalid)?;
+    // `decode` verifies every section checksum before it reads a payload.
+    let dump = cpssec_obs::flight::decode(&bytes)
+        .map_err(|e| format!("invalid flight dump `{path}`: {e}"))?;
     Ok(format!("{path}:\n{}", dump.timeline()))
 }
 

@@ -10,23 +10,24 @@
 //! them. Pushing is single-writer — only the owning thread touches its
 //! ring — guarded by a per-slot seqlock so other threads read stable
 //! slots without ever blocking the writer; steady-state cost is a
-//! handful of uncontended atomic stores (bench-bounded under 100 ns in
-//! `profile_overhead`).
+//! handful of uncontended atomic stores (gated under 100 ns by E19 in
+//! `crates/server/tests/release_gates.rs`).
 //!
 //! A dump ([`encode_dump`]) atomically snapshots every ring plus the
 //! recorder's stage aggregates, the interned label table, and
 //! caller-supplied context (recent-request ring, active alerts, a
-//! metrics scrape) into a `.cpsflight` file using the `.cpsnap` v2
-//! section-table container: magic + version + checksummed sections at
-//! 8-byte-aligned offsets. Dumps are triggered by an SLO alert firing,
-//! a panic (via [`install_panic_hook`]), SIGUSR1, or `POST
-//! /debug/flight/dump`; the trigger paths all route through the
-//! process-wide hook installed with [`set_dump_hook`].
+//! metrics scrape) into a `.cpsflight` file: the section-table container
+//! of [`crate::container`] (shared with `.cpsnap`) with byte-wise FNV-1a
+//! checksums. Dumps are triggered by an SLO alert firing, a panic (via
+//! [`install_panic_hook`]), SIGUSR1, or `POST /debug/flight/dump`; the
+//! trigger paths all route through the process-wide hook installed with
+//! [`set_dump_hook`].
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
+use crate::container::{put_u16, put_u32, put_u64, ContainerError, Format, Reader, SectionInfo};
 use crate::{StageId, TraceEvent};
 
 /// The six magic bytes every `.cpsflight` file starts with.
@@ -34,9 +35,6 @@ pub const MAGIC: [u8; 6] = *b"CPSFLT";
 
 /// The format version this build writes and reads.
 pub const FORMAT_VERSION: u16 = 1;
-
-/// Bytes per section-table entry: id + offset + len + checksum.
-const TABLE_ENTRY_LEN: usize = 2 + 8 + 8 + 8;
 
 /// Events retained per thread ring (oldest overwritten on wrap).
 pub const DEFAULT_RING_EVENTS: usize = 2048;
@@ -48,32 +46,22 @@ const SEC_EVENTS: u16 = 4;
 const SEC_REQUESTS: u16 = 5;
 const SEC_ALERTS: u16 = 6;
 const SEC_METRICS: u16 = 7;
-const SECTION_IDS: [u16; 7] = [
-    SEC_META,
-    SEC_LABELS,
-    SEC_STAGES,
-    SEC_EVENTS,
-    SEC_REQUESTS,
-    SEC_ALERTS,
-    SEC_METRICS,
-];
 
-fn section_name(id: u16) -> Option<&'static str> {
-    match id {
-        SEC_META => Some("meta"),
-        SEC_LABELS => Some("labels"),
-        SEC_STAGES => Some("stages"),
-        SEC_EVENTS => Some("events"),
-        SEC_REQUESTS => Some("requests"),
-        SEC_ALERTS => Some("alerts"),
-        SEC_METRICS => Some("metrics"),
-        _ => None,
-    }
-}
-
-fn align8(n: u64) -> u64 {
-    n.next_multiple_of(8)
-}
+/// The `.cpsflight` container.
+static FORMAT: Format = Format {
+    magic: MAGIC,
+    version: FORMAT_VERSION,
+    checksum: fnv1a_64,
+    sections: &[
+        (SEC_META, "meta"),
+        (SEC_LABELS, "labels"),
+        (SEC_STAGES, "stages"),
+        (SEC_EVENTS, "events"),
+        (SEC_REQUESTS, "requests"),
+        (SEC_ALERTS, "alerts"),
+        (SEC_METRICS, "metrics"),
+    ],
+};
 
 /// What happened, encoded in an event's `kind` byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,7 +224,6 @@ const EXITED_RINGS: usize = 32;
 pub struct Flight {
     epoch: Instant,
     enabled: AtomicBool,
-    ring_events: usize,
     /// Every live ring plus up to [`EXITED_RINGS`] of exited threads, in
     /// registration order. A ring only the registry holds is an exited
     /// thread's.
@@ -251,10 +238,6 @@ pub fn flight() -> &'static Flight {
     FLIGHT.get_or_init(|| Flight {
         epoch: Instant::now(),
         enabled: AtomicBool::new(false),
-        ring_events: std::env::var("CPSSEC_FLIGHT_EVENTS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map_or(DEFAULT_RING_EVENTS, |n| n.clamp(64, 1 << 16)),
         rings: Mutex::new(Vec::new()),
         labels: RwLock::new(Vec::new()),
     })
@@ -269,7 +252,7 @@ impl Flight {
 thread_local! {
     static RING: Arc<EventRing> = {
         let f = flight();
-        let ring = Arc::new(EventRing::new(crate::thread_ordinal(), f.ring_events));
+        let ring = Arc::new(EventRing::new(crate::thread_ordinal(), DEFAULT_RING_EVENTS));
         let mut rings = f.rings.lock().unwrap();
         let exited = rings.iter().filter(|r| Arc::strong_count(r) == 1).count();
         let mut excess = exited.saturating_sub(EXITED_RINGS);
@@ -436,7 +419,8 @@ pub fn trigger_dump(reason: &str) -> Option<Result<String, String>> {
 }
 
 /// Chain a panic hook that writes a flight dump (via the installed
-/// dump hook) before the previous handler runs. Idempotent.
+/// dump hook) before the previous handler runs. The dump's reason is
+/// `panic at FILE:LINE:COL: MESSAGE`. Idempotent.
 pub fn install_panic_hook() {
     static INSTALLED: AtomicBool = AtomicBool::new(false);
     if INSTALLED.swap(true, Ordering::SeqCst) {
@@ -444,7 +428,17 @@ pub fn install_panic_hook() {
     }
     let previous = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        if let Some(Ok(path)) = trigger_dump("panic") {
+        let payload = info.payload();
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("Box<dyn Any>");
+        let reason = match info.location() {
+            Some(at) => format!("panic at {at}: {message}"),
+            None => format!("panic: {message}"),
+        };
+        if let Some(Ok(path)) = trigger_dump(&reason) {
             eprintln!("flight recorder: wrote {path}");
         }
         previous(info);
@@ -452,19 +446,7 @@ pub fn install_panic_hook() {
 }
 
 // ---------------------------------------------------------------------------
-// Wire helpers (little-endian, mirroring the `.cpsnap` conventions).
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+// Wire helpers (little-endian, as the container writes).
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u32(out, u32::try_from(s.len()).expect("string fits u32"));
@@ -513,45 +495,22 @@ impl std::fmt::Display for FlightError {
 
 impl std::error::Error for FlightError {}
 
-/// Bounds-checked little-endian reader.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+impl From<ContainerError> for FlightError {
+    fn from(e: ContainerError) -> Self {
+        match e {
+            ContainerError::Truncated => FlightError::Truncated,
+            ContainerError::BadMagic => FlightError::BadMagic,
+            ContainerError::UnsupportedVersion(v) => FlightError::UnsupportedVersion(v),
+            ContainerError::ChecksumMismatch(name) => FlightError::ChecksumMismatch(name),
+            ContainerError::Corrupt(msg) => FlightError::Corrupt(msg),
+        }
+    }
 }
 
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FlightError> {
-        let end = self.pos.checked_add(n).ok_or(FlightError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(FlightError::Truncated);
-        }
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u16(&mut self) -> Result<u16, FlightError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, FlightError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, FlightError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, FlightError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| FlightError::Corrupt("invalid UTF-8 in flight dump string".into()))
-    }
+fn read_str(r: &mut Reader<'_>) -> Result<String, FlightError> {
+    let len = r.u32()? as usize;
+    String::from_utf8(r.take(len)?.to_vec())
+        .map_err(|_| FlightError::Corrupt("invalid UTF-8 in flight dump string".into()))
 }
 
 // ---------------------------------------------------------------------------
@@ -560,8 +519,8 @@ impl<'a> Reader<'a> {
 /// Caller-supplied context bundled into a dump alongside the rings.
 #[derive(Debug, Clone, Default)]
 pub struct DumpInput<'a> {
-    /// Why the dump fired (`slo-alert:<route>`, `panic`, `sigusr1`,
-    /// `manual`).
+    /// Why the dump fired (`slo-alert:<route>`, `panic at <location>:
+    /// <message>`, `sigusr1`, `manual`).
     pub reason: &'a str,
     /// Recent-request ring as JSON (server-provided; may be empty).
     pub requests_json: &'a str,
@@ -743,7 +702,7 @@ pub fn encode_dump(input: &DumpInput<'_>) -> Vec<u8> {
         }
     }
 
-    let payloads: [&[u8]; 7] = [
+    FORMAT.assemble(&[
         &meta,
         &labels_payload,
         &stages_payload,
@@ -751,40 +710,7 @@ pub fn encode_dump(input: &DumpInput<'_>) -> Vec<u8> {
         input.requests_json.as_bytes(),
         input.alerts_json.as_bytes(),
         input.metrics_text.as_bytes(),
-    ];
-    let header_len = (MAGIC.len() + 2 + 4 + 8 + payloads.len() * TABLE_ENTRY_LEN) as u64;
-    let mut table = Vec::with_capacity(payloads.len() * TABLE_ENTRY_LEN);
-    let mut section_offsets = Vec::with_capacity(payloads.len());
-    let mut offset = align8(header_len);
-    for (id, payload) in SECTION_IDS.iter().zip(payloads.iter()) {
-        put_u16(&mut table, *id);
-        put_u64(&mut table, offset);
-        put_u64(&mut table, payload.len() as u64);
-        put_u64(&mut table, fnv1a_64(payload));
-        section_offsets.push(offset as usize);
-        offset = align8(offset + payload.len() as u64);
-    }
-    let dump_id = fnv1a_64(&table);
-    let mut out = Vec::with_capacity(offset as usize);
-    out.extend_from_slice(&MAGIC);
-    put_u16(&mut out, FORMAT_VERSION);
-    put_u32(&mut out, payloads.len() as u32);
-    put_u64(&mut out, dump_id);
-    out.extend_from_slice(&table);
-    for (payload, &section_offset) in payloads.iter().zip(&section_offsets) {
-        out.resize(section_offset, 0);
-        out.extend_from_slice(payload);
-    }
-    out
-}
-
-/// One section table entry, as [`inspect`] reports it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlightSectionInfo {
-    pub name: &'static str,
-    pub offset: u64,
-    pub len: u64,
-    pub checksum: u64,
+    ])
 }
 
 /// Header-level description of a dump (no payload decoding).
@@ -792,103 +718,18 @@ pub struct FlightSectionInfo {
 pub struct FlightInfo {
     pub version: u16,
     pub dump_id: u64,
-    pub sections: Vec<FlightSectionInfo>,
-}
-
-struct Section<'a> {
-    id: u16,
-    name: &'static str,
-    offset: u64,
-    checksum: u64,
-    payload: &'a [u8],
-}
-
-fn split_sections(bytes: &[u8]) -> Result<(u16, u64, Vec<Section<'_>>), FlightError> {
-    if bytes.len() < MAGIC.len() {
-        return Err(FlightError::Truncated);
-    }
-    if bytes[..MAGIC.len()] != MAGIC {
-        return Err(FlightError::BadMagic);
-    }
-    let mut r = Reader::new(&bytes[MAGIC.len()..]);
-    let version = r.u16()?;
-    if version != FORMAT_VERSION {
-        return Err(FlightError::UnsupportedVersion(version));
-    }
-    let count = r.u32()?;
-    let dump_id = r.u64()?;
-    let table = r.take(count as usize * TABLE_ENTRY_LEN)?;
-    if fnv1a_64(table) != dump_id {
-        return Err(FlightError::ChecksumMismatch("section table"));
-    }
-    let mut tr = Reader::new(table);
-    let mut sections = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let id = tr.u16()?;
-        let offset = tr.u64()?;
-        let len = tr.u64()?;
-        let checksum = tr.u64()?;
-        let name = section_name(id).ok_or_else(|| {
-            FlightError::Corrupt(format!("unknown section id {id} in the section table"))
-        })?;
-        if offset % 8 != 0 {
-            return Err(FlightError::Corrupt(format!(
-                "`{name}` section offset {offset} is not 8-byte aligned"
-            )));
-        }
-        let end = offset.checked_add(len).ok_or(FlightError::Truncated)?;
-        if end > bytes.len() as u64 {
-            return Err(FlightError::Truncated);
-        }
-        sections.push(Section {
-            id,
-            name,
-            offset,
-            checksum,
-            payload: &bytes[offset as usize..end as usize],
-        });
-    }
-    Ok((version, dump_id, sections))
-}
-
-fn checked_sections(bytes: &[u8]) -> Result<Vec<Section<'_>>, FlightError> {
-    let (_, _, sections) = split_sections(bytes)?;
-    for section in &sections {
-        if fnv1a_64(section.payload) != section.checksum {
-            return Err(FlightError::ChecksumMismatch(section.name));
-        }
-    }
-    Ok(sections)
-}
-
-fn find_section<'a>(sections: &'a [Section<'_>], id: u16) -> Result<&'a Section<'a>, FlightError> {
-    sections.iter().find(|s| s.id == id).ok_or_else(|| {
-        let name = section_name(id).unwrap_or("?");
-        FlightError::Corrupt(format!("missing `{name}` section"))
-    })
+    pub sections: Vec<SectionInfo>,
 }
 
 /// Parse the header and section table (checksums verified) without
 /// decoding payloads.
 pub fn inspect(bytes: &[u8]) -> Result<FlightInfo, FlightError> {
-    let (version, dump_id, sections) = split_sections(bytes)?;
-    for section in &sections {
-        if fnv1a_64(section.payload) != section.checksum {
-            return Err(FlightError::ChecksumMismatch(section.name));
-        }
-    }
+    let table = FORMAT.split(bytes)?;
+    table.verify()?;
     Ok(FlightInfo {
-        version,
-        dump_id,
-        sections: sections
-            .iter()
-            .map(|s| FlightSectionInfo {
-                name: s.name,
-                offset: s.offset,
-                len: s.payload.len() as u64,
-                checksum: s.checksum,
-            })
-            .collect(),
+        version: FORMAT_VERSION,
+        dump_id: table.id,
+        sections: table.sections,
     })
 }
 
@@ -896,27 +737,28 @@ pub fn inspect(bytes: &[u8]) -> Result<FlightInfo, FlightError> {
 /// come from the file, so nothing is reserved from them: a hostile count
 /// runs the reader out of bytes and fails as truncated.
 pub fn decode(bytes: &[u8]) -> Result<FlightDump, FlightError> {
-    let sections = checked_sections(bytes)?;
+    let table = FORMAT.split(bytes)?;
+    table.verify()?;
 
-    let mut r = Reader::new(find_section(&sections, SEC_META)?.payload);
+    let mut r = Reader::new(table.payload(table.find(SEC_META)?));
     let wall_ms = r.u64()?;
     let dumped_at_us = r.u64()?;
-    let reason = r.str()?;
+    let reason = read_str(&mut r)?;
 
-    let mut r = Reader::new(find_section(&sections, SEC_LABELS)?.payload);
+    let mut r = Reader::new(table.payload(table.find(SEC_LABELS)?));
     let count = r.u32()?;
     let mut labels = Vec::new();
     for _ in 0..count {
-        labels.push(r.str()?);
+        labels.push(read_str(&mut r)?);
     }
 
-    let mut r = Reader::new(find_section(&sections, SEC_STAGES)?.payload);
+    let mut r = Reader::new(table.payload(table.find(SEC_STAGES)?));
     let count = r.u32()?;
     let mut stages = Vec::new();
     for _ in 0..count {
         stages.push(StageLine {
             id: r.u16()?,
-            name: r.str()?,
+            name: read_str(&mut r)?,
             count: r.u64()?,
             total_us: r.u64()?,
             p50_us: r.u64()?,
@@ -924,7 +766,7 @@ pub fn decode(bytes: &[u8]) -> Result<FlightDump, FlightError> {
         });
     }
 
-    let mut r = Reader::new(find_section(&sections, SEC_EVENTS)?.payload);
+    let mut r = Reader::new(table.payload(table.find(SEC_EVENTS)?));
     let thread_count = r.u32()?;
     let mut threads = Vec::new();
     for _ in 0..thread_count {
@@ -945,7 +787,7 @@ pub fn decode(bytes: &[u8]) -> Result<FlightDump, FlightError> {
     }
 
     let text = |id: u16| -> Result<String, FlightError> {
-        String::from_utf8(find_section(&sections, id)?.payload.to_vec())
+        String::from_utf8(table.payload(table.find(id)?).to_vec())
             .map_err(|_| FlightError::Corrupt("invalid UTF-8 in flight dump section".into()))
     };
 

@@ -20,6 +20,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod container;
 pub mod flight;
 pub mod hist;
 pub mod profile;

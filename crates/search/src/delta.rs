@@ -38,6 +38,7 @@ use cpssec_attackdb::snapshot as record_wire;
 use cpssec_attackdb::snapshot::{put_u16, put_u64, Reader};
 use cpssec_attackdb::{AttackPattern, Corpus, Vulnerability, Weakness};
 use cpssec_model::fnv1a_64_wide;
+use cpssec_obs::container;
 
 use crate::engine::build_families;
 use crate::snapshot::{self, SnapshotError};
@@ -114,17 +115,10 @@ struct ParsedDelta {
 }
 
 fn parse(bytes: &[u8]) -> Result<ParsedDelta, SnapshotError> {
-    if bytes.len() < DELTA_MAGIC.len() {
-        return Err(SnapshotError::Truncated);
-    }
-    if bytes[..DELTA_MAGIC.len()] != DELTA_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let mut r = Reader::new(&bytes[DELTA_MAGIC.len()..]);
-    let version = r.u16()?;
-    if version != DELTA_VERSION {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
+    let mut r = Reader::new(
+        container::prologue(bytes, &DELTA_MAGIC, DELTA_VERSION)
+            .map_err(snapshot::container_error)?,
+    );
     let parent_id = r.u64()?;
     let payload_checksum = r.u64()?;
     let payload = r.take(r.remaining())?;
@@ -136,7 +130,7 @@ fn parse(bytes: &[u8]) -> Result<ParsedDelta, SnapshotError> {
     let (patterns, weaknesses, vulnerabilities) =
         record_wire::decode_corpus(payload)?.into_records();
     let info = DeltaInfo {
-        version,
+        version: DELTA_VERSION,
         parent_id,
         payload_checksum,
         child_id: chain_id(parent_id, payload_checksum),

@@ -40,13 +40,15 @@
 //! The severity column (new in version 4) holds each record's CVSS base
 //! score in tenths (`0..=100`), a pattern's typical-severity band
 //! (`101..=105`) or `255` for an unscored record, so hits are weighed and
-//! severity-filtered without the corpus. Offsets are absolute
-//! and rounded up to 8-byte boundaries (zero padding between sections);
-//! each checksum is word-folded FNV ([`cpssec_model::fnv1a_64_wide`]) over
-//! the section payload. `snapshot_id` is the same FNV over the serialized
-//! section table: it fingerprints the entire content (each entry embeds
-//! its payload checksum), doubles as the header's own integrity check, and
-//! anchors the `.cpsdelta` parent chain ([`crate::delta`]).
+//! severity-filtered without the corpus. The header, the table and the
+//! 8-byte payload alignment are the container of
+//! [`cpssec_obs::container`], shared with `.cpsflight` dumps; this
+//! format's checksum is word-folded FNV ([`cpssec_model::fnv1a_64_wide`])
+//! over each section payload. `snapshot_id` is the same FNV over the
+//! serialized section table: it fingerprints the entire content (each
+//! entry embeds its payload checksum), doubles as the header's own
+//! integrity check, and anchors the `.cpsdelta` parent chain
+//! ([`crate::delta`]).
 //!
 //! Two read paths share this layout. [`decode`] verifies every payload
 //! checksum, decodes the corpus, opens and validates the engine and
@@ -60,13 +62,16 @@
 //! corpus, never an archival format.
 
 use cpssec_attackdb::snapshot as record_wire;
-use cpssec_attackdb::snapshot::{put_u16, put_u32, put_u64, Reader};
+use cpssec_attackdb::snapshot::put_u32;
 use cpssec_attackdb::Corpus;
 use cpssec_model::fnv1a_64_wide;
+use cpssec_obs::container::{ContainerError, Format};
 
 pub use cpssec_attackdb::snapshot::SnapshotError;
+pub use cpssec_obs::container::SectionInfo;
 
 use crate::engine::MatchConfig;
+use crate::view::record_directories;
 use crate::SearchEngine;
 
 /// The six magic bytes every `.cpsnap` file starts with.
@@ -75,49 +80,36 @@ pub const MAGIC: [u8; 6] = *b"CPSNAP";
 /// The format version this build writes and reads.
 pub const FORMAT_VERSION: u16 = 4;
 
-/// Bytes per section-table entry: id + offset + len + checksum.
-pub(crate) const TABLE_ENTRY_LEN: usize = 2 + 8 + 8 + 8;
-
 pub(crate) const SEC_CORPUS: u16 = 1;
 pub(crate) const SEC_PATTERNS: u16 = 2;
 pub(crate) const SEC_WEAKNESSES: u16 = 3;
 pub(crate) const SEC_VULNERABILITIES: u16 = 4;
 /// The family sections, in the engine's family order.
 pub(crate) const FAMILY_SECTIONS: [u16; 3] = [SEC_PATTERNS, SEC_WEAKNESSES, SEC_VULNERABILITIES];
-/// Section order in every written snapshot.
-const SECTION_IDS: [u16; 4] = [
-    SEC_CORPUS,
-    SEC_PATTERNS,
-    SEC_WEAKNESSES,
-    SEC_VULNERABILITIES,
-];
+/// The `.cpsnap` container, sections in the order every snapshot is
+/// written.
+pub(crate) static FORMAT: Format = Format {
+    magic: MAGIC,
+    version: FORMAT_VERSION,
+    checksum: fnv1a_64_wide,
+    sections: &[
+        (SEC_CORPUS, "corpus"),
+        (SEC_PATTERNS, "patterns"),
+        (SEC_WEAKNESSES, "weaknesses"),
+        (SEC_VULNERABILITIES, "vulnerabilities"),
+    ],
+};
 
-fn section_name(id: u16) -> Option<&'static str> {
-    match id {
-        SEC_CORPUS => Some("corpus"),
-        SEC_PATTERNS => Some("patterns"),
-        SEC_WEAKNESSES => Some("weaknesses"),
-        SEC_VULNERABILITIES => Some("vulnerabilities"),
-        _ => None,
+/// The one conversion from container errors (the orphan rule rules out a
+/// `From` here): the variants map one to one.
+pub(crate) fn container_error(e: ContainerError) -> SnapshotError {
+    match e {
+        ContainerError::Truncated => SnapshotError::Truncated,
+        ContainerError::BadMagic => SnapshotError::BadMagic,
+        ContainerError::UnsupportedVersion(v) => SnapshotError::UnsupportedVersion(v),
+        ContainerError::ChecksumMismatch(name) => SnapshotError::ChecksumMismatch(name),
+        ContainerError::Corrupt(detail) => SnapshotError::Corrupt(detail),
     }
-}
-
-/// Rounds `n` up to the next 8-byte boundary (section alignment rule).
-fn align8(n: u64) -> u64 {
-    n.next_multiple_of(8)
-}
-
-/// One section table entry, as [`inspect`] reports it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SectionInfo {
-    /// Section name (`corpus`, `patterns`, `weaknesses`, `vulnerabilities`).
-    pub name: &'static str,
-    /// Absolute byte offset of the payload (8-byte aligned).
-    pub offset: u64,
-    /// Payload length in bytes.
-    pub len: u64,
-    /// Stored word-folded FNV checksum of the payload.
-    pub checksum: u64,
 }
 
 /// Header-level description of a snapshot (no payload decoding).
@@ -187,42 +179,9 @@ fn encode_corpus_section(corpus: &Corpus) -> Vec<u8> {
     out
 }
 
-/// Decodes one family record directory into its records, in order.
-fn decode_family_records<T>(
-    r: &mut Reader<'_>,
-    family: &'static str,
-    decode: impl Fn(&mut Reader<'_>) -> Result<T, SnapshotError>,
-) -> Result<Vec<T>, SnapshotError> {
-    let count = r.u32()?;
-    let mut offsets = Vec::with_capacity(r.capacity_for(count, 4));
-    for _ in 0..count {
-        offsets.push(r.u32()?);
-    }
-    let blob_len = r.u32()? as usize;
-    let blob = r.take(blob_len)?;
-    let mut records = Vec::new();
-    for i in 0..offsets.len() {
-        let start = offsets[i] as usize;
-        let end = offsets.get(i + 1).map_or(blob_len, |&o| o as usize);
-        if start > end || end > blob_len || (i == 0 && start != 0) {
-            return Err(SnapshotError::Corrupt(format!(
-                "`{family}` record {i} directory entry is out of bounds"
-            )));
-        }
-        let mut rr = Reader::new(&blob[start..end]);
-        let record = decode(&mut rr)?;
-        if !rr.finished() {
-            return Err(SnapshotError::Corrupt(format!(
-                "`{family}` record {i} has {} trailing byte(s)",
-                rr.remaining()
-            )));
-        }
-        records.push(record);
-    }
-    Ok(records)
-}
-
-/// Decodes the corpus section payload back into an owned [`Corpus`].
+/// Decodes the corpus section payload back into an owned [`Corpus`],
+/// reading the record directories through the walker [`crate::view`]
+/// uses.
 ///
 /// Each family is decoded in full before any record is inserted, so the
 /// map's nodes are allocated back to back instead of between the records'
@@ -230,24 +189,16 @@ fn decode_family_records<T>(
 /// that way, and a delta-grown corpus keeps its decoded base for life.
 fn decode_corpus_section(payload: &[u8]) -> Result<Corpus, SnapshotError> {
     let corrupt = |e: cpssec_attackdb::AttackDbError| SnapshotError::Corrupt(e.to_string());
+    let [patterns, weaknesses, vulnerabilities] = record_directories(0, payload)?;
     let mut corpus = Corpus::new();
-    let mut r = Reader::new(payload);
-    for p in decode_family_records(&mut r, "patterns", record_wire::decode_pattern)? {
+    for p in patterns.decode_all(payload, record_wire::decode_pattern)? {
         corpus.add_pattern(p).map_err(corrupt)?;
     }
-    for w in decode_family_records(&mut r, "weaknesses", record_wire::decode_weakness)? {
+    for w in weaknesses.decode_all(payload, record_wire::decode_weakness)? {
         corpus.add_weakness(w).map_err(corrupt)?;
     }
-    let vulnerabilities =
-        decode_family_records(&mut r, "vulnerabilities", record_wire::decode_vulnerability)?;
-    for v in vulnerabilities {
+    for v in vulnerabilities.decode_all(payload, record_wire::decode_vulnerability)? {
         corpus.add_vulnerability(v).map_err(corrupt)?;
-    }
-    if !r.finished() {
-        return Err(SnapshotError::Corrupt(format!(
-            "{} trailing byte(s) after the last record directory",
-            r.remaining()
-        )));
     }
     Ok(corpus)
 }
@@ -277,114 +228,12 @@ pub fn encode(corpus: &Corpus, engine: &SearchEngine) -> Vec<u8> {
 /// function of the corpus and the family payloads.
 pub(crate) fn assemble(corpus: &Corpus, families: [&[u8]; 3]) -> Vec<u8> {
     let [patterns, weaknesses, vulnerabilities] = families;
-    let corpus_section = encode_corpus_section(corpus);
-    let payloads = [&corpus_section[..], patterns, weaknesses, vulnerabilities];
-    let header_len = (MAGIC.len() + 2 + 4 + 8 + payloads.len() * TABLE_ENTRY_LEN) as u64;
-    let mut table = Vec::with_capacity(payloads.len() * TABLE_ENTRY_LEN);
-    let mut section_offsets = Vec::with_capacity(payloads.len());
-    let mut offset = align8(header_len);
-    for (id, payload) in SECTION_IDS.iter().zip(payloads.iter()) {
-        put_u16(&mut table, *id);
-        put_u64(&mut table, offset);
-        put_u64(&mut table, payload.len() as u64);
-        put_u64(&mut table, fnv1a_64_wide(payload));
-        section_offsets.push(offset as usize);
-        offset = align8(offset + payload.len() as u64);
-    }
-    let snapshot_id = fnv1a_64_wide(&table);
-    let mut out = Vec::with_capacity(offset as usize);
-    out.extend_from_slice(&MAGIC);
-    put_u16(&mut out, FORMAT_VERSION);
-    put_u32(&mut out, u32::try_from(payloads.len()).expect("fits u32"));
-    put_u64(&mut out, snapshot_id);
-    out.extend_from_slice(&table);
-    for (payload, &section_offset) in payloads.iter().zip(&section_offsets) {
-        out.resize(section_offset, 0); // alignment padding
-        out.extend_from_slice(payload);
-    }
-    out
-}
-
-/// A parsed section: table entry plus its (not yet verified) payload.
-pub(crate) struct Section<'a> {
-    pub(crate) id: u16,
-    pub(crate) name: &'static str,
-    pub(crate) offset: u64,
-    pub(crate) checksum: u64,
-    pub(crate) payload: &'a [u8],
-}
-
-/// Parses the header and section table in *O(header)*: magic, version,
-/// the `snapshot_id` integrity check over the table bytes, then
-/// bounds- and alignment-checks on every payload span. Payload checksums
-/// are NOT verified here — that is [`checked_sections`].
-pub(crate) fn split_sections(bytes: &[u8]) -> Result<(u16, u64, Vec<Section<'_>>), SnapshotError> {
-    if bytes.len() < MAGIC.len() {
-        return Err(SnapshotError::Truncated);
-    }
-    if bytes[..MAGIC.len()] != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let mut r = Reader::new(&bytes[MAGIC.len()..]);
-    let version = r.u16()?;
-    if version != FORMAT_VERSION {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-    let count = r.u32()?;
-    let snapshot_id = r.u64()?;
-    let table = r.take(count as usize * TABLE_ENTRY_LEN)?;
-    if fnv1a_64_wide(table) != snapshot_id {
-        return Err(SnapshotError::ChecksumMismatch("section table"));
-    }
-    let mut tr = Reader::new(table);
-    let mut sections = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let id = tr.u16()?;
-        let offset = tr.u64()?;
-        let len = tr.u64()?;
-        let checksum = tr.u64()?;
-        let name = section_name(id).ok_or_else(|| {
-            SnapshotError::Corrupt(format!("unknown section id {id} in the section table"))
-        })?;
-        if offset % 8 != 0 {
-            return Err(SnapshotError::Corrupt(format!(
-                "`{name}` section offset {offset} is not 8-byte aligned"
-            )));
-        }
-        let end = offset.checked_add(len).ok_or(SnapshotError::Truncated)?;
-        if end > bytes.len() as u64 {
-            return Err(SnapshotError::Truncated);
-        }
-        sections.push(Section {
-            id,
-            name,
-            offset,
-            checksum,
-            payload: &bytes[offset as usize..end as usize],
-        });
-    }
-    Ok((version, snapshot_id, sections))
-}
-
-/// Verifies every section checksum, then returns payloads keyed by id.
-pub(crate) fn checked_sections(bytes: &[u8]) -> Result<Vec<Section<'_>>, SnapshotError> {
-    let (_, _, sections) = split_sections(bytes)?;
-    for section in &sections {
-        if fnv1a_64_wide(section.payload) != section.checksum {
-            return Err(SnapshotError::ChecksumMismatch(section.name));
-        }
-    }
-    Ok(sections)
-}
-
-pub(crate) fn find_section<'a>(
-    sections: &'a [Section<'_>],
-    id: u16,
-) -> Result<&'a Section<'a>, SnapshotError> {
-    sections.iter().find(|s| s.id == id).ok_or_else(|| {
-        let name = section_name(id).unwrap_or("?");
-        SnapshotError::Corrupt(format!("missing `{name}` section"))
-    })
+    FORMAT.assemble(&[
+        &encode_corpus_section(corpus),
+        patterns,
+        weaknesses,
+        vulnerabilities,
+    ])
 }
 
 /// Decodes a snapshot into its corpus and a search engine using `config`.
@@ -403,20 +252,17 @@ pub fn decode_with_config(
     config: MatchConfig,
 ) -> Result<(Corpus, SearchEngine), SnapshotError> {
     let _span = cpssec_obs::span!("snapshot-decode");
-    let sections = checked_sections(bytes)?;
+    let table = FORMAT.split(bytes).map_err(container_error)?;
+    table.verify().map_err(container_error)?;
+    let payload = |id| {
+        let section = table.find(id).map_err(container_error)?;
+        Ok::<_, SnapshotError>(table.payload(section))
+    };
 
-    let corpus_section = find_section(&sections, SEC_CORPUS)?;
-    let corpus = decode_corpus_section(corpus_section.payload)?;
+    let corpus = decode_corpus_section(payload(SEC_CORPUS)?)?;
 
     let [p, w, v] = FAMILY_SECTIONS;
-    let engine = SearchEngine::from_sections(
-        [
-            find_section(&sections, p)?.payload,
-            find_section(&sections, w)?.payload,
-            find_section(&sections, v)?.payload,
-        ],
-        config,
-    )?;
+    let engine = SearchEngine::from_sections([payload(p)?, payload(w)?, payload(v)?], config)?;
 
     let stats = corpus.stats();
     let expected = [stats.patterns, stats.weaknesses, stats.vulnerabilities];
@@ -451,19 +297,11 @@ pub fn decode(bytes: &[u8]) -> Result<(Corpus, SearchEngine), SnapshotError> {
 /// Truncation, bad magic, unsupported version, a corrupted section table,
 /// or an unknown section id.
 pub fn inspect(bytes: &[u8]) -> Result<SnapshotInfo, SnapshotError> {
-    let (version, snapshot_id, sections) = split_sections(bytes)?;
+    let table = FORMAT.split(bytes).map_err(container_error)?;
     Ok(SnapshotInfo {
-        version,
-        snapshot_id,
-        sections: sections
-            .iter()
-            .map(|s| SectionInfo {
-                name: s.name,
-                offset: s.offset,
-                len: s.payload.len() as u64,
-                checksum: s.checksum,
-            })
-            .collect(),
+        version: FORMAT_VERSION,
+        snapshot_id: table.id,
+        sections: table.sections,
     })
 }
 
@@ -724,7 +562,7 @@ mod tests {
     #[test]
     fn every_header_truncation_point_fails_cleanly() {
         let (_, bytes) = snapshot();
-        let header = 6 + 2 + 4 + 8 + 4 * TABLE_ENTRY_LEN;
+        let header = cpssec_obs::container::HEADER_LEN + 4 * cpssec_obs::container::TABLE_ENTRY_LEN;
         for len in 0..header {
             let err = decode(&bytes[..len]).unwrap_err();
             assert!(

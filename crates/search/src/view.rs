@@ -12,7 +12,8 @@
 //! Safety without `unsafe`: the view never transmutes. Every multi-byte
 //! field goes through `from_le_bytes` on a bounds-checked subslice, and
 //! [`CorpusView`]'s per-record reads are bounds-checked against the
-//! directory, so corrupt bytes surface as errors, never a panic.
+//! directory, so corrupt bytes surface as errors, never a panic. The
+//! full decode reads the corpus through the same record-directory walker.
 
 use std::sync::Arc;
 
@@ -21,10 +22,7 @@ use cpssec_attackdb::snapshot::Reader;
 use cpssec_attackdb::{AttackPattern, Vulnerability, Weakness};
 
 use crate::index::{FamilyKind, Layout};
-use crate::snapshot::{
-    checked_sections, find_section, split_sections, Section, SnapshotError, FAMILY_SECTIONS,
-    SEC_CORPUS,
-};
+use crate::snapshot::{container_error, SnapshotError, FAMILY_SECTIONS, FORMAT, SEC_CORPUS};
 
 /// Reads a `u32` at `off`, clamping out-of-range access to zero.
 fn u32_at(bytes: &[u8], off: usize) -> u32 {
@@ -33,14 +31,71 @@ fn u32_at(bytes: &[u8], off: usize) -> u32 {
         .map_or(0, |b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
 }
 
-/// Absolute byte spans of one record family directory in the corpus
-/// section: count, per-record offset table, and the record blob.
+/// One record family's directory in the corpus section (count, per-record
+/// offset table, record blob), as absolute byte positions in the file.
 #[derive(Debug, Clone, Copy)]
-struct RecordFamilySpans {
+pub(crate) struct RecordDirectory {
+    family: &'static str,
     count: u32,
     offsets_off: usize,
     blob_off: usize,
     blob_len: u32,
+}
+
+impl RecordDirectory {
+    /// The encoded bytes of record `i`, bounds-checked against the
+    /// directory; the first record must start the blob.
+    fn record<'b>(&self, bytes: &'b [u8], i: usize) -> Result<&'b [u8], SnapshotError> {
+        let (family, count) = (self.family, self.count as usize);
+        if i >= count {
+            return Err(SnapshotError::Corrupt(format!(
+                "`{family}` record {i} is out of range for a {count}-record directory"
+            )));
+        }
+        let start = u32_at(bytes, self.offsets_off + i * 4) as usize;
+        let end = if i + 1 < count {
+            u32_at(bytes, self.offsets_off + (i + 1) * 4) as usize
+        } else {
+            self.blob_len as usize
+        };
+        if start > end || end > self.blob_len as usize || (i == 0 && start != 0) {
+            return Err(SnapshotError::Corrupt(format!(
+                "`{family}` record {i} directory entry is out of bounds"
+            )));
+        }
+        Ok(&bytes[self.blob_off + start..self.blob_off + end])
+    }
+
+    /// Decodes record `i` of the file `bytes`; the record must consume
+    /// its bytes exactly.
+    fn decode<T>(
+        &self,
+        bytes: &[u8],
+        i: usize,
+        decode: impl Fn(&mut Reader<'_>) -> Result<T, SnapshotError>,
+    ) -> Result<T, SnapshotError> {
+        let mut r = Reader::new(self.record(bytes, i)?);
+        let record = decode(&mut r)?;
+        if !r.finished() {
+            return Err(SnapshotError::Corrupt(format!(
+                "`{}` record {i} has {} trailing byte(s)",
+                self.family,
+                r.remaining()
+            )));
+        }
+        Ok(record)
+    }
+
+    /// Decodes every record of the family, in directory order.
+    pub(crate) fn decode_all<T>(
+        &self,
+        bytes: &[u8],
+        decode: impl Fn(&mut Reader<'_>) -> Result<T, SnapshotError>,
+    ) -> Result<Vec<T>, SnapshotError> {
+        (0..self.count as usize)
+            .map(|i| self.decode(bytes, i, &decode))
+            .collect()
+    }
 }
 
 /// A validated handle onto a `.cpsnap` byte image.
@@ -52,34 +107,31 @@ struct RecordFamilySpans {
 pub struct SnapshotView {
     bytes: Arc<[u8]>,
     snapshot_id: u64,
-    corpus: [RecordFamilySpans; 3],
+    corpus: [RecordDirectory; 3],
 }
 
-/// Parses the corpus section's three record directories into spans.
-fn parse_corpus_section(section: &Section<'_>) -> Result<[RecordFamilySpans; 3], SnapshotError> {
-    let base = section.offset as usize;
-    let payload = section.payload;
+/// Walks the three record directories of the corpus section `payload`,
+/// which must tile it exactly; the section starts at `base` in the file.
+pub(crate) fn record_directories(
+    base: usize,
+    payload: &[u8],
+) -> Result<[RecordDirectory; 3], SnapshotError> {
     let pos = |r: &Reader<'_>| base + (payload.len() - r.remaining());
     let mut r = Reader::new(payload);
-    let mut families = [RecordFamilySpans {
+    let mut directories = FamilyKind::ALL.map(|kind| RecordDirectory {
+        family: kind.name(),
         count: 0,
         offsets_off: 0,
         blob_off: 0,
         blob_len: 0,
-    }; 3];
-    for family in &mut families {
-        let count = r.u32()?;
-        let offsets_off = pos(&r);
-        r.take(count as usize * 4)?;
-        let blob_len = r.u32()?;
-        let blob_off = pos(&r);
-        r.take(blob_len as usize)?;
-        *family = RecordFamilySpans {
-            count,
-            offsets_off,
-            blob_off,
-            blob_len,
-        };
+    });
+    for directory in &mut directories {
+        directory.count = r.u32()?;
+        directory.offsets_off = pos(&r);
+        r.take(directory.count as usize * 4)?;
+        directory.blob_len = r.u32()?;
+        directory.blob_off = pos(&r);
+        r.take(directory.blob_len as usize)?;
     }
     if !r.finished() {
         return Err(SnapshotError::Corrupt(format!(
@@ -87,7 +139,7 @@ fn parse_corpus_section(section: &Section<'_>) -> Result<[RecordFamilySpans; 3],
             r.remaining()
         )));
     }
-    Ok(families)
+    Ok(directories)
 }
 
 /// Opens a snapshot byte image as a zero-copy view in *O(header)*.
@@ -102,21 +154,24 @@ fn parse_corpus_section(section: &Section<'_>) -> Result<[RecordFamilySpans; 3],
 /// Truncation, bad magic, unsupported version, a corrupt section table,
 /// or section geometry that does not tile the payload.
 pub fn open(bytes: Arc<[u8]>) -> Result<SnapshotView, SnapshotError> {
-    let (_, snapshot_id, sections) = split_sections(&bytes)?;
-    let corpus_section = find_section(&sections, SEC_CORPUS)?;
-    let corpus = parse_corpus_section(corpus_section)?;
+    let table = FORMAT.split(&bytes).map_err(container_error)?;
+    let section = |id| table.find(id).map_err(container_error);
+    let corpus_section = section(SEC_CORPUS)?;
+    let corpus = record_directories(
+        corpus_section.offset as usize,
+        table.payload(corpus_section),
+    )?;
     for (i, (kind, id)) in FamilyKind::ALL.into_iter().zip(FAMILY_SECTIONS).enumerate() {
-        let section = find_section(&sections, id)?;
-        if Layout::parse(kind, section.payload)?.doc_count != corpus[i].count as usize {
+        let payload = table.payload(section(id)?);
+        if Layout::parse(kind, payload)?.doc_count != corpus[i].count as usize {
             return Err(SnapshotError::Corrupt(
                 "index document counts disagree with the corpus record directories".into(),
             ));
         }
     }
-    drop(sections);
     Ok(SnapshotView {
+        snapshot_id: table.id,
         bytes,
-        snapshot_id,
         corpus,
     })
 }
@@ -129,7 +184,10 @@ pub fn open(bytes: Arc<[u8]>) -> Result<SnapshotView, SnapshotError> {
 /// As [`open`], plus [`SnapshotError::ChecksumMismatch`] naming the first
 /// corrupt section.
 pub fn open_verified(bytes: Arc<[u8]>) -> Result<SnapshotView, SnapshotError> {
-    checked_sections(&bytes)?;
+    FORMAT
+        .split(&bytes)
+        .and_then(|table| table.verify())
+        .map_err(container_error)?;
     open(bytes)
 }
 
@@ -186,47 +244,6 @@ impl<'a> CorpusView<'a> {
         self.pattern_count() + self.weakness_count() + self.vulnerability_count()
     }
 
-    /// The encoded bytes of record `i` in family directory `fam`.
-    fn record_bytes(&self, fam: usize, i: usize) -> Result<&'a [u8], SnapshotError> {
-        let spans = self.view.corpus[fam];
-        let bytes: &'a [u8] = &self.view.bytes;
-        if i >= spans.count as usize {
-            return Err(SnapshotError::Corrupt(format!(
-                "record {i} is out of range for a {}-record directory",
-                spans.count
-            )));
-        }
-        let start = u32_at(bytes, spans.offsets_off + i * 4) as usize;
-        let end = if i + 1 < spans.count as usize {
-            u32_at(bytes, spans.offsets_off + (i + 1) * 4) as usize
-        } else {
-            spans.blob_len as usize
-        };
-        if start > end || end > spans.blob_len as usize {
-            return Err(SnapshotError::Corrupt(format!(
-                "record {i} directory entry is out of bounds"
-            )));
-        }
-        Ok(&bytes[spans.blob_off + start..spans.blob_off + end])
-    }
-
-    fn decode_record<T>(
-        &self,
-        fam: usize,
-        i: usize,
-        decode: impl Fn(&mut Reader<'_>) -> Result<T, SnapshotError>,
-    ) -> Result<T, SnapshotError> {
-        let mut r = Reader::new(self.record_bytes(fam, i)?);
-        let record = decode(&mut r)?;
-        if !r.finished() {
-            return Err(SnapshotError::Corrupt(format!(
-                "record {i} has {} trailing byte(s)",
-                r.remaining()
-            )));
-        }
-        Ok(record)
-    }
-
     /// Decodes attack pattern `i` (directory order = ascending id).
     ///
     /// # Errors
@@ -234,7 +251,7 @@ impl<'a> CorpusView<'a> {
     /// [`SnapshotError::Corrupt`] on an out-of-range index or a record the
     /// checksum pass was skipped on that fails to decode.
     pub fn pattern(&self, i: usize) -> Result<AttackPattern, SnapshotError> {
-        self.decode_record(0, i, record_wire::decode_pattern)
+        self.view.corpus[0].decode(&self.view.bytes, i, record_wire::decode_pattern)
     }
 
     /// Decodes weakness `i` (directory order = ascending id).
@@ -243,7 +260,7 @@ impl<'a> CorpusView<'a> {
     ///
     /// As [`Self::pattern`].
     pub fn weakness(&self, i: usize) -> Result<Weakness, SnapshotError> {
-        self.decode_record(1, i, record_wire::decode_weakness)
+        self.view.corpus[1].decode(&self.view.bytes, i, record_wire::decode_weakness)
     }
 
     /// Decodes vulnerability `i` (directory order = ascending id).
@@ -252,7 +269,7 @@ impl<'a> CorpusView<'a> {
     ///
     /// As [`Self::pattern`].
     pub fn vulnerability(&self, i: usize) -> Result<Vulnerability, SnapshotError> {
-        self.decode_record(2, i, record_wire::decode_vulnerability)
+        self.view.corpus[2].decode(&self.view.bytes, i, record_wire::decode_vulnerability)
     }
 }
 

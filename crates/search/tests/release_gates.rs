@@ -40,15 +40,12 @@ fn mean_us(rounds: usize, mut work: impl FnMut()) -> f64 {
     started.elapsed().as_secs_f64() * 1e6 / rounds.max(1) as f64
 }
 
-/// E12: one `.cpsnap` decode is at least 10x faster than a JSONL parse
-/// plus index build. The bound is stated for the 11k-record corpus; at
-/// this gate's scale 0.02 (2,147 records) the `records < 5_000` guard
-/// makes it vacuous, and the gate then only proves both paths run.
-/// Raise `SCALE` to 0.3 to check the bound itself.
+/// E12 at scale 0.3 (11,128 records): one `.cpsnap` decode is at least
+/// 10x faster than a JSONL parse plus index build.
 #[test]
 #[ignore = "release-mode gate"]
 fn e12_a_snapshot_decode_beats_parse_and_build() {
-    const SCALE: f64 = 0.02;
+    const SCALE: f64 = 0.3;
     let _serial = serial();
     let corpus = corpus_at(SCALE);
     let records = corpus.stats().total();
@@ -68,7 +65,11 @@ fn e12_a_snapshot_decode_beats_parse_and_build() {
          decode {decode_us:.0} us ({speedup:.1}x)"
     );
     assert!(
-        speedup >= 10.0 || records < 5_000,
+        records >= 5_000,
+        "scale {SCALE} gave only {records} records"
+    );
+    assert!(
+        speedup >= 10.0,
         "snapshot decode must be >=10x faster than parse+build at the 11k scale \
          (cold {cold_us:.0} us vs decode {decode_us:.0} us)"
     );

@@ -189,6 +189,11 @@ fn slow_threshold_us() -> u64 {
         .unwrap_or(SLOW_THRESHOLD_US)
 }
 
+/// Longest reason prefix a flight dump's file name carries. Every
+/// `slo-alert:<route>`, `sigusr1` and `manual` reason fits whole; a panic
+/// reason, which carries the panic message, is cut.
+const FLIGHT_TAG_MAX: usize = 64;
+
 /// Deltas between compactions: every K-th `POST /corpus/delta` rebases
 /// the grown state into a fresh base snapshot (verified byte-identical
 /// to a rebuild-from-scratch) instead of letting the chain grow.
@@ -543,6 +548,7 @@ impl AppState {
         let dir = std::env::var("CPSSEC_FLIGHT_DIR").unwrap_or_else(|_| ".".to_owned());
         let tag: String = reason
             .chars()
+            .take(FLIGHT_TAG_MAX)
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
             .collect();
         let path = format!("{dir}/flight-{}-{tag}.cpsflight", telemetry::now_ms());
@@ -806,6 +812,33 @@ mod tests {
         assert!(response.ends_with("ok\n"), "{response}");
         flag.store(true, Ordering::Relaxed);
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_long_dump_reason_keeps_a_bounded_file_name() {
+        std::env::set_var("CPSSEC_FLIGHT_DIR", std::env::temp_dir());
+        let state = AppState::new(cpssec_attackdb::seed::seed_corpus());
+        let panic = format!("panic at src/lib.rs:7:9: {}", "long message ".repeat(40));
+        for (reason, tag) in [
+            ("manual", "manual"),
+            ("sigusr1", "sigusr1"),
+            (
+                "slo-alert:GET /models/:id/campaigns/:job",
+                "slo-alert-GET--models--id-campaigns--job",
+            ),
+            (
+                panic.as_str(),
+                "panic-at-src-lib-rs-7-9--long-message-long-message-long-message-",
+            ),
+        ] {
+            let (path, _) = state.flight_dump(reason).expect("dump written");
+            let name = std::path::Path::new(&path).file_name().unwrap();
+            let name = name.to_str().unwrap();
+            assert!(name.ends_with(&format!("-{tag}.cpsflight")), "{name}");
+            let dump = cpssec_obs::flight::decode(&std::fs::read(&path).unwrap()).unwrap();
+            assert_eq!(dump.reason, reason);
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]
