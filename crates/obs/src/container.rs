@@ -199,9 +199,9 @@ impl Format {
 }
 
 impl<'a> Table<'a> {
-    /// The payload of `section`, an entry of this table.
-    #[must_use]
-    pub fn payload(&self, section: &SectionInfo) -> &'a [u8] {
+    /// The payload of one of this table's entries; [`Format::split`]
+    /// checked that its span lies inside the file.
+    fn span(&self, section: &SectionInfo) -> &'a [u8] {
         &self.bytes[section.offset as usize..(section.offset + section.len) as usize]
     }
 
@@ -215,7 +215,7 @@ impl<'a> Table<'a> {
         match self
             .sections
             .iter()
-            .find(|s| checksum(self.payload(s)) != s.checksum)
+            .find(|s| checksum(self.span(s)) != s.checksum)
         {
             Some(bad) => Err(ContainerError::ChecksumMismatch(bad.name)),
             None => Ok(()),
@@ -233,6 +233,15 @@ impl<'a> Table<'a> {
             .iter()
             .find(|s| s.name == name)
             .ok_or_else(|| ContainerError::Corrupt(format!("missing `{name}` section")))
+    }
+
+    /// The payload of the first section `id`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Table::find`].
+    pub fn payload(&self, id: u16) -> Result<&'a [u8], ContainerError> {
+        self.find(id).map(|section| self.span(section))
     }
 }
 

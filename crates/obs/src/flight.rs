@@ -740,19 +740,19 @@ pub fn decode(bytes: &[u8]) -> Result<FlightDump, FlightError> {
     let table = FORMAT.split(bytes)?;
     table.verify()?;
 
-    let mut r = Reader::new(table.payload(table.find(SEC_META)?));
+    let mut r = Reader::new(table.payload(SEC_META)?);
     let wall_ms = r.u64()?;
     let dumped_at_us = r.u64()?;
     let reason = read_str(&mut r)?;
 
-    let mut r = Reader::new(table.payload(table.find(SEC_LABELS)?));
+    let mut r = Reader::new(table.payload(SEC_LABELS)?);
     let count = r.u32()?;
     let mut labels = Vec::new();
     for _ in 0..count {
         labels.push(read_str(&mut r)?);
     }
 
-    let mut r = Reader::new(table.payload(table.find(SEC_STAGES)?));
+    let mut r = Reader::new(table.payload(SEC_STAGES)?);
     let count = r.u32()?;
     let mut stages = Vec::new();
     for _ in 0..count {
@@ -766,7 +766,7 @@ pub fn decode(bytes: &[u8]) -> Result<FlightDump, FlightError> {
         });
     }
 
-    let mut r = Reader::new(table.payload(table.find(SEC_EVENTS)?));
+    let mut r = Reader::new(table.payload(SEC_EVENTS)?);
     let thread_count = r.u32()?;
     let mut threads = Vec::new();
     for _ in 0..thread_count {
@@ -787,7 +787,7 @@ pub fn decode(bytes: &[u8]) -> Result<FlightDump, FlightError> {
     }
 
     let text = |id: u16| -> Result<String, FlightError> {
-        String::from_utf8(table.payload(table.find(id)?).to_vec())
+        String::from_utf8(table.payload(id)?.to_vec())
             .map_err(|_| FlightError::Corrupt("invalid UTF-8 in flight dump section".into()))
     };
 

@@ -254,10 +254,7 @@ pub fn decode_with_config(
     let _span = cpssec_obs::span!("snapshot-decode");
     let table = FORMAT.split(bytes).map_err(container_error)?;
     table.verify().map_err(container_error)?;
-    let payload = |id| {
-        let section = table.find(id).map_err(container_error)?;
-        Ok::<_, SnapshotError>(table.payload(section))
-    };
+    let payload = |id| table.payload(id).map_err(container_error);
 
     let corpus = decode_corpus_section(payload(SEC_CORPUS)?)?;
 

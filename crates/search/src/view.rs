@@ -155,15 +155,11 @@ pub(crate) fn record_directories(
 /// or section geometry that does not tile the payload.
 pub fn open(bytes: Arc<[u8]>) -> Result<SnapshotView, SnapshotError> {
     let table = FORMAT.split(&bytes).map_err(container_error)?;
-    let section = |id| table.find(id).map_err(container_error);
-    let corpus_section = section(SEC_CORPUS)?;
-    let corpus = record_directories(
-        corpus_section.offset as usize,
-        table.payload(corpus_section),
-    )?;
+    let payload = |id| table.payload(id).map_err(container_error);
+    let corpus_at = table.find(SEC_CORPUS).map_err(container_error)?.offset;
+    let corpus = record_directories(corpus_at as usize, payload(SEC_CORPUS)?)?;
     for (i, (kind, id)) in FamilyKind::ALL.into_iter().zip(FAMILY_SECTIONS).enumerate() {
-        let payload = table.payload(section(id)?);
-        if Layout::parse(kind, payload)?.doc_count != corpus[i].count as usize {
+        if Layout::parse(kind, payload(id)?)?.doc_count != corpus[i].count as usize {
             return Err(SnapshotError::Corrupt(
                 "index document counts disagree with the corpus record directories".into(),
             ));

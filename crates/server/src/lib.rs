@@ -189,9 +189,9 @@ fn slow_threshold_us() -> u64 {
         .unwrap_or(SLOW_THRESHOLD_US)
 }
 
-/// Longest reason prefix a flight dump's file name carries. Every
-/// `slo-alert:<route>`, `sigusr1` and `manual` reason fits whole; a panic
-/// reason, which carries the panic message, is cut.
+/// Longest reason prefix a flight dump's file name carries. `sigusr1`,
+/// `manual` and `slo-alert:<route>` for every served route fit whole; a
+/// panic reason, which carries the panic message, is cut.
 const FLIGHT_TAG_MAX: usize = 64;
 
 /// Deltas between compactions: every K-th `POST /corpus/delta` rebases
