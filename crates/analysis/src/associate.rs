@@ -68,7 +68,10 @@ fn weigh(sets: Vec<(String, MatchSet)>) -> Vec<(String, Weighed)> {
 
 impl AssociationMap {
     /// Associates the corpus to every component of `model` at `level`,
-    /// filtering each component's match set through `filters`.
+    /// filtering each component's match set through `filters`. The
+    /// filters' scorer-evaluable prefix (leading `MinScore`s and the first
+    /// `TopKPerFamily`) runs inside the scorer
+    /// ([`FilterPipeline::split_for_scorer`]); the map is the same.
     ///
     /// # Examples
     ///
@@ -96,17 +99,18 @@ impl AssociationMap {
     ) -> AssociationMap {
         let mut span = cpssec_obs::span!("associate");
         span.add_items(model.component_count() as u64);
+        let (engine, residual) = filters.split_for_scorer(engine);
         // The per-element matching fans out across scoped threads; results
         // come back in model insertion order, so the map is deterministic.
         let sets = engine
             .par_match_model(model, level)
             .into_iter()
-            .map(|(name, raw)| (name, filters.apply(&raw, corpus)))
+            .map(|(name, raw)| (name, residual.apply_owned(raw, corpus)))
             .collect();
         AssociationMap {
             fidelity: level,
             by_component: weigh(sets).into_iter().collect(),
-            by_channel: build_channels(model, engine, corpus, level, filters),
+            by_channel: build_channels(model, &engine, corpus, level, &residual),
         }
     }
 
@@ -143,6 +147,9 @@ impl AssociationMap {
     ) -> AssociationMap {
         let _span = cpssec_obs::span!("associate-rebuild");
         let level = prior.fidelity;
+        // The same split as `build`'s, so re-queried entries match the
+        // prior's spliced ones.
+        let (engine, residual) = filters.split_for_scorer(engine);
         // Names whose query text may differ: the diff narrows the candidate
         // set, the text hash decides (an attribute edit at another fidelity
         // level is invisible to this map and splices through).
@@ -170,7 +177,7 @@ impl AssociationMap {
                 }
                 _ => requeried.push((
                     name.to_owned(),
-                    filters.apply(&engine.match_component(component, level), corpus),
+                    residual.apply_owned(engine.match_component(component, level), corpus),
                 )),
             }
         }
@@ -183,7 +190,7 @@ impl AssociationMap {
         let by_channel = if same_channels {
             prior.by_channel.clone()
         } else {
-            build_channels(new, engine, corpus, level, filters)
+            build_channels(new, &engine, corpus, level, &residual)
         };
         AssociationMap {
             fidelity: level,
@@ -258,13 +265,14 @@ impl AssociationMap {
 }
 
 /// Associates every channel of `model`, keyed so BTreeMap string order
-/// equals channel order (zero-padded ids).
+/// equals channel order (zero-padded ids). `engine` and `residual` are the
+/// two halves of [`FilterPipeline::split_for_scorer`].
 fn build_channels(
     model: &SystemModel,
     engine: &SearchEngine,
     corpus: &Corpus,
     level: Fidelity,
-    filters: &FilterPipeline,
+    residual: &FilterPipeline,
 ) -> BTreeMap<String, MatchSet> {
     engine
         .par_match_channels(model, level)
@@ -280,7 +288,7 @@ fn build_channels(
                 .expect("valid endpoint")
                 .name();
             let key = format!("e{:03}: {from} -- {to} [{}]", id.index(), channel.kind());
-            (key, filters.apply(&raw, corpus))
+            (key, residual.apply_owned(raw, corpus))
         })
         .collect()
 }
@@ -289,7 +297,9 @@ fn build_channels(
 /// model at `level`, each queried individually against the corpus.
 ///
 /// This is exactly how the paper's Table 1 is keyed — by attribute
-/// ("Cisco ASA", "Windows 7", …), not by component.
+/// ("Cisco ASA", "Windows 7", …), not by component. As in
+/// [`AssociationMap::build`], the scorer runs the filters' leading
+/// `MinScore`s and first `TopKPerFamily`.
 #[must_use]
 pub fn attribute_rows(
     model: &SystemModel,
@@ -298,14 +308,14 @@ pub fn attribute_rows(
     level: Fidelity,
     filters: &FilterPipeline,
 ) -> Vec<AttributeRow> {
+    let (engine, residual) = filters.split_for_scorer(engine);
     let mut rows = Vec::new();
     for (_, component) in model.components() {
         for attribute in component.attributes().visible_at(level) {
             if !attribute.kind().is_concrete() {
                 continue;
             }
-            let raw = engine.match_text(attribute.value());
-            let set = filters.apply(&raw, corpus);
+            let set = residual.apply_owned(engine.match_text(attribute.value()), corpus);
             let (patterns, weaknesses, vulnerabilities) = set.counts();
             rows.push(AttributeRow {
                 component: component.name().to_owned(),

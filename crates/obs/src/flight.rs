@@ -23,8 +23,9 @@
 //! trigger paths all route through the process-wide hook installed with
 //! [`set_dump_hook`].
 
+use std::cell::Cell;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
 use crate::container::{put_u16, put_u32, put_u64, ContainerError, Format, Reader, SectionInfo};
@@ -397,25 +398,50 @@ pub fn now_us() -> u64 {
 // ---------------------------------------------------------------------------
 // Dump triggers.
 
-type DumpHook = Box<dyn Fn(&str) -> Result<String, String> + Send + Sync>;
+type DumpHook = Arc<dyn Fn(&str) -> Result<String, String> + Send + Sync>;
 
 static DUMP_HOOK: OnceLock<Mutex<Option<DumpHook>>> = OnceLock::new();
 
-fn dump_hook() -> &'static Mutex<Option<DumpHook>> {
-    DUMP_HOOK.get_or_init(|| Mutex::new(None))
+thread_local! {
+    /// Set while this thread runs the dump hook: a panic inside the hook
+    /// reaches the panic hook's `trigger_dump`, which must not dump again.
+    static DUMPING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// The hook slot. A poisoned lock still holds a valid hook: the slot is
+/// only ever replaced whole, and the hook never runs under the lock.
+fn hook_slot() -> MutexGuard<'static, Option<DumpHook>> {
+    DUMP_HOOK
+        .get_or_init(|| Mutex::new(None))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Install the process-wide dump hook: given a reason, write a
 /// `.cpsflight` file and return its path. The server installs one that
 /// bundles its request ring, alerts, and metrics into the dump.
 pub fn set_dump_hook(hook: impl Fn(&str) -> Result<String, String> + Send + Sync + 'static) {
-    *dump_hook().lock().unwrap() = Some(Box::new(hook));
+    *hook_slot() = Some(Arc::new(hook));
 }
 
-/// Fire the installed dump hook. `None` when no hook is installed.
+/// Fire the installed dump hook. `None` when no hook is installed, or when
+/// this thread is already inside it (a panic raised by the hook itself):
+/// the dump in progress is the one that counts, and the panic unwinds.
 pub fn trigger_dump(reason: &str) -> Option<Result<String, String>> {
-    let guard = dump_hook().lock().unwrap();
-    guard.as_ref().map(|hook| hook(reason))
+    /// Clears the thread's `DUMPING` flag on return and on unwind.
+    struct Dumping;
+    impl Drop for Dumping {
+        fn drop(&mut self) {
+            DUMPING.with(|flag| flag.set(false));
+        }
+    }
+    if DUMPING.with(|flag| flag.replace(true)) {
+        return None;
+    }
+    let _dumping = Dumping;
+    // Cloned out, so the slot's lock is released before the hook runs.
+    let hook = hook_slot().clone();
+    hook.map(|hook| hook(reason))
 }
 
 /// Chain a panic hook that writes a flight dump (via the installed
@@ -1001,7 +1027,7 @@ mod tests {
     fn trigger_dump_without_hook_is_none() {
         // The hook is process-global; only assert the no-hook path when
         // nothing installed one yet.
-        if dump_hook().lock().unwrap().is_none() {
+        if hook_slot().is_none() {
             assert!(trigger_dump("manual").is_none());
         }
     }

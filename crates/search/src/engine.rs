@@ -41,7 +41,10 @@ pub struct MatchConfig {
     /// Cap on hits returned per family. When set, selection runs through a
     /// bounded binary heap of size `k` instead of sorting every candidate,
     /// and returns exactly the prefix the full sort would have: the heap's
-    /// ordering is the same `f64::total_cmp`-then-id comparator.
+    /// ordering is the same `f64::total_cmp`-then-id comparator. A filter
+    /// pipeline's leading `topK` lands here through
+    /// [`FilterPipeline::split_for_scorer`](crate::FilterPipeline::split_for_scorer),
+    /// so an association that keeps k hits per family never sorts the rest.
     pub max_hits: Option<usize>,
 }
 
@@ -289,6 +292,17 @@ impl SearchEngine {
         engine.config.scoring = scoring;
         engine.queries = Arc::new(AtomicU64::new(0));
         engine
+    }
+
+    /// A copy of this engine under `config`: it shares this engine's
+    /// indices and its query counter, so the copy's queries count as this
+    /// engine's. [`FilterPipeline::split_for_scorer`](crate::FilterPipeline::split_for_scorer)
+    /// hands the scorer its filters this way.
+    pub(crate) fn with_match_config(&self, config: MatchConfig) -> SearchEngine {
+        SearchEngine {
+            config,
+            ..self.clone()
+        }
     }
 
     /// Number of queries this engine (and its clones) has run so far.

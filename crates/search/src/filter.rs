@@ -6,10 +6,19 @@
 //! a [`FilterPipeline`] applied against a corpus snapshot. The severity
 //! filters read each hit's [`SeverityCode`](crate::SeverityCode), not the
 //! corpus.
+//!
+//! The scorer evaluates a pipeline's leading `MinScore`s and its first
+//! `TopKPerFamily` itself ([`FilterPipeline::split_for_scorer`]): the
+//! thresholds fold into [`MatchConfig::min_score`] and `k` into the
+//! bounded heap of [`MatchConfig::max_hits`], so keeping k hits never
+//! sorts the rest. Every other filter runs here, on the scored set.
+//!
+//! [`MatchConfig::min_score`]: crate::MatchConfig::min_score
+//! [`MatchConfig::max_hits`]: crate::MatchConfig::max_hits
 
 use cpssec_attackdb::{Abstraction, AttackVectorId, Corpus, Severity};
 
-use crate::{Hit, MatchSet};
+use crate::{Hit, MatchSet, SearchEngine};
 
 /// One filtering rule over a match set.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,7 +28,12 @@ pub enum Filter {
     MinScore(f64),
     /// Keep hits that matched at least this many distinct query terms.
     MinMatchedTerms(usize),
-    /// Keep at most `k` best hits in each family.
+    /// Keep at most `k` best hits in each family. When nothing but
+    /// `MinScore`s precedes it, [`FilterPipeline::split_for_scorer`] hands
+    /// it to the scorer's bounded heap
+    /// ([`max_hits`](crate::MatchConfig::max_hits)), which returns the
+    /// same hits without sorting the rest; anywhere else it truncates the
+    /// scored set here.
     TopKPerFamily(usize),
     /// Keep vulnerabilities at or above the severity band (by CVSS), and
     /// patterns at or above it (by typical severity). Records without a
@@ -140,13 +154,102 @@ impl FilterPipeline {
     /// Applies every filter in order and returns the filtered set.
     #[must_use]
     pub fn apply(&self, set: &MatchSet, corpus: &Corpus) -> MatchSet {
-        let mut span = cpssec_obs::span!("filter");
-        let mut out = set.clone();
-        for filter in &self.filters {
-            filter.apply(&mut out, corpus);
+        self.filter(set.clone(), corpus)
+    }
+
+    /// [`Self::apply`] to a set the caller owns: the filters run in place,
+    /// and an empty pipeline hands the set back untouched.
+    #[must_use]
+    pub fn apply_owned(&self, set: MatchSet, corpus: &Corpus) -> MatchSet {
+        if self.is_empty() {
+            return set;
         }
-        span.add_items(out.total() as u64);
-        out
+        self.filter(set, corpus)
+    }
+
+    fn filter(&self, mut set: MatchSet, corpus: &Corpus) -> MatchSet {
+        let mut span = cpssec_obs::span!("filter");
+        for filter in &self.filters {
+            filter.apply(&mut set, corpus);
+        }
+        span.add_items(set.total() as u64);
+        set
+    }
+
+    /// Splits off the prefix the scorer evaluates itself: the leading run
+    /// of [`Filter::MinScore`]s up to and including the first
+    /// [`Filter::TopKPerFamily`]. Returns `engine` under a config with
+    /// those folded in, plus the residual pipeline.
+    ///
+    /// Matching with the returned engine and then applying the residual
+    /// gives exactly what matching with `engine` and then applying `self`
+    /// gives, bit for bit:
+    /// - the thresholds fold into
+    ///   [`min_score`](crate::MatchConfig::min_score), which admits exactly
+    ///   the scores every one of them (and the config's own) admits;
+    /// - `k` becomes [`max_hits`](crate::MatchConfig::max_hits) (the
+    ///   smaller, if a cap is already set). Every hit the engine admits
+    ///   has a non-NaN score, so a threshold keeps a best-first prefix of
+    ///   each family, and "filter, then keep the best k" is the heap's
+    ///   "keep the best k admitted".
+    ///
+    /// Any other filter ends the prefix, and so does the first `topK`:
+    /// whatever follows runs on the scored set, in order.
+    ///
+    /// The copy shares `engine`'s indices and query counter.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cpssec_attackdb::seed::seed_corpus;
+    /// use cpssec_search::{Filter, FilterPipeline, SearchEngine};
+    ///
+    /// let corpus = seed_corpus();
+    /// let engine = SearchEngine::build(&corpus);
+    /// let filters = FilterPipeline::new()
+    ///     .then(Filter::MinScore(0.5))
+    ///     .then(Filter::TopKPerFamily(2))
+    ///     .then(Filter::DropVulnerabilities);
+    /// let (scorer, residual) = filters.split_for_scorer(&engine);
+    /// assert_eq!(scorer.config().max_hits, Some(2));
+    /// assert_eq!(residual, FilterPipeline::new().then(Filter::DropVulnerabilities));
+    /// let query = "operating system command injection";
+    /// assert_eq!(
+    ///     residual.apply(&scorer.match_text(query), &corpus),
+    ///     filters.apply(&engine.match_text(query), &corpus),
+    /// );
+    /// ```
+    #[must_use]
+    pub fn split_for_scorer(&self, engine: &SearchEngine) -> (SearchEngine, FilterPipeline) {
+        let mut config = engine.config();
+        let mut absorbed = 0;
+        for filter in &self.filters {
+            match *filter {
+                Filter::MinScore(threshold) => {
+                    config.min_score = fold_min_score(config.min_score, threshold);
+                    absorbed += 1;
+                }
+                Filter::TopKPerFamily(k) => {
+                    config.max_hits = Some(config.max_hits.map_or(k, |cap| cap.min(k)));
+                    absorbed += 1;
+                    break;
+                }
+                _ => break,
+            }
+        }
+        let residual = self.filters[absorbed..].iter().cloned().collect();
+        (engine.with_match_config(config), residual)
+    }
+}
+
+/// The one threshold that admits exactly the scores both `a` and `b` admit
+/// under `score >= threshold`. A NaN threshold admits nothing, so it wins;
+/// otherwise the larger one does.
+fn fold_min_score(a: f64, b: f64) -> f64 {
+    if a.is_nan() || b.is_nan() {
+        f64::NAN
+    } else {
+        a.max(b)
     }
 }
 
@@ -245,6 +348,168 @@ mod tests {
             .apply(&set, &corpus);
         assert!(filtered.iter().all(|h| h.matched_terms >= 3));
         assert!(filtered.total() <= set.total());
+    }
+
+    #[test]
+    fn folded_min_score_admits_exactly_what_both_thresholds_admit() {
+        let values = [
+            f64::NAN,
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            f64::MIN,
+            -1.0,
+            -0.0,
+            0.0,
+            1e-310,
+            f64::MIN_POSITIVE,
+            0.5,
+            1.5,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for a in values {
+            for b in values {
+                let folded = fold_min_score(a, b);
+                for score in values {
+                    assert_eq!(
+                        score >= folded,
+                        score >= a && score >= b,
+                        "config {a:?}, filter {b:?}, score {score:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_absorbs_leading_min_scores_through_the_first_top_k() {
+        use crate::MatchConfig;
+        let corpus = seed_corpus();
+        let engine = SearchEngine::build(&corpus);
+        let capped = SearchEngine::with_config(
+            &corpus,
+            MatchConfig {
+                min_score: f64::NAN,
+                max_hits: Some(2),
+                ..MatchConfig::default()
+            },
+        );
+        let pipeline = |filters: &[Filter]| filters.iter().cloned().collect::<FilterPipeline>();
+        // (engine, pipeline, min_score, max_hits, residual filters)
+        let cases = [
+            (&engine, vec![], 0.0, None, 0),
+            (
+                &engine,
+                vec![
+                    Filter::MinScore(0.5),
+                    Filter::MinScore(f64::NAN),
+                    Filter::TopKPerFamily(3),
+                    Filter::MinScore(9.0),
+                ],
+                f64::NAN,
+                Some(3),
+                1,
+            ),
+            (
+                &engine,
+                vec![
+                    Filter::MinScore(f64::INFINITY),
+                    Filter::MinScore(1.0),
+                    Filter::TopKPerFamily(1),
+                    Filter::TopKPerFamily(0),
+                ],
+                f64::INFINITY,
+                Some(1),
+                1,
+            ),
+            (
+                &engine,
+                vec![Filter::MinScore(f64::NEG_INFINITY)],
+                0.0,
+                None,
+                0,
+            ),
+            (
+                &engine,
+                vec![Filter::MinMatchedTerms(0), Filter::TopKPerFamily(1)],
+                0.0,
+                None,
+                2,
+            ),
+            (
+                &engine,
+                vec![
+                    Filter::MinScore(0.25),
+                    Filter::SeverityAtLeast(Severity::High),
+                    Filter::TopKPerFamily(1),
+                ],
+                0.25,
+                None,
+                2,
+            ),
+            (
+                &capped,
+                vec![Filter::TopKPerFamily(5)],
+                f64::NAN,
+                Some(2),
+                0,
+            ),
+            (
+                &capped,
+                vec![Filter::TopKPerFamily(1)],
+                f64::NAN,
+                Some(1),
+                0,
+            ),
+        ];
+        for (base, filters, min_score, max_hits, residual) in cases {
+            let (scorer, rest) = pipeline(&filters).split_for_scorer(base);
+            let config = scorer.config();
+            assert_eq!(
+                config.min_score.to_bits(),
+                min_score.to_bits(),
+                "{filters:?}"
+            );
+            assert_eq!(config.max_hits, max_hits, "{filters:?}");
+            assert_eq!(rest, pipeline(&filters[filters.len() - residual..]));
+            let others = |config: MatchConfig| MatchConfig {
+                min_score: 0.0,
+                max_hits: None,
+                ..config
+            };
+            assert_eq!(
+                others(config),
+                others(base.config()),
+                "only two fields move"
+            );
+        }
+    }
+
+    #[test]
+    fn the_split_engine_counts_its_queries_as_the_original() {
+        let corpus = seed_corpus();
+        let engine = SearchEngine::build(&corpus);
+        let (scorer, _) = FilterPipeline::new()
+            .then(Filter::TopKPerFamily(1))
+            .split_for_scorer(&engine);
+        let _ = scorer.match_text("Windows 7");
+        assert_eq!(engine.queries_run(), 1);
+    }
+
+    #[test]
+    fn apply_owned_equals_apply() {
+        let (set, corpus) = raw("operating system command injection remote attacker");
+        for filters in [
+            FilterPipeline::new(),
+            FilterPipeline::new()
+                .then(Filter::SeverityAtLeast(Severity::High))
+                .then(Filter::TopKPerFamily(2)),
+        ] {
+            assert_eq!(
+                filters.apply_owned(set.clone(), &corpus),
+                filters.apply(&set, &corpus)
+            );
+        }
     }
 
     #[test]

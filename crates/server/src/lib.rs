@@ -791,6 +791,9 @@ mod tests {
     use std::net::TcpStream;
 
     fn start_server() -> (SocketAddr, Arc<AtomicBool>, std::thread::JoinHandle<()>) {
+        // `run` installs the process-wide panic hook: a failing assert must
+        // write its flight dump outside the source tree.
+        std::env::set_var("CPSSEC_FLIGHT_DIR", std::env::temp_dir());
         let state = AppState::new(cpssec_attackdb::seed::seed_corpus());
         let server = Server::bind("127.0.0.1:0", 2, state).unwrap();
         let addr = server.local_addr().unwrap();

@@ -30,6 +30,9 @@ struct TestServer {
 impl TestServer {
     fn start(workers: usize) -> TestServer {
         let state = AppState::new(seed_corpus());
+        // `run` installs the process-wide panic hook: a failing assert must
+        // write its flight dump outside the source tree.
+        std::env::set_var("CPSSEC_FLIGHT_DIR", std::env::temp_dir());
         let server = Server::bind("127.0.0.1:0", workers, state).expect("bind");
         let addr = server.local_addr().expect("addr");
         let flag = server.shutdown_flag();

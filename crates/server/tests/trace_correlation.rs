@@ -15,6 +15,9 @@ use cpssec_server::load::{read_response, WireResponse};
 use cpssec_server::{AppState, Server};
 
 fn start_server(workers: usize) -> (SocketAddr, Arc<AtomicBool>, std::thread::JoinHandle<()>) {
+    // `run` installs the process-wide panic hook: a failing assert must
+    // write its flight dump outside the source tree.
+    std::env::set_var("CPSSEC_FLIGHT_DIR", std::env::temp_dir());
     let state = AppState::new(cpssec_attackdb::seed::seed_corpus());
     let server = Server::bind("127.0.0.1:0", workers, state).unwrap();
     let addr = server.local_addr().unwrap();
