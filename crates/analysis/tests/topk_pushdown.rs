@@ -64,6 +64,7 @@ struct World {
 }
 
 fn engines_over(corpus: &Corpus) -> Vec<SearchEngine> {
+    let index = SearchEngine::build(corpus);
     let mut engines = Vec::new();
     for expand_synonyms in [true, false] {
         let own = [
@@ -75,13 +76,10 @@ fn engines_over(corpus: &Corpus) -> Vec<SearchEngine> {
             },
         ];
         for config in own {
-            let tfidf = SearchEngine::with_config(
-                corpus,
-                MatchConfig {
-                    expand_synonyms,
-                    ..config
-                },
-            );
+            let tfidf = index.with_config(MatchConfig {
+                expand_synonyms,
+                ..config
+            });
             engines.push(tfidf.with_scoring(ScoringModel::Bm25));
             engines.push(tfidf);
         }

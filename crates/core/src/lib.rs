@@ -85,7 +85,7 @@ use std::sync::OnceLock;
 use cpssec_analysis::{AssociationMap, Dashboard};
 use cpssec_attackdb::Corpus;
 use cpssec_model::{Fidelity, SystemModel};
-use cpssec_search::{FilterPipeline, MatchConfig, ScoringModel, SearchEngine};
+use cpssec_search::{FilterPipeline, ScoringModel, SearchEngine};
 
 /// A one-call pipeline: corpus + model → association → dashboard.
 ///
@@ -132,26 +132,22 @@ impl Pipeline {
         self
     }
 
-    /// Sets the scoring model (builder style). Discards any cached engine.
+    /// Sets the scoring model (builder style). A cached engine keeps its
+    /// index and is re-scored.
     #[must_use]
     pub fn with_scoring(mut self, scoring: ScoringModel) -> Self {
         self.scoring = scoring;
-        self.engine = OnceLock::new();
+        if let Some(engine) = self.engine.get_mut() {
+            *engine = engine.with_scoring(scoring);
+        }
         self
     }
 
     /// The cached search engine over this pipeline's corpus, built on first
     /// access.
     pub fn engine(&self) -> &SearchEngine {
-        self.engine.get_or_init(|| {
-            SearchEngine::with_config(
-                &self.corpus,
-                MatchConfig {
-                    scoring: self.scoring,
-                    ..MatchConfig::default()
-                },
-            )
-        })
+        self.engine
+            .get_or_init(|| SearchEngine::build(&self.corpus).with_scoring(self.scoring))
     }
 
     /// Runs capability 2: the association of attack vectors to the model.
@@ -220,6 +216,23 @@ mod tests {
             .associate();
         assert_eq!(tfidf.total_vectors(), bm25.total_vectors());
         assert_ne!(tfidf, bm25, "scores should differ between models");
+    }
+
+    #[test]
+    fn scoring_knob_rescores_a_built_index() {
+        let pipeline = Pipeline::new(seed_corpus(), scada_model());
+        let tfidf = pipeline.associate();
+        let queries = pipeline.engine().queries_run();
+        let pipeline = pipeline.with_scoring(ScoringModel::Bm25);
+        // The same index and counter, under the new model.
+        assert_eq!(pipeline.engine().queries_run(), queries);
+        let bm25 = pipeline.associate();
+        assert_eq!(pipeline.engine().queries_run(), 2 * queries);
+        let fresh = Pipeline::new(seed_corpus(), scada_model())
+            .with_scoring(ScoringModel::Bm25)
+            .associate();
+        assert_eq!(bm25, fresh);
+        assert_ne!(bm25, tfidf);
     }
 
     #[test]

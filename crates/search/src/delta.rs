@@ -169,7 +169,7 @@ pub fn inspect_delta(bytes: &[u8]) -> Result<DeltaInfo, SnapshotError> {
 /// clone: a cloned [`Corpus`] shares its record segments, and the batch
 /// lands in a new one. The engine side writes each grown family once, a
 /// copy of its section with the batch merged in, so an engine sharing the
-/// old families (a clone, or a [`SearchEngine::with_scoring`] copy) keeps
+/// old families (a clone, or a [`SearchEngine::with_config`] copy) keeps
 /// them unchanged.
 ///
 /// On error the pair may be partially modified and must be discarded:
@@ -259,7 +259,7 @@ pub fn apply_delta(
 pub fn compact_verified(corpus: &Corpus, engine: &SearchEngine) -> Result<Vec<u8>, SnapshotError> {
     let _span = cpssec_obs::span!("delta-compact");
     let grown = engine.families().map(|family| family.section());
-    let rebuilt = SearchEngine::with_config(corpus, engine.config());
+    let rebuilt = SearchEngine::build(corpus);
     if grown != rebuilt.families().map(|family| family.section()) {
         return Err(SnapshotError::Corrupt(
             "compacted snapshot diverges from rebuild-from-scratch".into(),

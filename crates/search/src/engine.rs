@@ -221,45 +221,35 @@ pub struct SearchEngine {
 }
 
 impl SearchEngine {
-    /// Indexes a corpus with the default [`MatchConfig`].
-    #[must_use]
-    pub fn build(corpus: &Corpus) -> Self {
-        SearchEngine::with_config(corpus, MatchConfig::default())
-    }
-
-    /// Indexes a corpus with an explicit configuration. The three family
+    /// Indexes a corpus under the default [`MatchConfig`]; put another
+    /// configuration on it with [`Self::with_config`]. The three family
     /// indices are independent, so they build on separate scoped threads
     /// (and large families shard further inside
     /// [`InvertedIndex::from_documents`](crate::InvertedIndex::from_documents)).
     #[must_use]
-    pub fn with_config(corpus: &Corpus, config: MatchConfig) -> Self {
-        let families = build_families(
+    pub fn build(corpus: &Corpus) -> Self {
+        SearchEngine::from_families(build_families(
             corpus.patterns(),
             corpus.weaknesses(),
             corpus.vulnerabilities(),
-        );
-        SearchEngine::from_families(config, families)
+        ))
     }
 
     /// Opens an engine over three family section payloads (patterns,
     /// weaknesses, vulnerabilities), copying each and validating it in
     /// full: an engine that opens answers every query.
-    pub(crate) fn from_sections(
-        sections: [&[u8]; 3],
-        config: MatchConfig,
-    ) -> Result<Self, SnapshotError> {
+    pub(crate) fn from_sections(sections: [&[u8]; 3]) -> Result<Self, SnapshotError> {
         let [p, w, v] = sections;
-        let families = [
+        Ok(SearchEngine::from_families([
             Family::open(FamilyKind::Patterns, p.to_vec())?,
             Family::open(FamilyKind::Weaknesses, w.to_vec())?,
             Family::open(FamilyKind::Vulnerabilities, v.to_vec())?,
-        ];
-        Ok(SearchEngine::from_families(config, families))
+        ]))
     }
 
-    fn from_families(config: MatchConfig, families: [Family; 3]) -> SearchEngine {
+    fn from_families(families: [Family; 3]) -> SearchEngine {
         SearchEngine {
-            config,
+            config: MatchConfig::default(),
             families: families.map(Arc::new),
             queries: Arc::new(AtomicU64::new(0)),
         }
@@ -282,27 +272,25 @@ impl SearchEngine {
         }
     }
 
-    /// A copy of this engine under a different scoring model. Weights are
-    /// computed at query time, so the copy shares this engine's indices
-    /// (three `Arc` bumps) — this is how a server derives its BM25 engine
-    /// without a second index.
+    /// A copy of this engine under `config`. Weights are computed at query
+    /// time, so no configuration changes the index: the copy shares this
+    /// engine's families and its query counter (four `Arc` bumps), and the
+    /// copy's queries count as this engine's.
     #[must_use]
-    pub fn with_scoring(&self, scoring: ScoringModel) -> SearchEngine {
-        let mut engine = self.clone();
-        engine.config.scoring = scoring;
-        engine.queries = Arc::new(AtomicU64::new(0));
-        engine
-    }
-
-    /// A copy of this engine under `config`: it shares this engine's
-    /// indices and its query counter, so the copy's queries count as this
-    /// engine's. [`FilterPipeline::split_for_scorer`](crate::FilterPipeline::split_for_scorer)
-    /// hands the scorer its filters this way.
-    pub(crate) fn with_match_config(&self, config: MatchConfig) -> SearchEngine {
+    pub fn with_config(&self, config: MatchConfig) -> SearchEngine {
         SearchEngine {
             config,
             ..self.clone()
         }
+    }
+
+    /// [`Self::with_config`] with only the scoring model changed.
+    #[must_use]
+    pub fn with_scoring(&self, scoring: ScoringModel) -> SearchEngine {
+        self.with_config(MatchConfig {
+            scoring,
+            ..self.config
+        })
     }
 
     /// Number of queries this engine (and its clones) has run so far.
@@ -769,6 +757,11 @@ mod tests {
         let _ = clone.match_text("Cisco ASA");
         assert_eq!(e.queries_run(), 2);
         assert_eq!(clone.queries_run(), 2);
+        // A copy under another config is the same index and counter.
+        let bm25 = e.with_scoring(ScoringModel::Bm25);
+        let _ = bm25.match_text("Windows 7");
+        assert_eq!(e.queries_run(), 3);
+        assert_eq!(bm25.queries_run(), 3);
     }
 
     #[test]
@@ -817,23 +810,17 @@ mod tests {
 
     #[test]
     fn lower_idf_floor_widens_results() {
-        let corpus = seed_corpus();
-        let strict = SearchEngine::with_config(
-            &corpus,
-            MatchConfig {
-                idf_floor: 5.0,
-                min_terms: 3,
-                ..MatchConfig::default()
-            },
-        );
-        let loose = SearchEngine::with_config(
-            &corpus,
-            MatchConfig {
-                idf_floor: 0.5,
-                min_terms: 1,
-                ..MatchConfig::default()
-            },
-        );
+        let engine = SearchEngine::build(&seed_corpus());
+        let strict = engine.with_config(MatchConfig {
+            idf_floor: 5.0,
+            min_terms: 3,
+            ..MatchConfig::default()
+        });
+        let loose = engine.with_config(MatchConfig {
+            idf_floor: 0.5,
+            min_terms: 1,
+            ..MatchConfig::default()
+        });
         let q = "Windows 7 workstation";
         assert!(loose.match_text(q).total() >= strict.match_text(q).total());
     }
@@ -843,13 +830,10 @@ mod tests {
         let corpus = seed_corpus();
         let base = SearchEngine::build(&corpus);
         let all = base.match_text("Microsoft Windows 7 SMB remote code execution");
-        let strict = SearchEngine::with_config(
-            &corpus,
-            MatchConfig {
-                min_score: 1.5,
-                ..MatchConfig::default()
-            },
-        );
+        let strict = base.with_config(MatchConfig {
+            min_score: 1.5,
+            ..MatchConfig::default()
+        });
         let pruned = strict.match_text("Microsoft Windows 7 SMB remote code execution");
         assert!(pruned.total() < all.total());
         assert!(pruned.iter().all(|h| h.score >= 1.5));
@@ -860,27 +844,21 @@ mod tests {
         // A NaN min_score poisons the `score >= min_score` comparison (all
         // comparisons with NaN are false), so every hit is pruned — but
         // nothing may panic, and the outcome must be deterministic.
-        let corpus = seed_corpus();
-        let nan_floor = SearchEngine::with_config(
-            &corpus,
-            MatchConfig {
-                min_score: f64::NAN,
-                ..MatchConfig::default()
-            },
-        );
+        let engine = SearchEngine::build(&seed_corpus());
+        let nan_floor = engine.with_config(MatchConfig {
+            min_score: f64::NAN,
+            ..MatchConfig::default()
+        });
         let hits = nan_floor.match_text("Microsoft Windows 7 SMB remote code execution");
         assert!(hits.is_empty(), "NaN threshold admits nothing");
         // An infinite idf_floor with min_terms = 0 admits every touched
         // document; ordering still must not panic on any score pattern.
-        let admit_all = SearchEngine::with_config(
-            &corpus,
-            MatchConfig {
-                idf_floor: f64::INFINITY,
-                min_terms: 0,
-                min_score: f64::NEG_INFINITY,
-                ..MatchConfig::default()
-            },
-        );
+        let admit_all = engine.with_config(MatchConfig {
+            idf_floor: f64::INFINITY,
+            min_terms: 0,
+            min_score: f64::NEG_INFINITY,
+            ..MatchConfig::default()
+        });
         let a = admit_all.match_text("Microsoft Windows 7 SMB remote code execution");
         let b = admit_all.match_text("Microsoft Windows 7 SMB remote code execution");
         assert_eq!(a, b);
@@ -914,13 +892,10 @@ mod tests {
             .unwrap();
         let unbounded = SearchEngine::build(&corpus);
         for k in [0, 1, 2, 3, 7, 25, 10_000] {
-            let capped = SearchEngine::with_config(
-                &corpus,
-                MatchConfig {
-                    max_hits: Some(k),
-                    ..MatchConfig::default()
-                },
-            );
+            let capped = unbounded.with_config(MatchConfig {
+                max_hits: Some(k),
+                ..MatchConfig::default()
+            });
             for query in table1_attributes() {
                 let full = unbounded.match_text(query);
                 let bounded = capped.match_text(query);
@@ -982,13 +957,7 @@ mod tests {
     fn bm25_reranks_but_keeps_the_same_hit_set() {
         let corpus = seed_corpus();
         let tfidf = SearchEngine::build(&corpus);
-        let bm25 = SearchEngine::with_config(
-            &corpus,
-            MatchConfig {
-                scoring: ScoringModel::Bm25,
-                ..MatchConfig::default()
-            },
-        );
+        let bm25 = tfidf.with_scoring(ScoringModel::Bm25);
         let query = "Microsoft Windows 7 remote code execution";
         let a = tfidf.match_text(query);
         let b = bm25.match_text(query);
@@ -1009,13 +978,10 @@ mod tests {
     fn synonym_expansion_changes_scores_not_counts() {
         let corpus = seed_corpus();
         let expanded = SearchEngine::build(&corpus);
-        let plain = SearchEngine::with_config(
-            &corpus,
-            MatchConfig {
-                expand_synonyms: false,
-                ..MatchConfig::default()
-            },
-        );
+        let plain = expanded.with_config(MatchConfig {
+            expand_synonyms: false,
+            ..MatchConfig::default()
+        });
         let query = "NI RT Linux OS";
         let with = expanded.match_text(query);
         let without = plain.match_text(query);

@@ -238,7 +238,7 @@ impl FilterPipeline {
             }
         }
         let residual = self.filters[absorbed..].iter().cloned().collect();
-        (engine.with_match_config(config), residual)
+        (engine.with_config(config), residual)
     }
 }
 
@@ -386,14 +386,11 @@ mod tests {
         use crate::MatchConfig;
         let corpus = seed_corpus();
         let engine = SearchEngine::build(&corpus);
-        let capped = SearchEngine::with_config(
-            &corpus,
-            MatchConfig {
-                min_score: f64::NAN,
-                max_hits: Some(2),
-                ..MatchConfig::default()
-            },
-        );
+        let capped = engine.with_config(MatchConfig {
+            min_score: f64::NAN,
+            max_hits: Some(2),
+            ..MatchConfig::default()
+        });
         let pipeline = |filters: &[Filter]| filters.iter().cloned().collect::<FilterPipeline>();
         // (engine, pipeline, min_score, max_hits, residual filters)
         let cases = [

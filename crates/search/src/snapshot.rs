@@ -70,7 +70,6 @@ use cpssec_obs::container::{ContainerError, Format};
 pub use cpssec_attackdb::snapshot::SnapshotError;
 pub use cpssec_obs::container::SectionInfo;
 
-use crate::engine::MatchConfig;
 use crate::view::record_directories;
 use crate::SearchEngine;
 
@@ -236,21 +235,20 @@ pub(crate) fn assemble(corpus: &Corpus, families: [&[u8]; 3]) -> Vec<u8> {
     ])
 }
 
-/// Decodes a snapshot into its corpus and a search engine using `config`.
+/// Decodes a snapshot into its corpus and a search engine under the
+/// default [`MatchConfig`](crate::MatchConfig).
 ///
 /// All section checksums are verified first, then the corpus is decoded
 /// and each family section is validated in full; the restored sections
 /// are the encoded engine's, so its scores are bit-identical to that
-/// engine's, and an engine that decodes answers every query.
+/// engine's under every configuration, and an engine that decodes answers
+/// every query.
 ///
 /// # Errors
 ///
 /// Every [`SnapshotError`] variant: truncation, bad magic, unsupported
 /// version, checksum mismatch, or structurally corrupt payloads.
-pub fn decode_with_config(
-    bytes: &[u8],
-    config: MatchConfig,
-) -> Result<(Corpus, SearchEngine), SnapshotError> {
+pub fn decode(bytes: &[u8]) -> Result<(Corpus, SearchEngine), SnapshotError> {
     let _span = cpssec_obs::span!("snapshot-decode");
     let table = FORMAT.split(bytes).map_err(container_error)?;
     table.verify().map_err(container_error)?;
@@ -259,7 +257,7 @@ pub fn decode_with_config(
     let corpus = decode_corpus_section(payload(SEC_CORPUS)?)?;
 
     let [p, w, v] = FAMILY_SECTIONS;
-    let engine = SearchEngine::from_sections([payload(p)?, payload(w)?, payload(v)?], config)?;
+    let engine = SearchEngine::from_sections([payload(p)?, payload(w)?, payload(v)?])?;
 
     let stats = corpus.stats();
     let expected = [stats.patterns, stats.weaknesses, stats.vulnerabilities];
@@ -273,15 +271,6 @@ pub fn decode_with_config(
         }
     }
     Ok((corpus, engine))
-}
-
-/// [`decode_with_config`] with the default [`MatchConfig`].
-///
-/// # Errors
-///
-/// As [`decode_with_config`].
-pub fn decode(bytes: &[u8]) -> Result<(Corpus, SearchEngine), SnapshotError> {
-    decode_with_config(bytes, MatchConfig::default())
 }
 
 /// Parses the header and section table without decoding payloads — the
@@ -306,7 +295,7 @@ pub fn inspect(bytes: &[u8]) -> Result<SnapshotInfo, SnapshotError> {
 mod tests {
     use super::*;
     use crate::index::{FamilyKind, Layout, POSTING_LEN};
-    use crate::{MatchSet, ScoringModel};
+    use crate::{MatchConfig, MatchSet, ScoringModel};
     use cpssec_attackdb::seed::{seed_corpus, table1_attributes};
 
     fn snapshot() -> (Corpus, Vec<u8>) {
@@ -354,17 +343,17 @@ mod tests {
     #[test]
     fn with_scoring_on_a_thawed_engine_matches_a_fresh_build() {
         let (corpus, bytes) = snapshot();
-        let (_, engine) = decode(&bytes).unwrap();
-        let bm25 = engine.with_scoring(ScoringModel::Bm25);
-        let fresh = SearchEngine::with_config(
-            &corpus,
-            MatchConfig {
-                scoring: ScoringModel::Bm25,
-                ..MatchConfig::default()
-            },
-        );
-        for query in table1_attributes() {
-            assert_eq!(fresh.match_text(query), bm25.match_text(query), "{query}");
+        let (_, decoded) = decode(&bytes).unwrap();
+        let built = SearchEngine::build(&corpus);
+        for scoring in ScoringModel::ALL {
+            let (decoded, built) = (decoded.with_scoring(scoring), built.with_scoring(scoring));
+            for query in table1_attributes() {
+                assert_bit_identical(
+                    &built.match_text(query),
+                    &decoded.match_text(query),
+                    &format!("{scoring:?} {query}"),
+                );
+            }
         }
     }
 
@@ -388,8 +377,8 @@ mod tests {
                     max_hits: Some(5),
                     ..MatchConfig::default()
                 };
-                let built = SearchEngine::with_config(&corpus, config);
-                let (_, decoded) = decode_with_config(&bytes, config).expect("decode");
+                let built = SearchEngine::build(&corpus).with_config(config);
+                let decoded = decode(&bytes).expect("decode").1.with_config(config);
                 for query in table1_attributes()
                     .iter()
                     .chain(&["", "zephyr marmalade", "&&&"])

@@ -1,8 +1,8 @@
 //! The snapshot-boot proof: every query answered by the [`SearchEngine`]
-//! [`snapshot::decode_with_config`] restores — the engine a server booted
-//! from a `.cpsnap` serves — must be *byte-identical* to the same query on
-//! an engine built from the same corpus under the same config: same hits,
-//! same order, same `f64` score bits.
+//! [`snapshot::decode`] restores — the engine a server booted from a
+//! `.cpsnap` serves — must be *byte-identical* to the same query on an
+//! engine built from the same corpus, each under the same config: same
+//! hits, same order, same `f64` score bits.
 //!
 //! Covered here: arbitrary queries under arbitrary configs (proptest),
 //! the three E7b corpus scales, and the delta chain — after 1, 3, and K
@@ -60,9 +60,10 @@ fn corpus_at(scale: f64) -> Corpus {
 
 /// The engine a snapshot boot serves from `bytes`.
 fn served_engine(bytes: &[u8], config: MatchConfig) -> SearchEngine {
-    snapshot::decode_with_config(bytes, config)
+    snapshot::decode(bytes)
         .expect("decode")
         .1
+        .with_config(config)
 }
 
 /// Asserts that `bytes`, the snapshot of `corpus`, answers every query in
@@ -76,7 +77,7 @@ fn assert_equivalent(
     label: &str,
 ) {
     let served = served_engine(bytes, config);
-    let built = SearchEngine::with_config(corpus, config);
+    let built = SearchEngine::build(corpus).with_config(config);
     for query in queries {
         assert_eq!(
             served.match_text(query),

@@ -205,7 +205,7 @@ proptest! {
     ) {
         let vuln_texts: Vec<String> = vuln_sentences.iter().map(|s| sentence(s)).collect();
         let corpus = corpus_from(&vuln_texts, &[]);
-        let engine = SearchEngine::with_config(&corpus, config);
+        let engine = SearchEngine::build(&corpus).with_config(config);
         let query = sentence(&query_words);
 
         let hits = engine.match_text_with(&query, &mut cpssec_search::QueryScratch::new());

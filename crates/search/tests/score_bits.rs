@@ -75,15 +75,16 @@ fn score_bits_match_the_pinned_hash() {
     let mut built = Vec::new();
     let mut decoded = Vec::new();
     for corpus in corpora() {
-        let bytes = snapshot::encode(&corpus, &SearchEngine::build(&corpus));
+        let index = SearchEngine::build(&corpus);
+        let (_, thawed) = snapshot::decode(&snapshot::encode(&corpus, &index)).expect("decode");
         for config in configs() {
-            let engine = SearchEngine::with_config(&corpus, config);
+            let engine = index.with_config(config);
             answers(
                 |text| engine.match_text(text),
                 |level| engine.match_model(&model, level),
                 &mut built,
             );
-            let (_, engine) = snapshot::decode_with_config(&bytes, config).expect("decode");
+            let engine = thawed.with_config(config);
             answers(
                 |text| engine.match_text(text),
                 |level| engine.match_model(&model, level),

@@ -265,7 +265,12 @@ impl Admission {
     /// by route.
     #[must_use]
     pub fn snapshot(&self) -> Vec<(String, u64, u64, u64)> {
-        let routes = self.routes.read().expect("admission poisoned");
+        self.rows(true).unwrap_or_default()
+    }
+
+    /// [`Self::snapshot`]; `None` only without `wait` ([`crate::dump_guard`]).
+    fn rows(&self, wait: bool) -> Option<Vec<(String, u64, u64, u64)>> {
+        let routes = crate::dump_guard(wait, || self.routes.read(), || self.routes.try_read())?;
         let mut out: Vec<(String, u64, u64, u64)> = routes
             .iter()
             .map(|(route, g)| {
@@ -278,13 +283,15 @@ impl Admission {
             })
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+        Some(out)
     }
 
     /// Prometheus exposition lines for the serving gauges, appended to
     /// `/metrics` by the router (own HELP/TYPE pairs, conformance holds).
+    /// Without `wait` the route table is only tried, and a busy one gives
+    /// `None`; a poisoned one is read as it is.
     #[must_use]
-    pub fn render_prom(&self) -> String {
+    pub fn render_prom(&self, wait: bool) -> Option<String> {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(512);
         let _ = writeln!(
@@ -294,7 +301,7 @@ impl Admission {
              connections_open {}",
             self.connections_open()
         );
-        let rows = self.snapshot();
+        let rows = self.rows(wait)?;
         let _ = writeln!(
             out,
             "# HELP queue_depth Outstanding admitted requests, by route.\n\
@@ -328,7 +335,7 @@ impl Admission {
             "shed_total{{route=\"*\",reason=\"max_conns\"}} {}",
             self.shed_conns.load(Ordering::Relaxed)
         );
-        out
+        Some(out)
     }
 }
 
@@ -402,7 +409,7 @@ mod tests {
         adm.set_queue_depth(1);
         let _g = adm.try_admit("GET /table1").expect("admit");
         let _ = adm.try_admit("GET /table1");
-        let text = adm.render_prom();
+        let text = adm.render_prom(true).expect("waited");
         for family in ["connections_open", "queue_depth", "shed_total"] {
             assert!(text.contains(&format!("# HELP {family} ")), "{text}");
             assert!(text.contains(&format!("# TYPE {family} ")), "{text}");

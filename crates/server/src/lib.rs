@@ -21,7 +21,7 @@
 //! fully-parsed requests to a fixed [`pool::WorkerPool`] over `mpsc`
 //! (serving is Unix-only: the reactor polls with epoll or `poll(2)`);
 //! shared state is an `Arc<AppState>`
-//! (one swappable [`Generation`] of corpus + search engines, `RwLock`
+//! (one swappable [`Generation`] of corpus + search engine, `RwLock`
 //! session store, sharded `Mutex` caches). Responses are byte-identical
 //! to the single-threaded pipeline because both sides call the same
 //! canonical renderers.
@@ -53,7 +53,7 @@ pub mod telemetry;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, LockResult, Mutex, PoisonError, TryLockError, TryLockResult};
 use std::time::{Duration, Instant};
 
 use cpssec_analysis::AssociationMap;
@@ -65,8 +65,8 @@ use cache::Cache;
 use metrics::{CorpusGauges, Metrics, StartupStats};
 use session::SessionStore;
 
-/// One immutable generation of queryable corpus state: the corpus, both
-/// engines over it, and the state id that names them. Delta applies and
+/// One immutable generation of queryable corpus state: the corpus, its
+/// engine, and the state id that names them. Delta applies and
 /// compactions build the *next* generation off-lock and swap it in;
 /// in-flight queries keep whatever `Arc` clones they already took, so a
 /// swap never invalidates a running request. A request takes one
@@ -76,8 +76,9 @@ use session::SessionStore;
 #[derive(Debug, Clone)]
 pub struct Generation {
     corpus: Arc<Corpus>,
-    tfidf: Arc<SearchEngine>,
-    bm25: Arc<SearchEngine>,
+    /// The index under the default configuration; each scoring model is
+    /// a copy of it ([`Generation::engine`]).
+    engine: Arc<SearchEngine>,
     /// Chain anchor: the snapshot id this state would encode to. Every
     /// delta must name it as parent; each apply advances it to the
     /// delta's `child_id`, and a compaction re-anchors it to the
@@ -88,19 +89,16 @@ pub struct Generation {
 }
 
 impl Generation {
-    /// A generation over `corpus` and its TF-IDF engine; the BM25 engine
-    /// shares the TF-IDF engine's families.
+    /// A generation over `corpus` and its engine.
     fn new(
         corpus: Corpus,
-        tfidf: SearchEngine,
+        engine: SearchEngine,
         state_id: u64,
         deltas_since_compaction: u32,
     ) -> Generation {
-        let bm25 = tfidf.with_scoring(ScoringModel::Bm25);
         Generation {
             corpus: Arc::new(corpus),
-            tfidf: Arc::new(tfidf),
-            bm25: Arc::new(bm25),
+            engine: Arc::new(engine),
             state_id,
             deltas_since_compaction,
         }
@@ -112,13 +110,11 @@ impl Generation {
         &self.corpus
     }
 
-    /// The engine for a scoring model, over this generation's corpus.
+    /// The engine for a scoring model, over this generation's corpus: a
+    /// copy of the one index (four `Arc` bumps).
     #[must_use]
-    pub fn engine(&self, scoring: ScoringModel) -> &Arc<SearchEngine> {
-        match scoring {
-            ScoringModel::TfIdf => &self.tfidf,
-            ScoringModel::Bm25 => &self.bm25,
-        }
+    pub fn engine(&self, scoring: ScoringModel) -> SearchEngine {
+        self.engine.with_scoring(scoring)
     }
 
     /// The state id naming this generation: the chain anchor, and the
@@ -132,7 +128,7 @@ impl Generation {
 /// Everything the workers share.
 #[derive(Debug)]
 pub struct AppState {
-    /// The current corpus + engines generation, swapped by delta
+    /// The current corpus + engine generation, swapped by delta
     /// applies. Held only to clone the generation out or to install the
     /// next one, never while one is built.
     store: Mutex<Generation>,
@@ -223,10 +219,9 @@ fn content_state_id(corpus: &Corpus, engine: &SearchEngine) -> u64 {
 }
 
 impl AppState {
-    /// Builds the shared state: indexes the corpus once (the BM25 engine
-    /// shares the TF-IDF engine's indices) and preloads the `scada`
-    /// session. Counts as a snapshot *miss* in `/metrics` — the engines
-    /// were built, not thawed.
+    /// Builds the shared state: indexes the corpus once and preloads the
+    /// `scada` session. Counts as a snapshot *miss* in `/metrics` — the
+    /// index was built, not thawed.
     #[must_use]
     pub fn new(corpus: Corpus) -> Arc<AppState> {
         Self::with_capacities(corpus, 256, 64)
@@ -237,8 +232,8 @@ impl AppState {
     #[must_use]
     pub fn with_capacities(corpus: Corpus, responses: usize, priors: usize) -> Arc<AppState> {
         let started = Instant::now();
-        let tfidf = SearchEngine::build(&corpus);
-        let state_id = content_state_id(&corpus, &tfidf);
+        let engine = SearchEngine::build(&corpus);
+        let state_id = content_state_id(&corpus, &engine);
         let startup = StartupStats {
             index_load_us: elapsed_us(started),
             snapshot_hits: 0,
@@ -246,7 +241,7 @@ impl AppState {
             snapshot_load_us: 0,
         };
         Self::assemble(
-            Generation::new(corpus, tfidf, state_id, 0),
+            Generation::new(corpus, engine, state_id, 0),
             startup,
             responses,
             priors,
@@ -266,7 +261,7 @@ impl AppState {
     /// Any [`SnapshotError`] from [`snapshot::decode`].
     pub fn from_snapshot_mapped(bytes: Arc<[u8]>) -> Result<Arc<AppState>, SnapshotError> {
         let started = Instant::now();
-        let (corpus, tfidf) = snapshot::decode(&bytes)?;
+        let (corpus, engine) = snapshot::decode(&bytes)?;
         let snapshot_id = snapshot::inspect(&bytes)?.snapshot_id;
         let load_us = elapsed_us(started);
         let startup = StartupStats {
@@ -275,7 +270,7 @@ impl AppState {
             snapshot_misses: 0,
             snapshot_load_us: load_us,
         };
-        let store = Generation::new(corpus, tfidf, snapshot_id, 0);
+        let store = Generation::new(corpus, engine, snapshot_id, 0);
         let state = Self::assemble(store, startup, 256, 64);
         state
             .gauges
@@ -323,8 +318,8 @@ impl AppState {
         state
     }
 
-    /// The current generation: corpus, engines and state id, taken
-    /// together (four `Arc` bumps under the store lock). A request takes
+    /// The current generation: corpus, engine and state id, taken
+    /// together (two `Arc` bumps under the store lock). A request takes
     /// this once and reads everything corpus-backed from it.
     #[must_use]
     pub fn generation(&self) -> Generation {
@@ -337,10 +332,10 @@ impl AppState {
         self.generation().corpus
     }
 
-    /// The shared engine for a scoring model (current generation).
+    /// The engine for a scoring model (current generation).
     #[must_use]
-    pub fn engine(&self, scoring: ScoringModel) -> Arc<SearchEngine> {
-        Arc::clone(self.generation().engine(scoring))
+    pub fn engine(&self, scoring: ScoringModel) -> SearchEngine {
+        self.generation().engine(scoring)
     }
 
     /// The current chain anchor: the snapshot id the installed state
@@ -373,17 +368,17 @@ impl AppState {
         // later drop of the old generation cost O(segments); each grown
         // index family is written once, with the batch merged in.
         let mut corpus = (*current.corpus).clone();
-        let mut tfidf = (*current.tfidf).clone();
-        let info = cpssec_search::apply_delta(&mut corpus, &mut tfidf, bytes, current.state_id)?;
+        let mut engine = (*current.engine).clone();
+        let info = cpssec_search::apply_delta(&mut corpus, &mut engine, bytes, current.state_id)?;
         let mut next = Generation::new(
             corpus,
-            tfidf,
+            engine,
             info.child_id,
             current.deltas_since_compaction + 1,
         );
         let mut compacted = false;
         if next.deltas_since_compaction >= COMPACTION_EVERY {
-            let base = cpssec_search::compact_verified(&next.corpus, &next.tfidf)?;
+            let base = cpssec_search::compact_verified(&next.corpus, &next.engine)?;
             next.state_id = snapshot::inspect(&base)?.snapshot_id;
             next.deltas_since_compaction = 0;
             self.gauges
@@ -536,9 +531,16 @@ impl AppState {
     ///
     /// A one-line message if the file cannot be written.
     pub fn flight_dump(&self, reason: &str) -> Result<(String, u64), String> {
-        let requests_json = self.requests.recent_json(128);
-        let alerts_json = self.telemetry.alerts_json();
-        let metrics_text = router::metrics_text(self);
+        // The panic hook runs this on the panicking thread, which may hold
+        // a lock read here: a panic dump waits for none of them and writes
+        // one placeholder line for a section whose lock is busy.
+        let wait = !reason.starts_with("panic");
+        let requests_json = (self.requests.recent_json(128, wait))
+            .unwrap_or_else(|| r#"{"busy":"request log"}"#.to_owned());
+        let alerts_json = (self.telemetry.slo_json(wait))
+            .unwrap_or_else(|| r#"{"busy":"slo monitor"}"#.to_owned());
+        let metrics_text = router::metrics_text(self, wait)
+            .unwrap_or_else(|| "# busy: metrics registry\n".to_owned());
         let bytes = cpssec_obs::flight::encode_dump(&cpssec_obs::flight::DumpInput {
             reason,
             requests_json: &requests_json,
@@ -566,6 +568,25 @@ impl AppState {
             let _span = cpssec_obs::span!("test-delay");
             std::thread::sleep(Duration::from_micros(us));
         }
+    }
+}
+
+/// Takes a lock a flight dump reads: with `wait` through `lock`;
+/// without, through `try_lock`, which gives `None` while another holder
+/// has it, perhaps the panicking thread that runs the dump. Poisoned data
+/// is read as it is, since dumps are taken after panics.
+pub(crate) fn dump_guard<G>(
+    wait: bool,
+    lock: impl FnOnce() -> LockResult<G>,
+    try_lock: impl FnOnce() -> TryLockResult<G>,
+) -> Option<G> {
+    if wait {
+        return Some(lock().unwrap_or_else(PoisonError::into_inner));
+    }
+    match try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
     }
 }
 

@@ -214,8 +214,13 @@ impl Metrics {
 
     /// Point-in-time copies of every route's counters, sorted by route.
     pub fn snapshot_all(&self) -> Vec<(String, RouteObservation)> {
+        self.observe(true).unwrap_or_default()
+    }
+
+    /// [`Self::snapshot_all`]; `None` only without `wait` ([`crate::dump_guard`]).
+    fn observe(&self, wait: bool) -> Option<Vec<(String, RouteObservation)>> {
         let routes: Vec<(String, Arc<RouteStats>)> = {
-            let map = self.routes.read().expect("metrics poisoned");
+            let map = crate::dump_guard(wait, || self.routes.read(), || self.routes.try_read())?;
             map.iter()
                 .map(|(route, stats)| (route.clone(), Arc::clone(stats)))
                 .collect()
@@ -234,7 +239,7 @@ impl Metrics {
             })
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+        Some(out)
     }
 
     /// Renders the registry in the Prometheus text exposition format
@@ -242,20 +247,22 @@ impl Metrics {
     /// family-major sample ordering, escaped label values. `caches`
     /// supplies `(name, hits, misses)` triples from the result caches;
     /// `startup` supplies the one-time index-load facts; `corpus` the
-    /// live corpus-state gauges.
+    /// live corpus-state gauges. Without `wait` the route table is only
+    /// tried, and a busy one gives `None`; a poisoned one is read as it is.
     pub fn render(
         &self,
+        wait: bool,
         caches: &[(&str, u64, u64)],
         startup: &StartupStats,
         corpus: &CorpusSample,
-    ) -> String {
+    ) -> Option<String> {
         use std::fmt::Write as _;
         fn family(out: &mut String, name: &str, kind: &str, help: &str) {
             let _ = writeln!(out, "# HELP {name} {help}");
             let _ = writeln!(out, "# TYPE {name} {kind}");
         }
         let mut out = String::new();
-        let routes = self.snapshot_all();
+        let routes = self.observe(wait)?;
 
         family(
             &mut out,
@@ -439,7 +446,7 @@ impl Metrics {
             "snapshot_mapped_bytes {}",
             corpus.snapshot_mapped_bytes
         );
-        out
+        Some(out)
     }
 }
 
@@ -473,7 +480,9 @@ mod tests {
             compactions_total: 1,
             snapshot_mapped_bytes: 4096,
         };
-        let text = metrics.render(&[("responses", 3, 1)], &startup, &corpus);
+        let text = metrics
+            .render(true, &[("responses", 3, 1)], &startup, &corpus)
+            .expect("waited");
         assert!(text.contains("requests_total{route=\"GET /healthz\"} 3"));
         assert!(text.contains("errors_total{route=\"GET /healthz\"} 1"));
         assert!(text.contains("latency_us_count{route=\"GET /healthz\"} 3"));
@@ -500,11 +509,14 @@ mod tests {
     #[test]
     fn empty_cache_ratio_is_zero() {
         let metrics = Metrics::new();
-        let text = metrics.render(
-            &[("responses", 0, 0)],
-            &StartupStats::default(),
-            &CorpusSample::default(),
-        );
+        let text = metrics
+            .render(
+                true,
+                &[("responses", 0, 0)],
+                &StartupStats::default(),
+                &CorpusSample::default(),
+            )
+            .expect("waited");
         assert!(text.contains("cache_hit_ratio{cache=\"responses\"} 0.0000"));
     }
 
@@ -514,7 +526,14 @@ mod tests {
         for us in [100u64, 200, 300, 400, 50_000] {
             metrics.record("GET /x", 200, Duration::from_micros(us));
         }
-        let text = metrics.render(&[], &StartupStats::default(), &CorpusSample::default());
+        let text = metrics
+            .render(
+                true,
+                &[],
+                &StartupStats::default(),
+                &CorpusSample::default(),
+            )
+            .expect("waited");
         let value = |needle: &str| -> u64 {
             let line = text
                 .lines()
@@ -537,7 +556,14 @@ mod tests {
         assert_eq!(escape_label("a\nb"), "a\\nb");
         let metrics = Metrics::new();
         metrics.record("GET /weird\"\\\nroute", 200, Duration::from_micros(10));
-        let text = metrics.render(&[], &StartupStats::default(), &CorpusSample::default());
+        let text = metrics
+            .render(
+                true,
+                &[],
+                &StartupStats::default(),
+                &CorpusSample::default(),
+            )
+            .expect("waited");
         assert!(
             text.contains("requests_total{route=\"GET /weird\\\"\\\\\\nroute\"} 1"),
             "{text}"
@@ -550,11 +576,14 @@ mod tests {
     fn every_family_is_declared_before_its_samples() {
         let metrics = Metrics::new();
         metrics.record("GET /healthz", 200, Duration::from_micros(50));
-        let text = metrics.render(
-            &[("responses", 1, 1)],
-            &StartupStats::default(),
-            &CorpusSample::default(),
-        );
+        let text = metrics
+            .render(
+                true,
+                &[("responses", 1, 1)],
+                &StartupStats::default(),
+                &CorpusSample::default(),
+            )
+            .expect("waited");
         for fam in [
             "requests_total",
             "errors_total",
@@ -609,13 +638,27 @@ mod tests {
         );
         metrics.record("POST /models/abc123/whatif", 200, Duration::from_micros(5));
         metrics.record("GET /models/:id/associate", 200, Duration::from_micros(30));
-        let text = metrics.render(&[], &StartupStats::default(), &CorpusSample::default());
+        let text = metrics
+            .render(
+                true,
+                &[],
+                &StartupStats::default(),
+                &CorpusSample::default(),
+            )
+            .expect("waited");
         assert!(text.contains("requests_total{route=\"GET /models/:id/associate\"} 3"));
         assert!(text.contains("requests_total{route=\"POST /models/:id/whatif\"} 1"));
         assert!(!text.contains("deadbeef"), "raw id leaked into labels");
         // Routes without an id segment pass through untouched.
         metrics.record("POST /models", 200, Duration::from_micros(1));
-        let text = metrics.render(&[], &StartupStats::default(), &CorpusSample::default());
+        let text = metrics
+            .render(
+                true,
+                &[],
+                &StartupStats::default(),
+                &CorpusSample::default(),
+            )
+            .expect("waited");
         assert!(text.contains("requests_total{route=\"POST /models\"} 1"));
     }
 }

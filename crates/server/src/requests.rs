@@ -171,10 +171,11 @@ impl RequestLog {
     /// The newest `n` entries as a JSON document, newest first. The
     /// flight recorder bundles this into every `.cpsflight` dump so the
     /// requests leading up to a regression are preserved alongside the
-    /// event rings.
+    /// event rings. Without `wait` the log is only tried, and a busy one
+    /// gives `None`; a poisoned one is read as it is.
     #[must_use]
-    pub fn recent_json(&self, n: usize) -> String {
-        let rings = self.rings.lock().expect("request log poisoned");
+    pub fn recent_json(&self, n: usize, wait: bool) -> Option<String> {
+        let rings = crate::dump_guard(wait, || self.rings.lock(), || self.rings.try_lock())?;
         let mut out = String::from("{\"requests\":[");
         for (i, entry) in rings.recent.iter().rev().take(n).enumerate() {
             if i > 0 {
@@ -183,7 +184,7 @@ impl RequestLog {
             out.push_str(&entry.to_json());
         }
         out.push_str("]}");
-        out
+        Some(out)
     }
 
     /// JSON document for `GET /debug/slow`: the threshold, the slow
@@ -297,7 +298,7 @@ mod tests {
         log.record(entry(1, "GET /a"));
         log.record(entry(2, "GET /b"));
         log.record(entry(3, "GET /c"));
-        let json = log.recent_json(2);
+        let json = log.recent_json(2, true).expect("waited for the log");
         assert!(json.starts_with("{\"requests\":["));
         assert!(!json.contains("GET /a"), "bounded to newest 2: {json}");
         let b = json.find("GET /b").unwrap();
@@ -368,5 +369,59 @@ mod tests {
         ] {
             assert_eq!(parse_traceparent(bad), None, "{bad:?}");
         }
+    }
+
+    /// Decodes the dump `flight_dump` wrote and removes the file.
+    fn take_dump(written: Result<(String, u64), String>) -> cpssec_obs::flight::FlightDump {
+        let (path, len) = written.expect("dump written");
+        let bytes = std::fs::read(&path).expect("dump readable");
+        std::fs::remove_file(&path).expect("dump removable");
+        assert_eq!(bytes.len() as u64, len);
+        cpssec_obs::flight::decode(&bytes).expect("dump decodes")
+    }
+
+    #[test]
+    fn a_panic_dump_passes_a_held_or_poisoned_request_log() {
+        std::env::set_var("CPSSEC_FLIGHT_DIR", std::env::temp_dir());
+        let state = crate::AppState::new(cpssec_attackdb::seed::seed_corpus());
+        state.requests.record(entry(1, "GET /a"));
+        let reason = "panic at src/x.rs:1:1: held";
+
+        // The panicking thread holds the log: its section is a placeholder.
+        let held = state.requests.rings.lock().expect("fresh lock");
+        let dump = take_dump(state.flight_dump(reason));
+        drop(held);
+        assert_eq!(dump.reason, reason);
+        assert_eq!(dump.requests_json, r#"{"busy":"request log"}"#);
+        assert!(
+            dump.metrics_text.contains("requests_total"),
+            "{}",
+            dump.metrics_text
+        );
+
+        // A panic that held the log poisoned it: the dump reads it anyway.
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = state.requests.rings.lock();
+            panic!("poison");
+        }));
+        assert!(poisoned.is_err() && state.requests.rings.is_poisoned());
+        // A server test in this binary may have installed the panic hook,
+        // which dumped that panic into the same directory: remove it.
+        for file in std::fs::read_dir(std::env::temp_dir())
+            .into_iter()
+            .flatten()
+        {
+            let path = file.expect("dir entry").path();
+            if path.to_string_lossy().ends_with("--poison.cpsflight") {
+                let _ = std::fs::remove_file(path);
+            }
+        }
+        let dump = take_dump(state.flight_dump(reason));
+        assert!(
+            dump.requests_json.contains("GET /a"),
+            "{}",
+            dump.requests_json
+        );
+        assert!(dump.alerts_json.starts_with('{'), "{}", dump.alerts_json);
     }
 }

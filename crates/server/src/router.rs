@@ -232,42 +232,45 @@ pub fn parse_changes(body: &[u8]) -> Result<Vec<ModelChange>, String> {
 /// running any handler. The reactor uses this to pick an admission queue
 /// *before* a request is allowed to occupy a worker, so the admission
 /// key space is exactly the bounded label set `dispatch` reports to
-/// metrics (kept in lockstep by `route_pattern_matches_dispatch`).
+/// metrics (`dispatch` takes its pattern from here too).
 #[must_use]
 pub fn route_pattern(method: &str, path: &str) -> &'static str {
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    match (method, segments.as_slice()) {
-        ("GET", ["healthz"]) => "GET /healthz",
-        ("GET", ["metrics"]) => "GET /metrics",
-        ("GET", ["metrics", "history"]) => "GET /metrics/history",
-        ("GET", ["alerts"]) => "GET /alerts",
-        ("GET", ["dashboard"]) => "GET /dashboard",
-        ("GET", ["debug", "slow"]) => "GET /debug/slow",
-        ("GET", ["debug", "requests", _]) => "GET /debug/requests/:id",
-        ("GET", ["debug", "profile"]) => "GET /debug/profile",
-        ("POST", ["debug", "delay"]) => "POST /debug/delay",
-        ("POST", ["debug", "flight", "dump"]) => "POST /debug/flight/dump",
-        ("GET", ["table1"]) => "GET /table1",
-        ("POST", ["scenarios", "batch"]) => "POST /scenarios/batch",
-        ("GET", ["scenarios", "batch", _]) => "GET /scenarios/batch/:id",
-        ("POST", ["corpus", "delta"]) => "POST /corpus/delta",
-        ("POST", ["models"]) => "POST /models",
-        ("GET", ["models", _, "associate"]) => "GET /models/:id/associate",
-        ("POST", ["models", _, "whatif"]) => "POST /models/:id/whatif",
-        ("POST", ["models", _, "campaigns"]) => "POST /models/:id/campaigns",
-        ("GET", ["models", _, "campaigns", _]) => "GET /models/:id/campaigns/:job",
-        (_, ["healthz" | "metrics" | "table1" | "alerts" | "dashboard"])
-        | (_, ["corpus", "delta"])
-        | (_, ["metrics", "history"])
-        | (_, ["debug", "slow" | "delay" | "profile"])
-        | (_, ["debug", "requests", _])
-        | (_, ["debug", "flight", "dump"])
-        | (_, ["models"])
-        | (_, ["models", _, "associate" | "whatif" | "campaigns"])
-        | (_, ["models", _, "campaigns", _])
-        | (_, ["scenarios", "batch"])
-        | (_, ["scenarios", "batch", _]) => "method-not-allowed",
-        _ => "not-found",
+    pattern_of(method, &path_segments(path))
+}
+
+fn path_segments(path: &str) -> Vec<&str> {
+    path.split('/').filter(|s| !s.is_empty()).collect()
+}
+
+/// The route table: every served route; `method-not-allowed` for a
+/// path served under another method, `not-found` for any other.
+fn pattern_of(method: &str, segments: &[&str]) -> &'static str {
+    let served = |method| match (method, segments) {
+        ("GET", ["healthz"]) => Some("GET /healthz"),
+        ("GET", ["metrics"]) => Some("GET /metrics"),
+        ("GET", ["metrics", "history"]) => Some("GET /metrics/history"),
+        ("GET", ["alerts"]) => Some("GET /alerts"),
+        ("GET", ["dashboard"]) => Some("GET /dashboard"),
+        ("GET", ["debug", "slow"]) => Some("GET /debug/slow"),
+        ("GET", ["debug", "requests", _]) => Some("GET /debug/requests/:id"),
+        ("GET", ["debug", "profile"]) => Some("GET /debug/profile"),
+        ("POST", ["debug", "delay"]) => Some("POST /debug/delay"),
+        ("POST", ["debug", "flight", "dump"]) => Some("POST /debug/flight/dump"),
+        ("GET", ["table1"]) => Some("GET /table1"),
+        ("POST", ["scenarios", "batch"]) => Some("POST /scenarios/batch"),
+        ("GET", ["scenarios", "batch", _]) => Some("GET /scenarios/batch/:id"),
+        ("POST", ["corpus", "delta"]) => Some("POST /corpus/delta"),
+        ("POST", ["models"]) => Some("POST /models"),
+        ("GET", ["models", _, "associate"]) => Some("GET /models/:id/associate"),
+        ("POST", ["models", _, "whatif"]) => Some("POST /models/:id/whatif"),
+        ("POST", ["models", _, "campaigns"]) => Some("POST /models/:id/campaigns"),
+        ("GET", ["models", _, "campaigns", _]) => Some("GET /models/:id/campaigns/:job"),
+        _ => None,
+    };
+    match served(method) {
+        Some(pattern) => pattern,
+        None if served("GET").or(served("POST")).is_some() => "method-not-allowed",
+        None => "not-found",
     }
 }
 
@@ -275,98 +278,64 @@ pub fn route_pattern(method: &str, path: &str) -> &'static str {
 /// and the response.
 #[must_use]
 pub fn dispatch(state: &AppState, req: &Request) -> (&'static str, Response) {
-    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    match (req.method.as_str(), segments.as_slice()) {
-        ("GET", ["healthz"]) => ("GET /healthz", Response::text(200, "ok\n")),
-        ("GET", ["metrics"]) => ("GET /metrics", metrics(state)),
-        ("GET", ["metrics", "history"]) => ("GET /metrics/history", history(state, req)),
-        ("GET", ["alerts"]) => (
-            "GET /alerts",
-            Response::json(200, state.telemetry.alerts_json()),
+    let segments = path_segments(&req.path);
+    let pattern = pattern_of(&req.method, &segments);
+    // The pattern fixes the segment count, so the id segments are there.
+    let response = match pattern {
+        "GET /healthz" => Response::text(200, "ok\n"),
+        "GET /metrics" => metrics(state),
+        "GET /metrics/history" => history(state, req),
+        "GET /alerts" => Response::json(200, state.telemetry.alerts_json()),
+        "GET /dashboard" => Response::with_type(
+            200,
+            "text/html; charset=utf-8",
+            crate::dashboard::DASHBOARD_HTML,
         ),
-        ("GET", ["dashboard"]) => (
-            "GET /dashboard",
-            Response::with_type(
-                200,
-                "text/html; charset=utf-8",
-                crate::dashboard::DASHBOARD_HTML,
-            ),
-        ),
-        ("GET", ["debug", "slow"]) => (
-            "GET /debug/slow",
-            Response::json(200, state.requests.slow_json()),
-        ),
-        ("GET", ["debug", "requests", id]) => ("GET /debug/requests/:id", debug_request(state, id)),
-        ("GET", ["debug", "profile"]) => ("GET /debug/profile", debug_profile(req)),
-        ("POST", ["debug", "delay"]) => ("POST /debug/delay", set_delay(state, req)),
-        ("POST", ["debug", "flight", "dump"]) => {
-            ("POST /debug/flight/dump", flight_dump_route(state))
-        }
-        ("GET", ["table1"]) => ("GET /table1", table1(state, req)),
-        ("POST", ["scenarios", "batch"]) => {
-            ("POST /scenarios/batch", crate::scenarios::batch(state, req))
-        }
-        ("GET", ["scenarios", "batch", id]) => (
-            "GET /scenarios/batch/:id",
-            crate::scenarios::status(state, id),
-        ),
-        ("POST", ["corpus", "delta"]) => ("POST /corpus/delta", corpus_delta(state, req)),
-        ("POST", ["models"]) => ("POST /models", upload_model(state, req)),
-        ("GET", ["models", id, "associate"]) => {
-            ("GET /models/:id/associate", associate(state, req, id))
-        }
-        ("POST", ["models", id, "whatif"]) => {
-            ("POST /models/:id/whatif", whatif_route(state, req, id))
-        }
-        ("POST", ["models", id, "campaigns"]) => (
-            "POST /models/:id/campaigns",
-            crate::campaigns::start(state, req, id),
-        ),
-        ("GET", ["models", _, "campaigns", job]) => (
-            "GET /models/:id/campaigns/:job",
-            crate::campaigns::status(state, job),
-        ),
-        (_, ["healthz" | "metrics" | "table1" | "alerts" | "dashboard"])
-        | (_, ["corpus", "delta"])
-        | (_, ["metrics", "history"])
-        | (_, ["debug", "slow" | "delay" | "profile"])
-        | (_, ["debug", "requests", _])
-        | (_, ["debug", "flight", "dump"])
-        | (_, ["models"])
-        | (_, ["models", _, "associate" | "whatif" | "campaigns"])
-        | (_, ["models", _, "campaigns", _])
-        | (_, ["scenarios", "batch"])
-        | (_, ["scenarios", "batch", _]) => (
-            "method-not-allowed",
-            Response::error(405, "method not allowed"),
-        ),
-        _ => ("not-found", Response::error(404, "no such endpoint")),
-    }
+        "GET /debug/slow" => Response::json(200, state.requests.slow_json()),
+        "GET /debug/requests/:id" => debug_request(state, segments[2]),
+        "GET /debug/profile" => debug_profile(req),
+        "POST /debug/delay" => set_delay(state, req),
+        "POST /debug/flight/dump" => flight_dump_route(state),
+        "GET /table1" => table1(state, req),
+        "POST /scenarios/batch" => crate::scenarios::batch(state, req),
+        "GET /scenarios/batch/:id" => crate::scenarios::status(state, segments[2]),
+        "POST /corpus/delta" => corpus_delta(state, req),
+        "POST /models" => upload_model(state, req),
+        "GET /models/:id/associate" => associate(state, req, segments[1]),
+        "POST /models/:id/whatif" => whatif_route(state, req, segments[1]),
+        "POST /models/:id/campaigns" => crate::campaigns::start(state, req, segments[1]),
+        "GET /models/:id/campaigns/:job" => crate::campaigns::status(state, segments[3]),
+        "method-not-allowed" => Response::error(405, "method not allowed"),
+        _ => Response::error(404, "no such endpoint"),
+    };
+    (pattern, response)
 }
 
 /// The full `/metrics` exposition body. Shared by the scrape endpoint
 /// and the flight recorder, which bundles a scrape into every dump.
-pub(crate) fn metrics_text(state: &AppState) -> String {
+/// `None` only without `wait` ([`crate::dump_guard`]).
+pub(crate) fn metrics_text(state: &AppState, wait: bool) -> Option<String> {
     let (resp_hits, resp_misses) = state.responses.stats();
     let (prior_hits, prior_misses) = state.priors.stats();
     let mut body = state.metrics.render(
+        wait,
         &[
             ("responses", resp_hits, resp_misses),
             ("priors", prior_hits, prior_misses),
         ],
         &state.startup,
         &state.gauges.sample(),
-    );
+    )?;
     body.push_str(&state.telemetry.render_prom());
-    body.push_str(&state.admission.render_prom());
-    body
+    body.push_str(&state.admission.render_prom(wait)?);
+    Some(body)
 }
 
 fn metrics(state: &AppState) -> Response {
     Response::with_type(
         200,
         crate::metrics::EXPOSITION_CONTENT_TYPE,
-        metrics_text(state),
+        metrics_text(state, true).unwrap_or_default(),
     )
 }
 
@@ -533,7 +502,7 @@ fn prior_map(
     }
     let map = Arc::new(AssociationMap::build(
         &stored.model,
-        generation.engine(spec.scoring),
+        &generation.engine(spec.scoring),
         generation.corpus(),
         spec.fidelity,
         &spec.filters,
@@ -627,7 +596,7 @@ fn whatif_route(state: &AppState, req: &Request, id: &str) -> Response {
         &stored.model,
         &changes,
         &prior,
-        generation.engine(spec.scoring),
+        &generation.engine(spec.scoring),
         generation.corpus(),
         &spec.filters,
     ) {
@@ -662,7 +631,7 @@ fn table1(state: &AppState, req: &Request) -> Response {
 
     let rows = attribute_rows(
         &stored.model,
-        generation.engine(spec.scoring),
+        &generation.engine(spec.scoring),
         generation.corpus(),
         spec.fidelity,
         &spec.filters,
@@ -738,12 +707,18 @@ mod tests {
             ("GET", "/no/such/endpoint"),
         ] {
             let req = request(method, target);
-            let (label, _) = dispatch(&state, &req);
+            let (label, response) = dispatch(&state, &req);
             assert_eq!(
                 route_pattern(&req.method, &req.path),
                 label,
                 "{method} {target}"
             );
+            // Only an unknown path falls through to the 404 arm, and only
+            // a known path under another method to the 405 one.
+            let unrouted = response.body == br#"{"error":"no such endpoint"}"#;
+            assert_eq!(unrouted, label == "not-found", "{method} {target}");
+            let refused = response.status == 405;
+            assert_eq!(refused, label == "method-not-allowed", "{method} {target}");
         }
     }
 

@@ -112,7 +112,12 @@ impl Telemetry {
 
     /// JSON for `GET /alerts`.
     pub fn alerts_json(&self) -> String {
-        self.slo.lock().expect("slo poisoned").to_json()
+        self.slo_json(true).unwrap_or_default()
+    }
+
+    /// [`Self::alerts_json`]; `None` only without `wait` ([`crate::dump_guard`]).
+    pub(crate) fn slo_json(&self, wait: bool) -> Option<String> {
+        crate::dump_guard(wait, || self.slo.lock(), || self.slo.try_lock()).map(|s| s.to_json())
     }
 
     /// Routes whose burn-rate alert is currently firing (the admission

@@ -225,7 +225,7 @@ fn mapped_boot_applies_deltas_and_compacts() {
         parent = server.state.state_id();
     }
 
-    // The grown corpus serves the appended records through both engines.
+    // The grown corpus serves the appended records under both models.
     let total = server.state.corpus().stats().total();
     assert_eq!(total, before + 50 * COMPACTION_EVERY as usize);
     for scoring in [ScoringModel::TfIdf, ScoringModel::Bm25] {

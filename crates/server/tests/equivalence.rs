@@ -14,7 +14,7 @@ use cpssec_attackdb::seed::seed_corpus;
 use cpssec_attackdb::Severity;
 use cpssec_model::{Attribute, AttributeKind, Fidelity};
 use cpssec_scada::model::{names, scada_model};
-use cpssec_search::{Filter, FilterPipeline, MatchConfig, ScoringModel, SearchEngine};
+use cpssec_search::{Filter, FilterPipeline, ScoringModel, SearchEngine};
 use cpssec_server::load::read_response;
 use cpssec_server::{AppState, Server};
 
@@ -91,13 +91,7 @@ fn direct_association(
     filters: &FilterPipeline,
 ) -> String {
     let corpus = seed_corpus();
-    let engine = SearchEngine::with_config(
-        &corpus,
-        MatchConfig {
-            scoring,
-            ..MatchConfig::default()
-        },
-    );
+    let engine = SearchEngine::build(&corpus).with_scoring(scoring);
     let model = scada_model();
     let map = AssociationMap::build(&model, &engine, &corpus, fidelity, filters);
     let posture = SystemPosture::compute(&model, &corpus, &map);
@@ -290,9 +284,9 @@ fn metrics_report_traffic_and_cache_hits() {
 fn snapshot_thawed_server_is_byte_identical_to_the_direct_pipeline() {
     let server = TestServer::start_from_snapshot(2);
 
-    // Default knobs and the bm25/conceptual/topK variant: both engines
-    // (the decoded TF-IDF one and its BM25 twin) must reproduce the
-    // direct pipeline byte for byte.
+    // Default knobs and the bm25/conceptual/topK variant: the decoded
+    // index under both scoring models must reproduce the direct pipeline
+    // byte for byte.
     let expected = direct_association(
         Fidelity::Implementation,
         ScoringModel::TfIdf,

@@ -77,7 +77,7 @@ fn a_pre_apply_value_inserted_after_the_apply_is_never_served() {
     let (stale_body, stale) = json(&state, &associate);
     let stale_prior = AssociationMap::build(
         &state.sessions.get("probe").expect("stored").model,
-        held.engine(ScoringModel::TfIdf),
+        &held.engine(ScoringModel::TfIdf),
         held.corpus(),
         Fidelity::Implementation,
         &FilterPipeline::new(),

@@ -43,13 +43,10 @@ fn main() {
     corpus
         .merge(generate(&SynthSpec::paper2020(2020, scale)))
         .expect("seed and synthetic id spaces are disjoint");
-    let with = |config: MatchConfig| SearchEngine::with_config(&corpus, config);
+    // One index; every setting below is a copy of it under another config.
     let tfidf = SearchEngine::build(&corpus);
-    let bm25 = with(MatchConfig {
-        scoring: ScoringModel::Bm25,
-        ..MatchConfig::default()
-    });
-    let no_expand = with(MatchConfig {
+    let bm25 = tfidf.with_scoring(ScoringModel::Bm25);
+    let no_expand = tfidf.with_config(MatchConfig {
         expand_synonyms: false,
         ..MatchConfig::default()
     });
@@ -85,7 +82,7 @@ fn main() {
         "floor", "labview", "crio9063", "rtlinux", "windows7"
     );
     for floor in [0.8, 1.2, 1.8, 2.5, 4.0] {
-        let engine = with(MatchConfig {
+        let engine = tfidf.with_config(MatchConfig {
             idf_floor: floor,
             ..MatchConfig::default()
         });
