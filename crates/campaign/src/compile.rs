@@ -17,67 +17,10 @@
 //! executable follows from it — exactly the distinction the paper says
 //! pure attack-vector matching cannot make.
 
-use core::fmt;
-
 use cpssec_attackdb::Corpus;
 use cpssec_model::{Fidelity, SystemModel};
-use cpssec_scada::attacks::{all_scenarios, AttackScenario};
-use cpssec_scada::water::all_water_scenarios;
+use cpssec_scada::AttackScenario;
 use cpssec_search::{exploit_chains, ExploitChain, SearchEngine};
-
-/// Which testbed a campaign compiles against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Testbed {
-    /// The particle separation centrifuge (the paper's §3 system).
-    Centrifuge,
-    /// The chlorine dosing loop of the water-treatment plant.
-    Water,
-}
-
-impl Testbed {
-    /// Every testbed, in canonical order.
-    pub const ALL: [Testbed; 2] = [Testbed::Centrifuge, Testbed::Water];
-
-    /// Canonical name — matches the built-in model ids the server and
-    /// CLI use ("scada", "water").
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Testbed::Centrifuge => "scada",
-            Testbed::Water => "water",
-        }
-    }
-
-    /// Parses a canonical name back to a testbed.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Testbed> {
-        Testbed::ALL.into_iter().find(|t| t.as_str() == name)
-    }
-
-    /// The testbed's system model.
-    #[must_use]
-    pub fn model(self) -> SystemModel {
-        match self {
-            Testbed::Centrifuge => cpssec_scada::model::scada_model(),
-            Testbed::Water => cpssec_scada::water::water_model(),
-        }
-    }
-
-    /// The testbed's attack scenario library, in lookup order.
-    #[must_use]
-    pub fn scenario_library(self) -> Vec<AttackScenario> {
-        match self {
-            Testbed::Centrifuge => all_scenarios(),
-            Testbed::Water => all_water_scenarios(),
-        }
-    }
-}
-
-impl fmt::Display for Testbed {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
 
 /// One compiled chain: where it attaches, what it can execute, and how
 /// it gets there.
@@ -192,14 +135,7 @@ pub fn compile_chains_with(
 mod tests {
     use super::*;
     use cpssec_attackdb::seed::seed_corpus;
-
-    #[test]
-    fn testbed_names_round_trip() {
-        for testbed in Testbed::ALL {
-            assert_eq!(Testbed::parse(testbed.as_str()), Some(testbed));
-        }
-        assert_eq!(Testbed::parse("centrifuge"), None);
-    }
+    use cpssec_scada::Testbed;
 
     #[test]
     fn centrifuge_compiles_executable_and_textual_plans() {

@@ -19,10 +19,10 @@ use std::sync::atomic::AtomicU64;
 
 use cpssec_attackdb::seed::seed_corpus;
 use cpssec_model::fnv1a_64;
-use cpssec_scada::staged::{run_staged_centrifuge, run_staged_water, StagedOutcome, StagedSpec};
+use cpssec_scada::{run_staged, StagedOutcome, StagedSpec, Testbed};
 use cpssec_sim::run_fleet;
 
-use crate::compile::{compile_chains_with, ChainPlan, Testbed};
+use crate::compile::{compile_chains_with, ChainPlan};
 
 /// Parameters of one campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -234,10 +234,7 @@ fn execute_plan(run: &CampaignRun, plan: &ChainPlan, index: u64, seed: u64) -> C
         .with_dwell(run.dwell)
         .with_max_ticks(run.max_ticks)
         .with_sensor_seed(seed);
-    let outcome = match run.testbed {
-        Testbed::Centrifuge => run_staged_centrifuge(attack, &spec),
-        Testbed::Water => run_staged_water(attack, &spec),
-    };
+    let outcome = run_staged(run.testbed, attack, &spec);
     ChainRecord {
         stages: outcome.stages.clone(),
         verdict: score(&outcome),

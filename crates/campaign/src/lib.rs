@@ -43,7 +43,8 @@
 pub mod compile;
 pub mod execute;
 
-pub use compile::{compile_chains, compile_chains_with, ChainPlan, Testbed};
+pub use compile::{compile_chains, compile_chains_with, ChainPlan};
+pub use cpssec_scada::Testbed;
 pub use execute::{
     records_hash, run_campaign, run_campaign_with_progress, score, verdict_counts, CampaignRun,
     CampaignVerdict, ChainRecord,

@@ -3,21 +3,17 @@
 //! Each scenario names the attack vectors it instantiates (CWE/CAPEC
 //! identifiers as strings, so this crate stays decoupled from the corpus
 //! crate), the model component it targets, and a list of concrete
-//! [`AttackEffect`]s the harness applies when assembling the system. The
-//! paper's §3 narrative — CWE-78 command injection on the BPCS/SIS
-//! platforms "manifesting in destruction of the manufactured product or
-//! damage to the centrifuge itself", and the Triton incident "where malware
-//! was used to disable the safety systems" — maps to
-//! [`command_injection_bpcs`], [`sis_disable_overtemp`] and friends.
+//! [`AttackEffect`]s that [`Testbed`](crate::Testbed) interprets on either
+//! plant when its harness is assembled. The paper's §3 narrative — CWE-78
+//! command injection on the BPCS/SIS platforms "manifesting in destruction
+//! of the manufactured product or damage to the centrifuge itself", and the
+//! Triton incident "where malware was used to disable the safety systems" —
+//! maps to [`command_injection_bpcs`], [`sis_disable_overtemp`] and friends.
 
-use cpssec_sim::{
-    DropMatching, Firewall, FirewallAction, FirewallRule, RegisterOverride, ResponseOverride,
-    Simulation, Tick, TickWindow,
-};
+use cpssec_sim::Tick;
 
 use crate::addresses::{self, centrifuge, cooling, sis, temp_sensor};
-use crate::workstation::{ScheduledWrite, Workstation};
-use crate::CentrifugePlant;
+use crate::workstation::ScheduledWrite;
 
 /// One concrete effect of a scenario on the assembled system.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,10 +50,13 @@ pub enum AttackEffect {
     },
     /// Disable the control firewall entirely.
     DisableFirewall,
-    /// Add a firewall rule allowing workstation writes to the SIS (the
-    /// engineering-access misconfiguration Triton exploited).
+    /// Add a firewall rule allowing the operator station to write the
+    /// safety controller (the engineering-access misconfiguration Triton
+    /// exploited): workstation→SIS on the centrifuge, SCADA
+    /// server→interlock on the water plant.
     AllowWorkstationToSis,
-    /// Scripted writes from the (compromised) workstation.
+    /// Scripted writes from the (compromised) operator station; when a
+    /// scenario lists several, the last one wins.
     CompromisedWorkstation(Vec<ScheduledWrite>),
 }
 
@@ -77,64 +76,6 @@ pub struct AttackScenario {
     pub target_component: String,
     /// Concrete effects on the assembled system.
     pub effects: Vec<AttackEffect>,
-}
-
-/// Applies a scenario's effects while the harness is assembled. Returns the
-/// (possibly modified) firewall and workstation; injectors are registered
-/// on the simulation directly.
-pub(crate) fn apply_effects(
-    attack: &AttackScenario,
-    mut firewall: Firewall,
-    mut workstation: Workstation,
-    sim: &mut Simulation<CentrifugePlant>,
-) -> (Firewall, Workstation) {
-    for effect in &attack.effects {
-        match effect {
-            AttackEffect::ForceRegister {
-                dst,
-                address,
-                value,
-                from,
-            } => sim.add_injector(RegisterOverride::new(
-                attack.name.clone(),
-                TickWindow::from(*from),
-                *dst,
-                *address,
-                *value,
-            )),
-            AttackEffect::SpoofResponse {
-                dst,
-                address,
-                value,
-                from,
-            } => sim.add_injector(ResponseOverride::new(
-                attack.name.clone(),
-                TickWindow::from(*from),
-                *dst,
-                *address,
-                *value,
-            )),
-            AttackEffect::DropWrites { dst, from } => sim.add_injector(
-                DropMatching::new(attack.name.clone(), TickWindow::from(*from), Some(*dst))
-                    .writes_only(),
-            ),
-            AttackEffect::DisableFirewall => firewall.set_enabled(false),
-            AttackEffect::AllowWorkstationToSis => {
-                // Prepend so it wins over the default-deny evaluation order.
-                firewall = Firewall::new(FirewallAction::Deny)
-                    .with_rule(
-                        FirewallRule::any(FirewallAction::Allow)
-                            .from_src(addresses::WORKSTATION)
-                            .to_dst(addresses::SIS),
-                    )
-                    .merged_with(firewall);
-            }
-            AttackEffect::CompromisedWorkstation(writes) => {
-                workstation = workstation.with_malicious_writes(writes.clone());
-            }
-        }
-    }
-    (firewall, workstation)
 }
 
 /// CWE-78 / CAPEC-88 — OS command injection on the BPCS platform.

@@ -16,6 +16,11 @@
 //! for a useful product, the centrifuge reaches at most 10,000 rpm and
 //! regulates to ±1 rpm.
 //!
+//! A second plant, the water-treatment dosing loop ([`water`]), runs the
+//! same way; [`Testbed`] describes both once (model, scenarios, bus
+//! units and their roles) for the firewall, the attack-effect
+//! interpreter and the staged runner ([`run_staged`]).
+//!
 //! Attack scenarios ([`attacks`]) connect matched attack vectors (e.g.
 //! CWE-78 OS command injection on the BPCS/SIS platforms, the Triton-style
 //! safety-system disable) to their physical consequences.
@@ -44,6 +49,7 @@ mod physics;
 mod sis;
 pub mod staged;
 mod system;
+pub mod testbed;
 pub mod water;
 mod workstation;
 
@@ -57,8 +63,9 @@ pub use devices::{CentrifugeDrive, CoolingUnit, TemperatureSensor};
 pub use faults::{FaultMode, FaultScenario};
 pub use physics::CentrifugePlant;
 pub use sis::Sis;
-pub use staged::{run_staged_centrifuge, run_staged_water, StagedOutcome, StagedSpec};
+pub use staged::{run_staged, StagedOutcome, StagedSpec};
 pub use system::{BatchReport, ProductQuality, ScadaConfig, ScadaHarness};
+pub use testbed::{Testbed, UnitRoles};
 pub use water::{
     all_water_scenarios, water_model, WaterConfig, WaterHarness, WaterPlant, WaterQuality,
     WaterReport,

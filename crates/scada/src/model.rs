@@ -34,22 +34,6 @@ pub mod names {
     pub const COOLING: &str = "Cooling unit";
 }
 
-/// Maps a centrifuge-model component name to its bus unit, when it has
-/// one (network fabric like the corporate network or the firewall is not
-/// a bus station).
-#[must_use]
-pub fn unit_for_component(component: &str) -> Option<cpssec_sim::UnitId> {
-    match component {
-        names::WORKSTATION => Some(crate::addresses::WORKSTATION),
-        names::SIS => Some(crate::addresses::SIS),
-        names::BPCS => Some(crate::addresses::BPCS),
-        names::TEMP_SENSOR => Some(crate::addresses::TEMP_SENSOR),
-        names::CENTRIFUGE => Some(crate::addresses::CENTRIFUGE),
-        names::COOLING => Some(crate::addresses::COOLING),
-        _ => None,
-    }
-}
-
 /// Builds the particle separation centrifuge model of Fig 1.
 ///
 /// The returned model carries attributes at all three fidelity levels; use

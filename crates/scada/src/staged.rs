@@ -10,19 +10,22 @@
 //! the path really does block the campaign (the injector layer never
 //! sees denied traffic).
 //!
-//! Scenario effect ticks are *rebased* so that the earliest effect fires
-//! at the planned actuation tick and all relative gaps are preserved:
-//! the same hand-written scenarios drive both execution modes.
+//! [`run_staged`] runs on any [`Testbed`] through the same effect
+//! interpreter the harnesses use, with one difference: every effect tick
+//! is *rebased* so that the earliest effect fires at the planned
+//! actuation tick and all relative gaps are preserved. Firewall effects
+//! and operator-station writes apply when the harness is assembled; the
+//! bus injectors are armed only once the actuation stage activates.
 
 use cpssec_sim::{
-    DropMatching, HazardEvent, Injector, RegisterOverride, ResponseOverride, Stage, StageTrigger,
-    StagedInjection, Tick, TickWindow, UnitId,
+    HazardEvent, Injector, Plant, Simulation, Stage, StageTrigger, StagedInjection, Tick, UnitId,
 };
 
-use crate::attacks::{AttackEffect, AttackScenario};
+use crate::attacks::AttackScenario;
 use crate::system::{ScadaConfig, ScadaHarness};
+use crate::testbed::{Armed, Testbed};
 use crate::water::{WaterConfig, WaterHarness};
-use crate::workstation::ScheduledWrite;
+use crate::{CentrifugePlant, WaterPlant};
 
 /// How a staged campaign run is laid out.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,105 +126,19 @@ impl StagedOutcome {
     }
 }
 
-/// The earliest tick referenced by any effect of the scenario.
-fn earliest_effect_tick(attack: &AttackScenario) -> u64 {
-    let mut min = u64::MAX;
-    for effect in &attack.effects {
-        match effect {
-            AttackEffect::ForceRegister { from, .. }
-            | AttackEffect::SpoofResponse { from, .. }
-            | AttackEffect::DropWrites { from, .. } => min = min.min(from.count()),
-            AttackEffect::CompromisedWorkstation(writes) => {
-                for write in writes {
-                    min = min.min(write.at.count());
-                }
-            }
-            AttackEffect::DisableFirewall | AttackEffect::AllowWorkstationToSis => {}
-        }
-    }
-    if min == u64::MAX {
-        0
-    } else {
-        min
-    }
-}
-
-fn rebase(t: Tick, earliest: u64, actuate: u64) -> Tick {
-    Tick::new(t.count().saturating_sub(earliest).saturating_add(actuate))
-}
-
-/// Splits a scenario into its *passive* half (firewall changes and
-/// scheduled operator-station writes, applied at build time with rebased
-/// ticks) and its *active* half (bus injectors, armed only once the
-/// actuation stage activates, with rebased windows).
-fn split_attack(
-    attack: &AttackScenario,
-    actuate: u64,
-) -> (AttackScenario, Vec<Box<dyn Injector + Send>>) {
-    let earliest = earliest_effect_tick(attack);
-    let mut passive = AttackScenario {
-        name: attack.name.clone(),
-        description: attack.description.clone(),
-        weakness_ids: attack.weakness_ids.clone(),
-        pattern_ids: attack.pattern_ids.clone(),
-        target_component: attack.target_component.clone(),
-        effects: Vec::new(),
-    };
-    let mut injectors: Vec<Box<dyn Injector + Send>> = Vec::new();
-    for effect in &attack.effects {
-        match effect {
-            AttackEffect::ForceRegister {
-                dst,
-                address,
-                value,
-                from,
-            } => injectors.push(Box::new(RegisterOverride::new(
-                attack.name.clone(),
-                TickWindow::from(rebase(*from, earliest, actuate)),
-                *dst,
-                *address,
-                *value,
-            ))),
-            AttackEffect::SpoofResponse {
-                dst,
-                address,
-                value,
-                from,
-            } => injectors.push(Box::new(ResponseOverride::new(
-                attack.name.clone(),
-                TickWindow::from(rebase(*from, earliest, actuate)),
-                *dst,
-                *address,
-                *value,
-            ))),
-            AttackEffect::DropWrites { dst, from } => injectors.push(Box::new(
-                DropMatching::new(
-                    attack.name.clone(),
-                    TickWindow::from(rebase(*from, earliest, actuate)),
-                    Some(*dst),
-                )
-                .writes_only(),
-            )),
-            AttackEffect::CompromisedWorkstation(writes) => {
-                passive.effects.push(AttackEffect::CompromisedWorkstation(
-                    writes
-                        .iter()
-                        .map(|w| ScheduledWrite {
-                            at: rebase(w.at, earliest, actuate),
-                            dst: w.dst,
-                            address: w.address,
-                            value: w.value,
-                        })
-                        .collect(),
-                ));
-            }
-            passive_effect @ (AttackEffect::DisableFirewall
-            | AttackEffect::AllowWorkstationToSis) => {
-                passive.effects.push(passive_effect.clone());
-            }
-        }
-    }
-    (passive, injectors)
+/// Arms `attack` on `testbed` with every effect tick rebased so that
+/// the earliest lands on `actuate` and all relative gaps are kept.
+fn arm_rebased(testbed: Testbed, attack: &AttackScenario, actuate: u64) -> Armed {
+    // The interpreter visits exactly the ticks the effects name, so an
+    // identity pass finds the earliest (and with none, it is never read).
+    let mut earliest = u64::MAX;
+    testbed.arm(Some(attack), |t| {
+        earliest = earliest.min(t.count());
+        t
+    });
+    testbed.arm(Some(attack), |t| {
+        Tick::new(t.count().saturating_sub(earliest).saturating_add(actuate))
+    })
 }
 
 /// Builds the staged injection for a path: initial access at the entry,
@@ -263,81 +180,75 @@ fn build_staged(
     StagedInjection::new(name.to_owned(), stages)
 }
 
-fn outcome_from(
-    scenario: &str,
-    log: &cpssec_sim::StageLog,
-    hazards: &[HazardEvent],
-    emergency_stopped: bool,
+/// Adds the staged injection last, runs the horizon, and returns the
+/// first hazard and whether the plant ended in its safe state.
+fn run_to<P: Plant>(
+    sim: &mut Simulation<P>,
+    staged: StagedInjection,
     ticks: u64,
-) -> StagedOutcome {
+    stopped: fn(&P) -> bool,
+) -> (Option<HazardEvent>, bool) {
+    sim.add_injector(staged);
+    sim.run(ticks);
+    (sim.hazards().first().cloned(), stopped(sim.plant()))
+}
+
+/// Runs a scenario as a staged campaign on a testbed.
+#[must_use]
+pub fn run_staged(testbed: Testbed, attack: &AttackScenario, spec: &StagedSpec) -> StagedOutcome {
+    let mut armed = arm_rebased(testbed, attack, spec.planned_actuate());
+    let target_unit = spec.path.last().and_then(|c| testbed.unit_for_component(c));
+    let staged = build_staged(
+        &attack.name,
+        spec,
+        target_unit,
+        std::mem::take(&mut armed.injectors),
+    );
+    let log = staged.log();
+    let (hazard, emergency_stopped) = match testbed {
+        Testbed::Centrifuge => {
+            let config = ScadaConfig {
+                sensor_seed: spec.sensor_seed,
+                ..ScadaConfig::default()
+            };
+            let mut harness = ScadaHarness::build(config, armed, None);
+            run_to(
+                harness.sim_mut(),
+                staged,
+                spec.max_ticks,
+                CentrifugePlant::is_stopped,
+            )
+        }
+        Testbed::Water => {
+            let config = WaterConfig {
+                sensor_seed: spec.sensor_seed,
+                ..WaterConfig::default()
+            };
+            let mut harness = WaterHarness::build(config, armed);
+            run_to(
+                harness.sim_mut(),
+                staged,
+                spec.max_ticks,
+                WaterPlant::is_stopped,
+            )
+        }
+    };
     StagedOutcome {
-        scenario: scenario.to_owned(),
+        scenario: attack.name.clone(),
         stages: (0..log.stage_count())
             .map(|i| log.stage_name(i).to_owned())
             .collect(),
         activations: log.activation_ticks(),
-        hazard: hazards.first().cloned(),
+        hazard,
         emergency_stopped,
-        ticks,
+        ticks: spec.max_ticks,
     }
-}
-
-/// Runs a scenario as a staged campaign on the centrifuge testbed.
-#[must_use]
-pub fn run_staged_centrifuge(attack: &AttackScenario, spec: &StagedSpec) -> StagedOutcome {
-    let (passive, injectors) = split_attack(attack, spec.planned_actuate());
-    let config = ScadaConfig {
-        sensor_seed: spec.sensor_seed,
-        ..ScadaConfig::default()
-    };
-    let mut harness = ScadaHarness::with_attack(config, &passive);
-    let target_unit = spec
-        .path
-        .last()
-        .and_then(|c| crate::model::unit_for_component(c));
-    let staged = build_staged(&attack.name, spec, target_unit, injectors);
-    let log = staged.log();
-    harness.sim_mut().add_injector(staged);
-    harness.sim_mut().run(spec.max_ticks);
-    outcome_from(
-        &attack.name,
-        &log,
-        harness.sim().hazards(),
-        harness.sim().plant().is_stopped(),
-        spec.max_ticks,
-    )
-}
-
-/// Runs a scenario as a staged campaign on the water-treatment testbed.
-#[must_use]
-pub fn run_staged_water(attack: &AttackScenario, spec: &StagedSpec) -> StagedOutcome {
-    let (passive, injectors) = split_attack(attack, spec.planned_actuate());
-    let config = WaterConfig {
-        sensor_seed: spec.sensor_seed,
-        ..WaterConfig::default()
-    };
-    let mut harness = WaterHarness::with_attack(config, &passive);
-    let target_unit = spec
-        .path
-        .last()
-        .and_then(|c| crate::water::unit_for_component(c));
-    let staged = build_staged(&attack.name, spec, target_unit, injectors);
-    let log = staged.log();
-    harness.sim_mut().add_injector(staged);
-    harness.sim_mut().run(spec.max_ticks);
-    outcome_from(
-        &attack.name,
-        &log,
-        harness.sim().hazards(),
-        harness.sim().plant().is_stopped(),
-        spec.max_ticks,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attacks;
+    use crate::attacks::{self, AttackEffect};
     use crate::model::names as cnames;
     use crate::water::names as wnames;
 
@@ -366,7 +277,7 @@ mod tests {
     #[test]
     fn sis_armed_command_injection_is_contained() {
         let attack = attacks::command_injection_bpcs(Tick::new(3000));
-        let outcome = run_staged_centrifuge(&attack, &StagedSpec::new(bpcs_path()));
+        let outcome = run_staged(Testbed::Centrifuge, &attack, &StagedSpec::new(bpcs_path()));
         assert_eq!(outcome.first_blocked(), None, "{outcome:?}");
         assert!(outcome.emergency_stopped, "SIS should trip");
         assert!(!outcome.reached_hazard());
@@ -379,7 +290,7 @@ mod tests {
     #[test]
     fn sis_disabled_command_injection_reaches_the_hazard() {
         let attack = attacks::command_injection_with_sis_disabled(Tick::new(100), Tick::new(3000));
-        let outcome = run_staged_centrifuge(&attack, &StagedSpec::new(sis_path()));
+        let outcome = run_staged(Testbed::Centrifuge, &attack, &StagedSpec::new(sis_path()));
         assert_eq!(outcome.first_blocked(), None, "{outcome:?}");
         assert!(outcome.reached_hazard(), "{outcome:?}");
         let ttm = outcome.time_to_hazard().unwrap();
@@ -393,7 +304,7 @@ mod tests {
         attack
             .effects
             .retain(|e| !matches!(e, AttackEffect::AllowWorkstationToSis));
-        let outcome = run_staged_centrifuge(&attack, &StagedSpec::new(sis_path()));
+        let outcome = run_staged(Testbed::Centrifuge, &attack, &StagedSpec::new(sis_path()));
         // No delivery to the SIS is ever observed, so the gated actuate
         // stage never fires and the plan is blocked at its last stage.
         assert_eq!(outcome.first_blocked(), Some(3), "{outcome:?}");
@@ -411,7 +322,7 @@ mod tests {
         ]
         .map(str::to_owned)
         .to_vec();
-        let outcome = run_staged_water(&attack, &StagedSpec::new(path));
+        let outcome = run_staged(Testbed::Water, &attack, &StagedSpec::new(path));
         assert_eq!(outcome.first_blocked(), None, "{outcome:?}");
         assert!(outcome.reached_hazard(), "{outcome:?}");
         assert_eq!(
@@ -431,7 +342,7 @@ mod tests {
         ]
         .map(str::to_owned)
         .to_vec();
-        let outcome = run_staged_water(&attack, &StagedSpec::new(path));
+        let outcome = run_staged(Testbed::Water, &attack, &StagedSpec::new(path));
         assert_eq!(outcome.first_blocked(), None, "{outcome:?}");
         assert!(!outcome.reached_hazard(), "{outcome:?}");
         assert!(outcome.emergency_stopped, "interlock should trip");
@@ -441,8 +352,8 @@ mod tests {
     fn staged_runs_are_deterministic() {
         let attack = attacks::command_injection_with_sis_disabled(Tick::new(100), Tick::new(3000));
         let spec = StagedSpec::new(sis_path());
-        let a = run_staged_centrifuge(&attack, &spec);
-        let b = run_staged_centrifuge(&attack, &spec);
+        let a = run_staged(Testbed::Centrifuge, &attack, &spec);
+        let b = run_staged(Testbed::Centrifuge, &attack, &spec);
         assert_eq!(a, b);
     }
 
@@ -450,14 +361,10 @@ mod tests {
     fn rebasing_preserves_relative_gaps() {
         let attack = attacks::command_injection_with_sis_disabled(Tick::new(100), Tick::new(3000));
         let actuate = 800;
-        let (passive, injectors) = split_attack(&attack, actuate);
+        let armed = arm_rebased(Testbed::Centrifuge, &attack, actuate);
         // Disable write was the earliest effect (tick 100): lands at the
         // planned actuation tick; the injection keeps its 2900-tick gap.
-        let rebased_write = passive.effects.iter().find_map(|e| match e {
-            AttackEffect::CompromisedWorkstation(w) => Some(w[0].at.count()),
-            _ => None,
-        });
-        assert_eq!(rebased_write, Some(actuate));
-        assert_eq!(injectors.len(), 1);
+        assert_eq!(armed.writes[0].at.count(), actuate);
+        assert_eq!(armed.injectors.len(), 1);
     }
 }

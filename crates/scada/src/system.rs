@@ -2,16 +2,15 @@
 
 use core::fmt;
 
-use cpssec_sim::{
-    Firewall, FirewallAction, FirewallRule, HazardEvent, HazardMonitor, Simulation, Tick,
-};
+use cpssec_sim::{HazardEvent, HazardMonitor, Simulation, Tick};
 
-use crate::addresses;
-use crate::attacks::{apply_effects, AttackScenario};
+use crate::attacks::AttackScenario;
 use crate::bpcs::Bpcs;
 use crate::devices::{CentrifugeDrive, CoolingUnit, TemperatureSensor};
+use crate::faults::{FaultMode, FaultScenario, FaultScheduler, SensorFaultInjector};
 use crate::physics::CentrifugePlant;
 use crate::sis::Sis;
+use crate::testbed::{Armed, Testbed};
 use crate::workstation::Workstation;
 
 /// Configuration of one batch run.
@@ -129,86 +128,50 @@ impl ScadaHarness {
     /// Builds the nominal system (no attack, no fault).
     #[must_use]
     pub fn new(config: ScadaConfig) -> Self {
-        ScadaHarness::build(config, None, None)
+        ScadaHarness::build(config, Testbed::Centrifuge.arm(None, |t| t), None)
     }
 
     /// Builds the system with an attack scenario applied.
     #[must_use]
     pub fn with_attack(config: ScadaConfig, attack: &AttackScenario) -> Self {
-        ScadaHarness::build(config, Some(attack), None)
+        ScadaHarness::build(config, Testbed::Centrifuge.arm(Some(attack), |t| t), None)
     }
 
     /// Builds the system with an intrinsic fault scenario applied.
     #[must_use]
-    pub fn with_fault(config: ScadaConfig, fault: &crate::faults::FaultScenario) -> Self {
-        ScadaHarness::build(config, None, Some(fault))
+    pub fn with_fault(config: ScadaConfig, fault: &FaultScenario) -> Self {
+        ScadaHarness::build(config, Testbed::Centrifuge.arm(None, |t| t), Some(fault))
     }
 
-    fn build(
-        config: ScadaConfig,
-        attack: Option<&AttackScenario>,
-        fault: Option<&crate::faults::FaultScenario>,
-    ) -> Self {
+    /// Builds the system around an armed scenario (see [`Testbed`]): its
+    /// injectors first, then the fault, the firewall, the six stations,
+    /// the monitors and the probes.
+    pub(crate) fn build(config: ScadaConfig, armed: Armed, fault: Option<&FaultScenario>) -> Self {
         let mut sim = Simulation::new(CentrifugePlant::new(), config.dt);
-
-        // Firewall: workstation may reach the BPCS; the controllers may
-        // reach the field devices; everything else is denied.
-        let mut firewall = Firewall::new(FirewallAction::Deny).with_rule(
-            FirewallRule::any(FirewallAction::Allow)
-                .from_src(addresses::WORKSTATION)
-                .to_dst(addresses::BPCS),
-        );
-        for controller in [addresses::BPCS, addresses::SIS] {
-            for field in [
-                addresses::TEMP_SENSOR,
-                addresses::CENTRIFUGE,
-                addresses::COOLING,
-            ] {
-                firewall = firewall.with_rule(
-                    FirewallRule::any(FirewallAction::Allow)
-                        .from_src(controller)
-                        .to_dst(field),
-                );
-            }
-        }
-        firewall.set_enabled(config.firewall_enabled);
-
-        let mut workstation = Workstation::new(Workstation::standard_recipe(
-            config.batch_start,
-            config.setpoint_rpm,
-        ));
-
-        if let Some(attack) = attack {
-            let build = apply_effects(attack, firewall, workstation, &mut sim);
-            firewall = build.0;
-            workstation = build.1;
+        for injector in armed.injectors {
+            sim.add_injector(injector);
         }
         let mut chiller_events = Vec::new();
-        if let Some(fault) = fault {
-            for mode in &fault.faults {
-                match mode {
-                    crate::faults::FaultMode::StuckTemperatureProbe { value_x10, from } => {
-                        sim.add_injector(crate::faults::SensorFaultInjector::stuck(
-                            *value_x10, *from,
-                        ));
-                    }
-                    crate::faults::FaultMode::DriftingTemperatureProbe {
-                        rate_x10_per_tick,
-                        from,
-                    } => {
-                        sim.add_injector(crate::faults::SensorFaultInjector::drifting(
-                            *rate_x10_per_tick,
-                            *from,
-                        ));
-                    }
-                    crate::faults::FaultMode::ChillerDegradation { efficiency, from } => {
-                        chiller_events.push((*from, *efficiency));
-                    }
+        for mode in fault.iter().flat_map(|f| &f.faults) {
+            match *mode {
+                FaultMode::StuckTemperatureProbe { value_x10, from } => {
+                    sim.add_injector(SensorFaultInjector::stuck(value_x10, from));
+                }
+                FaultMode::DriftingTemperatureProbe {
+                    rate_x10_per_tick,
+                    from,
+                } => sim.add_injector(SensorFaultInjector::drifting(rate_x10_per_tick, from)),
+                FaultMode::ChillerDegradation { efficiency, from } => {
+                    chiller_events.push((from, efficiency));
                 }
             }
         }
         if !chiller_events.is_empty() {
-            sim.add_device(crate::faults::FaultScheduler::new(chiller_events));
+            sim.add_device(FaultScheduler::new(chiller_events));
+        }
+        let mut firewall = armed.firewall;
+        if !config.firewall_enabled {
+            firewall.set_enabled(false);
         }
         sim.set_firewall(firewall);
 
@@ -217,7 +180,13 @@ impl ScadaHarness {
         sim.add_device(CoolingUnit::new());
         sim.add_device(Sis::new());
         sim.add_device(Bpcs::new(config.dt));
-        sim.add_device(workstation);
+        sim.add_device(
+            Workstation::new(Workstation::standard_recipe(
+                config.batch_start,
+                config.setpoint_rpm,
+            ))
+            .with_malicious_writes(armed.writes),
+        );
 
         sim.add_monitor(HazardMonitor::new("explosion", |p: &CentrifugePlant| {
             p.has_exploded()
@@ -329,6 +298,8 @@ impl fmt::Debug for ScadaHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addresses;
+    use cpssec_sim::FirewallAction;
 
     #[test]
     fn nominal_batch_is_nominal() {

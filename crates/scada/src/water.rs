@@ -4,9 +4,12 @@
 //! compared across two system classes (the SLR's motivation): a chlorine
 //! dosing loop — residual analyzer, dosing pump, dosing PLC, a hardwired
 //! dosing interlock (the SIS analog), and a SCADA server (the operator
-//! entry point) behind a perimeter firewall. The same [`AttackScenario`]
-//! vocabulary drives it: register forcing, response spoofing, write
-//! denial, interlock disable through the engineering register.
+//! entry point) behind a perimeter firewall. [`Testbed::Water`] places
+//! those stations in the testbed table, so the [`AttackScenario`]
+//! vocabulary and its one interpreter drive this plant too: register
+//! forcing, response spoofing, write denial, and the interlock disable
+//! through the engineering register, which `AllowWorkstationToSis` opens
+//! as the server→interlock pair.
 //!
 //! Physics envelope: residual chlorine must stay inside the potable
 //! window (0.5–2.0 mg/L). Above [`WaterPlant::OVERDOSE_MG_L`] the water
@@ -22,9 +25,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use cpssec_sim::{
-    BusRequest, BusResponse, Device, DropMatching, ExceptionCode, Firewall, FirewallAction,
-    FirewallRule, HazardEvent, HazardMonitor, Outbox, Pid, Plant, RegisterOverride,
-    ResponseOverride, Simulation, Tick, TickWindow, UnitId,
+    BusRequest, BusResponse, Device, ExceptionCode, HazardEvent, HazardMonitor, Outbox, Pid, Plant,
+    Simulation, Tick, UnitId,
 };
 
 use cpssec_model::{
@@ -34,6 +36,7 @@ use cpssec_model::{
 
 use crate::addresses::mode;
 use crate::attacks::{AttackEffect, AttackScenario};
+use crate::testbed::{Armed, Testbed};
 use crate::workstation::ScheduledWrite;
 
 /// Bus unit ids of the water-treatment system.
@@ -776,110 +779,30 @@ pub struct WaterHarness {
     config: WaterConfig,
 }
 
-/// Applies a scenario's effects while the water harness is assembled,
-/// mirroring the centrifuge mapping: `AllowWorkstationToSis` becomes the
-/// server→interlock engineering-access misconfiguration, and
-/// `CompromisedWorkstation` scripts the SCADA server.
-pub(crate) fn apply_water_effects(
-    attack: &AttackScenario,
-    mut firewall: Firewall,
-    mut server: ScadaServer,
-    sim: &mut Simulation<WaterPlant>,
-) -> (Firewall, ScadaServer) {
-    for effect in &attack.effects {
-        match effect {
-            AttackEffect::ForceRegister {
-                dst,
-                address,
-                value,
-                from,
-            } => sim.add_injector(RegisterOverride::new(
-                attack.name.clone(),
-                TickWindow::from(*from),
-                *dst,
-                *address,
-                *value,
-            )),
-            AttackEffect::SpoofResponse {
-                dst,
-                address,
-                value,
-                from,
-            } => sim.add_injector(ResponseOverride::new(
-                attack.name.clone(),
-                TickWindow::from(*from),
-                *dst,
-                *address,
-                *value,
-            )),
-            AttackEffect::DropWrites { dst, from } => sim.add_injector(
-                DropMatching::new(attack.name.clone(), TickWindow::from(*from), Some(*dst))
-                    .writes_only(),
-            ),
-            AttackEffect::DisableFirewall => firewall.set_enabled(false),
-            AttackEffect::AllowWorkstationToSis => {
-                firewall = Firewall::new(FirewallAction::Deny)
-                    .with_rule(
-                        FirewallRule::any(FirewallAction::Allow)
-                            .from_src(units::SCADA_SERVER)
-                            .to_dst(units::INTERLOCK),
-                    )
-                    .merged_with(firewall);
-            }
-            AttackEffect::CompromisedWorkstation(writes) => {
-                server = server.with_malicious_writes(writes.clone());
-            }
-        }
-    }
-    (firewall, server)
-}
-
-/// Builds the water firewall: server may reach the PLC; the controllers
-/// may reach the field devices; everything else is denied.
-pub(crate) fn water_firewall(enabled: bool) -> Firewall {
-    let mut firewall = Firewall::new(FirewallAction::Deny).with_rule(
-        FirewallRule::any(FirewallAction::Allow)
-            .from_src(units::SCADA_SERVER)
-            .to_dst(units::DOSING_PLC),
-    );
-    for controller in [units::DOSING_PLC, units::INTERLOCK] {
-        for field in [units::RESIDUAL_SENSOR, units::DOSING_PUMP] {
-            firewall = firewall.with_rule(
-                FirewallRule::any(FirewallAction::Allow)
-                    .from_src(controller)
-                    .to_dst(field),
-            );
-        }
-    }
-    firewall.set_enabled(enabled);
-    firewall
-}
-
 impl WaterHarness {
     /// Builds the nominal system (no attack).
     #[must_use]
     pub fn new(config: WaterConfig) -> Self {
-        WaterHarness::build(config, None)
+        WaterHarness::build(config, Testbed::Water.arm(None, |t| t))
     }
 
     /// Builds the system with an attack scenario applied.
     #[must_use]
     pub fn with_attack(config: WaterConfig, attack: &AttackScenario) -> Self {
-        WaterHarness::build(config, Some(attack))
+        WaterHarness::build(config, Testbed::Water.arm(Some(attack), |t| t))
     }
 
-    fn build(config: WaterConfig, attack: Option<&AttackScenario>) -> Self {
+    /// Builds the system around an armed scenario (see [`Testbed`]): its
+    /// injectors first, then the firewall, the five stations, the
+    /// monitors and the probes.
+    pub(crate) fn build(config: WaterConfig, armed: Armed) -> Self {
         let mut sim = Simulation::new(WaterPlant::new(), config.dt);
-
-        let mut firewall = water_firewall(config.firewall_enabled);
-        let mut server = ScadaServer::new(ScadaServer::standard_recipe(
-            config.batch_start,
-            config.setpoint_x100,
-        ));
-        if let Some(attack) = attack {
-            let build = apply_water_effects(attack, firewall, server, &mut sim);
-            firewall = build.0;
-            server = build.1;
+        for injector in armed.injectors {
+            sim.add_injector(injector);
+        }
+        let mut firewall = armed.firewall;
+        if !config.firewall_enabled {
+            firewall.set_enabled(false);
         }
         sim.set_firewall(firewall);
 
@@ -887,7 +810,13 @@ impl WaterHarness {
         sim.add_device(DosingPump::new());
         sim.add_device(Interlock::new());
         sim.add_device(DosingPlc::new(config.dt));
-        sim.add_device(server);
+        sim.add_device(
+            ScadaServer::new(ScadaServer::standard_recipe(
+                config.batch_start,
+                config.setpoint_x100,
+            ))
+            .with_malicious_writes(armed.writes),
+        );
 
         sim.add_monitor(HazardMonitor::new("chlorine-overdose", |p: &WaterPlant| {
             p.has_overdosed()
@@ -1195,19 +1124,6 @@ pub fn water_model() -> SystemModel {
         .expect("the water model is well-formed")
 }
 
-/// Maps a water-model component name to its bus unit, when it has one.
-#[must_use]
-pub fn unit_for_component(component: &str) -> Option<UnitId> {
-    match component {
-        names::SCADA_SERVER => Some(units::SCADA_SERVER),
-        names::INTERLOCK => Some(units::INTERLOCK),
-        names::PLC => Some(units::DOSING_PLC),
-        names::RESIDUAL => Some(units::RESIDUAL_SENSOR),
-        names::PUMP => Some(units::DOSING_PUMP),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1458,13 +1374,15 @@ mod tests {
             (names::RESIDUAL, ()),
             (names::PUMP, ()),
         ] {
-            assert!(unit_for_component(component).is_some());
+            assert!(Testbed::Water.unit_for_component(component).is_some());
             let target = model.component_id(component).unwrap();
             assert!(
                 model.shortest_path(entry, target).is_some(),
                 "no path to {component}"
             );
         }
-        assert!(unit_for_component(names::TURBIDITY).is_none());
+        assert!(Testbed::Water
+            .unit_for_component(names::TURBIDITY)
+            .is_none());
     }
 }
