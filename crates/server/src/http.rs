@@ -3,8 +3,11 @@
 //!
 //! Supported: request line + headers + `Content-Length` bodies, percent
 //! decoding of the request target, keep-alive with `Connection: close`
-//! honored. Deliberately absent: chunked transfer encoding, trailers,
-//! upgrades, HTTP/2 — an analyst dashboard client needs none of them.
+//! honored (and HTTP/1.0 closing unless it asks for keep-alive).
+//! Deliberately absent: chunked transfer encoding, trailers, upgrades,
+//! HTTP/2 — an analyst dashboard client needs none of them. A request
+//! that declares `Transfer-Encoding` is rejected, never read as if it had
+//! no body.
 
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -29,6 +32,8 @@ pub struct Request {
     pub headers: Vec<(String, String)>,
     /// The body (empty when no `Content-Length`).
     pub body: Vec<u8>,
+    /// Whether the request line said `HTTP/1.0`.
+    pub http_1_0: bool,
 }
 
 impl Request {
@@ -51,12 +56,18 @@ impl Request {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Whether the client asked to close the connection after this
-    /// exchange.
+    /// Whether the connection closes after this exchange: the client
+    /// sent `Connection: close`, or spoke HTTP/1.0 without
+    /// `Connection: keep-alive` (RFC 7230 §6.3).
     #[must_use]
     pub fn wants_close(&self) -> bool {
-        self.header("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+        let has = |option: &str| {
+            self.header("connection").is_some_and(|v| {
+                v.split(',')
+                    .any(|token| token.trim().eq_ignore_ascii_case(option))
+            })
+        };
+        has("close") || (self.http_1_0 && !has("keep-alive"))
     }
 }
 
@@ -189,6 +200,15 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpEr
             return Err(HttpError::Malformed("header with empty name".into()));
         }
         let value = value.trim().to_owned();
+        // RFC 7230 §3.3.3: a request with a transfer coding this parser
+        // cannot frame must be rejected. Reading it as bodiless would
+        // parse its chunks as the next request, where a proxy in front
+        // sees one request: the smuggling desync.
+        if name == "transfer-encoding" {
+            return Err(HttpError::Malformed(
+                "transfer-encoding is not supported".into(),
+            ));
+        }
         if name == "content-length" {
             let parsed = value
                 .parse()
@@ -221,6 +241,7 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpEr
         query,
         headers,
         body,
+        http_1_0: version == "HTTP/1.0",
     }))
 }
 
@@ -448,6 +469,40 @@ mod tests {
         assert_eq!(req.method, "POST");
         assert_eq!(req.body, b"{\"id\":\"m1\"}ab");
         assert!(req.wants_close());
+    }
+
+    #[test]
+    fn http_1_0_closes_unless_it_asks_for_keep_alive() {
+        assert!(parse("GET /healthz HTTP/1.0\r\n\r\n").wants_close());
+        assert!(!parse("GET /healthz HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n").wants_close());
+        assert!(
+            parse("GET /healthz HTTP/1.1\r\nConnection: keep-alive, close\r\n\r\n").wants_close()
+        );
+        assert!(!parse("GET /healthz HTTP/1.1\r\n\r\n").wants_close());
+    }
+
+    #[test]
+    fn transfer_encoding_is_rejected_not_read_as_bodiless() {
+        // Read as bodiless, the chunk bytes would parse as a second,
+        // pipelined request.
+        let raw = b"POST /models HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n";
+        for split in 0..=raw.len() {
+            match parse_request_bytes(&raw[..split]) {
+                Ok(Incremental::NeedMore) => assert!(split < raw.len(), "{split}"),
+                Err(HttpError::Malformed(m)) => assert!(m.contains("transfer-encoding"), "{m}"),
+                other => panic!("split {split}: {other:?}"),
+            }
+        }
+        let err = parse_request_bytes(raw).unwrap_err();
+        assert!(matches!(err, HttpError::Malformed(_)), "{err:?}");
+        // Any coding, any case, next to a Content-Length or not.
+        for raw in [
+            "POST /m HTTP/1.1\r\nContent-Length: 3\r\ntransfer-encoding: gzip\r\n\r\nabc",
+            "POST /m HTTP/1.1\r\nTRANSFER-ENCODING: chunked\r\nContent-Length: 3\r\n\r\nabc",
+        ] {
+            let err = read_request(&mut BufReader::new(raw.as_bytes())).unwrap_err();
+            assert!(matches!(err, HttpError::Malformed(_)), "{raw:?}");
+        }
     }
 
     #[test]
