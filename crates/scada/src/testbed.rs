@@ -3,7 +3,7 @@
 //! A [`Testbed`] gives its system model, its attack scenario library,
 //! the bus unit of each model component, and the units that play the
 //! operator, controller, safety and field roles. The firewall
-//! ([`Testbed::firewall`]), the one attack-effect interpreter
+//! (`Testbed::firewall`), the one attack-effect interpreter
 //! (`Testbed::arm`, shared by both harnesses and the staged runner) and
 //! [`run_staged`](crate::staged::run_staged) read this table instead of
 //! matching on the plant. A new testbed is one arm per `match` here plus
@@ -157,8 +157,7 @@ impl Testbed {
     /// The control-network firewall: the operator station may reach the
     /// controller, both controllers may reach every field device, and
     /// everything else is denied.
-    #[must_use]
-    pub fn firewall(self) -> Firewall {
+    pub(crate) fn firewall(self) -> Firewall {
         let roles = self.roles();
         let mut firewall =
             Firewall::new(FirewallAction::Deny).with_rule(allow(roles.operator, roles.controller));
@@ -173,7 +172,7 @@ impl Testbed {
     /// Interprets a scenario on this testbed, passing every effect tick
     /// through `tick`. Bus effects become injectors in effect order;
     /// `DisableFirewall` and `AllowWorkstationToSis` edit
-    /// [`Testbed::firewall`]; the last `CompromisedWorkstation` scripts
+    /// `Testbed::firewall`; the last `CompromisedWorkstation` scripts
     /// the operator station. `None` arms the nominal system.
     pub(crate) fn arm(
         self,
