@@ -65,7 +65,7 @@ pub use physics::CentrifugePlant;
 pub use sis::Sis;
 pub use staged::{run_staged, StagedOutcome, StagedSpec};
 pub use system::{BatchReport, ProductQuality, ScadaConfig, ScadaHarness};
-pub use testbed::{Testbed, UnitRoles};
+pub use testbed::Testbed;
 pub use water::{
     all_water_scenarios, water_model, WaterConfig, WaterHarness, WaterPlant, WaterQuality,
     WaterReport,

@@ -149,7 +149,7 @@ impl ScadaHarness {
     pub(crate) fn build(config: ScadaConfig, armed: Armed, fault: Option<&FaultScenario>) -> Self {
         let mut sim = Simulation::new(CentrifugePlant::new(), config.dt);
         for injector in armed.injectors {
-            sim.add_injector(injector);
+            sim.add_boxed_injector(injector);
         }
         let mut chiller_events = Vec::new();
         for mode in fault.iter().flat_map(|f| &f.faults) {

@@ -34,16 +34,16 @@ pub enum Testbed {
 
 /// The bus units that play each role on a testbed's control network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnitRoles {
+pub(crate) struct UnitRoles {
     /// The operator station: the adversary's foothold on the control
     /// network, and the only station allowed to command the controller.
-    pub operator: UnitId,
+    pub(crate) operator: UnitId,
     /// The process controller.
-    pub controller: UnitId,
+    pub(crate) controller: UnitId,
     /// The safety controller.
-    pub safety: UnitId,
+    pub(crate) safety: UnitId,
     /// The field devices both controllers reach, in rule order.
-    pub field: &'static [UnitId],
+    pub(crate) field: &'static [UnitId],
 }
 
 /// A scenario's effects resolved against one testbed: the firewall the
@@ -133,7 +133,7 @@ impl Testbed {
 
     /// Which unit plays which role on the control network.
     #[must_use]
-    pub fn roles(self) -> UnitRoles {
+    pub(crate) fn roles(self) -> UnitRoles {
         match self {
             Testbed::Centrifuge => UnitRoles {
                 operator: addresses::WORKSTATION,

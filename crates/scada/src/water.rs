@@ -798,7 +798,7 @@ impl WaterHarness {
     pub(crate) fn build(config: WaterConfig, armed: Armed) -> Self {
         let mut sim = Simulation::new(WaterPlant::new(), config.dt);
         for injector in armed.injectors {
-            sim.add_injector(injector);
+            sim.add_boxed_injector(injector);
         }
         let mut firewall = armed.firewall;
         if !config.firewall_enabled {

@@ -77,22 +77,6 @@ pub trait Injector {
     }
 }
 
-/// A boxed injector is an injector, so a list built as trait objects
-/// registers with [`Simulation::add_injector`](crate::Simulation::add_injector).
-impl<I: Injector + ?Sized> Injector for Box<I> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn intercept_request(&mut self, now: Tick, request: &mut BusRequest) -> Verdict {
-        (**self).intercept_request(now, request)
-    }
-
-    fn intercept_response(&mut self, now: Tick, request: &BusRequest, response: &mut BusResponse) {
-        (**self).intercept_response(now, request, response);
-    }
-}
-
 /// Drops requests matching a destination (and optionally writes only) —
 /// a targeted denial of service.
 #[derive(Debug, Clone, PartialEq, Eq)]

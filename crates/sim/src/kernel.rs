@@ -165,8 +165,14 @@ impl<P: Plant> Simulation<P> {
     /// Registers an attack injector, armed immediately; injectors run in
     /// registration order.
     pub fn add_injector(&mut self, injector: impl Injector + Send + 'static) {
+        self.add_boxed_injector(Box::new(injector));
+    }
+
+    /// [`Simulation::add_injector`] for an injector that is already a trait
+    /// object, so it is not boxed a second time.
+    pub fn add_boxed_injector(&mut self, injector: Box<dyn Injector + Send>) {
         self.injectors.push(ArmedInjector {
-            injector: Box::new(injector),
+            injector,
             armed: true,
         });
     }
