@@ -11,7 +11,8 @@
 //! `temperature-sensor-spoof` and the stuck and drifting probes) share
 //! one report, at `run_batch`'s default horizon and past their t4038
 //! overtemperature latch alike, so a mistake in the effects of one of
-//! them (say, the workstation-to-SIS opening) would not move its hash.
+//! them (say, a shifted tick for the compromised workstation's writes)
+//! would not move its hash.
 //! The centrifuge runs are therefore pinned a second time over
 //! [`LONG_HORIZON`] ticks with the whole bus message log folded into the
 //! hash: every firewall decision, every tampered or dropped request and
