@@ -32,12 +32,75 @@ impl CorpusStats {
     }
 }
 
+/// A record that names weaknesses: the source of the corpus's reverse
+/// links.
+trait Linked {
+    /// The weaknesses this record lists.
+    fn weakness_links(&self) -> &[CweId];
+}
+
+impl Linked for AttackPattern {
+    fn weakness_links(&self) -> &[CweId] {
+        self.related_weaknesses()
+    }
+}
+
+impl Linked for Weakness {
+    fn weakness_links(&self) -> &[CweId] {
+        &[]
+    }
+}
+
+impl Linked for Vulnerability {
+    fn weakness_links(&self) -> &[CweId] {
+        self.weaknesses()
+    }
+}
+
+/// One segment of a family: its records by id, plus the reverse links of
+/// those records, each weakness's list of the ids naming it, ascending.
+/// It dereferences to its records.
+#[derive(Clone)]
+struct Segment<K, V> {
+    records: BTreeMap<K, V>,
+    links: BTreeMap<CweId, Vec<K>>,
+}
+
+impl<K: Ord + Copy, V: Linked> Segment<K, V> {
+    fn of(id: K, record: V) -> Self {
+        let mut segment = Segment {
+            records: BTreeMap::new(),
+            links: BTreeMap::new(),
+        };
+        segment.insert(id, record);
+        segment
+    }
+
+    fn insert(&mut self, id: K, record: V) {
+        for cwe in record.weakness_links() {
+            let ids = self.links.entry(*cwe).or_default();
+            // Kept sorted so the links are canonical regardless of
+            // insertion order (important for interchange round-trips).
+            ids.insert(ids.partition_point(|linked| *linked < id), id);
+        }
+        self.records.insert(id, record);
+    }
+}
+
+impl<K, V> std::ops::Deref for Segment<K, V> {
+    type Target = BTreeMap<K, V>;
+
+    fn deref(&self) -> &BTreeMap<K, V> {
+        &self.records
+    }
+}
+
 /// One record family: append-only segments with disjoint ascending id
 /// ranges (see the layout notes on [`Corpus`]). `starts[i]` is the lowest
 /// id in `segments[i]`.
 #[derive(Clone)]
 struct Family<K, V> {
-    segments: Vec<Arc<BTreeMap<K, V>>>,
+    segments: Vec<Arc<Segment<K, V>>>,
     starts: Vec<K>,
     len: usize,
 }
@@ -52,7 +115,7 @@ impl<K, V> Default for Family<K, V> {
     }
 }
 
-impl<K: Ord + Copy, V: Clone> Family<K, V> {
+impl<K: Ord + Copy, V: Clone + Linked> Family<K, V> {
     /// Index of the segment whose range covers `id`, if `id` is not below
     /// every segment.
     fn covering(&self, id: &K) -> Option<usize> {
@@ -100,8 +163,20 @@ impl<K: Ord + Copy, V: Clone> Family<K, V> {
     }
 
     fn open_segment(&mut self, id: K, record: V) {
-        self.segments.push(Arc::new(BTreeMap::from([(id, record)])));
+        self.segments.push(Arc::new(Segment::of(id, record)));
         self.starts.push(id);
+    }
+
+    /// The ids of the records listing `cwe`, ascending: each segment's
+    /// links in segment order, which is id order because the segments'
+    /// ranges are disjoint and ascending.
+    fn linked_to(&self, cwe: CweId) -> Vec<K> {
+        self.segments
+            .iter()
+            .filter_map(|segment| segment.links.get(&cwe))
+            .flatten()
+            .copied()
+            .collect()
     }
 
     fn entries(&self) -> impl Iterator<Item = (&K, &V)> {
@@ -125,7 +200,7 @@ impl<K: Ord + Copy, V: Clone> Family<K, V> {
         let mut out = Vec::with_capacity(self.len);
         for segment in self.segments {
             match Arc::try_unwrap(segment) {
-                Ok(owned) => out.extend(owned.into_values()),
+                Ok(owned) => out.extend(owned.records.into_values()),
                 Err(shared) => out.extend(shared.values().cloned()),
             }
         }
@@ -133,13 +208,13 @@ impl<K: Ord + Copy, V: Clone> Family<K, V> {
     }
 }
 
-impl<K: Ord + Copy, V: Clone + PartialEq> PartialEq for Family<K, V> {
+impl<K: Ord + Copy, V: Clone + Linked + PartialEq> PartialEq for Family<K, V> {
     fn eq(&self, other: &Self) -> bool {
         self.len == other.len && self.entries().eq(other.entries())
     }
 }
 
-impl<K: Ord + Copy + fmt::Debug, V: Clone + fmt::Debug> fmt::Debug for Family<K, V> {
+impl<K: Ord + Copy + fmt::Debug, V: Clone + Linked + fmt::Debug> fmt::Debug for Family<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map().entries(self.entries()).finish()
     }
@@ -164,9 +239,11 @@ impl<K: Ord + Copy + fmt::Debug, V: Clone + fmt::Debug> fmt::Debug for Family<K,
 /// above the family's highest id goes into the last segment when this
 /// corpus owns it alone, and opens a new segment when the last one is
 /// shared; any other insert goes into the segment covering its id, which
-/// is copied first only if shared. Equality, iteration and every query
-/// are logical — records in id order — whatever the segmentation. The
-/// reverse-link maps are whole-corpus and cloned with it.
+/// is copied first only if shared. Each segment also keeps the reverse
+/// links (weakness → the patterns or vulnerabilities naming it) of its
+/// own records, so they are shared and copied with it, and a clone never
+/// copies a whole-corpus map. Equality, iteration and every query are
+/// logical — records in id order — whatever the segmentation.
 ///
 /// # Examples
 ///
@@ -187,9 +264,6 @@ pub struct Corpus {
     patterns: Family<CapecId, AttackPattern>,
     weaknesses: Family<CweId, Weakness>,
     vulnerabilities: Family<CveId, Vulnerability>,
-    // Reverse links, maintained on insert.
-    weakness_to_patterns: BTreeMap<CweId, Vec<CapecId>>,
-    weakness_to_vulns: BTreeMap<CweId, Vec<CveId>>,
 }
 
 impl Corpus {
@@ -207,13 +281,6 @@ impl Corpus {
     pub fn add_pattern(&mut self, pattern: AttackPattern) -> Result<(), AttackDbError> {
         if self.patterns.contains(&pattern.id()) {
             return Err(AttackDbError::DuplicateRecord(pattern.id().into()));
-        }
-        for cwe in pattern.related_weaknesses() {
-            let entry = self.weakness_to_patterns.entry(*cwe).or_default();
-            // Kept sorted so the index is canonical regardless of insertion
-            // order (important for interchange round-trips).
-            let position = entry.partition_point(|id| *id < pattern.id());
-            entry.insert(position, pattern.id());
         }
         self.patterns.insert(pattern.id(), pattern);
         Ok(())
@@ -240,11 +307,6 @@ impl Corpus {
     pub fn add_vulnerability(&mut self, vuln: Vulnerability) -> Result<(), AttackDbError> {
         if self.vulnerabilities.contains(&vuln.id()) {
             return Err(AttackDbError::DuplicateRecord(vuln.id().into()));
-        }
-        for cwe in vuln.weaknesses() {
-            let entry = self.weakness_to_vulns.entry(*cwe).or_default();
-            let position = entry.partition_point(|id| *id < vuln.id());
-            entry.insert(position, vuln.id());
         }
         self.vulnerabilities.insert(vuln.id(), vuln);
         Ok(())
@@ -296,19 +358,13 @@ impl Corpus {
     /// Patterns related to a weakness (CAPEC records listing this CWE).
     #[must_use]
     pub fn patterns_for_weakness(&self, cwe: CweId) -> Vec<CapecId> {
-        self.weakness_to_patterns
-            .get(&cwe)
-            .cloned()
-            .unwrap_or_default()
+        self.patterns.linked_to(cwe)
     }
 
     /// Vulnerabilities mapped to a weakness (CVE records listing this CWE).
     #[must_use]
     pub fn vulnerabilities_for_weakness(&self, cwe: CweId) -> Vec<CveId> {
-        self.weakness_to_vulns
-            .get(&cwe)
-            .cloned()
-            .unwrap_or_default()
+        self.vulnerabilities.linked_to(cwe)
     }
 
     /// Weaknesses a pattern exploits (the forward CAPEC→CWE link).

@@ -38,6 +38,14 @@ pub enum SnapshotError {
     /// The bytes are structurally invalid (bad discriminant, bad UTF-8,
     /// duplicate record, inconsistent table lengths, ...).
     Corrupt(String),
+    /// A well-formed delta chains onto another state than the one it was
+    /// applied to: it is stale, replayed or out of order.
+    ParentMismatch {
+        /// The parent id the delta names.
+        delta: u64,
+        /// The id of the state it was applied to.
+        state: u64,
+    },
 }
 
 impl fmt::Display for SnapshotError {
@@ -52,6 +60,10 @@ impl fmt::Display for SnapshotError {
                 write!(f, "checksum mismatch in section `{section}`")
             }
             SnapshotError::Corrupt(detail) => write!(f, "corrupt snapshot: {detail}"),
+            SnapshotError::ParentMismatch { delta, state } => write!(
+                f,
+                "delta parent {delta:016x} does not match the current state {state:016x}"
+            ),
         }
     }
 }

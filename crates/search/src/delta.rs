@@ -5,17 +5,22 @@
 //! parent state by id, and nothing derived from them. Applying it appends
 //! the records to the corpus, indexes the batch of each family with the
 //! build's own tokenize-and-intern loop, and merges that small section
-//! into the family's in one pass (`Family::merge`), so the index follows
-//! from the stored records by construction. The indices store only term
-//! frequencies and document lengths, and every weight is computed at query
-//! time from them, so the grown engine is *bit-identical* to one rebuilt
-//! over the merged corpus. Combined with the append-only id floor
-//! (new ids must exceed every existing id, keeping `BTreeMap` id order
-//! equal to append order) and the sorted-term snapshot encoding
-//! (independent of term-id numbering), this yields the compaction
-//! guarantee: [`compact_verified`] proves the re-encoded base snapshot is
-//! byte-identical to rebuild-from-scratch at every compaction point, by
-//! comparing the engine-dependent family sections of the two.
+//! into the family's *tail* section (`Family::merge`), so the index
+//! follows from the stored records by construction. The family's base
+//! section, the bulk of the index, stays shared with the engine the
+//! delta was applied to: an apply costs *O(tail + batch)*, not a copy of
+//! the index. The indices store only term frequencies and document
+//! lengths, every weight is computed at query time from them, and a query
+//! walks each term's base postings before its tail postings, so the grown
+//! engine is *bit-identical* to one rebuilt over the merged corpus.
+//! Combined with the append-only id floor (new ids must exceed every
+//! existing id, keeping `BTreeMap` id order equal to append order) and
+//! the sorted-term snapshot encoding (independent of term-id numbering),
+//! this yields the compaction guarantee: [`compact_verified`] proves the
+//! re-encoded base snapshot is byte-identical to rebuild-from-scratch at
+//! every compaction point, by comparing the engine-dependent family
+//! sections of the two. [`SearchEngine::compacted`] folds each tail into
+//! its base, the one copy of the index a compaction pays.
 //!
 //! # Layout (delta version 2)
 //!
@@ -41,6 +46,7 @@ use cpssec_model::fnv1a_64_wide;
 use cpssec_obs::container;
 
 use crate::engine::build_families;
+use crate::index::Segments;
 use crate::snapshot::{self, SnapshotError};
 use crate::SearchEngine;
 
@@ -164,22 +170,25 @@ pub fn inspect_delta(bytes: &[u8]) -> Result<DeltaInfo, SnapshotError> {
 /// the append-only id floor (every batch id must exceed every existing id
 /// of its family — the invariant that keeps compaction byte-identical to
 /// rebuild), then indexes each family's batch with the build's
-/// tokenize-and-intern loop, merges it into the family, and appends the
-/// records to the corpus. The corpus side costs *O(batch)* even on a
-/// clone: a cloned [`Corpus`] shares its record segments, and the batch
-/// lands in a new one. The engine side writes each grown family once, a
-/// copy of its section with the batch merged in, so an engine sharing the
-/// old families (a clone, or a [`SearchEngine::with_config`] copy) keeps
-/// them unchanged.
+/// tokenize-and-intern loop, merges it into the family's tail section,
+/// and appends the records to the corpus. The corpus side costs
+/// *O(batch)* even on a clone: a cloned [`Corpus`] shares its record
+/// segments and their reverse links, and the batch lands in a new
+/// segment. The engine side costs *O(tail + batch)*: each grown family
+/// writes a new tail, the batch merged into the records appended since
+/// the last compaction, and keeps its base section shared. An engine
+/// sharing the old sections (a clone, or a [`SearchEngine::with_config`]
+/// copy) keeps them unchanged.
 ///
 /// On error the pair may be partially modified and must be discarded:
 /// apply to clones and swap on success (what the server and CLI do).
 ///
 /// # Errors
 ///
-/// Any parse error from [`inspect_delta`]; [`SnapshotError::Corrupt`] on
-/// a parent-chain mismatch (message names both ids) or an id-floor
-/// violation.
+/// Any parse error from [`inspect_delta`];
+/// [`SnapshotError::ParentMismatch`] when the delta chains onto another
+/// state (the message names both ids); [`SnapshotError::Corrupt`] on an
+/// id-floor violation.
 pub fn apply_delta(
     corpus: &mut Corpus,
     engine: &mut SearchEngine,
@@ -189,10 +198,10 @@ pub fn apply_delta(
     let mut span = cpssec_obs::span!("delta-apply");
     let parsed = parse(bytes)?;
     if parsed.info.parent_id != expected_parent {
-        return Err(SnapshotError::Corrupt(format!(
-            "delta parent {:016x} does not match the current state {:016x}",
-            parsed.info.parent_id, expected_parent
-        )));
+        return Err(SnapshotError::ParentMismatch {
+            delta: parsed.info.parent_id,
+            state: expected_parent,
+        });
     }
     let floor_err = |family: &str| {
         SnapshotError::Corrupt(format!(
@@ -247,9 +256,10 @@ pub fn apply_delta(
 /// same `corpus`, the corpus section is a function of the corpus alone,
 /// and [`snapshot::encode`] is a deterministic assembly of the corpus and
 /// the family sections, so equal family sections are equivalent to equal
-/// files. The grown engine's sections are its in-memory families, so
-/// they are assembled with the corpus into the returned snapshot as they
-/// are.
+/// files. The grown engine's sections are its in-memory families, each
+/// tail merged into its base ([`SearchEngine::compacted`] does that merge
+/// once, so an engine it returns is compared as it is), and they are
+/// assembled with the corpus into the returned snapshot as they are.
 ///
 /// # Errors
 ///
@@ -258,14 +268,15 @@ pub fn apply_delta(
 /// the state must not be persisted.
 pub fn compact_verified(corpus: &Corpus, engine: &SearchEngine) -> Result<Vec<u8>, SnapshotError> {
     let _span = cpssec_obs::span!("delta-compact");
-    let grown = engine.families().map(|family| family.section());
+    let grown = engine.families().map(Segments::section);
     let rebuilt = SearchEngine::build(corpus);
-    if grown != rebuilt.families().map(|family| family.section()) {
+    if grown != rebuilt.families().map(Segments::section) {
         return Err(SnapshotError::Corrupt(
             "compacted snapshot diverges from rebuild-from-scratch".into(),
         ));
     }
-    Ok(snapshot::assemble(corpus, grown))
+    let [p, w, v] = grown;
+    Ok(snapshot::assemble(corpus, [&p, &w, &v]))
 }
 
 #[cfg(test)]

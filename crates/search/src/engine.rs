@@ -9,7 +9,7 @@ use cpssec_attackdb::{
 };
 use cpssec_model::{Channel, ChannelId, Component, Fidelity, SystemModel};
 
-use crate::index::{Family, FamilyKind};
+use crate::index::{Family, FamilyKind, SectionPostings, Segments};
 use crate::score::{expand_query, ScoringModel, TermScorer};
 use crate::severity::SeverityCode;
 use crate::snapshot::SnapshotError;
@@ -193,10 +193,12 @@ thread_local! {
 /// separate threads); matching is `O(postings touched)`, with each
 /// posting's weight computed from its stored term frequency. Each family
 /// is held as its columnar snapshot section, whether it was built here,
-/// decoded from a `.cpsnap` or opened over a mapped one, and sits behind
-/// an `Arc`, so engines that differ only in configuration share it. The
-/// engine holds no reference to the corpus — record ids are the currency
-/// between the two.
+/// decoded from a `.cpsnap` or opened over a mapped one, plus at most one
+/// tail section with the records delta applies appended since the last
+/// compaction ([`SearchEngine::compacted`]). Sections sit behind `Arc`s, so
+/// engines that differ only in configuration, or in a later append,
+/// share them. The engine holds no reference to the corpus — record ids
+/// are the currency between the two.
 ///
 /// # Examples
 ///
@@ -213,7 +215,7 @@ thread_local! {
 pub struct SearchEngine {
     config: MatchConfig,
     /// Patterns, weaknesses, vulnerabilities.
-    families: [Arc<Family>; 3],
+    families: [Segments; 3],
     /// Lifetime query counter, shared across clones of this engine so the
     /// incremental-association tests (and the server's metrics) can observe
     /// exactly how many matcher runs an operation cost.
@@ -250,32 +252,52 @@ impl SearchEngine {
     fn from_families(families: [Family; 3]) -> SearchEngine {
         SearchEngine {
             config: MatchConfig::default(),
-            families: families.map(Arc::new),
+            families: families.map(Segments::new),
             queries: Arc::new(AtomicU64::new(0)),
         }
     }
 
     /// The three families (patterns, weaknesses, vulnerabilities).
-    pub(crate) fn families(&self) -> [&Family; 3] {
+    pub(crate) fn families(&self) -> [&Segments; 3] {
         let [p, w, v] = &self.families;
         [p, w, v]
     }
 
     /// Appends one batch per family, as documents after the family's own:
-    /// each non-empty batch is merged into a new family
-    /// ([`Family::merge`]), so engines sharing the old one never see it.
+    /// each non-empty batch lands in the family's tail section (it becomes
+    /// the tail, or is merged into it), so an append costs *O(tail +
+    /// batch)* and never copies the base. Engines sharing the old tail or
+    /// base never see the batch.
     pub(crate) fn append(&mut self, batches: [Family; 3]) {
         for (family, batch) in self.families.iter_mut().zip(batches) {
-            if batch.doc_count() > 0 {
-                *family = Arc::new(family.merge(&batch));
-            }
+            family.append(batch);
         }
+    }
+
+    /// This engine with each family's tail folded into its base, one
+    /// section merge per family that has a tail: what a compaction
+    /// installs. It answers every query with the same bits as this engine,
+    /// and shares this engine's configuration and query counter.
+    #[must_use]
+    pub fn compacted(&self) -> SearchEngine {
+        let mut engine = self.clone();
+        for family in &mut engine.families {
+            family.compact();
+        }
+        engine
+    }
+
+    /// Documents held in tail sections: the records appended since the
+    /// last compaction (0 for a built, decoded or compacted engine).
+    #[must_use]
+    pub fn tail_len(&self) -> usize {
+        self.families.iter().map(Segments::tail_len).sum()
     }
 
     /// A copy of this engine under `config`. Weights are computed at query
     /// time, so no configuration changes the index: the copy shares this
-    /// engine's families and its query counter (four `Arc` bumps), and the
-    /// copy's queries count as this engine's.
+    /// engine's sections and its query counter (a few `Arc` bumps), and
+    /// the copy's queries count as this engine's.
     #[must_use]
     pub fn with_config(&self, config: MatchConfig) -> SearchEngine {
         SearchEngine {
@@ -546,45 +568,68 @@ fn prepare_query(text: &str, expand: bool) -> (Vec<String>, Vec<String>) {
     (terms, extras)
 }
 
-/// Scores one family and returns the admitted hits.
+/// `term`'s scorer over `family` and its postings in each section, or
+/// `None` if no document holds it. The document frequency is the sum over
+/// the sections, so the scorer is the one the merged section would give.
+fn lookup<'a>(
+    family: &'a Segments,
+    term: &str,
+    config: MatchConfig,
+    avg: f64,
+) -> Option<(TermScorer, [Option<SectionPostings<'a>>; 2])> {
+    let sections = family.postings(term);
+    let df: usize = sections.iter().flatten().map(|(_, _, p)| p.len()).sum();
+    (df > 0).then(|| {
+        let scorer = TermScorer::new(config.scoring, family.doc_count(), df, avg);
+        (scorer, sections)
+    })
+}
+
+/// Scores one family and returns the admitted hits. Each term's postings
+/// are walked base section first, then tail, the tail's documents
+/// numbered after the base's: the order the merged section holds them
+/// in, so every score is summed in the same order and `touched` fills in
+/// the same order as over one section.
 fn run_family(
-    family: &Family,
+    family: &Segments,
     terms: &[String],
     extras: &[String],
     config: MatchConfig,
     scratch: &mut QueryScratch,
 ) -> Vec<Hit> {
-    let (doc_count, avg) = (family.doc_count(), family.avg_len());
-    scratch.ensure(doc_count);
+    let avg = family.avg_len();
+    scratch.ensure(family.doc_count());
     for term in terms {
-        let Some(postings) = family.postings(term) else {
+        let Some((scorer, sections)) = lookup(family, term, config, avg) else {
             continue;
         };
-        let scorer = TermScorer::new(config.scoring, doc_count, postings.len(), avg);
         let idf = scorer.idf;
-        for (doc, tf) in postings {
-            let slot = &mut scratch.accum[doc];
-            if slot.matched == 0 {
-                scratch.touched.push(doc as u32);
-            }
-            slot.score += scorer.weight(family, doc, tf);
-            slot.matched += 1;
-            if idf > slot.max_idf {
-                slot.max_idf = idf;
+        for (section, first, postings) in sections.into_iter().flatten() {
+            for (doc, tf) in postings {
+                let slot = &mut scratch.accum[first + doc];
+                if slot.matched == 0 {
+                    scratch.touched.push((first + doc) as u32);
+                }
+                slot.score += scorer.weight(section, doc, tf);
+                slot.matched += 1;
+                if idf > slot.max_idf {
+                    slot.max_idf = idf;
+                }
             }
         }
     }
     // Synonym-expansion terms only refine the scores of documents that
     // already matched an original term — they never create hits.
     for term in extras {
-        let Some(postings) = family.postings(term) else {
+        let Some((scorer, sections)) = lookup(family, term, config, avg) else {
             continue;
         };
-        let scorer = TermScorer::new(config.scoring, doc_count, postings.len(), avg);
-        for (doc, tf) in postings {
-            let slot = &mut scratch.accum[doc];
-            if slot.matched > 0 {
-                slot.score += scorer.weight(family, doc, tf);
+        for (section, first, postings) in sections.into_iter().flatten() {
+            for (doc, tf) in postings {
+                let slot = &mut scratch.accum[first + doc];
+                if slot.matched > 0 {
+                    slot.score += scorer.weight(section, doc, tf);
+                }
             }
         }
     }

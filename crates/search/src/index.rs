@@ -11,8 +11,15 @@
 //! each hit's [`SeverityCode`] straight from the section's severity column;
 //! every weight is computed at query time by [`crate::score::TermScorer`],
 //! so appending documents ([`Family::merge`]) invalidates nothing.
+//!
+//! An engine holds each family as [`Segments`]: a shared base section plus
+//! at most one tail section with the documents appended since the last
+//! compaction. An append merges the batch into the tail, never into the
+//! base, so it costs *O(tail + batch)* whatever the size of the family.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use cpssec_attackdb::snapshot::{put_u16, put_u32, Reader, SnapshotError};
 use cpssec_attackdb::{AttackVectorId, CapecId, CveId, CweId};
@@ -326,6 +333,29 @@ fn u32_pair_at(bytes: &[u8], off: usize) -> (u32, u32) {
     let pair = u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes"));
     (pair as u32, (pair >> 32) as u32)
 }
+
+/// The postings of one term in one section: `(doc, tf)` pairs,
+/// doc-ascending, read in place.
+#[derive(Debug, Clone)]
+pub(crate) struct Postings<'a>(std::slice::ChunksExact<'a, u8>);
+
+impl Iterator for Postings<'_> {
+    type Item = (usize, u32);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, u32)> {
+        self.0.next().map(|p| {
+            let (doc, tf) = u32_pair_at(p, 0);
+            (doc as usize, tf)
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Postings<'_> {}
 
 /// The record family a section indexes, which fixes its id encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -670,10 +700,7 @@ impl Family {
     /// binary search on its first byte's run of the sorted dictionary;
     /// `None` if no document holds it. Byte order equals `str` order, the
     /// order the builder sorted by.
-    pub(crate) fn postings(
-        &self,
-        term: &str,
-    ) -> Option<impl ExactSizeIterator<Item = (usize, u32)> + '_> {
+    pub(crate) fn postings(&self, term: &str) -> Option<Postings<'_>> {
         let (lo, hi) = match term.as_bytes().first() {
             Some(&b) => (self.runs[usize::from(b)], self.runs[usize::from(b) + 1]),
             None => (0, self.runs[0]),
@@ -685,10 +712,7 @@ impl Family {
                 std::cmp::Ordering::Less => lo = mid + 1,
                 std::cmp::Ordering::Greater => hi = mid,
                 std::cmp::Ordering::Equal => {
-                    return Some(self.posting_bytes(mid).chunks_exact(POSTING_LEN).map(|p| {
-                        let (doc, tf) = u32_pair_at(p, 0);
-                        (doc as usize, tf)
-                    }));
+                    return Some(Postings(self.posting_bytes(mid).chunks_exact(POSTING_LEN)));
                 }
             }
         }
@@ -716,6 +740,7 @@ impl Family {
     }
 
     /// Mean document length (BM25's `avg`).
+    #[cfg(test)]
     pub(crate) fn avg_len(&self) -> f64 {
         average_length(self.total_tokens, self.doc_count())
     }
@@ -740,9 +765,11 @@ impl Family {
     /// `doc_count()..`, in one pass over the two sections: ids, severity
     /// codes and lengths concatenate, the two sorted dictionaries are
     /// walked in lockstep, and each term of the union keeps this family's
-    /// postings followed by the batch's, doc ids shifted. Postings stay doc-ascending, so the
-    /// result is byte-identical to building the concatenated documents
-    /// from scratch.
+    /// postings followed by the batch's, doc ids shifted. Postings stay
+    /// doc-ascending, so the result is byte-identical to building the
+    /// concatenated documents from scratch. It writes a new section of
+    /// both sizes, so [`Segments`] runs it on a tail to absorb a batch and
+    /// on the base only to fold the tail in at compaction.
     pub(crate) fn merge(&self, batch: &Family) -> Family {
         let (a, b) = (&self.layout, &batch.layout);
         let shift = a.doc_count as u32;
@@ -824,6 +851,125 @@ impl Family {
             ids: [&self.ids[..], &batch.ids[..]].concat(),
             norms: [&self.norms[..], &batch.norms[..]].concat(),
             total_tokens: self.total_tokens + batch.total_tokens,
+        }
+    }
+}
+
+/// One term's postings in one section of a [`Segments`]: the section, the
+/// number of its first document in the family, and the postings, whose
+/// doc ids are local to the section.
+pub(crate) type SectionPostings<'a> = (&'a Family, usize, Postings<'a>);
+
+/// One record family's index as an engine holds it: a shared, immutable
+/// base section plus at most one tail section holding the documents
+/// appended since the last compaction, as documents `base.doc_count()..`.
+///
+/// Both sections sit behind `Arc`s, so a clone (a held generation, a
+/// [`crate::SearchEngine::with_config`] copy) costs two reference-count
+/// bumps, and an append replaces the tail without touching what a clone
+/// sees. The pair answers every question the merged section would, with
+/// the same numbers: document count, token total and each term's document
+/// frequency are sums of integers over the two, and each term's postings
+/// are the base's followed by the tail's, exactly the merged section's
+/// posting order.
+#[derive(Debug, Clone)]
+pub(crate) struct Segments {
+    base: Arc<Family>,
+    tail: Option<Arc<Family>>,
+}
+
+impl Segments {
+    /// A family with no tail.
+    pub(crate) fn new(base: Family) -> Segments {
+        Segments {
+            base: Arc::new(base),
+            tail: None,
+        }
+    }
+
+    /// The section name, as errors report it.
+    pub(crate) fn name(&self) -> &'static str {
+        self.base.name()
+    }
+
+    /// Documents in the tail (0 without one).
+    pub(crate) fn tail_len(&self) -> usize {
+        self.tail.as_ref().map_or(0, |tail| tail.doc_count())
+    }
+
+    /// Number of documents over both sections.
+    pub(crate) fn doc_count(&self) -> usize {
+        self.base.doc_count() + self.tail_len()
+    }
+
+    /// Mean document length over both sections (BM25's `avg`): the sum of
+    /// both token totals over the sum of both document counts, so it is
+    /// the merged section's to the bit.
+    pub(crate) fn avg_len(&self) -> f64 {
+        let tail_tokens = self.tail.as_ref().map_or(0, |tail| tail.total_tokens);
+        average_length(self.base.total_tokens + tail_tokens, self.doc_count())
+    }
+
+    /// `term`'s postings in each section that holds it, base first.
+    pub(crate) fn postings(&self, term: &str) -> [Option<SectionPostings<'_>>; 2] {
+        let base = &*self.base;
+        [
+            base.postings(term).map(|p| (base, 0, p)),
+            self.tail.as_deref().and_then(|tail| {
+                let p = tail.postings(term)?;
+                Some((tail, base.doc_count(), p))
+            }),
+        ]
+    }
+
+    /// The section holding document `doc` and the document's id in it.
+    fn locate(&self, doc: usize) -> (&Family, usize) {
+        match &self.tail {
+            Some(tail) if doc >= self.base.doc_count() => (tail, doc - self.base.doc_count()),
+            _ => (&self.base, doc),
+        }
+    }
+
+    /// The record id of document `doc`.
+    pub(crate) fn id(&self, doc: usize) -> AttackVectorId {
+        let (section, doc) = self.locate(doc);
+        section.id(doc)
+    }
+
+    /// The severity code of document `doc`.
+    pub(crate) fn severity(&self, doc: usize) -> SeverityCode {
+        let (section, doc) = self.locate(doc);
+        section.severity(doc)
+    }
+
+    /// Appends `batch`'s documents after the family's: the batch becomes
+    /// the tail, or is merged into it, in *O(tail + batch)*. The base is
+    /// never copied.
+    pub(crate) fn append(&mut self, batch: Family) {
+        if batch.doc_count() == 0 {
+            return;
+        }
+        let tail = match self.tail.take() {
+            Some(tail) => tail.merge(&batch),
+            None => batch,
+        };
+        self.tail = Some(Arc::new(tail));
+    }
+
+    /// Folds the tail into a new base with one [`Family::merge`]; a
+    /// no-op without a tail.
+    pub(crate) fn compact(&mut self) {
+        if let Some(tail) = self.tail.take() {
+            self.base = Arc::new(self.base.merge(&tail));
+        }
+    }
+
+    /// The family's section as a snapshot stores it: the base section
+    /// itself, or with a tail, the two merged as they are written.
+    pub(crate) fn section(&self) -> Cow<'_, [u8]> {
+        match &self.tail {
+            None => Cow::Borrowed(self.base.section()),
+            Some(tail) => Cow::Owned(self.base.merge(tail).bytes),
         }
     }
 }

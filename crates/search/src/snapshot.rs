@@ -70,6 +70,7 @@ use cpssec_obs::container::{ContainerError, Format};
 pub use cpssec_attackdb::snapshot::SnapshotError;
 pub use cpssec_obs::container::SectionInfo;
 
+use crate::index::Segments;
 use crate::view::record_directories;
 use crate::SearchEngine;
 
@@ -203,7 +204,9 @@ fn decode_corpus_section(payload: &[u8]) -> Result<Corpus, SnapshotError> {
 }
 
 /// Serializes `corpus` and `engine` into a `.cpsnap` byte image: the
-/// corpus section, then the engine's three family sections as they are.
+/// corpus section, then the engine's three family sections as they are,
+/// each with its tail (the records [`crate::delta`] appends added since
+/// the last compaction) merged in as it is written.
 ///
 /// The engine must have been built over `corpus` — the id tables are
 /// validated against the corpus on decode. Output is deterministic: the
@@ -219,7 +222,8 @@ fn decode_corpus_section(payload: &[u8]) -> Result<Corpus, SnapshotError> {
 #[must_use]
 pub fn encode(corpus: &Corpus, engine: &SearchEngine) -> Vec<u8> {
     let _span = cpssec_obs::span!("snapshot-encode");
-    assemble(corpus, engine.families().map(|family| family.section()))
+    let [p, w, v] = engine.families().map(Segments::section);
+    assemble(corpus, [&p, &w, &v])
 }
 
 /// Encodes the corpus section and lays it out, followed by the three
@@ -397,8 +401,8 @@ mod tests {
     fn hostile_index_words_are_refused_or_scored_never_panic() {
         let corpus = seed_corpus();
         let engine = SearchEngine::build(&corpus);
-        let [patterns, weaknesses, vulnerabilities] =
-            engine.families().map(|family| family.section());
+        let [patterns, weaknesses, vulnerabilities] = engine.families().map(Segments::section);
+        let [patterns, weaknesses, vulnerabilities] = [&*patterns, &*weaknesses, &*vulnerabilities];
         // Seals `corrupt` as the vulnerabilities section under valid
         // checksums and decodes it: the index validator may refuse it
         // with one line, and an engine that decodes must answer under

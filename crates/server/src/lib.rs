@@ -111,7 +111,7 @@ impl Generation {
     }
 
     /// The engine for a scoring model, over this generation's corpus: a
-    /// copy of the one index (four `Arc` bumps).
+    /// copy of the one index (a few `Arc` bumps).
     #[must_use]
     pub fn engine(&self, scoring: ScoringModel) -> SearchEngine {
         self.engine.with_scoring(scoring)
@@ -207,6 +207,46 @@ pub struct DeltaOutcome {
     /// Whether this apply crossed [`COMPACTION_EVERY`] and rebased.
     pub compacted: bool,
 }
+
+/// Why a delta apply installed nothing. Each case names whose fault it
+/// is, so the router answers it with its own status.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DeltaError {
+    /// The delta chains onto another state than the installed one: it is
+    /// stale, replayed or out of order (409).
+    Conflict(SnapshotError),
+    /// The bytes are malformed or the batch breaks the append-only id
+    /// floor (400).
+    Invalid(SnapshotError),
+    /// The compaction proof failed: the grown state diverges from a
+    /// rebuild over the same corpus. A server invariant broke, not the
+    /// client's request (500).
+    Diverged(SnapshotError),
+}
+
+impl DeltaError {
+    /// The HTTP status that answers this error.
+    #[must_use]
+    pub fn status(&self) -> u16 {
+        match self {
+            DeltaError::Conflict(_) => 409,
+            DeltaError::Invalid(_) => 400,
+            DeltaError::Diverged(_) => 500,
+        }
+    }
+}
+
+impl std::fmt::Display for DeltaError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DeltaError::Conflict(e) | DeltaError::Invalid(e) | DeltaError::Diverged(e) => {
+                std::fmt::Display::fmt(e, f)
+            }
+        }
+    }
+}
+
+impl std::error::Error for DeltaError {}
 
 /// The chain anchor for a corpus-built state: the id of the snapshot this
 /// state would encode to. One extra encode at boot buys corpus-built and
@@ -349,42 +389,49 @@ impl AppState {
     /// the grown state in. Applies serialize on their own lock and build
     /// the next generation off the store lock, so queries keep taking the
     /// current generation for the whole apply. Every
-    /// [`COMPACTION_EVERY`]-th apply also rebases: the grown state is
-    /// proven byte-identical to a rebuild-from-scratch before the new
-    /// anchor is adopted. Both result caches advance to the new state id
-    /// on success — their keys do not encode corpus content, their
-    /// generation tags do.
+    /// [`COMPACTION_EVERY`]-th apply also rebases: each index family's
+    /// tail is folded into its base, the folded state is proven
+    /// byte-identical to a rebuild-from-scratch, and the folded engine and
+    /// the new anchor are installed. Both result caches advance to the new
+    /// state id on success — their keys do not encode corpus content,
+    /// their generation tags do.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError`] for malformed bytes, a parent-id mismatch (the
-    /// router maps that one to 409), an append-only id violation, or a
-    /// compaction divergence. On error the installed state is untouched.
-    pub fn apply_corpus_delta(&self, bytes: &[u8]) -> Result<DeltaOutcome, SnapshotError> {
+    /// [`DeltaError::Conflict`] for a parent-id mismatch,
+    /// [`DeltaError::Invalid`] for malformed bytes or an append-only id
+    /// violation, [`DeltaError::Diverged`] for a failed compaction proof.
+    /// On error the installed state is untouched.
+    pub fn apply_corpus_delta(&self, bytes: &[u8]) -> Result<DeltaOutcome, DeltaError> {
         let _applying = self.applying.lock().expect("delta apply lock poisoned");
         let current = self.generation();
         // Grow clones; the installed state stays valid if anything fails.
-        // The corpus clone shares every record segment, so it and the
-        // later drop of the old generation cost O(segments); each grown
-        // index family is written once, with the batch merged in.
+        // The corpus clone shares every record segment and the engine
+        // clone every index section, so the clones and the later drop of
+        // the old generation cost O(segments); each grown index family
+        // writes only a new tail section.
         let mut corpus = (*current.corpus).clone();
         let mut engine = (*current.engine).clone();
-        let info = cpssec_search::apply_delta(&mut corpus, &mut engine, bytes, current.state_id)?;
-        let mut next = Generation::new(
-            corpus,
-            engine,
-            info.child_id,
-            current.deltas_since_compaction + 1,
-        );
-        let mut compacted = false;
-        if next.deltas_since_compaction >= COMPACTION_EVERY {
-            let base = cpssec_search::compact_verified(&next.corpus, &next.engine)?;
-            next.state_id = snapshot::inspect(&base)?.snapshot_id;
-            next.deltas_since_compaction = 0;
+        let info = cpssec_search::apply_delta(&mut corpus, &mut engine, bytes, current.state_id)
+            .map_err(|e| match e {
+                SnapshotError::ParentMismatch { .. } => DeltaError::Conflict(e),
+                e => DeltaError::Invalid(e),
+            })?;
+        let deltas_since_compaction = current.deltas_since_compaction + 1;
+        let compacted = deltas_since_compaction >= COMPACTION_EVERY;
+        let next = if compacted {
+            let folded = engine.compacted();
+            let base = cpssec_search::compact_verified(&corpus, &folded)
+                .and_then(|base| snapshot::inspect(&base))
+                .map_err(DeltaError::Diverged)?;
+            Generation::new(corpus, folded, base.snapshot_id, 0)
+        } else {
+            Generation::new(corpus, engine, info.child_id, deltas_since_compaction)
+        };
+        if compacted {
             self.gauges
                 .compactions_total
                 .fetch_add(1, Ordering::Relaxed);
-            compacted = true;
         }
         let outcome = DeltaOutcome {
             info,

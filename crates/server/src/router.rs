@@ -18,7 +18,7 @@ use cpssec_model::{fnv1a_64, Attribute, AttributeKind, Fidelity};
 use cpssec_search::{Filter, FilterPipeline, ScoringModel};
 
 use crate::http::{Request, Response};
-use crate::{AppState, Generation};
+use crate::{AppState, DeltaError, Generation};
 
 /// The analysis knobs every read endpoint accepts, plus their canonical
 /// cache-key rendering.
@@ -434,8 +434,10 @@ fn set_delay(state: &AppState, req: &Request) -> Response {
 /// `POST /corpus/delta` — applies a binary `.cpsdelta` body to the live
 /// corpus without a rebuild. A parent-id mismatch (stale or replayed
 /// delta) is `409 Conflict`: the client must re-fetch the current
-/// `stateId` and rebuild its delta against it; every other rejection is
-/// a 400. On success the response carries the new chain anchor.
+/// `stateId` and rebuild its delta against it. A malformed batch or an
+/// id-floor violation is a 400, and a failed compaction proof a 500 (see
+/// [`delta_rejected`]). On success the response carries the new chain
+/// anchor.
 fn corpus_delta(state: &AppState, req: &Request) -> Response {
     if req.body.is_empty() {
         return Response::error(400, "missing .cpsdelta request body");
@@ -453,12 +455,18 @@ fn corpus_delta(state: &AppState, req: &Request) -> Response {
             ]);
             Response::json(200, body.to_text())
         }
-        Err(e) => {
-            let message = e.to_string();
-            let status = if message.contains("parent") { 409 } else { 400 };
-            Response::error(status, &format!("delta rejected: {message}"))
-        }
+        Err(e) => delta_rejected(&e),
     }
+}
+
+/// The answer to a delta apply that installed nothing, with the status
+/// of whoever is at fault. A divergent compaction is the server's own
+/// invariant breaking, so it also leaves one line on stderr.
+fn delta_rejected(error: &DeltaError) -> Response {
+    if matches!(error, DeltaError::Diverged(_)) {
+        eprintln!("delta apply: compaction proof failed, nothing installed: {error}");
+    }
+    Response::error(error.status(), &format!("delta rejected: {error}"))
 }
 
 fn upload_model(state: &AppState, req: &Request) -> Response {
@@ -800,5 +808,51 @@ mod tests {
         )
         .unwrap_err()
         .contains("exotic"));
+    }
+
+    #[test]
+    fn delta_rejections_carry_the_status_of_whoever_is_at_fault() {
+        use cpssec_search::snapshot::SnapshotError;
+        let state = AppState::new(cpssec_attackdb::seed::seed_corpus());
+        let before = state.state_id();
+        let post = |body: Vec<u8>| {
+            let mut req = request("POST", "/corpus/delta");
+            req.body = body;
+            corpus_delta(&state, &req)
+        };
+        let batch = cpssec_attackdb::synth::delta_batch(3, 10, 0);
+        // A delta chained onto another state is stale: 409.
+        let stale = cpssec_search::build_delta(before ^ 1, &batch);
+        assert_eq!(post(stale).status, 409);
+        // Malformed bytes are the client's fault: 400.
+        let mut truncated = cpssec_search::build_delta(before, &batch);
+        truncated.truncate(truncated.len() / 2);
+        assert_eq!(post(truncated).status, 400);
+        assert_eq!(state.state_id(), before, "nothing installed");
+        // A failed compaction proof is the server's: 500, never a 400.
+        for (error, status) in [
+            (
+                DeltaError::Conflict(SnapshotError::ParentMismatch { delta: 1, state: 2 }),
+                409,
+            ),
+            (DeltaError::Invalid(SnapshotError::Truncated), 400),
+            (
+                DeltaError::Diverged(SnapshotError::Corrupt(
+                    "compacted snapshot diverges from rebuild-from-scratch".into(),
+                )),
+                500,
+            ),
+        ] {
+            let response = delta_rejected(&error);
+            assert_eq!(response.status, status, "{error}");
+            let body = String::from_utf8(response.body).unwrap();
+            assert!(body.contains(&error.to_string()), "{body}");
+        }
+        // The message is the cause's own one line.
+        let truncated = DeltaError::Invalid(SnapshotError::Truncated);
+        assert_eq!(truncated.to_string(), "snapshot is truncated");
+        // The real path still applies a well-formed delta: 200.
+        assert_eq!(post(cpssec_search::build_delta(before, &batch)).status, 200);
+        assert_ne!(state.state_id(), before);
     }
 }
