@@ -1290,6 +1290,45 @@ mod tests {
     }
 
     #[test]
+    fn an_append_shares_the_base_and_a_compaction_folds_the_tail() {
+        let docs = [
+            "buffer overflow in the kernel network stack",
+            "kernel race condition",
+            "cross site scripting in the web interface",
+            "kernel panic",
+            "web kernel",
+        ];
+        let whole = family(&docs);
+        let mut grown = Segments::new(family(&docs[..3]));
+        let held = grown.clone();
+        grown.append(family(&docs[3..4]).with_ids_from(3));
+        grown.append(family(&[]));
+        grown.append(family(&docs[4..]).with_ids_from(4));
+        // The base is the held generation's, not a copy; the tail holds
+        // the two appended documents, numbered after the base's.
+        assert!(Arc::ptr_eq(&grown.base, &held.base));
+        assert_eq!((grown.tail_len(), held.tail_len()), (2, 0));
+        assert_eq!(grown.doc_count(), whole.doc_count());
+        assert_eq!(grown.avg_len().to_bits(), whole.avg_len().to_bits());
+        let sections: Vec<(usize, Vec<(usize, u32)>)> = grown
+            .postings("kernel")
+            .into_iter()
+            .flatten()
+            .map(|(_, first, p)| (first, p.collect()))
+            .collect();
+        assert_eq!(
+            sections,
+            [(0, vec![(0, 1), (1, 1)]), (3, vec![(0, 1), (1, 1)])]
+        );
+        assert_eq!(grown.id(4), whole.id(4));
+        assert_eq!(&*grown.section(), whole.section());
+        grown.compact();
+        assert!(grown.tail.is_none());
+        assert_eq!(grown.base.section(), whole.section());
+        assert_eq!(&*held.section(), family(&docs[..3]).section());
+    }
+
+    #[test]
     fn open_is_a_fixpoint_with_bit_identical_weights() {
         let built = sample();
         let opened = Family::open(built.kind, built.section().to_vec()).expect("open");
