@@ -220,12 +220,21 @@ impl AttackPattern {
     /// The text the search engine indexes for this record.
     #[must_use]
     pub fn search_text(&self) -> String {
-        let mut text = format!("{} {}", self.name, self.description);
-        for p in &self.prerequisites {
-            text.push(' ');
-            text.push_str(p);
-        }
+        let mut text = String::new();
+        self.push_search_text(&mut text);
         text
+    }
+
+    /// Appends [`Self::search_text`] to `out`, so an index build can
+    /// reuse one buffer across records.
+    pub fn push_search_text(&self, out: &mut String) {
+        out.push_str(&self.name);
+        out.push(' ');
+        out.push_str(&self.description);
+        for p in &self.prerequisites {
+            out.push(' ');
+            out.push_str(p);
+        }
     }
 }
 
@@ -314,16 +323,21 @@ impl Weakness {
     /// The text the search engine indexes for this record.
     #[must_use]
     pub fn search_text(&self) -> String {
-        let mut text = format!("{} {}", self.name, self.description);
-        for p in &self.platforms {
-            text.push(' ');
-            text.push_str(p);
-        }
-        for c in &self.consequences {
-            text.push(' ');
-            text.push_str(c);
-        }
+        let mut text = String::new();
+        self.push_search_text(&mut text);
         text
+    }
+
+    /// Appends [`Self::search_text`] to `out`, so an index build can
+    /// reuse one buffer across records.
+    pub fn push_search_text(&self, out: &mut String) {
+        out.push_str(&self.name);
+        out.push(' ');
+        out.push_str(&self.description);
+        for text in self.platforms.iter().chain(&self.consequences) {
+            out.push(' ');
+            out.push_str(text);
+        }
     }
 }
 
@@ -464,18 +478,25 @@ impl Vulnerability {
     /// The text the search engine indexes for this record.
     #[must_use]
     pub fn search_text(&self) -> String {
-        let mut text = self.description.clone();
+        let mut text = String::new();
+        self.push_search_text(&mut text);
+        text
+    }
+
+    /// Appends [`Self::search_text`] to `out`, so an index build can
+    /// reuse one buffer across records.
+    pub fn push_search_text(&self, out: &mut String) {
+        out.push_str(&self.description);
         for cpe in &self.affected {
-            text.push(' ');
-            text.push_str(cpe.vendor());
-            text.push(' ');
-            text.push_str(cpe.product());
+            out.push(' ');
+            out.push_str(cpe.vendor());
+            out.push(' ');
+            out.push_str(cpe.product());
             if let Some(v) = cpe.version() {
-                text.push(' ');
-                text.push_str(v);
+                out.push(' ');
+                out.push_str(v);
             }
         }
-        text
     }
 }
 

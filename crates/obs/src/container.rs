@@ -12,7 +12,9 @@
 //!
 //! A format supplies its magic, version, checksum function and section
 //! names as a [`Format`]. The container writes the header and table
-//! ([`Format::assemble`]), splits a file in *O(header)*
+//! ([`Format::assemble`]), computes a file's id from each section's
+//! length and checksum alone ([`Format::id_of`]), splits a file in
+//! *O(header)*
 //! ([`Format::split`]), verifies the payload checksums
 //! ([`Table::verify`]) and looks sections up ([`Table::find`]). The id
 //! fingerprints the whole content, since each table entry embeds its
@@ -111,6 +113,43 @@ impl Format {
         self.sections.iter().find(|s| s.0 == id).map(|s| s.1)
     }
 
+    /// Writes the section table of a file whose payloads, in
+    /// [`Format::sections`] order, have the given `(len, checksum)`s, and
+    /// returns it with each payload's offset and the file's length.
+    fn table(&self, sections: &[(usize, u64)]) -> (Vec<u8>, Vec<usize>, usize) {
+        assert_eq!(
+            sections.len(),
+            self.sections.len(),
+            "one payload per section"
+        );
+        let mut table = Vec::with_capacity(sections.len() * TABLE_ENTRY_LEN);
+        let mut offsets = Vec::with_capacity(sections.len());
+        let mut offset = (HEADER_LEN + sections.len() * TABLE_ENTRY_LEN).next_multiple_of(8);
+        for (&(id, _), &(len, checksum)) in self.sections.iter().zip(sections) {
+            put_u16(&mut table, id);
+            put_u64(&mut table, offset as u64);
+            put_u64(&mut table, len as u64);
+            put_u64(&mut table, checksum);
+            offsets.push(offset);
+            offset = (offset + len).next_multiple_of(8);
+        }
+        (table, offsets, offset)
+    }
+
+    /// The id of the file whose payloads, in [`Format::sections`] order,
+    /// have the given `(len, checksum)`s: the checksum of its section
+    /// table, which needs nothing else of a payload. Equal to the id
+    /// [`Format::assemble`] writes for payloads of those lengths and
+    /// checksums.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is exactly one pair per section.
+    #[must_use]
+    pub fn id_of(&self, sections: &[(usize, u64)]) -> u64 {
+        (self.checksum)(&self.table(sections).0)
+    }
+
     /// Lays out one payload per section, in [`Format::sections`] order,
     /// behind the header and table, zero-padding each to an 8-byte
     /// boundary.
@@ -120,23 +159,12 @@ impl Format {
     /// Panics unless there is exactly one payload per section.
     #[must_use]
     pub fn assemble(&self, payloads: &[&[u8]]) -> Vec<u8> {
-        assert_eq!(
-            payloads.len(),
-            self.sections.len(),
-            "one payload per section"
-        );
-        let mut table = Vec::with_capacity(payloads.len() * TABLE_ENTRY_LEN);
-        let mut offsets = Vec::with_capacity(payloads.len());
-        let mut offset = (HEADER_LEN + payloads.len() * TABLE_ENTRY_LEN).next_multiple_of(8);
-        for (&(id, _), payload) in self.sections.iter().zip(payloads) {
-            put_u16(&mut table, id);
-            put_u64(&mut table, offset as u64);
-            put_u64(&mut table, payload.len() as u64);
-            put_u64(&mut table, (self.checksum)(payload));
-            offsets.push(offset);
-            offset = (offset + payload.len()).next_multiple_of(8);
-        }
-        let mut out = Vec::with_capacity(offset);
+        let sections: Vec<(usize, u64)> = payloads
+            .iter()
+            .map(|payload| (payload.len(), (self.checksum)(payload)))
+            .collect();
+        let (table, offsets, len) = self.table(&sections);
+        let mut out = Vec::with_capacity(len);
         out.extend_from_slice(&self.magic);
         put_u16(&mut out, self.version);
         put_u32(&mut out, u32::try_from(payloads.len()).expect("fits u32"));
@@ -291,5 +319,32 @@ impl<'a> Reader<'a> {
 
     pub(crate) fn u64(&mut self) -> Result<u64, ContainerError> {
         self.array().map(u64::from_le_bytes)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    static FORMAT: Format = Format {
+        magic: *b"TESTFM",
+        version: 1,
+        checksum: |bytes| {
+            bytes.iter().fold(7, |h: u64, &b| {
+                h.wrapping_mul(31).wrapping_add(u64::from(b))
+            })
+        },
+        sections: &[(1, "one"), (2, "two")],
+    };
+
+    #[test]
+    fn id_of_is_the_id_assemble_writes() {
+        for payloads in [[&b""[..], b""], [b"abc", b"0123456789"]] {
+            let file = FORMAT.assemble(&payloads);
+            let table = FORMAT.split(&file).expect("assembled file splits");
+            table.verify().expect("checksums hold");
+            let sections = payloads.map(|p| (p.len(), (FORMAT.checksum)(p)));
+            assert_eq!(FORMAT.id_of(&sections), table.id);
+        }
     }
 }

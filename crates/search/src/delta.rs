@@ -19,7 +19,8 @@
 //! this yields the compaction guarantee: [`compact_verified`] proves the
 //! re-encoded base snapshot is byte-identical to rebuild-from-scratch at
 //! every compaction point, by comparing the engine-dependent family
-//! sections of the two. [`SearchEngine::compacted`] folds each tail into
+//! sections of the two, and [`compacted_id`] runs the same proof for the
+//! new base's id alone. [`SearchEngine::compacted`] folds each tail into
 //! its base, the one copy of the index a compaction pays.
 //!
 //! # Layout (delta version 2)
@@ -38,6 +39,8 @@
 //! `parent_id` is either a base snapshot's `snapshot_id` or the
 //! [`chain_id`] of a previously applied delta — a hash chain, so a delta
 //! can never be applied out of order or to the wrong base.
+
+use std::borrow::Cow;
 
 use cpssec_attackdb::snapshot as record_wire;
 use cpssec_attackdb::snapshot::{put_u16, put_u64, Reader};
@@ -246,20 +249,51 @@ pub fn apply_delta(
     Ok(parsed.info)
 }
 
+/// An engine's three family sections, as a snapshot stores them.
+type FamilySections<'a> = [Cow<'a, [u8]>; 3];
+
+/// The proof [`compact_verified`] and [`compacted_id`] share. It encodes
+/// the corpus section on a scoped thread while the rebuild runs, and hands
+/// it to `keep` there, so a caller that needs only the section's checksum
+/// frees it before the rebuild peaks. Once the grown engine's family
+/// sections are proven equal to the rebuild's, the rebuild is dropped and
+/// `keep`'s result and the grown family sections are returned.
+fn prove<'a, T: Send>(
+    corpus: &Corpus,
+    engine: &'a SearchEngine,
+    keep: impl FnOnce(Vec<u8>) -> T + Send,
+) -> Result<(T, FamilySections<'a>), SnapshotError> {
+    let _span = cpssec_obs::span!("delta-compact");
+    let grown = engine.families().map(Segments::section);
+    let (records, rebuilt) = std::thread::scope(|s| {
+        let records = s.spawn(|| keep(snapshot::encode_corpus_section(corpus)));
+        let rebuilt = SearchEngine::build(corpus);
+        (records.join().expect("corpus-section encode"), rebuilt)
+    });
+    if grown != rebuilt.families().map(Segments::section) {
+        return Err(SnapshotError::Corrupt(
+            "compacted snapshot diverges from rebuild-from-scratch".into(),
+        ));
+    }
+    Ok((records, grown))
+}
+
 /// Compacts a delta-grown state into a new base snapshot, **proving** the
 /// equivalence invariant on the way: the snapshot must be byte-identical
 /// to encoding a from-scratch rebuild over the same corpus. The proof
 /// costs one rebuild — paid only at compaction points (every K deltas),
-/// never per apply.
+/// never per apply — with the corpus section encoded beside it on a
+/// scoped thread.
 ///
 /// Only the engine's family sections are compared. Both sides encode the
 /// same `corpus`, the corpus section is a function of the corpus alone,
-/// and [`snapshot::encode`] is a deterministic assembly of the corpus and
-/// the family sections, so equal family sections are equivalent to equal
-/// files. The grown engine's sections are its in-memory families, each
-/// tail merged into its base ([`SearchEngine::compacted`] does that merge
-/// once, so an engine it returns is compared as it is), and they are
-/// assembled with the corpus into the returned snapshot as they are.
+/// and [`snapshot::encode`] is a deterministic assembly of the corpus
+/// section and the family sections, so equal family sections are
+/// equivalent to equal files. The grown engine's sections are its
+/// in-memory families, each tail merged into its base
+/// ([`SearchEngine::compacted`] does that merge once, so an engine it
+/// returns is compared as it is), and they are assembled with the corpus
+/// section into the returned snapshot as they are.
 ///
 /// # Errors
 ///
@@ -267,16 +301,23 @@ pub fn apply_delta(
 /// the rebuild — which would mean the delta chain broke an invariant and
 /// the state must not be persisted.
 pub fn compact_verified(corpus: &Corpus, engine: &SearchEngine) -> Result<Vec<u8>, SnapshotError> {
-    let _span = cpssec_obs::span!("delta-compact");
-    let grown = engine.families().map(Segments::section);
-    let rebuilt = SearchEngine::build(corpus);
-    if grown != rebuilt.families().map(Segments::section) {
-        return Err(SnapshotError::Corrupt(
-            "compacted snapshot diverges from rebuild-from-scratch".into(),
-        ));
-    }
-    let [p, w, v] = grown;
-    Ok(snapshot::assemble(corpus, [&p, &w, &v]))
+    let (records, [p, w, v]) = prove(corpus, engine, |records| records)?;
+    Ok(snapshot::FORMAT.assemble(&[&records, &p, &w, &v]))
+}
+
+/// The `snapshot_id` of the snapshot [`compact_verified`] returns, after
+/// the same full proof, without assembling the snapshot: the id is the
+/// checksum of the section table, which needs only each section's length
+/// and checksum. A server that installs the compacted engine needs
+/// nothing else of the snapshot: the id is its next chain anchor.
+///
+/// # Errors
+///
+/// As [`compact_verified`].
+pub fn compacted_id(corpus: &Corpus, engine: &SearchEngine) -> Result<u64, SnapshotError> {
+    use snapshot::seal;
+    let (records, [p, w, v]) = prove(corpus, engine, |records| seal(&records))?;
+    Ok(snapshot::FORMAT.id_of(&[records, seal(&p), seal(&w), seal(&v)]))
 }
 
 #[cfg(test)]
@@ -396,12 +437,17 @@ mod tests {
             other.add_vulnerability(v).unwrap();
         }
         // Same record ids and counts, so only the index contents differ.
-        let err = compact_verified(&corpus, &SearchEngine::build(&other)).unwrap_err();
-        assert!(
-            matches!(&err, SnapshotError::Corrupt(msg) if msg.contains("diverges")),
-            "{err}"
-        );
-        assert!(!err.to_string().contains('\n'), "{err}");
+        let diverged = SearchEngine::build(&other);
+        for err in [
+            compact_verified(&corpus, &diverged).unwrap_err(),
+            compacted_id(&corpus, &diverged).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, SnapshotError::Corrupt(msg) if msg.contains("diverges")),
+                "{err}"
+            );
+            assert!(!err.to_string().contains('\n'), "{err}");
+        }
     }
 
     /// Recomputes the payload checksum of an edited delta, so the edit

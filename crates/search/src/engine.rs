@@ -2,7 +2,7 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cpssec_attackdb::{
     AttackPattern, AttackVectorId, CapecId, Corpus, CveId, CweId, Vulnerability, Weakness,
@@ -225,9 +225,10 @@ pub struct SearchEngine {
 impl SearchEngine {
     /// Indexes a corpus under the default [`MatchConfig`]; put another
     /// configuration on it with [`Self::with_config`]. The three family
-    /// indices are independent, so they build on separate scoped threads
-    /// (and large families shard further inside
-    /// [`InvertedIndex::from_documents`](crate::InvertedIndex::from_documents)).
+    /// indices are independent, so they build on separate scoped threads,
+    /// and a family of a few hundred records or more shards further, one
+    /// shard per core, each shard writing its records' search text into
+    /// one reused buffer.
     #[must_use]
     pub fn build(corpus: &Corpus) -> Self {
         SearchEngine::from_families(build_families(
@@ -414,28 +415,39 @@ impl SearchEngine {
 /// Indexes one run of records per family, each in id order, into its
 /// family section, with each record's [`SeverityCode`] as its document's
 /// severity column: for an engine build and for a delta's batch. Patterns
-/// and weaknesses build on scoped threads beside the vulnerabilities.
+/// and weaknesses build on scoped threads beside the vulnerabilities, and
+/// each family's build shards write the records' search text themselves.
 pub(crate) fn build_families<'a>(
-    patterns: impl Iterator<Item = &'a AttackPattern> + Send,
-    weaknesses: impl Iterator<Item = &'a Weakness> + Send,
+    patterns: impl Iterator<Item = &'a AttackPattern>,
+    weaknesses: impl Iterator<Item = &'a Weakness>,
     vulnerabilities: impl Iterator<Item = &'a Vulnerability>,
 ) -> [Family; 3] {
+    let patterns: Vec<&AttackPattern> = patterns.collect();
+    let weaknesses: Vec<&Weakness> = weaknesses.collect();
+    let vulnerabilities: Vec<&Vulnerability> = vulnerabilities.collect();
     std::thread::scope(|s| {
         let patterns = s.spawn(|| {
-            let records =
-                patterns.map(|p| (p.search_text(), p.id().into(), SeverityCode::of_pattern(p)));
-            Family::build(FamilyKind::Patterns, records)
+            Family::build(
+                FamilyKind::Patterns,
+                &patterns,
+                |p| (p.id().into(), SeverityCode::of_pattern(p)),
+                |p, buf| p.push_search_text(buf),
+            )
         });
         let weaknesses = s.spawn(|| {
-            let records =
-                weaknesses.map(|w| (w.search_text(), w.id().into(), SeverityCode::UNSCORED));
-            Family::build(FamilyKind::Weaknesses, records)
+            Family::build(
+                FamilyKind::Weaknesses,
+                &weaknesses,
+                |w| (w.id().into(), SeverityCode::UNSCORED),
+                |w, buf| w.push_search_text(buf),
+            )
         });
-        let records = vulnerabilities.map(|v| {
-            let code = SeverityCode::of_vulnerability(v);
-            (v.search_text(), v.id().into(), code)
-        });
-        let vulnerabilities = Family::build(FamilyKind::Vulnerabilities, records);
+        let vulnerabilities = Family::build(
+            FamilyKind::Vulnerabilities,
+            &vulnerabilities,
+            |v| (v.id().into(), SeverityCode::of_vulnerability(v)),
+            |v, buf| v.push_search_text(buf),
+        );
         [
             patterns.join().expect("pattern index build"),
             weaknesses.join().expect("weakness index build"),
@@ -451,21 +463,25 @@ pub(crate) fn build_families<'a>(
 /// model; the tuning sweep is recorded in EXPERIMENTS §E12b).
 const PAR_FAN_OUT_MIN: usize = 32;
 
+/// The number of cores, read once per process:
+/// `std::thread::available_parallelism` re-reads the cgroup files and
+/// allocates on every call (26 µs each on a 2-vCPU VM), and every
+/// associate fans out twice.
+pub(crate) fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+}
+
 /// Runs `work` over `items`, splitting the slice into one contiguous chunk
 /// per available core; each scoped thread fills a disjoint chunk of the
 /// output, preserving input order exactly. Inputs below [`PAR_FAN_OUT_MIN`]
 /// run on the calling thread — same results, no spawn overhead.
 fn par_fan_out<T: Sync, R: Send>(items: &[T], work: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(items.len());
-    if items.len() < PAR_FAN_OUT_MIN || threads == 1 {
+    if items.len() < PAR_FAN_OUT_MIN || cores() == 1 {
         return items.iter().map(work).collect();
     }
+    let threads = cores().min(items.len());
     let chunk = items.len().div_ceil(threads);
     let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
     out.resize_with(items.len(), || None);

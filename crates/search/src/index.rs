@@ -1,7 +1,8 @@
 //! The inverted index of one record family, in the one form it takes.
 //!
 //! [`InvertedIndex`] is the builder: the memoized tokenize-and-intern loop,
-//! sharded across threads for large inputs, ending in
+//! sharded across threads for large inputs, each shard writing its
+//! records' text into one reused buffer, ending in
 //! [`InvertedIndex::encode_into`] — the only code that writes an index.
 //! What it writes, the columnar family section of a `.cpsnap`, is also the
 //! only form an index takes in memory: a [`Family`] owns the section bytes
@@ -35,8 +36,7 @@ struct Posting {
     tf: u32,
 }
 
-/// Minimum documents per worker before [`InvertedIndex::from_documents`]
-/// shards the build. Indexing one 100k-corpus vulnerability record costs
+/// Minimum documents per worker before a build shards. Indexing one 100k-corpus vulnerability record costs
 /// ~1.2 µs with the shard's word memo warm (one hash probe per word;
 /// tokenizing it from scratch costs ~8–9 µs); a scoped thread costs
 /// ~50–100 µs to start, so a shard needs a few hundred documents before
@@ -72,13 +72,19 @@ fn push_runs(tids: &mut [u32], doc: u32, postings: &mut [Vec<Posting>]) {
     }
 }
 
-/// Indexes one contiguous chunk of documents starting at global id
-/// `first` into a fresh partial index. Its postings carry *global* doc
-/// ids (each shard owns a contiguous range) while its per-document
-/// columns are local, so it is only an input to [`merge_shards`].
-fn index_shard<S: AsRef<str>>(docs: &[S], first: u32) -> InvertedIndex {
+/// How many shards a build over `docs` documents runs: one per core, as
+/// long as each gets [`SHARD_MIN_DOCS`].
+fn shards_for(docs: usize) -> usize {
+    crate::engine::cores().min(docs / SHARD_MIN_DOCS).max(1)
+}
+
+/// Indexes one contiguous chunk of records starting at global id `first`
+/// into a fresh partial index. Its postings carry *global* doc ids (each
+/// shard owns a contiguous range) while its per-document columns are
+/// local, so it is only an input to [`merge_shards`].
+fn index_shard<R>(records: &[R], first: u32, text: &impl Fn(&R, &mut String)) -> InvertedIndex {
     let mut shard = InvertedIndex::new();
-    shard.index_documents(docs, first);
+    shard.index_records(records, first, text);
     shard
 }
 
@@ -152,27 +158,39 @@ impl InvertedIndex {
         push_runs(&mut tids, doc, &mut self.postings);
     }
 
-    /// Indexes `docs` as documents `first`, `first + 1`, …: the one
-    /// tokenize-and-intern loop, run by every build shard.
+    /// Indexes `records` as documents `first`, `first + 1`, …: the one
+    /// tokenize-and-intern loop, run by every build shard. `text` writes
+    /// a record's text into one buffer that the loop clears and reuses, so
+    /// a record costs no allocation of its own.
     ///
     /// A word's term depends on the raw word alone, so each distinct raw
     /// word (case variants are distinct keys) is normalized and interned
     /// once per call, on its first occurrence; every later occurrence
-    /// costs one probe of `memo` and allocates nothing. Terms are still
-    /// interned at their first token, so term ids keep first-occurrence
-    /// order.
-    fn index_documents<'a, S: AsRef<str>>(&mut self, docs: &'a [S], first: u32) {
-        let mut memo: HashMap<&'a str, u32> = HashMap::new();
+    /// costs one probe of `memo` and allocates nothing. The memo owns its
+    /// keys, since the buffer they are read from is rewritten per record,
+    /// and keeps std's keyed hasher: delta text comes from clients. Terms
+    /// are still interned at their first token, so term ids keep
+    /// first-occurrence order.
+    fn index_records<R>(&mut self, records: &[R], first: u32, text: &impl Fn(&R, &mut String)) {
+        let mut memo: HashMap<Box<str>, u32> = HashMap::new();
         let mut tids: Vec<u32> = Vec::new();
-        self.doc_lengths.reserve(docs.len());
-        for (offset, doc) in docs.iter().enumerate() {
+        let mut buf = String::new();
+        self.doc_lengths.reserve(records.len());
+        for (offset, record) in records.iter().enumerate() {
+            buf.clear();
+            text(record, &mut buf);
             tids.clear();
-            for_each_word(doc.as_ref(), |raw| {
-                let tid = *memo.entry(raw).or_insert_with(|| {
-                    normalize_word(raw).map_or(DROPPED, |term| {
-                        intern(term, &mut self.term_ids, &mut self.postings)
-                    })
-                });
+            for_each_word(&buf, |raw| {
+                let tid = match memo.get(raw) {
+                    Some(&tid) => tid,
+                    None => {
+                        let tid = normalize_word(raw).map_or(DROPPED, |term| {
+                            intern(term, &mut self.term_ids, &mut self.postings)
+                        });
+                        memo.insert(raw.into(), tid);
+                        tid
+                    }
+                };
                 if tid != DROPPED {
                     tids.push(tid);
                 }
@@ -192,11 +210,7 @@ impl InvertedIndex {
     /// global first-occurrence order.
     #[must_use]
     pub fn from_documents<S: AsRef<str> + Sync>(docs: &[S]) -> InvertedIndex {
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        let shards = threads.min(docs.len() / SHARD_MIN_DOCS);
-        InvertedIndex::from_documents_sharded(docs, shards.max(1))
+        InvertedIndex::from_documents_sharded(docs, shards_for(docs.len()))
     }
 
     /// [`Self::from_documents`] with an explicit worker count, exposed so
@@ -212,18 +226,38 @@ impl InvertedIndex {
         docs: &[S],
         shards: usize,
     ) -> InvertedIndex {
+        InvertedIndex::from_records(docs, shards, |doc, buf| buf.push_str(doc.as_ref()))
+    }
+
+    /// The build both [`Self::from_documents_sharded`] and
+    /// [`Family::build`] run: `records` split into `shards` contiguous
+    /// chunks, each indexed by [`Self::index_records`] on its own scoped
+    /// thread (the first on the calling thread), with `text` writing each
+    /// record's text, then the shards merged in doc order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is zero.
+    fn from_records<R: Sync>(
+        records: &[R],
+        shards: usize,
+        text: impl Fn(&R, &mut String) + Sync,
+    ) -> InvertedIndex {
         assert!(shards > 0, "at least one shard");
         let mut span = cpssec_obs::span!("index-build");
-        span.add_items(docs.len() as u64);
-        let chunk = docs.len().div_ceil(shards).max(1);
-        let mut chunks = docs.chunks(chunk);
+        span.add_items(records.len() as u64);
+        let chunk = records.len().div_ceil(shards).max(1);
+        let mut chunks = records.chunks(chunk);
         let first = chunks.next().unwrap_or_default();
+        let text = &text;
         let built: Vec<InvertedIndex> = std::thread::scope(|s| {
             let handles: Vec<_> = chunks
                 .enumerate()
-                .map(|(i, docs)| s.spawn(move || index_shard(docs, ((i + 1) * chunk) as u32)))
+                .map(|(i, records)| {
+                    s.spawn(move || index_shard(records, ((i + 1) * chunk) as u32, text))
+                })
                 .collect();
-            let mut built = vec![index_shard(first, 0)];
+            let mut built = vec![index_shard(first, 0, text)];
             built.extend(handles.into_iter().map(|h| h.join().expect("shard build")));
             built
         });
@@ -548,26 +582,27 @@ pub(crate) struct Family {
 }
 
 impl Family {
-    /// Indexes `records` — `(search text, id, severity code)` in id
-    /// order — with the builder and encodes the result as this family's
-    /// section.
-    pub(crate) fn build(
+    /// Indexes `records`, in id order, with the builder and encodes the
+    /// result as this family's section: `column` gives each record's id
+    /// and severity code, and `text` appends its search text to the
+    /// shard's buffer.
+    pub(crate) fn build<R: Sync>(
         kind: FamilyKind,
-        records: impl Iterator<Item = (String, AttackVectorId, SeverityCode)>,
+        records: &[R],
+        column: impl Fn(&R) -> (AttackVectorId, SeverityCode),
+        text: impl Fn(&R, &mut String) + Sync,
     ) -> Family {
-        let (mut texts, mut ids, mut severities) = (Vec::new(), Vec::new(), Vec::new());
-        for (text, id, code) in records {
-            texts.push(text);
-            ids.push(id);
+        let mut bytes = Vec::new();
+        put_u32(&mut bytes, u32::try_from(records.len()).expect("fits u32"));
+        let mut severities = Vec::with_capacity(records.len());
+        for record in records {
+            let (id, code) = column(record);
+            put_id(&mut bytes, id);
             severities.push(code.byte());
         }
-        let mut bytes = Vec::new();
-        put_u32(&mut bytes, u32::try_from(ids.len()).expect("fits u32"));
-        for &id in &ids {
-            put_id(&mut bytes, id);
-        }
         bytes.extend_from_slice(&severities);
-        InvertedIndex::from_documents(&texts).encode_into(&mut bytes);
+        InvertedIndex::from_records(records, shards_for(records.len()), text)
+            .encode_into(&mut bytes);
         let layout = Layout::parse(kind, &bytes).expect("a built section tiles");
         Family::with_columns(kind, bytes, layout)
     }
@@ -980,15 +1015,23 @@ mod tests {
     use crate::score::{idf, ScoringModel, TermScorer};
     use proptest::prelude::*;
 
+    /// A family over `(text, id, severity code)` records.
+    fn family_of(kind: FamilyKind, records: &[(&str, AttackVectorId, SeverityCode)]) -> Family {
+        Family::build(
+            kind,
+            records,
+            |&(_, id, code)| (id, code),
+            |&(text, _, _), buf| buf.push_str(text),
+        )
+    }
+
     /// A family over `docs`, document `i` carrying CWE id `i`.
     fn family(docs: &[&str]) -> Family {
-        Family::build(
-            FamilyKind::Weaknesses,
-            docs.iter().enumerate().map(|(i, doc)| {
-                let id = CweId::new(i as u32).into();
-                ((*doc).to_owned(), id, SeverityCode::UNSCORED)
-            }),
-        )
+        let records: Vec<_> = (0..)
+            .zip(docs)
+            .map(|(i, &doc)| (doc, CweId::new(i).into(), SeverityCode::UNSCORED))
+            .collect();
+        family_of(FamilyKind::Weaknesses, &records)
     }
 
     fn sample() -> Family {
@@ -1133,28 +1176,19 @@ mod tests {
         assert_eq!(fam.norm(1).to_bits(), 3.0f64.sqrt().to_bits());
         assert_eq!(fam.id(2), CweId::new(2).into());
         let code = SeverityCode::of_band(cpssec_attackdb::Severity::High);
-        let cves = Family::build(
+        let cves = family_of(
             FamilyKind::Vulnerabilities,
-            [
-                (
-                    "kernel".to_owned(),
-                    CveId::new(2021, 7).into(),
-                    SeverityCode::UNSCORED,
-                ),
-                (
-                    "panic".to_owned(),
-                    CveId::new(2021, 8).into(),
-                    SeverityCode(98),
-                ),
-            ]
-            .into_iter(),
+            &[
+                ("kernel", CveId::new(2021, 7).into(), SeverityCode::UNSCORED),
+                ("panic", CveId::new(2021, 8).into(), SeverityCode(98)),
+            ],
         );
         assert_eq!(cves.id(0), CveId::new(2021, 7).into());
         assert_eq!(cves.severity(0), SeverityCode::UNSCORED);
         assert_eq!(cves.severity(1), SeverityCode(98));
-        let patterns = Family::build(
+        let patterns = family_of(
             FamilyKind::Patterns,
-            [("kernel".to_owned(), CapecId::new(7).into(), code)].into_iter(),
+            &[("kernel", CapecId::new(7).into(), code)],
         );
         assert_eq!(patterns.severity(0), code);
         // Merged severities follow their documents.
@@ -1402,7 +1436,7 @@ mod tests {
                 FamilyKind::Vulnerabilities => CveId::new(2021, 1).into(),
                 _ => CapecId::new(1).into(),
             };
-            Family::build(kind, [("kernel".to_owned(), id, code)].into_iter())
+            family_of(kind, &[("kernel", id, code)])
         };
         for (kind, code, bad, expect) in [
             (

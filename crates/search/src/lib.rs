@@ -43,7 +43,9 @@ pub mod text;
 pub mod view;
 
 pub use chains::{chains_for_weakness, exploit_chains, ExploitChain};
-pub use delta::{apply_delta, build as build_delta, compact_verified, inspect_delta, DeltaInfo};
+pub use delta::{
+    apply_delta, build as build_delta, compact_verified, compacted_id, inspect_delta, DeltaInfo,
+};
 pub use engine::{Hit, MatchConfig, MatchSet, QueryScratch, SearchEngine};
 pub use filter::{Filter, FilterPipeline};
 pub use index::InvertedIndex;

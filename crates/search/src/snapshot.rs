@@ -135,6 +135,8 @@ impl SnapshotInfo {
 /// Encodes one record family of the corpus section: count, per-record byte
 /// offsets into the blob, blob length, then the concatenated records in id
 /// order — random access for [`crate::view::CorpusView`] without decoding.
+/// The records are encoded in place after a zeroed offset table that is
+/// filled in as they land, so the blob is written once and never copied.
 fn encode_family_records<T>(
     out: &mut Vec<u8>,
     count: usize,
@@ -142,26 +144,29 @@ fn encode_family_records<T>(
     encode: impl Fn(&mut Vec<u8>, T),
 ) {
     put_u32(out, u32::try_from(count).expect("record count fits u32"));
-    let mut offsets: Vec<u32> = Vec::with_capacity(count);
-    let mut blob = Vec::new();
+    let offsets_at = out.len();
+    out.resize(offsets_at + 4 * count + 4, 0);
+    let blob_at = out.len();
+    // Writes the blob's length so far at `at`.
+    let mark = |out: &mut Vec<u8>, at: usize| {
+        let len = u32::try_from(out.len() - blob_at).expect("corpus blob fits u32");
+        out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    };
+    let mut encoded = 0;
     for record in records {
-        offsets.push(u32::try_from(blob.len()).expect("corpus blob fits u32"));
-        encode(&mut blob, record);
+        assert!(encoded < count, "stats and iterator must agree");
+        mark(out, offsets_at + 4 * encoded);
+        encode(out, record);
+        encoded += 1;
     }
-    assert_eq!(offsets.len(), count, "stats and iterator must agree");
-    for off in offsets {
-        put_u32(out, off);
-    }
-    put_u32(
-        out,
-        u32::try_from(blob.len()).expect("corpus blob fits u32"),
-    );
-    out.extend_from_slice(&blob);
+    assert_eq!(encoded, count, "stats and iterator must agree");
+    mark(out, blob_at - 4);
 }
 
 /// The corpus section payload: three family record directories in order
 /// (patterns, weaknesses, vulnerabilities).
-fn encode_corpus_section(corpus: &Corpus) -> Vec<u8> {
+pub(crate) fn encode_corpus_section(corpus: &Corpus) -> Vec<u8> {
+    let _span = cpssec_obs::span!("corpus-encode");
     let stats = corpus.stats();
     let mut out = Vec::new();
     encode_family_records(&mut out, stats.patterns, corpus.patterns(), |b, p| {
@@ -223,20 +228,27 @@ fn decode_corpus_section(payload: &[u8]) -> Result<Corpus, SnapshotError> {
 pub fn encode(corpus: &Corpus, engine: &SearchEngine) -> Vec<u8> {
     let _span = cpssec_obs::span!("snapshot-encode");
     let [p, w, v] = engine.families().map(Segments::section);
-    assemble(corpus, [&p, &w, &v])
+    FORMAT.assemble(&[&encode_corpus_section(corpus), &p, &w, &v])
 }
 
-/// Encodes the corpus section and lays it out, followed by the three
-/// family section payloads, behind the header and section table. A pure
-/// function of the corpus and the family payloads.
-pub(crate) fn assemble(corpus: &Corpus, families: [&[u8]; 3]) -> Vec<u8> {
-    let [patterns, weaknesses, vulnerabilities] = families;
-    FORMAT.assemble(&[
-        &encode_corpus_section(corpus),
-        patterns,
-        weaknesses,
-        vulnerabilities,
+/// The `snapshot_id` that [`encode`] writes for `corpus` and `engine`,
+/// without assembling the snapshot: the id is the checksum of the section
+/// table, which needs only each section's length and checksum.
+#[must_use]
+pub fn encoded_id(corpus: &Corpus, engine: &SearchEngine) -> u64 {
+    let [p, w, v] = engine.families().map(Segments::section);
+    FORMAT.id_of(&[
+        seal(&encode_corpus_section(corpus)),
+        seal(&p),
+        seal(&w),
+        seal(&v),
     ])
+}
+
+/// A section's table entry as [`Format::id_of`] takes it: its length and
+/// checksum.
+pub(crate) fn seal(section: &[u8]) -> (usize, u64) {
+    (section.len(), (FORMAT.checksum)(section))
 }
 
 /// Decodes a snapshot into its corpus and a search engine under the
@@ -403,12 +415,13 @@ mod tests {
         let engine = SearchEngine::build(&corpus);
         let [patterns, weaknesses, vulnerabilities] = engine.families().map(Segments::section);
         let [patterns, weaknesses, vulnerabilities] = [&*patterns, &*weaknesses, &*vulnerabilities];
+        let records = encode_corpus_section(&corpus);
         // Seals `corrupt` as the vulnerabilities section under valid
         // checksums and decodes it: the index validator may refuse it
         // with one line, and an engine that decodes must answer under
         // both scoring models. Returns whether it decoded.
         let survives = |corrupt: &[u8]| -> bool {
-            match decode(&assemble(&corpus, [patterns, weaknesses, corrupt])) {
+            match decode(&FORMAT.assemble(&[&records, patterns, weaknesses, corrupt])) {
                 Ok((_, engine)) => {
                     for scoring in ScoringModel::ALL {
                         let engine = engine.with_scoring(scoring);

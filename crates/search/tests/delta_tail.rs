@@ -13,8 +13,8 @@ use cpssec_attackdb::seed::{seed_corpus, table1_attributes};
 use cpssec_attackdb::synth::{delta_batch, stream_into, SynthSpec, DELTA_MENTION};
 use cpssec_attackdb::Corpus;
 use cpssec_search::{
-    apply_delta, build_delta, compact_verified, snapshot, Hit, MatchConfig, MatchSet, ScoringModel,
-    SearchEngine,
+    apply_delta, build_delta, compact_verified, compacted_id, snapshot, Hit, MatchConfig, MatchSet,
+    ScoringModel, SearchEngine,
 };
 use proptest::prelude::*;
 
@@ -182,6 +182,10 @@ proptest! {
         let compacted = compact_verified(&corpus, &folded).expect("compaction proves");
         prop_assert!(compacted == snapshot::encode(&corpus, &SearchEngine::build(&corpus)));
         prop_assert!(compacted == compact_verified(&corpus, &engine).expect("a tailed engine proves"));
+        let id = snapshot::inspect(&compacted).expect("inspect").snapshot_id;
+        for engine in [&folded, &engine] {
+            prop_assert_eq!(compacted_id(&corpus, engine).expect("the id's proof holds"), id);
+        }
     }
 }
 

@@ -8,13 +8,13 @@
 //! byte equality of two encodings means equal scores on every query.
 
 use cpssec_attackdb::seed::seed_corpus;
-use cpssec_attackdb::synth::{generate, SynthSpec};
+use cpssec_attackdb::synth::{delta_batch, generate, stream_into, SynthSpec};
 use cpssec_attackdb::{
     Abstraction, AttackComplexity, AttackPattern, AttackVectorMetric, CapecId, Corpus, CpeName,
     CveId, CvssVector, CweId, Impact, Likelihood, PrivilegesRequired, Scope, Severity,
     UserInteraction, Vulnerability, Weakness,
 };
-use cpssec_search::{snapshot, SearchEngine};
+use cpssec_search::{apply_delta, build_delta, compact_verified, snapshot, SearchEngine};
 use proptest::prelude::*;
 
 /// Word pool for synthetic descriptions (includes non-ASCII to exercise
@@ -232,4 +232,44 @@ fn thawed_weights_are_bit_identical_at_all_e7b_scales() {
             "scale {scale}: thawed encoding diverged from fresh"
         );
     }
+}
+
+/// The `snapshot_id`s of the seed corpus, of the seed plus the 0.1-scale
+/// synthetic corpus, and of that corpus grown by a four-delta chain and
+/// compacted. The id is the checksum of the section table, which embeds
+/// every section's length and payload checksum, so these three constants
+/// pin every byte the encoder and the compaction write.
+const PINNED_SNAPSHOT_IDS: [u64; 3] = [
+    0x40b9_1bf4_4ccb_624f,
+    0x1256_6c53_bb0a_08e1,
+    0x7efb_c5b6_b796_d90b,
+];
+
+#[test]
+fn snapshot_ids_match_the_pinned_bytes() {
+    let id = |bytes: &[u8]| snapshot::inspect(bytes).expect("inspect").snapshot_id;
+    let seed = seed_corpus();
+    let mut scaled = seed_corpus();
+    stream_into(&mut scaled, &SynthSpec::paper2020(2020, 0.1)).expect("disjoint id spaces");
+    let mut ids = Vec::new();
+    for corpus in [&seed, &scaled] {
+        let engine = SearchEngine::build(corpus);
+        ids.push(id(&snapshot::encode(corpus, &engine)));
+        assert_eq!(snapshot::encoded_id(corpus, &engine), ids[ids.len() - 1]);
+    }
+    let (mut corpus, mut engine, mut state) =
+        (scaled.clone(), SearchEngine::build(&scaled), ids[1]);
+    for serial in 0..4 {
+        let delta = build_delta(state, &delta_batch(7, 250, serial));
+        state = apply_delta(&mut corpus, &mut engine, &delta, state)
+            .expect("delta applies")
+            .child_id;
+    }
+    ids.push(id(
+        &compact_verified(&corpus, &engine).expect("compaction proves")
+    ));
+    assert_eq!(
+        ids, PINNED_SNAPSHOT_IDS,
+        "snapshot bytes moved: {ids:#018x?}"
+    );
 }

@@ -248,16 +248,6 @@ impl std::fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
-/// The chain anchor for a corpus-built state: the id of the snapshot this
-/// state would encode to. One extra encode at boot buys corpus-built and
-/// snapshot-booted servers the same delta-chain semantics — encoding is
-/// deterministic, so a delta built against the equivalent `.cpsnap`
-/// applies cleanly to a server that built the same corpus from source.
-fn content_state_id(corpus: &Corpus, engine: &SearchEngine) -> u64 {
-    let bytes = snapshot::encode(corpus, engine);
-    snapshot::inspect(&bytes).map_or(0, |info| info.snapshot_id)
-}
-
 impl AppState {
     /// Builds the shared state: indexes the corpus once and preloads the
     /// `scada` session. Counts as a snapshot *miss* in `/metrics` — the
@@ -273,7 +263,12 @@ impl AppState {
     pub fn with_capacities(corpus: Corpus, responses: usize, priors: usize) -> Arc<AppState> {
         let started = Instant::now();
         let engine = SearchEngine::build(&corpus);
-        let state_id = content_state_id(&corpus, &engine);
+        // The chain anchor is the id of the snapshot this state encodes
+        // to, so corpus-built and snapshot-booted servers share delta-chain
+        // semantics: encoding is deterministic, so a delta built against
+        // the equivalent `.cpsnap` applies cleanly to a server that built
+        // the same corpus from source.
+        let state_id = snapshot::encoded_id(&corpus, &engine);
         let startup = StartupStats {
             index_load_us: elapsed_us(started),
             snapshot_hits: 0,
@@ -421,10 +416,9 @@ impl AppState {
         let compacted = deltas_since_compaction >= COMPACTION_EVERY;
         let next = if compacted {
             let folded = engine.compacted();
-            let base = cpssec_search::compact_verified(&corpus, &folded)
-                .and_then(|base| snapshot::inspect(&base))
-                .map_err(DeltaError::Diverged)?;
-            Generation::new(corpus, folded, base.snapshot_id, 0)
+            let base =
+                cpssec_search::compacted_id(&corpus, &folded).map_err(DeltaError::Diverged)?;
+            Generation::new(corpus, folded, base, 0)
         } else {
             Generation::new(corpus, engine, info.child_id, deltas_since_compaction)
         };

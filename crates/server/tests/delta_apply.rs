@@ -224,6 +224,18 @@ fn mapped_boot_applies_deltas_and_compacts() {
         assert_eq!(replay, 409, "{}", String::from_utf8_lossy(&replay_body));
         parent = server.state.state_id();
     }
+    // The compacted anchor is the id of the bytes the served generation
+    // encodes to, not just a number the chain agrees on.
+    let served = server.state.generation();
+    let served_bytes =
+        cpssec_search::snapshot::encode(served.corpus(), &served.engine(ScoringModel::default()));
+    assert_eq!(
+        served.state_id(),
+        cpssec_search::snapshot::inspect(&served_bytes)
+            .expect("inspect")
+            .snapshot_id
+    );
+    assert_eq!(served.state_id(), parent);
 
     // The grown corpus serves the appended records under both models.
     let total = server.state.corpus().stats().total();
@@ -247,6 +259,11 @@ fn mapped_boot_applies_deltas_and_compacts() {
     );
     assert!(text.contains("compactions_total 1"), "{text}");
     assert!(text.contains(&format!("corpus_records {total}")), "{text}");
+
+    // A delta built on the compacted anchor chains on.
+    let next = build_delta(parent, &synth::delta_batch(7, 50, COMPACTION_EVERY));
+    let (status, body) = server.post_bytes("/corpus/delta", &next);
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
 }
 
 #[test]
