@@ -144,6 +144,17 @@ fn batch_command_outputs_are_pinned() {
         ),
         (&["figure", "--scale", "0.01"], "c0069f03ddab459c"),
         (&["report", "--scale", "0.01"], "6878c5a059bbe474"),
+        // At the default 12,000 ticks the consequence table reaches the
+        // monitor-detected hazards H-1, H-2 and H-3; at 4,010 it reaches
+        // every product-detected one (H-2 from `ruined-unstable`, H-4, H-5).
+        (
+            &["report", "--scale", "0.01", "--simulate"],
+            "6b0c38399b38e472",
+        ),
+        (
+            &["report", "--scale", "0.01", "--simulate", "--ticks", "4010"],
+            "6d42d1af8dba858f",
+        ),
         (&["json", "--scale", "0.01"], "1968f0e025dd2bd5"),
         (&["export-model"], "e46f67747a1dc4ea"),
         (&["export-corpus", "--scale", "0.01"], "c9e34dcda429e5d1"),
