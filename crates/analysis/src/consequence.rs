@@ -5,13 +5,14 @@
 //! vectors are actually associated with the targeted component by the
 //! search process, (2) runs the attack in the plant simulation, and
 //! (3) maps the observed hazards and product outcome to losses through the
-//! STPA-Sec structure.
+//! STPA-Sec structure of [`centrifuge_analysis`]: the fired monitors and
+//! the product-quality name are the signals each hazard's `detected_by`
+//! lists.
 
-use cpssec_model::Fidelity;
 use cpssec_scada::{AttackScenario, ProductQuality, ScadaConfig, ScadaHarness};
 use cpssec_search::MatchSet;
 
-use crate::stpa::ControlStructureAnalysis;
+use crate::stpa::centrifuge_analysis;
 use crate::AssociationMap;
 
 /// The consequence record of one attack scenario.
@@ -32,8 +33,8 @@ pub struct ConsequenceRecord {
     pub product: ProductQuality,
     /// Names of the simulation hazard monitors that fired.
     pub hazards: Vec<String>,
-    /// STPA hazard ids corresponding to fired monitors plus the product
-    /// outcome.
+    /// STPA hazard ids detected by the fired monitors or the product
+    /// outcome, in id order.
     pub hazard_ids: Vec<String>,
     /// Loss ids reached through the hazards.
     pub loss_ids: Vec<String>,
@@ -60,29 +61,15 @@ fn confirmed_weaknesses(set: &MatchSet, claimed: &[String]) -> Vec<String> {
         .collect()
 }
 
-fn product_hazard_ids(product: ProductQuality) -> Vec<String> {
-    match product {
-        ProductQuality::Nominal => Vec::new(),
-        ProductQuality::RuinedSpeed => vec!["H-4".into()],
-        ProductQuality::RuinedViscous => vec!["H-5".into()],
-        ProductQuality::RuinedUnstable => vec!["H-2".into()],
-        // Destruction goes through the monitored hazards (explosion or
-        // overspeed), which are added from the fired monitors.
-        ProductQuality::Destroyed => Vec::new(),
-    }
-}
-
-/// Analyzes one scenario: association check + simulation + loss mapping.
+/// Analyzes one scenario: association check + simulation of the default
+/// centrifuge configuration + loss mapping.
 ///
 /// `ticks` must give the scenario enough simulated time to reach its
-/// consequence (the built-in scenarios all conclude within 12,000 ticks of
-/// the default configuration).
+/// consequence (the built-in scenarios all conclude within 12,000 ticks).
 #[must_use]
 pub fn analyze_scenario(
     scenario: &AttackScenario,
     association: &AssociationMap,
-    stpa: &ControlStructureAnalysis,
-    config: &ScadaConfig,
     ticks: u64,
 ) -> ConsequenceRecord {
     let confirmed = association
@@ -90,18 +77,18 @@ pub fn analyze_scenario(
         .map(|set| confirmed_weaknesses(set, &scenario.weakness_ids))
         .unwrap_or_default();
 
-    let mut harness = ScadaHarness::with_attack(config.clone(), scenario);
+    let mut harness = ScadaHarness::with_attack(ScadaConfig::default(), scenario);
     let report = harness.run_batch_for(ticks);
 
     let hazards: Vec<String> = report.hazards.iter().map(|h| h.hazard.clone()).collect();
-    let mut hazard_ids: Vec<String> = hazards
+    let mut signals: Vec<&str> = hazards.iter().map(String::as_str).collect();
+    signals.push(report.product.as_str());
+    let stpa = centrifuge_analysis();
+    let hazard_ids: Vec<String> = stpa
+        .hazards_detected_by(&signals)
         .iter()
-        .flat_map(|monitor| stpa.hazards_for_monitor(monitor))
         .map(|h| h.id.clone())
         .collect();
-    hazard_ids.extend(product_hazard_ids(report.product));
-    hazard_ids.sort_unstable();
-    hazard_ids.dedup();
     let loss_ids = stpa
         .losses_for_hazards(&hazard_ids)
         .iter()
@@ -123,49 +110,21 @@ pub fn analyze_scenario(
     }
 }
 
-/// Analyzes every built-in scenario at implementation fidelity.
+/// Analyzes every built-in scenario against `association` (the callers
+/// build it at implementation fidelity).
 #[must_use]
-pub fn analyze_all(
-    association: &AssociationMap,
-    stpa: &ControlStructureAnalysis,
-    config: &ScadaConfig,
-    ticks: u64,
-) -> Vec<ConsequenceRecord> {
+pub fn analyze_all(association: &AssociationMap, ticks: u64) -> Vec<ConsequenceRecord> {
     cpssec_scada::attacks::all_scenarios()
         .iter()
-        .map(|scenario| analyze_scenario(scenario, association, stpa, config, ticks))
+        .map(|scenario| analyze_scenario(scenario, association, ticks))
         .collect()
-}
-
-/// Convenience: builds the association at `level` from the standard SCADA
-/// model and the given corpus/engine, then analyzes every scenario.
-#[must_use]
-pub fn standard_analysis(
-    corpus: &cpssec_attackdb::Corpus,
-    engine: &cpssec_search::SearchEngine,
-    level: Fidelity,
-    ticks: u64,
-) -> Vec<ConsequenceRecord> {
-    let model = cpssec_scada::model::scada_model();
-    let association = AssociationMap::build(
-        &model,
-        engine,
-        corpus,
-        level,
-        &cpssec_search::FilterPipeline::new(),
-    );
-    analyze_all(
-        &association,
-        &crate::stpa::centrifuge_analysis(),
-        &ScadaConfig::default(),
-        ticks,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cpssec_attackdb::seed::seed_corpus;
+    use cpssec_model::Fidelity;
     use cpssec_scada::attacks;
     use cpssec_search::{FilterPipeline, SearchEngine};
     use cpssec_sim::Tick;
@@ -187,8 +146,6 @@ mod tests {
         let record = analyze_scenario(
             &attacks::sis_disable_overtemp(Tick::new(100), Tick::new(1500)),
             &association(),
-            &crate::stpa::centrifuge_analysis(),
-            &ScadaConfig::default(),
             12_000,
         );
         assert!(record.exploded);
@@ -202,8 +159,6 @@ mod tests {
         let record = analyze_scenario(
             &attacks::setpoint_tamper(Tick::new(100)),
             &association(),
-            &crate::stpa::centrifuge_analysis(),
-            &ScadaConfig::default(),
             4_010,
         );
         assert_eq!(record.product, ProductQuality::RuinedSpeed);
@@ -219,8 +174,6 @@ mod tests {
         let record = analyze_scenario(
             &attacks::command_injection_bpcs(Tick::new(3000)),
             &association(),
-            &crate::stpa::centrifuge_analysis(),
-            &ScadaConfig::default(),
             4_010,
         );
         assert!(
@@ -234,12 +187,7 @@ mod tests {
 
     #[test]
     fn all_scenarios_produce_records_with_losses() {
-        let records = analyze_all(
-            &association(),
-            &crate::stpa::centrifuge_analysis(),
-            &ScadaConfig::default(),
-            12_000,
-        );
+        let records = analyze_all(&association(), 12_000);
         assert_eq!(records.len(), attacks::all_scenarios().len());
         // Every built-in attack scenario should end in some loss — that is
         // what makes them attack scenarios.
@@ -250,21 +198,15 @@ mod tests {
 
     #[test]
     fn sis_armed_vs_disabled_changes_the_loss_set() {
-        let stpa = crate::stpa::centrifuge_analysis();
         let assoc = association();
-        let config = ScadaConfig::default();
         let armed = analyze_scenario(
             &attacks::command_injection_bpcs(Tick::new(3000)),
             &assoc,
-            &stpa,
-            &config,
             4_010,
         );
         let disabled = analyze_scenario(
             &attacks::command_injection_with_sis_disabled(Tick::new(100), Tick::new(3000)),
             &assoc,
-            &stpa,
-            &config,
             4_010,
         );
         assert_eq!(armed.loss_ids, ["L-1"]);

@@ -2,7 +2,7 @@
 //!
 //! A campaign ([`cpssec_scada::run_campaign`]) yields per-scenario
 //! records; this module folds them into the paper-comparable outputs:
-//! **P(hazard | attack class)**, per-class product-quality breakdowns,
+//! **P(hazard | attack family)**, per-family product-quality breakdowns,
 //! and **time-to-hazard distributions** (ticks from injection to the
 //! first hazard, bucketed by [`cpssec_obs::Histogram`]). A canonical
 //! FNV-1a hash over the records ([`aggregate_hash`]) lets two runs —
@@ -12,16 +12,17 @@
 use cpssec_model::fnv1a_64;
 use cpssec_obs::hist::Snapshot;
 use cpssec_obs::Histogram;
-use cpssec_scada::{AttackClass, ProductQuality, ScenarioRecord};
+use cpssec_scada::campaign::FAMILIES;
+use cpssec_scada::{ProductQuality, ScenarioRecord};
 
 use crate::render::Json;
 
-/// Statistics for one attack class.
+/// Statistics for one attack family.
 #[derive(Debug, Clone)]
 pub struct ClassStats {
-    /// The class.
-    pub class: AttackClass,
-    /// Scenarios sampled into this class.
+    /// The family's name.
+    pub class: &'static str,
+    /// Scenarios sampled into this family.
     pub scenarios: u64,
     /// Scenarios in which at least one hazard fired.
     pub hazards: u64,
@@ -38,7 +39,7 @@ pub struct ClassStats {
 }
 
 impl ClassStats {
-    /// P(hazard | this class); zero when the class was never sampled.
+    /// P(hazard | this family); zero when the family was never sampled.
     #[must_use]
     pub fn hazard_probability(&self) -> f64 {
         if self.scenarios == 0 {
@@ -56,10 +57,10 @@ pub struct FleetAggregate {
     pub scenarios: u64,
     /// Total scenarios with at least one hazard.
     pub hazards: u64,
-    /// Per-class breakdown, in [`AttackClass::ALL`] order, sampled
-    /// classes only.
+    /// Per-family breakdown, in [`FAMILIES`] order, sampled families
+    /// only.
     pub per_class: Vec<ClassStats>,
-    /// Time-to-hazard distribution across all classes.
+    /// Time-to-hazard distribution across all families.
     pub time_to_hazard: Snapshot,
     /// Canonical hash of the underlying records ([`aggregate_hash`]).
     pub records_hash: u64,
@@ -116,7 +117,7 @@ pub fn records_csv(records: &[ScenarioRecord]) -> String {
 pub fn aggregate(records: &[ScenarioRecord]) -> FleetAggregate {
     let overall = Histogram::new();
     let mut per_class = Vec::new();
-    for class in AttackClass::ALL {
+    for class in FAMILIES.iter().map(|family| family.name) {
         let of_class: Vec<&ScenarioRecord> = records.iter().filter(|r| r.class == class).collect();
         if of_class.is_empty() {
             continue;
@@ -170,7 +171,7 @@ pub fn aggregate_json(aggregate: &FleetAggregate) -> Json {
         .iter()
         .map(|stats| {
             Json::Object(vec![
-                ("class".into(), stats.class.as_str().into()),
+                ("class".into(), stats.class.into()),
                 ("scenarios".into(), (stats.scenarios as usize).into()),
                 ("hazards".into(), (stats.hazards as usize).into()),
                 ("pHazard".into(), stats.hazard_probability().into()),
@@ -280,7 +281,7 @@ mod tests {
         let nominal = agg
             .per_class
             .iter()
-            .find(|c| c.class == AttackClass::Nominal)
+            .find(|c| c.class == "nominal")
             .expect("32 draws hit nominal");
         assert_eq!(nominal.hazards, 0);
         assert_eq!(nominal.hazard_probability(), 0.0);
@@ -323,7 +324,7 @@ mod tests {
         let agg = aggregate(&records());
         let table = aggregate_table(&agg);
         for stats in &agg.per_class {
-            assert!(table.contains(stats.class.as_str()), "{table}");
+            assert!(table.contains(stats.class), "{table}");
         }
         assert!(table.contains("P(hazard)"));
     }

@@ -262,7 +262,6 @@ mod tests {
 
     #[test]
     fn consequence_section_appears_with_records() {
-        let stpa = crate::stpa::centrifuge_analysis();
         let corpus = seed_corpus();
         let engine = SearchEngine::build(&corpus);
         let model = cpssec_scada::model::scada_model();
@@ -276,8 +275,6 @@ mod tests {
         let record = crate::consequence::analyze_scenario(
             &cpssec_scada::attacks::setpoint_tamper(cpssec_sim::Tick::new(100)),
             &association,
-            &stpa,
-            &cpssec_scada::ScadaConfig::default(),
             4_010,
         );
         let md = markdown(std::slice::from_ref(&record));

@@ -6,7 +6,9 @@
 //! to losses, and unsafe control actions linked to hazards *and* to the
 //! weaknesses (CWE) whose exploitation can cause them. The centrifuge
 //! instance ([`centrifuge_analysis`]) also names, for each hazard, the
-//! simulation hazard monitor that detects it — which is what lets
+//! signals of a simulated run that detect it: hazard monitors and
+//! product-quality classes. One lookup over a run's signals
+//! ([`ControlStructureAnalysis::hazards_detected_by`]) is what lets
 //! [`crate::consequence`] tie a simulated excursion back to losses.
 
 use core::fmt;
@@ -29,9 +31,10 @@ pub struct Hazard {
     pub description: String,
     /// Losses this hazard can lead to (by id).
     pub losses: Vec<String>,
-    /// The simulation hazard monitor that detects this state, if the
-    /// simulated plant models it.
-    pub monitor: Option<String>,
+    /// The signals of a simulated run that detect this state: hazard
+    /// monitor names and product-quality names. Empty when the simulated
+    /// plant does not model it.
+    pub detected_by: Vec<String>,
 }
 
 /// How a control action is unsafe.
@@ -101,12 +104,13 @@ impl ControlStructureAnalysis {
         self.losses.iter().find(|l| l.id == id)
     }
 
-    /// Hazards detected by a given simulation monitor name.
+    /// Hazards detected by any of `signals` (fired monitor names and the
+    /// product-quality name of a run), in id order.
     #[must_use]
-    pub fn hazards_for_monitor(&self, monitor: &str) -> Vec<&Hazard> {
+    pub fn hazards_detected_by(&self, signals: &[&str]) -> Vec<&Hazard> {
         self.hazards
             .iter()
-            .filter(|h| h.monitor.as_deref() == Some(monitor))
+            .filter(|h| h.detected_by.iter().any(|d| signals.contains(&d.as_str())))
             .collect()
     }
 
@@ -183,31 +187,31 @@ pub fn centrifuge_analysis() -> ControlStructureAnalysis {
             id: "H-1".into(),
             description: "solution temperature exceeds the stability threshold".into(),
             losses: vec!["L-1".into(), "L-2".into(), "L-3".into()],
-            monitor: Some("explosion".into()),
+            detected_by: vec!["explosion".into()],
         },
         Hazard {
             id: "H-2".into(),
             description: "solution temperature above the separation window".into(),
             losses: vec!["L-1".into()],
-            monitor: Some("overtemperature".into()),
+            detected_by: vec!["overtemperature".into(), "ruined-unstable".into()],
         },
         Hazard {
             id: "H-3".into(),
             description: "rotor speed exceeds the mechanical limit".into(),
             losses: vec!["L-1".into(), "L-2".into()],
-            monitor: Some("rotor-overspeed".into()),
+            detected_by: vec!["rotor-overspeed".into()],
         },
         Hazard {
             id: "H-4".into(),
             description: "rotor speed deviates beyond ±20 rpm of the set point".into(),
             losses: vec!["L-1".into()],
-            monitor: None,
+            detected_by: vec!["ruined-speed".into()],
         },
         Hazard {
             id: "H-5".into(),
             description: "solution temperature below the separation window".into(),
             losses: vec!["L-1".into()],
-            monitor: None,
+            detected_by: vec!["ruined-viscous".into()],
         },
     ];
     let ucas = vec![
@@ -271,10 +275,27 @@ mod tests {
     #[test]
     fn monitors_map_to_hazards() {
         let a = centrifuge_analysis();
-        let explosion = a.hazards_for_monitor("explosion");
+        let explosion = a.hazards_detected_by(&["explosion"]);
         assert_eq!(explosion.len(), 1);
         assert_eq!(explosion[0].id, "H-1");
-        assert!(a.hazards_for_monitor("unknown-monitor").is_empty());
+        assert!(a.hazards_detected_by(&["unknown-monitor"]).is_empty());
+    }
+
+    #[test]
+    fn product_qualities_map_to_hazards() {
+        let a = centrifuge_analysis();
+        let ids = |signal: &str| -> Vec<String> {
+            a.hazards_detected_by(&[signal])
+                .iter()
+                .map(|h| h.id.clone())
+                .collect()
+        };
+        assert_eq!(ids("ruined-unstable"), ["H-2"]);
+        assert_eq!(ids("ruined-speed"), ["H-4"]);
+        assert_eq!(ids("ruined-viscous"), ["H-5"]);
+        // Destruction is detected through the monitors that fired.
+        assert!(ids("destroyed").is_empty());
+        assert!(ids("nominal").is_empty());
     }
 
     #[test]

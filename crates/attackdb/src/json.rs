@@ -4,6 +4,11 @@
 //! escapes, numbers, booleans, null). Self-contained so the crate's only
 //! dependency stays `rand`; the subset NVD, CWE and CAPEC extracts need is
 //! exactly plain JSON.
+//!
+//! The parser also reads request bodies, so hostile input costs it no
+//! more than its length: arrays and objects nest at most [`MAX_DEPTH`]
+//! deep (the recursion never outgrows a worker's stack), and a string is
+//! copied a run at a time.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -84,15 +89,21 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest nesting of arrays and objects [`parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one complete JSON value; trailing non-whitespace is an error.
 ///
 /// # Errors
 ///
-/// [`JsonError`] with the byte offset of the problem.
+/// [`JsonError`] with the byte offset of the problem, including nesting
+/// deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut parser = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.value()?;
@@ -104,8 +115,11 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -137,8 +151,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(JsonError::new(
+                        self.pos,
+                        format!("nesting deeper than {MAX_DEPTH}"),
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -268,13 +296,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| JsonError::new(self.pos, "invalid utf-8"))?;
-                    let ch = text.chars().next().expect("nonempty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next `"` or `\`. Both are
+                    // ASCII, so the run ends on a char boundary.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |run| self.pos + run);
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -398,6 +427,59 @@ mod tests {
         let mut encoded = String::new();
         write_escaped(&mut encoded, nasty);
         assert_eq!(parse(&encoded).unwrap().as_str(), Some(nasty));
+    }
+
+    /// Parses `input` on a thread with a pool worker's 2 MiB stack.
+    fn parse_on_worker_stack(input: String) -> Result<JsonValue, JsonError> {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&input))
+            .expect("spawn parser thread")
+            .join()
+            .expect("the parser never overflows its stack")
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("json error at byte {MAX_DEPTH}: nesting deeper than {MAX_DEPTH}")
+        );
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for depth in [10_000, 1_000_000] {
+            let arrays = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+            let objects = format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+            let unclosed = "[".repeat(depth);
+            for input in [arrays, objects, unclosed] {
+                let err = parse_on_worker_stack(input).unwrap_err().to_string();
+                assert!(err.contains("nesting deeper than"), "{err}");
+                assert!(!err.contains('\n'));
+            }
+        }
+    }
+
+    #[test]
+    fn long_strings_keep_every_char_around_escapes() {
+        let text = format!(
+            "{}\\n{}\\u00e9",
+            "caf\u{e9} ".repeat(1000),
+            "\u{1F600}".repeat(1000)
+        );
+        let expected = format!(
+            "{}\n{}\u{e9}",
+            "caf\u{e9} ".repeat(1000),
+            "\u{1F600}".repeat(1000)
+        );
+        assert_eq!(
+            parse(&format!("\"{text}\"")).unwrap().as_str(),
+            Some(expected.as_str())
+        );
     }
 
     #[test]

@@ -5,16 +5,15 @@ use std::path::{Path, PathBuf};
 use std::slice::Iter;
 use std::str::FromStr;
 
-use cpssec_analysis::consequence::standard_analysis;
+use cpssec_analysis::consequence::analyze_all;
 use cpssec_analysis::render::text_table;
 use cpssec_analysis::{attribute_rows, render, report, AssociationMap, SystemPosture};
 use cpssec_attackdb::seed::seed_corpus;
 use cpssec_attackdb::synth::{delta_batch, stream_into, SynthSpec};
 use cpssec_attackdb::Corpus;
 use cpssec_model::{Fidelity, SystemModel};
-use cpssec_scada::{
-    attacks, faults, run_campaign, AttackClass, CampaignSpec, ScadaConfig, ScadaHarness,
-};
+use cpssec_scada::campaign::family;
+use cpssec_scada::{attacks, faults, run_campaign, CampaignSpec, ScadaConfig, ScadaHarness};
 use cpssec_search::{apply_delta, build_delta, compact_verified, inspect_delta};
 use cpssec_search::{FilterPipeline, SearchEngine};
 const USAGE: &str = "usage:
@@ -795,7 +794,7 @@ fn cmd_report(options: &Options) -> Result<String, String> {
     let rows = attribute_rows(&model, &engine, &corpus, Fidelity::Implementation, &filters);
     let posture = SystemPosture::compute(&model, &corpus, &association);
     let consequences = if options.simulate {
-        standard_analysis(&corpus, &engine, Fidelity::Implementation, options.ticks)
+        analyze_all(&association, options.ticks)
     } else {
         Vec::new()
     };
@@ -861,13 +860,12 @@ fn cmd_fleet(options: &Options) -> Result<String, String> {
     spec.max_ticks = options.ticks;
     spec.threads = options.threads.unwrap_or(spec.threads);
     if let Some(raw) = &options.classes {
-        let classes: Vec<AttackClass> = raw
+        let classes: Vec<&'static str> = raw
             .split(',')
             .filter(|s| !s.is_empty())
-            .map(|name| {
-                AttackClass::parse(name).ok_or_else(|| format!("unknown attack class `{name}`"))
-            })
-            .collect::<Result<_, _>>()?;
+            .map(|name| family(name).map(|family| family.name).ok_or(name))
+            .collect::<Result<_, _>>()
+            .map_err(|name| format!("unknown attack class `{name}`"))?;
         if classes.is_empty() {
             return Err("--classes needs at least one class name".into());
         }

@@ -1,18 +1,22 @@
 //! Monte-Carlo attack campaigns over the centrifuge testbed.
 //!
-//! A campaign runs N scenarios, each drawing an attack class, injection
-//! tick, attack magnitude, and sensor-noise seed from its own
-//! [`SplitMix64`] stream seeded by [`derive_seed`]`(campaign_seed, i)`.
-//! Scenario *i* is therefore a pure function of `(campaign_seed, i)`:
-//! it can be replayed standalone ([`run_scenario`]) and must reproduce
-//! its in-fleet record bit-for-bit, and the whole campaign produces
-//! identical records at any thread count ([`run_campaign`]).
+//! A campaign runs N scenarios, each drawing an attack family from
+//! [`FAMILIES`], an injection tick, an attack magnitude, and a
+//! sensor-noise seed from its own [`SplitMix64`] stream seeded by
+//! [`derive_seed`]`(campaign_seed, i)`. Scenario *i* is therefore a pure
+//! function of `(campaign_seed, i)`: it can be replayed standalone
+//! ([`run_scenario`]) and must reproduce its in-fleet record
+//! bit-for-bit, and the whole campaign produces identical records at any
+//! thread count ([`run_campaign`]).
+//!
+//! [`FAMILIES`] is the one description of each family: its name, the
+//! magnitude range sampled and the attack built from the draws. Specs,
+//! records and statistics carry the family's name.
 //!
 //! This is the paper's consequence analysis at distribution scale:
-//! instead of one trajectory per attack story, each class yields
-//! P(hazard | class) and a time-to-hazard distribution.
+//! instead of one trajectory per attack story, each family yields
+//! P(hazard | family) and a time-to-hazard distribution.
 
-use core::fmt;
 use std::sync::atomic::AtomicU64;
 
 use cpssec_sim::{derive_seed, run_fleet, SplitMix64, Tick};
@@ -20,62 +24,75 @@ use cpssec_sim::{derive_seed, run_fleet, SplitMix64, Tick};
 use crate::attacks::{self, AttackScenario};
 use crate::system::{ProductQuality, ScadaConfig, ScadaHarness};
 
-/// The attack classes a campaign samples from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum AttackClass {
-    /// No attack — the baseline batch.
-    Nominal,
-    /// CWE-78 command injection on the BPCS, SIS armed.
-    CommandInjection,
-    /// Triton-style SIS disable followed by the same injection.
-    SisDisabledInjection,
-    /// Spoofed temperature probe blinding both controllers.
-    SensorSpoof,
-    /// Operator set point tampered just past product tolerance.
-    SetpointTamper,
-    /// Denial of service on the chiller command path.
-    CoolingDos,
-    /// Chiller command forced high — overcooled, viscous product.
-    ChillerTamper,
-}
-
-impl AttackClass {
-    /// Every class, in canonical order.
-    pub const ALL: [AttackClass; 7] = [
-        AttackClass::Nominal,
-        AttackClass::CommandInjection,
-        AttackClass::SisDisabledInjection,
-        AttackClass::SensorSpoof,
-        AttackClass::SetpointTamper,
-        AttackClass::CoolingDos,
-        AttackClass::ChillerTamper,
-    ];
-
+/// One parametric attack family a campaign samples from.
+#[derive(Debug, Clone, Copy)]
+pub struct AttackFamily {
     /// Canonical kebab-case name.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AttackClass::Nominal => "nominal",
-            AttackClass::CommandInjection => "command-injection",
-            AttackClass::SisDisabledInjection => "sis-disabled-injection",
-            AttackClass::SensorSpoof => "sensor-spoof",
-            AttackClass::SetpointTamper => "setpoint-tamper",
-            AttackClass::CoolingDos => "cooling-dos",
-            AttackClass::ChillerTamper => "chiller-tamper",
-        }
-    }
-
-    /// Parses a canonical name back to a class.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<AttackClass> {
-        AttackClass::ALL.into_iter().find(|c| c.as_str() == name)
-    }
+    pub name: &'static str,
+    /// The magnitude range sampled (`lo..hi`), or `None` when the family
+    /// has no magnitude axis.
+    pub magnitude: Option<(u64, u64)>,
+    /// Builds the attack from the injection tick, the magnitude and the
+    /// SIS disable tick; `None` is the nominal baseline.
+    pub build: Option<fn(Tick, u16, Tick) -> AttackScenario>,
 }
 
-impl fmt::Display for AttackClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
+/// Every attack family, in canonical order.
+pub static FAMILIES: [AttackFamily; 7] = [
+    // No attack — the baseline batch.
+    AttackFamily {
+        name: "nominal",
+        magnitude: None,
+        build: None,
+    },
+    // CWE-78 command injection on the BPCS, SIS armed. Forced set point
+    // beyond the 10,200 rpm overspeed threshold.
+    AttackFamily {
+        name: "command-injection",
+        magnitude: Some((10_300, 11_000)),
+        build: Some(|from, rpm, _| attacks::command_injection_bpcs_with(from, rpm)),
+    },
+    // Triton-style SIS disable followed by the same injection.
+    AttackFamily {
+        name: "sis-disabled-injection",
+        magnitude: Some((10_300, 11_000)),
+        build: Some(|from, rpm, disable_at| {
+            attacks::command_injection_with_sis_disabled_with(disable_at, from, rpm)
+        }),
+    },
+    // Spoofed temperature probe blinding both controllers. Forged
+    // in-window reading, tenths of °C.
+    AttackFamily {
+        name: "sensor-spoof",
+        magnitude: Some((300, 400)),
+        build: Some(|from, value, _| attacks::sensor_spoof_with(from, value)),
+    },
+    // Operator set point tampered just past the ±20 rpm product
+    // tolerance.
+    AttackFamily {
+        name: "setpoint-tamper",
+        magnitude: Some((8030, 8200)),
+        build: Some(|from, rpm, _| attacks::setpoint_tamper_with(from, rpm)),
+    },
+    // Denial of service on the chiller command path.
+    AttackFamily {
+        name: "cooling-dos",
+        magnitude: None,
+        build: Some(|from, _, _| attacks::cooling_dos(from)),
+    },
+    // Chiller command forced high, well above the thermal equilibrium
+    // need — overcooled, viscous product.
+    AttackFamily {
+        name: "chiller-tamper",
+        magnitude: Some((500, 1000)),
+        build: Some(|from, permille, _| attacks::chiller_tamper_with(from, permille)),
+    },
+];
+
+/// The family named `name`, if there is one.
+#[must_use]
+pub fn family(name: &str) -> Option<&'static AttackFamily> {
+    FAMILIES.iter().find(|family| family.name == name)
 }
 
 /// Parameters of one campaign.
@@ -85,8 +102,8 @@ pub struct CampaignSpec {
     pub scenarios: u64,
     /// Campaign seed; every scenario seed derives from it.
     pub seed: u64,
-    /// Classes sampled uniformly per scenario.
-    pub classes: Vec<AttackClass>,
+    /// Names of the [`FAMILIES`] sampled uniformly per scenario.
+    pub classes: Vec<&'static str>,
     /// Ticks each scenario runs for.
     pub max_ticks: u64,
     /// Worker threads ([`run_campaign`] only; never affects results).
@@ -94,14 +111,14 @@ pub struct CampaignSpec {
 }
 
 impl CampaignSpec {
-    /// A spec over every attack class with the default horizon and one
+    /// A spec over every attack family with the default horizon and one
     /// thread per available core.
     #[must_use]
     pub fn new(scenarios: u64, seed: u64) -> Self {
         CampaignSpec {
             scenarios,
             seed,
-            classes: AttackClass::ALL.to_vec(),
+            classes: FAMILIES.iter().map(|family| family.name).collect(),
             max_ticks: 6000,
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         }
@@ -116,12 +133,12 @@ pub struct ScenarioRecord {
     pub index: u64,
     /// The derived per-scenario seed.
     pub seed: u64,
-    /// Sampled attack class.
-    pub class: AttackClass,
-    /// Sampled injection tick (0 for [`AttackClass::Nominal`]).
+    /// Name of the sampled attack family.
+    pub class: &'static str,
+    /// Sampled injection tick (0 for the nominal family).
     pub inject_tick: u64,
-    /// Sampled class-specific magnitude (rpm, tenths of °C, or per
-    /// mille; 0 where the class has no magnitude axis).
+    /// Sampled family-specific magnitude (rpm, tenths of °C, or per
+    /// mille; 0 where the family has no magnitude axis).
     pub magnitude: u16,
     /// Product quality classification.
     pub product: ProductQuality,
@@ -143,51 +160,12 @@ impl ScenarioRecord {
     }
 }
 
-/// Builds the attack for one scenario's draws. `None` means nominal.
-fn build_attack(
-    class: AttackClass,
-    inject_tick: u64,
-    magnitude: u16,
-    disable_at: u64,
-) -> Option<AttackScenario> {
-    let from = Tick::new(inject_tick);
-    match class {
-        AttackClass::Nominal => None,
-        AttackClass::CommandInjection => {
-            Some(attacks::command_injection_bpcs_with(from, magnitude))
-        }
-        AttackClass::SisDisabledInjection => {
-            Some(attacks::command_injection_with_sis_disabled_with(
-                Tick::new(disable_at),
-                from,
-                magnitude,
-            ))
-        }
-        AttackClass::SensorSpoof => Some(attacks::sensor_spoof_with(from, magnitude)),
-        AttackClass::SetpointTamper => Some(attacks::setpoint_tamper_with(from, magnitude)),
-        AttackClass::CoolingDos => Some(attacks::cooling_dos(from)),
-        AttackClass::ChillerTamper => Some(attacks::chiller_tamper_with(from, magnitude)),
-    }
-}
-
-/// The magnitude range sampled for a class (`lo..hi`), or `None` when
-/// the class has no magnitude axis.
-fn magnitude_range(class: AttackClass) -> Option<(u64, u64)> {
-    match class {
-        AttackClass::Nominal | AttackClass::CoolingDos => None,
-        // Forced set point beyond the 10,200 rpm overspeed threshold.
-        AttackClass::CommandInjection | AttackClass::SisDisabledInjection => Some((10_300, 11_000)),
-        // Forged in-window reading, tenths of °C.
-        AttackClass::SensorSpoof => Some((300, 400)),
-        // Just past the ±20 rpm product tolerance.
-        AttackClass::SetpointTamper => Some((8030, 8200)),
-        // Chiller forced well above the thermal equilibrium need.
-        AttackClass::ChillerTamper => Some((500, 1000)),
-    }
-}
-
 /// Runs scenario `index` of the campaign standalone, bit-for-bit equal
 /// to its in-fleet execution.
+///
+/// # Panics
+///
+/// If `spec.classes` is empty or names a family outside [`FAMILIES`].
 #[must_use]
 pub fn run_scenario(spec: &CampaignSpec, index: u64) -> ScenarioRecord {
     let seed = derive_seed(spec.seed, index);
@@ -198,14 +176,19 @@ pub fn run_scenario(spec: &CampaignSpec, index: u64) -> ScenarioRecord {
         "campaign needs at least one class"
     );
     let class = spec.classes[rng.gen_range(0, spec.classes.len() as u64) as usize];
-    let (inject_tick, magnitude, disable_at) = if class == AttackClass::Nominal {
-        (0, 0, 0)
-    } else {
-        let inject_tick = rng.gen_range(100, 3000);
-        let magnitude = magnitude_range(class).map_or(0, |(lo, hi)| rng.gen_range(lo, hi) as u16);
-        // SIS disable lands during warm-up, always before the injection.
-        let disable_at = rng.gen_range(50, 100);
-        (inject_tick, magnitude, disable_at)
+    let family = family(class).unwrap_or_else(|| panic!("unknown attack family `{class}`"));
+    let (inject_tick, magnitude, attack) = match family.build {
+        None => (0, 0, None),
+        Some(build) => {
+            let inject_tick = rng.gen_range(100, 3000);
+            let magnitude = family
+                .magnitude
+                .map_or(0, |(lo, hi)| rng.gen_range(lo, hi) as u16);
+            // SIS disable lands during warm-up, always before the injection.
+            let disable_at = rng.gen_range(50, 100);
+            let attack = build(Tick::new(inject_tick), magnitude, Tick::new(disable_at));
+            (inject_tick, magnitude, Some(attack))
+        }
     };
     let sensor_seed = rng.next_u64();
 
@@ -213,7 +196,6 @@ pub fn run_scenario(spec: &CampaignSpec, index: u64) -> ScenarioRecord {
         sensor_seed,
         ..ScadaConfig::default()
     };
-    let attack = build_attack(class, inject_tick, magnitude, disable_at);
     let mut harness = match &attack {
         Some(attack) => ScadaHarness::with_attack(config, attack),
         None => ScadaHarness::new(config),
@@ -277,10 +259,10 @@ mod tests {
 
     #[test]
     fn class_names_round_trip() {
-        for class in AttackClass::ALL {
-            assert_eq!(AttackClass::parse(class.as_str()), Some(class));
+        for row in &FAMILIES {
+            assert_eq!(family(row.name).map(|f| f.name), Some(row.name));
         }
-        assert_eq!(AttackClass::parse("no-such-class"), None);
+        assert!(family("no-such-class").is_none());
     }
 
     #[test]
@@ -311,8 +293,7 @@ mod tests {
         spec.threads = 2;
         let records = run_campaign(&spec);
         assert_eq!(records.len(), 40);
-        let classes: std::collections::BTreeSet<AttackClass> =
-            records.iter().map(|r| r.class).collect();
+        let classes: std::collections::BTreeSet<&str> = records.iter().map(|r| r.class).collect();
         assert!(classes.len() >= 5, "40 draws should hit most classes");
         // SIS-disabled overspeed always reaches the hazard inside the
         // horizon, so a 40-scenario campaign has hazards.
@@ -320,7 +301,7 @@ mod tests {
         // Nominal scenarios never produce hazards.
         assert!(records
             .iter()
-            .filter(|r| r.class == AttackClass::Nominal)
+            .filter(|r| r.class == "nominal")
             .all(|r| r.hazard.is_none() && r.product == ProductQuality::Nominal));
     }
 
@@ -329,7 +310,7 @@ mod tests {
         let record = ScenarioRecord {
             index: 0,
             seed: 0,
-            class: AttackClass::CommandInjection,
+            class: "command-injection",
             inject_tick: 500,
             magnitude: 10_500,
             product: ProductQuality::Destroyed,
@@ -338,6 +319,14 @@ mod tests {
             ticks: 6000,
         };
         assert_eq!(record.ticks_to_hazard(), Some(240));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown attack family `quantum`")]
+    fn unknown_family_name_is_rejected() {
+        let mut spec = CampaignSpec::new(1, 1);
+        spec.classes = vec!["quantum"];
+        let _ = run_scenario(&spec, 0);
     }
 
     #[test]

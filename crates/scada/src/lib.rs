@@ -56,7 +56,7 @@ mod workstation;
 pub use attacks::{AttackEffect, AttackScenario};
 pub use bpcs::Bpcs;
 pub use campaign::{
-    run_campaign, run_campaign_with_progress, run_scenario, AttackClass, CampaignSpec,
+    run_campaign, run_campaign_with_progress, run_scenario, AttackFamily, CampaignSpec,
     ScenarioRecord,
 };
 pub use devices::{CentrifugeDrive, CoolingUnit, TemperatureSensor};

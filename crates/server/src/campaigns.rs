@@ -30,7 +30,7 @@ const MAX_THREADS: u64 = 64;
 
 /// Parses the campaign body: `{"seed"?, "threads"?}` (both optional; an
 /// empty body is a default run).
-fn parse_run(testbed: Testbed, body: &[u8]) -> Result<CampaignRun, String> {
+pub(crate) fn parse_run(testbed: Testbed, body: &[u8]) -> Result<CampaignRun, String> {
     let mut run = CampaignRun::new(testbed, 42);
     if body.is_empty() {
         return Ok(run);

@@ -956,4 +956,79 @@ mod tests {
         flag.store(true, Ordering::Relaxed);
         handle.join().unwrap();
     }
+
+    #[test]
+    fn a_deeply_nested_body_is_a_400_and_the_server_lives_on() {
+        let (addr, flag, handle) = start_server();
+        let body = "[".repeat(64 << 10);
+        for target in ["/models/scada/whatif", "/scenarios/batch"] {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            write!(
+                stream,
+                "POST {target} HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                body.len()
+            )
+            .unwrap();
+            let response = load::read_response(&mut BufReader::new(stream)).unwrap();
+            assert_eq!(response.status, 400, "{target}");
+            let text = String::from_utf8(response.body).unwrap();
+            assert!(text.contains("nesting deeper than"), "{target}: {text}");
+        }
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let response = load::read_response(&mut BufReader::new(stream)).unwrap();
+        assert_eq!(response.status, 200);
+        flag.store(true, Ordering::Relaxed);
+        handle.join().unwrap();
+    }
+
+    /// Every truncation of `body`, then every single-byte XOR of it with
+    /// 0x01, 0x80 and 0xFF.
+    fn hostile_variants(body: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+        let truncations = (0..body.len()).map(|end| body[..end].to_vec());
+        let flips = (0..body.len()).flat_map(move |at| {
+            [0x01, 0x80, 0xFF].into_iter().map(move |mask| {
+                let mut bytes = body.to_vec();
+                bytes[at] ^= mask;
+                bytes
+            })
+        });
+        truncations.chain(flips)
+    }
+
+    #[test]
+    fn hostile_bytes_in_every_json_body_are_a_one_line_error() {
+        type BodyParser = fn(&[u8]) -> Result<(), String>;
+        let bodies: [(&[u8], BodyParser); 3] = [
+            (
+                br#"{"changes":[{"op":"replace","component":"Programming WS","key":"os","kind":"os","value":"hardened thin client image","atFidelity":"implementation"},{"op":"remove","component":"Programming WS","key":"software","value":"Labview"}]}"#,
+                |body| router::parse_changes(body).map(drop),
+            ),
+            (
+                br#"{"scenarios":20,"seed":7,"maxTicks":2000,"threads":2,"classes":["nominal","command-injection"]}"#,
+                |body| scenarios::parse_campaign(body).map(drop),
+            ),
+            (br#"{"seed":42,"threads":2}"#, |body| {
+                campaigns::parse_run(cpssec_campaign::Testbed::Centrifuge, body).map(drop)
+            }),
+        ];
+        for (body, parse_body) in bodies {
+            assert!(parse_body(body).is_ok());
+            let mut variants = 0;
+            for bytes in hostile_variants(body) {
+                if let Ok(text) = std::str::from_utf8(&bytes) {
+                    if let Err(err) = cpssec_attackdb::json::parse(text) {
+                        assert!(!err.to_string().contains('\n'), "{err}");
+                    }
+                }
+                if let Err(err) = parse_body(&bytes) {
+                    assert!(!err.contains('\n'), "{err}");
+                }
+                variants += 1;
+            }
+            assert_eq!(variants, 4 * body.len());
+        }
+    }
 }

@@ -19,7 +19,8 @@ use std::sync::{Arc, Mutex};
 
 use cpssec_analysis::{aggregate, aggregate_json};
 use cpssec_attackdb::json::{parse as parse_json, JsonValue};
-use cpssec_scada::{run_campaign_with_progress, AttackClass, CampaignSpec};
+use cpssec_scada::campaign::family;
+use cpssec_scada::{run_campaign_with_progress, CampaignSpec};
 
 use crate::http::{Request, Response};
 use crate::AppState;
@@ -174,7 +175,7 @@ impl FleetJobs {
 
 /// Parses the batch body:
 /// `{"scenarios": N, "seed": S, "maxTicks"?, "threads"?, "classes"?}`.
-fn parse_campaign(body: &[u8]) -> Result<CampaignSpec, String> {
+pub(crate) fn parse_campaign(body: &[u8]) -> Result<CampaignSpec, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
     let value = parse_json(text).map_err(|e| format!("bad JSON body: {e}"))?;
 
@@ -221,9 +222,8 @@ fn parse_campaign(body: &[u8]) -> Result<CampaignSpec, String> {
             let name = item
                 .as_str()
                 .ok_or_else(|| "'classes' entries must be strings".to_owned())?;
-            let class =
-                AttackClass::parse(name).ok_or_else(|| format!("unknown attack class '{name}'"))?;
-            parsed.push(class);
+            let family = family(name).ok_or_else(|| format!("unknown attack class '{name}'"))?;
+            parsed.push(family.name);
         }
         if parsed.is_empty() {
             return Err("'classes' must name at least one class".to_owned());
@@ -320,10 +320,7 @@ mod tests {
         assert_eq!(spec.seed, 9);
         assert_eq!(spec.max_ticks, 2500);
         assert_eq!(spec.threads, 2);
-        assert_eq!(
-            spec.classes,
-            vec![AttackClass::Nominal, AttackClass::CommandInjection]
-        );
+        assert_eq!(spec.classes, vec!["nominal", "command-injection"]);
     }
 
     #[test]

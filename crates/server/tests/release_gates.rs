@@ -1,6 +1,7 @@
 //! Release-mode gates for the serving path: E11 (result cache and mixed
-//! load), E14 (telemetry tick and history query) and E19 (continuous
-//! profiler and flight recorder cost).
+//! load), E14 (telemetry tick and history query), E19 (continuous
+//! profiler and flight recorder cost) and the JSON body gate (a body of
+//! `MAX_BODY` bytes parses in linear time).
 //!
 //! Each gate is `#[ignore]`d because its bound is a timing that only
 //! means something in an optimized build. Run them with
@@ -247,5 +248,30 @@ fn e19_the_99hz_profiler_and_the_flight_recorder_stay_in_budget() {
     assert!(
         flight_ns < 100.0,
         "a flight event must stay under 100 ns to be always-on ({flight_ns:.1} ns)"
+    );
+}
+
+/// A what-if body that is one string of `MAX_BODY` (8 MiB) bytes, half of
+/// them in two-byte chars, is parsed and rejected in under 1 s: string
+/// parsing is linear in the body, so no body holds a worker for long.
+#[test]
+#[ignore = "release-mode gate"]
+fn an_8mib_string_body_parses_in_linear_time() {
+    let _serial = serial();
+    let filler = "caf\u{e9} ".repeat((cpssec_server::http::MAX_BODY - 16) / "caf\u{e9} ".len());
+    let body = format!("{{\"changes\":\"{filler}\"}}");
+    assert!(body.len() <= cpssec_server::http::MAX_BODY);
+    let started = Instant::now();
+    let err = cpssec_server::router::parse_changes(body.as_bytes()).unwrap_err();
+    let elapsed = started.elapsed();
+    println!(
+        "JSON body gate: {} bytes parsed and rejected in {:.1} ms",
+        body.len(),
+        elapsed.as_secs_f64() * 1e3
+    );
+    assert!(err.contains("\"changes\""), "{err}");
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "an 8 MiB string body must parse in under 1 s ({elapsed:?})"
     );
 }

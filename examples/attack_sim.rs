@@ -6,12 +6,11 @@
 //! defaults to 0.05).
 
 use cpssec::analysis::consequence::analyze_scenario;
-use cpssec::analysis::stpa::centrifuge_analysis;
 use cpssec::analysis::AssociationMap;
 use cpssec::attackdb::seed::seed_corpus;
 use cpssec::attackdb::synth::{generate, SynthSpec};
 use cpssec::model::Fidelity;
-use cpssec::scada::{attacks, ScadaConfig};
+use cpssec::scada::attacks;
 use cpssec::search::{FilterPipeline, SearchEngine};
 
 fn main() {
@@ -32,8 +31,6 @@ fn main() {
         Fidelity::Implementation,
         &FilterPipeline::new(),
     );
-    let stpa = centrifuge_analysis();
-    let config = ScadaConfig::default();
 
     println!("\nAttack consequence table:");
     println!(
@@ -42,7 +39,7 @@ fn main() {
     );
     let yes_no = |flag: bool| if flag { "yes" } else { "no" };
     for scenario in attacks::all_scenarios() {
-        let record = analyze_scenario(&scenario, &association, &stpa, &config, 12_000);
+        let record = analyze_scenario(&scenario, &association, 12_000);
         println!(
             "{:<32} {:<16} {:>8} {:>8} {:<10} {:<14}",
             record.scenario,

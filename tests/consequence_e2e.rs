@@ -1,7 +1,7 @@
 //! End-to-end attack-to-consequence integration: the paper's §3 narrative
 //! executed against the full stack.
 
-use cpssec::analysis::consequence::{analyze_scenario, standard_analysis};
+use cpssec::analysis::consequence::{analyze_all, analyze_scenario};
 use cpssec::analysis::stpa::centrifuge_analysis;
 use cpssec::analysis::AssociationMap;
 use cpssec::attackdb::seed::seed_corpus;
@@ -43,15 +43,11 @@ fn paper_narrative_command_injection_destroys_product_or_centrifuge() {
     // manifesting in destruction of the manufactured product or damage to
     // the centrifuge itself."
     let (_, map) = association();
-    let stpa = centrifuge_analysis();
-    let config = ScadaConfig::default();
 
     // With the SIS armed: the manufactured product is destroyed (batch lost).
     let armed = analyze_scenario(
         &attacks::command_injection_bpcs(Tick::new(3000)),
         &map,
-        &stpa,
-        &config,
         4_010,
     );
     assert_ne!(armed.product, ProductQuality::Nominal);
@@ -61,8 +57,6 @@ fn paper_narrative_command_injection_destroys_product_or_centrifuge() {
     let disabled = analyze_scenario(
         &attacks::command_injection_with_sis_disabled(Tick::new(100), Tick::new(3000)),
         &map,
-        &stpa,
-        &config,
         4_010,
     );
     assert_eq!(disabled.product, ProductQuality::Destroyed);
@@ -71,12 +65,8 @@ fn paper_narrative_command_injection_destroys_product_or_centrifuge() {
 
 #[test]
 fn sis_is_the_difference_between_product_loss_and_catastrophe() {
-    let records = standard_analysis(
-        &seed_corpus(),
-        &SearchEngine::build(&seed_corpus()),
-        Fidelity::Implementation,
-        12_000,
-    );
+    let (_, map) = association();
+    let records = analyze_all(&map, 12_000);
     let by_name = |name: &str| records.iter().find(|r| r.scenario == name).unwrap();
 
     // Scenarios stopped by the SIS never reach L-3 (injury).
@@ -131,13 +121,7 @@ fn nominal_run_remains_nominal_under_every_seed() {
 fn attack_consequences_are_deterministic_end_to_end() {
     let run = || {
         let (_, map) = association();
-        analyze_scenario(
-            &attacks::sensor_spoof(Tick::new(100)),
-            &map,
-            &centrifuge_analysis(),
-            &ScadaConfig::default(),
-            12_000,
-        )
+        analyze_scenario(&attacks::sensor_spoof(Tick::new(100)), &map, 12_000)
     };
     assert_eq!(run(), run());
 }

@@ -90,11 +90,13 @@ fn jsonl_corpus_drives_the_fault_attack_comparison() {
     // A reloaded corpus and the simulation side compose end to end.
     let corpus = from_jsonl(&to_jsonl(&seed_corpus())).unwrap();
     let engine = SearchEngine::build(&corpus);
-    let records = cpssec::analysis::consequence::standard_analysis(
-        &corpus,
+    let map = AssociationMap::build(
+        &cpssec::scada::model::scada_model(),
         &engine,
+        &corpus,
         Fidelity::Implementation,
-        4_010,
+        &FilterPipeline::new(),
     );
+    let records = cpssec::analysis::consequence::analyze_all(&map, 4_010);
     assert!(!records.is_empty());
 }
