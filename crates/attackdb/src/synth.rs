@@ -554,6 +554,44 @@ pub fn stream_into(corpus: &mut Corpus, spec: &SynthSpec) -> Result<(), crate::A
 /// base corpus (CI asserts exactly this after `POST /corpus/delta`).
 pub const DELTA_MENTION: &str = "Quantumworks FlowNet gateway";
 
+/// The highest serial [`delta_batch`] takes: its CVE numbers, from
+/// `serial·1_000_000`, still fit a `u32`.
+pub const LAST_DELTA_SERIAL: u32 = 4_294;
+
+/// The first CWE/CAPEC number and the first CVE-2030 number of delta
+/// block `serial`.
+fn delta_block(serial: u32) -> (u32, u32) {
+    (500_000 + serial * 10_000, serial * 1_000_000)
+}
+
+/// How [`delta_batch`] splits `records`: (patterns, weaknesses,
+/// vulnerabilities).
+fn delta_composition(records: usize) -> (usize, usize, usize) {
+    let (patterns, weaknesses) = (records / 20, records / 10);
+    (patterns, weaknesses, records - patterns - weaknesses)
+}
+
+/// The smallest serial whose [`delta_batch`] of `records` records starts
+/// above the highest existing id of every family it has records in
+/// (`None` for an empty family): the append-only id floor a delta must
+/// clear to apply. `None` if no serial up to [`LAST_DELTA_SERIAL`] does.
+#[must_use]
+pub fn first_serial_above(
+    records: usize,
+    pattern: Option<CapecId>,
+    weakness: Option<CweId>,
+    vulnerability: Option<CveId>,
+) -> Option<u32> {
+    let (patterns, weaknesses, vulnerabilities) = delta_composition(records);
+    (0..=LAST_DELTA_SERIAL).find(|&serial| {
+        let (base, cve) = delta_block(serial);
+        (patterns == 0 || pattern.map_or(true, |last| CapecId::new(base) > last))
+            && (weaknesses == 0 || weakness.map_or(true, |last| CweId::new(base) > last))
+            && (vulnerabilities == 0
+                || vulnerability.map_or(true, |last| CveId::new(2030, cve) > last))
+    })
+}
+
 /// Generates a deterministic batch of *new* records for a `.cpsdelta`,
 /// with ids far above anything [`generate`] or the curated seed produce
 /// (CWE/CAPEC from `500_000 + serial·10_000`, CVEs in year 2030 from
@@ -567,19 +605,22 @@ pub const DELTA_MENTION: &str = "Quantumworks FlowNet gateway";
 ///
 /// # Panics
 ///
-/// Panics if `records` exceeds the per-serial id range (10 000).
+/// Panics if `records` exceeds the per-serial id range (10 000) or
+/// `serial` exceeds [`LAST_DELTA_SERIAL`].
 #[must_use]
 pub fn delta_batch(seed: u64, records: usize, serial: u32) -> Corpus {
     assert!(
         records <= 10_000,
         "delta batch exceeds the per-serial id range"
     );
+    assert!(
+        serial <= LAST_DELTA_SERIAL,
+        "delta serial {serial} is out of range"
+    );
     let mut rng = StdRng::seed_from_u64(seed ^ (u64::from(serial) << 32));
     let mut batch = Corpus::new();
-    let patterns = records / 20;
-    let weaknesses = records / 10;
-    let vulnerabilities = records - patterns - weaknesses;
-    let base = 500_000 + serial * 10_000;
+    let (patterns, weaknesses, vulnerabilities) = delta_composition(records);
+    let (base, cve) = delta_block(serial);
     for i in 0..weaknesses as u32 {
         let mode = WEAKNESS_MODES.choose(&mut rng).expect("non-empty pool");
         let subject = WEAKNESS_SUBJECTS.choose(&mut rng).expect("non-empty pool");
@@ -607,7 +648,7 @@ pub fn delta_batch(seed: u64, records: usize, serial: u32) -> Corpus {
     }
     for i in 0..vulnerabilities as u32 {
         let v = Vulnerability::new(
-            CveId::new(2030, serial * 1_000_000 + i),
+            CveId::new(2030, cve + i),
             sentence(&mut rng, Some(DELTA_MENTION)),
         )
         .with_cvss(random_cvss(&mut rng))
@@ -768,6 +809,33 @@ mod tests {
                 .map(|p| p.vulnerabilities)
                 .sum::<usize>();
         assert!((96_000..=100_000).contains(&expected), "{expected}");
+    }
+
+    #[test]
+    fn first_serial_above_clears_the_floor_of_the_families_a_batch_fills() {
+        let last = |c: &Corpus| {
+            (
+                c.last_pattern_id(),
+                c.last_weakness_id(),
+                c.last_vulnerability_id(),
+            )
+        };
+        let (p, w, v) = last(&generate(&tiny()));
+        assert_eq!(first_serial_above(1_000, p, w, v), Some(0));
+        assert_eq!(first_serial_above(1_000, None, None, None), Some(0));
+        // Once serial 0 and 1 are in, the next free block is 2.
+        let mut grown = delta_batch(1, 1_000, 0);
+        grown.merge(delta_batch(2, 1_000, 1)).unwrap();
+        let (p, w, v) = last(&grown);
+        assert_eq!(first_serial_above(1_000, p, w, v), Some(2));
+        // Five records are all vulnerabilities: only their floor counts.
+        assert_eq!(first_serial_above(5, p, w, None), Some(0));
+        assert_eq!(first_serial_above(5, None, None, v), Some(2));
+        // No serial's CVE-2030 block lies above a CVE of a later year.
+        assert_eq!(
+            first_serial_above(1_000, None, None, Some(CveId::new(2031, 0))),
+            None
+        );
     }
 
     #[test]

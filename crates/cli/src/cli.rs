@@ -9,7 +9,9 @@ use cpssec_analysis::consequence::analyze_all;
 use cpssec_analysis::render::text_table;
 use cpssec_analysis::{attribute_rows, render, report, AssociationMap, SystemPosture};
 use cpssec_attackdb::seed::seed_corpus;
-use cpssec_attackdb::synth::{delta_batch, stream_into, SynthSpec};
+use cpssec_attackdb::synth::{
+    delta_batch, first_serial_above, stream_into, SynthSpec, LAST_DELTA_SERIAL,
+};
 use cpssec_attackdb::Corpus;
 use cpssec_model::{Fidelity, SystemModel};
 use cpssec_scada::campaign::family;
@@ -132,8 +134,9 @@ pub struct Options {
     pub requests: usize,
     /// Record count for `delta build`.
     pub records: usize,
-    /// Batch serial for `delta build` (its append-only id block).
-    pub serial: u32,
+    /// Batch serial for `delta build` (its append-only id block); without
+    /// one, a `.cpsnap` parent takes the smallest serial that applies.
+    pub serial: Option<u32>,
     /// Output path for `delta apply`/`delta compact` (defaults to the
     /// base snapshot, growing it in place).
     pub out_path: Option<String>,
@@ -167,7 +170,7 @@ impl Default for Options {
             clients: 4,
             requests: 16,
             records: 1_000,
-            serial: 0,
+            serial: None,
             out_path: None,
             positional: Vec::new(),
         }
@@ -256,7 +259,11 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
             "--clients" => options.clients = parse_value(flag, value("a value")?, positive)?,
             "--requests" => options.requests = parse_value(flag, value("a value")?, positive)?,
             "--records" => options.records = parse_count(flag, value("a value")?)?,
-            "--serial" => options.serial = parse_value(flag, value("a value")?, |_| true)?,
+            "--serial" => {
+                options.serial = Some(parse_value(flag, value("a value")?, |&serial| {
+                    serial <= LAST_DELTA_SERIAL
+                })?);
+            }
             "--out" => options.out_path = Some(value("a path")?.to_owned()),
             other if other.starts_with("--") => {
                 return Err(format!("unknown option `{other}`"));
@@ -472,17 +479,44 @@ fn cmd_snapshot(options: &Options) -> Result<String, String> {
     }
 }
 
-/// Resolves the state id a new delta should chain onto: the snapshot id
-/// of a `.cpsnap`, or the child id of a `.cpsdelta` (so delta files can
-/// chain on each other without re-reading the growing base).
-fn parent_state_id(path: &str) -> Result<u64, String> {
+/// Resolves the state a new delta chains onto and its batch serial: the
+/// parent is the snapshot id of a `.cpsnap` or the child id of a
+/// `.cpsdelta` (so delta files can chain on each other without re-reading
+/// the growing base). Without `--serial`, a `.cpsnap` parent takes the
+/// smallest serial whose batch `delta apply` accepts on it, and a
+/// `.cpsdelta` parent takes serial 0.
+fn delta_parent(path: &str, options: &Options) -> Result<(u64, u32), String> {
     let bytes = read_file(path, std::fs::read)?;
     if let Ok(info) = cpssec_search::snapshot::inspect(&bytes) {
-        return Ok(info.snapshot_id);
+        let serial = match options.serial {
+            Some(serial) => serial,
+            None => free_serial(path, bytes, options.records)?,
+        };
+        return Ok((info.snapshot_id, serial));
     }
     inspect_delta(&bytes)
-        .map(|info| info.child_id)
+        .map(|info| (info.child_id, options.serial.unwrap_or(0)))
         .map_err(|e| format!("`{path}` is neither a valid .cpsnap nor .cpsdelta: {e}"))
+}
+
+/// The smallest serial whose batch of `records` records lies above the
+/// snapshot `bytes` ([`first_serial_above`]); a family's highest id is
+/// its last record's.
+fn free_serial(path: &str, bytes: Vec<u8>, records: usize) -> Result<u32, String> {
+    let invalid = |e| format!("invalid snapshot `{path}`: {e}");
+    let view = cpssec_search::view::open(bytes.into()).map_err(invalid)?;
+    let corpus = view.corpus();
+    let last = |count: usize| count.checked_sub(1);
+    let pattern = last(corpus.pattern_count()).map(|i| corpus.pattern(i));
+    let weakness = last(corpus.weakness_count()).map(|i| corpus.weakness(i));
+    let vulnerability = last(corpus.vulnerability_count()).map(|i| corpus.vulnerability(i));
+    first_serial_above(
+        records,
+        pattern.transpose().map_err(invalid)?.map(|r| r.id()),
+        weakness.transpose().map_err(invalid)?.map(|r| r.id()),
+        vulnerability.transpose().map_err(invalid)?.map(|r| r.id()),
+    )
+    .ok_or_else(|| format!("no delta serial has ids above those of `{path}`"))
 }
 
 fn cmd_delta(options: &Options) -> Result<String, String> {
@@ -495,8 +529,8 @@ fn cmd_delta(options: &Options) -> Result<String, String> {
             let parent_path =
                 options.arg(1, "delta build needs a parent .cpsnap or .cpsdelta path")?;
             let out_path = options.arg(2, "delta build needs an output .cpsdelta path")?;
-            let parent = parent_state_id(parent_path)?;
-            let batch = delta_batch(options.seed, options.records, options.serial);
+            let (parent, serial) = delta_parent(parent_path, options)?;
+            let batch = delta_batch(options.seed, options.records, serial);
             let bytes = build_delta(parent, &batch);
             let info = inspect_delta(&bytes).map_err(|e| format!("encode bug: {e}"))?;
             write_file(out_path, &bytes).map_err(|e| format!("cannot write `{out_path}`: {e}"))?;
@@ -1381,11 +1415,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(options.records, 500);
-        assert_eq!(options.serial, 2);
+        assert_eq!(options.serial, Some(2));
         assert_eq!(options.out_path.as_deref(), Some("x.cpsnap"));
         assert!(parse_options(&["--records".into(), "0".into()]).is_err());
         assert!(parse_options(&["--records".into(), "10001".into()]).is_err());
         assert!(parse_options(&["--serial".into(), "-1".into()]).is_err());
+        assert!(parse_options(&["--serial".into(), "4294".into()]).is_ok());
+        assert!(parse_options(&["--serial".into(), "4295".into()]).is_err());
         assert!(parse_options(&["--out".into()]).is_err());
     }
 
@@ -1590,5 +1626,41 @@ mod tests {
         // Skipping a link in the chain is a parent mismatch.
         let err = run_capture(&["delta", "apply", &base, &d1, "--out", &grown]).unwrap_err();
         assert!(err.contains("parent"), "{err}");
+    }
+
+    #[test]
+    fn delta_build_without_serial_applies_on_a_compacted_snapshot() {
+        let dir = std::env::temp_dir().join("cpssec-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path_of = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+        let base = path_of("serial-base.cpsnap");
+        run_capture(&["snapshot", "build", &base, "--scale", "0.01"]).unwrap();
+        let d0 = path_of("serial-0.cpsdelta");
+        let build = |parent: &str, out: &str, extra: &[&str]| {
+            let mut args = vec!["delta", "build", parent, out, "--records", "1000"];
+            args.extend_from_slice(extra);
+            run_capture(&args)
+        };
+        build(&base, &d0, &["--seed", "5"]).unwrap();
+        let grown = path_of("serial-grown.cpsnap");
+        run_capture(&["delta", "compact", &base, &d0, "--out", &grown]).unwrap();
+
+        // Serial 0's ids are in the compacted snapshot now: asking for it
+        // still writes the delta, which the id floor then refuses.
+        let d1 = path_of("serial-1.cpsdelta");
+        build(&grown, &d1, &["--seed", "6", "--serial", "0"]).unwrap();
+        let err = run_capture(&["delta", "compact", &grown, &d1]).unwrap_err();
+        assert!(err.contains("append-only id floor"), "{err}");
+
+        // Without --serial the build takes the next free block, serial 1.
+        build(&grown, &d1, &["--seed", "6"]).unwrap();
+        let by_hand = path_of("serial-1-by-hand.cpsdelta");
+        build(&grown, &by_hand, &["--seed", "6", "--serial", "1"]).unwrap();
+        assert_eq!(
+            std::fs::read(&d1).unwrap(),
+            std::fs::read(&by_hand).unwrap()
+        );
+        let out = path_of("serial-grown-twice.cpsnap");
+        run_capture(&["delta", "compact", &grown, &d1, "--out", &out]).unwrap();
     }
 }

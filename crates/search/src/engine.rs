@@ -40,8 +40,9 @@ pub struct MatchConfig {
     pub expand_synonyms: bool,
     /// Cap on hits returned per family. When set, selection runs through a
     /// bounded binary heap of size `k` instead of sorting every candidate,
-    /// and returns exactly the prefix the full sort would have: the heap's
-    /// ordering is the same `f64::total_cmp`-then-id comparator. A filter
+    /// and returns exactly the prefix the full sort would have: both order
+    /// the same integer key, the score's `f64::total_cmp` order then the
+    /// document's id order, and only the `k` winners become [`Hit`]s. A filter
     /// pipeline's leading `topK` lands here through
     /// [`FilterPipeline::split_for_scorer`](crate::FilterPipeline::split_for_scorer),
     /// so an association that keeps k hits per family never sorts the rest.
@@ -167,6 +168,8 @@ struct Accum {
 pub struct QueryScratch {
     accum: Vec<Accum>,
     touched: Vec<u32>,
+    /// The admitted documents' [`rank_key`]s, selected and sorted.
+    keys: Vec<u128>,
 }
 
 impl QueryScratch {
@@ -499,69 +502,39 @@ fn par_fan_out<T: Sync, R: Send>(items: &[T], work: impl Fn(&T) -> R + Sync) -> 
         .collect()
 }
 
-/// Ranks `a` against `b` best-first: descending score, ties broken by
-/// ascending id. `total_cmp` keeps the order total even if a pathological
-/// configuration (e.g. NaN `min_score` arithmetic upstream) ever produces
-/// a NaN score — the pipeline must degrade to a deterministic order, never
-/// panic. The order is *strict* (ids are unique per family), so top-k
-/// selection through a heap returns exactly the sorted prefix.
-fn rank(a: &Hit, b: &Hit) -> std::cmp::Ordering {
-    b.score.total_cmp(&a.score).then_with(|| a.id.cmp(&b.id))
+/// The `f64::total_cmp` order of `score` as an unsigned integer: a
+/// positive score's sign bit is set, a negative score's bits are all
+/// inverted, so `-NaN < -inf < -0.0 < +0.0 < +inf < +NaN` as integers.
+fn total_order_bits(score: f64) -> u64 {
+    let bits = score.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
 }
 
-/// Sorts hits best-first under [`rank`].
-fn sort_hits(hits: &mut [Hit]) {
-    hits.sort_by(rank);
+/// Document `doc`'s ranking key: ascending keys are descending scores
+/// under `f64::total_cmp`, then ascending documents. Document order is id
+/// order (a family is built in corpus order, a tail's ids lie above the
+/// base's, and [`Family::open`] refuses ids that do not ascend), and keys
+/// are unique, so even NaN scores rank deterministically and the bounded
+/// heap returns exactly the full sort's prefix.
+fn rank_key(score: f64, doc: u32) -> u128 {
+    u128::from(!total_order_bits(score)) << 64 | u128::from(doc)
 }
 
-/// A [`Hit`] ordered by [`rank`] so a max-[`BinaryHeap`] keeps its
-/// worst-ranked element on top, ready to evict.
-///
-/// [`BinaryHeap`]: std::collections::BinaryHeap
-struct Ranked(Hit);
-
-impl PartialEq for Ranked {
-    fn eq(&self, other: &Self) -> bool {
-        rank(&self.0, &other.0).is_eq()
-    }
-}
-
-impl Eq for Ranked {}
-
-impl PartialOrd for Ranked {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Ranked {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        rank(&self.0, &other.0)
-    }
-}
-
-/// Bounded top-k selection: feeds `hits` through a k-element binary heap
-/// and returns the best `k` in [`rank`] order — element for element what
-/// `sort_hits` + truncate would produce, in `O(n log k)` instead of
-/// `O(n log n)` and without materializing all candidates.
-fn top_k_hits(hits: impl Iterator<Item = Hit>, k: usize) -> Vec<Hit> {
-    use std::collections::BinaryHeap;
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut heap: BinaryHeap<Ranked> = BinaryHeap::with_capacity(k + 1);
-    for hit in hits {
+/// Moves the `k` smallest of `keys` into `out`, ascending: a bounded
+/// max-heap keeps the worst winner on top, so a rejected key costs one
+/// integer compare. `out`'s buffer is reused as the heap's.
+fn top_k_keys(keys: impl Iterator<Item = u128>, k: usize, out: &mut Vec<u128>) {
+    let mut heap = std::collections::BinaryHeap::from(std::mem::take(out));
+    for key in keys {
         if heap.len() < k {
-            heap.push(Ranked(hit));
-        } else if let Some(worst) = heap.peek() {
-            if rank(&hit, &worst.0).is_lt() {
-                heap.pop();
-                heap.push(Ranked(hit));
+            heap.push(key);
+        } else if let Some(mut worst) = heap.peek_mut() {
+            if key < *worst {
+                *worst = key;
             }
         }
     }
-    // Ascending under `Ord` = best-first under `rank`.
-    heap.into_sorted_vec().into_iter().map(|r| r.0).collect()
+    *out = heap.into_sorted_vec();
 }
 
 /// Normalizes query text into sorted, deduplicated terms plus (when
@@ -601,11 +574,14 @@ fn lookup<'a>(
     })
 }
 
-/// Scores one family and returns the admitted hits. Each term's postings
-/// are walked base section first, then tail, the tail's documents
-/// numbered after the base's: the order the merged section holds them
-/// in, so every score is summed in the same order and `touched` fills in
-/// the same order as over one section.
+/// Scores one family and returns the admitted hits, best first. Each
+/// term's postings are walked base section first, then tail, the tail's
+/// documents numbered after the base's: the order the merged section
+/// holds them in, so every score is summed in the same order and
+/// `touched` fills in the same order as over one section. Admitted
+/// documents are ranked by their [`rank_key`] alone: all of them sorted,
+/// or under a cap the best `k` through [`top_k_keys`]. Only the winners
+/// become [`Hit`]s.
 fn run_family(
     family: &Segments,
     terms: &[String],
@@ -649,33 +625,45 @@ fn run_family(
             }
         }
     }
-    let candidates = scratch.touched.iter().filter_map(|&doc| {
-        let acc = scratch.accum[doc as usize];
+    let QueryScratch {
+        accum,
+        touched,
+        keys,
+    } = scratch;
+    let admitted = touched.iter().filter_map(|&doc| {
+        let acc = accum[doc as usize];
         let admitted = (acc.max_idf >= config.idf_floor
             || acc.matched as usize >= config.min_terms)
             && acc.score >= config.min_score;
-        admitted.then(|| Hit {
-            id: family.id(doc as usize),
-            score: acc.score,
-            matched_terms: acc.matched as usize,
-            severity: family.severity(doc as usize),
-        })
+        admitted.then(|| rank_key(acc.score, doc))
     });
-    let hits = match config.max_hits {
-        // Capped: bounded-heap selection, O(candidates · log k).
-        Some(k) => top_k_hits(candidates, k),
+    match config.max_hits {
+        Some(k) => top_k_keys(admitted, k, keys),
         None => {
-            let mut hits: Vec<Hit> = candidates.collect();
-            sort_hits(&mut hits);
-            hits
+            keys.reserve(touched.len());
+            keys.extend(admitted);
+            keys.sort_unstable();
         }
-    };
+    }
+    let hits = keys
+        .iter()
+        .map(|&key| {
+            let doc = key as u32 as usize;
+            Hit {
+                id: family.id(doc),
+                score: accum[doc].score,
+                matched_terms: accum[doc].matched as usize,
+                severity: family.severity(doc),
+            }
+        })
+        .collect();
     // Reset exactly the slots this query touched so the table is clean for
     // the next family/query without an O(corpus) sweep.
-    for &doc in &scratch.touched {
-        scratch.accum[doc as usize] = Accum::default();
+    for &doc in touched.iter() {
+        accum[doc as usize] = Accum::default();
     }
-    scratch.touched.clear();
+    touched.clear();
+    keys.clear();
     hits
 }
 
@@ -685,6 +673,7 @@ mod tests {
     use cpssec_attackdb::seed::{seed_corpus, table1_attributes};
     use cpssec_attackdb::synth::{generate, SynthSpec};
     use cpssec_model::{Attribute, AttributeKind, ComponentKind};
+    use proptest::prelude::*;
 
     fn engine() -> SearchEngine {
         SearchEngine::build(&seed_corpus())
@@ -926,27 +915,124 @@ mod tests {
         assert!(!a.is_empty());
     }
 
-    #[test]
-    fn sort_hits_orders_nan_scores_deterministically() {
-        let hit = |n: u32, score: f64| unscored_hit(CveId::new(2020, n), score);
-        let mut a = vec![hit(1, f64::NAN), hit(2, 1.0), hit(3, f64::NAN), hit(4, 2.0)];
-        let mut b = a.clone();
-        b.reverse();
-        sort_hits(&mut a);
-        sort_hits(&mut b);
-        // No panic, and the order is total: both permutations agree on the
-        // id sequence (NaN != NaN blocks whole-Hit equality).
-        let ids = |hits: &[Hit]| hits.iter().map(|h| h.id).collect::<Vec<_>>();
-        assert_eq!(ids(&a), ids(&b));
-        // NaN sorts above +inf under total_cmp, finite scores keep their
-        // descending order after it.
-        assert!(a[0].score.is_nan() && a[1].score.is_nan());
-        assert_eq!(a[2].score, 2.0);
-        assert_eq!(a[3].score, 1.0);
+    /// The comparator [`rank_key`] replaced, kept as its oracle:
+    /// descending score under `f64::total_cmp`, ties by ascending id.
+    fn oracle(a: &Hit, b: &Hit) -> std::cmp::Ordering {
+        b.score.total_cmp(&a.score).then_with(|| a.id.cmp(&b.id))
+    }
+
+    /// Score bits that stress the order: both zeros, both infinities, NaNs
+    /// of both signs with several payloads, subnormals, the extreme
+    /// normals, and arbitrary bits.
+    fn score_bits() -> impl Strategy<Value = u64> {
+        let special = prop::sample::select(vec![
+            0.0f64.to_bits(),
+            (-0.0f64).to_bits(),
+            f64::INFINITY.to_bits(),
+            f64::NEG_INFINITY.to_bits(),
+            f64::NAN.to_bits(),
+            (-f64::NAN).to_bits(),
+            0x7ff0_0000_0000_0001,
+            0xfff0_0000_0000_0001,
+            0x7fff_ffff_ffff_ffff,
+            0xffff_ffff_ffff_ffff,
+            f64::MIN_POSITIVE.to_bits(),
+            f64::MAX.to_bits(),
+            f64::MIN.to_bits(),
+            1,
+            0x8000_0000_0000_0001,
+        ]);
+        let mantissa = (1u64 << 52) - 1;
+        (0u8..4, special, any::<u64>()).prop_map(move |(class, special, bits)| match class {
+            0 => special,
+            1 => bits & mantissa,           // a subnormal or +0
+            2 => bits & mantissa | 1 << 63, // a negative subnormal or -0
+            _ => bits,
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn key_order_is_the_oracle_order(
+            a in score_bits(),
+            b in score_bits(),
+            doc_a in 0u32..8,
+            doc_b in 0u32..8,
+        ) {
+            let (x, y) = (f64::from_bits(a), f64::from_bits(b));
+            prop_assert_eq!(total_order_bits(x).cmp(&total_order_bits(y)), x.total_cmp(&y));
+            let hit = |doc: u32, score: f64| unscored_hit(CveId::new(2020, doc), score);
+            prop_assert_eq!(
+                rank_key(x, doc_a).cmp(&rank_key(y, doc_b)),
+                oracle(&hit(doc_a, x), &hit(doc_b, y))
+            );
+        }
+
+        #[test]
+        fn capped_keys_are_the_sorted_prefix_on_tied_pools(
+            pool in prop::collection::vec((0usize..3, 0u32..64), 0..200),
+            k in 0usize..40,
+        ) {
+            // Three distinct scores over up to 64 documents: most keys
+            // tie on the score and fall to the document number.
+            let scores = [1.5, f64::NAN, -0.0];
+            let mut keys: Vec<u128> = pool
+                .iter()
+                .map(|&(score, doc)| rank_key(scores[score], doc))
+                .collect();
+            keys.sort_unstable();
+            keys.dedup();
+            let mut capped = Vec::new();
+            top_k_keys(keys.iter().rev().copied(), k, &mut capped);
+            prop_assert_eq!(&keys[..k.min(keys.len())], capped.as_slice());
+        }
     }
 
     #[test]
-    fn max_hits_heap_returns_exactly_the_sorted_prefix() {
+    fn rank_key_orders_nan_scores_deterministically() {
+        let scores = [f64::NAN, 1.0, f64::NAN, 2.0, f64::NEG_INFINITY, -0.0, 0.0];
+        let mut keys: Vec<u128> = (0u32..).zip(scores).map(|(d, s)| rank_key(s, d)).collect();
+        keys.sort_unstable();
+        let docs: Vec<u32> = keys.iter().map(|&key| key as u32).collect();
+        // NaN ranks above +inf under total_cmp, its ties by document;
+        // finite scores keep their descending order after it, +0 above -0.
+        assert_eq!(docs, [0, 2, 3, 1, 6, 5, 4]);
+    }
+
+    #[test]
+    fn capped_matching_is_the_uncapped_prefix_on_tied_scores() {
+        // Sixty identical records tie on every score, so the cap must cut
+        // inside one tie and the order inside it is id order.
+        let mut corpus = Corpus::new();
+        for n in (0..60).rev() {
+            corpus
+                .add_vulnerability(Vulnerability::new(
+                    CveId::new(2020, 100 + n),
+                    "SCADA historian buffer overflow",
+                ))
+                .unwrap();
+        }
+        let unbounded = SearchEngine::build(&corpus);
+        let full = unbounded
+            .match_text("historian buffer overflow")
+            .vulnerabilities;
+        assert_eq!(full.len(), 60);
+        assert!(full.windows(2).all(|w| w[0].score == w[1].score));
+        assert!(full.windows(2).all(|w| oracle(&w[0], &w[1]).is_lt()));
+        for k in [0, 1, 7, 59, 60, 61] {
+            let capped = unbounded.with_config(MatchConfig {
+                max_hits: Some(k),
+                ..MatchConfig::default()
+            });
+            let cut = capped
+                .match_text("historian buffer overflow")
+                .vulnerabilities;
+            assert_eq!(&full[..k.min(60)], cut.as_slice(), "k={k}");
+        }
+    }
+
+    #[test]
+    fn max_hits_returns_exactly_the_sorted_prefix() {
         let mut corpus = seed_corpus();
         corpus
             .merge(generate(&SynthSpec::paper2020(11, 0.05)))
@@ -976,27 +1062,34 @@ mod tests {
     }
 
     #[test]
-    fn top_k_orders_nan_scores_like_the_sort() {
-        let hit = |n: u32, score: f64| unscored_hit(CveId::new(2020, n), score);
-        let pool = vec![
-            hit(5, f64::NAN),
-            hit(2, 1.0),
-            hit(9, f64::NAN),
-            hit(4, 2.0),
-            hit(1, 1.0),
-            hit(7, f64::NEG_INFINITY),
-            hit(3, f64::INFINITY),
-        ];
-        for k in 0..=pool.len() + 1 {
-            let mut sorted = pool.clone();
-            sort_hits(&mut sorted);
-            sorted.truncate(k);
-            let heaped = top_k_hits(pool.iter().cloned(), k);
-            let ids = |hits: &[Hit]| hits.iter().map(|h| h.id).collect::<Vec<_>>();
-            let bits = |hits: &[Hit]| hits.iter().map(|h| h.score.to_bits()).collect::<Vec<_>>();
-            assert_eq!(ids(&sorted), ids(&heaped), "k={k}");
-            assert_eq!(bits(&sorted), bits(&heaped), "k={k}");
+    fn every_match_list_is_sorted_under_the_oracle() {
+        let mut corpus = seed_corpus();
+        corpus
+            .merge(generate(&SynthSpec::paper2020(2020, 0.1)))
+            .unwrap();
+        let engine = SearchEngine::build(&corpus);
+        let bm25 = engine.with_scoring(ScoringModel::Bm25);
+        let mut queries: Vec<&str> = table1_attributes().to_vec();
+        queries.extend([
+            "SCADA historian",
+            "operating system command injection",
+            "Microsoft Windows 7 SMB remote code execution",
+            "MODBUS/TCP",
+        ]);
+        let mut lists = 0;
+        for engine in [&engine, &bm25] {
+            for query in &queries {
+                let set = engine.match_text(query);
+                for hits in [&set.patterns, &set.weaknesses, &set.vulnerabilities] {
+                    assert!(
+                        hits.windows(2).all(|w| oracle(&w[0], &w[1]).is_lt()),
+                        "{query}"
+                    );
+                    lists += usize::from(hits.len() > 1);
+                }
+            }
         }
+        assert!(lists > 20, "only {lists} lists hold two hits or more");
     }
 
     #[test]

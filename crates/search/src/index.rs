@@ -608,12 +608,13 @@ impl Family {
     }
 
     /// Opens a family section from outside: the geometry of
-    /// [`Layout::parse`], then every check the geometry cannot make — each
-    /// severity code is one this family's records can carry, the term
-    /// entries are contiguous, the dictionary is strictly sorted valid
-    /// UTF-8 that consumes the heap exactly, and each posting names a
-    /// document of this family with `1 <= tf <= len` (query-time scoring
-    /// takes `ln tf`).
+    /// [`Layout::parse`], then every check the geometry cannot make — the
+    /// id table strictly ascends (ranking takes document order for id
+    /// order), each severity code is one this family's records can carry,
+    /// the term entries are contiguous, the dictionary is strictly sorted
+    /// valid UTF-8 that consumes the heap exactly, and each posting names
+    /// a document of this family with `1 <= tf <= len` (query-time
+    /// scoring takes `ln tf`).
     pub(crate) fn open(kind: FamilyKind, bytes: Vec<u8>) -> Result<Family, SnapshotError> {
         let layout = Layout::parse(kind, &bytes)?;
         let family = Family::with_columns(kind, bytes, layout);
@@ -646,6 +647,13 @@ impl Family {
 
     fn validate(&self) -> Result<(), SnapshotError> {
         let corrupt = |detail: String| Err(SnapshotError::Corrupt(detail));
+        if let Some(doc) = self.ids.windows(2).position(|w| w[0] >= w[1]) {
+            let name = self.kind.name();
+            return corrupt(format!(
+                "`{name}` id table is not ascending at document {}",
+                doc + 1
+            ));
+        }
         let l = &self.layout;
         let severities = &self.bytes[l.severity_off..l.severity_off + l.doc_count];
         for (doc, &byte) in severities.iter().enumerate() {
@@ -1319,7 +1327,7 @@ mod tests {
                 let at = 4 + doc * 4;
                 bytes[at..at + 4].copy_from_slice(&((first + doc) as u32).to_le_bytes());
             }
-            Family::open(self.kind, bytes).expect("ids are not validated")
+            Family::open(self.kind, bytes).expect("ids from `first` ascend")
         }
     }
 

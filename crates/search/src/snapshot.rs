@@ -213,12 +213,13 @@ fn decode_corpus_section(payload: &[u8]) -> Result<Corpus, SnapshotError> {
 /// each with its tail (the records [`crate::delta`] appends added since
 /// the last compaction) merged in as it is written.
 ///
-/// The engine must have been built over `corpus` — the id tables are
-/// validated against the corpus on decode. Output is deterministic: the
-/// same inputs always produce the same bytes, and (because the index wire
-/// format is independent of term-id numbering) an engine grown by
-/// [`crate::delta`] appends encodes identically to one rebuilt from
-/// scratch over the same corpus.
+/// The engine must have been built over `corpus`. Decode checks that
+/// each id table strictly ascends and that each family's document count
+/// equals the corpus's record count, not that the ids are the records'.
+/// Output is deterministic: the same inputs always produce the same
+/// bytes, and (because the index wire format is independent of term-id
+/// numbering) an engine grown by [`crate::delta`] appends encodes
+/// identically to one rebuilt from scratch over the same corpus.
 ///
 /// # Panics
 ///

@@ -224,3 +224,28 @@ fn hostile_section_tables_never_panic() {
         );
     }
 }
+
+#[test]
+fn a_resealed_snapshot_with_swapped_ids_is_corrupt() {
+    // Ranking takes document order for id order, so decode must refuse an
+    // id table that does not ascend even when every checksum holds.
+    let corpus = cpssec_attackdb::seed::seed_corpus();
+    let mut bytes = snapshot::encode(&corpus, &SearchEngine::build(&corpus));
+    let info = snapshot::inspect(&bytes).unwrap();
+    let section = info
+        .sections
+        .iter()
+        .find(|s| s.name == "vulnerabilities")
+        .unwrap();
+    // The id table follows the count, one `{year u16, u32}` per document.
+    let ids = section.offset as usize + 4;
+    let (first, second) = bytes[ids..ids + 12].split_at_mut(6);
+    first.swap_with_slice(second);
+    reseal(&mut bytes);
+    let err = snapshot::decode(&bytes).unwrap_err();
+    assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
+    assert_eq!(
+        err.to_string(),
+        "corrupt snapshot: `vulnerabilities` id table is not ascending at document 1"
+    );
+}
