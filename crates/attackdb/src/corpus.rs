@@ -162,6 +162,49 @@ impl<K: Ord + Copy, V: Clone + Linked> Family<K, V> {
         Arc::make_mut(segment).insert(id, record);
     }
 
+    /// A family of one segment built in bulk from `records`, which must
+    /// strictly ascend by `id`: the map from the sorted run (its nodes
+    /// come out full and back to back), and each weakness's list of the
+    /// ids naming it from the `(weakness, id)` pairs sorted by weakness,
+    /// which keeps each list ascending.
+    fn from_ascending(
+        family: &'static str,
+        records: impl IntoIterator<Item = V>,
+        id: impl Fn(&V) -> K,
+    ) -> Result<Self, AttackDbError> {
+        let records = records.into_iter();
+        let mut sorted: Vec<(K, V)> = Vec::with_capacity(records.size_hint().0);
+        let mut pairs: Vec<(CweId, K)> = Vec::new();
+        for (index, record) in records.enumerate() {
+            let key = id(&record);
+            if sorted.last().is_some_and(|(last, _)| *last >= key) {
+                return Err(AttackDbError::OutOfOrder { family, index });
+            }
+            pairs.extend(record.weakness_links().iter().map(|cwe| (*cwe, key)));
+            sorted.push((key, record));
+        }
+        let Some(&(start, _)) = sorted.first() else {
+            return Ok(Family::default());
+        };
+        // Stable, so the ids of one weakness stay in record order.
+        pairs.sort_by_key(|&(cwe, _)| cwe);
+        let mut links: Vec<(CweId, Vec<K>)> = Vec::new();
+        for (cwe, key) in pairs {
+            match links.last_mut() {
+                Some((last, keys)) if *last == cwe => keys.push(key),
+                _ => links.push((cwe, vec![key])),
+            }
+        }
+        Ok(Family {
+            len: sorted.len(),
+            segments: vec![Arc::new(Segment {
+                records: sorted.into_iter().collect(),
+                links: links.into_iter().collect(),
+            })],
+            starts: vec![start],
+        })
+    }
+
     fn open_segment(&mut self, id: K, record: V) {
         self.segments.push(Arc::new(Segment::of(id, record)));
         self.starts.push(id);
@@ -271,6 +314,31 @@ impl Corpus {
     #[must_use]
     pub fn new() -> Self {
         Corpus::default()
+    }
+
+    /// Builds a corpus in bulk from each family's records in strictly
+    /// ascending id order, one segment per family: the same corpus the
+    /// `add_*` calls would give, without searching the map per record.
+    ///
+    /// # Errors
+    ///
+    /// [`AttackDbError::OutOfOrder`] naming the first record (patterns,
+    /// then weaknesses, then vulnerabilities) whose id is not above its
+    /// predecessor's, a duplicate included.
+    pub fn from_ascending(
+        patterns: impl IntoIterator<Item = AttackPattern>,
+        weaknesses: impl IntoIterator<Item = Weakness>,
+        vulnerabilities: impl IntoIterator<Item = Vulnerability>,
+    ) -> Result<Corpus, AttackDbError> {
+        Ok(Corpus {
+            patterns: Family::from_ascending("patterns", patterns, AttackPattern::id)?,
+            weaknesses: Family::from_ascending("weaknesses", weaknesses, Weakness::id)?,
+            vulnerabilities: Family::from_ascending(
+                "vulnerabilities",
+                vulnerabilities,
+                Vulnerability::id,
+            )?,
+        })
     }
 
     /// Adds an attack pattern.
@@ -996,6 +1064,49 @@ mod tests {
             for (generation, generation_model) in &held {
                 generation_model.assert_agrees(generation);
             }
+            // The bulk build over the same records is the same corpus,
+            // one segment per non-empty family.
+            let bulk = Corpus::from_ascending(
+                model.patterns.values().cloned(),
+                model.weaknesses.values().cloned(),
+                model.vulnerabilities.values().cloned(),
+            )
+            .unwrap();
+            model.assert_agrees(&bulk);
+            proptest::prop_assert!(bulk.patterns.segments.len() <= 1);
+            proptest::prop_assert!(bulk.vulnerabilities.segments.len() <= 1);
         }
+    }
+
+    #[test]
+    fn a_bulk_build_refuses_a_run_that_does_not_ascend() {
+        let c = base(1..6);
+        let (patterns, weaknesses, mut vulnerabilities) = c.clone().into_records();
+        assert_eq!(
+            Corpus::from_ascending(
+                patterns.clone(),
+                weaknesses.clone(),
+                vulnerabilities.clone()
+            ),
+            Ok(c)
+        );
+        vulnerabilities.swap(2, 3);
+        let err = Corpus::from_ascending(patterns.clone(), weaknesses.clone(), vulnerabilities)
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "`vulnerabilities` record 3 is not in id order"
+        );
+        let mut doubled = weaknesses.clone();
+        doubled.insert(1, weaknesses[1].clone());
+        let err = Corpus::from_ascending(patterns, doubled, []).unwrap_err();
+        assert_eq!(
+            err,
+            AttackDbError::OutOfOrder {
+                family: "weaknesses",
+                index: 2
+            }
+        );
+        assert_eq!(Corpus::from_ascending([], [], []), Ok(Corpus::new()));
     }
 }

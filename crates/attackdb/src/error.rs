@@ -17,6 +17,15 @@ pub enum AttackDbError {
         /// The missing target.
         to: AttackVectorId,
     },
+    /// A run of records meant to ascend by id has one that is not above
+    /// its predecessor: out of order, or a duplicate.
+    OutOfOrder {
+        /// The record family (`patterns`, `weaknesses` or
+        /// `vulnerabilities`).
+        family: &'static str,
+        /// The offending record's position in the run.
+        index: usize,
+    },
 }
 
 impl fmt::Display for AttackDbError {
@@ -25,6 +34,9 @@ impl fmt::Display for AttackDbError {
             AttackDbError::DuplicateRecord(id) => write!(f, "duplicate record `{id}`"),
             AttackDbError::DanglingReference { from, to } => {
                 write!(f, "record `{from}` references missing record `{to}`")
+            }
+            AttackDbError::OutOfOrder { family, index } => {
+                write!(f, "`{family}` record {index} is not in id order")
             }
         }
     }

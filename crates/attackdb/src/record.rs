@@ -169,6 +169,14 @@ impl AttackPattern {
         self
     }
 
+    /// Reserves room for exactly `weaknesses` more weakness links and
+    /// `prerequisites` more prerequisites, for a decoder that reads the
+    /// counts before the items.
+    pub(crate) fn reserve(&mut self, weaknesses: usize, prerequisites: usize) {
+        self.related_weaknesses.reserve_exact(weaknesses);
+        self.prerequisites.reserve_exact(prerequisites);
+    }
+
     /// The identifier.
     #[must_use]
     pub fn id(&self) -> CapecId {
@@ -437,6 +445,14 @@ impl Vulnerability {
     pub fn with_affected(mut self, cpe: CpeName) -> Self {
         self.affected.push(cpe);
         self
+    }
+
+    /// Reserves room for exactly `weaknesses` more weakness links and
+    /// `affected` more products, for a decoder that reads the counts
+    /// before the items.
+    pub(crate) fn reserve(&mut self, weaknesses: usize, affected: usize) {
+        self.weaknesses.reserve_exact(weaknesses);
+        self.affected.reserve_exact(affected);
     }
 
     /// The identifier.

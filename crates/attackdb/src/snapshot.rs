@@ -406,10 +406,12 @@ pub fn decode_pattern(r: &mut Reader<'_>) -> Result<AttackPattern, SnapshotError
         v => pattern = pattern.with_severity(severity_from_u8(v)?),
     }
     let weaknesses = r.u32()?;
+    pattern.reserve(r.capacity_for(weaknesses, 4), 0);
     for _ in 0..weaknesses {
         pattern = pattern.with_weakness(CweId::new(r.u32()?));
     }
     let prerequisites = r.u32()?;
+    pattern.reserve(0, r.capacity_for(prerequisites, 4));
     for _ in 0..prerequisites {
         pattern = pattern.with_prerequisite(r.str()?);
     }
@@ -503,10 +505,13 @@ pub fn decode_vulnerability(r: &mut Reader<'_>) -> Result<Vulnerability, Snapsho
         other => return Err(bad_discriminant("cvss presence", other)),
     }
     let weaknesses = r.u32()?;
+    vuln.reserve(r.capacity_for(weaknesses, 4), 0);
     for _ in 0..weaknesses {
         vuln = vuln.with_weakness(CweId::new(r.u32()?));
     }
+    // A product is at least its two length prefixes and the version flag.
     let affected = r.u32()?;
+    vuln.reserve(0, r.capacity_for(affected, 9));
     for _ in 0..affected {
         let mut cpe = CpeName::new(r.str()?, r.str()?);
         match r.u8()? {

@@ -16,11 +16,13 @@
 //! length and checksum alone ([`Format::id_of`]), splits a file in
 //! *O(header)*
 //! ([`Format::split`]), verifies the payload checksums
-//! ([`Table::verify`]) and looks sections up ([`Table::find`]). The id
+//! ([`Table::verify`], or [`Table::verify_on`] several threads) and looks sections up ([`Table::find`]). The id
 //! fingerprints the whole content, since each table entry embeds its
 //! payload's checksum, and doubles as the table's own integrity check.
 //! Each format converts [`ContainerError`] into its own error type, so
 //! its messages keep their wording.
+
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Bytes before the section table: magic, version, count, id.
 pub const HEADER_LEN: usize = 6 + 2 + 4 + 8;
@@ -250,6 +252,49 @@ impl<'a> Table<'a> {
         }
     }
 
+    /// [`Table::verify`] with the checksums computed on up to `threads`
+    /// threads, this one and scoped ones, each taking the largest section
+    /// not yet taken; `threads <= 1` spawns nothing. Every checksum is
+    /// computed before any is compared, so the error is `verify`'s: the
+    /// first bad section in table order.
+    ///
+    /// # Errors
+    ///
+    /// As [`Table::verify`].
+    pub fn verify_on(&self, threads: usize) -> Result<(), ContainerError> {
+        let workers = threads.min(self.sections.len());
+        if workers <= 1 {
+            return self.verify();
+        }
+        let mut largest_first: Vec<usize> = (0..self.sections.len()).collect();
+        largest_first.sort_by_key(|&i| std::cmp::Reverse(self.sections[i].len));
+        // Relaxed throughout: `next` only hands out indices, and the
+        // scope's join orders every checksum store before the loads below.
+        let next = AtomicUsize::new(0);
+        let sums: Vec<AtomicU64> = self.sections.iter().map(|_| AtomicU64::new(0)).collect();
+        let work = || {
+            while let Some(&i) = largest_first.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let sum = (self.format.checksum)(self.span(&self.sections[i]));
+                sums[i].store(sum, Ordering::Relaxed);
+            }
+        };
+        std::thread::scope(|s| {
+            for _ in 1..workers {
+                s.spawn(work);
+            }
+            work();
+        });
+        match self
+            .sections
+            .iter()
+            .zip(&sums)
+            .find(|(s, sum)| sum.load(Ordering::Relaxed) != s.checksum)
+        {
+            Some((bad, _)) => Err(ContainerError::ChecksumMismatch(bad.name)),
+            None => Ok(()),
+        }
+    }
+
     /// The first entry of section `id`.
     ///
     /// # Errors
@@ -345,6 +390,32 @@ mod tests {
             table.verify().expect("checksums hold");
             let sections = payloads.map(|p| (p.len(), (FORMAT.checksum)(p)));
             assert_eq!(FORMAT.id_of(&sections), table.id);
+        }
+    }
+
+    #[test]
+    fn verify_on_any_thread_count_reports_what_verify_reports() {
+        let file = FORMAT.assemble(&[b"abc", b"0123456789"]);
+        let offsets: Vec<usize> = FORMAT
+            .split(&file)
+            .unwrap()
+            .sections
+            .iter()
+            .map(|s| s.offset as usize)
+            .collect();
+        // Intact, the second section bad, then both bad: the first bad
+        // section in table order is reported, whichever finishes first.
+        for bad in [&[][..], &[1], &[0, 1]] {
+            let mut file = file.clone();
+            for &section in bad {
+                file[offsets[section]] ^= 0xFF;
+            }
+            let table = FORMAT.split(&file).unwrap();
+            let expected = table.verify();
+            assert_eq!(expected.is_ok(), bad.is_empty());
+            for threads in 0..=3 {
+                assert_eq!(table.verify_on(threads), expected, "{bad:?} on {threads}");
+            }
         }
     }
 }

@@ -52,26 +52,36 @@
 //!
 //! Two read paths share this layout. [`decode`] verifies every payload
 //! checksum, decodes the corpus, opens and validates the engine and
-//! cross-checks their document counts: it is the one path that turns
-//! bytes into queryable state (`snapshot verify`, `delta apply` and the
-//! server's snapshot boot all run it). [`crate::view::open`] validates
+//! cross-checks them: each family's document count and, document for
+//! document, its id against the corpus record's. It is the one path that
+//! turns bytes into queryable state (`snapshot verify`, `delta apply` and
+//! the server's snapshot boot all run it), and it runs on every core: the
+//! four checksums in parallel, then the vulnerability records in one
+//! contiguous run per core with the pattern and weakness records beside
+//! them, then the corpus built in bulk from the id-ordered records while
+//! the three index families open beside it. Its result and its error for
+//! any input do not depend on the number of cores, and on one core it
+//! spawns nothing. [`crate::view::open`] validates
 //! the header and section geometry in *O(header)* and reads records in
 //! place; [`crate::view::open_verified`] adds the payload checksums.
 //! Compatibility is strict: readers reject any version they were not
 //! built for — a snapshot is a cache artifact, regenerable from the
 //! corpus, never an archival format.
 
+use std::ops::Range;
+
 use cpssec_attackdb::snapshot as record_wire;
-use cpssec_attackdb::snapshot::put_u32;
-use cpssec_attackdb::Corpus;
+use cpssec_attackdb::snapshot::{put_u32, Reader};
+use cpssec_attackdb::{AttackVectorId, Corpus};
 use cpssec_model::fnv1a_64_wide;
 use cpssec_obs::container::{ContainerError, Format};
 
 pub use cpssec_attackdb::snapshot::SnapshotError;
 pub use cpssec_obs::container::SectionInfo;
 
+use crate::engine::cores;
 use crate::index::Segments;
-use crate::view::record_directories;
+use crate::view::{record_directories, RecordDirectory};
 use crate::SearchEngine;
 
 /// The six magic bytes every `.cpsnap` file starts with.
@@ -184,28 +194,126 @@ pub(crate) fn encode_corpus_section(corpus: &Corpus) -> Vec<u8> {
     out
 }
 
-/// Decodes the corpus section payload back into an owned [`Corpus`],
-/// reading the record directories through the walker [`crate::view`]
-/// uses.
-///
-/// Each family is decoded in full before any record is inserted, so the
-/// map's nodes are allocated back to back instead of between the records'
-/// strings. Random lookups on the decoded corpus are measurably faster
-/// that way, and a delta-grown corpus keeps its decoded base for life.
-fn decode_corpus_section(payload: &[u8]) -> Result<Corpus, SnapshotError> {
-    let corrupt = |e: cpssec_attackdb::AttackDbError| SnapshotError::Corrupt(e.to_string());
-    let [patterns, weaknesses, vulnerabilities] = record_directories(0, payload)?;
-    let mut corpus = Corpus::new();
-    for p in patterns.decode_all(payload, record_wire::decode_pattern)? {
-        corpus.add_pattern(p).map_err(corrupt)?;
+/// Decodes every record of `directory`, in directory order, split into
+/// `chunks` contiguous runs (never more runs than records) that `threads`
+/// threads share: run 0 on this thread straight into the result, and
+/// run `i > 0` on thread `i % threads` (thread 0 is this one, the others
+/// scoped), each into its own vector appended in run order. The error is
+/// the first failing record's, whatever the split; one thread spawns
+/// nothing.
+fn decode_records<T: Send>(
+    directory: &RecordDirectory,
+    payload: &[u8],
+    chunks: usize,
+    threads: usize,
+    decode: fn(&mut Reader<'_>) -> Result<T, SnapshotError>,
+) -> Result<Vec<T>, SnapshotError> {
+    let count = directory.count();
+    let run = count.div_ceil(chunks.max(1)).max(1);
+    let runs: Vec<Range<usize>> = (0..count)
+        .step_by(run)
+        .map(|start| start..count.min(start + run))
+        .collect();
+    let threads = threads.min(runs.len());
+    let mut records = Vec::with_capacity(count);
+    if threads <= 1 {
+        for range in runs {
+            directory.decode_into(payload, range, decode, &mut records)?;
+        }
+        return Ok(records);
     }
-    for w in weaknesses.decode_all(payload, record_wire::decode_weakness)? {
-        corpus.add_weakness(w).map_err(corrupt)?;
+    let work = |t: usize| -> Vec<Result<Vec<T>, SnapshotError>> {
+        let decode_run = |range: &Range<usize>| {
+            let mut out = Vec::new();
+            directory
+                .decode_into(payload, range.clone(), decode, &mut out)
+                .map(|()| out)
+        };
+        let mine = runs.iter().enumerate().skip(1);
+        mine.filter(|(i, _)| i % threads == t)
+            .map(|(_, range)| decode_run(range))
+            .collect()
+    };
+    let (first, mut decoded) = std::thread::scope(|s| {
+        let others: Vec<_> = (1..threads).map(|t| s.spawn(move || work(t))).collect();
+        let first = directory.decode_into(payload, runs[0].clone(), decode, &mut records);
+        let decoded: Vec<_> = std::iter::once(work(0))
+            .chain(others.into_iter().map(|t| t.join().expect("record decode")))
+            .map(Vec::into_iter)
+            .collect();
+        (first, decoded)
+    });
+    first?;
+    for i in 1..runs.len() {
+        records.extend(decoded[i % threads].next().expect("every run decoded")?);
     }
-    for v in vulnerabilities.decode_all(payload, record_wire::decode_vulnerability)? {
-        corpus.add_vulnerability(v).map_err(corrupt)?;
+    Ok(records)
+}
+
+/// Runs `a` on a scoped thread beside `b` on this one, or, unless
+/// `parallel`, both here, `a` first.
+fn join<A: Send, B>(parallel: bool, a: impl FnOnce() -> A + Send, b: impl FnOnce() -> B) -> (A, B) {
+    if !parallel {
+        let a = a();
+        return (a, b());
     }
-    Ok(corpus)
+    std::thread::scope(|s| {
+        let a = s.spawn(a);
+        let b = b();
+        (a.join().expect("snapshot decode thread"), b)
+    })
+}
+
+/// Checks that each index family covers its corpus family record for
+/// record: first every family's document count, then, in one pass per
+/// family, that document `n` names corpus record `n`. Ranking and every
+/// hit name records by the index ids, so an id the corpus does not hold
+/// would be served as a hit no lookup can resolve.
+fn check_coverage(corpus: &Corpus, engine: &SearchEngine) -> Result<(), SnapshotError> {
+    let [p, w, v] = engine.families();
+    let passes = [
+        id_pass(p, corpus.patterns().map(|r| r.id().into())),
+        id_pass(w, corpus.weaknesses().map(|r| r.id().into())),
+        id_pass(v, corpus.vulnerabilities().map(|r| r.id().into())),
+    ];
+    for (family, (records, _)) in engine.families().into_iter().zip(&passes) {
+        let documents = family.doc_count();
+        if documents != *records {
+            return Err(SnapshotError::Corrupt(format!(
+                "`{}` index covers {documents} documents but the corpus holds {records} records",
+                family.name()
+            )));
+        }
+    }
+    for (family, (_, mismatch)) in engine.families().into_iter().zip(passes) {
+        if let Some((doc, record)) = mismatch {
+            return Err(SnapshotError::Corrupt(format!(
+                "`{}` index document {doc} is {} but corpus record {doc} is {record}",
+                family.name(),
+                family.id(doc)
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// One family's records against its index: how many there are, and the
+/// first document (within the index) whose id is not the record's, with
+/// the record's id.
+fn id_pass(
+    family: &Segments,
+    records: impl Iterator<Item = AttackVectorId>,
+) -> (usize, Option<(usize, AttackVectorId)>) {
+    let documents = family.doc_count();
+    let mut count = 0;
+    let mut mismatch = None;
+    for (doc, id) in records.enumerate() {
+        if mismatch.is_none() && doc < documents && family.id(doc) != id {
+            mismatch = Some((doc, id));
+        }
+        count += 1;
+    }
+    (count, mismatch)
 }
 
 /// Serializes `corpus` and `engine` into a `.cpsnap` byte image: the
@@ -253,40 +361,78 @@ pub(crate) fn seal(section: &[u8]) -> (usize, u64) {
 }
 
 /// Decodes a snapshot into its corpus and a search engine under the
-/// default [`MatchConfig`](crate::MatchConfig).
+/// default [`MatchConfig`](crate::MatchConfig), on every core.
 ///
-/// All section checksums are verified first, then the corpus is decoded
-/// and each family section is validated in full; the restored sections
+/// All section checksums are verified first, in parallel. Then the
+/// vulnerability records are decoded in one contiguous run per core, the
+/// pattern and weakness records beside them. The corpus is built in bulk
+/// from the records, which must strictly ascend by id in each family,
+/// while the three index families are copied and validated in full
+/// beside it. Last, each index family must name exactly its corpus
+/// family's records, in order. The restored sections
 /// are the encoded engine's, so its scores are bit-identical to that
-/// engine's under every configuration, and an engine that decodes answers
-/// every query.
+/// engine's under every configuration, and an engine that decodes
+/// answers every query. The result and the error for any input do not
+/// depend on the number of cores, and one core spawns nothing.
 ///
 /// # Errors
 ///
 /// Every [`SnapshotError`] variant: truncation, bad magic, unsupported
-/// version, checksum mismatch, or structurally corrupt payloads.
+/// version, checksum mismatch (the first bad section in table order), or
+/// structurally corrupt payloads.
 pub fn decode(bytes: &[u8]) -> Result<(Corpus, SearchEngine), SnapshotError> {
+    decode_in(bytes, cores())
+}
+
+/// [`decode`] with the vulnerability records split into `chunks` runs
+/// and the work spread over `min(chunks, cores())` threads; one thread
+/// runs everything here and spawns nothing.
+pub(crate) fn decode_in(
+    bytes: &[u8],
+    chunks: usize,
+) -> Result<(Corpus, SearchEngine), SnapshotError> {
     let _span = cpssec_obs::span!("snapshot-decode");
     let table = FORMAT.split(bytes).map_err(container_error)?;
-    table.verify().map_err(container_error)?;
+    let threads = chunks.min(cores());
+    table.verify_on(threads).map_err(container_error)?;
     let payload = |id| table.payload(id).map_err(container_error);
 
-    let corpus = decode_corpus_section(payload(SEC_CORPUS)?)?;
-
+    let records = payload(SEC_CORPUS)?;
+    let [patterns, weaknesses, vulnerabilities] = record_directories(0, records)?;
     let [p, w, v] = FAMILY_SECTIONS;
-    let engine = SearchEngine::from_sections([payload(p)?, payload(w)?, payload(v)?])?;
+    let sections = payload(p).and_then(|p| Ok([p, payload(w)?, payload(v)?]));
+    let parallel = threads > 1;
 
-    let stats = corpus.stats();
-    let expected = [stats.patterns, stats.weaknesses, stats.vulnerabilities];
-    for (family, expected) in engine.families().into_iter().zip(expected) {
-        let got = family.doc_count();
-        if got != expected {
-            return Err(SnapshotError::Corrupt(format!(
-                "`{}` index covers {got} documents but the corpus holds {expected} records",
-                family.name()
-            )));
-        }
-    }
+    // The pattern and weakness records beside the vulnerability runs.
+    let ((patterns, weaknesses), vulnerabilities) = join(
+        parallel,
+        || {
+            (
+                decode_records(&patterns, records, 1, 1, record_wire::decode_pattern),
+                decode_records(&weaknesses, records, 1, 1, record_wire::decode_weakness),
+            )
+        },
+        || {
+            decode_records(
+                &vulnerabilities,
+                records,
+                chunks,
+                threads,
+                record_wire::decode_vulnerability,
+            )
+        },
+    );
+    // The three index families open beside the corpus build.
+    let (engine, corpus) = join(
+        parallel,
+        || sections.and_then(SearchEngine::from_sections),
+        || -> Result<Corpus, SnapshotError> {
+            Corpus::from_ascending(patterns?, weaknesses?, vulnerabilities?)
+                .map_err(|e| SnapshotError::Corrupt(e.to_string()))
+        },
+    );
+    let (corpus, engine) = (corpus?, engine?);
+    check_coverage(&corpus, &engine)?;
     Ok((corpus, engine))
 }
 
@@ -576,6 +722,142 @@ mod tests {
                 ),
                 "prefix {len}: {err}"
             );
+        }
+    }
+
+    /// The snapshots the split decode is checked on: the seed corpus,
+    /// seed + synthetic 0.01, and the seed grown by two deltas and
+    /// compacted, each with the corpus it encodes.
+    fn split_snapshots() -> Vec<(&'static str, Corpus, Vec<u8>)> {
+        let seed = seed_corpus();
+        let mut synthetic = seed_corpus();
+        synthetic
+            .merge(cpssec_attackdb::synth::generate(
+                &cpssec_attackdb::synth::SynthSpec::paper2020(2020, 0.01),
+            ))
+            .unwrap();
+        let mut grown = seed_corpus();
+        let mut engine = SearchEngine::build(&grown);
+        let mut state = inspect(&encode(&grown, &engine)).unwrap().snapshot_id;
+        for serial in 0..2 {
+            let delta =
+                crate::delta::build(state, &cpssec_attackdb::synth::delta_batch(5, 60, serial));
+            state = crate::delta::apply_delta(&mut grown, &mut engine, &delta, state)
+                .unwrap()
+                .child_id;
+        }
+        let compacted = crate::delta::compact_verified(&grown, &engine).unwrap();
+        vec![
+            (
+                "seed",
+                seed.clone(),
+                encode(&seed, &SearchEngine::build(&seed)),
+            ),
+            (
+                "seed + synthetic 0.01",
+                synthetic.clone(),
+                encode(&synthetic, &SearchEngine::build(&synthetic)),
+            ),
+            ("delta-compacted", grown, compacted),
+        ]
+    }
+
+    /// The chunk counts a split decode is checked at: one, two and three
+    /// runs, one more run than cores, and one more than there are
+    /// vulnerability records (every run one record long).
+    fn chunk_counts(corpus: &Corpus) -> [usize; 5] {
+        [1, 2, 3, cores() + 1, corpus.stats().vulnerabilities + 1]
+    }
+
+    #[test]
+    fn every_split_decodes_the_same_corpus_and_bytes() {
+        for (label, corpus, bytes) in split_snapshots() {
+            for chunks in chunk_counts(&corpus) {
+                let (decoded, engine) = decode_in(&bytes, chunks).unwrap();
+                assert_eq!(decoded, corpus, "{label}, {chunks} chunks");
+                assert!(
+                    encode(&decoded, &engine) == bytes,
+                    "{label}, {chunks} chunks: re-encode differs"
+                );
+            }
+        }
+    }
+
+    /// `corpus`'s snapshot with its vulnerability records written by
+    /// `edit` (given each record's position, the record and the section
+    /// so far) and every checksum valid.
+    fn with_vulnerability_records(
+        corpus: &Corpus,
+        edit: impl Fn(usize, &cpssec_attackdb::Vulnerability, &mut Vec<u8>),
+    ) -> Vec<u8> {
+        let engine = SearchEngine::build(corpus);
+        let stats = corpus.stats();
+        let mut records = Vec::new();
+        encode_family_records(&mut records, stats.patterns, corpus.patterns(), |b, p| {
+            record_wire::encode_pattern(b, p);
+        });
+        encode_family_records(
+            &mut records,
+            stats.weaknesses,
+            corpus.weaknesses(),
+            |b, w| {
+                record_wire::encode_weakness(b, w);
+            },
+        );
+        let vulnerabilities: Vec<_> = corpus.vulnerabilities().collect();
+        encode_family_records(
+            &mut records,
+            vulnerabilities.len(),
+            0..vulnerabilities.len(),
+            |b, i| {
+                edit(i, vulnerabilities[i], b);
+            },
+        );
+        let [p, w, v] = engine.families().map(Segments::section);
+        FORMAT.assemble(&[&records, &p, &w, &v])
+    }
+
+    #[test]
+    fn every_split_refuses_a_bad_record_with_the_same_error() {
+        let (_, corpus, _) = split_snapshots().swap_remove(1);
+        let n = corpus.stats().vulnerabilities;
+        let vulnerabilities: Vec<_> = corpus.vulnerabilities().cloned().collect();
+        // Two records with a trailing byte, one early and one in the last
+        // run: every split reports the early one.
+        let trailing = with_vulnerability_records(&corpus, |i, v, b| {
+            record_wire::encode_vulnerability(b, v);
+            if i == 5 || i == n - 2 {
+                b.push(0);
+            }
+        });
+        // Two records swapped near the end, then a duplicate at the end.
+        let swapped = with_vulnerability_records(&corpus, |i, _, b| {
+            let i = match i {
+                i if i == n - 4 => n - 3,
+                i if i == n - 3 => n - 4,
+                i if i == n - 1 => n - 2,
+                i => i,
+            };
+            record_wire::encode_vulnerability(b, &vulnerabilities[i]);
+        });
+        for (bytes, expected) in [
+            (
+                trailing,
+                "corrupt snapshot: `vulnerabilities` record 5 has 1 trailing byte(s)".to_owned(),
+            ),
+            (
+                swapped,
+                format!(
+                    "corrupt snapshot: `vulnerabilities` record {} is not in id order",
+                    n - 3
+                ),
+            ),
+        ] {
+            assert_eq!(decode(&bytes).unwrap_err().to_string(), expected);
+            for chunks in chunk_counts(&corpus) {
+                let err = decode_in(&bytes, chunks).unwrap_err();
+                assert_eq!(err.to_string(), expected, "{chunks} chunks");
+            }
         }
     }
 

@@ -15,6 +15,7 @@
 //! directory, so corrupt bytes surface as errors, never a panic. The
 //! full decode reads the corpus through the same record-directory walker.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use cpssec_attackdb::snapshot as record_wire;
@@ -86,15 +87,25 @@ impl RecordDirectory {
         Ok(record)
     }
 
-    /// Decodes every record of the family, in directory order.
-    pub(crate) fn decode_all<T>(
+    /// Number of records in the family.
+    pub(crate) fn count(&self) -> usize {
+        self.count as usize
+    }
+
+    /// Appends records `range` of the family to `out`, in directory
+    /// order.
+    pub(crate) fn decode_into<T>(
         &self,
         bytes: &[u8],
+        range: Range<usize>,
         decode: impl Fn(&mut Reader<'_>) -> Result<T, SnapshotError>,
-    ) -> Result<Vec<T>, SnapshotError> {
-        (0..self.count as usize)
-            .map(|i| self.decode(bytes, i, &decode))
-            .collect()
+        out: &mut Vec<T>,
+    ) -> Result<(), SnapshotError> {
+        out.reserve_exact(range.len());
+        for i in range {
+            out.push(self.decode(bytes, i, &decode)?);
+        }
+        Ok(())
     }
 }
 

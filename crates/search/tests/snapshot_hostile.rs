@@ -249,3 +249,93 @@ fn a_resealed_snapshot_with_swapped_ids_is_corrupt() {
         "corrupt snapshot: `vulnerabilities` id table is not ascending at document 1"
     );
 }
+
+/// The byte span of section `name` in `bytes`.
+fn span_of(bytes: &[u8], name: &str) -> std::ops::Range<usize> {
+    let info = snapshot::inspect(bytes).unwrap();
+    let section = info.sections.iter().find(|s| s.name == name).unwrap();
+    section.offset as usize..(section.offset + section.len) as usize
+}
+
+fn u32_at(bytes: &[u8], at: usize) -> usize {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize
+}
+
+#[test]
+fn a_resealed_snapshot_with_swapped_corpus_records_is_corrupt() {
+    // The corpus is built in bulk from records in id order, so decode
+    // must refuse records that do not ascend even when every checksum
+    // holds.
+    let corpus = cpssec_attackdb::seed::seed_corpus();
+    let mut bytes = snapshot::encode(&corpus, &SearchEngine::build(&corpus));
+    // Each record directory is a count, one offset per record, the blob
+    // length and the blob; the vulnerabilities' is the third.
+    let mut at = span_of(&bytes, "corpus").start;
+    for _ in 0..2 {
+        at += 4 + 4 * u32_at(&bytes, at);
+        at += 4 + u32_at(&bytes, at);
+    }
+    let offsets = at + 4;
+    let blob = offsets + 4 * u32_at(&bytes, at) + 4;
+    let [start, second, end] = [0, 1, 2].map(|i| blob + u32_at(&bytes, offsets + 4 * i));
+    let swapped = [&bytes[second..end], &bytes[start..second]].concat();
+    bytes[start..end].copy_from_slice(&swapped);
+    let second_at = u32::try_from(end - second + start - blob).unwrap();
+    bytes[offsets + 4..offsets + 8].copy_from_slice(&second_at.to_le_bytes());
+    reseal(&mut bytes);
+    let err = snapshot::decode(&bytes).unwrap_err();
+    assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
+    assert_eq!(
+        err.to_string(),
+        "corrupt snapshot: `vulnerabilities` record 1 is not in id order"
+    );
+}
+
+#[test]
+fn a_resealed_index_id_the_corpus_does_not_hold_is_corrupt() {
+    // The last vulnerability's year set to 2099 keeps the id table
+    // ascending, but the document no longer names a corpus record: a hit
+    // on it could not be looked up.
+    let corpus = cpssec_attackdb::seed::seed_corpus();
+    let mut bytes = snapshot::encode(&corpus, &SearchEngine::build(&corpus));
+    let section = span_of(&bytes, "vulnerabilities").start;
+    let count = u32_at(&bytes, section);
+    let last = section + 4 + (count - 1) * 6;
+    bytes[last..last + 2].copy_from_slice(&2099u16.to_le_bytes());
+    reseal(&mut bytes);
+    let record = corpus.vulnerabilities().last().unwrap().id();
+    let err = snapshot::decode(&bytes).unwrap_err();
+    assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
+    assert_eq!(
+        err.to_string(),
+        format!(
+            "corrupt snapshot: `vulnerabilities` index document {} is {} but corpus record {} is {record}",
+            count - 1,
+            CveId::new(2099, record.number()),
+            count - 1,
+        )
+    );
+}
+
+#[test]
+fn an_unresealed_flip_names_its_section() {
+    // The checksums are computed in parallel; the error still names the
+    // section the flip is in, and with every section flipped, the first
+    // in table order.
+    let corpus = cpssec_attackdb::seed::seed_corpus();
+    let bytes = snapshot::encode(&corpus, &SearchEngine::build(&corpus));
+    let mut every = bytes.clone();
+    for section in snapshot::inspect(&bytes).unwrap().sections {
+        let middle = (section.offset + section.len / 2) as usize;
+        let mut flipped = bytes.clone();
+        flipped[middle] ^= 0x01;
+        every[middle] ^= 0x01;
+        let expected = SnapshotError::ChecksumMismatch(section.name);
+        assert_eq!(snapshot::decode(&flipped).unwrap_err(), expected);
+        assert_eq!(view::open_verified(flipped.into()).unwrap_err(), expected);
+    }
+    assert_eq!(
+        snapshot::decode(&every).unwrap_err(),
+        SnapshotError::ChecksumMismatch("corpus")
+    );
+}
